@@ -233,6 +233,12 @@ def _parent_span(trace):
     return trace
 
 
+# ``client.stats`` keys bumped per completed key in ``_finish_op``: the
+# op's own count, plus the GET outcome (mutation statuses have none).
+_STAT_KEY = {"get": "gets", "set": "sets", "erase": "erases", "cas": "cas",
+             "hit": "hits", "miss": "misses", "error": "get_errors"}
+
+
 class CliqueMapClient:
     """One application client of a CliqueMap cell."""
 
@@ -358,14 +364,13 @@ class CliqueMapClient:
         self._h_latency = {
             op: self._m_latency.labels(op=op, strategy=strategy)
             for op in ("get", "set", "erase", "append")}
-        self._h_batched_get_latency = self._m_latency.labels(
-            op="get", strategy="batched")
-        self._h_batched_set_latency = self._m_latency.labels(
-            op="set", strategy="batched")
+        self._h_batched_latency = {
+            op: self._m_latency.labels(op=op, strategy="batched")
+            for op in ("get", "set")}
         self._h_batch_size_get = self._m_batch_size.labels(op="get_multi")
         self._h_batch_size_set = self._m_batch_size.labels(op="set_multi")
-        self._h_batch_keys_get = self._m_batch_keys.labels(op="get")
-        self._h_batch_keys_set = self._m_batch_keys.labels(op="set")
+        self._h_batch_keys = {op: self._m_batch_keys.labels(op=op)
+                              for op in ("get", "set")}
         self._h_touch_pending = self._m_touch_pending.labels(
             client=self.client_id)
 
@@ -570,79 +575,80 @@ class CliqueMapClient:
         federated fan-out or a WAN gateway serve — instead of starting
         a standalone root.
         """
-        self.stats["gets"] += 1
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
         key_hash = self.placement.key_hash(key)
-        attempts = 0
-        last_reason = "no-healthy-replicas"
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
         root = self.tracer.start("get", parent=_parent_span(trace),
                                  client=self.client_id,
                                  strategy=self.strategy.value)
+        outcome, attempts, reason = yield from self._run_op(
+            "get", root, deadline_at,
+            lambda attempt: self._attempt(key, key_hash, deadline_at, root,
+                                          attempt),
+            lambda retry: self._recover_get(retry, key_hash))
+        status, value, version = outcome or (GetStatus.ERROR, None, None)
+        if status is GetStatus.MISS and self.read_through is not None and \
+                self.read_through.policy.read_through:
+            return (yield from self._read_through_miss(
+                key, attempts, started, root))
+        latency = self.sim.now - started
+        if outcome is None:
+            root.annotate(error=reason)
+        root.finish()  # at the same instant latency is measured
+        if status is GetStatus.HIT:
+            self._note_touch(key_hash)
+            value = yield from self._decode_value(value)
+        return GetResult(status, value=value, version=version,
+                         attempts=attempts, latency=latency, error=reason,
+                         trace=self._finish_op("get", status.value, latency,
+                                               root))
 
-        while attempts < self.config.max_retries and \
-                self.sim.now < deadline_at:
+    # -- the op engine -------------------------------------------------------
+
+    def _run_op(self, op: str, root, deadline_at: float,
+                attempt_fn: Callable[[int], Generator],
+                recover: Optional[Callable[[_AttemptRetry], Generator]]
+                = None) -> Generator:
+        """The one retry loop every retrying op runs under (§9).
+
+        Drives ``attempt_fn(attempt)`` until it returns an outcome or
+        the op runs out of road: ``max_retries`` attempts, the deadline,
+        a dry retry budget, or a backoff sleep that would cross the
+        deadline. An attempt asks for another by raising
+        :class:`_AttemptRetry`; ``recover`` (optional) repairs client
+        state for that hazard before the backoff sleep. Returns
+        ``(outcome, attempts, reason)`` — ``outcome`` is None on
+        terminal failure and ``reason`` is then the last hazard, or
+        ``"budget-exhausted"`` when the retry was shed.
+        """
+        max_retries = self.config.max_retries
+        attempts = 0
+        reason = "no-healthy-replicas"
+        backoff = None
+        while attempts < max_retries and self.sim.now < deadline_at:
             attempts += 1
             try:
-                status, value, version = yield from self._attempt(
-                    key, key_hash, deadline_at, root, attempts)
+                return (yield from attempt_fn(attempts)), attempts, None
             except _AttemptRetry as retry:
-                self.stats["retries"] += 1
-                self._m_retries.labels(op="get", reason=retry.reason).inc()
-                if self._flight:
-                    self._flight.record("retry", origin=self._flight_origin,
-                                        op="get", reason=retry.reason,
-                                        attempt=attempts)
-                last_reason = retry.reason
-                if retry.reason.startswith("validation"):
-                    self.stats["validation_failures"] += 1
-                if retry.reason == "inquorate":
-                    self.stats["inquorate"] += 1
-                if attempts >= self.config.max_retries or \
-                        self.sim.now >= deadline_at:
-                    continue  # terminal: no further attempt to pay for
+                reason = retry.reason
+                self._note_retry(op, reason, attempts)
+                if attempts >= max_retries or self.sim.now >= deadline_at:
+                    break  # terminal: no further attempt to pay for
                 if not self._retry_budget.try_spend():
                     # Budget dry: shed the retry instead of amplifying
                     # the overload; fail fast with a distinct reason.
-                    self.stats["retries_shed"] += 1
-                    self._m_retries_shed.labels(op="get",
-                                                reason=retry.reason).inc()
-                    if self._flight:
-                        self._flight.record("retry_shed",
-                                            origin=self._flight_origin,
-                                            op="get", reason=retry.reason,
-                                            attempt=attempts)
-                    last_reason = "budget-exhausted"
+                    self._note_shed(op, reason, attempts)
                     root.annotate(shed_retry=True)
+                    reason = "budget-exhausted"
                     break
                 recovery = root.child("retry", attempt=attempts,
-                                      reason=retry.reason)
-                for task in retry.stale_tasks:
-                    yield from self._build_view(task)
-                if retry.refresh_config:
-                    yield from self._refresh_config()
-                if retry.reason in ("no-healthy-replicas", "inquorate",
-                                    "replica-down", "replica-error"):
-                    # Failed-RMA retries contact backends via RPC as part
-                    # of the retry procedure (§4.1) — re-handshake any
-                    # disconnected cohort member inline rather than
-                    # waiting for the background reconnect loop.
-                    # Quarantined members are left to cool down — unless
-                    # the directory shows the task restarted, in which
-                    # case the quarantine belongs to a dead incarnation
-                    # and a handshake re-admits the new one.
-                    for shard in self.placement.shards_for(key_hash):
-                        task = self.cell.task_for_shard(shard)
-                        view = self._views.get(task)
-                        if view is None or (not view.health.connected and
-                                            not view.health.quarantined):
-                            yield from self._build_view(task)
-                        elif view.channel.server is not \
-                                self.directory(task).rpc_server:
-                            yield from self._build_view(task)
+                                      reason=reason)
+                if recover is not None:
+                    yield from recover(retry)
+                if backoff is None:
+                    backoff = BackoffPolicy(self.config.retry_backoff,
+                                            self.config.retry_backoff_cap,
+                                            self._retry_rand)
                 delay = backoff.next_delay()
                 if self.sim.now + delay >= deadline_at:
                     # The backoff would sleep past the deadline; stop now
@@ -653,48 +659,84 @@ class CliqueMapClient:
                 if delay:
                     yield self.sim.sleep(delay)
                 recovery.finish()
-                continue
-            if status is GetStatus.HIT:
-                latency = self.sim.now - started
-                root.finish()  # at the same instant latency is measured
-                self.stats["hits"] += 1
-                self._note_touch(key_hash)
-                value = yield from self._decode_value(value)
-                return GetResult(GetStatus.HIT, value=value, version=version,
-                                 attempts=attempts, latency=latency,
-                                 trace=self._finish_op("get", "hit", latency,
-                                                       root))
-            if self.read_through is not None and \
-                    self.read_through.policy.read_through:
-                return (yield from self._read_through_miss(
-                    key, attempts, started, root))
-            latency = self.sim.now - started
-            root.finish()
-            self.stats["misses"] += 1
-            return GetResult(GetStatus.MISS, attempts=attempts,
-                             latency=latency,
-                             trace=self._finish_op("get", "miss", latency,
-                                                   root))
+        return None, attempts, reason
 
-        self.stats["get_errors"] += 1
-        latency = self.sim.now - started
-        root.annotate(error=last_reason).finish()
-        return GetResult(GetStatus.ERROR, attempts=attempts, latency=latency,
-                         error=last_reason,
-                         trace=self._finish_op("get", "error", latency, root))
+    def _recover_get(self, retry: _AttemptRetry,
+                     key_hash: bytes) -> Generator:
+        """GET's ``recover`` hook: rebuild what the hazard proved stale."""
+        for task in retry.stale_tasks:
+            yield from self._build_view(task)
+        if retry.refresh_config:
+            yield from self._refresh_config()
+        if retry.reason in ("no-healthy-replicas", "inquorate",
+                            "replica-down", "replica-error"):
+            # Failed-RMA retries contact backends via RPC as part of the
+            # retry procedure (§4.1) — re-handshake any disconnected
+            # cohort member inline rather than waiting for the background
+            # reconnect loop. Quarantined members are left to cool down —
+            # unless the directory shows the task restarted, in which
+            # case the quarantine belongs to a dead incarnation and a
+            # handshake re-admits the new one.
+            for shard in self.placement.shards_for(key_hash):
+                task = self.cell.task_for_shard(shard)
+                view = self._views.get(task)
+                if view is None or (not view.health.connected and
+                                    not view.health.quarantined):
+                    yield from self._build_view(task)
+                elif view.channel.server is not \
+                        self.directory(task).rpc_server:
+                    yield from self._build_view(task)
 
-    def _finish_op(self, op: str, status: str, latency: float,
-                   root) -> Optional[TraceContext]:
-        """Record terminal metrics + trace + flight event for one op."""
+    def _note_retry(self, op: str, reason: str, attempt: int) -> None:
+        """One failed attempt: stats, registry and flight together."""
+        stats = self.stats
+        stats["retries"] += 1
+        if reason.startswith("validation"):
+            stats["validation_failures"] += 1
+        elif reason == "inquorate":
+            stats["inquorate"] += 1
+        self._m_retries.labels(op=op, reason=reason).inc()
+        if self._flight:
+            self._flight.record("retry", origin=self._flight_origin,
+                                op=op, reason=reason, attempt=attempt)
+
+    def _note_shed(self, op: str, reason: str, attempt: int) -> None:
+        """One retry refused by the dry budget, in all three channels."""
+        self.stats["retries_shed"] += 1
+        self._m_retries_shed.labels(op=op, reason=reason).inc()
+        if self._flight:
+            self._flight.record("retry_shed", origin=self._flight_origin,
+                                op=op, reason=reason, attempt=attempt)
+
+    def _finish_op(self, op: str, status: str, latency: float, root,
+                   batched: bool = False) -> Optional[TraceContext]:
+        """Record one completed key: stats, metrics, flight, trace.
+
+        Every completion — singleton op or one key of a batch — passes
+        through here, so the three accounting channels cannot drift. A
+        ``batched`` key lands in the ``strategy="batched"`` latency
+        series and shares its batch's root, which the batch itself
+        finishes and records once.
+        """
+        stats = self.stats
+        stats[_STAT_KEY[op]] += 1
+        outcome_key = _STAT_KEY.get(status)
+        if outcome_key is not None:
+            stats[outcome_key] += 1
         handle = self._h_ops.get((op, status))
         if handle is None:
             handle = self._h_ops[(op, status)] = self._m_ops.labels(
                 op=op, status=status)
         handle.inc()
-        latency_handle = self._h_latency.get(op)
-        if latency_handle is None:
-            latency_handle = self._h_latency[op] = self._m_latency.labels(
-                op=op, strategy=self.strategy.value)
+        if batched:
+            self._h_batch_keys[op].inc()
+            latency_handle = self._h_batched_latency[op]
+        else:
+            latency_handle = self._h_latency.get(op)
+            if latency_handle is None:
+                latency_handle = self._h_latency[op] = \
+                    self._m_latency.labels(op=op,
+                                           strategy=self.strategy.value)
         latency_handle.observe(latency)
         if self._flight:
             self._flight.record("op", origin=self._flight_origin, op=op,
@@ -702,6 +744,8 @@ class CliqueMapClient:
                                 trace_id=root.trace_id if root else None)
         if not root:  # tracing disabled: NULL_SPAN is falsy
             return None
+        if batched:
+            return TraceContext(root)
         root.annotate(status=status)
         # Only standalone roots enter the tracer's retained history — a
         # parented op (federated fan-out leg, gateway serve) is part of
@@ -731,13 +775,11 @@ class CliqueMapClient:
         latency = self.sim.now - started
         root.finish()
         if status == "hit":
-            self.stats["hits"] += 1
             self.stats["sor_hits"] += 1
             return GetResult(GetStatus.HIT, value=value, attempts=attempts,
                              latency=latency, source="sor",
                              trace=self._finish_op("get", "hit", latency,
                                                    root))
-        self.stats["misses"] += 1
         source = "negative" if status == "negative" else "sor"
         error = {"shed": "sor-backfill-shed",
                  "error": "sor-fetch-failed"}.get(status)
@@ -805,15 +847,14 @@ class CliqueMapClient:
             if self.strategy is GetStrategy.RPC:
                 results = yield from self._rpc_get_multi(keys, deadline)
                 return (yield from self._read_through_multi(keys, results))
-        return (yield from self._fanout_get_multi(keys, deadline))
+        return (yield from self._fanout(
+            [self.get(key, deadline) for key in keys],
+            self._get_error_result))
 
-    def _fanout_get_multi(self, keys: List[bytes],
-                          deadline: Optional[float]) -> Generator:
-        """Per-key parallel fan-out, with per-key failure isolation."""
-        procs = [self.sim.process(self._isolate(self.get(key, deadline),
-                                                self._get_error_result))
-                 for key in keys]
-        results = yield self.sim.all_of(procs)
+    def _fanout(self, ops, on_error) -> Generator:
+        """Run singleton ops in parallel, with per-key failure isolation."""
+        results = yield self.sim.all_of(
+            [self.sim.process(self._isolate(op, on_error)) for op in ops])
         return results
 
     @staticmethod
@@ -917,6 +958,8 @@ class CliqueMapClient:
         while pending:
             event, items = yield self.sim.any_of(list(pending))
             view, entries = pending.pop(event)
+            if isinstance(items, tuple):  # the whole leg failed as one
+                items = [items] * len(entries)
             for (i, _offset), item in zip(entries, items):
                 vote = self._vote_from(view, item, stale[i], key_hashes[i],
                                        overflow_seen[i])
@@ -946,20 +989,16 @@ class CliqueMapClient:
         # sum-invariant, kept for the batched path).
         data_span = root.child("data", batch=n)
 
-        def finish_key(i: int, status: GetStatus, value, version) -> None:
-            latency = self.sim.now - started
+        def finish_key(i: int, status: GetStatus, value=None,
+                       version=None) -> Generator:
             if status is GetStatus.HIT:
-                self.stats["hits"] += 1
-            else:
-                self.stats["misses"] += 1
-            self.stats["gets"] += 1
-            self._h_batch_keys_get.inc()
-            status_str = "hit" if status is GetStatus.HIT else "miss"
-            self._h_ops[("get", status_str)].inc()
-            self._h_batched_get_latency.observe(latency)
-            results[i] = GetResult(status, value=value, version=version,
-                                   latency=latency,
-                                   trace=TraceContext(root) if root else None)
+                self._note_touch(key_hashes[i])
+                value = yield from self._decode_value(value)
+            latency = self.sim.now - started
+            results[i] = GetResult(
+                status, value=value, version=version, latency=latency,
+                trace=self._finish_op("get", status.value, latency, root,
+                                      batched=True))
 
         # Keys still undecided after every vote arrived, plus misses.
         overflow_procs: Dict[object, int] = {}
@@ -976,14 +1015,13 @@ class CliqueMapClient:
                 continue  # data fetch in flight
             if outcome is QuorumOutcome.ABSENT:
                 if self.config.overflow_rpc_lookup and overflow_seen[i][0]:
-                    view_by_task = {v.task: v for v in cohorts[i]}
                     proc = self.sim.process(self._isolate(
                         self._maybe_overflow_lookup(
-                            keys[i], view_by_task, True, root),
+                            keys[i], cohorts[i], True, root),
                         lambda _exc: (GetStatus.MISS, None, None)))
                     overflow_procs[proc] = i
                 else:
-                    finish_key(i, GetStatus.MISS, None, None)
+                    yield from finish_key(i, GetStatus.MISS)
             elif config_mismatch[i]:
                 fallback[i] = "config-mismatch"
             elif stale[i]:
@@ -1001,58 +1039,54 @@ class CliqueMapClient:
             except _AttemptRetry as retry:
                 fallback[i] = retry.reason
                 continue
-            if status is GetStatus.HIT:
-                self._note_touch(key_hashes[i])
-                value = yield from self._decode_value(value)
-            finish_key(i, status, value, version)
+            yield from finish_key(i, status, value, version)
         data_span.finish()
 
         while overflow_procs:
             event, outcome = yield self.sim.any_of(list(overflow_procs))
-            i = overflow_procs.pop(event)
-            status, value, version = outcome
-            if status is GetStatus.HIT:
-                self._note_touch(key_hashes[i])
-                value = yield from self._decode_value(value)
-            finish_key(i, status, value, version)
+            yield from finish_key(overflow_procs.pop(event), *outcome)
 
+        yield from self._finish_batch(
+            "get_multi", root, results, fallback, started, deadline_at,
+            lambda i, remaining: self.get(keys[i], remaining),
+            self._get_error_result,
+            refresh_config=any(config_mismatch[i] for i in fallback),
+            stale_tasks={task for i in fallback for task in stale[i]})
+        return results
+
+    def _finish_batch(self, op: str, root, results: List[Optional[OpResult]],
+                      fallback: Dict[int, str], started: float,
+                      deadline_at: float,
+                      singleton: Callable[[int, float], Generator],
+                      on_error: Callable[[Exception], OpResult],
+                      refresh_config: bool = False,
+                      stale_tasks=()) -> Generator:
+        """Settle a batch: send each key the fast path left in
+        ``fallback`` through the ``singleton`` retry path, then finish
+        the batch root and record it once."""
         if fallback:
-            yield from self._finish_batch_fallback(
-                "get_multi", keys, results, fallback, started, deadline_at,
-                config_mismatch, stale)
-        root.annotate(resolved=n - len(fallback),
+            for reason in fallback.values():
+                self._m_batch_fallback.labels(op=op, reason=reason).inc()
+            # Recover shared state once, up front, so the per-key
+            # singletons start from fresh views instead of each
+            # re-discovering the same staleness (§4.1 retry procedure,
+            # amortized over the batch).
+            if refresh_config:
+                yield from self._refresh_config()
+            for task in stale_tasks:
+                yield from self._build_view(task)
+            prefix = self.sim.now - started
+            remaining = max(1e-6, deadline_at - self.sim.now)
+            ordered = sorted(fallback)
+            outcomes = yield from self._fanout(
+                [singleton(i, remaining) for i in ordered], on_error)
+            for i, result in zip(ordered, outcomes):
+                result.latency += prefix  # account the batch phase too
+                results[i] = result
+        root.annotate(resolved=len(results) - len(fallback),
                       fallback=len(fallback)).finish()
         if root and root.parent is None:
             self.tracer.record(root)
-        return results
-
-    def _finish_batch_fallback(self, op: str, keys: List[bytes],
-                               results: List[Optional[GetResult]],
-                               fallback: Dict[int, str], started: float,
-                               deadline_at: float,
-                               config_mismatch: List[bool],
-                               stale: List[List[str]]) -> Generator:
-        """Run the singleton retry path for each unsettled batch key."""
-        for reason in fallback.values():
-            self._m_batch_fallback.labels(op=op, reason=reason).inc()
-        # Recover shared state once, up front, so the per-key singletons
-        # start from fresh views instead of each re-discovering the same
-        # staleness (§4.1 retry procedure, amortized over the batch).
-        if any(config_mismatch[i] for i in fallback):
-            yield from self._refresh_config()
-        stale_tasks = {task for i in fallback for task in stale[i]}
-        for task in stale_tasks:
-            yield from self._build_view(task)
-        prefix = self.sim.now - started
-        remaining = max(1e-6, deadline_at - self.sim.now)
-        ordered = sorted(fallback)
-        procs = [self.sim.process(self._isolate(
-            self.get(keys[i], remaining), self._get_error_result))
-            for i in ordered]
-        outcomes = yield self.sim.all_of(procs)
-        for i, result in zip(ordered, outcomes):
-            result.latency += prefix  # account the batch phase too
-            results[i] = result
 
     def _fetch_index_batch(self, view: BackendView, offsets: List[int],
                            trace=NULL_SPAN) -> Generator:
@@ -1060,45 +1094,26 @@ class CliqueMapClient:
 
         Returns a list aligned with ``offsets`` of the same tuples
         :meth:`_fetch_index` produces, so votes can be formed with
-        :meth:`_vote_from` unchanged. Never raises: a whole-batch
-        transport failure yields a ``down`` outcome for every entry.
+        :meth:`_vote_from` unchanged — or, when the whole batch failed
+        in transport, the single ``stale``/``down`` tuple every entry
+        shares. Never raises.
         """
-        self.host.charge_inline(self.config.costs.issue_op_cpu,
-                                "cliquemap-client")
-        op = trace.child("transport.read_multi", task=view.task,
-                         kind="index", batch=len(offsets))
-        try:
-            raw_items = yield from self.transport.read_multi(
+        def issue():
+            span = trace.child("transport.read_multi", task=view.task,
+                               kind="index", batch=len(offsets))
+            return span, self.transport.read_multi(
                 self.host, view.host_name,
                 [(view.index_region_id, offset, view.bucket_bytes)
-                 for offset in offsets], trace=op)
-        except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
-            return [("stale", view.task, None)] * len(offsets)
-        except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
-            self._leg_down(view)
-            return [("down", view.task, None)] * len(offsets)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
-        items = []
-        for raw in raw_items:
-            if isinstance(raw, RegionRevokedError):
-                items.append(("stale", view.task, None))
-                continue
-            if isinstance(raw, RmaError):
-                items.append(("down", view.task, None))
-                continue
-            parsed = parse_bucket(raw, view.ways)
-            if not parsed.magic_ok:
-                items.append(("stale", view.task, None))
-            elif parsed.config_id != view.config_id:
-                items.append(("config", view.task, parsed.config_id))
-            else:
-                items.append(("ok", view.task, parsed))
-        return items
+                 for offset in offsets], trace=span)
+
+        def per_entry(view: BackendView, raw_items) -> list:
+            # Exceptions-as-values: one entry's failure spares the rest.
+            return [
+                ("stale" if isinstance(raw, RegionRevokedError) else "down",
+                 view.task, None) if isinstance(raw, RmaError)
+                else self._bucket_outcome(view, raw) for raw in raw_items]
+
+        return self._rma_leg(view, issue, per_entry)
 
     def _rpc_get_multi(self, keys: List[bytes],
                        deadline: Optional[float]) -> Generator:
@@ -1146,53 +1161,89 @@ class CliqueMapClient:
                 continue
             latency = self.sim.now - started
             for i, reply in zip(idxs, replies):
-                self.stats["gets"] += 1
-                self._h_batch_keys_get.inc()
                 if reply.get("found"):
-                    self.stats["hits"] += 1
-                    self._h_ops[("get", "hit")].inc()
                     value = yield from self._decode_value(reply["value"])
                     results[i] = GetResult(
                         GetStatus.HIT, value=value,
                         version=VersionNumber.unpack(reply["version"]),
                         latency=latency)
                 else:
-                    self.stats["misses"] += 1
-                    self._h_ops[("get", "miss")].inc()
                     results[i] = GetResult(GetStatus.MISS, latency=latency)
-                self._h_batched_get_latency.observe(latency)
-        if fallback:
-            yield from self._finish_batch_fallback(
-                "get_multi", keys, results, fallback, started, deadline_at,
-                [False] * n, [[] for _ in keys])
-        root.annotate(resolved=n - len(fallback),
-                      fallback=len(fallback)).finish()
-        if root and root.parent is None:
-            self.tracer.record(root)
+                self._finish_op("get", results[i].status.value, latency,
+                                root, batched=True)
+        yield from self._finish_batch(
+            "get_multi", root, results, fallback, started, deadline_at,
+            lambda i, remaining: self.get(keys[i], remaining),
+            self._get_error_result)
         return results
 
     # -- one attempt ---------------------------------------------------------
 
     def _attempt(self, key: bytes, key_hash: bytes, deadline_at: float,
                  span=NULL_SPAN, attempt: int = 1) -> Generator:
+        """Pick this client's lookup strategy; returns its attempt
+        generator (or raises ``_AttemptRetry`` when no cohort serves)."""
         if self.strategy is GetStrategy.RPC:
-            return (yield from self._attempt_rpc(key, key_hash, deadline_at,
-                                                 span, attempt))
+            return self._attempt_rpc(key, key_hash, deadline_at, span,
+                                     attempt)
         if self.strategy is GetStrategy.MSG:
-            return (yield from self._attempt_msg(key, key_hash, span,
-                                                 attempt))
+            return self._attempt_msg(key, key_hash, span, attempt)
         views = self._replica_views(key_hash)
         quorum = self.cell.mode.quorum
         if len(views) < quorum:
             raise _AttemptRetry("no-healthy-replicas")
         if self.cell.mode is ReplicationMode.R2_IMMUTABLE:
-            return (yield from self._attempt_serial(key, key_hash, views,
-                                                    span, attempt))
+            return self._attempt_serial(key, key_hash, views, span, attempt)
         if self.strategy is GetStrategy.SCAR:
-            return (yield from self._attempt_scar(key, key_hash, views,
-                                                  quorum, span, attempt))
-        return (yield from self._attempt_2xr(key, key_hash, views, quorum,
-                                             span, attempt))
+            return self._attempt_scar(key, key_hash, views, quorum, span,
+                                      attempt)
+        return self._attempt_2xr(key, key_hash, views, quorum, span,
+                                 attempt)
+
+    def _collect_votes(self, fetch, key_hash: bytes,
+                       views: List[BackendView], quorum: int, span,
+                       on_vote=None, await_task: Optional[str] = None
+                       ) -> Generator:
+        """Fan ``fetch`` out to every replica; quorum the votes (§5.1).
+
+        Evaluates the quorum as each leg lands and stops at the first
+        PRESENT/ABSENT decision (once ``await_task`` has voted, when
+        given), abandoning slower legs. ``on_vote(view, vote, result)``
+        sees each vote before it is counted. Finishes ``span`` and
+        raises :class:`_AttemptRetry` when the cohort is inquorate;
+        otherwise returns ``(decision, votes, stale, overflow_seen)``.
+        """
+        total = len(views)
+        pending = {self.sim.process(fetch(view, key_hash, span)): view
+                   for view in views}
+        votes: List[ReplicaVote] = []
+        stale: List[str] = []
+        overflow_seen = [False]
+        config_mismatch = False
+        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
+        while pending:
+            event, result = yield self.sim.any_of(list(pending))
+            view = pending.pop(event)
+            vote = self._vote_from(view, result, stale, key_hash,
+                                   overflow_seen)
+            if result[0] == "config":
+                config_mismatch = True
+            votes.append(vote)
+            if on_vote is not None:
+                on_vote(view, vote, result)
+            self.host.charge_inline(self.config.costs.quorum_cpu,
+                                    "cliquemap-client")
+            decision = evaluate(votes, total, quorum)
+            if decision.outcome in (QuorumOutcome.PRESENT,
+                                    QuorumOutcome.ABSENT) and (
+                    await_task is None or
+                    any(v.task == await_task for v in votes)):
+                break
+        if decision.outcome is QuorumOutcome.UNDECIDED:
+            decision = evaluate(votes, len(votes), quorum)
+        span.finish()  # quorum settled: the index phase is over
+        self._raise_for_failures(decision, stale, config_mismatch)
+        return decision, votes, stale, overflow_seen[0]
 
     def _attempt_2xr(self, key: bytes, key_hash: bytes,
                      views: List[BackendView], quorum: int,
@@ -1203,36 +1254,19 @@ class CliqueMapClient:
         each starts the simulated instant the previous one ends, so their
         durations sum to the attempt's share of the op latency.
         """
-        total = len(views)
         index_span = span.child("index", attempt=attempt)
-        pending = {self.sim.process(self._fetch_index(view, key_hash,
-                                                      index_span)): view
-                   for view in views}
-        votes: List[ReplicaVote] = []
-        entries: Dict[str, object] = {}
-        view_by_task = {view.task: view for view in views}
+        # Primary/backup ablation: speculate on, and await, the logical
+        # primary instead of the first responder.
+        primary = views[0].task if self.config.force_primary_data_fetch \
+            else None
         preferred_task: Optional[str] = None
         data_proc = None
         data_task: Optional[str] = None
-        stale: List[str] = []
-        overflow_seen = [False]
-        config_mismatch = False
-        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
 
-        while pending:
-            event, result = yield self.sim.any_of(list(pending))
-            view = pending.pop(event)
-            vote = self._vote_from(view, result, stale, key_hash,
-                                   overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
-                config_mismatch = True
-            votes.append(vote)
-            if vote.kind is VoteKind.PRESENT:
-                entries[view.task] = vote.entry
-            speculate = (not self.config.force_primary_data_fetch or
-                         view.task == views[0].task)
+        def speculate(view: BackendView, vote: ReplicaVote, _result) -> None:
+            nonlocal preferred_task, data_proc, data_task
             if preferred_task is None and vote.kind is not VoteKind.ERROR \
-                    and speculate:
+                    and (primary is None or view.task == primary):
                 preferred_task = view.task
                 if vote.kind is VoteKind.PRESENT:
                     # Speculative data fetch from the first responder (or
@@ -1242,26 +1276,16 @@ class CliqueMapClient:
                     data_proc = self.sim.process(
                         self._fetch_data(view, vote.entry, index_span))
                     data_task = view.task
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
-            decision = evaluate(votes, total, quorum)
-            if decision.outcome in (QuorumOutcome.PRESENT,
-                                    QuorumOutcome.ABSENT):
-                if self.config.force_primary_data_fetch and \
-                        not any(v.task == views[0].task for v in votes):
-                    continue  # primary/backup ablation: await the primary
-                break
 
-        if decision.outcome is QuorumOutcome.UNDECIDED:
-            decision = evaluate(votes, len(votes), quorum)
-        index_span.finish()  # quorum settled: the index phase is over
-        self._raise_for_failures(decision, stale, config_mismatch)
+        decision, votes, stale, overflow_seen = yield from \
+            self._collect_votes(self._fetch_index, key_hash, views, quorum,
+                                index_span, speculate, primary)
 
         if decision.outcome is QuorumOutcome.ABSENT:
             if data_proc is not None:
                 data_proc.defused = True
             return (yield from self._maybe_overflow_lookup(
-                key, view_by_task, overflow_seen[0], span, attempt))
+                key, views, overflow_seen, span, attempt))
 
         # PRESENT: the data must come from a quorum member at the quorumed
         # version (§5.1 condition 4).
@@ -1269,16 +1293,14 @@ class CliqueMapClient:
         if data_task is None or data_task not in decision.members:
             if data_proc is not None:
                 data_proc.defused = True  # speculation failed; ignore it
-            if self.config.force_primary_data_fetch:
-                # Primary/backup-style: insist on the primary when it is
-                # in the quorum, paying its latency even when slow.
-                primary = views[0].task
-                data_task = primary if primary in decision.members \
-                    else decision.members[0]
-            else:
-                data_task = decision.members[0]
+            # Under the ablation insist on the primary when it is in the
+            # quorum, paying its latency even when slow.
+            data_task = primary if primary in decision.members \
+                else decision.members[0]
             data_proc = self.sim.process(self._fetch_data(
-                view_by_task[data_task], entries[data_task], data_span))
+                next(view for view in views if view.task == data_task),
+                next(v.entry for v in votes if v.task == data_task),
+                data_span))
         result = yield data_proc
         data_span.finish()
         validate_span = span.child("validate", attempt=attempt)
@@ -1292,44 +1314,20 @@ class CliqueMapClient:
                       views: List[BackendView], quorum: int,
                       span=NULL_SPAN, attempt: int = 1) -> Generator:
         """SCAR to all replicas: one round trip, three full data copies."""
-        total = len(views)
-        scar_span = span.child("index", attempt=attempt, op="scar")
-        pending = {self.sim.process(self._fetch_scar(view, key_hash,
-                                                     scar_span)): view
-                   for view in views}
-        votes: List[ReplicaVote] = []
         data_by_task: Dict[str, Optional[bytes]] = {}
-        stale: List[str] = []
-        overflow_seen = [False]
-        config_mismatch = False
-        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
 
-        while pending:
-            event, result = yield self.sim.any_of(list(pending))
-            view = pending.pop(event)
-            vote = self._vote_from(view, result, stale, key_hash,
-                                   overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
-                config_mismatch = True
-            votes.append(vote)
+        def keep_copy(view: BackendView, vote: ReplicaVote, result) -> None:
             if vote.kind is VoteKind.PRESENT:
                 data_by_task[view.task] = result[3]
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
-            decision = evaluate(votes, total, quorum)
-            if decision.outcome in (QuorumOutcome.PRESENT,
-                                    QuorumOutcome.ABSENT):
-                break
 
-        if decision.outcome is QuorumOutcome.UNDECIDED:
-            decision = evaluate(votes, len(votes), quorum)
-        scar_span.finish()
-        self._raise_for_failures(decision, stale, config_mismatch)
+        decision, votes, stale, overflow_seen = yield from \
+            self._collect_votes(
+                self._fetch_scar, key_hash, views, quorum,
+                span.child("index", attempt=attempt, op="scar"), keep_copy)
 
         if decision.outcome is QuorumOutcome.ABSENT:
-            view_by_task = {view.task: view for view in views}
             return (yield from self._maybe_overflow_lookup(
-                key, view_by_task, overflow_seen[0], span, attempt))
+                key, views, overflow_seen, span, attempt))
 
         # Prefer validating a copy fetched from a quorum member.
         validate_span = span.child("validate", attempt=attempt)
@@ -1380,7 +1378,7 @@ class CliqueMapClient:
                 continue
             if vote.kind is VoteKind.ABSENT:
                 return (yield from self._maybe_overflow_lookup(
-                    key, {view.task: view}, overflow_seen[0], span, attempt))
+                    key, [view], overflow_seen[0], span, attempt))
             data_span = span.child("data", attempt=attempt, task=view.task)
             data_result = yield from self._fetch_data(view, vote.entry,
                                                       data_span)
@@ -1407,23 +1405,17 @@ class CliqueMapClient:
         if not views:
             raise _AttemptRetry("no-healthy-replicas")
         for view in views:
-            self.host.charge_inline(self.config.costs.issue_op_cpu,
-                                    "cliquemap-client")
-            msg_span = span.child("msg", attempt=attempt, task=view.task)
-            try:
-                reply = yield from self.transport.message(
+            def issue():
+                msg_span = span.child("msg", attempt=attempt, task=view.task)
+                return msg_span, self.transport.message(
                     self.host, view.host_name, "cliquemap-lookup",
                     len(key) + 64, {"key": key}, trace=msg_span)
-            except (RemoteHostDownError, RmaError, NetworkDropError):
-                msg_span.annotate(outcome="down").finish()
-                view.health.mark_down()
-                self._start_reconnect(view.task)
+
+            kind, _task, reply = yield from self._rma_leg(view, issue)
+            if kind == "stale":  # no lookup handler: the task is not serving
+                self._leg_down(view)
+            if kind != "ok":
                 continue
-            finally:
-                msg_span.finish()
-            view.health.record_success()
-            self.host.charge_inline(self.config.costs.completion_cpu,
-                                    "cliquemap-client")
             if not reply.get("found"):
                 return GetStatus.MISS, None, None
             if reply.get("key") != key:
@@ -1459,7 +1451,7 @@ class CliqueMapClient:
     # -- fetch helpers ---------------------------------------------------------
 
     def _leg_down(self, view: BackendView) -> None:
-        """One RMA leg found the backend unreachable.
+        """One RMA leg (or mutation RPC) found the backend unreachable.
 
         Recorded at the leg, not at vote collection: once a quorum
         settles, the losing legs are abandoned — but a gray (lossy)
@@ -1474,103 +1466,109 @@ class CliqueMapClient:
         bucket = int.from_bytes(key_hash[:8], "little") % view.num_buckets
         return bucket, bucket * view.bucket_bytes
 
-    def _fetch_index(self, view: BackendView, key_hash: bytes,
-                     trace=NULL_SPAN) -> Generator:
-        """RMA-read one bucket; returns a tagged outcome tuple (never raises)."""
-        _bucket, offset = self._bucket_location(view, key_hash)
-        self.host.charge_inline(self.config.costs.issue_op_cpu,
-                                "cliquemap-client")
-        op = trace.child("transport.read", task=view.task, kind="index")
+    def _rma_leg(self, view: BackendView,
+                 issue: Callable[[], Tuple[object, Generator]],
+                 outcome: Optional[Callable[[BackendView, object],
+                                            object]] = None,
+                 reissue: Optional[Callable[[object],
+                                            Optional[Generator]]] = None
+                 ) -> Generator:
+        """One transport op of a lookup leg — the body of its process.
+
+        ``issue()`` opens the leg's span and returns it with the
+        transport generator to run; this charges issue and completion
+        CPU around it and feeds the health scoreboard. Never raises:
+        returns ``("stale", task, None)`` when the region was revoked,
+        ``("down", task, None)`` when the replica was unreachable, else
+        ``outcome(view, payload)`` — by default ``("ok", task, payload)``.
+        ``reissue(span)`` may offer one replacement op after a revoked
+        region. (The fetchers below *return* this generator rather than
+        delegate to it: a leg is resumed once per transport event, and
+        every resume walks the whole ``yield from`` chain.)
+        """
+        costs = self.config.costs
+        self.host.charge_inline(costs.issue_op_cpu, "cliquemap-client")
+        span, op = issue()
         try:
-            raw = yield from self.transport.read(
-                self.host, view.host_name, view.index_region_id, offset,
-                view.bucket_bytes, trace=op)
+            try:
+                payload = yield from op
+            except RegionRevokedError:
+                again = reissue(span) if reissue is not None else None
+                if again is None:
+                    raise
+                payload = yield from again
         except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
+            span.annotate(outcome="stale").finish()
             return ("stale", view.task, None)
         except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
+            span.annotate(outcome="down").finish()
             self._leg_down(view)
             return ("down", view.task, None)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
+        span.finish()
+        self.host.charge_inline(costs.completion_cpu, "cliquemap-client")
         view.health.record_success()
+        if outcome is not None:
+            return outcome(view, payload)
+        return ("ok", view.task, payload)
+
+    @staticmethod
+    def _bucket_outcome(view: BackendView, raw: bytes, *extra) -> tuple:
+        """Self-validate a fetched bucket's header (§3, §6.1); ``extra``
+        (SCAR's datum) rides along on an ``ok`` outcome."""
         parsed = parse_bucket(raw, view.ways)
         if not parsed.magic_ok:
             return ("stale", view.task, None)
         if parsed.config_id != view.config_id:
             return ("config", view.task, parsed.config_id)
-        return ("ok", view.task, parsed)
+        return ("ok", view.task, parsed) + extra
+
+    def _fetch_index(self, view: BackendView, key_hash: bytes,
+                     trace=NULL_SPAN) -> Generator:
+        """RMA-read one bucket; returns a tagged outcome tuple (never raises)."""
+        def issue():
+            span = trace.child("transport.read", task=view.task, kind="index")
+            return span, self.transport.read(
+                self.host, view.host_name, view.index_region_id,
+                self._bucket_location(view, key_hash)[1], view.bucket_bytes,
+                trace=span)
+
+        return self._rma_leg(view, issue, self._bucket_outcome)
 
     def _fetch_scar(self, view: BackendView, key_hash: bytes,
                     trace=NULL_SPAN) -> Generator:
-        _bucket, offset = self._bucket_location(view, key_hash)
-        self.host.charge_inline(self.config.costs.issue_op_cpu,
-                                "cliquemap-client")
-        op = trace.child("transport.scar", task=view.task)
-        try:
-            bucket_raw, data_raw = yield from self.transport.scar(
-                self.host, view.host_name, view.index_region_id, offset,
-                view.bucket_bytes, key_hash, trace=op)
-        except RegionRevokedError:
-            op.annotate(outcome="stale").finish()
-            return ("stale", view.task, None)
-        except (RemoteHostDownError, RmaError, NetworkDropError):
-            op.annotate(outcome="down").finish()
-            self._leg_down(view)
-            return ("down", view.task, None)
-        op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
-        parsed = parse_bucket(bucket_raw, view.ways)
-        if not parsed.magic_ok:
-            return ("stale", view.task, None)
-        if parsed.config_id != view.config_id:
-            return ("config", view.task, parsed.config_id)
-        return ("ok", view.task, parsed, data_raw)
+        """SCAR one bucket; an ``ok`` outcome also carries the datum."""
+        def issue():
+            span = trace.child("transport.scar", task=view.task)
+            return span, self.transport.scar(
+                self.host, view.host_name, view.index_region_id,
+                self._bucket_location(view, key_hash)[1], view.bucket_bytes,
+                key_hash, trace=span)
+
+        return self._rma_leg(
+            view, issue, lambda view, raws: self._bucket_outcome(view, *raws))
 
     def _fetch_data(self, view: BackendView, entry,
                     trace=NULL_SPAN) -> Generator:
-        self.host.charge_inline(self.config.costs.issue_op_cpu,
-                                "cliquemap-client")
-        op = trace.child("transport.read", task=view.task, kind="data")
-        try:
-            try:
-                raw = yield from self.transport.read(
-                    self.host, view.host_name, entry.region_id, entry.offset,
-                    entry.size, trace=op)
-            except RegionRevokedError:
-                # The entry's window was superseded by a data-region
-                # reshape. Windows overlap the same virtually-contiguous
-                # pool (§4.1), so the offset is still valid through the
-                # currently-advertised window — converge to it, perhaps
-                # after a view refresh.
-                if view.data_region_id == entry.region_id:
-                    op.annotate(outcome="stale")
-                    return ("stale", view.task, None)
-                try:
-                    raw = yield from self.transport.read(
-                        self.host, view.host_name, view.data_region_id,
-                        entry.offset, entry.size, trace=op)
-                except RegionRevokedError:
-                    op.annotate(outcome="stale")
-                    return ("stale", view.task, None)
-                except (RemoteHostDownError, RmaError, NetworkDropError):
-                    op.annotate(outcome="down")
-                    self._leg_down(view)
-                    return ("down", view.task, None)
-            except (RemoteHostDownError, RmaError, NetworkDropError):
-                op.annotate(outcome="down")
-                self._leg_down(view)
-                return ("down", view.task, None)
-        finally:
-            op.finish()
-        self.host.charge_inline(self.config.costs.completion_cpu,
-                                "cliquemap-client")
-        view.health.record_success()
-        return ("ok", view.task, raw)
+        """RMA-read one DataEntry through the window its pointer names."""
+        def read(region_id: int, span) -> Generator:
+            return self.transport.read(
+                self.host, view.host_name, region_id, entry.offset,
+                entry.size, trace=span)
+
+        def issue():
+            span = trace.child("transport.read", task=view.task, kind="data")
+            return span, read(entry.region_id, span)
+
+        def current_window(span) -> Optional[Generator]:
+            # The entry's window was superseded by a data-region
+            # reshape. Windows overlap the same virtually-contiguous
+            # pool (§4.1), so the offset is still valid through the
+            # currently-advertised window — converge to it, perhaps
+            # after a view refresh.
+            if view.data_region_id != entry.region_id:
+                return read(view.data_region_id, span)
+
+        return self._rma_leg(view, issue, reissue=current_window)
 
     # -- vote/validation helpers ------------------------------------------------
 
@@ -1588,12 +1586,7 @@ class CliqueMapClient:
             return ReplicaVote.present(view.task, entry)
         if kind == "stale":
             stale.append(view.task)
-            return ReplicaVote.error(view.task)
-        if kind == "down":
-            # Health already recorded at the leg (see _leg_down).
-            return ReplicaVote.error(view.task)
-        if kind == "config":
-            return ReplicaVote.error(view.task)
+        # "down" legs already fed the health scoreboard (see _leg_down).
         return ReplicaVote.error(view.task)
 
     def _raise_for_failures(self, decision: QuorumDecision,
@@ -1645,8 +1638,7 @@ class CliqueMapClient:
                                 stale_tasks=tuple(stale))
         return outcome
 
-    def _maybe_overflow_lookup(self, key: bytes,
-                               view_by_task: Dict[str, BackendView],
+    def _maybe_overflow_lookup(self, key: bytes, views: List[BackendView],
                                overflow_seen: bool, span=NULL_SPAN,
                                attempt: int = 1) -> Generator:
         """On a miss under an overflowed bucket, optionally try RPC (§4.2)."""
@@ -1654,7 +1646,7 @@ class CliqueMapClient:
             self.stats["overflow_lookups"] += 1
             overflow_span = span.child("overflow", attempt=attempt)
             try:
-                for view in view_by_task.values():
+                for view in views:
                     try:
                         reply = yield from view.channel.call(
                             "Lookup", {"key": key},
@@ -1727,87 +1719,75 @@ class CliqueMapClient:
     def set(self, key: bytes, value: bytes,
             deadline: Optional[float] = None, trace=None) -> Generator:
         """SET via RPC to all replicas with a fresh VersionNumber."""
-        self.stats["sets"] += 1
         started = self.sim.now
-        deadline_at = started + (deadline or self.config.default_deadline)
         root = self.tracer.start("set", parent=_parent_span(trace),
                                  client=self.client_id)
-        raw_value = value
-        value = yield from self._encode_value(value)
-        payload_size = len(key) + len(value) + 64
+        encoded = yield from self._encode_value(value)
+        return (yield from self._mutate_op(
+            "set", "Set", key, {"key": key, "value": encoded},
+            len(key) + len(encoded) + 64, value, started, deadline, root))
+
+    def _mutate_op(self, op: str, method: str, key: bytes, payload: dict,
+                   payload_size: int, sor_value: Optional[bytes],
+                   started: float, deadline: Optional[float],
+                   root) -> Generator:
+        """SET/ERASE under the op engine: each attempt nominates a fresh
+        VersionNumber and needs a quorum of replicas to apply it (§5.2).
+
+        ``sor_value`` is what an acknowledged mutation notes for
+        write-behind: the raw value for SET, None for ERASE.
+        """
+        deadline_at = started + (deadline or self.config.default_deadline)
         quorum = self.cell.mode.quorum
         last = MutationResult(SetStatus.FAILED)
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
 
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
+        def attempt(n: int) -> Generator:
+            nonlocal last
             version = self.versions.next()
             replies = yield from self._mutate_all(
-                "Set", {"key": key, "value": value,
-                        "version": version.pack()},
-                self.placement.key_hash(key), payload_size,
-                root, _attempt + 1)
-            applied = sum(1 for r in replies
-                          if r is not None and r.get("applied"))
-            superseded = sum(1 for r in replies if r is not None and
-                             not r.get("applied") and
-                             r.get("reason") == "superseded")
-            latency = self.sim.now - started
+                method, dict(payload, version=version.pack()),
+                self.placement.key_hash(key), payload_size, root, n)
+            applied, superseded = self._tally(replies)
+            result = MutationResult(
+                SetStatus.FAILED, version=version, replicas_applied=applied,
+                latency=self.sim.now - started, attempts=n)
             if applied >= quorum:
-                root.finish()
-                # Acked at quorum: the SoR learns of it via write-behind
-                # (or a sync write-through when the buffer is full); the
-                # op's acknowledged latency is the cache-tier latency.
-                yield from self._note_write_behind(key, raw_value)
-                return MutationResult(SetStatus.APPLIED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "set", "applied", latency, root))
-            if superseded >= quorum:
-                root.finish()
-                return MutationResult(SetStatus.SUPERSEDED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "set", "superseded", latency,
-                                          root))
-            self._m_retries.labels(op="set", reason="inquorate").inc()
-            if self._flight:
-                self._flight.record("retry", origin=self._flight_origin,
-                                    op="set", reason="inquorate",
-                                    attempt=_attempt + 1)
-            last = MutationResult(SetStatus.FAILED, version=version,
-                                  replicas_applied=applied, latency=latency,
-                                  attempts=_attempt + 1)
-            if _attempt + 1 >= self.config.max_retries or \
-                    self.sim.now >= deadline_at:
-                continue  # loop is about to end; nothing to pay for
-            if not self._retry_budget.try_spend():
-                self.stats["retries_shed"] += 1
-                self._m_retries_shed.labels(op="set",
-                                            reason="inquorate").inc()
-                if self._flight:
-                    self._flight.record("retry_shed",
-                                        origin=self._flight_origin,
-                                        op="set", reason="inquorate",
-                                        attempt=_attempt + 1)
-                last.error = "budget-exhausted"
-                root.annotate(shed_retry=True)
-                break
-            delay = backoff.next_delay()
-            if self.sim.now + delay >= deadline_at:
-                break  # would sleep past the deadline: no attempt left
-            if delay:
-                yield self.sim.sleep(delay)
+                result.status = SetStatus.APPLIED
+            elif superseded >= quorum:
+                result.status = SetStatus.SUPERSEDED
+            else:
+                last = result
+                raise _AttemptRetry("inquorate")
+            return result
+
+        result, _attempts, reason = yield from self._run_op(
+            op, root, deadline_at, attempt)
         root.finish()
-        last.trace = self._finish_op("set", "failed", last.latency, root)
-        return last
+        if result is None:
+            result = last
+            if reason == "budget-exhausted":
+                result.error = reason
+        elif result.status is SetStatus.APPLIED:
+            # Acked at quorum: the SoR learns of it via write-behind (or
+            # a sync write-through when the buffer is full); the op's
+            # acknowledged latency is the cache-tier latency.
+            yield from self._note_write_behind(key, sor_value)
+        result.trace = self._finish_op(op, result.status.value,
+                                       result.latency, root)
+        return result
+
+    @staticmethod
+    def _tally(replies) -> Tuple[int, int]:
+        """Count one key's ``(applied, superseded)`` replica replies."""
+        applied = superseded = 0
+        for reply in replies:
+            if reply is None:
+                continue
+            if reply.get("applied"):
+                applied += 1
+            elif reply.get("reason") == "superseded":
+                superseded += 1
+        return applied, superseded
 
     def set_multi(self, items: List[Tuple[bytes, bytes]],
                   deadline: Optional[float] = None) -> Generator:
@@ -1823,7 +1803,9 @@ class CliqueMapClient:
         if not items:
             return []
         if len(items) < 2 or self.cell is None:
-            return (yield from self._fanout_set_multi(items, deadline))
+            return (yield from self._fanout(
+                [self.set(key, value, deadline) for key, value in items],
+                self._mutation_error_result))
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
         n = len(items)
@@ -1860,61 +1842,33 @@ class CliqueMapClient:
                 continue
             for view in views:
                 per_view.setdefault(view.task, []).append(i)
+        def multiset(idxs: List[int]) -> Tuple[dict, int]:
+            entries = [[items[i][0], encoded[i], versions[i].pack()]
+                       for i in idxs]
+            size = sum(len(items[i][0]) + len(encoded[i])
+                       for i in idxs) + 64 + 24 * len(idxs)
+            return {"entries": entries}, size
+
         # Dual-write shadows: fire-and-forget MultiSets at the resize
         # target cohort; never counted toward per-key quorum below.
         for task, idxs in per_shadow.items():
-            entries = [[items[i][0], encoded[i], versions[i].pack()]
-                       for i in idxs]
-            size = sum(len(items[i][0]) + len(encoded[i])
-                       for i in idxs) + 64 + 24 * len(idxs)
             self._shadow_mutate(self._views[task], "MultiSet",
-                                {"entries": entries}, size)
-        applied = [0] * n
-        superseded = [0] * n
+                                *multiset(idxs))
+        replies_for: List[List[dict]] = [[] for _ in items]
         span = root.child("mutate", method="MultiSet",
                           backends=len(per_view))
-
-        def one(view: BackendView, idxs: List[int]) -> Generator:
-            entries = [[items[i][0], encoded[i], versions[i].pack()]
-                       for i in idxs]
-            size = sum(len(items[i][0]) + len(encoded[i])
-                       for i in idxs) + 64 + 24 * len(idxs)
-            try:
-                reply = yield from view.channel.call(
-                    "MultiSet", {"entries": entries},
-                    deadline=self.config.mutation_rpc_deadline,
-                    request_size=size, trace=span)
-                view.health.record_success()
-                reply_config = reply.get("config_id")
-                if reply_config is not None and \
-                        reply_config > self.cell.config_id:
-                    self._note_stale_config(reply_config)
-                return reply.get("results", [])
-            except PermissionDeniedError:
-                return None  # unauthorized: not retryable
-            except RpcError:
-                view_alive = self.directory(view.task).alive \
-                    if self.directory else True
-                if not view_alive:
-                    view.health.mark_down()
-                    self._start_reconnect(view.task)
-                else:
-                    view.health.record_failure()
-                return None
-
         procs = {self.sim.process(self._isolate(
-            one(self._views[task], idxs), lambda _exc: None)): idxs
+            self._mutation_rpc(self._views[task], "MultiSet",
+                               *multiset(idxs), span),
+            lambda _exc: None)): idxs
             for task, idxs in per_view.items()}
         while procs:
-            event, replies = yield self.sim.any_of(list(procs))
+            event, reply = yield self.sim.any_of(list(procs))
             idxs = procs.pop(event)
-            if replies is None:
+            if reply is None:
                 continue
-            for i, reply in zip(idxs, replies):
-                if reply.get("applied"):
-                    applied[i] += 1
-                elif reply.get("reason") == "superseded":
-                    superseded[i] += 1
+            for i, key_reply in zip(idxs, reply.get("results", [])):
+                replies_for[i].append(key_reply)
         span.finish()
 
         for i in range(n):
@@ -1923,136 +1877,41 @@ class CliqueMapClient:
             self.host.charge_inline(self.config.costs.quorum_cpu,
                                     "cliquemap-client")
             latency = self.sim.now - started
-            if applied[i] >= quorum:
-                status, status_str = SetStatus.APPLIED, "applied"
+            applied, superseded = self._tally(replies_for[i])
+            if applied >= quorum:
+                status = SetStatus.APPLIED
                 yield from self._note_write_behind(items[i][0], items[i][1])
-            elif superseded[i] >= quorum:
-                status, status_str = SetStatus.SUPERSEDED, "superseded"
+            elif superseded >= quorum:
+                status = SetStatus.SUPERSEDED
             else:
                 fallback[i] = "inquorate"
                 continue
-            self.stats["sets"] += 1
-            self._h_batch_keys_set.inc()
-            handle = self._h_ops.get(("set", status_str))
-            if handle is None:
-                handle = self._h_ops[("set", status_str)] = \
-                    self._m_ops.labels(op="set", status=status_str)
-            handle.inc()
-            self._h_batched_set_latency.observe(latency)
             results[i] = MutationResult(
-                status, version=versions[i], replicas_applied=applied[i],
+                status, version=versions[i], replicas_applied=applied,
                 latency=latency,
-                trace=TraceContext(root) if root else None)
+                trace=self._finish_op("set", status.value, latency, root,
+                                      batched=True))
 
-        if fallback:
-            for reason in fallback.values():
-                self._m_batch_fallback.labels(op="set_multi",
-                                              reason=reason).inc()
-            prefix = self.sim.now - started
-            remaining = max(1e-6, deadline_at - self.sim.now)
-            ordered = sorted(fallback)
-            procs_list = [self.sim.process(self._isolate(
-                self.set(items[i][0], items[i][1], remaining),
-                self._mutation_error_result)) for i in ordered]
-            outcomes = yield self.sim.all_of(procs_list)
-            for i, result in zip(ordered, outcomes):
-                result.latency += prefix
-                results[i] = result
-        root.annotate(resolved=n - len(fallback),
-                      fallback=len(fallback)).finish()
-        if root and root.parent is None:
-            self.tracer.record(root)
-        return results
-
-    def _fanout_set_multi(self, items: List[Tuple[bytes, bytes]],
-                          deadline: Optional[float]) -> Generator:
-        """Per-key parallel fan-out, with per-key failure isolation."""
-        procs = [self.sim.process(self._isolate(
-            self.set(key, value, deadline), self._mutation_error_result))
-            for key, value in items]
-        results = yield self.sim.all_of(procs)
+        yield from self._finish_batch(
+            "set_multi", root, results, fallback, started, deadline_at,
+            lambda i, remaining: self.set(items[i][0], items[i][1],
+                                          remaining),
+            self._mutation_error_result)
         return results
 
     def erase(self, key: bytes,
               deadline: Optional[float] = None, trace=None) -> Generator:
         """ERASE via RPC; tombstoned so late SETs cannot resurrect (§5.2)."""
-        self.stats["erases"] += 1
         started = self.sim.now
-        deadline_at = started + (deadline or self.config.default_deadline)
         root = self.tracer.start("erase", parent=_parent_span(trace),
                                  client=self.client_id)
-        quorum = self.cell.mode.quorum
-        last = MutationResult(SetStatus.FAILED)
-        backoff = BackoffPolicy(self.config.retry_backoff,
-                                self.config.retry_backoff_cap,
-                                self._retry_rand)
-
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
-            version = self.versions.next()
-            replies = yield from self._mutate_all(
-                "Erase", {"key": key, "version": version.pack()},
-                self.placement.key_hash(key), len(key) + 64,
-                root, _attempt + 1)
-            applied = sum(1 for r in replies
-                          if r is not None and r.get("applied"))
-            superseded = sum(1 for r in replies if r is not None and
-                             not r.get("applied"))
-            latency = self.sim.now - started
-            if applied >= quorum:
-                root.finish()
-                yield from self._note_write_behind(key, None)
-                return MutationResult(SetStatus.APPLIED, version=version,
-                                      replicas_applied=applied,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "erase", "applied", latency, root))
-            if superseded >= quorum:
-                root.finish()
-                return MutationResult(SetStatus.SUPERSEDED, version=version,
-                                      latency=latency,
-                                      attempts=_attempt + 1,
-                                      trace=self._finish_op(
-                                          "erase", "superseded", latency,
-                                          root))
-            self._m_retries.labels(op="erase", reason="inquorate").inc()
-            if self._flight:
-                self._flight.record("retry", origin=self._flight_origin,
-                                    op="erase", reason="inquorate",
-                                    attempt=_attempt + 1)
-            last = MutationResult(SetStatus.FAILED, version=version,
-                                  replicas_applied=applied, latency=latency,
-                                  attempts=_attempt + 1)
-            if _attempt + 1 >= self.config.max_retries or \
-                    self.sim.now >= deadline_at:
-                continue
-            if not self._retry_budget.try_spend():
-                self.stats["retries_shed"] += 1
-                self._m_retries_shed.labels(op="erase",
-                                            reason="inquorate").inc()
-                if self._flight:
-                    self._flight.record("retry_shed",
-                                        origin=self._flight_origin,
-                                        op="erase", reason="inquorate",
-                                        attempt=_attempt + 1)
-                last.error = "budget-exhausted"
-                root.annotate(shed_retry=True)
-                break
-            delay = backoff.next_delay()
-            if self.sim.now + delay >= deadline_at:
-                break  # would sleep past the deadline: no attempt left
-            if delay:
-                yield self.sim.sleep(delay)
-        root.finish()
-        last.trace = self._finish_op("erase", "failed", last.latency, root)
-        return last
+        return (yield from self._mutate_op(
+            "erase", "Erase", key, {"key": key}, len(key) + 64, None,
+            started, deadline, root))
 
     def cas(self, key: bytes, value: bytes, expected: VersionNumber,
             deadline: Optional[float] = None, trace=None) -> Generator:
         """Compare-and-set: install only if the stored version matches."""
-        self.stats["cas"] += 1
         started = self.sim.now
         root = self.tracer.start("cas", parent=_parent_span(trace),
                                  client=self.client_id)
@@ -2063,8 +1922,7 @@ class CliqueMapClient:
             "Cas", {"key": key, "value": value, "new_version": version.pack(),
                     "expected_version": expected.pack()},
             self.placement.key_hash(key), len(key) + len(value) + 96, root)
-        applied = sum(1 for r in replies
-                      if r is not None and r.get("applied"))
+        applied, _superseded = self._tally(replies)
         latency = self.sim.now - started
         root.finish()
         stored = None
@@ -2073,17 +1931,15 @@ class CliqueMapClient:
                 candidate = VersionNumber.unpack(reply["stored_version"])
                 stored = candidate if stored is None else max(stored,
                                                               candidate)
+        status = SetStatus.FAILED
         if applied >= self.cell.mode.quorum:
+            status, stored = SetStatus.APPLIED, None
             yield from self._note_write_behind(key, raw_value)
-            return MutationResult(SetStatus.APPLIED, version=version,
-                                  replicas_applied=applied, latency=latency,
-                                  trace=self._finish_op("cas", "applied",
-                                                        latency, root))
-        return MutationResult(SetStatus.FAILED, version=version,
+        return MutationResult(status, version=version,
                               replicas_applied=applied, latency=latency,
                               stored_version=stored,
-                              trace=self._finish_op("cas", "failed", latency,
-                                                    root))
+                              trace=self._finish_op("cas", status.value,
+                                                    latency, root))
 
     def append(self, key: bytes, suffix: bytes,
                deadline: Optional[float] = None) -> Generator:
@@ -2132,35 +1988,36 @@ class CliqueMapClient:
         if not views:
             return []
         fanout_span = span.child("mutate", attempt=attempt, method=method)
-
-        def one(view: BackendView):
-            try:
-                reply = yield from view.channel.call(
-                    method, payload,
-                    deadline=self.config.mutation_rpc_deadline,
-                    request_size=payload_size, trace=fanout_span)
-                view.health.record_success()
-                reply_config = reply.get("config_id")
-                if reply_config is not None and \
-                        reply_config > self.cell.config_id:
-                    self._note_stale_config(reply_config)
-                return reply
-            except PermissionDeniedError:
-                return None  # unauthorized: not retryable
-            except RpcError:
-                view_alive = self.directory(view.task).alive \
-                    if self.directory else True
-                if not view_alive:
-                    view.health.mark_down()
-                    self._start_reconnect(view.task)
-                else:
-                    view.health.record_failure()
-                return None
-
-        procs = [self.sim.process(one(view)) for view in views]
+        procs = [self.sim.process(self._mutation_rpc(
+            view, method, payload, payload_size, fanout_span))
+            for view in views]
         replies = yield self.sim.all_of(procs)
         fanout_span.finish()
         return replies
+
+    def _mutation_rpc(self, view: BackendView, method: str, payload: dict,
+                      payload_size: int, span) -> Generator:
+        """One mutation RPC to one replica: its reply, or None on failure."""
+        try:
+            reply = yield from view.channel.call(
+                method, payload, deadline=self.config.mutation_rpc_deadline,
+                request_size=payload_size, trace=span)
+            view.health.record_success()
+            reply_config = reply.get("config_id")
+            if reply_config is not None and \
+                    reply_config > self.cell.config_id:
+                self._note_stale_config(reply_config)
+            return reply
+        except PermissionDeniedError:
+            return None  # unauthorized: not retryable
+        except RpcError:
+            view_alive = self.directory(view.task).alive \
+                if self.directory else True
+            if not view_alive:
+                self._leg_down(view)
+            else:
+                view.health.record_failure()
+            return None
 
     # ------------------------------------------------------------------
     # Touch reporting (§4.2)

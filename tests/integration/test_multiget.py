@@ -13,8 +13,11 @@ index fetch per (backend, batch). These tests drive ``get_multi`` /
 * composition with the gray-failure machinery — a batch whose keys land
   on a backend behind a fully lossy link still returns correct results
   for every key, via quorum over the surviving replicas;
-* the retry loops no longer hot-spin at the deadline.
+* the one retry engine ends get / set / erase the same way: no hot-spin
+  at the deadline, one shed on a dry budget, ``max_retries`` attempts.
 """
+
+import pytest
 
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
                         GetStrategy, ReplicationMode, SetStatus)
@@ -230,30 +233,98 @@ def test_set_multi_with_partitioned_backend_still_applies():
     cell.close()
 
 
-def test_retry_loop_does_not_hot_spin_at_deadline():
-    """Regression for the deadline hot-spin: with a large backoff and a
-    short deadline, the op must stop once the next sleep would cross the
-    deadline — not burn hundreds of same-instant attempts."""
+def test_batched_keys_reach_the_flight_recorder():
+    """Every key a batch settles is one ``op`` flight event under the
+    batch's trace id, like a singleton op; a disabled recorder records
+    nothing and perturbs nothing."""
+    observed = {}
+    for recorder in (True, False):
+        cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=6,
+                             transport="pony", flight_recorder=recorder))
+        client = cell.connect_client(strategy=GetStrategy.TWO_R)
+        keys = make_keys(8)
+        writes = run(cell, client.set_multi([(key, b"v") for key in keys]))
+        reads = run(cell, client.get_multi(keys))
+        assert all(r.hit for r in reads), reads
+        observed[recorder] = [(r.status, r.latency) for r in writes + reads]
+        ops = [(e.fields["op"], e.fields["status"], e.fields["trace_id"])
+               for e in cell.flight.events(kind="op")]
+        if recorder:
+            set_id, get_id = (batch[0].trace.root.trace_id
+                              for batch in (writes, reads))
+            assert ops == [("set", "applied", set_id)] * 8 + \
+                [("get", "hit", get_id)] * 8
+        else:
+            assert ops == [] and cell.flight.recorded == 0
+        cell.close()
+    assert observed[True] == observed[False]
+
+
+# ---------------------------------------------------------------------------
+# The op engine's terminal semantics, one table for get / set / erase
+# ---------------------------------------------------------------------------
+
+ENGINE_OPS = {
+    "get": lambda client: client.get(b"spin-key"),
+    "set": lambda client: client.set(b"spin-key", b"v"),
+    "erase": lambda client: client.erase(b"spin-key"),
+}
+per_engine_op = pytest.mark.parametrize("op", sorted(ENGINE_OPS))
+
+
+def unreachable_cohort(**client_config):
+    """A client whose key is seeded, then every replica partitioned away."""
     cell = build(num_shards=3)
-    client = cell.connect_client(client_config=ClientConfig(
-        max_retries=1000, default_deadline=5e-3,
-        retry_backoff=2e-3, retry_backoff_cap=2e-3,
-        retry_budget_capacity=0.0))     # budget disabled: only the fix caps
+    client = cell.connect_client(
+        client_config=ClientConfig(**client_config))
     seed(cell, client, [b"spin-key"])
     for backend in cell.serving_backends():
         cell.fabric.partition(client.host, backend.host)
+    return cell, client
 
-    def app():
-        got = yield from client.get(b"spin-key")
-        put = yield from client.set(b"spin-key", b"v")
-        gone = yield from client.erase(b"spin-key")
-        return got, put, gone
 
-    got, put, gone = run(cell, app())
-    assert got.status is GetStatus.ERROR
-    assert put.status is SetStatus.FAILED
-    assert gone.status is SetStatus.FAILED
-    # A 5ms deadline with a 2ms floor backoff admits at most a handful of
-    # attempts per op; the hot-spin bug produced hundreds.
-    assert client.stats["retries"] <= 12, client.stats["retries"]
+@per_engine_op
+def test_retry_loop_does_not_hot_spin_at_deadline(op):
+    """Regression for the deadline hot-spin: with a large backoff and a
+    short deadline, the op must stop once the next sleep would cross the
+    deadline — not burn hundreds of same-instant attempts."""
+    cell, client = unreachable_cohort(
+        max_retries=1000, default_deadline=5e-3,
+        retry_backoff=2e-3, retry_backoff_cap=2e-3,
+        retry_budget_capacity=0.0)      # budget disabled: only the fix caps
+    started = cell.sim.now
+    result = run(cell, ENGINE_OPS[op](client))
+    assert not result.ok
+    # A 5ms deadline with a 2ms floor backoff admits three attempts; the
+    # hot-spin bug produced hundreds. Every failed attempt is a counted
+    # retry, whichever op ran it.
+    assert result.attempts == client.stats["retries"] == 3, client.stats
+    # ... and the op gave up instead of sleeping across its deadline.
+    assert cell.sim.now - started < 5e-3
+    cell.close()
+
+
+@per_engine_op
+def test_dry_retry_budget_sheds_after_one_attempt(op):
+    cell, client = unreachable_cohort(retry_budget_capacity=1.0,
+                                      retry_budget_fill_rate=0.0)
+    assert client.retry_budget.try_spend()      # drain the only token
+    result = run(cell, ENGINE_OPS[op](client))
+    assert not result.ok
+    assert result.error == "budget-exhausted"
+    assert result.attempts == 1
+    assert client.stats["retries"] == 1
+    assert client.stats["retries_shed"] == 1
+    cell.close()
+
+
+@per_engine_op
+def test_max_retries_bounds_attempts_on_a_dead_cohort(op):
+    cell, client = unreachable_cohort(
+        max_retries=4, default_deadline=1.0, retry_backoff=0.0,
+        retry_backoff_cap=0.0, retry_budget_capacity=0.0)
+    result = run(cell, ENGINE_OPS[op](client))
+    assert not result.ok
+    assert result.attempts == client.stats["retries"] == 4, client.stats
+    assert client.stats["retries_shed"] == 0
     cell.close()

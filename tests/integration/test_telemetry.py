@@ -4,7 +4,8 @@ the cell registry records what the benchmarks read back."""
 
 import pytest
 
-from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
+from repro.core import (Cell, CellSpec, ClientConfig, CliqueMapClient,
+                        GetStrategy, ReplicationMode)
 from repro.telemetry import TraceContext
 
 
@@ -124,6 +125,42 @@ def test_registry_records_what_the_client_did():
                               method="Set") == 3.0
     # The tracer retains the finished root spans, newest last.
     assert cell.tracer.last() is result.trace.root
+
+
+def test_retry_accounting_channels_agree_for_every_op():
+    """``client.stats`` and the registry count the same retries and
+    sheds, whichever op retried — on a private-registry client, so the
+    registry holds this client's events only."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony"))
+    client = CliqueMapClient(
+        cell.sim, cell.fabric, cell.fabric.add_host("host/private"),
+        cell.spec.name, cell.config_store, cell.backend_by_task,
+        cell.transport, client_id=7,
+        # Two retry tokens, never refilled: the GET spends both and is
+        # shed on its third attempt; SET and ERASE are shed on their first.
+        config=ClientConfig(retry_budget_capacity=2.0,
+                            retry_budget_fill_rate=0.0))
+    cell.sim.run(until=cell.sim.process(client.connect()))
+    for backend in cell.serving_backends():
+        cell.fabric.partition(client.host, backend.host)
+
+    def app():
+        yield from client.get(b"k")
+        yield from client.set(b"k", b"v")
+        yield from client.erase(b"k")
+
+    cell.sim.run(until=cell.sim.process(app()))
+    metrics = client.metrics
+    assert metrics is not cell.metrics
+    for op, retries in (("get", 3), ("set", 1), ("erase", 1)):
+        assert metrics.total("cliquemap_retries_total", op=op) == retries
+        assert metrics.total("cliquemap_retries_shed_total", op=op) == 1
+    assert client.stats["retries"] == \
+        metrics.total("cliquemap_retries_total") == 5
+    assert client.stats["retries_shed"] == \
+        metrics.total("cliquemap_retries_shed_total") == 3
+    cell.close()
 
 
 @pytest.mark.parametrize("transport", ["pony", "rdma", "1rma"])

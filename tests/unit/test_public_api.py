@@ -130,3 +130,48 @@ def test_client_public_methods_are_generators():
                    "set_multi", "connect"):
         fn = getattr(CliqueMapClient, method)
         assert inspect.isgeneratorfunction(fn), method
+
+
+def test_client_keeps_one_op_engine():
+    """Retry policy — backoff, budget, attempt/deadline cap — lives in
+    ``CliqueMapClient._run_op`` alone. A second call site of any of
+    these is a re-forked copy of the loop (there were three, and PR 3
+    had to fix one deadline spin in all of them)."""
+    import repro.core.client as client_module
+
+    source = inspect.getsource(client_module)
+    for call in ("next_delay(", "try_spend(", "BackoffPolicy("):
+        assert source.count(call) == 1, call
+
+
+def test_core_surface_is_frozen():
+    """The engine refactor changed no public name and added no knob."""
+    import dataclasses
+
+    from repro import core
+
+    assert sorted(core.__all__) == sorted("""
+        Backend BackendConfig BackendStats Cell CellSpec make_transport
+        CHECKSUM_BYTES checksum_ok kv_checksum BackendView ClientConfig
+        ClientCostModel CliqueMapClient GetResult MutationResult OpResult
+        CellConfig ConfigStore GetStrategy LookupStrategy ReplicationMode
+        DataEntryView DataRegion encode_entry_parts entry_size try_decode
+        CliqueMapError ConfigCasError GetStatus SetStatus ArcPolicy
+        EvictionPolicy LruPolicy RandomPolicy make_policy FederatedClient
+        Federation FederationSpec build_zone_cell RemoteZoneProxy ZoneShard
+        ZoneShardSpec ZoneWorkloadSpec run_plain_federation shard_builders
+        KEY_HASH_BYTES Placement default_key_hash key_hash_to_int
+        ENTRY_BYTES IndexRegion ParsedBucket ParsedIndexEntry bucket_size
+        make_scar_program parse_bucket MaintenanceConfig
+        MaintenanceController MaintenanceStats QuorumDecision QuorumOutcome
+        ReplicaVote VoteKind evaluate RepairConfig RepairScanner RepairStats
+        ResizeConfig ResizeController ResizeStats BackendHealth
+        BackoffPolicy HealthPolicy RetryBudget SlabAllocator TombstoneCache
+        TrueTime VERSION_BYTES VersionFactory VersionNumber""".split())
+    assert [f.name for f in dataclasses.fields(core.ClientConfig)] == """
+        default_deadline max_retries retry_backoff retry_backoff_cap
+        retry_budget_capacity retry_budget_fill_rate health
+        mutation_rpc_deadline touch_enabled touch_flush_interval
+        touch_batch_max reconnect_interval overflow_rpc_lookup
+        force_primary_data_fetch compression_enabled compression_min_bytes
+        compress_cpu_per_kb decompress_cpu_per_kb costs""".split()
