@@ -48,6 +48,10 @@ _SPECS: Dict[str, List[tuple]] = {
         ("fetch_reduction", "fetch_reduction", "fetch_reduction_floor"),
         ("coalescing_ratio", "coalesced.coalescing_ratio", None),
     ],
+    "scale": [
+        ("ops_per_wall_sec", "ops_per_wall_sec", None),
+        ("events_per_sec", "events_per_sec", None),
+    ],
     "resize_handoff": [
         ("handoff_entries_per_sec", "handoff_entries_per_sec",
          "throughput_floor"),

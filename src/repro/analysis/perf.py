@@ -135,7 +135,7 @@ def run_multiget_benchmark(num_keys: int = 32, transport: str = "pony",
 KERNEL_STRESS_SHAPES = (
     ("ticker", 8, 1200),    # staggered heap timers
     ("storm", 16, 1200),    # zero-delay timeout resumes (ready queue)
-    ("sleeper", 8, 1200),   # pooled retry/backoff sleeps
+    ("sleeper", 8, 1200),   # retry/backoff waits (parked delays)
     ("callbacks", 2, 9600),  # bare call_soon storm, no generators
     ("fanout", 8, 600),     # all_of/any_of + manually-signalled events
 )
@@ -152,9 +152,12 @@ def _stress_shape(sim, shape: str, workers: int, rounds: int) -> None:
         for _ in range(rounds):
             yield sim.timeout(0)
 
+    # Each kernel's cheapest one-shot wait: delay(), or the legacy sleep().
+    nap = getattr(sim, "delay", None) or sim.sleep
+
     def sleeper():
         for i in range(rounds):
-            yield sim.sleep(1e-6 * (i % 5))
+            yield nap(1e-6 * (i % 5))
 
     def fanout():
         for i in range(rounds // 8):
@@ -280,7 +283,7 @@ def compare_kernel_stress(new_factory, legacy_factory,
 
 
 def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
-                       ops: int = 50000, seed: int = 1, sim=None,
+                       ops: int = 50000, seed: int = 1,
                        num_clients: int = 8, batch: int = 4,
                        num_keys: int = 1024, value_bytes: int = 128,
                        tracing: bool = False, observe: bool = False) -> Dict:
@@ -293,8 +296,6 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
     op's (status, value-size, attempts, latency) in completion order —
     two kernels are order-equivalent iff their digests match.
 
-    ``sim`` injects an alternative simulator (the benchmarks pass the
-    pre-optimization baseline kernel); ``None`` uses the live kernel.
     ``observe`` attaches the observability plane in scrape-only form
     (time-series scraper + SLO engine, no probers: prober traffic would
     perturb the op digest); scraping rides a clock tap, so the digest
@@ -303,7 +304,7 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
     spec = CellSpec(transport=transport, num_shards=num_hosts,
                     mode=ReplicationMode.R3_2, seed=seed, tracing=tracing)
     wall_start = time.perf_counter()
-    cell = Cell(spec, sim=sim)
+    cell = Cell(spec)
     sim = cell.sim
     if observe:
         from ..observe import ObserveConfig

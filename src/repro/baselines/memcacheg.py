@@ -66,7 +66,7 @@ class MemcacheGServer:
         return f"memcacheg:{self.name}"
 
     def _charge(self, base: float, nbytes: int) -> Generator:
-        yield from self.host.execute(
+        yield self.host.execute(
             base + nbytes / 1024.0 * self.config.per_kilobyte_cpu,
             self.component)
 

@@ -494,7 +494,7 @@ class CliqueMapClient:
     def _reconnect_loop(self, task: str) -> Generator:
         try:
             while True:
-                yield self.sim.sleep(self.config.reconnect_interval)
+                yield self.sim.delay(self.config.reconnect_interval)
                 if task not in set(self.cell.serving_tasks()):
                     return  # task no longer serves; a refresh will rebuild
                 view = yield from self._build_view(task)
@@ -657,7 +657,7 @@ class CliqueMapClient:
                     recovery.finish()
                     break
                 if delay:
-                    yield self.sim.sleep(delay)
+                    yield self.sim.delay(delay)
                 recovery.finish()
         return None, attempts, reason
 
@@ -1602,7 +1602,7 @@ class CliqueMapClient:
 
     def _charge_validation(self, raw: bytes) -> Generator:
         cost = self.config.costs
-        yield from self.host.execute(
+        yield self.host.execute(
             cost.validate_cpu + len(raw) / 1024.0 * cost.validate_per_kb,
             "cliquemap-client")
 
@@ -1673,7 +1673,7 @@ class CliqueMapClient:
         if not self.config.compression_enabled:
             return value
         if len(value) >= self.config.compression_min_bytes:
-            yield from self.host.execute(
+            yield self.host.execute(
                 len(value) / 1024.0 * self.config.compress_cpu_per_kb,
                 "cliquemap-client")
             compressed = zlib.compress(value)
@@ -1689,7 +1689,7 @@ class CliqueMapClient:
             return stored
         scheme, body = stored[:1], stored[1:]
         if scheme == self._ZLIB:
-            yield from self.host.execute(
+            yield self.host.execute(
                 len(body) / 1024.0 * self.config.decompress_cpu_per_kb,
                 "cliquemap-client")
             return zlib.decompress(body)
@@ -1819,8 +1819,8 @@ class CliqueMapClient:
         build_span = root.child("build", batch=n)
         # One mutation-build charge for the whole batch — the per-op CPU
         # the coalesced path amortizes.
-        yield from self.host.execute(self.config.costs.mutation_cpu,
-                                     "cliquemap-client")
+        yield self.host.execute(self.config.costs.mutation_cpu,
+                                "cliquemap-client")
         encoded: List[bytes] = []
         versions: List[VersionNumber] = []
         for _key, value in items:
@@ -1956,8 +1956,8 @@ class CliqueMapClient:
                 break
             if _attempt:
                 # Linear backoff de-synchronizes contending CAS loops.
-                yield self.sim.sleep(self.config.retry_backoff *
-                                       _attempt * (1 + self.client_id % 3))
+                yield self.sim.delay(self.config.retry_backoff *
+                                     _attempt * (1 + self.client_id % 3))
             current = yield from self.get(key)
             if current.status is GetStatus.ERROR:
                 continue
@@ -1980,8 +1980,8 @@ class CliqueMapClient:
                     payload_size: int, span=NULL_SPAN,
                     attempt: int = 1) -> Generator:
         """Issue one mutation RPC to every replica; None for failures."""
-        yield from self.host.execute(self.config.costs.mutation_cpu,
-                                     "cliquemap-client")
+        yield self.host.execute(self.config.costs.mutation_cpu,
+                                "cliquemap-client")
         views = self._replica_views(key_hash)
         for shadow in self._shadow_views(key_hash):
             self._shadow_mutate(shadow, method, payload, payload_size)
@@ -2049,7 +2049,7 @@ class CliqueMapClient:
     def _touch_flusher(self) -> Generator:
         """Background batch reporting of accesses, amortizing RPC cost."""
         while not self._closed:
-            yield self.sim.sleep(self.config.touch_flush_interval)
+            yield self.sim.delay(self.config.touch_flush_interval)
             yield from self._flush_touches_once()
 
     def _flush_touches_once(self) -> Generator:

@@ -168,7 +168,7 @@ class ConfigStore:
 
     def get(self, name: str) -> Generator:
         """Read a configuration snapshot (a generator; costs latency)."""
-        yield self.sim.timeout(self.read_latency)
+        yield self.sim.delay(self.read_latency)
         self.reads += 1
         config = self._cells.get(name)
         if config is None:

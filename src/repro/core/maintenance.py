@@ -100,7 +100,7 @@ class MaintenanceController:
 
         # 3. The primary exits and restarts with the new binary.
         primary.stop()
-        yield self.sim.timeout(self.config.restart_delay)
+        yield self.sim.delay(self.config.restart_delay)
         restarted = self.cell.restart_backend_task(primary_task, shard=shard)
 
         # 4. The spare returns the shard's data (RPC traffic again), then
@@ -163,9 +163,9 @@ class MaintenanceController:
         backend.crash()
         self.stats.unplanned_restarts += 1
         self._m_events.labels(kind="unplanned-crash").inc()
-        yield self.sim.timeout(restart_delay
-                               if restart_delay is not None
-                               else self.config.crash_restart_delay)
+        yield self.sim.delay(restart_delay
+                             if restart_delay is not None
+                             else self.config.crash_restart_delay)
         restarted = self.cell.restart_backend_task(task, shard=shard)
         scanner = self.cell.scanner_for(task)
         if scanner is not None:

@@ -222,7 +222,7 @@ def _fed_client_loop(sim: Simulator, zone: str, zones: Tuple[str, ...],
     others = [z for z in zones if z != zone]
     op = 0
     while True:
-        yield sim.timeout(stream.expovariate(1.0 / workload.think_mean))
+        yield sim.delay(stream.expovariate(1.0 / workload.think_mean))
         op += 1
         started = sim.now
         if workload.fanout_every and op % workload.fanout_every == 0:

@@ -123,7 +123,7 @@ class RepairScanner:
 
     def _scan_loop(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.config.scan_interval)
+            yield self.sim.delay(self.config.scan_interval)
             if not self.backend.alive:
                 return
             try:

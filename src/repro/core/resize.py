@@ -233,7 +233,7 @@ class ResizeController:
             # the old cohort whose shadow was lost, survivors purge the
             # entries they no longer own, and departing tasks stop.
             if self.config.drain_grace:
-                yield self.sim.timeout(self.config.drain_grace)
+                yield self.sim.delay(self.config.drain_grace)
             yield from self._backfill(target, target_placement, old_tasks,
                                       max_sweeps=1)
             for idx, task in enumerate(target):
@@ -298,7 +298,7 @@ class ResizeController:
             if installed == 0 and all_alive:
                 return True
             if self.config.sweep_interval:
-                yield self.sim.timeout(self.config.sweep_interval)
+                yield self.sim.delay(self.config.sweep_interval)
         return False
 
     def _abort(self, action: str, joining: List[str],
@@ -318,7 +318,7 @@ class ResizeController:
             backend = self.cell.backends.get(task)
             if backend is not None and backend.alive:
                 backend.stop()
-        yield self.sim.timeout(0)
+        yield self.sim.delay(0)
 
     def _targets_alive(self, target: List[str]) -> bool:
         return all(self.cell.backends[t].alive for t in target)

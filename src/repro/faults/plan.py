@@ -167,7 +167,7 @@ class FaultInjector:
             for event in self.plan.events:
                 delay = started + event.at - self.sim.now
                 if delay > 0:
-                    yield self.sim.timeout(delay)
+                    yield self.sim.delay(delay)
                 self._apply(event)
         finally:
             self.finish()

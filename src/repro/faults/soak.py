@@ -311,7 +311,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                 last_applied[i] = value
             else:
                 foreground["writer_set_failures"] += 1
-            yield sim.timeout(rand.uniform(1e-3, 5e-3))
+            yield sim.delay(rand.uniform(1e-3, 5e-3))
 
     def reader_loop(rand):
         while not done[0]:
@@ -321,7 +321,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                     result.value not in written[i] and \
                     result.source == "cache":
                 bad_hits.append((i, result.value))
-            yield sim.timeout(rand.uniform(0.5e-3, 2e-3))
+            yield sim.delay(rand.uniform(0.5e-3, 2e-3))
 
     # Cold-keyspace churn (config.sor): reads that MISS the cache and
     # resolve through the coordinator, so the soak exercises the miss
@@ -341,7 +341,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                 sor_counts["misses"] += 1
             else:
                 sor_counts["errors"] += 1
-            yield sim.timeout(rand.uniform(1e-3, 4e-3))
+            yield sim.delay(rand.uniform(1e-3, 4e-3))
 
     # Eviction pressure (config.resize == "pressure"): a dedicated
     # writer hammers a disjoint padded keyspace so the cache churns
@@ -363,7 +363,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             if result.status is not SetStatus.APPLIED:
                 pressure_counts["failed"] += 1
                 foreground["pressure_set_failures"] += 1
-            yield sim.timeout(rand.uniform(0.5e-3, 2e-3))
+            yield sim.delay(rand.uniform(0.5e-3, 2e-3))
 
     def backfill_loop():
         # A warming storm: sweep the whole cold keyspace through the
@@ -372,7 +372,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         cold = [b"cold-%05d" % i for i in range(config.sor_cold_keys)]
         while not done[0]:
             yield from coordinator.warm(cold, concurrency=8)
-            yield sim.timeout(0.02)
+            yield sim.delay(0.02)
 
     plan = config.plan
     if plan is None and config.resize is not None:

@@ -222,7 +222,7 @@ class Fabric:
     # -- delivery -------------------------------------------------------------
 
     def deliver(self, src: Host, dst: Host, payload_bytes: int,
-                priority: int = 0, trace=None, parts: int = 1) -> Generator:
+                trace=None, parts: int = 1) -> Generator:
         """Move ``payload_bytes`` from ``src`` to ``dst`` (a generator).
 
         Completes when the last byte has been received; returns ``True``
@@ -247,13 +247,13 @@ class Fabric:
                         "payload")
         try:
             if src is dst:
-                yield self.sim.timeout(1e-7)
+                yield self.sim.delay(1e-7)
                 return False
             if self.is_partitioned(src, dst):
                 # Packets vanish; the sender learns via (re)transmit timeout.
                 span.annotate(dropped=True, reason="partition")
                 self._count_drop("partition")
-                yield self.sim.timeout(self.config.partition_detect_delay)
+                yield self.sim.delay(self.config.partition_detect_delay)
                 raise NetworkDropError(src.name, dst.name, "partition")
             fault = self.fault_between(src, dst)
             corrupted = False
@@ -262,7 +262,7 @@ class Fabric:
                         self._rand.bernoulli(fault.loss_probability):
                     span.annotate(dropped=True, reason="loss")
                     self._count_drop("loss")
-                    yield self.sim.timeout(
+                    yield self.sim.delay(
                         self.config.partition_detect_delay)
                     raise NetworkDropError(src.name, dst.name, "loss")
                 if fault.corrupt_probability and \
@@ -274,7 +274,7 @@ class Fabric:
                                 "injected gray fault")
             wire = self.config.mtu.wire_bytes(payload_bytes)
             egress = span.child("egress")
-            yield from src.nic.egress.transmit(wire, priority)
+            yield src.nic.egress.transmit(wire)
             egress.finish()
             delay = self.config.one_way_delay if src.zone == dst.zone \
                 else self.config.inter_zone_delay
@@ -287,10 +287,10 @@ class Fabric:
                             "Deliveries delayed by an injected slow-link "
                             "fault")
             propagate = span.child("propagate")
-            yield self.sim.timeout(delay)
+            yield self.sim.delay(delay)
             propagate.finish()
             ingress = span.child("ingress")
-            yield from dst.nic.ingress.transmit(wire, priority)
+            yield dst.nic.ingress.transmit(wire)
             ingress.finish()
             return corrupted
         finally:
@@ -325,9 +325,6 @@ class Fabric:
     def degrade(self, a: Host, b: Host, fault: LinkFault) -> None:
         """Apply ``fault`` to all deliveries between ``a`` and ``b``."""
         self._link_faults[frozenset((a.name, b.name))] = fault
-
-    def clear_degrade(self, a: Host, b: Host) -> None:
-        self._link_faults.pop(frozenset((a.name, b.name)), None)
 
     def degrade_host(self, host: Host, fault: LinkFault) -> None:
         """Apply ``fault`` to every delivery to or from ``host``."""
@@ -373,7 +370,7 @@ class Fabric:
             raise ValueError(f"bad antagonist direction {direction!r}")
 
         def chunk_sender(link):
-            yield from link.transmit(chunk_bytes)
+            yield link.transmit(chunk_bytes)
 
         def antagonist():
             interval = chunk_bytes / offered_bytes_per_sec
@@ -383,7 +380,7 @@ class Fabric:
                     self.sim.process(chunk_sender(target.nic.egress))
                 if direction in ("ingress", "both"):
                     self.sim.process(chunk_sender(target.nic.ingress))
-                yield self.sim.timeout(rand.expovariate(1.0 / interval))
+                yield self.sim.delay(rand.expovariate(1.0 / interval))
 
         proc = self.sim.process(antagonist(),
                                 name=f"antagonist:{target.name}")

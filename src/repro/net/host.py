@@ -2,7 +2,7 @@
 
 A :class:`Host` owns a pool of cores. Any component that burns CPU (RPC
 framework, CliqueMap client/backend code, Pony Express engines, language
-shims) does so by yielding from :meth:`Host.execute`, which charges the
+shims) does so by yielding :meth:`Host.execute`, which charges the
 cost to a named component in the host's :class:`CpuLedger`. The ledger is
 what the CPU-efficiency figures (Fig 6b, Fig 7, Fig 19) read out.
 
@@ -15,7 +15,7 @@ useful work, so the *lowest* offered load sees the *highest* latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Any, Dict, Optional
 
 from ..sim import Resource, Simulator
 
@@ -72,7 +72,8 @@ class Host:
         self.name = name
         self.config = config or HostConfig()
         self.cores = Resource(sim, capacity=self.config.cores,
-                              name=f"{name}.cores")
+                              name=f"{name}.cores",
+                              at_grant=self._core_granted)
         self.ledger = CpuLedger()
         self.nic = None  # attached by the fabric
         self.zone = "local"  # datacenter; reassigned by the fabric
@@ -96,36 +97,34 @@ class Host:
     # -- CPU execution -------------------------------------------------------
 
     def execute(self, cpu_seconds: float, component: str,
-                priority: int = 0) -> Generator:
+                priority: int = 0) -> Any:
         """Run ``cpu_seconds`` of work on some core, charging ``component``.
 
-        A generator; drive it with ``yield from``. Includes queueing for a
-        free core and any C-state wake-up penalty.
+        ``yield host.execute(...)`` from a process (:meth:`Resource.hold`).
+        Includes queueing for a free core and any C-state wake-up penalty;
+        a host dead now, or when the core is granted, raises
+        :class:`HostDownError`.
         """
         if not self._alive:
             raise HostDownError(self.name)
-        req = self.cores.request(priority=priority)
-        yield req
-        try:
-            if not self._alive:
-                raise HostDownError(self.name)
-            wake = self._wakeup_penalty()
-            work = cpu_seconds * self.config.cpu_slowdown
-            if wake + work > 0:
-                yield self.sim.timeout(wake + work)
-            self.ledger.charge(component, work)
-            self._last_busy = self.sim.now
-        finally:
-            self.cores.release(req)
+        work = cpu_seconds * self.config.cpu_slowdown
+        return self.cores.hold(work, priority, self._executed,
+                               (component, work))
 
-    def _wakeup_penalty(self) -> float:
+    def _core_granted(self, work: float) -> float:
+        """Grant-time half of :meth:`execute`: liveness, wake-up penalty."""
+        if not self._alive:
+            raise HostDownError(self.name)
         cs = self.config.c_state
-        if not cs.enabled:
-            return 0.0
-        idle = self.sim.now - self._last_busy
-        if idle > cs.idle_threshold and self.cores.count <= 1:
-            return cs.wakeup_latency
-        return 0.0
+        if cs.enabled and self.cores.count == 0 and \
+                self.sim.now - self._last_busy > cs.idle_threshold:
+            return cs.wakeup_latency + work
+        return work
+
+    def _executed(self, component: str, work: float) -> None:
+        """Completion-time half: the ledger charge and the busy stamp."""
+        self.ledger.charge(component, work)
+        self._last_busy = self.sim.now
 
     def charge_inline(self, cpu_seconds: float, component: str) -> None:
         """Account CPU time without modeling core contention.

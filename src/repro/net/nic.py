@@ -2,7 +2,7 @@
 
 A :class:`Link` is a single serializing server: a transfer of N wire bytes
 holds the link for ``N / rate`` simulated seconds, and competing transfers
-queue FIFO (or by priority). Each host gets a NIC with an independent
+queue FIFO. Each host gets a NIC with an independent
 egress and ingress link — which is exactly what makes *incast* (many
 senders converging on one receiver's ingress link, Fig 12) and *antagonist
 load* (a bandwidth hog on one server's NIC, Fig 11) emerge naturally.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator
+from typing import Any
 
 from ..sim import Resource, Simulator
 
@@ -53,22 +53,14 @@ class Link:
         self._server = Resource(sim, capacity=1, name=f"link:{name}")
         self.bytes_carried = 0
 
-    def transmit(self, wire_bytes: int, priority: int = 0) -> Generator:
-        """Serialize ``wire_bytes`` through the link (a generator)."""
-        req = self._server.request(priority=priority)
-        yield req
-        try:
-            yield self.sim.timeout(wire_bytes / self.rate)
-            self.bytes_carried += wire_bytes
-        finally:
-            self._server.release(req)
+    def transmit(self, wire_bytes: int) -> Any:
+        """Serialize ``wire_bytes`` through the link: ``yield
+        link.transmit(n)`` from a process (see :meth:`Resource.hold`)."""
+        return self._server.hold(wire_bytes / self.rate, 0,
+                                 self._carried, (wire_bytes,))
 
-    def utilization(self) -> float:
-        return self._server.utilization()
-
-    @property
-    def queue_len(self) -> int:
-        return self._server.queue_len
+    def _carried(self, wire_bytes: int) -> None:
+        self.bytes_carried += wire_bytes
 
 
 class Nic:

@@ -107,7 +107,7 @@ class Autoscaler:
 
     def _loop(self) -> Generator:
         while not self._stopped:
-            yield self.sim.sleep(self.config.evaluate_interval)
+            yield self.sim.delay(self.config.evaluate_interval)
             yield from self.evaluate_once()
 
     def evaluate_once(self) -> Generator:

@@ -132,7 +132,7 @@ class Prober:
         while self._running:
             yield from self._round(self.rounds)
             self.rounds += 1
-            yield self.sim.sleep(self.config.interval)
+            yield self.sim.delay(self.config.interval)
 
     def _round(self, index: int) -> Generator:
         """One probe round: SET, then GET-and-verify, then maybe ERASE."""

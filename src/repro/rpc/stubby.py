@@ -211,8 +211,8 @@ class RpcChannel:
         """Establish the channel: handshake RTTs + per-side auth CPU."""
         cost = self.authenticator.handshake_cost()
         if cost:
-            yield from self.client_host.execute(cost, self.client_component)
-            yield from self.server.host.execute(cost, f"rpc-server:{self.server.name}")
+            yield self.client_host.execute(cost, self.client_component)
+            yield self.server.host.execute(cost, f"rpc-server:{self.server.name}")
         for _ in range(self.authenticator.extra_rtts):
             yield from self.fabric.deliver(self.client_host, self.server.host, 128)
             yield from self.fabric.deliver(self.server.host, self.client_host, 128)
@@ -275,7 +275,7 @@ class RpcChannel:
 
         # Client-side marshal + send.
         try:
-            yield from self.client_host.execute(
+            yield self.client_host.execute(
                 self.cost_for_client(req_bytes, 0), self.client_component)
         except HostDownError as exc:
             raise UnavailableError(str(exc)) from exc
@@ -295,7 +295,7 @@ class RpcChannel:
 
         yield from self.fabric.deliver(self.server.host, self.client_host,
                                        resp_bytes, trace=span)
-        yield from self.client_host.execute(
+        yield self.client_host.execute(
             self.cost_for_client(0, resp_bytes), self.client_component)
         return response.payload
 
@@ -309,7 +309,7 @@ class RpcChannel:
         server = self.server
         if not server.serving:
             # A connection reset: a short wait, then failure back to client.
-            yield self.sim.timeout(50e-6)
+            yield self.sim.delay(50e-6)
             raise UnavailableError(f"{server.name} is not serving")
         if not request.version.compatible_with(server.min_version,
                                                server.max_version):
@@ -324,7 +324,7 @@ class RpcChannel:
         component = f"rpc-server:{server.name}"
         model = server.cost_model
         try:
-            yield from server.host.execute(
+            yield server.host.execute(
                 model.server_recv_cpu +
                 request.wire_size / 1024.0 * model.per_kilobyte_cpu,
                 component)
@@ -343,7 +343,7 @@ class RpcChannel:
             response = Message(method=request.method, payload=result or {},
                                version=self.version,
                                size_override=context.response_size_override)
-            yield from server.host.execute(
+            yield server.host.execute(
                 model.server_send_cpu +
                 response.wire_size / 1024.0 * model.per_kilobyte_cpu,
                 component)

@@ -9,7 +9,7 @@ serialize FIFO.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Generator
 
 from ..sim import Resource, Simulator
 
@@ -29,17 +29,15 @@ class NamedPipe:
         self.messages = 0
         self.bytes_carried = 0
 
-    def transfer(self, nbytes: int) -> Generator:
-        """Move one message of ``nbytes`` through the pipe."""
-        request = self._server.request()
-        yield request
-        try:
-            yield self.sim.timeout(self.latency +
-                                   nbytes / self.bytes_per_sec)
-            self.messages += 1
-            self.bytes_carried += nbytes
-        finally:
-            self._server.release(request)
+    def transfer(self, nbytes: int) -> Any:
+        """Move one message of ``nbytes`` through the pipe: ``yield
+        pipe.transfer(n)`` from a process (see :meth:`Resource.hold`)."""
+        return self._server.hold(self.latency + nbytes / self.bytes_per_sec,
+                                 0, self._carried, (nbytes,))
+
+    def _carried(self, nbytes: int) -> None:
+        self.messages += 1
+        self.bytes_carried += nbytes
 
 
 class PipePair:
@@ -54,5 +52,5 @@ class PipePair:
 
     def round_trip(self, request_bytes: int,
                    response_bytes: int) -> Generator:
-        yield from self.to_subprocess.transfer(request_bytes)
-        yield from self.from_subprocess.transfer(response_bytes)
+        yield self.to_subprocess.transfer(request_bytes)
+        yield self.from_subprocess.transfer(response_bytes)

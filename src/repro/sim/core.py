@@ -11,11 +11,12 @@ Simulated time is a float number of seconds.
 
 Scheduling is closure-free on the hot path: every queue entry is a
 ``(time, seq, fn, args)`` tuple, zero-delay actions bypass the heap through
-a same-time FIFO ready-queue, and :meth:`Simulator.sleep` recycles timeout
-objects through a pool for tight retry/backoff loops. The global execution
-order is still exactly sort-by-``(time, seq)`` — the ready-queue is an
-ordering-preserving fast path, so a given seed produces the same event
-sequence as a pure-heap kernel.
+a same-time FIFO ready-queue, and a wait only its own process can observe
+(:meth:`Simulator.delay`, ``Resource.hold``) parks that process on one raw
+entry instead of allocating an event. The global execution order is still
+exactly sort-by-``(time, seq)`` — the ready-queue is an ordering-preserving
+fast path, so a given seed produces the same event sequence as a pure-heap
+kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 # interrupt() cancel the pending start the same way it cancels any
 # other pending wake-up (by changing the identity the callback checks).
 _PENDING_START = object()
+
+# What Simulator.delay() / Resource.hold() return and a process yields
+# back: "my wake-up is already queued" — a raw (time, seq, fn, args) entry
+# carrying a wait token, no Event, no callback list. The token check gives
+# parked waits the interrupt / stale-wake-up safety event waits have.
+PARKED = object()
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
@@ -96,7 +103,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        # Inlined sim._schedule_event(self): a zero-delay ready-queue
+        # Inlined sim.call_soon(self._process): a zero-delay ready-queue
         # append — every event trigger in the system passes through here.
         sim = self.sim
         sim._seq += 1
@@ -176,41 +183,6 @@ class Timeout(Event):
         for fn, args in callbacks or ():
             fn(self, *args)
 
-class _PooledTimeout(Timeout):
-    """A recyclable timeout for one-shot sleeps (see :meth:`Simulator.sleep`).
-
-    After its callbacks run, the object is returned to the simulator's pool
-    and may be re-armed with a new value. It must therefore only be consumed
-    by the single process that yields it, never stored, re-yielded, or handed
-    to :meth:`Simulator.any_of` / :meth:`Simulator.all_of` (conditions read
-    child values after later children fire, by which time a pooled timeout
-    may already carry the value of an unrelated sleep).
-    """
-
-    __slots__ = ("_bound_process",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        super().__init__(sim, delay, value)
-        # Bound once: re-arming from the pool schedules this handle
-        # without creating a fresh bound method per sleep.
-        self._bound_process = self._process
-
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        for fn, args in callbacks or ():
-            fn(self, *args)
-        # Inlined Simulator._recycle: reset and return to the pool.
-        sim = self.sim
-        pool = sim._timeout_pool
-        if len(pool) < sim._POOL_MAX:
-            self.callbacks = []
-            self._value = None
-            self._triggered = False
-            self._processed = False
-            self.defused = False
-            pool.append(self)
-
 class Process(Event):
     """A running generator process; also an event that triggers on exit.
 
@@ -219,7 +191,7 @@ class Process(Event):
     """
 
     __slots__ = ("_gen", "_send", "_throw", "_wait_cb", "_waiting_on",
-                 "name")
+                 "_token", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -232,11 +204,12 @@ class Process(Event):
         self._throw = gen.throw
         self._wait_cb = self._on_wait_done
         self.name = name or getattr(gen, "__name__", "process")
-        # Identity of the event we are parked on; cleared by interrupt()
-        # so that a late-firing original event cannot double-resume us.
-        # (Replaces the old per-wait serial number: an identity check
-        # costs no allocation on the wait registration path.)
+        # What we are parked on: the awaited event (identity-checked) or
+        # the token of a parked wait (Simulator.delay, Resource.hold);
+        # cleared by interrupt() so that a late-firing wake-up of either
+        # kind cannot double-resume us.
         self._waiting_on: Any = _PENDING_START
+        self._token = 0
         sim.call_soon(self._start)
 
     @property
@@ -258,33 +231,21 @@ class Process(Event):
     def _on_wait_done(self, event: Event) -> None:
         if event is not self._waiting_on or self._triggered:
             return  # stale wake-up (we were interrupted meanwhile)
-        # Body of _step() inlined: this is the resume path every process
-        # wait in the simulation funnels through.
-        try:
-            if event._ok:
-                target = self._send(event._value)
-            else:
-                event.defused = True
-                target = self._throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - process died
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self.fail(SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"))
-            return
-        if target is self:
-            self.fail(SimulationError("process cannot wait on itself"))
-            return
-        self._waiting_on = target
-        cbs = target.callbacks
-        if cbs is None:
-            self.sim.call_soon(self._wait_cb, target)
+        if event._ok:
+            self._step(self._send, event._value)
         else:
-            cbs.append((self._wait_cb, ()))
+            event.defused = True
+            self._step(self._throw, event._value)
+
+    def _on_wake(self, token: int,
+                 exc: Optional[BaseException] = None) -> None:
+        """Resume from a parked wait (or fail it with ``exc``)."""
+        if token != self._waiting_on or self._triggered:
+            return  # stale wake-up (we were interrupted meanwhile)
+        if exc is None:
+            self._step(self._send, None)
+        else:
+            self._step(self._throw, exc)
 
     def _throw_with(self, exc: BaseException) -> None:
         if self._triggered:
@@ -292,6 +253,8 @@ class Process(Event):
         self._step(self._throw, exc)
 
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
+        sim = self.sim
+        sim._active = self
         try:
             target = advance(arg)
         except StopIteration as stop:
@@ -300,6 +263,10 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - process died
             self.fail(exc)
             return
+        finally:
+            sim._active = None
+        if target is PARKED:
+            return  # delay()/hold() already queued our wake-up
         if not isinstance(target, Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"))
@@ -308,11 +275,10 @@ class Process(Event):
             self.fail(SimulationError("process cannot wait on itself"))
             return
         self._waiting_on = target
-        # Inlined target.add_callback(self._wait_cb) — this is the single
-        # hottest call site in the kernel.
+        # Inlined target.add_callback(self._wait_cb).
         cbs = target.callbacks
         if cbs is None:
-            self.sim.call_soon(self._wait_cb, target)
+            sim.call_soon(self._wait_cb, target)
         else:
             cbs.append((self._wait_cb, ()))
 
@@ -389,15 +355,15 @@ class Simulator:
     observable order is identical to a single sorted queue.
     """
 
-    _POOL_MAX = 256
-
     def __init__(self):
         self.now: float = 0.0
         self._heap: list = []
         self._ready: deque = deque()
         self._seq = 0
         self._running = False
-        self._timeout_pool: list = []
+        # The process whose generator is executing right now (None between
+        # steps): what lets delay() and Resource.hold() park "the caller".
+        self._active: Optional[Process] = None
         # Clock taps: periodic observer callbacks fired synchronously as
         # simulated time advances. They never touch the scheduling queue
         # (no sequence numbers, no events), so a tapped run executes the
@@ -422,9 +388,6 @@ class Simulator:
             self._ready.append((self._seq, fn, args))
         else:
             heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._push(delay, event._process, ())
 
     def call_soon(self, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at the current simulated time."""
@@ -501,32 +464,20 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float, value: Any = None) -> Timeout:
-        """A pooled one-shot timeout for retry/backoff loops.
+    def delay(self, delay: float) -> Any:
+        """Park the running process: ``yield sim.delay(d)``.
 
-        The returned event is recycled as soon as its callbacks have run:
-        yield it from exactly one process and do not store it, re-yield it,
-        or pass it to :meth:`any_of` / :meth:`all_of` — use :meth:`timeout`
-        for anything longer-lived than a single ``yield``.
+        The cheap form of ``yield sim.timeout(d)`` for a wait nobody else
+        can observe: one raw queue entry that resumes the caller, no
+        :class:`Event`. Call from inside a process and yield the result
+        at once (it cannot be stored, shared, or given to a condition).
         """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay!r}s in the past "
-                    f"(now={self.now!r})")
-            ev = pool.pop()
-            ev._triggered = True
-            ev._value = value
-            self._seq += 1
-            if delay == 0:
-                self._ready.append((self._seq, ev._bound_process, ()))
-            else:
-                heapq.heappush(
-                    self._heap,
-                    (self.now + delay, self._seq, ev._bound_process, ()))
-            return ev
-        return _PooledTimeout(self, delay, value)
+        proc = self._active
+        if proc is None:
+            raise SimulationError("delay() called outside a process")
+        proc._token = proc._waiting_on = token = proc._token + 1
+        self._push(delay, proc._on_wake, (token,))
+        return PARKED
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)

@@ -1,58 +1,57 @@
 """Shared-resource primitives for simulation processes.
 
 :class:`Resource` models a pool of interchangeable servers (CPU cores, NIC
-engines, link slots): processes request a slot, hold it for some simulated
-time, and release it. :class:`Store` is a FIFO queue of items between
-producer and consumer processes.
-
-Both track utilization so higher layers (Pony Express scale-out, CPU
-accounting) can make load-driven decisions.
+engines, link slots): a process that knows how long it will occupy a slot
+calls :meth:`Resource.hold` (one scheduler entry per service); a true
+lock, released whenever its holder decides, uses ``request``/``release``.
+:class:`Store` is a FIFO queue of items between producer and consumer
+processes. Resources track utilization so higher layers (Pony Express
+scale-out, CPU accounting) can make load-driven decisions.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Any, Deque, List, Optional
+from heapq import heappush
+from typing import Any, Callable, Deque, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import PARKED, Event, SimulationError, Simulator
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot (a lock)."""
 
-    __slots__ = ("resource", "priority", "_seq")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int, seq: int):
-        # Inlined Event.__init__: one Request per RPC hop makes this one
-        # of the hottest allocation sites in a cell run.
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._triggered = False
-        self._processed = False
-        self.defused = False
-        self.resource = resource
-        self.priority = priority
-        self._seq = seq
-
-    def sort_key(self):
-        return (self.priority, self._seq)
+    def __init__(self, resource: "Resource"):
+        super().__init__(resource.sim)
+        self.resource = resource    # None once released
 
 
 class Resource:
-    """A pool of ``capacity`` identical slots with a priority/FIFO queue."""
+    """A pool of ``capacity`` identical slots with a priority/FIFO queue.
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
+    Holds and lock requests share one queue and one occupancy count.
+    ``at_grant(duration) -> duration`` runs the instant a :meth:`hold` is
+    granted, before it occupies its slot: the place for service-time terms
+    only known then (a C-state wake-up) and for refusing by raising.
+    """
+
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "",
+                 at_grant: Optional[Callable[[float], float]] = None):
         if capacity < 1:
             raise SimulationError("capacity must be >= 1")
         self.sim = sim
         self.name = name
         self._capacity = capacity
-        self._users: List[Request] = []
-        self._queue: List[Request] = []
+        self._at_grant = at_grant
+        self._busy = 0
+        # Sorted by (priority, seq): (priority, seq, request) for a lock,
+        # (priority, seq, None, process, token, duration, done, args).
+        self._queue: Deque[tuple] = deque()
         self._seq = 0
+        self._finish_cb = self._finish  # bound once, not per hold
         # Utilization accounting: integral of busy slots over time.
         self._busy_integral = 0.0
         self._last_change = sim.now
@@ -74,7 +73,7 @@ class Resource:
     @property
     def count(self) -> int:
         """Number of slots currently held."""
-        return len(self._users)
+        return self._busy
 
     @property
     def queue_len(self) -> int:
@@ -85,8 +84,7 @@ class Resource:
     def _account(self) -> None:
         now = self.sim.now
         if now != self._last_change:
-            self._busy_integral += \
-                len(self._users) * (now - self._last_change)
+            self._busy_integral += self._busy * (now - self._last_change)
             self._last_change = now
 
     def utilization(self, since_integral: float = 0.0,
@@ -111,41 +109,117 @@ class Resource:
         self._account()
         return self._busy_integral
 
-    # -- request/release ---------------------------------------------------
+    # -- hold: occupy a slot for a known time -------------------------------
+
+    def hold(self, duration: float, priority: int = 0,
+             done: Optional[Callable] = None, args: tuple = ()) -> Any:
+        """Occupy a slot for ``duration`` seconds: ``yield r.hold(d)``.
+
+        Queues (priority, then FIFO) while every slot is busy, serves for
+        ``duration`` from the grant instant, then frees the slot, runs
+        ``done(*args)``, grants the next in line and resumes the caller:
+        **one** scheduler entry, the completion, pushed here when a slot
+        is free and by the previous holder's completion otherwise. Call
+        from inside a process and yield the result at once. Interrupting
+        the caller abandons the wait, not the service: a granted slot stays
+        busy until its completion time, a queued hold is skipped.
+        """
+        sim = self.sim
+        proc = sim._active
+        if proc is None:
+            raise SimulationError("hold() called outside a process")
+        if duration < 0:
+            raise SimulationError(f"cannot hold for {duration!r}s")
+        proc._token = proc._waiting_on = token = proc._token + 1
+        if self._busy >= self._capacity or self._queue:
+            self._seq += 1
+            self._enqueue((priority, self._seq, None, proc, token,
+                           duration, done, args))
+            return PARKED
+        # Uncontended (with the run loop and Process._step, the hottest
+        # code in a cell run): what _grant() does for a queued hold.
+        if self._at_grant is not None:
+            duration = self._at_grant(duration)
+        now = sim.now
+        if now != self._last_change:
+            self._busy_integral += self._busy * (now - self._last_change)
+            self._last_change = now
+        self._busy += 1
+        sim._seq = seq = sim._seq + 1
+        if duration == 0:
+            sim._ready.append(
+                (seq, self._finish_cb, (proc, token, done, args)))
+        else:
+            heappush(sim._heap, (now + duration, seq, self._finish_cb,
+                                 (proc, token, done, args)))
+        return PARKED
+
+    def _finish(self, proc, token, done, args) -> None:
+        now = self.sim.now
+        if now != self._last_change:
+            self._busy_integral += self._busy * (now - self._last_change)
+            self._last_change = now
+        self._busy -= 1
+        if done is not None:
+            done(*args)
+        if self._queue:
+            self._grant()
+        if proc._waiting_on == token and not proc._triggered:
+            proc._step(proc._send, None)    # else: interrupted meanwhile
+
+    # -- request/release: a lock held for a time unknown at grant -----------
 
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event triggers when it is granted."""
+        req = Request(self)
         self._seq += 1
-        req = Request(self, priority, self._seq)
-        if not self._queue and len(self._users) < self._capacity:
-            # Uncontended fast path: an idle slot and nobody queued ahead
-            # means _grant() would hand the new request straight through —
-            # skip the insort/pop round-trip it would take to get there.
-            self._account()
-            self._users.append(req)
-            req.succeed(req)
-        else:
-            bisect.insort(self._queue, req, key=Request.sort_key)
-            self._grant()
+        self._enqueue((priority, self._seq, req))
+        self._grant()   # at once when a slot is free: nobody is queued then
         return req
 
     def release(self, request: Request) -> None:
-        """Return a previously-granted slot to the pool."""
-        if request in self._users:
-            self._account()
-            self._users.remove(request)
-            self._grant()
-        elif request in self._queue:
-            self._queue.remove(request)
-        else:
+        """Return a granted slot to the pool (or cancel a queued claim)."""
+        if request.resource is not self:
             raise SimulationError("release of unknown request")
+        request.resource = None
+        if request._triggered:
+            self._account()
+            self._busy -= 1
+            self._grant()
+        else:
+            self._queue.remove(
+                next(e for e in self._queue if e[2] is request))
+
+    def _enqueue(self, entry: tuple) -> None:
+        queue = self._queue
+        if not queue or queue[-1][0] <= entry[0]:
+            queue.append(entry)     # FIFO: the only case callers produce
+        else:
+            bisect.insort(queue, entry)  # (priority, seq) decides; seq unique
 
     def _grant(self) -> None:
-        while self._queue and len(self._users) < self._capacity:
-            req = self._queue.pop(0)
+        queue = self._queue
+        while queue and self._busy < self._capacity:
+            entry = queue.popleft()
+            request = entry[2]
+            if request is not None:
+                self._account()
+                self._busy += 1
+                request.succeed(request)
+                continue
+            proc, token, duration, done, args = entry[3:]
+            if proc._waiting_on != token:
+                continue    # interrupted while queued: never served
+            if self._at_grant is not None:
+                try:
+                    duration = self._at_grant(duration)
+                except Exception as exc:  # noqa: BLE001 - refused
+                    self.sim.call_soon(proc._on_wake, token, exc)
+                    continue
             self._account()
-            self._users.append(req)
-            req.succeed(req)
+            self._busy += 1
+            self.sim._push(duration, self._finish_cb,
+                           (proc, token, done, args))
 
 
 class Store:

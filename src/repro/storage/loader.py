@@ -68,7 +68,7 @@ class CorpusLoader:
             if reply.get("throttled"):
                 # Provisioned-throughput pushback: wait out the bucket
                 # refill instead of spinning on the same cursor.
-                yield self.sim.sleep(10e-3)
+                yield self.sim.delay(10e-3)
                 continue
             report.batches += 1
             cursor = reply["next_cursor"]

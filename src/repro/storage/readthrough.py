@@ -209,7 +209,7 @@ class ReadThroughCoordinator:
             if self.sim.now + delay >= deadline_at:
                 break
             if delay:
-                yield self.sim.sleep(delay)
+                yield self.sim.delay(delay)
         self.stats["errors"] += 1
         self._h_fetches["error"].inc()
         return ("error", None)
@@ -269,7 +269,7 @@ class ReadThroughCoordinator:
 
     def _flush_loop(self) -> Generator:
         while not self._closed:
-            yield self.sim.sleep(self.policy.flush_interval)
+            yield self.sim.delay(self.policy.flush_interval)
             yield from self._flush_once(self.policy.flush_batch_max)
 
     def _flush_once(self, budget: int) -> Generator:
@@ -326,7 +326,7 @@ class ReadThroughCoordinator:
                 break
             delay = backoff.next_delay()
             if delay:
-                yield self.sim.sleep(delay)
+                yield self.sim.delay(delay)
         return False
 
     # ------------------------------------------------------------------
@@ -383,7 +383,7 @@ class ReadThroughCoordinator:
             if self._dirty and not flushed:
                 # Persistently throttled: wait out one flush interval so
                 # the provisioned buckets refill, then try again.
-                yield self.sim.sleep(self.policy.flush_interval)
+                yield self.sim.delay(self.policy.flush_interval)
 
     def close(self) -> None:
         """Stop the flusher; drive a final drain when the sim is idle."""

@@ -256,14 +256,9 @@ class SystemOfRecord:
         request = self._media.request()
         yield request
         try:
-            yield self.sim.timeout(self.cost.media_latency)
+            yield self.sim.delay(self.cost.media_latency)
             if nbytes > 0:
-                bus_request = self._bus.request()
-                yield bus_request
-                try:
-                    yield self.sim.timeout(nbytes / self.cost.bytes_per_sec)
-                finally:
-                    self._bus.release(bus_request)
+                yield self._bus.hold(nbytes / self.cost.bytes_per_sec)
         finally:
             self._media.release(request)
 
@@ -271,8 +266,8 @@ class SystemOfRecord:
 
     def _handle_read(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         value = self._data.get(key)
         if not self._admit(self._read_bucket, len(value) if value else 0):
             self.throttled += 1
@@ -293,8 +288,8 @@ class SystemOfRecord:
         key: bytes = payload["key"]
         delete: bool = bool(payload.get("delete"))
         value: Optional[bytes] = None if delete else payload["value"]
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         if self._sealed:
             self._count("write", "sealed")
             return {"applied": False, "reason": "sealed"}
@@ -322,8 +317,8 @@ class SystemOfRecord:
         """Cursor-based bulk scan for corpus loading."""
         cursor: int = payload.get("cursor", 0)
         limit: int = payload.get("limit", 64)
-        yield from self.host.execute(self.cost.cpu_per_read,
-                                     f"storage:{self.name}")
+        yield self.host.execute(self.cost.cpu_per_read,
+                                f"storage:{self.name}")
         keys = self._keys_ordered[cursor:cursor + limit]
         entries: List[Tuple[bytes, bytes]] = [(k, self._data[k])
                                               for k in keys]

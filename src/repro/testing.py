@@ -44,7 +44,7 @@ def measure_gets(cell: Cell, client: CliqueMapClient,
             assert result.status is GetStatus.HIT, result
             recorder.record(result.latency)
             if interval:
-                yield cell.sim.timeout(interval)
+                yield cell.sim.delay(interval)
 
     drive(cell, loop())
     return recorder

@@ -10,7 +10,7 @@ what triggers CliqueMap's RPC-based re-handshake retry path (§4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from ..net import Fabric, Host
 from ..sim import Simulator
@@ -71,28 +71,24 @@ class Transport:
             self.endpoints[host.name] = endpoint
         return endpoint
 
-    def detach(self, host: Host) -> None:
-        self.endpoints.pop(host.name, None)
-
-    def endpoint(self, host_name: str) -> RmaEndpoint:
-        try:
-            return self.endpoints[host_name]
-        except KeyError:
-            raise RemoteHostDownError(
-                f"no RMA endpoint for host {host_name}") from None
+    def _remote_host(self, server_name: str) -> Host:
+        # Unknown endpoint: the request's bytes leave the client anyway.
+        endpoint = self.endpoints.get(server_name)
+        if endpoint is not None:
+            return endpoint.host
+        return self.fabric.host(server_name)
 
     def _check_remote(self, server_name: str,
-                      client_host: Host = None) -> RmaEndpoint:
-        """Fail like a timed-out op when the remote is dead (a generator).
+                      client_host: Host = None) -> Optional[RmaEndpoint]:
+        """The live endpoint an op has reached; ``None`` for a dead one
+        (callers then ``yield from self._remote_down(server_name)``).
 
         RMA protocols are not applicable across the WAN (Table 1): a
         cross-zone op fails immediately, pushing clients to the RPC
         lookup fallback."""
         endpoint = self.endpoints.get(server_name)
         if endpoint is None or not endpoint.host.alive:
-            self.counters.failures += 1
-            yield self.sim.timeout(self.op_timeout)
-            raise RemoteHostDownError(f"op to {server_name} timed out")
+            return None
         if client_host is not None and \
                 getattr(client_host, "zone", "local") != \
                 getattr(endpoint.host, "zone", "local"):
@@ -100,6 +96,12 @@ class Transport:
             raise RemoteHostDownError(
                 f"RMA to {server_name} crosses zones; use RPC for WAN")
         return endpoint
+
+    def _remote_down(self, server_name: str) -> Generator:
+        """Fail like a timed-out op: the remote is dead (a generator)."""
+        self.counters.failures += 1
+        yield self.sim.delay(self.op_timeout)
+        raise RemoteHostDownError(f"op to {server_name} timed out")
 
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:

@@ -66,8 +66,8 @@ class OneRmaTransport(Transport):
         """Perform a one-sided 1RMA read; returns the snapshot bytes."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from client_host.execute(self.cost.client_submit_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_submit_cpu,
+                                  "rma-client")
         window = self._window_for(client_host)
         slot = window.request()
         yield slot
@@ -85,13 +85,14 @@ class OneRmaTransport(Transport):
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        RMA_REQUEST_BYTES, trace=trace)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         serve_span = trace.child("backend.serve", host=server_name)
-        yield self.sim.timeout(self.cost.server_nic_latency)
+        yield self.sim.delay(self.cost.server_nic_latency)
         window = self._resolve_or_fail(endpoint, region_id)
         # PCIe read of the payload out of server memory.
-        yield self.sim.timeout(self.cost.pcie_base_latency +
-                               size / self.cost.pcie_bytes_per_sec)
+        yield self.sim.delay(self.cost.pcie_base_latency +
+                             size / self.cost.pcie_bytes_per_sec)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
         corrupted = yield from self.fabric.deliver(
@@ -102,8 +103,8 @@ class OneRmaTransport(Transport):
             self.command_timestamps.append(
                 (self.sim.now, self.sim.now - issued_at))
         rx = trace.child("nic.rx")
-        yield from client_host.execute(self.cost.client_complete_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_complete_cpu,
+                                  "rma-client")
         rx.finish()
         self.counters.reads += 1
         self.counters.bytes_fetched += len(data)
@@ -124,7 +125,7 @@ class OneRmaTransport(Transport):
         n = len(requests)
         span = trace.child("nic.batch", entries=n)
         submit_cost = self.cost.client_submit_cpu
-        yield from client_host.execute(submit_cost, "rma-client")
+        yield client_host.execute(submit_cost, "rma-client")
         window = self._window_for(client_host)
         slot = window.request()
         yield slot
@@ -134,13 +135,14 @@ class OneRmaTransport(Transport):
                                            self._remote_host(server_name),
                                            self._batch_request_bytes(n),
                                            parts=n, trace=span)
-            endpoint = yield from self._check_remote(server_name, client_host)
+            endpoint = self._check_remote(server_name, client_host) or \
+                (yield from self._remote_down(server_name))
             serve_span = span.child("backend.serve", host=server_name,
                                     op="batch")
-            yield self.sim.timeout(self.cost.server_nic_latency)
+            yield self.sim.delay(self.cost.server_nic_latency)
             total_size = sum(size for _r, _o, size in requests)
-            yield self.sim.timeout(self.cost.pcie_base_latency +
-                                   total_size / self.cost.pcie_bytes_per_sec)
+            yield self.sim.delay(self.cost.pcie_base_latency +
+                                 total_size / self.cost.pcie_bytes_per_sec)
             results = self._read_entries(endpoint, requests)
             serve_span.finish()
             corrupted = yield from self.fabric.deliver(
@@ -153,15 +155,9 @@ class OneRmaTransport(Transport):
         finally:
             window.release(slot)
         complete_cost = self.cost.client_complete_cpu
-        yield from client_host.execute(complete_cost, "rma-client")
+        yield client_host.execute(complete_cost, "rma-client")
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))
         self._observe_batch(n, submit_cost + complete_cost)
         return results
-
-    def _remote_host(self, server_name: str) -> Host:
-        endpoint = self.endpoints.get(server_name)
-        if endpoint is not None:
-            return endpoint.host
-        return self.fabric.host(server_name)

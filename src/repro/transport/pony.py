@@ -17,7 +17,7 @@ mirroring deployment of NIC-resident code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..net import Host
 from ..sim import Resource, Simulator
@@ -70,20 +70,16 @@ class PonyEngineGroup:
     def engine_count(self) -> int:
         return self.engines.capacity
 
-    def serve(self, service_time: float) -> Generator:
-        """Occupy an engine for ``service_time``; charges host CPU."""
-        self._ensure_monitor()
-        req = self.engines.request()
-        yield req
-        try:
-            yield self.sim.timeout(service_time)
-            self.host.charge_inline(service_time, "pony")
-        finally:
-            self.engines.release(req)
+    def serve(self, service_time: float) -> Any:
+        """Occupy an engine for ``service_time``, charging host CPU when
+        it completes: ``yield group.serve(t)`` from a process (see
+        :meth:`Resource.hold`)."""
+        if not self._monitor_started:
+            self._start_monitor()
+        return self.engines.hold(service_time, 0, self.host.charge_inline,
+                                 (service_time, "pony"))
 
-    def _ensure_monitor(self) -> None:
-        if self._monitor_started:
-            return
+    def _start_monitor(self) -> None:
         self._monitor_started = True
         proc = self.sim.process(self._monitor(), name=f"pony-mon:{self.host.name}")
         proc.defused = True
@@ -92,7 +88,7 @@ class PonyEngineGroup:
         """Periodically resize the engine pool based on recent utilization."""
         ckpt = self.engines.checkpoint()
         while True:
-            yield self.sim.timeout(self.scale.sample_interval)
+            yield self.sim.delay(self.scale.sample_interval)
             if not self.host.alive:
                 continue
             util = self.engines.utilization_since(ckpt)
@@ -159,16 +155,17 @@ class PonyTransport(Transport):
         """One-sided read served by the remote Pony engines."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(self.cost.client_tx)
+        yield self.engine_group(client_host).serve(self.cost.client_tx)
         tx.finish()
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        RMA_REQUEST_BYTES, trace=trace)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         server_group = self.engine_group(endpoint.host)
         serve_span = trace.child("backend.serve", host=server_name)
-        yield from server_group.serve(self.cost.server_read +
-                                      self._payload_cost(size))
+        yield server_group.serve(self.cost.server_read +
+                                 self._payload_cost(size))
         window = self._resolve_or_fail(endpoint, region_id)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
@@ -177,7 +174,7 @@ class PonyTransport(Transport):
             len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
         data = self._maybe_corrupt(data, corrupted)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(len(data)))
         rx.finish()
         self.counters.reads += 1
@@ -200,18 +197,19 @@ class PonyTransport(Transport):
         span = trace.child("nic.batch", entries=n)
         req_bytes = self._batch_request_bytes(n)
         tx_cost = self.cost.client_tx + self._payload_cost(req_bytes)
-        yield from self.engine_group(client_host).serve(tx_cost)
+        yield self.engine_group(client_host).serve(tx_cost)
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        req_bytes, parts=n, trace=span)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         server_group = self.engine_group(endpoint.host)
         serve_span = span.child("backend.serve", host=server_name, op="batch")
         total_size = sum(size for _r, _o, size in requests)
         serve_cost = (self.cost.server_read +
                       self.cost.batch_entry * (n - 1) +
                       self._payload_cost(total_size))
-        yield from server_group.serve(serve_cost)
+        yield server_group.serve(serve_cost)
         results = self._read_entries(endpoint, requests)
         serve_span.finish()
         resp_bytes = self._batch_response_bytes(results)
@@ -219,7 +217,7 @@ class PonyTransport(Transport):
             endpoint.host, client_host, resp_bytes, parts=n, trace=span)
         results = self._corrupt_largest(results, corrupted)
         rx_cost = self.cost.client_rx + self._payload_cost(resp_bytes)
-        yield from self.engine_group(client_host).serve(rx_cost)
+        yield self.engine_group(client_host).serve(rx_cost)
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))
@@ -239,21 +237,22 @@ class PonyTransport(Transport):
         """
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(self.cost.client_tx)
+        yield self.engine_group(client_host).serve(self.cost.client_tx)
         tx.finish()
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        RMA_REQUEST_BYTES + len(key_hash),
                                        trace=trace)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         if endpoint.scar_program is None:
             raise RegionRevokedError(index_region_id)
 
         server_group = self.engine_group(endpoint.host)
         serve_span = trace.child("backend.serve", host=server_name, op="scar")
-        yield from server_group.serve(self.cost.server_read +
-                                      self.cost.scar_scan +
-                                      self._payload_cost(bucket_size))
+        yield server_group.serve(self.cost.server_read +
+                                 self.cost.scar_scan +
+                                 self._payload_cost(bucket_size))
         window = self._resolve_or_fail(endpoint, index_region_id)
         bucket = window.read(bucket_offset, bucket_size)
 
@@ -263,7 +262,7 @@ class PonyTransport(Transport):
             data_region_id, data_offset, data_size = pointer
             try:
                 data_window = endpoint.resolve(data_region_id)
-                yield from server_group.serve(self._payload_cost(data_size))
+                yield server_group.serve(self._payload_cost(data_size))
                 data = data_window.read(data_offset, data_size)
             except (RegionRevokedError, RmaOutOfBoundsError):
                 # Pointer raced with a reshape/eviction; return just the
@@ -283,7 +282,7 @@ class PonyTransport(Transport):
             else:
                 bucket = self._maybe_corrupt(bucket, corrupted)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(resp_bytes))
         rx.finish()
         self.counters.scars += 1
@@ -307,13 +306,14 @@ class PonyTransport(Transport):
         """Send a two-sided message and await the application's reply."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_tx + self._payload_cost(request_bytes))
         tx.finish()
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        request_bytes, trace=trace)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         handlers = self._msg_handlers.get(server_name, {})
         if name not in handlers:
             raise RegionRevokedError(-1)
@@ -321,30 +321,24 @@ class PonyTransport(Transport):
         server_host = endpoint.host
         server_group = self.engine_group(server_host)
         serve_span = trace.child("backend.serve", host=server_name, op="msg")
-        yield from server_group.serve(self.cost.server_read +
-                                      self._payload_cost(request_bytes))
+        yield server_group.serve(self.cost.server_read +
+                                 self._payload_cost(request_bytes))
         # Wake an application thread and run the handler on host CPU —
         # the expensive part two-sided designs pay (§6.3).
         app_span = serve_span.child("app-thread")
-        yield from server_host.execute(self.cost.msg_thread_wakeup +
-                                       self.cost.msg_app_cpu, "msg-app")
+        yield server_host.execute(self.cost.msg_thread_wakeup +
+                                  self.cost.msg_app_cpu, "msg-app")
         response_payload, response_bytes = handlers[name](request_payload)
         app_span.finish()
-        yield from server_group.serve(self.cost.client_tx +
-                                      self._payload_cost(response_bytes))
+        yield server_group.serve(self.cost.client_tx +
+                                 self._payload_cost(response_bytes))
         serve_span.finish()
         yield from self.fabric.deliver(server_host, client_host,
                                        response_bytes +
                                        RMA_RESPONSE_HEADER_BYTES, trace=trace)
         rx = trace.child("nic.rx")
-        yield from self.engine_group(client_host).serve(
+        yield self.engine_group(client_host).serve(
             self.cost.client_rx + self._payload_cost(response_bytes))
         rx.finish()
         self.counters.messages += 1
         return response_payload
-
-    def _remote_host(self, server_name: str) -> Host:
-        endpoint = self.endpoints.get(server_name)
-        if endpoint is not None:
-            return endpoint.host
-        return self.fabric.host(server_name)

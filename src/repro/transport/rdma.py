@@ -43,16 +43,17 @@ class RdmaTransport(Transport):
         """Perform a one-sided read; returns the snapshot bytes."""
         trace = trace or NULL_SPAN
         tx = trace.child("nic.tx")
-        yield from client_host.execute(self.cost.client_post_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_post_cpu,
+                                  "rma-client")
         tx.finish()
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        RMA_REQUEST_BYTES, trace=trace)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         # NIC processing + DMA at the server; no server CPU involved.
         serve_span = trace.child("backend.serve", host=server_name)
-        yield self.sim.timeout(self.cost.server_nic_latency)
+        yield self.sim.delay(self.cost.server_nic_latency)
         window = self._resolve_or_fail(endpoint, region_id)
         data = window.read(offset, size)  # the snapshot instant
         serve_span.finish()
@@ -61,8 +62,8 @@ class RdmaTransport(Transport):
             len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
         data = self._maybe_corrupt(data, corrupted)
         rx = trace.child("nic.rx")
-        yield from client_host.execute(self.cost.client_poll_cpu,
-                                       "rma-client")
+        yield client_host.execute(self.cost.client_poll_cpu,
+                                  "rma-client")
         rx.finish()
         self.counters.reads += 1
         self.counters.bytes_fetched += len(data)
@@ -82,15 +83,16 @@ class RdmaTransport(Transport):
         n = len(requests)
         span = trace.child("nic.batch", entries=n)
         post_cost = self.cost.client_post_cpu
-        yield from client_host.execute(post_cost, "rma-client")
+        yield client_host.execute(post_cost, "rma-client")
         yield from self.fabric.deliver(client_host,
                                        self._remote_host(server_name),
                                        self._batch_request_bytes(n),
                                        parts=n, trace=span)
-        endpoint = yield from self._check_remote(server_name, client_host)
+        endpoint = self._check_remote(server_name, client_host) or \
+            (yield from self._remote_down(server_name))
         serve_span = span.child("backend.serve", host=server_name, op="batch")
-        yield self.sim.timeout(self.cost.server_nic_latency +
-                               self.cost.batch_entry_latency * (n - 1))
+        yield self.sim.delay(self.cost.server_nic_latency +
+                             self.cost.batch_entry_latency * (n - 1))
         results = self._read_entries(endpoint, requests)
         serve_span.finish()
         corrupted = yield from self.fabric.deliver(
@@ -98,17 +100,9 @@ class RdmaTransport(Transport):
             self._batch_response_bytes(results), parts=n, trace=span)
         results = self._corrupt_largest(results, corrupted)
         poll_cost = self.cost.client_poll_cpu
-        yield from client_host.execute(poll_cost, "rma-client")
+        yield client_host.execute(poll_cost, "rma-client")
         span.finish()
         self.counters.bytes_fetched += sum(
             len(r) for r in results if isinstance(r, bytes))
         self._observe_batch(n, post_cost + poll_cost)
         return results
-
-    def _remote_host(self, server_name: str) -> Host:
-        endpoint = self.endpoints.get(server_name)
-        if endpoint is not None:
-            return endpoint.host
-        # Unknown endpoint: bytes leave the client anyway; use any host
-        # object for byte accounting by falling back to the fabric map.
-        return self.fabric.host(server_name)

@@ -81,7 +81,7 @@ class AdsWorkload:
                                 scenario.backfill_fraction))
         cursor = 0
         while self.sim.now + scenario.backfill_period < end:
-            yield self.sim.timeout(scenario.backfill_period)
+            yield self.sim.delay(scenario.backfill_period)
             for i in range(cursor, cursor + slice_size):
                 key = self.keyspace.key(i % scenario.num_keys)
                 value = bytes(self.sizes.sample())

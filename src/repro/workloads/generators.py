@@ -170,7 +170,7 @@ class LoadGenerator:
             now_rate = rate(self.sim.now) if callable(rate) else rate
             batch = batch_sampler.sample() if batch_sampler else 1
             interval = batch / max(now_rate, 1e-9)
-            yield self.sim.timeout(stream.expovariate(1.0 / interval))
+            yield self.sim.delay(stream.expovariate(1.0 / interval))
             self.metrics.offered += batch
             if outstanding[0] >= self.max_outstanding:
                 # Shed rather than queue unboundedly — but count it, or
@@ -266,7 +266,7 @@ class LoadGenerator:
         end = self.sim.now + duration
         while self.sim.now < end:
             now_rate = rate(self.sim.now) if callable(rate) else rate
-            yield self.sim.timeout(stream.expovariate(max(now_rate, 1e-9)))
+            yield self.sim.delay(stream.expovariate(max(now_rate, 1e-9)))
             proc = self.sim.process(self._one_set(client, size_dist))
             proc.defused = True
 

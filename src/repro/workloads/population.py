@@ -150,7 +150,7 @@ class ClientPopulation:
             # aggregate_rate / b. Same arithmetic as the open loop, so
             # a slice of one replays it draw for draw.
             interval = batch / max(per_client * slice_size, 1e-9)
-            yield sim.timeout(stream.expovariate(1.0 / interval))
+            yield sim.delay(stream.expovariate(1.0 / interval))
             metrics.offered += batch
             # Identity restores per-client semantics; the draw is
             # skipped for a slice of one to keep the open-loop draw

@@ -178,7 +178,7 @@ class TraceReplayer:
         for op in self.trace.ops:
             due = started + (op.time - base) * self.time_scale
             if due > sim.now:
-                yield sim.timeout(due - sim.now)
+                yield sim.delay(due - sim.now)
             yield from self._issue(op)
         self.report.duration = sim.now - started
         return self.report

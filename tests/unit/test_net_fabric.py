@@ -38,7 +38,7 @@ def test_link_serialization_delay():
     done = []
 
     def proc():
-        yield from link.transmit(1000)
+        yield link.transmit(1000)
         done.append(sim.now)
 
     sim.process(proc())
@@ -53,7 +53,7 @@ def test_link_queues_concurrent_transfers():
     ends = []
 
     def proc():
-        yield from link.transmit(1000)
+        yield link.transmit(1000)
         ends.append(sim.now)
 
     sim.process(proc())

@@ -85,7 +85,7 @@ def test_named_pipe_costs_latency_and_bandwidth():
     pipe = NamedPipe(sim, latency=5e-6, bytes_per_sec=1e9)
 
     def proc():
-        yield from pipe.transfer(1000)
+        yield pipe.transfer(1000)
 
     sim.run(until=sim.process(proc()))
     assert sim.now == pytest.approx(5e-6 + 1e-6)

@@ -1,11 +1,11 @@
-"""Unit tests for the kernel fast path: ready queue, pooling, identity waits.
+"""Unit tests for the kernel fast path: ready queue, parked and identity waits.
 
-The scheduler rewrite (heap of ``(time, seq, fn, args)`` + a same-time
-FIFO ready deque + a pooled-timeout free list) must be invisible to
-simulation code: global execution order is exactly sort-by-``(time,
-seq)``, pooled timeouts never leak values across sleeps, and the
-interrupt/wake-up races the old serial-number scheme guarded still
-resolve the same way under identity-based wait tracking.
+The scheduler (heap of ``(time, seq, fn, args)`` + a same-time FIFO
+ready deque + processes parked on raw entries by ``delay()``) must be
+invisible to simulation code: global execution order is exactly
+sort-by-``(time, seq)``, a parked wait costs one entry and no event,
+and the interrupt/wake-up races resolve the same way whether a process
+waits on an event (identity check) or is parked (token check).
 """
 
 import pytest
@@ -279,85 +279,138 @@ def test_rewaiting_same_event_after_interrupt_resumes_once():
 
 
 # ----------------------------------------------------------------------
-# Timeout pooling: sleep() recycles without leaking values
+# Parked waits: delay() resumes its caller from one raw queue entry
 # ----------------------------------------------------------------------
 
-def test_sleep_pool_reuses_objects_without_leaking_values():
+def test_delay_parks_the_caller_for_one_entry_and_no_event():
     sim = Simulator()
     seen = []
 
     def proc():
-        first = yield sim.sleep(0.5, "alpha")
-        second = yield sim.sleep(0.5, "beta")
-        third = yield sim.sleep(0.5)  # default None, not a stale "beta"
-        seen.append((first, second, third))
+        before = sim._seq
+        value = yield sim.delay(0.5)
+        seen.append((value, sim.now, sim._seq - before))
 
     sim.process(proc())
     sim.run()
-    assert seen == [("alpha", "beta", None)]
-    assert len(sim._timeout_pool) >= 1  # the object really was recycled
+    assert seen == [(None, 0.5, 1)]
 
 
-def test_sleep_pool_objects_are_reused_across_processes():
+def test_delay_zero_keeps_ready_queue_fifo_order():
     sim = Simulator()
-    identities = []
+    log = []
 
-    def one():
-        ev = sim.sleep(0.1, 1)
-        identities.append(id(ev))
-        yield ev
+    def parked(tag):
+        yield sim.delay(0)
+        log.append(tag)
 
-    def two():
-        yield sim.timeout(1.0)  # after `one`'s sleep was recycled
-        ev = sim.sleep(0.1, 2)
-        identities.append(id(ev))
-        value = yield ev
-        identities.append(value)
+    def timed(tag):
+        yield sim.timeout(0)
+        log.append(tag)
 
-    sim.process(one())
-    sim.process(two())
+    sim.process(parked("a"))
+    sim.call_soon(log.append, "soon")
+    sim.process(timed("b"))
+    sim.process(parked("c"))
     sim.run()
-    assert identities[0] == identities[1]  # same pooled object, re-armed
-    assert identities[2] == 2              # carrying the new value
+    # Starts run in order; each zero-delay wait then fires in the order
+    # it was queued, whichever form it took, with no time passing.
+    assert log == ["soon", "a", "b", "c"]
+    assert sim.now == 0.0
 
 
-def test_sleep_pool_is_bounded():
+def test_delay_and_timeout_interleave_by_seq_at_the_same_instant():
+    sim = Simulator()
+    log = []
+
+    def parked(tag, d):
+        yield sim.delay(d)
+        log.append(tag)
+
+    def timed(tag, d):
+        yield sim.timeout(d)
+        log.append(tag)
+
+    sim.process(timed("t1", 1.0))
+    sim.process(parked("p1", 1.0))
+    sim.process(timed("t2", 1.0))
+    sim.process(parked("p2", 1.0))
+    sim.run()
+    assert log == ["t1", "p1", "t2", "p2"]
+
+
+def test_stale_delay_wakeup_after_interrupt_is_swallowed():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.delay(1.0)
+            log.append("not-interrupted")
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause, sim.now))
+        # The original wake-up (t=1.0) is still queued; it must not cut
+        # this second, longer wait short.
+        yield sim.delay(2.0)
+        log.append(("woke", sim.now))
+
+    proc = sim.process(sleeper())
+    sim.call_in(0.5, proc.interrupt, "stop")
+    sim.run()
+    assert log == [("interrupted", "stop", 0.5), ("woke", 2.5)]
+
+
+def test_interrupt_racing_a_delay_wakeup_resumes_exactly_once():
+    sim = Simulator()
+    resumes = []
+
+    def sleeper():
+        try:
+            yield sim.delay(1.0)
+            resumes.append("woke")
+        except Interrupt:
+            resumes.append("interrupted")
+
+    proc = sim.process(sleeper())
+    # Same instant as the wake-up, queued ahead of it.
+    sim.call_in(1.0, proc.interrupt)
+    sim.run()
+    assert resumes == ["woke"] or resumes == ["interrupted"]
+    assert len(resumes) == 1 and proc.triggered
+
+
+def test_delay_outside_a_process_raises():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="outside a process"):
+        sim.delay(1.0)
+    sim.call_soon(sim.delay, 1.0)       # a bare callback is no process
+    with pytest.raises(SimulationError, match="outside a process"):
+        sim.run()
+
+
+def test_negative_delay_rejected_with_now_in_message():
     sim = Simulator()
 
-    def burst():
-        yield sim.all_of([sim.timeout(0.1) for _ in range(5)])
+    def proc():
+        yield sim.delay(-0.5)
 
-    # sleep() events all recycle; the pool must stay within its cap.
-    def sleeper(i):
-        yield sim.sleep(0.001 * (i % 7))
-
-    for i in range(600):
-        sim.process(sleeper(i))
-    sim.process(burst())
-    sim.run()
-    assert len(sim._timeout_pool) <= Simulator._POOL_MAX
-
-
-def test_sleep_negative_delay_rejected_with_now_in_message():
-    sim = Simulator()
-    sim.sleep(0.0)  # prime the pool so the pooled re-arm path validates
-    sim.run()
     with pytest.raises(SimulationError, match=r"now="):
-        sim.sleep(-0.5)
+        sim.run(until=sim.process(proc()))
     with pytest.raises(SimulationError, match=r"now="):
         sim.timeout(-0.5)
     with pytest.raises(SimulationError, match=r"now="):
         sim.call_in(-0.5, lambda: None)
 
 
-def test_sleep_zero_delay_runs_via_ready_queue():
+def test_parked_result_is_not_an_event():
+    """delay() hands back a marker for the kernel, not something to
+    store or combine: giving it to a condition fails loudly."""
     sim = Simulator()
-    log = []
 
     def proc():
-        yield sim.sleep(0)
-        log.append(sim.now)
+        yield sim.any_of([sim.delay(1.0), sim.timeout(2.0)])
 
-    sim.process(proc())
-    sim.run()
-    assert log == [0.0]
+    with pytest.raises(AttributeError):
+        sim.run(until=sim.process(proc()))
+
+

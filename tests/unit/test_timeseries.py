@@ -194,7 +194,7 @@ def _run_workload(sim, reg, taps=0):
     def worker():
         for _ in range(20):
             ops.inc()
-            yield sim.sleep(0.1)
+            yield sim.delay(0.1)
 
     sim.process(worker())
     sim.run()

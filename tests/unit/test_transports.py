@@ -42,6 +42,26 @@ def test_read_returns_snapshot(transport_cls):
     assert transport.counters.bytes_fetched == 8
 
 
+def test_pony_read_costs_exactly_nine_scheduler_entries():
+    """Event budget: three engine services plus two deliveries of
+    (egress, propagate, ingress), one entry each — no zero-work hops."""
+    sim, _f, client, _s, transport, _e, _arena, window = setup_pair(
+        PonyTransport)
+    counted = []
+
+    def proc():
+        # The first read starts both hosts' engine monitors (a process
+        # each, ticking every 200us); the second runs between ticks.
+        yield from transport.read(client, "server", window.region_id, 0, 64)
+        yield sim.timeout(50e-6)
+        before = sim._seq
+        yield from transport.read(client, "server", window.region_id, 0, 64)
+        counted.append((sim._seq - before, sim.now < 200e-6))
+
+    sim.run(until=sim.process(proc()))
+    assert counted == [(9, True)]
+
+
 @pytest.mark.parametrize("transport_cls", [RdmaTransport, OneRmaTransport,
                                            PonyTransport])
 def test_read_revoked_region_fails(transport_cls):
