@@ -22,7 +22,7 @@ from _common import drive, key_with_primary_shard, measure_gets, preload_keys, r
 
 from repro.analysis import render_table
 from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig,
-                        LookupStrategy, ReplicationMode)
+                        GetStrategy, ReplicationMode)
 from repro.sim import RandomStream, ZipfSampler
 
 
@@ -35,8 +35,8 @@ def run_tearing(atomic: bool):
         mode=ReplicationMode.R3_2, num_shards=3, transport="pony",
         backend_config=BackendConfig(min_write_step=100e-6,
                                      atomic_entry_writes=atomic)))
-    writer = cell.connect_client(strategy=LookupStrategy.TWO_R)
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    writer = cell.connect_client(strategy=GetStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
     torn_escapes = [0]
     hits = [0]
 
@@ -93,7 +93,7 @@ def run_quorum_mode(force_primary: bool):
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony"))
     client = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(force_primary_data_fetch=force_primary))
     key = key_with_primary_shard(cell, 0)
     preload_keys(cell, client, [key], 4096)
@@ -137,7 +137,7 @@ def run_eviction(policy: str):
             overflow_rpc_fallback=False,
             index_resize_load_factor=2.0)))
     client = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(touch_flush_interval=0.5e-3))
     stream = RandomStream(17, f"evict-{policy}")
     zipf = ZipfSampler(stream.child("keys"), n=400, s=1.1)

@@ -19,14 +19,14 @@ from _common import run_once
 
 from repro.analysis import render_table
 from repro.baselines import MemcacheGCluster
-from repro.core import Cell, CellSpec, LookupStrategy, ReplicationMode
+from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 
 OPS = 400
 VALUE_BYTES = 64
 WORKERS = 4
 
 
-def measure_cliquemap(strategy: LookupStrategy):
+def measure_cliquemap(strategy: GetStrategy):
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=4,
                          transport="pony"))
     client = cell.connect_client(strategy=strategy)
@@ -88,8 +88,8 @@ def measure_memcacheg():
 
 def run_experiment():
     return {
-        "CliqueMap SCAR": measure_cliquemap(LookupStrategy.SCAR),
-        "CliqueMap 2xR": measure_cliquemap(LookupStrategy.TWO_R),
+        "CliqueMap SCAR": measure_cliquemap(GetStrategy.SCAR),
+        "CliqueMap 2xR": measure_cliquemap(GetStrategy.TWO_R),
         "MemcacheG (RPC)": measure_memcacheg(),
     }
 

@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import render_table
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         ReplicationMode)
 from repro.rpc import Principal, connect as rpc_connect
 from repro.storage import CorpusLoader, SystemOfRecord
@@ -43,7 +43,7 @@ def build_loaded_cell(mode):
 
 
 def measure_cell(cell, sor):
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     sor_channel = rpc_connect(cell.sim, cell.fabric, client.host,
                               sor.rpc_server, Principal("app"))
 

@@ -18,17 +18,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import drive, run_once
 
 from repro.analysis import render_table
-from repro.core import Cell, CellSpec, LookupStrategy, ReplicationMode
+from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 
 OPS = 400
 VALUE_BYTES = 64
 
-STRATEGIES = [("2xR", LookupStrategy.TWO_R),
-              ("SCAR", LookupStrategy.SCAR),
-              ("MSG", LookupStrategy.MSG)]
+STRATEGIES = [("2xR", GetStrategy.TWO_R),
+              ("SCAR", GetStrategy.SCAR),
+              ("MSG", GetStrategy.MSG)]
 
 
-def measure(strategy: LookupStrategy):
+def measure(strategy: GetStrategy):
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=2,
                          transport="pony"))
     client = cell.connect_client(strategy=strategy)

@@ -16,7 +16,7 @@ from _common import (key_with_primary_shard, measure_gets, preload_keys,
                      run_once)
 
 from repro.analysis import render_table
-from repro.core import Cell, CellSpec, LookupStrategy, ReplicationMode
+from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 
 VALUE_BYTES = 4096
 OPS = 300
@@ -25,7 +25,7 @@ ANTAGONIST_FRACTION = 0.95
 
 def run_case(mode: ReplicationMode, loaded: bool):
     cell = Cell(CellSpec(mode=mode, num_shards=3, transport="pony"))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     # Pin the key to shard 0 so R=1 depends on the loaded backend.
     key = key_with_primary_shard(cell, 0)
     preload_keys(cell, client, [key], VALUE_BYTES)

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import measure_gets, preload_keys, run_once
 
 from repro.analysis import render_table
-from repro.core import (BackendConfig, Cell, CellSpec, LookupStrategy,
+from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
                         ReplicationMode)
 
 LARGE_VALUE = 64 * 1024
@@ -25,7 +25,7 @@ OPS = 120
 CLIENT_LOAD_FRACTION = 0.70
 
 
-def run_case(strategy: LookupStrategy, value_bytes: int, client_load: bool):
+def run_case(strategy: GetStrategy, value_bytes: int, client_load: bool):
     cell = Cell(CellSpec(
         mode=ReplicationMode.R3_2, num_shards=3, transport="pony",
         backend_config=BackendConfig(data_initial_bytes=4 << 20,
@@ -45,14 +45,14 @@ def run_case(strategy: LookupStrategy, value_bytes: int, client_load: bool):
 
 def run_experiment():
     results = {}
-    for strategy, name in [(LookupStrategy.TWO_R, "2xR"),
-                           (LookupStrategy.SCAR, "SCAR")]:
+    for strategy, name in [(GetStrategy.TWO_R, "2xR"),
+                           (GetStrategy.SCAR, "SCAR")]:
         results[(name, "no load")] = run_case(strategy, LARGE_VALUE, False)
         results[(name, "with load")] = run_case(strategy, LARGE_VALUE, True)
     # The small-value control: SCAR's advantage case.
-    results[("2xR", "small")] = run_case(LookupStrategy.TWO_R, SMALL_VALUE,
+    results[("2xR", "small")] = run_case(GetStrategy.TWO_R, SMALL_VALUE,
                                          False)
-    results[("SCAR", "small")] = run_case(LookupStrategy.SCAR, SMALL_VALUE,
+    results[("SCAR", "small")] = run_case(GetStrategy.SCAR, SMALL_VALUE,
                                           False)
     return results
 

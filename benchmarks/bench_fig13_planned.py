@@ -17,7 +17,7 @@ from _common import run_once
 from repro.analysis import (CounterSeries, TimeSeries,
                             render_percentile_lines, render_table)
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, MaintenanceConfig, ReplicationMode)
+                        GetStrategy, MaintenanceConfig, ReplicationMode)
 
 KEYS = 120
 VALUE_BYTES = 512
@@ -39,7 +39,7 @@ def run_experiment():
     # Touch reporting off so the RPC byte series isolates migration
     # traffic, as in the paper's chart.
     clients = [cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(touch_enabled=False))
         for _ in range(4)]
     sim = cell.sim

@@ -17,7 +17,7 @@ from _common import run_once
 from repro.analysis import (CounterSeries, TimeSeries,
                             render_percentile_lines, render_table)
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, MaintenanceConfig, RepairConfig,
+                        GetStrategy, MaintenanceConfig, RepairConfig,
                         ReplicationMode)
 
 KEYS = 120
@@ -38,7 +38,7 @@ def run_experiment():
         repair_config=RepairConfig(enabled=True, scan_interval=60.0),
         maintenance_config=MaintenanceConfig()))
     clients = [cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(touch_enabled=False))
         for _ in range(4)]
     sim = cell.sim

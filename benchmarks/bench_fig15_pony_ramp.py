@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import render_table
-from repro.core import (BackendConfig, Cell, CellSpec, LookupStrategy,
+from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
                         ReplicationMode, SetStatus)
 from repro.net import Fabric, FabricConfig
 from repro.sim import RandomStream, Simulator
@@ -67,9 +67,9 @@ def run_experiment():
     for shard in range(CO_TENANT_CLIENTS):
         backend = cell.backend_by_task(cell.task_for_shard(shard))
         clients.append(cell.connect_client(host=backend.host,
-                                           strategy=LookupStrategy.SCAR))
+                                           strategy=GetStrategy.SCAR))
     for _ in range(CLIENT_ONLY_CLIENTS):
-        clients.append(cell.connect_client(strategy=LookupStrategy.SCAR))
+        clients.append(cell.connect_client(strategy=GetStrategy.SCAR))
 
     keys = [b"obj-%d" % i for i in range(64)]
 
@@ -91,7 +91,7 @@ def run_experiment():
     # per-step percentiles are deltas against a sample-count checkpoint
     # taken at the start of the step (Histogram.percentile(p, start=...)).
     latency = cell.metrics.histogram("cliquemap_op_latency_seconds").labels(
-        op="get", strategy=LookupStrategy.SCAR.value)
+        op="get", strategy=GetStrategy.SCAR.value)
 
     stream = RandomStream(99, "ramp")
     rows = []

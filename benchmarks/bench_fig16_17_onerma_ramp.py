@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import LatencyRecorder, render_table
-from repro.core import (Cell, CellSpec, LookupStrategy, ReplicationMode,
+from repro.core import (Cell, CellSpec, GetStrategy, ReplicationMode,
                         SetStatus)
 from repro.net import CStateModel, HostConfig
 from repro.sim import RandomStream
@@ -43,7 +43,7 @@ def run_experiment():
                                      wakeup_latency=40e-6))
     clients = [cell.connect_client(
         host_config=client_host_config,
-        strategy=LookupStrategy.TWO_R) for _ in range(CLIENTS)]
+        strategy=GetStrategy.TWO_R) for _ in range(CLIENTS)]
     keys = [b"obj-%d" % i for i in range(32)]
 
     def setup():

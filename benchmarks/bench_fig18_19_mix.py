@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import LatencyRecorder, render_table
-from repro.core import (BackendConfig, Cell, CellSpec, LookupStrategy,
+from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
                         ReplicationMode, SetStatus)
 from repro.sim import RandomStream
 
@@ -28,7 +28,7 @@ def run_mix(get_fraction: float):
         mode=ReplicationMode.R3_2, num_shards=3, transport="pony",
         backend_config=BackendConfig(data_initial_bytes=4 << 20,
                                      data_virtual_limit=64 << 20)))
-    clients = [cell.connect_client(strategy=LookupStrategy.TWO_R)
+    clients = [cell.connect_client(strategy=GetStrategy.TWO_R)
                for _ in range(4)]
     sim = cell.sim
     keys = [b"obj-%d" % i for i in range(KEYS)]

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import LatencyRecorder, render_table
-from repro.core import (BackendConfig, Cell, CellSpec, LookupStrategy,
+from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
                         ReplicationMode, SetStatus)
 from repro.sim import RandomStream
 
@@ -28,7 +28,7 @@ def run_size(value_bytes: int):
         mode=ReplicationMode.R3_2, num_shards=3, transport="pony",
         backend_config=BackendConfig(data_initial_bytes=4 << 20,
                                      data_virtual_limit=64 << 20)))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     sim = cell.sim
     keys = [b"obj-%d" % i for i in range(KEYS)]
 

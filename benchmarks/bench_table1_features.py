@@ -23,7 +23,7 @@ from _common import drive, run_once
 
 from repro.analysis import render_table
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
-                        LookupStrategy, ReplicationMode)
+                        GetStrategy, ReplicationMode)
 from repro.rpc import ProtocolVersion
 from repro.shims import make_shim
 
@@ -95,7 +95,7 @@ def challenge_evolution():
 def challenge_availability():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony"))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         for i in range(40):
@@ -131,10 +131,10 @@ def challenge_interoperability():
 
 def challenge_heterogeneity():
     latencies = {}
-    for transport, strategy in [("pony", LookupStrategy.SCAR),
-                                ("1rma", LookupStrategy.TWO_R),
-                                ("rdma", LookupStrategy.TWO_R),
-                                ("pony", LookupStrategy.RPC)]:
+    for transport, strategy in [("pony", GetStrategy.SCAR),
+                                ("1rma", GetStrategy.TWO_R),
+                                ("rdma", GetStrategy.TWO_R),
+                                ("pony", GetStrategy.RPC)]:
         cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=2,
                              transport=transport))
         client = cell.connect_client(strategy=strategy)

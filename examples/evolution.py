@@ -14,7 +14,7 @@ Run:  python examples/evolution.py
 
 from repro.analysis import render_table, snapshot_cell
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, MaintenanceConfig, ReplicationMode)
+                        GetStrategy, MaintenanceConfig, ReplicationMode)
 from repro.rpc import ProtocolVersion
 
 KEYS = 40
@@ -26,7 +26,7 @@ def main():
         num_spares=1, transport="pony",
         maintenance_config=MaintenanceConfig(restart_delay=0.2)))
     client = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(touch_enabled=False))
     sim = cell.sim
 

@@ -11,7 +11,7 @@ Run:  python examples/maintenance_drill.py
 
 from repro.analysis import (CounterSeries, TimeSeries,
                             render_percentile_lines, render_table)
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         MaintenanceConfig, RepairConfig, ReplicationMode)
 
 
@@ -27,7 +27,7 @@ def run_drill(kind: str):
         repair_config=RepairConfig(enabled=True, scan_interval=5.0),
         maintenance_config=MaintenanceConfig(restart_delay=0.6,
                                              crash_restart_delay=0.6)))
-    clients = [cell.connect_client(strategy=LookupStrategy.TWO_R)
+    clients = [cell.connect_client(strategy=GetStrategy.TWO_R)
                for _ in range(4)]
     sim = cell.sim
 

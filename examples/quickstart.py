@@ -9,7 +9,7 @@ GETs cost a tiny fraction of an RPC.
 Run:  python examples/quickstart.py
 """
 
-from repro import Cell, CellSpec, GetStatus, LookupStrategy, ReplicationMode
+from repro import Cell, CellSpec, GetStatus, GetStrategy, ReplicationMode
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     with Cell(CellSpec(name="quickstart", mode=ReplicationMode.R3_2,
                        num_shards=6, transport="pony")) as cell, \
             cell.connect_client() as client, \
-            cell.connect_client(strategy=LookupStrategy.RPC) as rpc_client:
+            cell.connect_client(strategy=GetStrategy.RPC) as rpc_client:
         run(cell, client, rpc_client)
 
 

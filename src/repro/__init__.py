@@ -25,8 +25,8 @@ Quickstart::
 
 from .core import (Backend, BackendConfig, Cell, CellSpec, ClientConfig,
                    CliqueMapClient, Federation, FederationSpec, GetResult,
-                   GetStatus, GetStrategy, LookupStrategy, MutationResult,
-                   OpResult, ReplicationMode, SetStatus, VersionNumber)
+                   GetStatus, GetStrategy, MutationResult, OpResult,
+                   ReplicationMode, SetStatus, VersionNumber)
 from .telemetry import MetricsRegistry, Span, TraceContext, Tracer
 
 __version__ = "1.0.0"
@@ -34,8 +34,8 @@ __version__ = "1.0.0"
 __all__ = [
     "Backend", "BackendConfig", "Cell", "CellSpec", "ClientConfig",
     "CliqueMapClient", "Federation", "FederationSpec", "GetResult",
-    "GetStatus", "GetStrategy", "LookupStrategy", "MutationResult",
-    "OpResult", "ReplicationMode", "SetStatus", "VersionNumber",
+    "GetStatus", "GetStrategy", "MutationResult", "OpResult",
+    "ReplicationMode", "SetStatus", "VersionNumber",
     "MetricsRegistry", "Span", "TraceContext", "Tracer",
     "__version__",
 ]

@@ -4,10 +4,9 @@ from .bench_history import (bench_rows, load_bench_files, perf_history,
                             render_history)
 from .dashboard import (BackendSnapshot, CellSnapshot, ClientSnapshot,
                         snapshot_cell)
-from .perf import (compare_kernel_stress, profile_hotspots,
-                   render_multiget_table, run_kernel_stress,
-                   run_multiget_benchmark, run_scale_workload,
-                   write_bench_json)
+from .perf import (profile_hotspots, render_multiget_table,
+                   run_kernel_stress, run_multiget_benchmark,
+                   run_scale_workload, write_bench_json)
 from .parallel import (assert_digest_equivalent, compare_parallel,
                        digest_mismatches, profile_parallel_hotspots,
                        run_federation_arm)
@@ -15,8 +14,8 @@ from .population import (PERCENTILES, compare_population,
                          run_population_arm)
 from .reporting import (render_alerts, render_metrics,
                         render_percentile_lines, render_series,
-                        render_sli, render_table, render_timeseries,
-                        sparkline)
+                        render_sli, render_soak_report, render_table,
+                        render_timeseries, sparkline)
 from .stats import (CounterSeries, LatencyRecorder, TimeSeries, cdf_points,
                     cpu_ns_per_op, cpu_us_per_op, ks_distance)
 from .stitch import (StitchedTrace, filter_traces, stitch_traces,
@@ -27,11 +26,11 @@ __all__ = [
     "BackendSnapshot", "CellSnapshot", "ClientSnapshot", "snapshot_cell",
     "render_metrics", "render_percentile_lines", "render_series",
     "render_table", "render_alerts", "render_sli", "render_timeseries",
-    "sparkline",
+    "render_soak_report", "sparkline",
     "CounterSeries", "LatencyRecorder", "TimeSeries", "cdf_points",
     "cpu_ns_per_op", "cpu_us_per_op", "ks_distance",
     "run_multiget_benchmark", "render_multiget_table", "write_bench_json",
-    "run_kernel_stress", "compare_kernel_stress", "run_scale_workload",
+    "run_kernel_stress", "run_scale_workload",
     "profile_hotspots",
     "PERCENTILES", "run_population_arm", "compare_population",
     "run_federation_arm", "compare_parallel", "digest_mismatches",

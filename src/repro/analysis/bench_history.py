@@ -28,7 +28,6 @@ from .reporting import render_table
 _SPECS: Dict[str, List[tuple]] = {
     "kernel": [
         ("events_per_sec", "new.events_per_sec", "floor_events_per_sec"),
-        ("speedup_vs_legacy", None, None),  # computed below
     ],
     "multiget": [
         ("latency_speedup", "latency_speedup", None),
@@ -103,14 +102,8 @@ def bench_rows(benches: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
             specs = [(k[len("floor_"):], k[len("floor_"):], k)
                      for k in sorted(doc) if k.startswith("floor_")]
         for metric, value_path, floor_path in specs:
-            if name == "kernel" and metric == "speedup_vs_legacy":
-                new = _dig(doc, "new.events_per_sec")
-                legacy = _dig(doc, "legacy.events_per_sec")
-                value = (new / legacy) if new and legacy else None
-                floor = None
-            else:
-                value = _dig(doc, value_path)
-                floor = _dig(doc, floor_path)
+            value = _dig(doc, value_path)
+            floor = _dig(doc, floor_path)
             margin = None
             ok = True
             if isinstance(value, (int, float)) and \

@@ -76,10 +76,6 @@ class CellSnapshot:
         return sum(b.resident_keys for b in self.backends if b.alive)
 
     @property
-    def total_rpc_bytes(self) -> int:
-        return sum(b.rpc_bytes for b in self.backends)
-
-    @property
     def alive_backends(self) -> int:
         return sum(1 for b in self.backends if b.alive)
 

@@ -142,7 +142,7 @@ KERNEL_STRESS_SHAPES = (
 
 
 def _stress_shape(sim, shape: str, workers: int, rounds: int) -> None:
-    """Run one shape to completion on ``sim`` (any Simulator interface)."""
+    """Run one shape to completion on ``sim``."""
 
     def ticker(period: float):
         for _ in range(rounds):
@@ -152,12 +152,9 @@ def _stress_shape(sim, shape: str, workers: int, rounds: int) -> None:
         for _ in range(rounds):
             yield sim.timeout(0)
 
-    # Each kernel's cheapest one-shot wait: delay(), or the legacy sleep().
-    nap = getattr(sim, "delay", None) or sim.sleep
-
     def sleeper():
         for i in range(rounds):
-            yield nap(1e-6 * (i % 5))
+            yield sim.delay(1e-6 * (i % 5))
 
     def fanout():
         for i in range(rounds // 8):
@@ -192,13 +189,11 @@ def run_kernel_stress(sim_factory, scale: float = 1.0,
                       repeats: int = 3) -> Dict:
     """Measure raw kernel events/sec over the deterministic shape mix.
 
-    ``sim_factory`` builds a fresh simulator per run — pass
-    :class:`~repro.sim.Simulator` for the live kernel, or the benchmarks'
-    legacy baseline kernel, so both arms run the identical load. Each
-    shape runs ``repeats`` times and keeps its best wall time (standard
-    microbenchmark practice: the minimum is the least noise-polluted
-    sample). Returns per-shape and aggregate events (scheduled actions)
-    and wall seconds.
+    ``sim_factory`` builds a fresh :class:`~repro.sim.Simulator` per
+    run. Each shape runs ``repeats`` times and keeps its best wall time
+    (standard microbenchmark practice: the minimum is the least
+    noise-polluted sample). Returns per-shape and aggregate events
+    (scheduled actions) and wall seconds.
     """
     shapes: Dict[str, Dict] = {}
     total_events = 0
@@ -226,60 +221,6 @@ def run_kernel_stress(sim_factory, scale: float = 1.0,
         "wall_seconds": total_wall,
         "events_per_sec": total_events / total_wall if total_wall else 0.0,
     }
-
-
-def compare_kernel_stress(new_factory, legacy_factory,
-                          scale: float = 1.0, repeats: int = 3) -> Dict:
-    """Run the stress mix on two kernels, interleaved repeat-by-repeat.
-
-    Benchmarking the kernels back-to-back lets machine drift (thermal
-    throttling, cache warm-up, a noisy neighbour) land entirely on one
-    arm and skew the ratio. Interleaving each shape's repeats —
-    new, legacy, new, legacy, ... — spreads any drift across both arms,
-    and best-of-``repeats`` per arm discards the polluted samples.
-    Returns ``{"new": ..., "legacy": ..., "speedup": ...}`` where the two
-    kernel entries match :func:`run_kernel_stress` output.
-    """
-    arms = {"new": new_factory, "legacy": legacy_factory}
-    best: Dict[str, Dict[str, float]] = {k: {} for k in arms}
-    events: Dict[str, Dict[str, int]] = {k: {} for k in arms}
-    for name, workers, rounds in KERNEL_STRESS_SHAPES:
-        rounds = max(1, int(rounds * scale))
-        for _ in range(max(1, repeats)):
-            for arm, factory in arms.items():
-                sim = factory()
-                start = time.perf_counter()
-                _stress_shape(sim, name, workers, rounds)
-                wall = time.perf_counter() - start
-                events[arm][name] = sim._seq
-                prev = best[arm].get(name, float("inf"))
-                best[arm][name] = min(prev, wall)
-
-    out: Dict = {}
-    for arm in arms:
-        shapes = {}
-        total_events = 0
-        total_wall = 0.0
-        for name, _w, _r in KERNEL_STRESS_SHAPES:
-            ev, wall = events[arm][name], best[arm][name]
-            shapes[name] = {
-                "events": ev,
-                "wall_seconds": wall,
-                "events_per_sec": ev / wall if wall > 0 else 0.0,
-            }
-            total_events += ev
-            total_wall += wall
-        out[arm] = {
-            "shapes": shapes,
-            "events": total_events,
-            "wall_seconds": total_wall,
-            "events_per_sec": (total_events / total_wall
-                               if total_wall else 0.0),
-        }
-    new_rate = out["new"]["events_per_sec"]
-    legacy_rate = out["legacy"]["events_per_sec"]
-    out["speedup"] = new_rate / legacy_rate if legacy_rate else float("inf")
-    return out
 
 
 def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
@@ -427,7 +368,6 @@ def render_multiget_table(result: Dict) -> str:
 
 __all__ = [
     "ENGINE_COMPONENTS", "run_multiget_benchmark", "write_bench_json",
-    "render_multiget_table", "run_kernel_stress", "compare_kernel_stress",
-    "run_scale_workload",
+    "render_multiget_table", "run_kernel_stress", "run_scale_workload",
     "profile_hotspots",
 ]

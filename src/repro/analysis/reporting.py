@@ -168,6 +168,89 @@ def render_sli(title: str, sli_summary: dict) -> str:
             f"scrapes={sli_summary.get('scrapes', 0)}")
 
 
+def render_soak_report(report) -> str:
+    """Every section a :class:`~repro.faults.SoakReport` carries, each
+    at most once: the one renderer behind ``repro.tools chaos`` and
+    ``repro.tools observe``."""
+    sections = [
+        render_table(f"fault plan (seed={report.config.seed})", ["event"],
+                     [[line] for line in report.plan_lines]),
+        render_table("injected faults", ["event"], report.fault_rows()),
+        render_table("reactions", ["metric family", "total"],
+                     report.reaction_rows()),
+    ]
+    if report.timeseries is not None:
+        sections += [
+            render_timeseries(
+                "probe op series (scraped)",
+                [s for s in report.timeseries["series"]
+                 if s["name"].startswith("cliquemap_probe_ops_total")]),
+            render_sli("SLIs (prober vantage)", report.sli),
+            render_alerts("SLO alert transitions", report.alerts),
+        ]
+    if report.sor_stats is not None:
+        stats = report.sor_stats
+        sections.append(render_table(
+            "miss path (read-through coordinator)", ["stat", "value"],
+            [["fetches", f"{stats['coordinator']['fetches']}"],
+             ["coalesced", f"{stats['coordinator']['coalesced']}"],
+             ["backfill shed", f"{stats['backfill_shed']:g}"],
+             ["SoR reads", f"{stats['sor_reads']}"],
+             ["SoR writes", f"{stats['sor_writes']}"],
+             ["SoR throttled", f"{stats['sor_throttled']}"],
+             ["cold-key hits", f"{stats['cold_reads']['hits']}"],
+             ["cold-key bad hits", f"{stats['cold_reads']['bad_hits']}"]]))
+    if report.resize_stats is not None:
+        ctl = report.resize_stats["controller"]
+        rows = [["grows", f"{ctl['grows']}"],
+                ["shrinks", f"{ctl['shrinks']}"],
+                ["aborted", f"{ctl['aborted']}"],
+                ["backfill sweeps", f"{ctl['sweeps']}"],
+                ["entries backfilled", f"{ctl['entries_backfilled']}"],
+                ["entries purged", f"{ctl['entries_purged']}"],
+                ["shadow writes",
+                 f"{report.resize_stats['shadow_writes']:g}"],
+                ["writer SET failures",
+                 f"{report.foreground['writer_set_failures']}"],
+                ["reader inquorate retries",
+                 f"{report.foreground['reader_inquorate']}"]]
+        if report.resize_stats["pressure"] is not None:
+            rows.append(["pressure writes",
+                         f"{report.resize_stats['pressure']['writes']}"])
+        sections.append(render_table(
+            f"resize ({report.config.scenario or 'explicit plan'})",
+            ["stat", "value"], rows))
+    if report.population_stats is not None:
+        stats = report.population_stats
+        sections.append(render_table(
+            f"client population (N={stats['modeled_clients']})",
+            ["stat", "value"],
+            [["modeled clients", f"{stats['modeled_clients']}"],
+             ["driver processes", f"{stats['drivers']}"],
+             ["offered key-ops", f"{stats['offered']}"],
+             ["delivered", f"{stats['delivered']}"],
+             ["thinned (sampled out)", f"{stats['thinned']}"],
+             ["shed (outstanding cap)", f"{stats['shed']}"],
+             ["shed rate", f"{stats['shed_rate']:.4f}"],
+             ["hit rate", f"{stats['hit_rate']:.4f}"],
+             ["errors", f"{stats['errors']}"]]))
+    files = [f"wrote {path}" for path in report.exports]
+    if report.bundle:
+        files.append(f"postmortem bundle: {report.bundle}")
+    if files:
+        sections.append("\n".join(files))
+    violations = [f"BAD HIT: key {i} returned unwritten value {value!r}"
+                  for i, value in report.bad_hits]
+    violations += [f"UNRECOVERED: key {i} -> {status}" +
+                   ("" if value is None else f" (value={value!r})")
+                   for i, status, value in report.unrecovered]
+    violations += [f"DIVERGED: key {i} replicas disagree after settle"
+                   for i in report.diverged]
+    if violations:
+        sections.append("\n".join(violations))
+    return "\n\n".join(sections)
+
+
 def _labels_str(labels) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
 

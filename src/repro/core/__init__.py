@@ -5,7 +5,7 @@ from .cell import Cell, CellSpec, make_transport
 from .checksum import CHECKSUM_BYTES, checksum_ok, kv_checksum
 from .client import (BackendView, ClientConfig, ClientCostModel,
                      CliqueMapClient, GetResult, MutationResult, OpResult)
-from .config import (CellConfig, ConfigStore, GetStrategy, LookupStrategy,
+from .config import (CellConfig, ConfigStore, GetStrategy,
                      ReplicationMode)
 from .data import (DataEntryView, DataRegion, encode_entry_parts, entry_size,
                    try_decode)
@@ -40,8 +40,7 @@ __all__ = [
     "CHECKSUM_BYTES", "checksum_ok", "kv_checksum",
     "BackendView", "ClientConfig", "ClientCostModel", "CliqueMapClient",
     "GetResult", "MutationResult", "OpResult",
-    "CellConfig", "ConfigStore", "GetStrategy", "LookupStrategy",
-    "ReplicationMode",
+    "CellConfig", "ConfigStore", "GetStrategy", "ReplicationMode",
     "DataEntryView", "DataRegion", "encode_entry_parts", "entry_size",
     "try_decode",
     "CliqueMapError", "ConfigCasError", "GetStatus", "SetStatus",

@@ -74,9 +74,6 @@ class GetStrategy(enum.Enum):
             f"or a GetStrategy member")
 
 
-#: Backwards-compatible alias; ``GetStrategy`` is the public name.
-LookupStrategy = GetStrategy
-
 
 @dataclass
 class CellConfig:

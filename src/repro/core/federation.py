@@ -24,7 +24,7 @@ from ..net import Fabric, FabricConfig
 from ..sim import Simulator
 from .cell import Cell, CellSpec
 from .client import CliqueMapClient
-from .config import LookupStrategy
+from .config import GetStrategy
 from .errors import GetStatus
 
 
@@ -88,7 +88,7 @@ class Federation:
                 # zone != "local" selects the RPC strategy and
                 # WAN-appropriate deadlines inside make_client.
                 remote_clients[other_zone] = other_cell.make_client(
-                    host=host, strategy=LookupStrategy.RPC, zone=zone)
+                    host=host, strategy=GetStrategy.RPC, zone=zone)
         return FederatedClient(zone, local_client, remote_clients)
 
 

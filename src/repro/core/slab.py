@@ -60,10 +60,6 @@ class SlabAllocator:
 
     # -- size classes ------------------------------------------------------
 
-    @property
-    def size_classes(self) -> List[int]:
-        return list(self._classes)
-
     def class_for(self, nbytes: int) -> Optional[int]:
         for c in self._classes:
             if nbytes <= c:
@@ -153,12 +149,6 @@ class SlabAllocator:
 
     # -- defragmentation support -----------------------------------------------
 
-    def slab_of(self, offset: int) -> int:
-        slab_start = self._block_owner.get(offset)
-        if slab_start is None:
-            raise ValueError(f"offset {offset} is not allocated")
-        return slab_start
-
     def slab_utilization(self, slab_start: int) -> float:
         slab = self._slabs[slab_start]
         total = self.slab_bytes // slab.block_size
@@ -179,10 +169,6 @@ class SlabAllocator:
         return len(self._slabs)
 
     # -- accounting ---------------------------------------------------------
-
-    @property
-    def carved_bytes(self) -> int:
-        return self._carved
 
     @property
     def headroom_bytes(self) -> int:

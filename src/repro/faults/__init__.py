@@ -1,11 +1,9 @@
 """First-class fault injection: plans, injectors, and chaos soaks."""
 
 from .plan import DEFAULT_KINDS, FaultEvent, FaultInjector, FaultPlan
-from .soak import (RESIZE_SCENARIOS, SoakConfig, SoakReport, resize_plan,
-                   run_soak)
+from .soak import SCENARIOS, Scenario, SoakConfig, SoakReport, run_soak
 
 __all__ = [
     "DEFAULT_KINDS", "FaultEvent", "FaultInjector", "FaultPlan",
-    "RESIZE_SCENARIOS", "SoakConfig", "SoakReport", "resize_plan",
-    "run_soak",
+    "SCENARIOS", "Scenario", "SoakConfig", "SoakReport", "run_soak",
 ]

@@ -1,39 +1,46 @@
 """A seeded chaos soak: plan faults, churn load, verify invariants.
 
-``run_soak`` stands up a cell, generates a :class:`FaultPlan` from the
-seed, and replays it through a :class:`FaultInjector` while writers and
-a reader churn. It checks the two properties every CliqueMap mechanism
-exists to protect:
+``run_soak`` stands up a cell and replays a :class:`FaultPlan` — drawn
+from the seed, or a named row of :data:`SCENARIOS` — through a
+:class:`FaultInjector` while writers and a reader churn. It checks what
+every CliqueMap mechanism exists to protect: a HIT never returns a value
+that was not written to that key; after the faults heal and repairs
+settle every key reads back as its last acknowledged write (or a
+concurrently-written value); and the replicas agree.
 
-1. a HIT never returns a value that was not written to that key;
-2. after the faults heal and repairs settle, every key reads back as
-   its last acknowledged write (or a concurrently-written value).
-
-The report carries the plan, the violations (hopefully empty), and the
-cell's final metrics snapshot, so a chaos run's whole story — injections
-fired, retries spent and shed, quarantines entered, corrupt deliveries
-caught — is printable from one object. Used by
-``python -m repro.tools chaos`` and rebased chaos tests alike.
+The report carries the plan, the violations (hopefully empty) and the
+reaction metric totals, so a run's whole story is printable from one
+object (``repro.analysis.render_soak_report``, behind
+``python -m repro.tools chaos`` and ``observe``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import (BackendConfig, Cell, CellSpec, ClientConfig,
-                    CliqueMapError, GetStatus, GetStrategy,
-                    MaintenanceConfig, RepairConfig, ReplicationMode,
-                    ResizeConfig, SetStatus)
+                    CliqueMapError, GetStatus, GetStrategy, RepairConfig,
+                    ReplicationMode, ResizeConfig, SetStatus)
 from ..sim import RandomStream
 from .plan import DEFAULT_KINDS, FaultInjector, FaultPlan
 
-#: Resize chaos scenarios accepted by ``SoakConfig.resize`` (and the
-#: ``chaos --resize`` / ``observe --fault resize`` CLIs). Each schedules
-#: a grow+shrink cycle; all but "cycle" land an antagonist fault on it.
-RESIZE_SCENARIOS = ("cycle", "partition", "gray", "target_crash",
-                    "pressure")
+# Harness shape no caller varies.
+NUM_WRITERS = 2
+REPAIR_SCAN_INTERVAL = 0.25
+SOR_COLD_KEYS = 64
+POPULATION_DRIVERS = 2
+# The "pressure" scenario: a data arena small enough that a writer of
+# padded values over a disjoint ``pressure-%05d`` keyspace forces
+# capacity evictions while the handoff copies entries.
+PRESSURE_ARENA_BYTES = 256 * 1024
+PRESSURE_KEYS = 128
+PRESSURE_VALUE_BYTES = 2048
+
+#: Fault window a windowed scenario gets when the caller names none
+#: (the ``observe`` CLI's --fault-at / --fault-duration defaults).
+FAULT_AT, FAULT_DURATION = 0.8, 0.6
 
 # Metric families summarized in SoakReport.reaction_rows(); the soak's
 # reaction story in one table.
@@ -61,45 +68,93 @@ _REACTION_FAMILIES = (
 )
 
 
-def resize_plan(scenario: str, duration: float,
-                num_shards: int) -> FaultPlan:
-    """Handcrafted plan for one resize chaos scenario.
+@dataclass(frozen=True)
+class Scenario:
+    """One named soak scenario: its schedule and what it switches on."""
 
-    Every scenario grows the cell by one task at 25% of the window and
-    shrinks back at 65%; the antagonist fault (when the scenario has
-    one) lands just after the grow starts, so it hits mid-handoff.
-    ``"pressure"``'s antagonist is not a plan event — it is the
-    eviction-pressure writer :func:`run_soak` runs alongside.
-    """
-    if scenario not in RESIZE_SCENARIOS:
-        raise CliqueMapError(
-            f"unknown resize scenario {scenario!r}; choose from "
-            f"{', '.join(RESIZE_SCENARIOS)}")
-    plan = FaultPlan()
-    grow_at = 0.25 * duration
-    plan.add(grow_at, "resize", action="grow", count=1)
-    plan.add(0.65 * duration, "resize", action="shrink", count=1)
-    if scenario == "partition":
-        # Cut client_hosts[3] off from quorum-many backends (2 of R=3)
-        # across the heart of the handoff. Under ``observe`` that index
-        # is the first prober (writers, reader, then probers), so the
-        # availability burn alert fires and resolves; without the plane
-        # it wraps around to a writer, whose SETs must ride retries.
-        plan.add(grow_at + 0.01 * duration, "partition", client=3, shard=0)
-        plan.add(grow_at + 0.01 * duration, "partition", client=3, shard=1)
-        plan.add(grow_at + 0.25 * duration, "heal")
-        plan.add(grow_at + 0.25 * duration, "heal")
-    elif scenario == "gray":
-        plan.add(grow_at + 0.01 * duration, "gray",
-                 duration=0.2 * duration, shard=1, loss_probability=0.25)
-    elif scenario == "target_crash":
-        # The first joiner a grow creates on a fresh cell is
-        # deterministically named backend-<num_shards>.
-        plan.add(grow_at + 0.005 * duration, "crash_task",
-                 task=f"backend-{num_shards}",
-                 restart_delay=0.02 * duration)
-    plan.add(duration, "heal_all")
-    return plan
+    # (duration, num_shards, fault_at, fault_duration) -> the schedule
+    # before its closing heal_all; None draws the seeded random plan.
+    events: Optional[Callable[[float, int, float, float], FaultPlan]]
+    observe: bool = False     # attach the observability plane
+    sor: bool = False         # attach a SoR, its cold reader and backfill herd
+    pressure: bool = False    # small data arena + padded-value writer
+
+    def plan(self, duration: float, num_shards: int,
+             fault_at: float = FAULT_AT,
+             fault_duration: float = FAULT_DURATION) -> FaultPlan:
+        return self.events(duration, num_shards, fault_at,
+                           fault_duration).add(duration, "heal_all")
+
+
+# Cut client_hosts[3] off from quorum-many backends (2 of R=3): a single
+# partition would be quorum-masked and invisible. The soak's hosts are
+# writers (0..1), reader (2), then probers, so under the plane index 3
+# is the first prober and the availability burn alert fires; without
+# the plane it wraps around to a writer, whose SETs must ride retries.
+def _cut_first_prober(plan: FaultPlan, at: float) -> FaultPlan:
+    plan.add(at, "partition", client=3, shard=0)
+    return plan.add(at, "partition", client=3, shard=1)
+
+
+def _grow_shrink(grow_at: float, shrink_at: float) -> FaultPlan:
+    return FaultPlan().add(grow_at, "resize", action="grow", count=1) \
+        .add(shrink_at, "resize", action="shrink", count=1)
+
+
+#: Every named scenario, in one place: ``SoakConfig.scenario`` selects a
+#: row; ``observe --fault`` offers the un-namespaced names, which land
+#: one fault in the caller's window on a probed cell; ``chaos --resize``
+#: offers the ``resize/`` ones, which grow the cell by one task at 25%
+#: of the window and shrink it back at 65% with an antagonist landing
+#: just after the grow starts, mid-handoff. The lambdas' ``(d, n, at,
+#: span)`` are ``(duration, num_shards, fault_at, fault_duration)``. A
+#: new scenario is a new row plus its golden lines in
+#: tests/unit/test_faults_plan.py.
+SCENARIOS: Dict[str, Scenario] = {
+    "none": Scenario(lambda d, n, at, span: FaultPlan(), observe=True),
+    "partition": Scenario(
+        lambda d, n, at, span:
+        _cut_first_prober(FaultPlan(), at).add(at + span, "heal_all"),
+        observe=True),
+    "gray-loss": Scenario(
+        lambda d, n, at, span: FaultPlan().add(
+            at, "gray", duration=span, shard=0, loss_probability=0.5),
+        observe=True),
+    "gray-slow": Scenario(
+        lambda d, n, at, span: FaultPlan().add(
+            at, "gray", duration=span, shard=0, latency_multiplier=8.0),
+        observe=True),
+    # Degrade the SoR's provisioned capacity while the backfill herd
+    # hammers the miss path: the admission budget should shed load so
+    # foreground SLOs stay green.
+    "sor-brownout": Scenario(
+        lambda d, n, at, span: FaultPlan().add(
+            at, "sor_brownout", factor=0.1, duration=span),
+        observe=True, sor=True),
+    # The handoff must stay invisible to the SLO plane.
+    "resize": Scenario(
+        lambda d, n, at, span: _grow_shrink(at, at + span), observe=True),
+    "resize/cycle": Scenario(
+        lambda d, n, at, span: _grow_shrink(0.25 * d, 0.65 * d)),
+    "resize/partition": Scenario(
+        lambda d, n, at, span: _cut_first_prober(
+            _grow_shrink(0.25 * d, 0.65 * d), 0.25 * d + 0.01 * d)
+        .add(0.5 * d, "heal").add(0.5 * d, "heal")),
+    "resize/gray": Scenario(
+        lambda d, n, at, span: _grow_shrink(0.25 * d, 0.65 * d).add(
+            0.25 * d + 0.01 * d, "gray", duration=0.2 * d, shard=1,
+            loss_probability=0.25)),
+    # The first joiner a grow creates on a fresh cell is
+    # deterministically named backend-<num_shards>.
+    "resize/target_crash": Scenario(
+        lambda d, n, at, span: _grow_shrink(0.25 * d, 0.65 * d).add(
+            0.25 * d + 0.005 * d, "crash_task", task=f"backend-{n}",
+            restart_delay=0.02 * d)),
+    # The antagonist is not a plan event: it is the pressure writer.
+    "resize/pressure": Scenario(
+        lambda d, n, at, span: _grow_shrink(0.25 * d, 0.65 * d),
+        pressure=True),
+}
 
 
 @dataclass
@@ -111,25 +166,20 @@ class SoakConfig:
     settle: float = 2.0            # post-heal repair/convergence window
     num_shards: int = 3
     num_keys: int = 12
-    num_writers: int = 2
     transport: str = "pony"
-    mean_fault_interval: float = 0.15
-    kinds: Tuple[str, ...] = DEFAULT_KINDS
-    repair_scan_interval: float = 0.25
-    reader_config: ClientConfig = field(default_factory=lambda: ClientConfig(
-        max_retries=6, default_deadline=5e-3))
+    # A row of SCENARIOS: its plan replaces the seeded random one and
+    # its needs (plane, SoR, pressure writer) are switched on. None (the
+    # default) leaves existing seeded soaks untouched.
+    scenario: Optional[str] = None
+    # Replay this exact plan instead of the scenario's or the seed's.
+    # Partition events index ``client_hosts`` as workload clients first
+    # (writers then reader), then prober hosts.
+    plan: Optional[FaultPlan] = None
     # Attach the observability plane (scraper + probers + SLO burn-rate
     # alerting) for the soak's duration; alerts and SLIs land in the
-    # report. ``observe_config`` is an
-    # :class:`~repro.observe.ObserveConfig` (None -> defaults).
+    # report.
     observe: bool = False
-    observe_config: Optional[object] = None
-    # Replay this exact plan instead of generating one from the seed.
-    # Partition events index ``client_hosts`` as workload clients first
-    # (writers then reader), then prober hosts — so with the default 2
-    # writers, ``client=3`` partitions the first prober.
-    plan: Optional[FaultPlan] = None
-    # With observe: write timeseries.json + trace.json into this
+    # With the plane: write timeseries.json + trace.json into this
     # directory before the plane stops (used by the observe CLI and CI).
     # When a run ends badly — an invariant violation or a fired SLO
     # alert — a postmortem bundle also lands here (healthy runs write
@@ -140,41 +190,24 @@ class SoakConfig:
     # fault injections, alert transitions). Off by default — recording
     # is cheap but not free, and default soaks stay byte-identical.
     flight: bool = False
-    flight_capacity: int = 4096
-    # System-of-record miss pipeline (all opt-in; defaults leave the
-    # soak byte-identical to pre-PR-6 runs). With ``sor=True`` the soak
-    # attaches a provisioned-throughput SoR pre-loaded with
-    # ``sor_cold_keys`` cold keys, and a dedicated reader exercises the
-    # read-through path on them throughout the run. ``sor_backfill``
-    # adds a warming storm (admission-controlled backfill sweeps over
-    # the cold keyspace) — the herd scenario's background pressure.
+    # System-of-record miss pipeline (opt-in; the default leaves the
+    # soak byte-identical to pre-PR-6 runs): attach a provisioned-
+    # throughput SoR pre-loaded with SOR_COLD_KEYS cold keys, read them
+    # through the coordinator throughout the run, sweep them with an
+    # admission-controlled backfill storm (the herd's background
+    # pressure), and draw ``sor_brownout`` into the seeded plan.
     sor: bool = False
-    sor_policy: Optional[object] = None          # MissPolicy
     sor_throughput: Optional[object] = None      # ProvisionedThroughput
-    sor_cold_keys: int = 64
-    sor_backfill: bool = False
-    # Resize chaos (opt-in; defaults leave existing seeded soaks
-    # untouched). ``resize`` names a scenario from RESIZE_SCENARIOS and
-    # replaces the generated plan with :func:`resize_plan` (unless an
-    # explicit ``plan`` is given). ``resize_config`` shapes the handoff;
-    # ``backend_config`` reaches the cell spec (the "pressure" scenario
-    # shrinks ``data_virtual_limit`` through it so eviction churns
-    # during the handoff). The pressure writer hammers a disjoint
-    # ``pressure-%05d`` keyspace with padded values.
-    resize: Optional[str] = None
+    # Shapes the handoff of a plan's ``resize`` events.
     resize_config: Optional[ResizeConfig] = None
-    backend_config: Optional[BackendConfig] = None
-    pressure_keys: int = 128
-    pressure_value_bytes: int = 512
     # Aggregate client population (opt-in; 0 leaves existing seeded
     # soaks byte-identical). ``population`` models that many clients
     # issuing zipf GETs over the chaos keyspace via Poisson
-    # superposition on ``population_drivers`` real driver clients
+    # superposition on POPULATION_DRIVERS real driver clients
     # (see repro.workloads.population); offered/shed/thinned accounting
     # lands in the report's population_stats.
     population: int = 0
     population_rate: float = 40.0        # offered GETs/s per modeled client
-    population_drivers: int = 2
     population_sample_rate: float = 1.0
 
 
@@ -189,8 +222,7 @@ class SoakReport:
     unrecovered: List[Tuple[int, object, Optional[bytes]]]
     diverged: List[int]                  # keys where replicas disagree
     metric_totals: Dict[str, float]      # family -> total across series
-    snapshot: dict                       # full registry snapshot
-    # Populated when the soak ran with config.observe: fired/resolved
+    # Populated when the soak ran under the plane: fired/resolved
     # alert transitions (dicts, sim-timestamped), the SLI summary, the
     # scraped time series, and any files written to export_dir.
     alerts: List[dict] = field(default_factory=list)
@@ -200,7 +232,7 @@ class SoakReport:
     # Path of the postmortem bundle written into export_dir, or None
     # when the run was healthy (or no export_dir was configured).
     bundle: Optional[str] = None
-    # Populated when the soak ran with config.sor: the coordinator's
+    # Populated when the soak ran with a SoR: the coordinator's
     # stat counters, SoR-side totals, and the cold-keyspace read tally.
     sor_stats: Optional[dict] = None
     # Foreground-impact accounting, always populated: terminal SET
@@ -208,7 +240,7 @@ class SoakReport:
     # ran), plus the reader's terminal errors and inquorate retries —
     # the counters a fault-free resize must keep at zero.
     foreground: Optional[dict] = None
-    # Populated when config.resize named a scenario: the resize
+    # Populated when the plan that ran held a ``resize`` event: the
     # controller's counters plus the dual-write/backfill metric totals.
     resize_stats: Optional[dict] = None
     # Populated when config.population > 0: the aggregate population's
@@ -217,8 +249,7 @@ class SoakReport:
 
     @property
     def ok(self) -> bool:
-        return not self.bad_hits and not self.unrecovered \
-            and not self.diverged
+        return not (self.bad_hits or self.unrecovered or self.diverged)
 
     def fault_rows(self) -> List[List[str]]:
         return [[line] for line in self.injected]
@@ -227,37 +258,28 @@ class SoakReport:
         return [[family, f"{total:g}"]
                 for family, total in self.metric_totals.items()]
 
-    def alert_rows(self) -> List[List[str]]:
-        return [[f"t={a['at']:.3f}s", a["kind"],
-                 f"{a['cell']}/{a['objective']}", a["severity"],
-                 f"burn={a['burn_long']:.1f}/{a['burn_short']:.1f}"]
-                for a in self.alerts]
-
-
-def _registry_totals(registry) -> Dict[str, float]:
-    totals = {}
-    for family in _REACTION_FAMILIES:
-        totals[family] = registry.total(family)
-    return totals
-
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     """Run one seeded chaos soak to completion and report."""
     config = config or SoakConfig()
+    if config.scenario is not None and config.scenario not in SCENARIOS:
+        raise CliqueMapError(f"unknown soak scenario {config.scenario!r}; "
+                             f"choose from {', '.join(SCENARIOS)}")
+    scenario = SCENARIOS.get(config.scenario, Scenario(events=None))
+    with_sor = config.sor or scenario.sor
     cell = Cell(CellSpec(
         mode=ReplicationMode.R3_2, num_shards=config.num_shards,
         transport=config.transport,
-        backend_config=config.backend_config or BackendConfig(),
-        repair_config=RepairConfig(
-            enabled=True, scan_interval=config.repair_scan_interval),
-        maintenance_config=MaintenanceConfig(),
+        backend_config=BackendConfig(
+            data_initial_bytes=PRESSURE_ARENA_BYTES,
+            data_virtual_limit=PRESSURE_ARENA_BYTES)
+        if scenario.pressure else BackendConfig(),
+        repair_config=RepairConfig(scan_interval=REPAIR_SCAN_INTERVAL),
         resize_config=config.resize_config or ResizeConfig(),
-        flight_recorder=config.flight,
-        flight_capacity=config.flight_capacity))
+        flight_recorder=config.flight))
     sim = cell.sim
-    sor = None
-    coordinator = None
-    if config.sor:
+    sor = coordinator = None
+    if with_sor:
         from ..storage import (MissPolicy, ProvisionedThroughput,
                                SystemOfRecord)
         sor_host = cell.add_local_host("host/sor")
@@ -266,12 +288,13 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             throughput=config.sor_throughput or ProvisionedThroughput(
                 read_units=400.0, write_units=400.0))
         sor.load({b"cold-%05d" % i: b"sor-%05d" % i
-                  for i in range(config.sor_cold_keys)})
-        coordinator = cell.attach_sor(sor, config.sor_policy or MissPolicy())
-    plane = cell.observe(config.observe_config) if config.observe else None
-    writers = [cell.connect_client() for _ in range(config.num_writers)]
-    reader = cell.connect_client(strategy=GetStrategy.TWO_R,
-                                 client_config=config.reader_config)
+                  for i in range(SOR_COLD_KEYS)})
+        coordinator = cell.attach_sor(sor, MissPolicy())
+    plane = cell.observe() if config.observe or scenario.observe else None
+    writers = [cell.connect_client() for _ in range(NUM_WRITERS)]
+    reader = cell.connect_client(
+        strategy=GetStrategy.TWO_R,
+        client_config=ClientConfig(max_retries=6, default_deadline=5e-3))
     clients = writers + [reader]
     stream = RandomStream(config.seed, "chaos")
 
@@ -323,7 +346,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                 bad_hits.append((i, result.value))
             yield sim.delay(rand.uniform(0.5e-3, 2e-3))
 
-    # Cold-keyspace churn (config.sor): reads that MISS the cache and
+    # Cold-keyspace churn (with a SoR): reads that MISS the cache and
     # resolve through the coordinator, so the soak exercises the miss
     # pipeline while faults fire. A HIT with a value that is neither
     # the SoR's nor a later write-behind overwrite is a real bug.
@@ -331,7 +354,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
 
     def cold_reader_loop(rand):
         while not done[0]:
-            i = rand.randint(0, config.sor_cold_keys - 1)
+            i = rand.randint(0, SOR_COLD_KEYS - 1)
             result = yield from reader.get(b"cold-%05d" % i)
             if result.status is GetStatus.HIT:
                 sor_counts["hits"] += 1
@@ -343,19 +366,17 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                 sor_counts["errors"] += 1
             yield sim.delay(rand.uniform(1e-3, 4e-3))
 
-    # Eviction pressure (config.resize == "pressure"): a dedicated
-    # writer hammers a disjoint padded keyspace so the cache churns
-    # evictions while the handoff copies entries. Pair with a small
-    # ``backend_config.data_virtual_limit`` to actually hit the limit.
-    pressure_client = cell.connect_client() \
-        if config.resize == "pressure" else None
+    # Eviction pressure: a dedicated writer hammers a disjoint padded
+    # keyspace so the cache churns evictions while the handoff copies
+    # entries.
+    pressure_client = cell.connect_client() if scenario.pressure else None
     pressure_counts = {"writes": 0, "failed": 0}
 
     def pressure_loop(rand):
-        pad = b"p" * config.pressure_value_bytes
+        pad = b"p" * PRESSURE_VALUE_BYTES
         generation = 0
         while not done[0]:
-            i = rand.randint(0, config.pressure_keys - 1)
+            i = rand.randint(0, PRESSURE_KEYS - 1)
             generation += 1
             result = yield from pressure_client.set(
                 b"pressure-%05d" % i, pad + b"-%d" % generation)
@@ -369,20 +390,19 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         # A warming storm: sweep the whole cold keyspace through the
         # backfill class over and over. Admission control is what keeps
         # this from consuming the SoR's provisioned capacity.
-        cold = [b"cold-%05d" % i for i in range(config.sor_cold_keys)]
+        cold = [b"cold-%05d" % i for i in range(SOR_COLD_KEYS)]
         while not done[0]:
             yield from coordinator.warm(cold, concurrency=8)
             yield sim.delay(0.02)
 
     plan = config.plan
-    if plan is None and config.resize is not None:
-        plan = resize_plan(config.resize, config.duration,
-                           config.num_shards)
+    if plan is None and scenario.events is not None:
+        plan = scenario.plan(config.duration, config.num_shards)
     if plan is None:
         plan = FaultPlan.generate(
             stream.child("plan"), duration=config.duration,
             num_shards=config.num_shards, num_clients=len(clients),
-            mean_interval=config.mean_fault_interval, kinds=config.kinds)
+            kinds=DEFAULT_KINDS + (("sor_brownout",) if with_sor else ()))
     # Workload clients first (generated plans only index those), then
     # prober hosts so handcrafted plans can partition a prober, then the
     # pressure writer (keeping prober indices stable across scenarios).
@@ -405,7 +425,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     if config.population > 0:
         from ..workloads import KeySpace, LoadGenerator, WorkloadMetrics
         pop_drivers = [cell.connect_client() for _ in range(
-            max(1, min(config.population_drivers, config.population)))]
+            max(1, min(POPULATION_DRIVERS, config.population)))]
         pop_keyspace = KeySpace(stream.child("population-keys"), keys,
                                 prefix=b"chaos-key")
         population_gen = LoadGenerator(
@@ -414,18 +434,14 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         fault_targets.extend(c.host for c in pop_drivers)
     injector = FaultInjector(cell, plan, client_hosts=fault_targets)
 
-    procs = [
-        sim.process(writer_loop(writers[tag], tag,
-                                stream.child(f"w{tag}")))
-        for tag in range(len(writers))
-    ]
+    procs = [sim.process(writer_loop(client, tag, stream.child(f"w{tag}")))
+             for tag, client in enumerate(writers)]
     procs.append(sim.process(reader_loop(stream.child("r"))))
     if pressure_client is not None:
         procs.append(sim.process(pressure_loop(stream.child("pressure"))))
-    if config.sor:
+    if with_sor:
         procs.append(sim.process(cold_reader_loop(stream.child("cold"))))
-        if config.sor_backfill:
-            procs.append(sim.process(backfill_loop()))
+        procs.append(sim.process(backfill_loop()))
     if population_gen is not None:
         procs.extend(population_gen.start_population_gets(
             config.population, config.population_rate, config.duration,
@@ -483,6 +499,11 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     # export_dir before anything is torn down. Healthy runs write no
     # bundle — CI's smoke job asserts on both halves of that contract.
     bundle = None
+    injected = [f"t={at:.3f}s {event.kind} [{outcome}] " +
+                " ".join(f"{k}={v:.3g}" if isinstance(v, float)
+                         else f"{k}={v}"
+                         for k, v in sorted(event.args.items()))
+                for at, event, outcome in injector.injected]
     violated = bool(bad_hits or unrecovered or diverged)
     fired = plane.engine.fired() if plane is not None else []
     if config.export_dir and (violated or fired):
@@ -495,51 +516,44 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                 "unrecovered": len(unrecovered),
                 "diverged": len(diverged),
                 "alerts_fired": len(fired),
-                "injected": [f"t={at:.3f}s {event.kind} [{outcome}]"
-                             for at, event, outcome in injector.injected],
+                "injected": injected,
             })
         exports.append(bundle)
     if plane is not None:
         plane.stop()
 
+    totals = {family: cell.metrics.total(family)
+              for family in _REACTION_FAMILIES}
+    observed = {} if plane is None else dict(
+        alerts=[e.to_dict() for e in plane.engine.events],
+        sli=plane.sli_summary(), timeseries=plane.scraper.to_dict())
     return SoakReport(
         config=config,
         plan_lines=plan.schedule_lines(),
-        injected=[f"t={at:.3f}s {event.kind} [{outcome}] " +
-                  " ".join(f"{k}={v:.3g}" if isinstance(v, float)
-                           else f"{k}={v}"
-                           for k, v in sorted(event.args.items()))
-                  for at, event, outcome in injector.injected],
+        injected=injected,
         bad_hits=bad_hits,
         unrecovered=unrecovered,
         diverged=diverged,
-        metric_totals=_registry_totals(cell.metrics),
-        snapshot=cell.metrics.snapshot(),
-        alerts=[e.to_dict() for e in plane.engine.events]
-        if plane is not None else [],
-        sli=plane.sli_summary() if plane is not None else None,
-        timeseries=plane.scraper.to_dict() if plane is not None else None,
+        metric_totals=totals,
+        **observed,
         exports=exports,
         bundle=bundle,
         foreground=dict(foreground),
-        resize_stats=None if config.resize is None else {
+        resize_stats=None
+        if not any(e.kind == "resize" for e in plan.events) else {
             "controller": vars(cell.resize.stats).copy(),
-            "resize_events": cell.metrics.total(
-                "cliquemap_resize_events_total"),
-            "backfill_entries": cell.metrics.total(
-                "cliquemap_resize_backfill_entries_total"),
-            "shadow_writes": cell.metrics.total(
-                "cliquemap_shadow_writes_total"),
-            "migration_rpc_errors": cell.metrics.total(
-                "cliquemap_migration_rpc_errors_total"),
+            "resize_events": totals["cliquemap_resize_events_total"],
+            "backfill_entries":
+                totals["cliquemap_resize_backfill_entries_total"],
+            "shadow_writes": totals["cliquemap_shadow_writes_total"],
+            "migration_rpc_errors":
+                totals["cliquemap_migration_rpc_errors_total"],
             "pressure": dict(pressure_counts)
             if pressure_client is not None else None,
         },
         population_stats=None if population_gen is None else {
             "modeled_clients": config.population,
             "drivers": len(population_gen.clients),
-            "rate_per_client": config.population_rate,
-            "op_sample_rate": config.population_sample_rate,
             "offered": population_gen.metrics.offered,
             "shed": population_gen.metrics.shed,
             "thinned": population_gen.metrics.thinned,

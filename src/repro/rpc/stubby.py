@@ -159,9 +159,6 @@ class RpcServer:
         """Register a generator handler: ``handler(payload, context)``."""
         self._handlers[method] = handler
 
-    def unregister(self, method: str) -> None:
-        self._handlers.pop(method, None)
-
     @property
     def serving(self) -> bool:
         return self._serving and self.host.alive

@@ -19,14 +19,12 @@ what matters to CliqueMap:
   absorbs write-behind flushes while the corpus is unfrozen;
 * ``freeze()`` makes the corpus immutable, matching §6.4's mode.
 
-``load``/``freeze`` are the canonical corpus-management surface (part
-of :class:`~repro.storage.SystemOfRecordProtocol`); the pre-PR-6 names
-``ingest``/``seal`` survive as deprecation shims that route through it.
+``load``/``freeze`` are the corpus-management surface (part of
+:class:`~repro.storage.SystemOfRecordProtocol`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -181,18 +179,6 @@ class SystemOfRecord:
         it unfrozen when write-behind should drain into it.
         """
         self._sealed = True
-
-    def ingest(self, items: Dict[bytes, bytes]) -> None:
-        """Deprecated alias for :meth:`load` (pre-PR-6 surface)."""
-        warnings.warn("SystemOfRecord.ingest() is deprecated; "
-                      "use load()", DeprecationWarning, stacklevel=2)
-        self.load(items)
-
-    def seal(self) -> None:
-        """Deprecated alias for :meth:`freeze` (pre-PR-6 surface)."""
-        warnings.warn("SystemOfRecord.seal() is deprecated; "
-                      "use freeze()", DeprecationWarning, stacklevel=2)
-        self.freeze()
 
     @property
     def sealed(self) -> bool:

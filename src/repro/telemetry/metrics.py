@@ -348,10 +348,6 @@ class MetricsRegistry:
                   sample_cap: Optional[int] = None) -> MetricFamily:
         return self._family(name, "histogram", help, sample_cap=sample_cap)
 
-    def unregister(self, name: str) -> bool:
-        """Drop a whole family; True if it existed."""
-        return self._families.pop(name, None) is not None
-
     def family(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
 

@@ -12,10 +12,10 @@ Run with ``python -m repro.tools <command>``:
   (``--demo`` runs a small workload first and renders an op trace).
 * ``chaos``        — seeded fault-injection soak: print the fault plan,
   the injected events, and the reaction metric tables.
-* ``observe``      — run a probed workload under the observability plane
-  (time-series scraping + SLO burn-rate alerting), optionally with an
-  injected fault; writes ``timeseries.json``/``trace.json`` and prints
-  the SLI and alert tables.
+* ``observe``      — the same soak path under the observability plane
+  (time-series scraping + SLO burn-rate alerting), optionally with one
+  fault from the scenario table; writes ``timeseries.json``/
+  ``trace.json`` and adds the SLI and alert tables.
 * ``perf``         — batched-vs-singleton multiget measurement; emits
   ``BENCH_multiget.json`` for the perf trajectory.
 * ``perf profile`` — run a scale workload under cProfile and print the
@@ -35,12 +35,12 @@ import sys
 
 
 def cmd_quickstart(args: argparse.Namespace) -> int:
-    from ..core import Cell, CellSpec, LookupStrategy, ReplicationMode
+    from ..core import Cell, CellSpec, GetStrategy, ReplicationMode
 
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2,
                          num_shards=args.shards, transport=args.transport))
     client = cell.connect_client()
-    rpc_client = cell.connect_client(strategy=LookupStrategy.RPC)
+    rpc_client = cell.connect_client(strategy=GetStrategy.RPC)
 
     def app():
         yield from client.set(b"k", b"v" * 128)
@@ -311,7 +311,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_population_args(p: argparse.ArgumentParser) -> None:
+# ``chaos --resize X`` runs the scenario-table row ``resize/X``.
+_RESIZE = "resize/"
+
+
+def _add_soak_args(p: argparse.ArgumentParser, duration: float,
+                   settle: float) -> None:
+    """Flags ``chaos`` and ``observe`` share (one soak command path)."""
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--duration", type=float, default=duration,
+                   help="fault-injection window (simulated seconds)")
+    p.add_argument("--settle", type=float, default=settle,
+                   help="post-heal convergence window before verification")
+    p.add_argument("--shards", type=int, default=3)
+    p.add_argument("--transport", default="pony",
+                   choices=["pony", "1rma", "rdma"])
+    p.add_argument("--flight", action="store_true",
+                   help="arm the cell's flight recorder; its event ring "
+                        "lands in the postmortem bundle when an alert "
+                        "fires or an invariant breaks")
     p.add_argument("--population", type=int, default=0,
                    help="superpose an aggregate population of N modeled "
                         "clients issuing zipf GETs over the chaos keys "
@@ -324,219 +342,59 @@ def _add_population_args(p: argparse.ArgumentParser) -> None:
                         "in reporting)")
 
 
-def _population_rows(stats: dict) -> list:
-    return [["modeled clients", f"{stats['modeled_clients']}"],
-            ["driver processes", f"{stats['drivers']}"],
-            ["offered key-ops", f"{stats['offered']}"],
-            ["delivered", f"{stats['delivered']}"],
-            ["thinned (sampled out)", f"{stats['thinned']}"],
-            ["shed (outstanding cap)", f"{stats['shed']}"],
-            ["shed rate", f"{stats['shed_rate']:.4f}"],
-            ["hit rate", f"{stats['hit_rate']:.4f}"],
-            ["errors", f"{stats['errors']}"]]
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from ..analysis import render_table
-    from ..faults import DEFAULT_KINDS, SoakConfig, run_soak
-
-    kinds = tuple(DEFAULT_KINDS)
-    if args.sor:
-        # Opt-in: draw SoR brownouts alongside the usual fault kinds and
-        # run the cold-keyspace + backfill herd against the miss path.
-        kinds = kinds + ("sor_brownout",)
-    backend_config = None
-    if args.resize == "pressure":
-        # Shrink the data arena so the pressure writer actually forces
-        # capacity evictions mid-handoff.
-        from ..core import BackendConfig
-        backend_config = BackendConfig(data_initial_bytes=256 * 1024,
-                                       data_virtual_limit=256 * 1024)
-    report = run_soak(SoakConfig(
-        seed=args.seed, duration=args.duration, settle=args.settle,
-        num_shards=args.shards, num_keys=args.keys,
-        transport=args.transport, kinds=kinds,
-        sor=args.sor, sor_backfill=args.sor,
-        resize=args.resize, backend_config=backend_config,
-        pressure_value_bytes=2048,
-        population=args.population,
-        population_rate=args.population_rate,
-        population_sample_rate=args.population_sample_rate,
-        flight=args.flight, export_dir=args.export_dir or None))
-    print(render_table(f"fault plan (seed={args.seed})", ["event"],
-                       [[line] for line in report.plan_lines]))
-    print()
-    print(render_table("injected faults", ["event"], report.fault_rows()))
-    print()
-    print(render_table("reactions", ["metric family", "total"],
-                       report.reaction_rows()))
-    print()
-    if report.sor_stats is not None:
-        stats = report.sor_stats
-        print(render_table(
-            "miss path (read-through coordinator)", ["stat", "value"],
-            [["fetches", f"{stats['coordinator']['fetches']}"],
-             ["coalesced", f"{stats['coordinator']['coalesced']}"],
-             ["backfill shed", f"{stats['backfill_shed']:g}"],
-             ["SoR reads", f"{stats['sor_reads']}"],
-             ["SoR throttled", f"{stats['sor_throttled']}"],
-             ["cold-key bad hits",
-              f"{stats['cold_reads']['bad_hits']}"]]))
-        print()
-    if report.resize_stats is not None:
-        ctl = report.resize_stats["controller"]
-        rows = [["grows", f"{ctl['grows']}"],
-                ["shrinks", f"{ctl['shrinks']}"],
-                ["aborted", f"{ctl['aborted']}"],
-                ["backfill sweeps", f"{ctl['sweeps']}"],
-                ["entries backfilled", f"{ctl['entries_backfilled']}"],
-                ["entries purged", f"{ctl['entries_purged']}"],
-                ["shadow writes",
-                 f"{report.resize_stats['shadow_writes']:g}"],
-                ["writer SET failures",
-                 f"{report.foreground['writer_set_failures']}"],
-                ["reader inquorate retries",
-                 f"{report.foreground['reader_inquorate']}"]]
-        if report.resize_stats["pressure"] is not None:
-            rows.append(["pressure writes",
-                         f"{report.resize_stats['pressure']['writes']}"])
-        print(render_table(f"resize ({args.resize})", ["stat", "value"],
-                           rows))
-        print()
-    if report.population_stats is not None:
-        print(render_table(
-            f"client population (N={args.population})", ["stat", "value"],
-            _population_rows(report.population_stats)))
-        print()
-    if report.bundle:
-        print(f"postmortem bundle: {report.bundle}")
-        print()
-    if report.ok:
-        print("invariants hold: no bad hits, all keys recovered, "
-              "replicas converged")
-        return 0
-    for i, value in report.bad_hits:
-        print(f"BAD HIT: key {i} returned unwritten value {value!r}")
-    for i, status, value in report.unrecovered:
-        print(f"UNRECOVERED: key {i} -> {status} "
-              f"(value={value!r})" if value is not None
-              else f"UNRECOVERED: key {i} -> {status}")
-    for i in report.diverged:
-        print(f"DIVERGED: key {i} replicas disagree after settle")
-    return 1
-
-
-def cmd_observe(args: argparse.Namespace) -> int:
-    from ..analysis import render_alerts, render_sli, render_timeseries
-    from ..faults import FaultPlan, SoakConfig, run_soak
-
-    # Handcrafted plan: the soak's client_hosts are writers (0..1),
-    # reader (2), then probers — so client=3 targets the first prober.
-    prober_index = 3
-    plan = FaultPlan()
-    fault_end = args.fault_at + args.fault_duration
-    if args.fault == "partition":
-        # Cut the prober off from quorum-many backends (2 of R=3): a
-        # single partition would be quorum-masked and invisible.
-        plan.add(args.fault_at, "partition", client=prober_index, shard=0)
-        plan.add(args.fault_at, "partition", client=prober_index, shard=1)
-        plan.add(fault_end, "heal_all")
-    elif args.fault == "gray-loss":
-        plan.add(args.fault_at, "gray", duration=args.fault_duration,
-                 shard=0, loss_probability=0.5)
-    elif args.fault == "gray-slow":
-        plan.add(args.fault_at, "gray", duration=args.fault_duration,
-                 shard=0, latency_multiplier=8.0)
-    elif args.fault == "sor-brownout":
-        # Degrade the system of record's provisioned capacity while a
-        # backfill sweep hammers the miss path: the backfill admission
-        # budget should shed load so foreground SLOs stay green.
-        plan.add(args.fault_at, "sor_brownout", factor=0.1,
-                 duration=args.fault_duration)
-    elif args.fault == "resize":
-        # Online grow then shrink under the probed workload: the
-        # handoff must stay invisible to the SLO plane (pair with
-        # --assert-no-alerts in CI).
-        plan.add(args.fault_at, "resize", action="grow", count=1)
-        plan.add(args.fault_at + args.fault_duration, "resize",
-                 action="shrink", count=1)
-    plan.add(args.duration, "heal_all")
-
-    with_sor = args.fault == "sor-brownout"
-    report = run_soak(SoakConfig(
-        seed=args.seed, duration=args.duration, settle=args.settle,
-        num_shards=args.shards, transport=args.transport,
-        observe=True, plan=plan, export_dir=args.out_dir,
-        sor=with_sor, sor_backfill=with_sor,
-        resize="cycle" if args.fault == "resize" else None,
-        population=args.population,
-        population_rate=args.population_rate,
-        population_sample_rate=args.population_sample_rate,
-        flight=args.flight))
-
-    probe_series = [s for s in report.timeseries["series"]
-                    if s["name"].startswith("cliquemap_probe_ops_total")]
-    print(render_timeseries("probe op series (scraped)", probe_series))
-    print()
-    print(render_sli("SLIs (prober vantage)", report.sli))
-    print()
-    print(render_alerts("SLO alert transitions", report.alerts))
-    if report.sor_stats is not None:
-        from ..analysis import render_table
-        stats = report.sor_stats
-        coord = stats["coordinator"]
-        print()
-        print(render_table(
-            "miss path (read-through coordinator)", ["stat", "value"],
-            [["fetches", f"{coord['fetches']}"],
-             ["coalesced", f"{coord['coalesced']}"],
-             ["backfill shed", f"{stats['backfill_shed']:g}"],
-             ["SoR reads", f"{stats['sor_reads']}"],
-             ["SoR writes", f"{stats['sor_writes']}"],
-             ["SoR throttled", f"{stats['sor_throttled']}"],
-             ["cold-key hits", f"{stats['cold_reads']['hits']}"],
-             ["cold-key bad hits", f"{stats['cold_reads']['bad_hits']}"]]))
-    if report.resize_stats is not None:
-        from ..analysis import render_table
-        ctl = report.resize_stats["controller"]
-        print()
-        print(render_table(
-            "resize under observation", ["stat", "value"],
-            [["grows", f"{ctl['grows']}"],
-             ["shrinks", f"{ctl['shrinks']}"],
-             ["aborted", f"{ctl['aborted']}"],
-             ["entries backfilled", f"{ctl['entries_backfilled']}"],
-             ["shadow writes",
-              f"{report.resize_stats['shadow_writes']:g}"],
-             ["writer SET failures",
-              f"{report.foreground['writer_set_failures']}"],
-             ["reader inquorate retries",
-              f"{report.foreground['reader_inquorate']}"]]))
-    if report.population_stats is not None:
-        from ..analysis import render_table
-        print()
-        print(render_table(
-            f"client population (N={args.population})", ["stat", "value"],
-            _population_rows(report.population_stats)))
-    for path in report.exports:
-        print(f"wrote {path}")
-    if report.bundle:
-        print(f"postmortem bundle: {report.bundle}")
-
+def _soak_verdict(report, assert_alert: str,
+                  assert_no_alerts: bool) -> int:
+    """Exit code of a soak: invariants first, then the alert assertions."""
     if not report.ok:
         print("FAIL: soak invariants violated")
         return 1
     fired = {a["objective"] for a in report.alerts if a["kind"] == "fire"}
-    if args.assert_alert and args.assert_alert not in fired:
-        print(f"FAIL: expected the {args.assert_alert!r} alert to fire "
+    if assert_alert and assert_alert not in fired:
+        print(f"FAIL: expected the {assert_alert!r} alert to fire "
               f"(fired: {sorted(fired) or 'none'})")
         return 1
-    if args.assert_no_alerts and fired:
+    if assert_no_alerts and fired:
         print(f"FAIL: expected no alerts, but fired: {sorted(fired)}")
         return 1
     print("invariants hold: no bad hits, all keys recovered, "
           "replicas converged")
     return 0
+
+
+def _soak_command(args: argparse.Namespace, assert_alert: str = "",
+                  assert_no_alerts: bool = False, **scenario) -> int:
+    """The one path behind ``chaos`` and ``observe``: run a soak, print
+    its report, return the verdict. ``scenario`` is what the front-end
+    chose: the table row and the SoakConfig fields only it exposes."""
+    from ..analysis import render_soak_report
+    from ..faults import SoakConfig, run_soak
+
+    report = run_soak(SoakConfig(
+        seed=args.seed, duration=args.duration, settle=args.settle,
+        num_shards=args.shards, transport=args.transport,
+        flight=args.flight, export_dir=args.export_dir or None,
+        population=args.population,
+        population_rate=args.population_rate,
+        population_sample_rate=args.population_sample_rate, **scenario))
+    print(render_soak_report(report))
+    print()
+    return _soak_verdict(report, assert_alert, assert_no_alerts)
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    return _soak_command(
+        args, num_keys=args.keys, sor=args.sor,
+        scenario=_RESIZE + args.resize if args.resize else None)
+
+
+def cmd_observe(args: argparse.Namespace) -> int:
+    from ..faults import SCENARIOS
+
+    return _soak_command(
+        args, args.assert_alert, args.assert_no_alerts,
+        scenario=args.fault,
+        plan=SCENARIOS[args.fault].plan(
+            args.duration, args.shards, args.fault_at, args.fault_duration))
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -714,57 +572,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flight query: only the last N matching events")
     p.set_defaults(func=cmd_trace)
 
+    from ..faults import SCENARIOS
+    from ..faults.soak import FAULT_AT, FAULT_DURATION
+
     p = sub.add_parser("chaos",
                        help="seeded fault-injection soak with invariant "
                             "checks")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration", type=float, default=2.0,
-                   help="fault-injection window (simulated seconds)")
-    p.add_argument("--settle", type=float, default=2.0,
-                   help="post-heal convergence window before verification")
-    p.add_argument("--shards", type=int, default=3)
+    _add_soak_args(p, duration=2.0, settle=2.0)
     p.add_argument("--keys", type=int, default=12)
     p.add_argument("--sor", action="store_true",
                    help="attach a system of record, draw SoR brownouts, "
                         "and run the cold-keyspace/backfill herd")
     p.add_argument("--resize", default=None,
-                   choices=["cycle", "partition", "gray", "target_crash",
-                            "pressure"],
+                   choices=[name[len(_RESIZE):] for name in SCENARIOS
+                            if name.startswith(_RESIZE)],
                    help="run a resize chaos scenario (online grow+shrink "
                         "under traffic) instead of the seeded random plan")
-    p.add_argument("--transport", default="pony",
-                   choices=["pony", "1rma", "rdma"])
-    p.add_argument("--flight", action="store_true",
-                   help="arm the cell's flight recorder (its event ring "
-                        "lands in the postmortem bundle on failure)")
     p.add_argument("--export-dir", default="",
                    help="write a postmortem bundle here if the soak "
                         "ends badly ('' = no bundle)")
-    _add_population_args(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser("observe",
                        help="probed workload under the observability "
                             "plane: scraping, SLIs, burn-rate alerts, "
                             "timeseries/trace export")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration", type=float, default=1.6,
-                   help="workload window (simulated seconds)")
-    p.add_argument("--settle", type=float, default=0.5)
-    p.add_argument("--shards", type=int, default=3)
-    p.add_argument("--transport", default="pony",
-                   choices=["pony", "1rma", "rdma"])
+    _add_soak_args(p, duration=1.6, settle=0.5)
     p.add_argument("--fault", default="none",
-                   choices=["none", "partition", "gray-loss", "gray-slow",
-                            "sor-brownout", "resize"],
+                   choices=[name for name in SCENARIOS
+                            if not name.startswith(_RESIZE)],
                    help="inject one fault against the prober/cell "
                         "(sor-brownout attaches a system of record and "
                         "runs the thundering-herd/backfill scenario; "
                         "resize drives an online grow+shrink cycle)")
-    p.add_argument("--fault-at", type=float, default=0.8,
+    p.add_argument("--fault-at", type=float, default=FAULT_AT,
                    help="fault injection time (simulated seconds)")
-    p.add_argument("--fault-duration", type=float, default=0.6)
-    p.add_argument("--out-dir", default=".",
+    p.add_argument("--fault-duration", type=float, default=FAULT_DURATION)
+    p.add_argument("--out-dir", dest="export_dir", default=".",
                    help="where to write timeseries.json / trace.json "
                         "('' to skip writing)")
     p.add_argument("--assert-alert", default="",
@@ -772,11 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(e.g. 'availability')")
     p.add_argument("--assert-no-alerts", action="store_true",
                    help="exit non-zero if any alert fired")
-    p.add_argument("--flight", action="store_true",
-                   help="arm the cell's flight recorder; its event ring "
-                        "lands in the postmortem bundle when an alert "
-                        "fires or an invariant breaks")
-    _add_population_args(p)
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("perf",

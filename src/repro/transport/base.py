@@ -123,20 +123,10 @@ class Transport:
         siblings' data). Whole-batch failures — dead host, partition —
         still raise, exactly like :meth:`read`.
 
-        The base implementation issues the entries sequentially; wire-aware
-        transports override it to put all descriptors in one fabric
-        transfer and amortize the per-op costs (§7.1).
+        Subclasses implement it by putting all descriptors in one
+        fabric transfer, amortizing the per-op costs (§7.1).
         """
-        results: List[ReadResult] = []
-        for region_id, offset, size in requests:
-            try:
-                data = yield from self.read(client_host, server_name,
-                                            region_id, offset, size,
-                                            trace=trace)
-                results.append(data)
-            except RegionRevokedError as exc:
-                results.append(exc)
-        return results
+        raise NotImplementedError
 
     def _read_entries(self, endpoint: RmaEndpoint,
                       requests: Sequence[ReadRequest]) -> List[ReadResult]:

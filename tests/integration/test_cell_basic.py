@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig,
-                        GetStatus, LookupStrategy, ReplicationMode, SetStatus)
+                        GetStatus, GetStrategy, ReplicationMode, SetStatus)
 
 
 def run(cell, gen):
@@ -11,13 +11,13 @@ def run(cell, gen):
 
 
 @pytest.mark.parametrize("mode,transport,strategy", [
-    (ReplicationMode.R3_2, "pony", LookupStrategy.SCAR),
-    (ReplicationMode.R3_2, "pony", LookupStrategy.TWO_R),
-    (ReplicationMode.R3_2, "pony", LookupStrategy.RPC),
-    (ReplicationMode.R3_2, "1rma", LookupStrategy.TWO_R),
-    (ReplicationMode.R3_2, "rdma", LookupStrategy.TWO_R),
-    (ReplicationMode.R1, "pony", LookupStrategy.SCAR),
-    (ReplicationMode.R1, "rdma", LookupStrategy.TWO_R),
+    (ReplicationMode.R3_2, "pony", GetStrategy.SCAR),
+    (ReplicationMode.R3_2, "pony", GetStrategy.TWO_R),
+    (ReplicationMode.R3_2, "pony", GetStrategy.RPC),
+    (ReplicationMode.R3_2, "1rma", GetStrategy.TWO_R),
+    (ReplicationMode.R3_2, "rdma", GetStrategy.TWO_R),
+    (ReplicationMode.R1, "pony", GetStrategy.SCAR),
+    (ReplicationMode.R1, "rdma", GetStrategy.TWO_R),
 ])
 def test_set_get_erase_roundtrip(mode, transport, strategy):
     cell = Cell(CellSpec(mode=mode, num_shards=4, transport=transport))
@@ -150,8 +150,8 @@ def test_hit_latency_far_below_rpc_get():
     """The headline: RMA GETs are much cheaper than RPC GETs."""
     spec = CellSpec(mode=ReplicationMode.R1, num_shards=2, transport="pony")
     cell = Cell(spec)
-    rma_client = cell.connect_client(strategy=LookupStrategy.SCAR)
-    rpc_client = cell.connect_client(strategy=LookupStrategy.RPC)
+    rma_client = cell.connect_client(strategy=GetStrategy.SCAR)
+    rpc_client = cell.connect_client(strategy=GetStrategy.RPC)
 
     def app():
         yield from rma_client.set(b"k", b"v" * 64)
@@ -183,8 +183,8 @@ def test_client_cpu_rma_vs_rpc():
 
         return cell.sim.run(until=cell.sim.process(app()))
 
-    rma_cpu = measure(LookupStrategy.SCAR)
-    rpc_cpu = measure(LookupStrategy.RPC)
+    rma_cpu = measure(GetStrategy.SCAR)
+    rpc_cpu = measure(GetStrategy.RPC)
     assert rpc_cpu > 50e-6        # the >50us Stubby floor
     assert rma_cpu < rpc_cpu / 5  # RMA is many times cheaper
 

@@ -2,7 +2,7 @@
 
 
 from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig,
-                        GetStatus, LookupStrategy, ReplicationMode, SetStatus)
+                        GetStatus, GetStrategy, ReplicationMode, SetStatus)
 
 
 def run(cell, gen):
@@ -12,7 +12,7 @@ def run(cell, gen):
 def test_msg_strategy_roundtrip():
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=2,
                          transport="pony"))
-    client = cell.connect_client(strategy=LookupStrategy.MSG)
+    client = cell.connect_client(strategy=GetStrategy.MSG)
 
     def app():
         yield from client.set(b"k", b"v" * 32)
@@ -27,7 +27,7 @@ def test_msg_strategy_roundtrip():
 
 def test_msg_wakes_server_threads_scar_does_not():
     costs = {}
-    for strategy in (LookupStrategy.MSG, LookupStrategy.SCAR):
+    for strategy in (GetStrategy.MSG, GetStrategy.SCAR):
         cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=2,
                              transport="pony"))
         client = cell.connect_client(strategy=strategy)
@@ -40,14 +40,14 @@ def test_msg_wakes_server_threads_scar_does_not():
         run(cell, app())
         costs[strategy] = sum(b.host.ledger.seconds("msg-app")
                               for b in cell.serving_backends())
-    assert costs[LookupStrategy.MSG] > 0
-    assert costs[LookupStrategy.SCAR] == 0
+    assert costs[GetStrategy.MSG] > 0
+    assert costs[GetStrategy.SCAR] == 0
 
 
 def test_msg_fails_over_to_second_replica():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony"))
-    client = cell.connect_client(strategy=LookupStrategy.MSG)
+    client = cell.connect_client(strategy=GetStrategy.MSG)
 
     def app():
         yield from client.set(b"k", b"v")
@@ -66,8 +66,8 @@ def test_torn_reads_and_version_races_counted_separately():
     cell = Cell(CellSpec(
         mode=ReplicationMode.R3_2, num_shards=3, transport="pony",
         backend_config=BackendConfig(min_write_step=150e-6)))
-    writer = cell.connect_client(strategy=LookupStrategy.TWO_R)
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    writer = cell.connect_client(strategy=GetStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def setup():
         yield from writer.set(b"k", b"A" * 400)
@@ -95,7 +95,7 @@ def test_stale_view_retry_counts_view_refreshes():
         mode=ReplicationMode.R1, num_shards=1, transport="pony",
         backend_config=BackendConfig(num_buckets=2, ways=2,
                                      index_resize_load_factor=0.5)))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     refreshes_at_connect = client.stats["view_refreshes"]
 
     def app():
@@ -114,7 +114,7 @@ def test_deadline_bounds_get_wall_time():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony"))
     client = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(max_retries=1000, retry_backoff=50e-6))
 
     def app():
@@ -191,10 +191,10 @@ def test_overflow_rpc_lookup_can_be_disabled():
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=1,
                          transport="pony", backend_config=backend_config))
     on = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(overflow_rpc_lookup=True))
     off = cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(overflow_rpc_lookup=False))
 
     def app():

@@ -12,7 +12,7 @@ from repro.analysis import (filter_traces, run_federation_arm,
                             stitch_traces, write_stitched_chrome_trace,
                             zone_traces_from_digests)
 from repro.core import Cell, CellSpec, GetStrategy, ZoneWorkloadSpec
-from repro.faults import FaultPlan, SoakConfig, run_soak
+from repro.faults import SoakConfig, run_soak
 from repro.observe.postmortem import find_bundles
 from repro.telemetry.export import prometheus_text
 
@@ -169,20 +169,12 @@ def test_prometheus_text_carries_trace_exemplar():
     cell.close()
 
 
-def partition_plan(fault_at=0.8, heal_at=1.4):
-    plan = FaultPlan()
-    plan.add(fault_at, "partition", client=3, shard=0)
-    plan.add(fault_at, "partition", client=3, shard=1)
-    plan.add(heal_at, "heal_all")
-    return plan
-
-
 SOAK_KWARGS = dict(seed=11, duration=1.6, settle=0.5, num_shards=3,
                    observe=True, flight=True)
 
 
 def test_alerting_soak_emits_postmortem_bundle(tmp_path):
-    report = run_soak(SoakConfig(plan=partition_plan(),
+    report = run_soak(SoakConfig(scenario="partition",
                                  export_dir=str(tmp_path), **SOAK_KWARGS))
     assert report.ok                     # quorum masks the cut
     assert report.bundle and report.bundle in report.exports
@@ -192,7 +184,12 @@ def test_alerting_soak_emits_postmortem_bundle(tmp_path):
         (tmp_path / "postmortem-slo-alert" / "manifest.json").read_text())
     assert manifest["reason"] == "slo-alert"
     assert manifest["detail"]["alerts_fired"] >= 1
-    assert manifest["detail"]["injected"]    # the faults that caused it
+    # The faults that caused it, victims named: the bundle must say
+    # which replica was cut off from whom without a rerun.
+    cuts = [line for line in manifest["detail"]["injected"]
+            if " partition " in line]
+    assert cuts and all("shard=" in line and "client=" in line
+                        for line in cuts), manifest["detail"]["injected"]
     assert {"flight.json", "flight.txt", "timeseries.json", "alerts.json",
             "manifest.json"} <= set(manifest["contents"])
 
@@ -216,9 +213,7 @@ def test_alerting_soak_emits_postmortem_bundle(tmp_path):
 
 
 def test_healthy_soak_writes_no_bundle(tmp_path):
-    plan = FaultPlan()
-    plan.add(1.6, "heal_all")
-    report = run_soak(SoakConfig(plan=plan, export_dir=str(tmp_path),
+    report = run_soak(SoakConfig(scenario="none", export_dir=str(tmp_path),
                                  **SOAK_KWARGS))
     assert report.ok and report.bundle is None
     assert find_bundles(str(tmp_path)) == []

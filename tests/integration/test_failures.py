@@ -1,7 +1,7 @@
 """Failures, quorum degradation, repairs, and restart recovery (§5.4)."""
 
 
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         RepairConfig, ReplicationMode, SetStatus)
 
 
@@ -21,7 +21,7 @@ def run(cell, gen):
 def test_reads_survive_single_backend_crash():
     """R=3.2 serves from the two remaining replicas after one dies."""
     cell = build()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         for i in range(20):
@@ -55,7 +55,7 @@ def test_writes_survive_single_backend_crash():
 def test_two_crashes_degrade_to_miss_for_inquorate_keys():
     """Losing two of three replicas leaves some keys below quorum."""
     cell = build()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         yield from client.set(b"k", b"v")
@@ -72,7 +72,7 @@ def test_two_crashes_degrade_to_miss_for_inquorate_keys():
 def test_client_avoids_dead_backend_on_subsequent_gets():
     """After a connection failure the client sends 2-of-3 ops (§7.2.3)."""
     cell = build()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         yield from client.set(b"k", b"v")
@@ -154,7 +154,7 @@ def test_restart_recovery_repopulates_backend():
 
 def test_reads_work_through_crash_and_recovery():
     cell = build(repair_enabled=True, scan_interval=100.0)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         for i in range(20):

@@ -1,7 +1,7 @@
 """Planned maintenance via warm spares (§6.1, Fig 13)."""
 
 
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         MaintenanceConfig, ReplicationMode, SetStatus)
 
 
@@ -55,7 +55,7 @@ def test_config_generation_bumps_during_migration():
 
 def test_spare_serves_shard_during_primary_restart():
     cell = build(restart_delay=0.5)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         for i in range(15):
@@ -77,7 +77,7 @@ def test_spare_serves_shard_during_primary_restart():
 def test_reads_hitless_throughout_planned_maintenance():
     """Fig 13's takeaway: virtually no client-visible impact."""
     cell = build(restart_delay=0.3)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     outcomes = []
 
     def app():

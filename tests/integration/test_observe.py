@@ -9,31 +9,22 @@ import pytest
 
 from repro.analysis import run_scale_workload
 from repro.core import Cell, CellSpec, ReplicationMode
-from repro.faults import FaultPlan, SoakConfig, run_soak
+from repro.faults import SoakConfig, run_soak
 from repro.observe import ObserveConfig, ProberConfig
 from repro.tools import main
 
 
-def partition_prober_plan(fault_at=0.8, heal_at=1.4):
-    """Cut the first prober (client index 3: after 2 writers + reader)
-    off from backends for shards 0 and 1 — two of the three replicas of
-    every probe key, so quorum masking cannot hide the fault."""
-    plan = FaultPlan()
-    plan.add(fault_at, "partition", client=3, shard=0)
-    plan.add(fault_at, "partition", client=3, shard=1)
-    plan.add(heal_at, "heal_all")
-    return plan
-
-
+# The scenario table's "partition" row cuts the first prober off from
+# the backends for shards 0 and 1 — two of the three replicas of every
+# probe key, so quorum masking cannot hide the fault — over the default
+# fault window.
 FAULT_AT, HEAL_AT = 0.8, 1.4
 SOAK_KWARGS = dict(seed=11, duration=1.6, settle=0.5, num_shards=3,
                    observe=True)
 
 
 def test_healthy_cell_probes_clean_and_raises_no_alerts():
-    plan = FaultPlan()
-    plan.add(1.6, "heal_all")        # no faults: plan is a no-op marker
-    report = run_soak(SoakConfig(plan=plan, **SOAK_KWARGS))
+    report = run_soak(SoakConfig(scenario="none", **SOAK_KWARGS))
     assert report.ok
     assert report.sli is not None
     (prober_sli,) = report.sli["probers"].values()
@@ -47,9 +38,7 @@ def test_healthy_cell_probes_clean_and_raises_no_alerts():
 
 
 def test_partitioned_prober_fires_availability_alert():
-    report = run_soak(SoakConfig(plan=partition_prober_plan(FAULT_AT,
-                                                            HEAL_AT),
-                                 **SOAK_KWARGS))
+    report = run_soak(SoakConfig(scenario="partition", **SOAK_KWARGS))
     assert report.ok                 # quorum masks the cut for workload
     fires = [a for a in report.alerts if a["kind"] == "fire"]
     assert fires, report.alerts
@@ -72,7 +61,7 @@ def test_partitioned_prober_fires_availability_alert():
 
 
 def test_soak_exports_timeseries_and_trace(tmp_path):
-    report = run_soak(SoakConfig(plan=partition_prober_plan(),
+    report = run_soak(SoakConfig(scenario="partition",
                                  export_dir=str(tmp_path), **SOAK_KWARGS))
     ts_path = tmp_path / "timeseries.json"
     trace_path = tmp_path / "trace.json"

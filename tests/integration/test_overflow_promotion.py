@@ -2,7 +2,7 @@
 
 
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
-                        LookupStrategy, ReplicationMode, SetStatus)
+                        GetStrategy, ReplicationMode, SetStatus)
 
 
 def build():
@@ -12,7 +12,7 @@ def build():
                                      overflow_rpc_fallback=True,
                                      index_resize_load_factor=2.0))
     cell = Cell(spec)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     return cell, client, cell.backend_by_task("backend-0")
 
 

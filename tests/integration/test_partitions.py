@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         RepairConfig, ReplicationMode, SetStatus)
 from repro.net import Fabric, FabricConfig, NetworkDropError
 from repro.sim import Simulator
@@ -48,7 +48,7 @@ def test_partitioned_delivery_raises_after_detect_delay():
 
 def test_reads_survive_client_partitioned_from_one_replica():
     cell = build()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         for i in range(10):
@@ -105,7 +105,7 @@ def test_reader_partitioned_from_writer_still_converges():
     once its own (unpartitioned) paths serve it."""
     cell = build()
     writer = cell.connect_client()
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         victim = cell.backend_by_task("backend-0")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         ReplicationMode)
 from repro.rpc import Principal, connect as rpc_connect
 from repro.storage import CorpusLoader, SystemOfRecord
@@ -112,7 +112,7 @@ def test_cached_reads_much_faster_than_sor():
 def test_r2_consults_one_replica_in_common_case():
     cell, sor = build(num_keys=20)
     load(cell, sor)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         reads_before = cell.transport.counters.reads
@@ -129,7 +129,7 @@ def test_r2_consults_one_replica_in_common_case():
 def test_r2_second_replica_covers_failure():
     cell, sor = build(num_keys=20)
     load(cell, sor)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         yield from client.get(b"doc-0")  # connect/warm

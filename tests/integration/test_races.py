@@ -8,7 +8,7 @@ it via the checksum and retry.
 
 
 from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, ReplicationMode)
+                        GetStrategy, ReplicationMode)
 
 
 def build(mode=ReplicationMode.R3_2, tear_window=50e-6, **cell_kwargs):
@@ -23,8 +23,8 @@ def test_get_racing_set_never_returns_torn_value():
     """Fire GETs continuously while a SET is in flight: every HIT must be
     a complete old or complete new value, never a mixture."""
     cell = build()
-    writer = cell.connect_client(strategy=LookupStrategy.TWO_R)
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    writer = cell.connect_client(strategy=GetStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
     old_value = b"A" * 256
     new_value = b"B" * 256
     observed = []
@@ -59,8 +59,8 @@ def test_get_racing_set_never_returns_torn_value():
 def test_torn_read_detected_and_retried():
     """Aim a GET's data fetch directly into the tear window."""
     cell = build(tear_window=200e-6)
-    writer = cell.connect_client(strategy=LookupStrategy.TWO_R)
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    writer = cell.connect_client(strategy=GetStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def setup():
         yield from writer.set(b"k", b"old" * 100)
@@ -94,8 +94,8 @@ def test_torn_read_detected_and_retried():
 def test_reads_linearize_to_old_or_new_under_quorum():
     """Fig 5's race: quorum on V0 vs V1 vs retry — never a third state."""
     cell = build()
-    writer = cell.connect_client(strategy=LookupStrategy.TWO_R)
-    readers = [cell.connect_client(strategy=LookupStrategy.TWO_R)
+    writer = cell.connect_client(strategy=GetStrategy.TWO_R)
+    readers = [cell.connect_client(strategy=GetStrategy.TWO_R)
                for _ in range(3)]
     observed = set()
 

@@ -1,7 +1,7 @@
 """Integration: the miss pipeline under load and SoR brownout."""
 
 from repro.core import Cell, CellSpec, GetStatus, ReplicationMode
-from repro.faults import FaultPlan, SoakConfig, run_soak
+from repro.faults import SCENARIOS, SoakConfig, run_soak
 from repro.storage import MissPolicy, ProvisionedThroughput, SystemOfRecord
 
 
@@ -52,12 +52,11 @@ def test_warm_prefetches_within_budget():
 
 def test_soak_brownout_sheds_backfill_without_alerts():
     """ISSUE 6 acceptance: SoR brownout + budgets shed load, SLO holds."""
-    plan = FaultPlan()
-    plan.add(0.2, "sor_brownout", factor=0.1, duration=0.4)
-    plan.add(1.2, "heal_all")
+    # The table's row attaches the SoR, its backfill herd and the plane;
+    # its brownout lands at 0.2 s for 0.4 s and heals at 1.2 s.
     report = run_soak(SoakConfig(
-        duration=1.4, settle=0.5, seed=11, observe=True, plan=plan,
-        sor=True, sor_backfill=True,
+        duration=1.4, settle=0.5, seed=11, scenario="sor-brownout",
+        plan=SCENARIOS["sor-brownout"].plan(1.2, 3, 0.2, 0.4),
         sor_throughput=ProvisionedThroughput(read_units=400.0,
                                              write_units=400.0)))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
-                        LookupStrategy, ReplicationMode)
+                        GetStrategy, ReplicationMode)
 
 
 def run(cell, gen):
@@ -17,7 +17,7 @@ def test_index_resize_under_load_is_transparent_to_clients():
         backend_config=BackendConfig(num_buckets=4, ways=2,
                                      index_resize_load_factor=0.6))
     cell = Cell(spec)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def app():
         # Insert enough keys to force several resizes while reading back.

@@ -16,7 +16,7 @@ import pytest
 from repro.core import (Cell, CellSpec, CliqueMapError, GetStatus,
                         MaintenanceConfig, RepairConfig, ReplicationMode,
                         ResizeConfig, SetStatus)
-from repro.faults import RESIZE_SCENARIOS, SoakConfig, resize_plan, run_soak
+from repro.faults import SCENARIOS, SoakConfig, run_soak
 from repro.observe import AutoscalerConfig, ObserveConfig
 
 FAST_RESIZE = ResizeConfig(max_sweeps=20, sweep_interval=0.005,
@@ -178,7 +178,7 @@ def test_fault_free_cycle_has_zero_foreground_impact():
     silent availability alert."""
     report = run_soak(SoakConfig(
         seed=11, duration=1.6, settle=0.5, num_shards=4, num_keys=16,
-        resize="cycle", observe=True, resize_config=FAST_RESIZE))
+        scenario="resize/cycle", observe=True, resize_config=FAST_RESIZE))
     assert report.ok
     ctl = report.resize_stats["controller"]
     assert ctl["grows"] == 1 and ctl["shrinks"] == 1
@@ -197,7 +197,8 @@ def test_resize_during_partition_completes_and_alerts_resolve():
     bounded retries; the availability alert fires and resolves."""
     report = run_soak(SoakConfig(
         seed=7, duration=2.0, settle=1.0, num_shards=4, num_keys=16,
-        resize="partition", observe=True, resize_config=FAST_RESIZE))
+        scenario="resize/partition", observe=True,
+        resize_config=FAST_RESIZE))
     assert report.ok
     ctl = report.resize_stats["controller"]
     assert ctl["grows"] == 1 and ctl["shrinks"] == 1
@@ -214,7 +215,7 @@ def test_resize_during_partition_completes_and_alerts_resolve():
 def test_resize_survives_migration_target_crash():
     report = run_soak(SoakConfig(
         seed=13, duration=1.6, settle=1.0, num_shards=4, num_keys=16,
-        resize="target_crash", resize_config=FAST_RESIZE))
+        scenario="resize/target_crash", resize_config=FAST_RESIZE))
     assert report.ok
     ctl = report.resize_stats["controller"]
     # The crash either rode repair-driven sweeps to completion or
@@ -228,19 +229,17 @@ def test_resize_survives_migration_target_crash():
 def test_resize_under_gray_loss_holds_invariants():
     report = run_soak(SoakConfig(
         seed=17, duration=1.6, settle=1.0, num_shards=4, num_keys=16,
-        resize="gray", resize_config=FAST_RESIZE))
+        scenario="resize/gray", resize_config=FAST_RESIZE))
     assert report.ok
     assert report.resize_stats["controller"]["grows"] == 1
 
 
 def test_resize_under_eviction_pressure_serves_no_garbage():
-    from repro.core import BackendConfig
+    # The table's row shrinks the data arena and pads the pressure
+    # writer's values so capacity evictions churn mid-handoff.
     report = run_soak(SoakConfig(
         seed=19, duration=1.2, settle=1.0, num_shards=4, num_keys=16,
-        resize="pressure", pressure_value_bytes=2048,
-        backend_config=BackendConfig(data_initial_bytes=256 * 1024,
-                                     data_virtual_limit=256 * 1024),
-        resize_config=FAST_RESIZE))
+        scenario="resize/pressure", resize_config=FAST_RESIZE))
     assert report.ok
     assert report.resize_stats["pressure"]["writes"] > 100
     assert report.bad_hits == []
@@ -248,9 +247,12 @@ def test_resize_under_eviction_pressure_serves_no_garbage():
 
 def test_resize_plan_rejects_unknown_scenario():
     with pytest.raises(CliqueMapError):
-        resize_plan("nope", duration=1.0, num_shards=3)
-    for scenario in RESIZE_SCENARIOS:
-        plan = resize_plan(scenario, duration=1.0, num_shards=3)
+        run_soak(SoakConfig(scenario="nope"))
+    resize_scenarios = [name for name in SCENARIOS
+                        if name.startswith("resize")]
+    assert resize_scenarios
+    for name in resize_scenarios:
+        plan = SCENARIOS[name].plan(duration=1.0, num_shards=3)
         kinds = [e.kind for e in plan.events]
         assert kinds.count("resize") == 2
 

@@ -8,7 +8,7 @@ demands the same hitless behavior the paper reports.
 
 
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, MaintenanceConfig, ReplicationMode)
+                        GetStrategy, MaintenanceConfig, ReplicationMode)
 from repro.rpc import ProtocolVersion
 
 
@@ -18,7 +18,7 @@ def test_rolling_upgrade_is_hitless():
         transport="pony",
         maintenance_config=MaintenanceConfig(restart_delay=0.15)))
     clients = [cell.connect_client(
-        strategy=LookupStrategy.TWO_R,
+        strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(touch_enabled=False))
         for _ in range(3)]
     sim = cell.sim
@@ -87,7 +87,7 @@ def test_upgrade_during_writes_preserves_latest_values():
         transport="pony",
         maintenance_config=MaintenanceConfig(restart_delay=0.1)))
     writer = cell.connect_client()
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
     sim = cell.sim
 
     def setup():

@@ -2,7 +2,7 @@
 
 
 from repro.core import (Cell, CellSpec, ClientConfig, GetStatus,
-                        LookupStrategy, ReplicationMode, SetStatus)
+                        GetStrategy, ReplicationMode, SetStatus)
 from repro.net import Fabric, FabricConfig
 from repro.sim import Simulator
 
@@ -43,7 +43,7 @@ def test_cross_zone_delivery_pays_wan_latency():
 def test_wan_client_defaults_to_rpc_strategy():
     cell = build()
     client = cell.connect_client(zone="remote-dc")
-    assert client.strategy is LookupStrategy.RPC
+    assert client.strategy is GetStrategy.RPC
 
 
 def test_wan_client_serves_reads_and_writes():
@@ -88,7 +88,7 @@ def test_rma_refuses_to_cross_zones():
     # Force an RMA strategy from the remote zone: every attempt fails and
     # the GET errors out rather than silently working.
     remote = cell.connect_client(
-        zone="remote-dc", strategy=LookupStrategy.TWO_R,
+        zone="remote-dc", strategy=GetStrategy.TWO_R,
         client_config=ClientConfig(max_retries=3, default_deadline=1.0,
                                    mutation_rpc_deadline=1.0))
 

@@ -8,7 +8,7 @@ keep retryable conditions transient, detectable, and rare" (§4).
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
-                        LookupStrategy, ReplicationMode, SetStatus)
+                        GetStrategy, ReplicationMode, SetStatus)
 
 
 ops = st.lists(
@@ -33,7 +33,7 @@ def new_cell():
 @given(ops)
 def test_storage_management_never_loses_data(op_list):
     cell = new_cell()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     backend = cell.backend_by_task("backend-0")
     model = {}
 
@@ -85,7 +85,7 @@ def test_bucket_overflow_and_promotion_preserve_corpus(key_ids, ways_seed):
                                      overflow_rpc_fallback=True,
                                      index_resize_load_factor=2.0,
                                      overflow_capacity=64)))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     model = {}
 
     def driver():

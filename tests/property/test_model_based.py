@@ -9,7 +9,7 @@ key-value map would.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         RepairConfig, ReplicationMode, SetStatus)
 
 
@@ -33,7 +33,7 @@ def new_cell():
 @given(ops)
 def test_sequential_ops_match_model_with_single_failure(op_list):
     cell = new_cell()
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     model = {}
     crashed = [None]  # at most one backend down at a time
 
@@ -92,7 +92,7 @@ def test_last_writer_wins_across_clients(writes):
     the highest-version write per key (= the last applied in sim order)."""
     cell = new_cell()
     clients = [cell.connect_client() for _ in range(2)]
-    reader = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    reader = cell.connect_client(strategy=GetStrategy.TWO_R)
     expected = {}
 
     def driver():

@@ -1,0 +1,63 @@
+"""The CI workflow, checked without running Actions: every command line
+it carries must still mean something to this checkout."""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.faults import SCENARIOS
+from repro.tools import build_parser
+
+yaml = pytest.importorskip("yaml")
+
+ROOT = Path(__file__).resolve().parents[2]
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def _command_lines():
+    """Every shell line of every ``run:`` string: job steps and the
+    smoke matrix rows alike."""
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    runs = []
+    for job in doc["jobs"].values():
+        runs += [step["run"] for step in job["steps"] if "run" in step]
+        include = job.get("strategy", {}).get("matrix", {}).get("include", [])
+        runs += [row["run"] for row in include]
+    for run in runs:
+        for line in run.replace("\\\n", " ").splitlines():
+            if line.strip() and "${{" not in line:
+                yield shlex.split(line)
+
+
+def test_workflow_keeps_four_jobs_and_every_smoke_row_runs_something():
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    assert sorted(doc["jobs"]) == ["lint", "perf-selfcheck", "smoke", "tests"]
+    rows = doc["jobs"]["smoke"]["strategy"]["matrix"]["include"]
+    names = [row["name"] for row in rows]
+    assert len(names) == len(set(names)) == 10
+    assert all(row["run"].strip() for row in rows)
+
+
+def test_every_cli_line_parses_and_names_a_known_scenario():
+    parser = build_parser()
+    cli_lines = [words[3:] for words in _command_lines()
+                 if words[:3] == ["python", "-m", "repro.tools"]]
+    assert len(cli_lines) >= 12
+    for argv in cli_lines:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"workflow command no longer parses: {argv}")
+        if args.command == "chaos" and args.resize:
+            assert "resize/" + args.resize in SCENARIOS, argv
+        if args.command == "observe":
+            assert args.fault in SCENARIOS, argv
+
+
+def test_every_pytest_path_exists():
+    paths = [word for words in _command_lines() if "pytest" in words
+             for word in words if word.endswith((".py", "/"))]
+    assert len(paths) >= 10
+    for path in paths:
+        assert (ROOT / path).exists(), path

@@ -25,6 +25,60 @@ def test_chaos_command(capsys):
     assert "invariants hold" in out
 
 
+def _soak_flag_choices(command, flag):
+    sub = next(a for a in build_parser()._actions
+               if hasattr(a, "choices") and a.choices)
+    return next(a.choices for a in sub.choices[command]._actions
+                if flag in a.option_strings)
+
+
+def test_soak_scenario_flags_offer_exactly_the_table():
+    from repro.faults import SCENARIOS
+
+    resize = ["resize/" + name
+              for name in _soak_flag_choices("chaos", "--resize")]
+    faults = list(_soak_flag_choices("observe", "--fault"))
+    assert sorted(resize + faults) == sorted(SCENARIOS)
+    assert "partition" in faults and "resize/partition" in resize
+
+
+def test_soak_report_renders_each_section_at_most_once():
+    import dataclasses
+
+    from repro.analysis import render_soak_report
+    from repro.faults import SoakConfig, SoakReport
+
+    titles = ("miss path (read-through coordinator)", "resize (resize)",
+              "client population (N=50)")
+    bare = SoakReport(config=SoakConfig(seed=9, scenario="resize"),
+                      plan_lines=["t=1.000s heal_all"], injected=[],
+                      bad_hits=[], unrecovered=[], diverged=[],
+                      metric_totals={"cliquemap_retries_total": 3.0})
+    out = render_soak_report(bare)
+    assert "fault plan (seed=9)" in out and "reactions" in out
+    assert not any(title in out for title in titles)
+    assert "SLIs (prober vantage)" not in out and "wrote " not in out
+
+    full = dataclasses.replace(
+        bare, exports=["/x/timeseries.json"],
+        foreground={"writer_set_failures": 0, "reader_inquorate": 0},
+        sor_stats={"coordinator": {"fetches": 4, "coalesced": 2},
+                   "backfill_shed": 1.0, "sor_reads": 4, "sor_writes": 0,
+                   "sor_throttled": 0,
+                   "cold_reads": {"hits": 3, "bad_hits": 0}},
+        resize_stats={"controller": dict.fromkeys(
+            ["grows", "shrinks", "aborted", "sweeps", "entries_backfilled",
+             "entries_purged"], 1), "shadow_writes": 5.0, "pressure": None},
+        population_stats={"modeled_clients": 50, "drivers": 2,
+                          "offered": 10, "delivered": 8, "thinned": 1,
+                          "shed": 1, "shed_rate": 0.1, "hit_rate": 1.0,
+                          "errors": 0})
+    out = render_soak_report(full)
+    for title in titles:
+        assert out.count(title) == 1, title
+    assert "wrote /x/timeseries.json" in out
+
+
 def test_quickstart_command(capsys):
     assert main(["quickstart", "--shards", "3"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import (CellConfig, ConfigStore, LookupStrategy,
+from repro.core.config import (CellConfig, ConfigStore, GetStrategy,
                                ReplicationMode)
 from repro.core.errors import CliqueMapError, ConfigCasError
 from repro.sim import Simulator
@@ -124,6 +124,6 @@ def test_config_cas_error_is_a_cliquemap_error():
 
 
 def test_lookup_strategy_members():
-    assert LookupStrategy.TWO_R.value == "2xr"
-    assert LookupStrategy.SCAR.value == "scar"
-    assert LookupStrategy.RPC.value == "rpc"
+    assert GetStrategy.TWO_R.value == "2xr"
+    assert GetStrategy.SCAR.value == "scar"
+    assert GetStrategy.RPC.value == "rpc"

@@ -2,7 +2,7 @@
 
 
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
-                        LookupStrategy, ReplicationMode)
+                        GetStrategy, ReplicationMode)
 from repro.rpc import Principal, connect as rpc_connect
 
 
@@ -13,7 +13,7 @@ def build():
             data_initial_bytes=512 * 1024, data_virtual_limit=512 * 1024,
             slab_bytes=64 * 1024, num_buckets=1024, ways=7))
     cell = Cell(spec)
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
     backend = cell.backend_by_task("backend-0")
     return cell, client, backend
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import Cell, CellSpec, ReplicationMode
-from repro.faults import DEFAULT_KINDS, FaultEvent, FaultInjector, FaultPlan
+from repro.faults import (DEFAULT_KINDS, SCENARIOS, FaultEvent,
+                          FaultInjector, FaultPlan)
 from repro.sim import RandomStream
 
 
@@ -159,3 +160,67 @@ def test_injector_records_marker_spans():
     names = [span.name for span in cell.tracer.finished]
     assert "fault.gray" in names
     assert "fault.heal_all" in names
+
+
+# -- the scenario table -------------------------------------------------------
+
+# Frozen from the builders the table replaced (`resize_plan` and the
+# `observe` CLI's if/elif chain), at the parameters their callers used:
+# name -> ((duration, num_shards, fault_at, fault_duration), lines).
+SCENARIO_GOLDENS = {
+    "none": ((1.6, 3, 0.8, 0.6), ["t=1.600s heal_all"]),
+    "partition": ((1.6, 3, 0.8, 0.6), [
+        "t=0.800s partition client=3 shard=0",
+        "t=0.800s partition client=3 shard=1",
+        "t=1.400s heal_all",
+        "t=1.600s heal_all"]),
+    "gray-loss": ((1.2, 3, 0.8, 0.6), [
+        "t=0.800s gray loss_probability=0.5 shard=0 for=0.6s",
+        "t=1.200s heal_all"]),
+    "gray-slow": ((1.2, 3, 0.8, 0.6), [
+        "t=0.800s gray latency_multiplier=8 shard=0 for=0.6s",
+        "t=1.200s heal_all"]),
+    "sor-brownout": ((1.2, 3, 0.2, 0.4), [
+        "t=0.200s sor_brownout factor=0.1 for=0.4s",
+        "t=1.200s heal_all"]),
+    "resize": ((1.6, 3, 0.8, 0.6), [
+        "t=0.800s resize action=grow count=1",
+        "t=1.400s resize action=shrink count=1",
+        "t=1.600s heal_all"]),
+    "resize/cycle": ((1.6, 4, 0.8, 0.6), [
+        "t=0.400s resize action=grow count=1",
+        "t=1.040s resize action=shrink count=1",
+        "t=1.600s heal_all"]),
+    "resize/partition": ((2.0, 4, 0.8, 0.6), [
+        "t=0.500s resize action=grow count=1",
+        "t=0.520s partition client=3 shard=0",
+        "t=0.520s partition client=3 shard=1",
+        "t=1.000s heal",
+        "t=1.000s heal",
+        "t=1.300s resize action=shrink count=1",
+        "t=2.000s heal_all"]),
+    "resize/gray": ((1.6, 4, 0.8, 0.6), [
+        "t=0.400s resize action=grow count=1",
+        "t=0.416s gray loss_probability=0.25 shard=1 for=0.32s",
+        "t=1.040s resize action=shrink count=1",
+        "t=1.600s heal_all"]),
+    "resize/target_crash": ((1.6, 4, 0.8, 0.6), [
+        "t=0.400s resize action=grow count=1",
+        "t=0.408s crash_task restart_delay=0.032 task=backend-4",
+        "t=1.040s resize action=shrink count=1",
+        "t=1.600s heal_all"]),
+    "resize/pressure": ((1.2, 4, 0.8, 0.6), [
+        "t=0.300s resize action=grow count=1",
+        "t=0.780s resize action=shrink count=1",
+        "t=1.200s heal_all"]),
+}
+
+
+def test_every_scenario_has_a_golden():
+    assert sorted(SCENARIOS) == sorted(SCENARIO_GOLDENS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_GOLDENS))
+def test_scenario_plan_matches_its_golden(name):
+    params, lines = SCENARIO_GOLDENS[name]
+    assert SCENARIOS[name].plan(*params).schedule_lines() == lines

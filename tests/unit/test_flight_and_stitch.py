@@ -291,8 +291,6 @@ def test_bench_history_flags_metrics_under_their_floors(tmp_path):
     by_key = {(r["benchmark"], r["metric"]): r for r in rows}
     kernel = by_key[("kernel", "events_per_sec")]
     assert kernel["ok"] and math.isclose(kernel["margin"], 2.5)
-    speedup = by_key[("kernel", "speedup_vs_legacy")]
-    assert math.isclose(speedup["value"], 2.0)
     herd = by_key[("readthrough_herd", "fetch_reduction")]
     assert not herd["ok"] and math.isclose(herd["margin"], 0.5)
     rendered = render_history(rows)

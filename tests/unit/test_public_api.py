@@ -80,9 +80,8 @@ def test_results_share_the_op_result_shape():
 
 
 def test_get_strategy_coercion():
-    from repro.core import (CliqueMapError, GetStrategy, LookupStrategy)
+    from repro.core import CliqueMapError, GetStrategy
 
-    assert LookupStrategy is GetStrategy  # back-compat alias
     assert GetStrategy.coerce("scar") is GetStrategy.SCAR
     assert GetStrategy.coerce("2XR") is GetStrategy.TWO_R
     assert GetStrategy.coerce(GetStrategy.MSG) is GetStrategy.MSG
@@ -154,7 +153,7 @@ def test_core_surface_is_frozen():
         Backend BackendConfig BackendStats Cell CellSpec make_transport
         CHECKSUM_BYTES checksum_ok kv_checksum BackendView ClientConfig
         ClientCostModel CliqueMapClient GetResult MutationResult OpResult
-        CellConfig ConfigStore GetStrategy LookupStrategy ReplicationMode
+        CellConfig ConfigStore GetStrategy ReplicationMode
         DataEntryView DataRegion encode_entry_parts entry_size try_decode
         CliqueMapError ConfigCasError GetStatus SetStatus ArcPolicy
         EvictionPolicy LruPolicy RandomPolicy make_policy FederatedClient
@@ -175,3 +174,16 @@ def test_core_surface_is_frozen():
         touch_batch_max reconnect_interval overflow_rpc_lookup
         force_primary_data_fetch compression_enabled compression_min_bytes
         compress_cpu_per_kb decompress_cpu_per_kb costs""".split()
+
+
+def test_soak_config_fields_are_frozen():
+    """The soak harness keeps only knobs some caller sets; a new one
+    needs a caller in src/, tests/ or benchmarks/ and a line here."""
+    import dataclasses
+
+    from repro.faults import SoakConfig
+
+    assert [f.name for f in dataclasses.fields(SoakConfig)] == """
+        seed duration settle num_shards num_keys transport scenario plan
+        observe export_dir flight sor sor_throughput resize_config
+        population population_rate population_sample_rate""".split()

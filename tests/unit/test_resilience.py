@@ -151,14 +151,14 @@ def test_health_reset_for_new_incarnation_clears_quarantine():
 def test_restarted_backend_is_readmitted_despite_quarantine():
     """A crashed task's quarantine must not outlive the process: after a
     restart + recovery, a second fault elsewhere stays a single failure."""
-    from repro.core import (Cell, CellSpec, GetStatus, LookupStrategy,
+    from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                             RepairConfig, ReplicationMode)
     from repro.core.repair import RepairScanner
 
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony",
                          repair_config=RepairConfig(enabled=False)))
-    client = cell.connect_client(strategy=LookupStrategy.TWO_R)
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
 
     def driver():
         yield from client.set(b"k", b"v")

@@ -45,16 +45,6 @@ def test_load_overwrites_before_freeze():
     assert reply["value"] == b"updated"
 
 
-def test_ingest_seal_shims_warn_and_delegate():
-    _cell, sor = build_sor(0)
-    with pytest.warns(DeprecationWarning):
-        sor.ingest({b"legacy": b"v"})
-    with pytest.warns(DeprecationWarning):
-        sor.seal()
-    assert len(sor) == 1
-    assert sor.sealed
-
-
 def test_scan_pagination_covers_corpus():
     cell, sor = build_sor(25)
     sor.freeze()

@@ -1,7 +1,7 @@
 """Tests for the public experiment-harness utilities (repro.testing)."""
 
 
-from repro.core import Cell, CellSpec, LookupStrategy, ReplicationMode
+from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 from repro.testing import (cell_cpu_hosts, drive, key_with_primary_shard,
                            measure_gets, preload_keys, run_closed_loop,
                            total_cpu)
@@ -10,7 +10,7 @@ from repro.testing import (cell_cpu_hosts, drive, key_with_primary_shard,
 def build():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                          transport="pony"))
-    return cell, cell.connect_client(strategy=LookupStrategy.TWO_R)
+    return cell, cell.connect_client(strategy=GetStrategy.TWO_R)
 
 
 def test_drive_returns_generator_value():
