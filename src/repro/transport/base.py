@@ -1,19 +1,28 @@
-"""Transport abstraction: one-sided reads over the simulated fabric.
+"""Transport abstraction: one wire exchange over the simulated fabric.
 
-Concrete transports (generic RDMA, Pony Express, 1RMA) share the endpoint
-registry and the failure envelope: reads against a crashed host time out
-with :class:`RemoteHostDownError`; reads against revoked/unknown regions
-fail with :class:`RegionRevokedError` carried back to the client, which is
-what triggers CliqueMap's RPC-based re-handshake retry path (§4.1).
+Every op a transport offers — ``read``, ``read_multi``, Pony's ``scar``
+and ``message`` — is the same exchange (:meth:`Transport._exchange`): the
+initiator posts, the request crosses the fabric, the remote is alive or
+the op times out, the NIC/engine serves and snapshots memory, the
+response crosses back (possibly corrupted in flight), the initiator reaps
+the completion. Concrete transports (generic RDMA, Pony Express, 1RMA)
+declare what differs per op and override three hooks; they share the
+endpoint registry and the failure envelope: ops against a crashed host
+time out with :class:`RemoteHostDownError`; reads against revoked/unknown
+regions fail with :class:`RegionRevokedError` carried back to the client,
+which is what triggers CliqueMap's RPC-based re-handshake retry path
+(§4.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..net import Fabric, Host
 from ..sim import Simulator
+from ..telemetry import NULL_SPAN
 from .memory import (RegionRevokedError, RemoteHostDownError, RmaEndpoint,
                      RmaError)
 
@@ -71,15 +80,8 @@ class Transport:
             self.endpoints[host.name] = endpoint
         return endpoint
 
-    def _remote_host(self, server_name: str) -> Host:
-        # Unknown endpoint: the request's bytes leave the client anyway.
-        endpoint = self.endpoints.get(server_name)
-        if endpoint is not None:
-            return endpoint.host
-        return self.fabric.host(server_name)
-
     def _check_remote(self, server_name: str,
-                      client_host: Host = None) -> Optional[RmaEndpoint]:
+                      client_host: Host) -> Optional[RmaEndpoint]:
         """The live endpoint an op has reached; ``None`` for a dead one
         (callers then ``yield from self._remote_down(server_name)``).
 
@@ -89,9 +91,7 @@ class Transport:
         endpoint = self.endpoints.get(server_name)
         if endpoint is None or not endpoint.host.alive:
             return None
-        if client_host is not None and \
-                getattr(client_host, "zone", "local") != \
-                getattr(endpoint.host, "zone", "local"):
+        if client_host.zone != endpoint.host.zone:
             self.counters.failures += 1
             raise RemoteHostDownError(
                 f"RMA to {server_name} crosses zones; use RPC for WAN")
@@ -103,9 +103,102 @@ class Transport:
         yield self.sim.delay(self.op_timeout)
         raise RemoteHostDownError(f"op to {server_name} timed out")
 
+    # -- the one wire exchange --------------------------------------------
+
+    def _exchange(self, client_host: Host, server_name: str, trace,
+                  entries: int, request_bytes: int, tx_cost: float,
+                  serve: Callable[[RmaEndpoint, Any], Generator],
+                  land: Optional[Callable[[Any], Any]],
+                  book: Callable[[Any, int], None]) -> Generator:
+        """Run one op: request -> serve -> response; returns its payload.
+
+        Every public op *returns* this generator — no frame of its own:
+        a leg is resumed once per scheduler entry, and every resume walks
+        the whole ``yield from`` chain — and declares only what differs:
+
+        * ``entries``: 0 for a single op (``nic.tx`` / ``nic.rx`` spans
+          around its client work), n for a coalesced op (one ``nic.batch``
+          span end to end, and each transfer tells the fabric it carries
+          n ops);
+        * ``request_bytes`` and ``tx_cost``: what goes on the wire and
+          what posting it costs the initiator;
+        * ``serve(endpoint, span)``, a generator: the one stage that knows
+          engines from NIC latency from PCIe. Opens ``backend.serve``
+          under ``span``, snapshots memory, returns ``(payload,
+          response_bytes, rx_cost)``; an op that fails as a whole raises
+          from it, so no response leg runs;
+        * ``land(payload)``: how an in-flight corruption of the response
+          lands on the payload (``None``: the op rides an integrity
+          layer);
+        * ``book(payload, response_bytes)``: the counters a completed op
+          books.
+
+        Per transport, three hooks differ instead: :meth:`_initiator`,
+        :meth:`_admit`, :meth:`_stamp`.
+        """
+        trace = trace or NULL_SPAN
+        if entries:
+            trace = around = trace.child("nic.batch", entries=entries)
+        else:
+            around = trace.child("nic.tx")
+        cpu = self._initiator(client_host)
+        yield cpu(tx_cost)
+        slot = self._admit(client_host)
+        try:
+            if slot is not None:
+                yield slot
+                issued_at = self.sim.now
+            if not entries:
+                around.finish()
+            # Unknown endpoint: the request's bytes leave the client anyway.
+            endpoint = self.endpoints.get(server_name)
+            yield from self.fabric.deliver(
+                client_host, endpoint.host if endpoint is not None
+                else self.fabric.host(server_name),
+                request_bytes, trace, entries or 1)
+            endpoint = self._check_remote(server_name, client_host) or \
+                (yield from self._remote_down(server_name))
+            payload, response_bytes, rx_cost = yield from serve(endpoint,
+                                                                trace)
+            corrupted = yield from self.fabric.deliver(
+                endpoint.host, client_host, response_bytes, trace,
+                entries or 1)
+        finally:
+            # Admission bounds what is in flight, not the initiator's
+            # completion work: the claim goes back when the response has
+            # arrived, or the op has failed, and nowhere else.
+            if slot is not None:
+                slot.resource.release(slot)
+        if corrupted and land is not None:
+            payload = land(payload)
+        if slot is not None:
+            self._stamp(issued_at)
+        if not entries:
+            around = trace.child("nic.rx")
+        yield cpu(rx_cost)
+        around.finish()
+        book(payload, response_bytes)
+        return payload
+
+    def _initiator(self, host: Host) -> Callable[[float], Any]:
+        """Hook: how ``host`` spends CPU posting and reaping an op — a
+        callable ``seconds -> awaitable`` (``yield`` its result at once).
+        Hardware NICs: the posting thread runs on a host core."""
+        return lambda seconds: host.execute(seconds, "rma-client")
+
+    def _admit(self, host: Host) -> Optional[Any]:
+        """Hook: the initiator NIC's claim on an in-flight slot, taken
+        after posting — a :class:`~repro.sim.Request` the exchange waits
+        on and releases, or ``None`` when nothing bounds outstanding ops."""
+        return None
+
+    def _stamp(self, issued_at: float) -> None:
+        """Hook: the response to an admitted command, put on the wire at
+        ``issued_at``, has just arrived."""
+
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:
-        """One-sided read; subclasses implement the timing.
+        """One-sided read; returns the snapshot bytes.
 
         ``trace`` (an optional telemetry span) receives fabric/server
         child spans so an op can be decomposed layer by layer.
@@ -123,10 +216,26 @@ class Transport:
         siblings' data). Whole-batch failures — dead host, partition —
         still raise, exactly like :meth:`read`.
 
-        Subclasses implement it by putting all descriptors in one
-        fabric transfer, amortizing the per-op costs (§7.1).
+        All descriptors ride one fabric transfer, amortizing the per-op
+        costs (§7.1). It stays a separate op from :meth:`read`: wire
+        bytes, span shape, error semantics and counters all differ, and
+        only the sequence around them is shared.
         """
+        if not requests:
+            return _empty_batch()
+        return self._read_batch(client_host, server_name, requests,
+                                len(requests), trace)
+
+    def _read_batch(self, client_host: Host, server_name: str,
+                    requests: Sequence[ReadRequest], n: int,
+                    trace) -> Generator:
+        """:meth:`read_multi` for a non-empty batch of ``n`` entries;
+        subclasses implement the timing."""
         raise NotImplementedError
+
+    def _book_read(self, data: bytes, _response_bytes: int) -> None:
+        self.counters.reads += 1
+        self.counters.bytes_fetched += len(data)
 
     def _read_entries(self, endpoint: RmaEndpoint,
                       requests: Sequence[ReadRequest]) -> List[ReadResult]:
@@ -141,12 +250,16 @@ class Transport:
                 results.append(exc)
         return results
 
-    def _observe_batch(self, n: int, engine_seconds: float) -> None:
-        """Account one coalesced op covering ``n`` entries."""
+    def _book_batch(self, results: Sequence[ReadResult],
+                    engine_seconds: float) -> None:
+        """Account one coalesced op and the engine/NIC CPU it amortized."""
+        n = len(results)
+        self.counters.bytes_fetched += sum(
+            len(r) for r in results if isinstance(r, bytes))
         self.counters.batched_reads += 1
         self.counters.batched_keys += n
         registry = self.registry
-        if registry is None or n <= 0:
+        if registry is None:
             return
         handles = self._batch_handles
         if handles is None or handles[0] is not registry:
@@ -175,26 +288,6 @@ class Transport:
         return (payload + RMA_RESPONSE_HEADER_BYTES +
                 RMA_BATCH_STATUS_BYTES * len(results))
 
-    def _corrupt_largest(self, results: List[ReadResult],
-                         corrupted) -> List[ReadResult]:
-        """Apply a response-leg corruption to the batch's largest entry.
-
-        A flipped byte lands somewhere in the coalesced payload; modeling
-        it in the dominant entry keeps the per-batch corruption rate equal
-        to the per-delivery rate without corrupting every sibling.
-        """
-        if not corrupted:
-            return results
-        victim = None
-        for i, result in enumerate(results):
-            if isinstance(result, bytes) and result and (
-                    victim is None or
-                    len(result) > len(results[victim])):
-                victim = i
-        if victim is not None:
-            results[victim] = self._maybe_corrupt(results[victim], corrupted)
-        return results
-
     def _resolve_or_fail(self, endpoint: RmaEndpoint, region_id: int):
         try:
             return endpoint.resolve(region_id)
@@ -202,18 +295,36 @@ class Transport:
             self.counters.failures += 1
             raise
 
-    def _maybe_corrupt(self, data: bytes, corrupted) -> bytes:
-        """Flip a payload byte when the response delivery was corrupted.
+    def _corrupt(self, sections: List[ReadResult]) -> List[ReadResult]:
+        """Land an in-flight corruption of a response on its payload.
 
-        ``corrupted`` is the return value of ``fabric.deliver`` for the
-        response leg. One-sided responses carry raw snapshot bytes with
-        no link-level integrity, so an in-flight corruption reaches the
-        client and must be caught by CliqueMap's own checksum/validation
-        path (§5.1). Request legs and RPC/message payloads are not
-        corrupted: requests are tiny commands and the RPC transport has
-        its own integrity layer.
+        One-sided responses carry raw snapshot bytes with no link-level
+        integrity, so a corrupted delivery reaches the client and must be
+        caught by CliqueMap's own checksum/validation path (§5.1). A
+        flipped byte lands somewhere in the payload; modeling it in the
+        largest section keeps the per-op corruption rate equal to the
+        per-delivery rate without corrupting every sibling of a batch.
+        Request legs and message payloads are not corrupted: requests are
+        tiny commands and messaging has its own integrity layer.
         """
-        if not corrupted or not data:
-            return data
-        self.counters.corrupted += 1
-        return self.fabric.corrupt(data)
+        victim = None
+        for i, section in enumerate(sections):
+            if isinstance(section, bytes) and section and (
+                    victim is None or
+                    len(section) > len(sections[victim])):
+                victim = i
+        if victim is not None:
+            self.counters.corrupted += 1
+            sections[victim] = self.fabric.corrupt(sections[victim])
+        return sections
+
+    def _corrupt_one(self, data: bytes) -> bytes:
+        """:meth:`_corrupt` for a single-section payload."""
+        return self._corrupt([data])[0]
+
+
+def _empty_batch() -> Generator:
+    """An empty batch is no exchange at all: nothing on the wire, no CPU,
+    no counters."""
+    return []
+    yield

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Tuple
 
 from ..net import Host
-from ..sim import Resource
-from ..telemetry import NULL_SPAN
+from ..sim import Request, Resource
 from .base import RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport
 
 
@@ -61,57 +60,40 @@ class OneRmaTransport(Transport):
             self._windows[host.name] = window
         return window
 
-    def read(self, client_host: Host, server_name: str, region_id: int,
-             offset: int, size: int, trace=None) -> Generator:
-        """Perform a one-sided 1RMA read; returns the snapshot bytes."""
-        trace = trace or NULL_SPAN
-        tx = trace.child("nic.tx")
-        yield client_host.execute(self.cost.client_submit_cpu,
-                                  "rma-client")
-        window = self._window_for(client_host)
-        slot = window.request()
-        yield slot
-        tx.finish()
-        try:
-            return (yield from self._read_solicited(
-                client_host, server_name, region_id, offset, size, trace))
-        finally:
-            window.release(slot)
+    def _admit(self, host: Host) -> Request:
+        """A slot of the initiator NIC's solicitation window."""
+        return self._window_for(host).request()
 
-    def _read_solicited(self, client_host: Host, server_name: str,
-                        region_id: int, offset: int,
-                        size: int, trace=NULL_SPAN) -> Generator:
-        issued_at = self.sim.now  # NIC-side measurement starts here
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        serve_span = trace.child("backend.serve", host=server_name)
-        yield self.sim.delay(self.cost.server_nic_latency)
-        window = self._resolve_or_fail(endpoint, region_id)
-        # PCIe read of the payload out of server memory.
-        yield self.sim.delay(self.cost.pcie_base_latency +
-                             size / self.cost.pcie_bytes_per_sec)
-        data = window.read(offset, size)  # the snapshot instant
-        serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
-            endpoint.host, client_host,
-            len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
-        data = self._maybe_corrupt(data, corrupted)
+    def _stamp(self, issued_at: float) -> None:
+        """The NIC's command timestamp: fabric + remote PCIe, measured
+        from when the solicited command went on the wire."""
         if self.record_timestamps:
             self.command_timestamps.append(
                 (self.sim.now, self.sim.now - issued_at))
-        rx = trace.child("nic.rx")
-        yield client_host.execute(self.cost.client_complete_cpu,
-                                  "rma-client")
-        rx.finish()
-        self.counters.reads += 1
-        self.counters.bytes_fetched += len(data)
-        return data
 
-    def read_multi(self, client_host: Host, server_name: str,
-                   requests, trace=None) -> Generator:
+    def read(self, client_host: Host, server_name: str, region_id: int,
+             offset: int, size: int, trace=None) -> Generator:
+        """Perform a one-sided 1RMA read; returns the snapshot bytes."""
+        cost = self.cost
+
+        def serve(endpoint, span):
+            span = span.child("backend.serve", host=server_name)
+            yield self.sim.delay(cost.server_nic_latency)
+            window = self._resolve_or_fail(endpoint, region_id)
+            # PCIe read of the payload out of server memory.
+            yield self.sim.delay(cost.pcie_base_latency +
+                                 size / cost.pcie_bytes_per_sec)
+            data = window.read(offset, size)  # the snapshot instant
+            span.finish()
+            return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
+                    cost.client_complete_cpu)
+
+        return self._exchange(client_host, server_name, trace, 0,
+                              RMA_REQUEST_BYTES, cost.client_submit_cpu,
+                              serve, self._corrupt_one, self._book_read)
+
+    def _read_batch(self, client_host: Host, server_name: str, requests,
+                    n: int, trace) -> Generator:
         """Coalesced read: one command, one window slot, one PCIe transaction.
 
         The NIC executes the whole batch as a single solicited command:
@@ -119,45 +101,24 @@ class OneRmaTransport(Transport):
         bandwidth, and a single command timestamp — batching preserves
         the Fig 16 measurement semantics (one command, one sample).
         """
-        if not requests:
-            return []
-        trace = trace or NULL_SPAN
-        n = len(requests)
-        span = trace.child("nic.batch", entries=n)
-        submit_cost = self.cost.client_submit_cpu
-        yield client_host.execute(submit_cost, "rma-client")
-        window = self._window_for(client_host)
-        slot = window.request()
-        yield slot
-        try:
-            issued_at = self.sim.now
-            yield from self.fabric.deliver(client_host,
-                                           self._remote_host(server_name),
-                                           self._batch_request_bytes(n),
-                                           parts=n, trace=span)
-            endpoint = self._check_remote(server_name, client_host) or \
-                (yield from self._remote_down(server_name))
-            serve_span = span.child("backend.serve", host=server_name,
-                                    op="batch")
-            yield self.sim.delay(self.cost.server_nic_latency)
+        cost = self.cost
+
+        def serve(endpoint, span):
+            span = span.child("backend.serve", host=server_name, op="batch")
+            yield self.sim.delay(cost.server_nic_latency)
             total_size = sum(size for _r, _o, size in requests)
-            yield self.sim.delay(self.cost.pcie_base_latency +
-                                 total_size / self.cost.pcie_bytes_per_sec)
+            yield self.sim.delay(cost.pcie_base_latency +
+                                 total_size / cost.pcie_bytes_per_sec)
             results = self._read_entries(endpoint, requests)
-            serve_span.finish()
-            corrupted = yield from self.fabric.deliver(
-                endpoint.host, client_host,
-                self._batch_response_bytes(results), parts=n, trace=span)
-            results = self._corrupt_largest(results, corrupted)
-            if self.record_timestamps:
-                self.command_timestamps.append(
-                    (self.sim.now, self.sim.now - issued_at))
-        finally:
-            window.release(slot)
-        complete_cost = self.cost.client_complete_cpu
-        yield client_host.execute(complete_cost, "rma-client")
-        span.finish()
-        self.counters.bytes_fetched += sum(
-            len(r) for r in results if isinstance(r, bytes))
-        self._observe_batch(n, submit_cost + complete_cost)
-        return results
+            span.finish()
+            return (results, self._batch_response_bytes(results),
+                    cost.client_complete_cpu)
+
+        def book(results, _response_bytes):
+            self._book_batch(results, cost.client_submit_cpu +
+                             cost.client_complete_cpu)
+
+        return self._exchange(client_host, server_name, trace, n,
+                              self._batch_request_bytes(n),
+                              cost.client_submit_cpu, serve, self._corrupt,
+                              book)

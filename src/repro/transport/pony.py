@@ -21,7 +21,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..net import Host
 from ..sim import Resource, Simulator
-from ..telemetry import NULL_SPAN
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport)
 from .memory import RegionRevokedError, RmaOutOfBoundsError
 
@@ -148,41 +147,36 @@ class PonyTransport(Transport):
     def _payload_cost(self, nbytes: int) -> float:
         return nbytes / 1024.0 * self.cost.per_kilobyte
 
+    def _initiator(self, host: Host):
+        """Software NIC: posting and reaping an op is engine work."""
+        return self.engine_group(host).serve
+
     # -- one-sided read ----------------------------------------------------
 
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:
         """One-sided read served by the remote Pony engines."""
-        trace = trace or NULL_SPAN
-        tx = trace.child("nic.tx")
-        yield self.engine_group(client_host).serve(self.cost.client_tx)
-        tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        server_group = self.engine_group(endpoint.host)
-        serve_span = trace.child("backend.serve", host=server_name)
-        yield server_group.serve(self.cost.server_read +
-                                 self._payload_cost(size))
-        window = self._resolve_or_fail(endpoint, region_id)
-        data = window.read(offset, size)  # the snapshot instant
-        serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
-            endpoint.host, client_host,
-            len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
-        data = self._maybe_corrupt(data, corrupted)
-        rx = trace.child("nic.rx")
-        yield self.engine_group(client_host).serve(
-            self.cost.client_rx + self._payload_cost(len(data)))
-        rx.finish()
-        self.counters.reads += 1
-        self.counters.bytes_fetched += len(data)
-        return data
+        cost = self.cost
 
-    def read_multi(self, client_host: Host, server_name: str,
-                   requests, trace=None) -> Generator:
+        def serve(endpoint, span):
+            group = self.engine_groups[server_name]
+            span = span.child("backend.serve", host=server_name)
+            yield group.serve(cost.server_read + self._payload_cost(size))
+            window = self._resolve_or_fail(endpoint, region_id)
+            data = window.read(offset, size)  # the snapshot instant
+            span.finish()
+            return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
+                    cost.client_rx + self._payload_cost(len(data)))
+
+        # A read command is a fixed 64 bytes: its handling is inside
+        # ``client_tx``, so only variable-size requests (batch, MSG) price
+        # their bytes on the initiating engine.
+        return self._exchange(client_host, server_name, trace, 0,
+                              RMA_REQUEST_BYTES, cost.client_tx, serve,
+                              self._corrupt_one, self._book_read)
+
+    def _read_batch(self, client_host: Host, server_name: str, requests,
+                    n: int, trace) -> Generator:
         """Coalesced read: one engine op per side serves the whole batch.
 
         The engine dispatch (``client_tx``/``server_read``/``client_rx``)
@@ -190,39 +184,31 @@ class PonyTransport(Transport):
         plus payload handling, which is where the amortization of §7.1
         comes from.
         """
-        if not requests:
-            return []
-        trace = trace or NULL_SPAN
-        n = len(requests)
-        span = trace.child("nic.batch", entries=n)
+        cost = self.cost
         req_bytes = self._batch_request_bytes(n)
-        tx_cost = self.cost.client_tx + self._payload_cost(req_bytes)
-        yield self.engine_group(client_host).serve(tx_cost)
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       req_bytes, parts=n, trace=span)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        server_group = self.engine_group(endpoint.host)
-        serve_span = span.child("backend.serve", host=server_name, op="batch")
-        total_size = sum(size for _r, _o, size in requests)
-        serve_cost = (self.cost.server_read +
-                      self.cost.batch_entry * (n - 1) +
-                      self._payload_cost(total_size))
-        yield server_group.serve(serve_cost)
-        results = self._read_entries(endpoint, requests)
-        serve_span.finish()
-        resp_bytes = self._batch_response_bytes(results)
-        corrupted = yield from self.fabric.deliver(
-            endpoint.host, client_host, resp_bytes, parts=n, trace=span)
-        results = self._corrupt_largest(results, corrupted)
-        rx_cost = self.cost.client_rx + self._payload_cost(resp_bytes)
-        yield self.engine_group(client_host).serve(rx_cost)
-        span.finish()
-        self.counters.bytes_fetched += sum(
-            len(r) for r in results if isinstance(r, bytes))
-        self._observe_batch(n, tx_cost + serve_cost + rx_cost)
-        return results
+        tx_cost = cost.client_tx + self._payload_cost(req_bytes)
+        engine_seconds = 0.0
+
+        def serve(endpoint, span):
+            nonlocal engine_seconds
+            group = self.engine_groups[server_name]
+            span = span.child("backend.serve", host=server_name, op="batch")
+            total_size = sum(size for _r, _o, size in requests)
+            serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
+                          self._payload_cost(total_size))
+            yield group.serve(serve_cost)
+            results = self._read_entries(endpoint, requests)
+            span.finish()
+            resp_bytes = self._batch_response_bytes(results)
+            rx_cost = cost.client_rx + self._payload_cost(resp_bytes)
+            engine_seconds = tx_cost + serve_cost + rx_cost
+            return results, resp_bytes, rx_cost
+
+        def book(results, _response_bytes):
+            self._book_batch(results, engine_seconds)
+
+        return self._exchange(client_host, server_name, trace, n, req_bytes,
+                              tx_cost, serve, self._corrupt, book)
 
     # -- SCAR ---------------------------------------------------------------
 
@@ -235,59 +221,54 @@ class PonyTransport(Transport):
         program against ``key_hash``, and — on a hit — follows the pointer
         to the DataEntry, all within one network round trip.
         """
-        trace = trace or NULL_SPAN
-        tx = trace.child("nic.tx")
-        yield self.engine_group(client_host).serve(self.cost.client_tx)
-        tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES + len(key_hash),
-                                       trace=trace)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        if endpoint.scar_program is None:
-            raise RegionRevokedError(index_region_id)
+        cost = self.cost
 
-        server_group = self.engine_group(endpoint.host)
-        serve_span = trace.child("backend.serve", host=server_name, op="scar")
-        yield server_group.serve(self.cost.server_read +
-                                 self.cost.scar_scan +
-                                 self._payload_cost(bucket_size))
-        window = self._resolve_or_fail(endpoint, index_region_id)
-        bucket = window.read(bucket_offset, bucket_size)
+        def serve(endpoint, span):
+            if endpoint.scar_program is None:
+                raise RegionRevokedError(index_region_id)
+            group = self.engine_groups[server_name]
+            span = span.child("backend.serve", host=server_name, op="scar")
+            yield group.serve(cost.server_read + cost.scar_scan +
+                              self._payload_cost(bucket_size))
+            window = self._resolve_or_fail(endpoint, index_region_id)
+            bucket = window.read(bucket_offset, bucket_size)
 
-        data: Optional[bytes] = None
-        pointer = endpoint.scar_program(bucket, key_hash)
-        if pointer is not None:
-            data_region_id, data_offset, data_size = pointer
-            try:
-                data_window = endpoint.resolve(data_region_id)
-                yield server_group.serve(self._payload_cost(data_size))
-                data = data_window.read(data_offset, data_size)
-            except (RegionRevokedError, RmaOutOfBoundsError):
-                # Pointer raced with a reshape/eviction; return just the
-                # bucket — the client validates and retries.
-                data = None
-        serve_span.finish()
+            data: Optional[bytes] = None
+            pointer = endpoint.scar_program(bucket, key_hash)
+            if pointer is not None:
+                data_region_id, data_offset, data_size = pointer
+                try:
+                    data_window = endpoint.resolve(data_region_id)
+                    yield group.serve(self._payload_cost(data_size))
+                    data = data_window.read(data_offset, data_size)
+                except (RegionRevokedError, RmaOutOfBoundsError):
+                    # Pointer raced with a reshape/eviction; return just
+                    # the bucket — the client validates and retries.
+                    data = None
+            span.finish()
+            resp_bytes = (len(bucket) + (len(data) if data else 0) +
+                          RMA_RESPONSE_HEADER_BYTES)
+            return ((bucket, data), resp_bytes,
+                    cost.client_rx + self._payload_cost(resp_bytes))
 
-        resp_bytes = (len(bucket) + (len(data) if data else 0) +
-                      RMA_RESPONSE_HEADER_BYTES)
-        corrupted = yield from self.fabric.deliver(endpoint.host, client_host,
-                                                   resp_bytes, trace=trace)
-        if corrupted:
-            # The flip lands in whichever section dominates the response:
-            # the data copy when the scan hit, the bucket otherwise.
-            if data:
-                data = self._maybe_corrupt(data, corrupted)
-            else:
-                bucket = self._maybe_corrupt(bucket, corrupted)
-        rx = trace.child("nic.rx")
-        yield self.engine_group(client_host).serve(
-            self.cost.client_rx + self._payload_cost(resp_bytes))
-        rx.finish()
+        return self._exchange(client_host, server_name, trace, 0,
+                              RMA_REQUEST_BYTES + len(key_hash),
+                              cost.client_tx, serve, self._land_scar,
+                              self._book_scar)
+
+    def _land_scar(self, response):
+        # The flip lands in whichever section dominates the response:
+        # the data copy when the scan hit, the bucket otherwise.
+        bucket, data = response
+        if data:
+            return bucket, self._corrupt_one(data)
+        return self._corrupt_one(bucket), data
+
+    def _book_scar(self, _response, response_bytes: int) -> None:
+        # A SCAR's fetched bytes are its whole response, header included:
+        # bucket and datum are not separable on the wire.
         self.counters.scars += 1
-        self.counters.bytes_fetched += resp_bytes
-        return bucket, data
+        self.counters.bytes_fetched += response_bytes
 
     # -- two-sided messaging (MSG lookup strategy) ----------------------------
 
@@ -304,41 +285,38 @@ class PonyTransport(Transport):
     def message(self, client_host: Host, server_name: str, name: str,
                 request_bytes: int, request_payload, trace=None) -> Generator:
         """Send a two-sided message and await the application's reply."""
-        trace = trace or NULL_SPAN
-        tx = trace.child("nic.tx")
-        yield self.engine_group(client_host).serve(
-            self.cost.client_tx + self._payload_cost(request_bytes))
-        tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       request_bytes, trace=trace)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        handlers = self._msg_handlers.get(server_name, {})
-        if name not in handlers:
-            raise RegionRevokedError(-1)
+        cost = self.cost
 
-        server_host = endpoint.host
-        server_group = self.engine_group(server_host)
-        serve_span = trace.child("backend.serve", host=server_name, op="msg")
-        yield server_group.serve(self.cost.server_read +
-                                 self._payload_cost(request_bytes))
-        # Wake an application thread and run the handler on host CPU —
-        # the expensive part two-sided designs pay (§6.3).
-        app_span = serve_span.child("app-thread")
-        yield server_host.execute(self.cost.msg_thread_wakeup +
-                                  self.cost.msg_app_cpu, "msg-app")
-        response_payload, response_bytes = handlers[name](request_payload)
-        app_span.finish()
-        yield server_group.serve(self.cost.client_tx +
-                                 self._payload_cost(response_bytes))
-        serve_span.finish()
-        yield from self.fabric.deliver(server_host, client_host,
-                                       response_bytes +
-                                       RMA_RESPONSE_HEADER_BYTES, trace=trace)
-        rx = trace.child("nic.rx")
-        yield self.engine_group(client_host).serve(
-            self.cost.client_rx + self._payload_cost(response_bytes))
-        rx.finish()
+        def serve(endpoint, span):
+            handlers = self._msg_handlers.get(server_name, {})
+            if name not in handlers:
+                raise RegionRevokedError(-1)
+            server_host = endpoint.host
+            group = self.engine_groups[server_name]
+            span = span.child("backend.serve", host=server_name, op="msg")
+            yield group.serve(cost.server_read +
+                              self._payload_cost(request_bytes))
+            # Wake an application thread and run the handler on host CPU —
+            # the expensive part two-sided designs pay (§6.3).
+            app_span = span.child("app-thread")
+            yield server_host.execute(cost.msg_thread_wakeup +
+                                      cost.msg_app_cpu, "msg-app")
+            response_payload, response_bytes = handlers[name](request_payload)
+            app_span.finish()
+            yield group.serve(cost.client_tx +
+                              self._payload_cost(response_bytes))
+            span.finish()
+            return (response_payload,
+                    response_bytes + RMA_RESPONSE_HEADER_BYTES,
+                    cost.client_rx + self._payload_cost(response_bytes))
+
+        # No ``land``: messaging rides an integrity layer, so an in-flight
+        # corruption never reaches the payload.
+        return self._exchange(client_host, server_name, trace, 0,
+                              request_bytes,
+                              cost.client_tx +
+                              self._payload_cost(request_bytes),
+                              serve, None, self._book_message)
+
+    def _book_message(self, _response, _response_bytes: int) -> None:
         self.counters.messages += 1
-        return response_payload

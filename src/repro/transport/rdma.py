@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..net import Host
-from ..telemetry import NULL_SPAN
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport)
 
 
@@ -41,68 +40,46 @@ class RdmaTransport(Transport):
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:
         """Perform a one-sided read; returns the snapshot bytes."""
-        trace = trace or NULL_SPAN
-        tx = trace.child("nic.tx")
-        yield client_host.execute(self.cost.client_post_cpu,
-                                  "rma-client")
-        tx.finish()
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       RMA_REQUEST_BYTES, trace=trace)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        # NIC processing + DMA at the server; no server CPU involved.
-        serve_span = trace.child("backend.serve", host=server_name)
-        yield self.sim.delay(self.cost.server_nic_latency)
-        window = self._resolve_or_fail(endpoint, region_id)
-        data = window.read(offset, size)  # the snapshot instant
-        serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
-            endpoint.host, client_host,
-            len(data) + RMA_RESPONSE_HEADER_BYTES, trace=trace)
-        data = self._maybe_corrupt(data, corrupted)
-        rx = trace.child("nic.rx")
-        yield client_host.execute(self.cost.client_poll_cpu,
-                                  "rma-client")
-        rx.finish()
-        self.counters.reads += 1
-        self.counters.bytes_fetched += len(data)
-        return data
+        cost = self.cost
 
-    def read_multi(self, client_host: Host, server_name: str,
-                   requests, trace=None) -> Generator:
+        def serve(endpoint, span):
+            # NIC processing + DMA at the server; no server CPU involved.
+            span = span.child("backend.serve", host=server_name)
+            yield self.sim.delay(cost.server_nic_latency)
+            window = self._resolve_or_fail(endpoint, region_id)
+            data = window.read(offset, size)  # the snapshot instant
+            span.finish()
+            return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
+                    cost.client_poll_cpu)
+
+        return self._exchange(client_host, server_name, trace, 0,
+                              RMA_REQUEST_BYTES, cost.client_post_cpu,
+                              serve, self._corrupt_one, self._book_read)
+
+    def _read_batch(self, client_host: Host, server_name: str, requests,
+                    n: int, trace) -> Generator:
         """Coalesced read: one posted work request covers the batch.
 
         The client pays one post and one poll regardless of batch size;
         the server NIC pipelines the extra DMAs at ``batch_entry_latency``
         each instead of a full per-op NIC traversal.
         """
-        if not requests:
-            return []
-        trace = trace or NULL_SPAN
-        n = len(requests)
-        span = trace.child("nic.batch", entries=n)
-        post_cost = self.cost.client_post_cpu
-        yield client_host.execute(post_cost, "rma-client")
-        yield from self.fabric.deliver(client_host,
-                                       self._remote_host(server_name),
-                                       self._batch_request_bytes(n),
-                                       parts=n, trace=span)
-        endpoint = self._check_remote(server_name, client_host) or \
-            (yield from self._remote_down(server_name))
-        serve_span = span.child("backend.serve", host=server_name, op="batch")
-        yield self.sim.delay(self.cost.server_nic_latency +
-                             self.cost.batch_entry_latency * (n - 1))
-        results = self._read_entries(endpoint, requests)
-        serve_span.finish()
-        corrupted = yield from self.fabric.deliver(
-            endpoint.host, client_host,
-            self._batch_response_bytes(results), parts=n, trace=span)
-        results = self._corrupt_largest(results, corrupted)
-        poll_cost = self.cost.client_poll_cpu
-        yield client_host.execute(poll_cost, "rma-client")
-        span.finish()
-        self.counters.bytes_fetched += sum(
-            len(r) for r in results if isinstance(r, bytes))
-        self._observe_batch(n, post_cost + poll_cost)
-        return results
+        cost = self.cost
+
+        def serve(endpoint, span):
+            span = span.child("backend.serve", host=server_name, op="batch")
+            yield self.sim.delay(cost.server_nic_latency +
+                                 cost.batch_entry_latency * (n - 1))
+            results = self._read_entries(endpoint, requests)
+            span.finish()
+            return (results, self._batch_response_bytes(results),
+                    cost.client_poll_cpu)
+
+        def book(results, _response_bytes):
+            self._book_batch(results,
+                             cost.client_post_cpu + cost.client_poll_cpu)
+
+        return self._exchange(client_host, server_name, trace, n,
+                              self._batch_request_bytes(n),
+                              cost.client_post_cpu, serve, self._corrupt,
+                              book)
