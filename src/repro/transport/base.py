@@ -23,8 +23,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 from ..net import Fabric, Host
 from ..sim import Simulator
 from ..telemetry import NULL_SPAN
-from .memory import (RegionRevokedError, RemoteHostDownError, RmaEndpoint,
-                     RmaError)
+from .memory import RemoteHostDownError, RmaEndpoint, RmaError
 
 RMA_REQUEST_BYTES = 64          # a one-sided read command on the wire
 RMA_RESPONSE_HEADER_BYTES = 32  # completion/validation header on responses
@@ -92,14 +91,12 @@ class Transport:
         if endpoint is None or not endpoint.host.alive:
             return None
         if client_host.zone != endpoint.host.zone:
-            self.counters.failures += 1
             raise RemoteHostDownError(
                 f"RMA to {server_name} crosses zones; use RPC for WAN")
         return endpoint
 
     def _remote_down(self, server_name: str) -> Generator:
         """Fail like a timed-out op: the remote is dead (a generator)."""
-        self.counters.failures += 1
         yield self.sim.delay(self.op_timeout)
         raise RemoteHostDownError(f"op to {server_name} timed out")
 
@@ -163,6 +160,13 @@ class Transport:
             corrupted = yield from self.fabric.deliver(
                 endpoint.host, client_host, response_bytes, trace,
                 entries or 1)
+        except RmaError:
+            # The one rule for ``failures``: an op the transport fails as
+            # a whole counts once, here, whatever stage raised it (a
+            # batch's failed entries count once each, in _snapshot_each).
+            # A delivery the fabric drops is the fabric's to count.
+            self.counters.failures += 1
+            raise
         finally:
             # Admission bounds what is in flight, not the initiator's
             # completion work: the claim goes back when the response has
@@ -237,14 +241,15 @@ class Transport:
         self.counters.reads += 1
         self.counters.bytes_fetched += len(data)
 
-    def _read_entries(self, endpoint: RmaEndpoint,
-                      requests: Sequence[ReadRequest]) -> List[ReadResult]:
-        """Snapshot every entry of a batch, per-entry errors as values."""
+    def _snapshot_each(self, endpoint: RmaEndpoint,
+                       requests: Sequence[ReadRequest]) -> List[ReadResult]:
+        """Snapshot every entry of a batch (resolve -> extent -> read, as
+        a single read does), per-entry errors as values."""
         results: List[ReadResult] = []
         for region_id, offset, size in requests:
             try:
-                window = endpoint.resolve(region_id)
-                results.append(window.read(offset, size))
+                results.append(
+                    endpoint.resolve(region_id).read(offset, size))
             except RmaError as exc:
                 self.counters.failures += 1
                 results.append(exc)
@@ -287,13 +292,6 @@ class Transport:
         payload = sum(len(r) for r in results if isinstance(r, bytes))
         return (payload + RMA_RESPONSE_HEADER_BYTES +
                 RMA_BATCH_STATUS_BYTES * len(results))
-
-    def _resolve_or_fail(self, endpoint: RmaEndpoint, region_id: int):
-        try:
-            return endpoint.resolve(region_id)
-        except RegionRevokedError:
-            self.counters.failures += 1
-            raise
 
     def _corrupt(self, sections: List[ReadResult]) -> List[ReadResult]:
         """Land an in-flight corruption of a response on its payload.

@@ -79,7 +79,7 @@ class OneRmaTransport(Transport):
         def serve(endpoint, span):
             span = span.child("backend.serve", host=server_name)
             yield self.sim.delay(cost.server_nic_latency)
-            window = self._resolve_or_fail(endpoint, region_id)
+            window = endpoint.resolve(region_id)
             # PCIe read of the payload out of server memory.
             yield self.sim.delay(cost.pcie_base_latency +
                                  size / cost.pcie_bytes_per_sec)
@@ -109,7 +109,7 @@ class OneRmaTransport(Transport):
             total_size = sum(size for _r, _o, size in requests)
             yield self.sim.delay(cost.pcie_base_latency +
                                  total_size / cost.pcie_bytes_per_sec)
-            results = self._read_entries(endpoint, requests)
+            results = self._snapshot_each(endpoint, requests)
             span.finish()
             return (results, self._batch_response_bytes(results),
                     cost.client_complete_cpu)

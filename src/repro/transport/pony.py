@@ -162,8 +162,8 @@ class PonyTransport(Transport):
             group = self.engine_groups[server_name]
             span = span.child("backend.serve", host=server_name)
             yield group.serve(cost.server_read + self._payload_cost(size))
-            window = self._resolve_or_fail(endpoint, region_id)
-            data = window.read(offset, size)  # the snapshot instant
+            # The snapshot instant: resolve -> extent -> read.
+            data = endpoint.resolve(region_id).read(offset, size)
             span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_rx + self._payload_cost(len(data)))
@@ -197,7 +197,7 @@ class PonyTransport(Transport):
             serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
                           self._payload_cost(total_size))
             yield group.serve(serve_cost)
-            results = self._read_entries(endpoint, requests)
+            results = self._snapshot_each(endpoint, requests)
             span.finish()
             resp_bytes = self._batch_response_bytes(results)
             rx_cost = cost.client_rx + self._payload_cost(resp_bytes)
@@ -230,8 +230,8 @@ class PonyTransport(Transport):
             span = span.child("backend.serve", host=server_name, op="scar")
             yield group.serve(cost.server_read + cost.scar_scan +
                               self._payload_cost(bucket_size))
-            window = self._resolve_or_fail(endpoint, index_region_id)
-            bucket = window.read(bucket_offset, bucket_size)
+            bucket = endpoint.resolve(index_region_id).read(bucket_offset,
+                                                            bucket_size)
 
             data: Optional[bytes] = None
             pointer = endpoint.scar_program(bucket, key_hash)

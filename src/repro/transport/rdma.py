@@ -46,8 +46,8 @@ class RdmaTransport(Transport):
             # NIC processing + DMA at the server; no server CPU involved.
             span = span.child("backend.serve", host=server_name)
             yield self.sim.delay(cost.server_nic_latency)
-            window = self._resolve_or_fail(endpoint, region_id)
-            data = window.read(offset, size)  # the snapshot instant
+            # The snapshot instant: resolve -> extent -> read.
+            data = endpoint.resolve(region_id).read(offset, size)
             span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_poll_cpu)
@@ -70,7 +70,7 @@ class RdmaTransport(Transport):
             span = span.child("backend.serve", host=server_name, op="batch")
             yield self.sim.delay(cost.server_nic_latency +
                                  cost.batch_entry_latency * (n - 1))
-            results = self._read_entries(endpoint, requests)
+            results = self._snapshot_each(endpoint, requests)
             span.finish()
             return (results, self._batch_response_bytes(results),
                     cost.client_poll_cpu)

@@ -21,8 +21,8 @@ import pytest
 from repro.net import Fabric, FabricConfig, NetworkDropError, gbps
 from repro.sim import Simulator
 from repro.telemetry import Span
-from repro.transport import (Arena, MemoryRegion, OneRmaTransport,
-                             PonyTransport, RdmaTransport,
+from repro.transport import (Arena, MemoryRegion, OneRmaCostModel,
+                             OneRmaTransport, PonyTransport, RdmaTransport,
                              RegionRevokedError, RemoteHostDownError,
                              RmaOutOfBoundsError)
 
@@ -557,13 +557,13 @@ FAILURE = {'rdma:revoked:read': {'outcome': 'RegionRevokedError',
                                  'failures': 0},
  'rdma:oob:read': {'outcome': 'RmaOutOfBoundsError',
                    'elapsed': '5.791600000000001e-06',
-                   'failures': 0},
+                   'failures': 1},
  'pony:oob:read': {'outcome': 'RmaOutOfBoundsError',
                    'elapsed': '0.050336589599999995',
-                   'failures': 0},
+                   'failures': 1},
  '1rma:oob:read': {'outcome': 'RmaOutOfBoundsError',
                    'elapsed': '0.26844089760000006',
-                   'failures': 0},
+                   'failures': 1},
  'rdma:revoked-entry:read_multi': {'outcome': [64, 'RegionRevokedError', 4096],
                                    'elapsed': '1.192720000000001e-05',
                                    'failures': 1},
@@ -584,10 +584,10 @@ FAILURE = {'rdma:revoked:read': {'outcome': 'RegionRevokedError',
                                'failures': 1},
  'pony:no-program:scar-hit': {'outcome': 'RegionRevokedError',
                               'elapsed': '4.446719999999994e-06',
-                              'failures': 0},
+                              'failures': 1},
  'pony:no-handler:message': {'outcome': 'RegionRevokedError',
                              'elapsed': '4.447657499999995e-06',
-                             'failures': 0}}
+                             'failures': 1}}
 
 
 @pytest.mark.parametrize("transport,op", HAPPY_ROWS)
@@ -604,6 +604,35 @@ def test_exchange_costs_what_it_cost(transport, op):
 def test_exchange_fails_the_way_it_failed(transport, scenario, op):
     assert measure_failure(transport, scenario, op) == \
         FAILURE[f"{transport}:{scenario}:{op}"]
+
+
+@pytest.mark.parametrize("transport,scenario,op", FAILURE_ROWS)
+def test_every_failure_counts_exactly_once(transport, scenario, op):
+    """One rule for ``TransportCounters.failures``: an op the transport
+    fails as a whole (any ``RmaError``), or one failed entry of a batch
+    that otherwise succeeds, is one failure — whichever stage raised it.
+    (An out-of-bounds single read used to count 0 while the same entry in
+    a batch counted 1; so did a missing SCAR program or message handler.)
+    A delivery the fabric drops is counted by the fabric, not here."""
+    expected = 0 if scenario == "partitioned" else 1
+    assert measure_failure(transport, scenario, op)["failures"] == expected
+
+
+def test_onerma_slot_returns_when_the_response_arrives():
+    """The solicitation window bounds solicited bytes in flight, not the
+    initiator's completion work: with a window of one, a second read is
+    admitted the instant the first one's response lands — not after its
+    completion CPU — exactly as a batch always did."""
+    rig = Rig("1rma", cost_model=OneRmaCostModel(solicitation_window_ops=1))
+    sim = rig.sim
+    roots = [Span("op", lambda: sim.now) for _ in range(2)]
+    procs = [sim.process(rig.op("read", trace=root)) for root in roots]
+    sim.run(until=sim.all_of(procs))
+    first_rx = roots[0].find("nic.rx")
+    second_tx = roots[1].find("nic.tx")
+    assert first_rx.duration > 0
+    assert second_tx.end == first_rx.start  # admitted: its nic.tx closes
+    assert rig.window_count() == 0
 
 
 def test_entries_per_exchange_are_a_property_of_the_transport():
