@@ -17,6 +17,7 @@ which is what triggers CliqueMap's RPC-based re-handshake retry path
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -188,7 +189,7 @@ class Transport:
         """Hook: how ``host`` spends CPU posting and reaping an op — a
         callable ``seconds -> awaitable`` (``yield`` its result at once).
         Hardware NICs: the posting thread runs on a host core."""
-        return lambda seconds: host.execute(seconds, "rma-client")
+        return partial(host.execute, component="rma-client")
 
     def _admit(self, host: Host) -> Optional[Any]:
         """Hook: the initiator NIC's claim on an in-flight slot, taken
@@ -256,7 +257,7 @@ class Transport:
         return results
 
     def _book_batch(self, results: Sequence[ReadResult],
-                    engine_seconds: float) -> None:
+                    _response_bytes: int, engine_seconds: float) -> None:
         """Account one coalesced op and the engine/NIC CPU it amortized."""
         n = len(results)
         self.counters.bytes_fetched += sum(

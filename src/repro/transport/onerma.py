@@ -13,6 +13,7 @@ latency per op, which is what Figure 16 plots as a heatmap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, List, Tuple
 
 from ..net import Host
@@ -80,9 +81,12 @@ class OneRmaTransport(Transport):
             span = span.child("backend.serve", host=server_name)
             yield self.sim.delay(cost.server_nic_latency)
             window = endpoint.resolve(region_id)
-            # PCIe read of the payload out of server memory.
-            yield self.sim.delay(cost.pcie_base_latency +
-                                 size / cost.pcie_bytes_per_sec)
+            # PCIe read of the payload out of server memory — unless the
+            # NIC's translation rejects the extent: no transaction then,
+            # and the read below fails at this instant.
+            if endpoint.fits(region_id, offset, size):
+                yield self.sim.delay(cost.pcie_base_latency +
+                                     size / cost.pcie_bytes_per_sec)
             data = window.read(offset, size)  # the snapshot instant
             span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
@@ -106,7 +110,8 @@ class OneRmaTransport(Transport):
         def serve(endpoint, span):
             span = span.child("backend.serve", host=server_name, op="batch")
             yield self.sim.delay(cost.server_nic_latency)
-            total_size = sum(size for _r, _o, size in requests)
+            total_size = sum(size for region_id, offset, size in requests
+                             if endpoint.fits(region_id, offset, size))
             yield self.sim.delay(cost.pcie_base_latency +
                                  total_size / cost.pcie_bytes_per_sec)
             results = self._snapshot_each(endpoint, requests)
@@ -114,11 +119,8 @@ class OneRmaTransport(Transport):
             return (results, self._batch_response_bytes(results),
                     cost.client_complete_cpu)
 
-        def book(results, _response_bytes):
-            self._book_batch(results, cost.client_submit_cpu +
-                             cost.client_complete_cpu)
-
-        return self._exchange(client_host, server_name, trace, n,
-                              self._batch_request_bytes(n),
-                              cost.client_submit_cpu, serve, self._corrupt,
-                              book)
+        return self._exchange(
+            client_host, server_name, trace, n, self._batch_request_bytes(n),
+            cost.client_submit_cpu, serve, self._corrupt,
+            partial(self._book_batch, engine_seconds=cost.client_submit_cpu +
+                    cost.client_complete_cpu))

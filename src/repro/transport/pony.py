@@ -161,7 +161,8 @@ class PonyTransport(Transport):
         def serve(endpoint, span):
             group = self.engine_groups[server_name]
             span = span.child("backend.serve", host=server_name)
-            yield group.serve(cost.server_read + self._payload_cost(size))
+            yield group.serve(cost.server_read + self._payload_cost(
+                size if endpoint.fits(region_id, offset, size) else 0))
             # The snapshot instant: resolve -> extent -> read.
             data = endpoint.resolve(region_id).read(offset, size)
             span.finish()
@@ -193,7 +194,8 @@ class PonyTransport(Transport):
             nonlocal engine_seconds
             group = self.engine_groups[server_name]
             span = span.child("backend.serve", host=server_name, op="batch")
-            total_size = sum(size for _r, _o, size in requests)
+            total_size = sum(size for region_id, offset, size in requests
+                             if endpoint.fits(region_id, offset, size))
             serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
                           self._payload_cost(total_size))
             yield group.serve(serve_cost)
@@ -204,8 +206,8 @@ class PonyTransport(Transport):
             engine_seconds = tx_cost + serve_cost + rx_cost
             return results, resp_bytes, rx_cost
 
-        def book(results, _response_bytes):
-            self._book_batch(results, engine_seconds)
+        def book(results, response_bytes):
+            self._book_batch(results, response_bytes, engine_seconds)
 
         return self._exchange(client_host, server_name, trace, n, req_bytes,
                               tx_cost, serve, self._corrupt, book)
@@ -228,14 +230,18 @@ class PonyTransport(Transport):
                 raise RegionRevokedError(index_region_id)
             group = self.engine_groups[server_name]
             span = span.child("backend.serve", host=server_name, op="scar")
-            yield group.serve(cost.server_read + cost.scar_scan +
-                              self._payload_cost(bucket_size))
+            yield group.serve(
+                cost.server_read + cost.scar_scan + self._payload_cost(
+                    bucket_size if endpoint.fits(
+                        index_region_id, bucket_offset, bucket_size) else 0))
             bucket = endpoint.resolve(index_region_id).read(bucket_offset,
                                                             bucket_size)
 
             data: Optional[bytes] = None
             pointer = endpoint.scar_program(bucket, key_hash)
-            if pointer is not None:
+            # A pointer the window cannot hold (a torn or corrupted entry)
+            # is not followed: it buys no engine time.
+            if pointer is not None and endpoint.fits(*pointer):
                 data_region_id, data_offset, data_size = pointer
                 try:
                     data_window = endpoint.resolve(data_region_id)

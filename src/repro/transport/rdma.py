@@ -10,6 +10,7 @@ is the plainest of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator
 
 from ..net import Host
@@ -75,11 +76,8 @@ class RdmaTransport(Transport):
             return (results, self._batch_response_bytes(results),
                     cost.client_poll_cpu)
 
-        def book(results, _response_bytes):
-            self._book_batch(results,
-                             cost.client_post_cpu + cost.client_poll_cpu)
-
-        return self._exchange(client_host, server_name, trace, n,
-                              self._batch_request_bytes(n),
-                              cost.client_post_cpu, serve, self._corrupt,
-                              book)
+        return self._exchange(
+            client_host, server_name, trace, n, self._batch_request_bytes(n),
+            cost.client_post_cpu, serve, self._corrupt,
+            partial(self._book_batch, engine_seconds=cost.client_post_cpu +
+                    cost.client_poll_cpu))

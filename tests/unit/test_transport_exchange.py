@@ -559,10 +559,10 @@ FAILURE = {'rdma:revoked:read': {'outcome': 'RegionRevokedError',
                    'elapsed': '5.791600000000001e-06',
                    'failures': 1},
  'pony:oob:read': {'outcome': 'RmaOutOfBoundsError',
-                   'elapsed': '0.050336589599999995',
+                   'elapsed': '4.9416e-06',
                    'failures': 1},
  '1rma:oob:read': {'outcome': 'RmaOutOfBoundsError',
-                   'elapsed': '0.26844089760000006',
+                   'elapsed': '4.841600000000005e-06',
                    'failures': 1},
  'rdma:revoked-entry:read_multi': {'outcome': [64, 'RegionRevokedError', 4096],
                                    'elapsed': '1.192720000000001e-05',
@@ -577,10 +577,10 @@ FAILURE = {'rdma:revoked:read': {'outcome': 'RegionRevokedError',
                                'elapsed': '1.192720000000001e-05',
                                'failures': 1},
  'pony:oob-entry:read_multi': {'outcome': [64, 'RmaOutOfBoundsError', 4096],
-                               'elapsed': '0.050342644668750006',
+                               'elapsed': '1.0996668750000012e-05',
                                'failures': 1},
  '1rma:oob-entry:read_multi': {'outcome': [64, 'RmaOutOfBoundsError', 4096],
-                               'elapsed': '0.26844684320000006',
+                               'elapsed': '1.1387200000000005e-05',
                                'failures': 1},
  'pony:no-program:scar-hit': {'outcome': 'RegionRevokedError',
                               'elapsed': '4.446719999999994e-06',
@@ -616,6 +616,71 @@ def test_every_failure_counts_exactly_once(transport, scenario, op):
     A delivery the fabric drops is counted by the fabric, not here."""
     expected = 0 if scenario == "partitioned" else 1
     assert measure_failure(transport, scenario, op)["failures"] == expected
+
+
+@pytest.mark.parametrize("transport", ["pony", "1rma"])
+def test_out_of_bounds_fetch_pays_only_the_fixed_serve_term(transport):
+    """A size field nobody validated (one flipped byte in an IndexEntry's
+    u32 makes it 2**32) must not buy serve time the 1 MiB window could
+    never return: the read fails on the NIC's translation, having held
+    the server engine for ``server_read`` (it was 50.3 ms) or the PCIe
+    stage not at all (268 ms) — the client's op deadline is 10 ms."""
+    rig = Rig(transport)
+    sim = rig.sim
+    got = {}
+
+    def proc():
+        yield from rig.op("read")
+        yield sim.timeout(50e-6)
+        start, busy = sim.now, rig.server.ledger.snapshot()
+        with pytest.raises(RmaOutOfBoundsError):
+            yield from rig.op("read", size=2 ** 32)
+        got.update(elapsed=sim.now - start,
+                   server_cpu=_delta(busy, rig.server.ledger.snapshot()))
+
+    sim.run(until=sim.process(proc()))
+    assert got["elapsed"] < 20e-6
+    if transport == "pony":
+        assert got["server_cpu"] == {
+            "pony": repr(rig.transport.cost.server_read)}
+    else:  # it fails where a revoked region does: before any PCIe work
+        assert repr(got["elapsed"]) == \
+            FAILURE["1rma:revoked:read"]["elapsed"]
+
+
+@pytest.mark.parametrize("transport", ["pony", "1rma"])
+def test_out_of_bounds_entry_does_not_delay_its_batch(transport):
+    """Inside a batch the bad entry adds nothing to the priced payload and
+    rides back as its error value; its siblings are not held up."""
+    all_good = Rig(transport)
+    sim = all_good.sim
+    start = sim.now
+    sim.run(until=sim.process(all_good.op("read_multi")))
+    bad = float(measure_failure(transport, "oob-entry",
+                                "read_multi")["elapsed"])
+    # First op on a cold rig vs. a warm one: the same to well under 1us.
+    assert abs(bad - (sim.now - start)) < 1e-6
+
+
+def test_scar_does_not_follow_a_pointer_the_window_cannot_hold():
+    """The followed pointer comes out of fetched memory: a torn entry
+    naming 2**32 bytes returns just the bucket, at a miss's price."""
+    rig = Rig("pony")
+    rig.arena.write(16, struct.pack("<qqq", rig.window.region_id, 4096,
+                                    2 ** 32))
+    sim = rig.sim
+    got = {}
+
+    def proc():
+        yield from rig.op("scar-miss")
+        yield sim.timeout(50e-6)
+        busy = rig.server.ledger.snapshot()
+        got["payload"] = _shape((yield from rig.op("scar-hit")))
+        got["server_cpu"] = _delta(busy, rig.server.ledger.snapshot())
+
+    sim.run(until=sim.process(proc()))
+    assert got == {"payload": [40, None],
+                   "server_cpu": HAPPY["pony:scar-miss"]["server_cpu"]}
 
 
 def test_onerma_slot_returns_when_the_response_arrives():
