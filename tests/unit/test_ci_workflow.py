@@ -61,3 +61,21 @@ def test_every_pytest_path_exists():
     assert len(paths) >= 10
     for path in paths:
         assert (ROOT / path).exists(), path
+
+
+def test_every_runtime_dependency_is_imported_somewhere():
+    """``pip install -e .[dev]`` is what every CI job runs, so a runtime
+    dependency nothing imports is installed in all of them for nothing
+    (``numpy`` was listed for ten PRs and imported by none)."""
+    import re
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*?)\]", pyproject,
+                         re.S | re.M).group(1)
+    names = [re.split(r"[<>=!~\[; ]", spec, maxsplit=1)[0]
+             for spec in re.findall(r'"([^"]+)"', declared)]
+    sources = "\n".join(path.read_text()
+                        for path in (ROOT / "src").rglob("*.py"))
+    unused = [name for name in names if not re.search(
+        rf"^\s*(import|from) {re.escape(name.replace('-', '_'))}\b",
+        sources, re.M)]
+    assert unused == []
