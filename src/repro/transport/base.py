@@ -1,23 +1,18 @@
 """Transport abstraction: one wire exchange over the simulated fabric.
 
-Every op a transport offers — ``read``, ``read_multi``, Pony's ``scar``
-and ``message`` — is the same exchange (:meth:`Transport._exchange`): the
-initiator posts, the request crosses the fabric, the remote is alive or
-the op times out, the NIC/engine serves and snapshots memory, the
-response crosses back (possibly corrupted in flight), the initiator reaps
-the completion. Concrete transports (generic RDMA, Pony Express, 1RMA)
-declare what differs per op and override three hooks; they share the
-endpoint registry and the failure envelope: ops against a crashed host
-time out with :class:`RemoteHostDownError`; reads against revoked/unknown
-regions fail with :class:`RegionRevokedError` carried back to the client,
-which is what triggers CliqueMap's RPC-based re-handshake retry path
-(§4.1).
+Every op — ``read``, ``read_multi``, Pony's ``scar`` and ``message`` — is
+the same exchange (:meth:`Transport._exchange`); concrete transports
+(generic RDMA, Pony Express, 1RMA) declare what differs per op and share
+the endpoint registry and the failure envelope: ops against a crashed
+host time out with :class:`RemoteHostDownError`; reads against
+revoked/unknown regions fail with :class:`RegionRevokedError` carried
+back to the client, which is what triggers CliqueMap's RPC-based
+re-handshake retry path (§4.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -82,8 +77,7 @@ class Transport:
 
     def _check_remote(self, server_name: str,
                       client_host: Host) -> Optional[RmaEndpoint]:
-        """The live endpoint an op has reached; ``None`` for a dead one
-        (callers then ``yield from self._remote_down(server_name)``).
+        """The live endpoint an op has reached; ``None`` for a dead one.
 
         RMA protocols are not applicable across the WAN (Table 1): a
         cross-zone op fails immediately, pushing clients to the RPC
@@ -96,13 +90,6 @@ class Transport:
                 f"RMA to {server_name} crosses zones; use RPC for WAN")
         return endpoint
 
-    def _remote_down(self, server_name: str) -> Generator:
-        """Fail like a timed-out op: the remote is dead (a generator)."""
-        yield self.sim.delay(self.op_timeout)
-        raise RemoteHostDownError(f"op to {server_name} timed out")
-
-    # -- the one wire exchange --------------------------------------------
-
     def _exchange(self, client_host: Host, server_name: str, trace,
                   entries: int, request_bytes: int, tx_cost: float,
                   serve: Callable[[RmaEndpoint, Any], Generator],
@@ -110,29 +97,18 @@ class Transport:
                   book: Callable[[Any, int], None]) -> Generator:
         """Run one op: request -> serve -> response; returns its payload.
 
-        Every public op *returns* this generator — no frame of its own:
-        a leg is resumed once per scheduler entry, and every resume walks
-        the whole ``yield from`` chain — and declares only what differs:
-
-        * ``entries``: 0 for a single op (``nic.tx`` / ``nic.rx`` spans
-          around its client work), n for a coalesced op (one ``nic.batch``
-          span end to end, and each transfer tells the fabric it carries
-          n ops);
-        * ``request_bytes`` and ``tx_cost``: what goes on the wire and
-          what posting it costs the initiator;
-        * ``serve(endpoint, span)``, a generator: the one stage that knows
-          engines from NIC latency from PCIe. Opens ``backend.serve``
-          under ``span``, snapshots memory, returns ``(payload,
-          response_bytes, rx_cost)``; an op that fails as a whole raises
-          from it, so no response leg runs;
-        * ``land(payload)``: how an in-flight corruption of the response
-          lands on the payload (``None``: the op rides an integrity
-          layer);
-        * ``book(payload, response_bytes)``: the counters a completed op
-          books.
-
-        Per transport, three hooks differ instead: :meth:`_initiator`,
-        :meth:`_admit`, :meth:`_stamp`.
+        Every public op *returns* this generator (no frame of its own: a
+        leg's every resume walks the whole ``yield from`` chain) and
+        declares only what differs (docs/ARCHITECTURE.md §4): ``entries``,
+        0 for a single op (``nic.tx`` / ``nic.rx`` spans) or n for a
+        coalesced one (one ``nic.batch`` span, ``parts=n`` transfers);
+        request bytes and tx cost; ``serve(endpoint, span)``, a generator
+        that opens ``backend.serve``, snapshots memory and returns
+        ``(payload, response_bytes, rx_cost)`` — or raises, failing the op
+        with no response leg; ``land(payload)``, how an in-flight
+        corruption lands (``None``: never); ``book(payload,
+        response_bytes)``, its counters. Transports differ in three hooks:
+        :meth:`_initiator`, :meth:`_admit`, :meth:`_stamp`.
         """
         trace = trace or NULL_SPAN
         if entries:
@@ -154,24 +130,24 @@ class Transport:
                 client_host, endpoint.host if endpoint is not None
                 else self.fabric.host(server_name),
                 request_bytes, trace, entries or 1)
-            endpoint = self._check_remote(server_name, client_host) or \
-                (yield from self._remote_down(server_name))
+            endpoint = self._check_remote(server_name, client_host)
+            if endpoint is None:  # dead: fail like a timed-out op
+                yield self.sim.delay(self.op_timeout)
+                raise RemoteHostDownError(f"op to {server_name} timed out")
             payload, response_bytes, rx_cost = yield from serve(endpoint,
                                                                 trace)
             corrupted = yield from self.fabric.deliver(
                 endpoint.host, client_host, response_bytes, trace,
                 entries or 1)
         except RmaError:
-            # The one rule for ``failures``: an op the transport fails as
-            # a whole counts once, here, whatever stage raised it (a
-            # batch's failed entries count once each, in _snapshot_each).
-            # A delivery the fabric drops is the fabric's to count.
+            # The one rule: an op the transport fails counts once, here
+            # (a batch's failed entries in _snapshot_each; a dropped
+            # delivery is the fabric's to count).
             self.counters.failures += 1
             raise
         finally:
-            # Admission bounds what is in flight, not the initiator's
-            # completion work: the claim goes back when the response has
-            # arrived, or the op has failed, and nowhere else.
+            # Admission bounds what is in flight, not completion work:
+            # released when the response arrives or the op fails.
             if slot is not None:
                 slot.resource.release(slot)
         if corrupted and land is not None:
@@ -186,20 +162,18 @@ class Transport:
         return payload
 
     def _initiator(self, host: Host) -> Callable[[float], Any]:
-        """Hook: how ``host`` spends CPU posting and reaping an op — a
-        callable ``seconds -> awaitable`` (``yield`` its result at once).
-        Hardware NICs: the posting thread runs on a host core."""
-        return partial(host.execute, component="rma-client")
+        """Hook: how ``host`` spends CPU posting and reaping an op, as
+        ``seconds -> awaitable``. Hardware NICs: a thread on a host core."""
+        return lambda seconds: host.execute(seconds, "rma-client")
 
     def _admit(self, host: Host) -> Optional[Any]:
-        """Hook: the initiator NIC's claim on an in-flight slot, taken
-        after posting — a :class:`~repro.sim.Request` the exchange waits
-        on and releases, or ``None`` when nothing bounds outstanding ops."""
+        """Hook: a claim on an in-flight slot, taken after posting (a
+        :class:`~repro.sim.Request`), or ``None``: nothing bounds them."""
         return None
 
     def _stamp(self, issued_at: float) -> None:
-        """Hook: the response to an admitted command, put on the wire at
-        ``issued_at``, has just arrived."""
+        """Hook: the response to a command admitted at ``issued_at`` has
+        just arrived."""
 
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:
@@ -222,21 +196,13 @@ class Transport:
         still raise, exactly like :meth:`read`.
 
         All descriptors ride one fabric transfer, amortizing the per-op
-        costs (§7.1). It stays a separate op from :meth:`read`: wire
-        bytes, span shape, error semantics and counters all differ, and
-        only the sequence around them is shared.
+        costs (§7.1); subclasses implement a non-empty batch's timing as
+        ``_read_batch(client_host, server_name, requests, n, trace)``.
         """
         if not requests:
             return _empty_batch()
         return self._read_batch(client_host, server_name, requests,
                                 len(requests), trace)
-
-    def _read_batch(self, client_host: Host, server_name: str,
-                    requests: Sequence[ReadRequest], n: int,
-                    trace) -> Generator:
-        """:meth:`read_multi` for a non-empty batch of ``n`` entries;
-        subclasses implement the timing."""
-        raise NotImplementedError
 
     def _book_read(self, data: bytes, _response_bytes: int) -> None:
         self.counters.reads += 1
@@ -244,8 +210,7 @@ class Transport:
 
     def _snapshot_each(self, endpoint: RmaEndpoint,
                        requests: Sequence[ReadRequest]) -> List[ReadResult]:
-        """Snapshot every entry of a batch (resolve -> extent -> read, as
-        a single read does), per-entry errors as values."""
+        """Snapshot every entry of a batch, per-entry errors as values."""
         results: List[ReadResult] = []
         for region_id, offset, size in requests:
             try:
@@ -299,12 +264,10 @@ class Transport:
 
         One-sided responses carry raw snapshot bytes with no link-level
         integrity, so a corrupted delivery reaches the client and must be
-        caught by CliqueMap's own checksum/validation path (§5.1). A
-        flipped byte lands somewhere in the payload; modeling it in the
-        largest section keeps the per-op corruption rate equal to the
-        per-delivery rate without corrupting every sibling of a batch.
-        Request legs and message payloads are not corrupted: requests are
-        tiny commands and messaging has its own integrity layer.
+        caught by CliqueMap's own checksum/validation path (§5.1). The
+        flipped byte is modeled in the largest section: the per-op rate
+        equals the per-delivery rate, and a batch's siblings stay clean.
+        (Requests are tiny commands; messaging has an integrity layer.)
         """
         victim = None
         for i, section in enumerate(sections):
@@ -323,7 +286,6 @@ class Transport:
 
 
 def _empty_batch() -> Generator:
-    """An empty batch is no exchange at all: nothing on the wire, no CPU,
-    no counters."""
+    """No exchange at all: nothing on the wire, no CPU, no counters."""
     return []
     yield

@@ -180,13 +180,9 @@ class RmaEndpoint:
 
     def fits(self, region_id: int, offset: int, size: int) -> bool:
         """False only when the region resolves and its registered extent
-        cannot hold ``[offset, offset + size)``.
-
-        That is what a NIC can reject while translating a descriptor,
-        before it prices any payload work — a size field nobody validated
-        must not buy engine or PCIe time the window could never return.
-        A revoked or unknown region is found out at the snapshot, as ever.
-        """
+        cannot hold ``[offset, offset + size)``: what a NIC rejects while
+        translating a descriptor, before it prices any payload work. (A
+        revoked or unknown region is found out at the snapshot.)"""
         window = self._windows.get(region_id)
         return window is None or window.revoked or \
             0 <= offset <= window.limit - size

@@ -13,7 +13,6 @@ latency per op, which is what Figure 16 plots as a heatmap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator, List, Tuple
 
 from ..net import Host
@@ -52,22 +51,17 @@ class OneRmaTransport(Transport):
         self.command_timestamps: List[Tuple[float, float]] = []
         self._windows = {}  # per-initiator solicitation windows
 
-    def _window_for(self, host: Host) -> Resource:
-        window = self._windows.get(host.name)
-        if window is None:
-            window = Resource(self.sim,
-                              capacity=self.cost.solicitation_window_ops,
-                              name=f"1rma-window:{host.name}")
-            self._windows[host.name] = window
-        return window
-
     def _admit(self, host: Host) -> Request:
         """A slot of the initiator NIC's solicitation window."""
-        return self._window_for(host).request()
+        window = self._windows.get(host.name)
+        if window is None:
+            window = self._windows[host.name] = Resource(
+                self.sim, capacity=self.cost.solicitation_window_ops,
+                name=f"1rma-window:{host.name}")
+        return window.request()
 
     def _stamp(self, issued_at: float) -> None:
-        """The NIC's command timestamp: fabric + remote PCIe, measured
-        from when the solicited command went on the wire."""
+        """The NIC's command timestamp: fabric + remote PCIe."""
         if self.record_timestamps:
             self.command_timestamps.append(
                 (self.sim.now, self.sim.now - issued_at))
@@ -81,9 +75,7 @@ class OneRmaTransport(Transport):
             span = span.child("backend.serve", host=server_name)
             yield self.sim.delay(cost.server_nic_latency)
             window = endpoint.resolve(region_id)
-            # PCIe read of the payload out of server memory — unless the
-            # NIC's translation rejects the extent: no transaction then,
-            # and the read below fails at this instant.
+            # PCIe read of the payload; none if translation rejects it.
             if endpoint.fits(region_id, offset, size):
                 yield self.sim.delay(cost.pcie_base_latency +
                                      size / cost.pcie_bytes_per_sec)
@@ -119,8 +111,11 @@ class OneRmaTransport(Transport):
             return (results, self._batch_response_bytes(results),
                     cost.client_complete_cpu)
 
-        return self._exchange(
-            client_host, server_name, trace, n, self._batch_request_bytes(n),
-            cost.client_submit_cpu, serve, self._corrupt,
-            partial(self._book_batch, engine_seconds=cost.client_submit_cpu +
-                    cost.client_complete_cpu))
+        def book(results, response_bytes):
+            self._book_batch(results, response_bytes, cost.client_submit_cpu +
+                             cost.client_complete_cpu)
+
+        return self._exchange(client_host, server_name, trace, n,
+                              self._batch_request_bytes(n),
+                              cost.client_submit_cpu, serve, self._corrupt,
+                              book)

@@ -163,15 +163,13 @@ class PonyTransport(Transport):
             span = span.child("backend.serve", host=server_name)
             yield group.serve(cost.server_read + self._payload_cost(
                 size if endpoint.fits(region_id, offset, size) else 0))
-            # The snapshot instant: resolve -> extent -> read.
-            data = endpoint.resolve(region_id).read(offset, size)
+            data = endpoint.resolve(region_id).read(offset, size)  # snapshot
             span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_rx + self._payload_cost(len(data)))
 
-        # A read command is a fixed 64 bytes: its handling is inside
-        # ``client_tx``, so only variable-size requests (batch, MSG) price
-        # their bytes on the initiating engine.
+        # ``client_tx`` covers a read's fixed 64-byte command; only the
+        # variable-size requests (batch, MSG) price their bytes on top.
         return self._exchange(client_host, server_name, trace, 0,
                               RMA_REQUEST_BYTES, cost.client_tx, serve,
                               self._corrupt_one, self._book_read)
@@ -239,8 +237,8 @@ class PonyTransport(Transport):
 
             data: Optional[bytes] = None
             pointer = endpoint.scar_program(bucket, key_hash)
-            # A pointer the window cannot hold (a torn or corrupted entry)
-            # is not followed: it buys no engine time.
+            # A pointer the window cannot hold (torn, corrupted) is not
+            # followed: it buys no engine time.
             if pointer is not None and endpoint.fits(*pointer):
                 data_region_id, data_offset, data_size = pointer
                 try:
@@ -250,7 +248,7 @@ class PonyTransport(Transport):
                 except (RegionRevokedError, RmaOutOfBoundsError):
                     # Pointer raced with a reshape/eviction; return just
                     # the bucket — the client validates and retries.
-                    data = None
+                    pass
             span.finish()
             resp_bytes = (len(bucket) + (len(data) if data else 0) +
                           RMA_RESPONSE_HEADER_BYTES)
@@ -271,8 +269,8 @@ class PonyTransport(Transport):
         return self._corrupt_one(bucket), data
 
     def _book_scar(self, _response, response_bytes: int) -> None:
-        # A SCAR's fetched bytes are its whole response, header included:
-        # bucket and datum are not separable on the wire.
+        # Fetched bytes are the whole response, header included: bucket
+        # and datum are not separable on the wire.
         self.counters.scars += 1
         self.counters.bytes_fetched += response_bytes
 
@@ -297,7 +295,6 @@ class PonyTransport(Transport):
             handlers = self._msg_handlers.get(server_name, {})
             if name not in handlers:
                 raise RegionRevokedError(-1)
-            server_host = endpoint.host
             group = self.engine_groups[server_name]
             span = span.child("backend.serve", host=server_name, op="msg")
             yield group.serve(cost.server_read +
@@ -305,8 +302,8 @@ class PonyTransport(Transport):
             # Wake an application thread and run the handler on host CPU —
             # the expensive part two-sided designs pay (§6.3).
             app_span = span.child("app-thread")
-            yield server_host.execute(cost.msg_thread_wakeup +
-                                      cost.msg_app_cpu, "msg-app")
+            yield endpoint.host.execute(cost.msg_thread_wakeup +
+                                        cost.msg_app_cpu, "msg-app")
             response_payload, response_bytes = handlers[name](request_payload)
             app_span.finish()
             yield group.serve(cost.client_tx +
@@ -316,13 +313,11 @@ class PonyTransport(Transport):
                     response_bytes + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_rx + self._payload_cost(response_bytes))
 
-        # No ``land``: messaging rides an integrity layer, so an in-flight
-        # corruption never reaches the payload.
-        return self._exchange(client_host, server_name, trace, 0,
-                              request_bytes,
-                              cost.client_tx +
-                              self._payload_cost(request_bytes),
-                              serve, None, self._book_message)
+        # No ``land``: messaging rides an integrity layer.
+        return self._exchange(
+            client_host, server_name, trace, 0, request_bytes,
+            cost.client_tx + self._payload_cost(request_bytes), serve, None,
+            self._book_message)
 
     def _book_message(self, _response, _response_bytes: int) -> None:
         self.counters.messages += 1

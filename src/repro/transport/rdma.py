@@ -10,7 +10,6 @@ is the plainest of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator
 
 from ..net import Host
@@ -47,8 +46,7 @@ class RdmaTransport(Transport):
             # NIC processing + DMA at the server; no server CPU involved.
             span = span.child("backend.serve", host=server_name)
             yield self.sim.delay(cost.server_nic_latency)
-            # The snapshot instant: resolve -> extent -> read.
-            data = endpoint.resolve(region_id).read(offset, size)
+            data = endpoint.resolve(region_id).read(offset, size)  # snapshot
             span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_poll_cpu)
@@ -76,8 +74,11 @@ class RdmaTransport(Transport):
             return (results, self._batch_response_bytes(results),
                     cost.client_poll_cpu)
 
-        return self._exchange(
-            client_host, server_name, trace, n, self._batch_request_bytes(n),
-            cost.client_post_cpu, serve, self._corrupt,
-            partial(self._book_batch, engine_seconds=cost.client_post_cpu +
-                    cost.client_poll_cpu))
+        def book(results, response_bytes):
+            self._book_batch(results, response_bytes,
+                             cost.client_post_cpu + cost.client_poll_cpu)
+
+        return self._exchange(client_host, server_name, trace, n,
+                              self._batch_request_bytes(n),
+                              cost.client_post_cpu, serve, self._corrupt,
+                              book)
