@@ -15,14 +15,15 @@ Two checks ride on one benchmark:
   pre-fast-path kernel; the golden values are that replay, frozen: the
   digest and clock are what both kernels produced up to PR 13, and the
   event count is re-stamped whenever a PR removes scheduler entries on
-  purpose (230,117 before ``hold``). The digest hashes
-  ``repr(latency)`` and depends on set iteration order in the client
-  (ROADMAP item 2), so the slice runs under ``PYTHONHASHSEED=0``.
+  purpose (230,117 before ``hold``). Nothing in the model iterates a
+  set of names or key hashes any more, so the slice runs in this
+  process under whatever hash seed it was launched with (it used to
+  need a fresh ``PYTHONHASHSEED=0`` interpreter); the values survived
+  that fix unchanged, and the process-global region-id counter does not
+  reach the digest — a slice run after other cells reproduces them too.
 """
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -108,16 +109,9 @@ def bench_scale_cell(benchmark):
 
 
 def equivalence_slice(observe: bool = False) -> dict:
-    """Run the equivalence slice in a fresh ``PYTHONHASHSEED=0`` process."""
-    code = ("import json; from repro.analysis import run_scale_workload; "
-            f"print(json.dumps(run_scale_workload(num_hosts={EQUIV_HOSTS}, "
-            f"ops={EQUIV_OPS}, observe={observe})))")
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    """Run the equivalence slice (in this process, under any hash seed)."""
+    return run_scale_workload(num_hosts=EQUIV_HOSTS, ops=EQUIV_OPS,
+                              observe=observe)
 
 
 def bench_scale_digest_matches_golden(benchmark):

@@ -382,7 +382,7 @@ class CliqueMapClient:
         """Fetch cell config and handshake with every serving backend."""
         config = yield from self.config_store.get(self.cell_name)
         self._adopt_config(config)
-        for task in set(self.cell.serving_tasks()):
+        for task in self.cell.serving_tasks():
             yield from self._build_view(task)
 
     def _adopt_config(self, config: CellConfig) -> None:
@@ -456,7 +456,7 @@ class CliqueMapClient:
         config = yield from self.config_store.get(self.cell_name)
         self._adopt_config(config)
         self.stats["config_refreshes"] += 1
-        for task in set(self.cell.serving_tasks()):
+        for task in self.cell.serving_tasks():
             yield from self._build_view(task)
 
     def _note_stale_config(self, config_id: int) -> None:
@@ -495,7 +495,7 @@ class CliqueMapClient:
         try:
             while True:
                 yield self.sim.delay(self.config.reconnect_interval)
-                if task not in set(self.cell.serving_tasks()):
+                if task not in self.cell.serving_tasks():
                     return  # task no longer serves; a refresh will rebuild
                 view = yield from self._build_view(task)
                 if view.health.connected:
@@ -1051,7 +1051,8 @@ class CliqueMapClient:
             lambda i, remaining: self.get(keys[i], remaining),
             self._get_error_result,
             refresh_config=any(config_mismatch[i] for i in fallback),
-            stale_tasks={task for i in fallback for task in stale[i]})
+            stale_tasks=dict.fromkeys(
+                task for i in fallback for task in stale[i]))
         return results
 
     def _finish_batch(self, op: str, root, results: List[Optional[OpResult]],

@@ -174,9 +174,9 @@ class RepairScanner:
     def _find_dirty(self, summaries: Dict[str, Dict[bytes, VersionNumber]]
                     ) -> List:
         """Keys where the replicas disagree, with a quorum-source task."""
-        all_hashes = set()
-        for entries in summaries.values():
-            all_hashes.update(entries)
+        # First-seen order: a set of bytes would follow the hash seed.
+        all_hashes = dict.fromkeys(
+            kh for entries in summaries.values() for kh in entries)
         dirty = []
         for key_hash in all_hashes:
             votes: Dict[Optional[VersionNumber], List[str]] = {}

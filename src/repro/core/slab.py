@@ -127,6 +127,8 @@ class SlabAllocator:
     def _slab_with_free_block(self, cls: int,
                               exclude_slab: Optional[int] = None
                               ) -> Optional[SlabInfo]:
+        # Iterating this set is seed-independent: slab starts are ints,
+        # and an int hashes to itself under every PYTHONHASHSEED.
         for start in self._partial[cls]:
             if start != exclude_slab:
                 return self._slabs[start]

@@ -228,7 +228,7 @@ class ModelState:
         # Fully-delivered mutations are no longer pending; reconstruct
         # them from replica state: any version stored at >= QUORUM
         # replicas was necessarily acked.
-        for version in set(self.stored):
+        for version in sorted(set(self.stored)):
             if version != ABSENT and \
                     sum(1 for s in self.stored if s == version) >= QUORUM:
                 acked.append(version)
@@ -236,7 +236,9 @@ class ModelState:
 
     def cas_outcomes(self) -> Tuple[Mutation, ...]:
         """All CAS mutations, in flight or completed."""
-        return tuple(m for m in tuple(self.pending) + tuple(self.history)
+        # By version: ``history`` is a frozenset, its order the hash seed's.
+        done = sorted(self.history, key=lambda m: m.version)
+        return tuple(m for m in tuple(self.pending) + tuple(done)
                      if m.kind == "cas")
 
     def superseded_by(self, version: int) -> bool:

@@ -39,10 +39,10 @@ def test_one_2xr_get_on_pony_stays_within_its_event_budget():
 
 
 def test_scale_equivalence_slice_reproduces_the_frozen_digest():
-    """The ``bench_scale`` equivalence slice (24 hosts, 2,000 ops, fresh
-    ``PYTHONHASHSEED=0`` process) still produces the per-op outcome
-    digest and final clock it did before the op path shed scheduler
-    entries, and exactly the event count stamped beside them."""
+    """The ``bench_scale`` equivalence slice (24 hosts, 2,000 ops, in
+    this process under whatever hash seed pytest got) still produces the
+    per-op outcome digest and final clock it did before the op path shed
+    scheduler entries, and exactly the event count stamped beside them."""
     spec = importlib.util.spec_from_file_location(
         "bench_scale", ROOT / "benchmarks" / "bench_scale.py")
     bench_scale = importlib.util.module_from_spec(spec)
