@@ -17,7 +17,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..net import Fabric, Host
-from ..sim import Simulator
+from ..sim import Request, Simulator
 from ..telemetry import NULL_SPAN
 from .memory import RemoteHostDownError, RmaEndpoint, RmaError
 
@@ -166,7 +166,7 @@ class Transport:
         ``seconds -> awaitable``. Hardware NICs: a thread on a host core."""
         return lambda seconds: host.execute(seconds, "rma-client")
 
-    def _admit(self, host: Host) -> Optional[Any]:
+    def _admit(self, host: Host) -> Optional[Request]:
         """Hook: a claim on an in-flight slot, taken after posting (a
         :class:`~repro.sim.Request`), or ``None``: nothing bounds them."""
         return None

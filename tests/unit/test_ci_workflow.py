@@ -1,6 +1,7 @@
 """The CI workflow, checked without running Actions: every command line
 it carries must still mean something to this checkout."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -67,7 +68,6 @@ def test_every_runtime_dependency_is_imported_somewhere():
     """``pip install -e .[dev]`` is what every CI job runs, so a runtime
     dependency nothing imports is installed in all of them for nothing
     (``numpy`` was listed for ten PRs and imported by none)."""
-    import re
     pyproject = (ROOT / "pyproject.toml").read_text()
     declared = re.search(r"^dependencies = \[(.*?)\]", pyproject,
                          re.S | re.M).group(1)

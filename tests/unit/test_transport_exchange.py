@@ -58,13 +58,10 @@ class Rig:
             self.transport.register_message_handler(
                 self.server, "lookup", lambda payload: ({"found": True}, 300))
 
-    def op(self, name: str, trace=None, region_id=None, size=256):
+    def op(self, name: str, trace=None, size=256):
         t, rid = self.transport, self.window.region_id
-        if region_id is None:
-            region_id = rid
         if name == "read":
-            return t.read(self.client, "server", region_id, 4096, size,
-                          trace=trace)
+            return t.read(self.client, "server", rid, 4096, size, trace=trace)
         if name == "read_multi":
             return t.read_multi(
                 self.client, "server",
