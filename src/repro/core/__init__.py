@@ -23,8 +23,8 @@ from .index import (ENTRY_BYTES, IndexRegion, ParsedBucket, ParsedIndexEntry,
                     bucket_size, make_scar_program, parse_bucket)
 from .maintenance import (MaintenanceConfig, MaintenanceController,
                           MaintenanceStats)
-from .quorum import (QuorumDecision, QuorumOutcome, ReplicaVote, VoteKind,
-                     evaluate)
+from .quorum import (Ballot, QuorumDecision, QuorumOutcome, ReplicaVote,
+                     VoteKind, evaluate)
 from .repair import RepairConfig, RepairScanner, RepairStats
 from .resize import ResizeConfig, ResizeController, ResizeStats
 from .resilience import (BackendHealth, BackoffPolicy, HealthPolicy,
@@ -52,7 +52,8 @@ __all__ = [
     "ENTRY_BYTES", "IndexRegion", "ParsedBucket", "ParsedIndexEntry",
     "bucket_size", "make_scar_program", "parse_bucket",
     "MaintenanceConfig", "MaintenanceController", "MaintenanceStats",
-    "QuorumDecision", "QuorumOutcome", "ReplicaVote", "VoteKind", "evaluate",
+    "Ballot", "QuorumDecision", "QuorumOutcome", "ReplicaVote", "VoteKind",
+    "evaluate",
     "RepairConfig", "RepairScanner", "RepairStats",
     "ResizeConfig", "ResizeController", "ResizeStats",
     "BackendHealth", "BackoffPolicy", "HealthPolicy", "RetryBudget",

@@ -36,9 +36,9 @@ from .config import CellConfig, ConfigStore, GetStrategy, ReplicationMode
 from .data import try_decode
 from .errors import CliqueMapError, GetStatus, SetStatus
 from .hashing import Placement
-from .index import ParsedBucket, parse_bucket
-from .quorum import (QuorumDecision, QuorumOutcome, ReplicaVote, VoteKind,
-                     evaluate)
+from .index import parse_bucket
+from .quorum import (Ballot, QuorumDecision, QuorumOutcome, ReplicaVote,
+                     VoteKind)
 from .resilience import (BackendHealth, BackoffPolicy, HealthPolicy,
                          RetryBudget)
 from .truetime import TrueTime
@@ -894,28 +894,27 @@ class CliqueMapClient:
         key_hashes = [self.placement.key_hash(key) for key in keys]
         results: List[Optional[GetResult]] = [None] * n
         fallback: Dict[int, str] = {}
+        # Primary/backup ablation: each key awaits its logical primary.
+        force_primary = self.config.force_primary_data_fetch
 
-        # Group every (key, bucket address) by backend task so each
-        # backend serves exactly one coalesced fetch for the whole batch.
+        # One ballot per key, and every (key, bucket address) grouped by
+        # backend task so each backend serves exactly one coalesced fetch
+        # for the whole batch.
         cohorts: List[List[BackendView]] = []
+        ballots: List[Ballot] = []
         per_view: Dict[str, List[Tuple[int, int]]] = {}
         for i, key_hash in enumerate(key_hashes):
             views = self._replica_views(key_hash)
             cohorts.append(views)
+            ballots.append(Ballot(
+                key_hash, len(views), quorum,
+                views[0].task if force_primary and views else None))
             if len(views) < quorum:
                 fallback[i] = "no-healthy-replicas"
                 continue
             for view in views:
                 _bucket, offset = self._bucket_location(view, key_hash)
                 per_view.setdefault(view.task, []).append((i, offset))
-
-        votes: List[List[ReplicaVote]] = [[] for _ in keys]
-        stale: List[List[str]] = [[] for _ in keys]
-        overflow_seen: List[List[bool]] = [[False] for _ in keys]
-        config_mismatch = [False] * n
-        decisions: List[QuorumDecision] = [
-            QuorumDecision(QuorumOutcome.UNDECIDED) for _ in keys]
-        asked = [len(cohort) for cohort in cohorts]
 
         index_span = root.child("index", batch=n, backends=len(per_view))
         pending: Dict[object, Tuple[BackendView, List[Tuple[int, int]]]] = {}
@@ -926,58 +925,31 @@ class CliqueMapClient:
             pending[proc] = (view, entries)
 
         data_procs: Dict[object, Tuple[int, str]] = {}
-        fetching: set = set()
 
         def start_data_fetch(i: int, span) -> None:
-            decision = decisions[i]
-            task = None
-            if self.config.force_primary_data_fetch:
-                for view in cohorts[i]:
-                    if decision.includes(view.task):
-                        task = view.task
-                        break
-            else:
-                for vote in votes[i]:
-                    if vote.kind is VoteKind.PRESENT and \
-                            decision.includes(vote.task):
-                        task = vote.task
-                        break
-            if task is None:
-                task = decision.members[0]
-            entry = next(v.entry for v in votes[i]
-                         if v.task == task and v.kind is VoteKind.PRESENT)
+            source = ballots[i].source()
             proc = self.sim.process(self._fetch_data(
-                self._views[task], entry, span))
-            data_procs[proc] = (i, task)
-            fetching.add(i)
+                self._views[source.task], source.entry, span))
+            data_procs[proc] = (i, source.task)
 
-        # Drain the coalesced index fetches as they land, evaluating each
-        # key's quorum incrementally so its data fetch starts the instant
-        # its first responders agree — exactly like the singleton path,
-        # but over scattered votes.
+        # Drain the coalesced index fetches as they land, casting each
+        # entry into its key's ballot so the data fetch starts the
+        # instant the key's first responders agree. Votes landing after
+        # a key settled are still cast (and their quorum CPU charged):
+        # their stale / config flags steer the batch's recovery.
         while pending:
             event, items = yield self.sim.any_of(list(pending))
             view, entries = pending.pop(event)
             if isinstance(items, tuple):  # the whole leg failed as one
                 items = [items] * len(entries)
             for (i, _offset), item in zip(entries, items):
-                vote = self._vote_from(view, item, stale[i], key_hashes[i],
-                                       overflow_seen[i])
-                if item[0] == "config":
-                    config_mismatch[i] = True
-                votes[i].append(vote)
+                ballot = ballots[i]
+                was_settled = ballot.settled
+                ballot.cast(view.task, item)
                 self.host.charge_inline(self.config.costs.quorum_cpu,
                                         "cliquemap-client")
-                if decisions[i].outcome is not QuorumOutcome.UNDECIDED:
-                    continue  # this key already settled
-                decisions[i] = evaluate(votes[i], asked[i], quorum)
-                if decisions[i].outcome is QuorumOutcome.PRESENT:
-                    if self.config.force_primary_data_fetch and not any(
-                            v.task == cohorts[i][0].task for v in votes[i]):
-                        # Primary/backup ablation: await the primary.
-                        decisions[i] = QuorumDecision(
-                            QuorumOutcome.UNDECIDED)
-                        continue
+                if ballot.settled and not was_settled and \
+                        ballot.decision.outcome is QuorumOutcome.PRESENT:
                     # Speculative: this key's data fetch starts while
                     # sibling index fetches are still draining, so it is
                     # recorded under the phase that initiated it — the
@@ -1000,42 +972,34 @@ class CliqueMapClient:
                 trace=self._finish_op("get", status.value, latency, root,
                                       batched=True))
 
-        # Keys still undecided after every vote arrived, plus misses.
+        # Every vote is in: misses finish, unsettled keys fall back.
         overflow_procs: Dict[object, int] = {}
-        for i in range(n):
-            if i in fallback or results[i] is not None:
+        for i, ballot in enumerate(ballots):
+            if i in fallback:
                 continue
-            if decisions[i].outcome is QuorumOutcome.UNDECIDED:
-                decisions[i] = evaluate(votes[i], len(votes[i]), quorum)
-                if decisions[i].outcome is QuorumOutcome.PRESENT and \
-                        i not in fetching:
-                    start_data_fetch(i, data_span)
-            outcome = decisions[i].outcome
+            if not ballot.settled and \
+                    ballot.close().outcome is QuorumOutcome.PRESENT:
+                start_data_fetch(i, data_span)
+            outcome = ballot.decision.outcome
             if outcome is QuorumOutcome.PRESENT:
                 continue  # data fetch in flight
-            if outcome is QuorumOutcome.ABSENT:
-                if self.config.overflow_rpc_lookup and overflow_seen[i][0]:
-                    proc = self.sim.process(self._isolate(
-                        self._maybe_overflow_lookup(
-                            keys[i], cohorts[i], True, root),
-                        lambda _exc: (GetStatus.MISS, None, None)))
-                    overflow_procs[proc] = i
-                else:
-                    yield from finish_key(i, GetStatus.MISS)
-            elif config_mismatch[i]:
-                fallback[i] = "config-mismatch"
-            elif stale[i]:
-                fallback[i] = "stale-view"
+            if outcome is not QuorumOutcome.ABSENT:
+                fallback[i] = ballot.hazard()
+            elif self.config.overflow_rpc_lookup and ballot.overflow:
+                proc = self.sim.process(self._isolate(
+                    self._maybe_overflow_lookup(
+                        keys[i], cohorts[i], True, root),
+                    lambda _exc: (GetStatus.MISS, None, None)))
+                overflow_procs[proc] = i
             else:
-                fallback[i] = "inquorate"
+                yield from finish_key(i, GetStatus.MISS)
 
         while data_procs:
             event, outcome = yield self.sim.any_of(list(data_procs))
             i, task = data_procs.pop(event)
             try:
                 status, value, version = self._validate_data(
-                    keys[i], key_hashes[i], outcome, decisions[i],
-                    stale[i], task)
+                    keys[i], key_hashes[i], outcome, ballots[i], task)
             except _AttemptRetry as retry:
                 fallback[i] = retry.reason
                 continue
@@ -1050,9 +1014,9 @@ class CliqueMapClient:
             "get_multi", root, results, fallback, started, deadline_at,
             lambda i, remaining: self.get(keys[i], remaining),
             self._get_error_result,
-            refresh_config=any(config_mismatch[i] for i in fallback),
+            refresh_config=any(ballots[i].config_mismatch for i in fallback),
             stale_tasks=dict.fromkeys(
-                task for i in fallback for task in stale[i]))
+                task for i in fallback for task in ballots[i].stale))
         return results
 
     def _finish_batch(self, op: str, root, results: List[Optional[OpResult]],
@@ -1094,10 +1058,9 @@ class CliqueMapClient:
         """One coalesced index fetch; per-entry tagged outcomes.
 
         Returns a list aligned with ``offsets`` of the same tuples
-        :meth:`_fetch_index` produces, so votes can be formed with
-        :meth:`_vote_from` unchanged — or, when the whole batch failed
-        in transport, the single ``stale``/``down`` tuple every entry
-        shares. Never raises.
+        :meth:`_fetch_index` produces, ready to cast into each key's
+        ballot — or, when the whole batch failed in transport, the
+        single ``stale``/``down`` tuple every entry shares. Never raises.
         """
         def issue():
             span = trace.child("transport.read_multi", task=view.task,
@@ -1162,16 +1125,12 @@ class CliqueMapClient:
                 continue
             latency = self.sim.now - started
             for i, reply in zip(idxs, replies):
-                if reply.get("found"):
-                    value = yield from self._decode_value(reply["value"])
-                    results[i] = GetResult(
-                        GetStatus.HIT, value=value,
-                        version=VersionNumber.unpack(reply["version"]),
-                        latency=latency)
-                else:
-                    results[i] = GetResult(GetStatus.MISS, latency=latency)
-                self._finish_op("get", results[i].status.value, latency,
-                                root, batched=True)
+                status, value, version = self._lookup_outcome(reply)
+                value = yield from self._decode_value(value)
+                results[i] = GetResult(status, value=value, version=version,
+                                       latency=latency)
+                self._finish_op("get", status.value, latency, root,
+                                batched=True)
         yield from self._finish_batch(
             "get_multi", root, results, fallback, started, deadline_at,
             lambda i, remaining: self.get(keys[i], remaining),
@@ -1207,44 +1166,31 @@ class CliqueMapClient:
                        ) -> Generator:
         """Fan ``fetch`` out to every replica; quorum the votes (§5.1).
 
-        Evaluates the quorum as each leg lands and stops at the first
-        PRESENT/ABSENT decision (once ``await_task`` has voted, when
-        given), abandoning slower legs. ``on_vote(view, vote, result)``
-        sees each vote before it is counted. Finishes ``span`` and
-        raises :class:`_AttemptRetry` when the cohort is inquorate;
-        otherwise returns ``(decision, votes, stale, overflow_seen)``.
+        Casts each leg into one :class:`Ballot` as it lands and stops
+        when the ballot settles, abandoning slower legs.
+        ``on_vote(view, vote, result)`` sees each vote before its quorum
+        CPU is charged. Finishes ``span``; returns the settled ballot, or
+        raises :class:`_AttemptRetry` for the hazard of an unsettled one.
         """
-        total = len(views)
+        ballot = Ballot(key_hash, len(views), quorum, await_task)
         pending = {self.sim.process(fetch(view, key_hash, span)): view
                    for view in views}
-        votes: List[ReplicaVote] = []
-        stale: List[str] = []
-        overflow_seen = [False]
-        config_mismatch = False
-        decision = QuorumDecision(QuorumOutcome.UNDECIDED)
         while pending:
             event, result = yield self.sim.any_of(list(pending))
             view = pending.pop(event)
-            vote = self._vote_from(view, result, stale, key_hash,
-                                   overflow_seen)
-            if result[0] == "config":
-                config_mismatch = True
-            votes.append(vote)
+            vote = ballot.cast(view.task, result)
             if on_vote is not None:
                 on_vote(view, vote, result)
             self.host.charge_inline(self.config.costs.quorum_cpu,
                                     "cliquemap-client")
-            decision = evaluate(votes, total, quorum)
-            if decision.outcome in (QuorumOutcome.PRESENT,
-                                    QuorumOutcome.ABSENT) and (
-                    await_task is None or
-                    any(v.task == await_task for v in votes)):
+            if ballot.settled:
                 break
-        if decision.outcome is QuorumOutcome.UNDECIDED:
-            decision = evaluate(votes, len(votes), quorum)
+        ballot.close()
         span.finish()  # quorum settled: the index phase is over
-        self._raise_for_failures(decision, stale, config_mismatch)
-        return decision, votes, stale, overflow_seen[0]
+        if not ballot.settled:
+            raise _AttemptRetry(ballot.hazard(), ballot.config_mismatch,
+                                tuple(ballot.stale))
+        return ballot
 
     def _attempt_2xr(self, key: bytes, key_hash: bytes,
                      views: List[BackendView], quorum: int,
@@ -1278,36 +1224,34 @@ class CliqueMapClient:
                         self._fetch_data(view, vote.entry, index_span))
                     data_task = view.task
 
-        decision, votes, stale, overflow_seen = yield from \
-            self._collect_votes(self._fetch_index, key_hash, views, quorum,
-                                index_span, speculate, primary)
+        ballot = yield from self._collect_votes(
+            self._fetch_index, key_hash, views, quorum, index_span,
+            speculate, primary)
 
-        if decision.outcome is QuorumOutcome.ABSENT:
+        if ballot.decision.outcome is QuorumOutcome.ABSENT:
             if data_proc is not None:
                 data_proc.defused = True
             return (yield from self._maybe_overflow_lookup(
-                key, views, overflow_seen, span, attempt))
+                key, views, ballot.overflow, span, attempt))
 
         # PRESENT: the data must come from a quorum member at the quorumed
-        # version (§5.1 condition 4).
+        # version (§5.1 condition 4) — the ballot's source. A speculation
+        # that landed in the quorum already is that replica's fetch.
         data_span = span.child("data", attempt=attempt)
-        if data_task is None or data_task not in decision.members:
+        source = ballot.source()
+        if data_task != source.task:
             if data_proc is not None:
                 data_proc.defused = True  # speculation failed; ignore it
-            # Under the ablation insist on the primary when it is in the
-            # quorum, paying its latency even when slow.
-            data_task = primary if primary in decision.members \
-                else decision.members[0]
+            data_task = source.task
             data_proc = self.sim.process(self._fetch_data(
                 next(view for view in views if view.task == data_task),
-                next(v.entry for v in votes if v.task == data_task),
-                data_span))
+                source.entry, data_span))
         result = yield data_proc
         data_span.finish()
         validate_span = span.child("validate", attempt=attempt)
         try:
-            return self._validate_data(key, key_hash, result, decision,
-                                       stale, data_task)
+            return self._validate_data(key, key_hash, result, ballot,
+                                       data_task)
         finally:
             validate_span.finish()
 
@@ -1321,14 +1265,14 @@ class CliqueMapClient:
             if vote.kind is VoteKind.PRESENT:
                 data_by_task[view.task] = result[3]
 
-        decision, votes, stale, overflow_seen = yield from \
-            self._collect_votes(
-                self._fetch_scar, key_hash, views, quorum,
-                span.child("index", attempt=attempt, op="scar"), keep_copy)
+        ballot = yield from self._collect_votes(
+            self._fetch_scar, key_hash, views, quorum,
+            span.child("index", attempt=attempt, op="scar"), keep_copy)
+        decision = ballot.decision
 
         if decision.outcome is QuorumOutcome.ABSENT:
             return (yield from self._maybe_overflow_lookup(
-                key, views, overflow_seen, span, attempt))
+                key, views, ballot.overflow, span, attempt))
 
         # Prefer validating a copy fetched from a quorum member.
         validate_span = span.child("validate", attempt=attempt)
@@ -1346,20 +1290,14 @@ class CliqueMapClient:
         # into a superseded (reshaped) window it returns the bucket only;
         # fall back to a client-side data fetch, which can converge to the
         # currently-advertised window.
-        entry_by_task = {v.task: v.entry for v in votes
-                         if v.kind is VoteKind.PRESENT}
-        view_by_task = {view.task: view for view in views}
-        for task in decision.members:
-            entry = entry_by_task.get(task)
-            if entry is None:
-                continue
-            data_span = span.child("data", attempt=attempt)
-            result = yield from self._fetch_data(view_by_task[task], entry,
-                                                 data_span)
-            data_span.finish()
-            return self._validate_data(key, key_hash, result, decision,
-                                       stale, task)
-        raise _AttemptRetry("validation-torn-or-stale", stale_tasks=())
+        source = ballot.source()
+        data_span = span.child("data", attempt=attempt)
+        result = yield from self._fetch_data(
+            next(view for view in views if view.task == source.task),
+            source.entry, data_span)
+        data_span.finish()
+        return self._validate_data(key, key_hash, result, ballot,
+                                   source.task)
 
     def _attempt_serial(self, key: bytes, key_hash: bytes,
                         views: List[BackendView], span=NULL_SPAN,
@@ -1367,29 +1305,26 @@ class CliqueMapClient:
         """R=1 / R=2-immutable: consult one replica, fall back on failure."""
         last_reason = "no-healthy-replicas"
         for view in views:
-            overflow_seen = [False]
             index_span = span.child("index", attempt=attempt, task=view.task)
             result = yield from self._fetch_index(view, key_hash, index_span)
             index_span.finish()
-            vote = self._vote_from(view, result, [], key_hash, overflow_seen)
-            if isinstance(result, tuple) and result[0] == "config":
+            ballot = Ballot(key_hash, 1, 1)  # each replica decides alone
+            vote = ballot.cast(view.task, result)
+            if ballot.config_mismatch:
                 raise _AttemptRetry("config-mismatch", refresh_config=True)
             if vote.kind is VoteKind.ERROR:
                 last_reason = "replica-error"
                 continue
             if vote.kind is VoteKind.ABSENT:
                 return (yield from self._maybe_overflow_lookup(
-                    key, [view], overflow_seen[0], span, attempt))
+                    key, [view], ballot.overflow, span, attempt))
             data_span = span.child("data", attempt=attempt, task=view.task)
             data_result = yield from self._fetch_data(view, vote.entry,
                                                       data_span)
             data_span.finish()
-            decision = QuorumDecision(QuorumOutcome.PRESENT,
-                                      version=vote.version,
-                                      members=(view.task,), unanimous=True)
             try:
                 return self._validate_data(key, key_hash, data_result,
-                                           decision, [], view.task)
+                                           ballot, view.task)
             except _AttemptRetry as retry:
                 last_reason = retry.reason
                 continue
@@ -1415,14 +1350,8 @@ class CliqueMapClient:
             kind, _task, reply = yield from self._rma_leg(view, issue)
             if kind == "stale":  # no lookup handler: the task is not serving
                 self._leg_down(view)
-            if kind != "ok":
-                continue
-            if not reply.get("found"):
-                return GetStatus.MISS, None, None
-            if reply.get("key") != key:
-                return GetStatus.MISS, None, None  # hash collision guard
-            return (GetStatus.HIT, reply["value"],
-                    VersionNumber.unpack(reply["version"]))
+            if kind == "ok":
+                return self._lookup_outcome(reply, key)
         raise _AttemptRetry("replica-down")
 
     def _attempt_rpc(self, key: bytes, key_hash: bytes, deadline_at: float,
@@ -1443,11 +1372,19 @@ class CliqueMapClient:
                 continue
             finally:
                 lookup_span.finish()
-            if not reply.get("found"):
-                return GetStatus.MISS, None, None
-            version = VersionNumber.unpack(reply["version"])
-            return GetStatus.HIT, reply["value"], version
+            return self._lookup_outcome(reply)
         raise _AttemptRetry("rpc-replicas-unavailable")
+
+    @staticmethod
+    def _lookup_outcome(reply: dict, key: Optional[bytes] = None):
+        """A two-sided lookup reply as ``(status, value, version)``.
+        ``key`` is MSG's guard against a 128-bit hash collision: the
+        reply must carry the key that was asked for."""
+        if not reply.get("found") or \
+                (key is not None and reply.get("key") != key):
+            return GetStatus.MISS, None, None
+        return (GetStatus.HIT, reply["value"],
+                VersionNumber.unpack(reply["version"]))
 
     # -- fetch helpers ---------------------------------------------------------
 
@@ -1573,34 +1510,6 @@ class CliqueMapClient:
 
     # -- vote/validation helpers ------------------------------------------------
 
-    def _vote_from(self, view: BackendView, result, stale: List[str],
-                   key_hash: bytes, overflow_seen: List[bool]
-                   ) -> ReplicaVote:
-        kind = result[0]
-        if kind == "ok":
-            parsed: ParsedBucket = result[2]
-            if parsed.overflow:
-                overflow_seen[0] = True
-            entry = parsed.find(key_hash)
-            if entry is None:
-                return ReplicaVote.absent(view.task)
-            return ReplicaVote.present(view.task, entry)
-        if kind == "stale":
-            stale.append(view.task)
-        # "down" legs already fed the health scoreboard (see _leg_down).
-        return ReplicaVote.error(view.task)
-
-    def _raise_for_failures(self, decision: QuorumDecision,
-                            stale: List[str], config_mismatch: bool) -> None:
-        if decision.outcome in (QuorumOutcome.PRESENT, QuorumOutcome.ABSENT):
-            return
-        if config_mismatch:
-            raise _AttemptRetry("config-mismatch", refresh_config=True,
-                                stale_tasks=tuple(stale))
-        if stale:
-            raise _AttemptRetry("stale-view", stale_tasks=tuple(stale))
-        raise _AttemptRetry("inquorate")
-
     def _charge_validation(self, raw: bytes) -> Generator:
         cost = self.config.costs
         yield self.host.execute(
@@ -1625,18 +1534,19 @@ class CliqueMapClient:
         return GetStatus.HIT, entry.value, entry.version
 
     def _validate_data(self, key: bytes, key_hash: bytes, result,
-                       decision: QuorumDecision, stale: List[str],
-                       data_task: str):
+                       ballot: Ballot, data_task: str):
+        """Validate the data leg fetched from ``data_task`` against the
+        ballot's decision; raises for the hazard when it does not hold."""
         kind = result[0]
         if kind == "stale":
             raise _AttemptRetry("stale-view", stale_tasks=(data_task,))
         if kind == "down":
             raise _AttemptRetry("replica-down")
         raw = result[2]
-        outcome = self._try_validate(key, key_hash, raw, decision)
+        outcome = self._try_validate(key, key_hash, raw, ballot.decision)
         if outcome is None:
             raise _AttemptRetry("validation-torn-or-stale",
-                                stale_tasks=tuple(stale))
+                                stale_tasks=tuple(ballot.stale))
         return outcome
 
     def _maybe_overflow_lookup(self, key: bytes, views: List[BackendView],
@@ -1655,9 +1565,9 @@ class CliqueMapClient:
                             trace=overflow_span)
                     except RpcError:
                         continue
-                    if reply.get("found"):
-                        return (GetStatus.HIT, reply["value"],
-                                VersionNumber.unpack(reply["version"]))
+                    outcome = self._lookup_outcome(reply)
+                    if outcome[0] is GetStatus.HIT:
+                        return outcome
             finally:
                 overflow_span.finish()
         return GetStatus.MISS, None, None
@@ -1748,15 +1658,11 @@ class CliqueMapClient:
             replies = yield from self._mutate_all(
                 method, dict(payload, version=version.pack()),
                 self.placement.key_hash(key), payload_size, root, n)
-            applied, superseded = self._tally(replies)
+            status, applied = self._tally(replies, quorum)
             result = MutationResult(
-                SetStatus.FAILED, version=version, replicas_applied=applied,
+                status, version=version, replicas_applied=applied,
                 latency=self.sim.now - started, attempts=n)
-            if applied >= quorum:
-                result.status = SetStatus.APPLIED
-            elif superseded >= quorum:
-                result.status = SetStatus.SUPERSEDED
-            else:
+            if status is SetStatus.FAILED:
                 last = result
                 raise _AttemptRetry("inquorate")
             return result
@@ -1778,8 +1684,10 @@ class CliqueMapClient:
         return result
 
     @staticmethod
-    def _tally(replies) -> Tuple[int, int]:
-        """Count one key's ``(applied, superseded)`` replica replies."""
+    def _tally(replies, quorum: int) -> Tuple[SetStatus, int]:
+        """Settle one key's mutation over its replica replies (§5.2):
+        APPLIED or SUPERSEDED when a quorum says so, FAILED (inquorate)
+        otherwise — with how many replicas applied it."""
         applied = superseded = 0
         for reply in replies:
             if reply is None:
@@ -1788,7 +1696,11 @@ class CliqueMapClient:
                 applied += 1
             elif reply.get("reason") == "superseded":
                 superseded += 1
-        return applied, superseded
+        if applied >= quorum:
+            return SetStatus.APPLIED, applied
+        if superseded >= quorum:
+            return SetStatus.SUPERSEDED, applied
+        return SetStatus.FAILED, applied
 
     def set_multi(self, items: List[Tuple[bytes, bytes]],
                   deadline: Optional[float] = None) -> Generator:
@@ -1878,15 +1790,12 @@ class CliqueMapClient:
             self.host.charge_inline(self.config.costs.quorum_cpu,
                                     "cliquemap-client")
             latency = self.sim.now - started
-            applied, superseded = self._tally(replies_for[i])
-            if applied >= quorum:
-                status = SetStatus.APPLIED
-                yield from self._note_write_behind(items[i][0], items[i][1])
-            elif superseded >= quorum:
-                status = SetStatus.SUPERSEDED
-            else:
+            status, applied = self._tally(replies_for[i], quorum)
+            if status is SetStatus.FAILED:
                 fallback[i] = "inquorate"
                 continue
+            if status is SetStatus.APPLIED:
+                yield from self._note_write_behind(items[i][0], items[i][1])
             results[i] = MutationResult(
                 status, version=versions[i], replicas_applied=applied,
                 latency=latency,
@@ -1923,7 +1832,7 @@ class CliqueMapClient:
             "Cas", {"key": key, "value": value, "new_version": version.pack(),
                     "expected_version": expected.pack()},
             self.placement.key_hash(key), len(key) + len(value) + 96, root)
-        applied, _superseded = self._tally(replies)
+        status, applied = self._tally(replies, self.cell.mode.quorum)
         latency = self.sim.now - started
         root.finish()
         stored = None
@@ -1932,10 +1841,11 @@ class CliqueMapClient:
                 candidate = VersionNumber.unpack(reply["stored_version"])
                 stored = candidate if stored is None else max(stored,
                                                               candidate)
-        status = SetStatus.FAILED
-        if applied >= self.cell.mode.quorum:
-            status, stored = SetStatus.APPLIED, None
+        if status is SetStatus.APPLIED:
+            stored = None
             yield from self._note_write_behind(key, raw_value)
+        else:
+            status = SetStatus.FAILED  # a superseded CAS lost its race
         return MutationResult(status, version=version,
                               replicas_applied=applied, latency=latency,
                               stored_version=stored,

@@ -6,6 +6,12 @@ the entry's version; an *absent* vote is the key's absence from a fetched
 bucket. Two matching votes decide; a slow or failed third replica can be
 ignored — the property that both masks single failures and lets the client
 prefer the first responder.
+
+:func:`evaluate` is the rule over a list of votes; :class:`Ballot` is one
+key's run of it through one lookup attempt — what a leg's outcome votes,
+when the key is settled, which hazard an unsettled key retries for, and
+which replica serves the datum. Nothing here knows about the simulator,
+so every arrival order can be fed to a ballot directly.
 """
 
 from __future__ import annotations
@@ -106,3 +112,90 @@ def evaluate(votes: List[ReplicaVote], total_replicas: int,
         if best_current + outstanding >= quorum:
             return QuorumDecision(QuorumOutcome.UNDECIDED)
     return QuorumDecision(QuorumOutcome.INQUORATE)
+
+
+_DECIDED = (QuorumOutcome.PRESENT, QuorumOutcome.ABSENT)
+_UNDECIDED = QuorumDecision(QuorumOutcome.UNDECIDED)
+
+
+class Ballot:
+    """One key's votes in one lookup attempt.
+
+    ``asked`` replicas were sent the key's bucket and ``quorum`` matching
+    votes decide. With ``await_task`` (the primary/backup ablation) a
+    decided key stays unsettled until that replica has voted too.
+    """
+
+    __slots__ = ("key_hash", "asked", "quorum", "await_task", "votes",
+                 "stale", "overflow", "config_mismatch", "decision",
+                 "settled")
+
+    def __init__(self, key_hash: bytes, asked: int, quorum: int,
+                 await_task: Optional[str] = None):
+        self.key_hash = key_hash
+        self.asked = asked
+        self.quorum = quorum
+        self.await_task = await_task
+        self.votes: List[ReplicaVote] = []
+        self.stale: List[str] = []      # tasks whose index window was revoked
+        self.overflow = False           # some fetched bucket had spilled
+        self.config_mismatch = False    # some replica serves another config
+        self.decision = _UNDECIDED
+        self.settled = False
+
+    def cast(self, task: str, outcome: tuple) -> ReplicaVote:
+        """Count one leg's tagged outcome: ``("ok", task, bucket, ...)``,
+        or ``stale`` / ``config`` / ``down``, which vote nothing.
+
+        A settled ballot still records late votes — their stale and
+        config flags steer recovery — but its decision no longer moves.
+        """
+        kind = outcome[0]
+        if kind == "ok":
+            bucket = outcome[2]
+            if bucket.overflow:
+                self.overflow = True
+            entry = bucket.find(self.key_hash)
+            vote = ReplicaVote.absent(task) if entry is None \
+                else ReplicaVote.present(task, entry)
+        else:
+            if kind == "stale":
+                self.stale.append(task)
+            elif kind == "config":
+                self.config_mismatch = True
+            vote = ReplicaVote.error(task)
+        self.votes.append(vote)
+        if not self.settled:
+            decision = self.decision = evaluate(self.votes, self.asked,
+                                                self.quorum)
+            if decision.outcome in _DECIDED and (
+                    self.await_task is None or
+                    any(v.task == self.await_task for v in self.votes)):
+                self.settled = True
+        return vote
+
+    def close(self) -> QuorumDecision:
+        """No more votes will come (``await_task``'s included): decide
+        over the ones in hand."""
+        if not self.settled:
+            if self.decision.outcome is QuorumOutcome.UNDECIDED:
+                self.decision = evaluate(self.votes, len(self.votes),
+                                         self.quorum)
+            self.settled = self.decision.outcome in _DECIDED
+        return self.decision
+
+    def hazard(self) -> str:
+        """Why an unsettled key must retry, most specific cause first."""
+        if self.config_mismatch:
+            return "config-mismatch"
+        if self.stale:
+            return "stale-view"
+        return "inquorate"
+
+    def source(self) -> ReplicaVote:
+        """The PRESENT vote whose replica serves the datum (§5.1
+        condition 4): ``await_task`` when it is in the quorum, else the
+        quorum's first responder."""
+        members = self.decision.members
+        task = self.await_task if self.await_task in members else members[0]
+        return next(vote for vote in self.votes if vote.task == task)

@@ -858,7 +858,7 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '67:453cd76e'},
+                             'spans': '67:055aa7d0'},
  'primary:down:multi-1rma': {'keys': ['hit/1/0.00020443291346471288/-/first',
                                       'hit/1/0.00021485030812642806/-/first',
                                       'hit/1/0.00020443291346471288/-/first',
@@ -875,18 +875,18 @@ GOLDEN = \
                                   'fallback': {},
                                   'spans': '46:11a60c19'},
  'primary:down+slow-backup:multi-pony': {'keys': ['hit/1/0.0002049048734647129/-/first',
-                                                  'hit/1/0.0002753013010709342/-/first',
+                                                  'hit/1/0.00021496965093892816/-/first',
                                                   'hit/1/0.0002049048734647129/-/first',
                                                   'miss/1/0.0002049048734647129/-/-'],
-                                         'entries': 86,
+                                         'entries': 85,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:48f17080'},
+                                         'spans': '67:d9c115c6'},
  'primary:down+slow-backup:multi-1rma': {'keys': ['hit/1/0.00020443291346471288/-/first',
-                                                  'hit/1/0.0002751819582584341/-/first',
+                                                  'hit/1/0.00021485030812642806/-/first',
                                                   'hit/1/0.00020443291346471288/-/first',
                                                   'miss/1/0.00020443291346471288/-/-'],
                                          'entries': 88,
@@ -895,7 +895,7 @@ GOLDEN = \
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:9ed63b42'}}
+                                         'spans': '67:57e5e39f'}}
 
 
 @pytest.mark.parametrize("scenario,path", ROWS,

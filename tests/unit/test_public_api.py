@@ -162,8 +162,9 @@ def test_core_surface_is_frozen():
         KEY_HASH_BYTES Placement default_key_hash key_hash_to_int
         ENTRY_BYTES IndexRegion ParsedBucket ParsedIndexEntry bucket_size
         make_scar_program parse_bucket MaintenanceConfig
-        MaintenanceController MaintenanceStats QuorumDecision QuorumOutcome
-        ReplicaVote VoteKind evaluate RepairConfig RepairScanner RepairStats
+        MaintenanceController MaintenanceStats Ballot QuorumDecision
+        QuorumOutcome ReplicaVote VoteKind evaluate RepairConfig
+        RepairScanner RepairStats
         ResizeConfig ResizeController ResizeStats BackendHealth
         BackoffPolicy HealthPolicy RetryBudget SlabAllocator TombstoneCache
         TrueTime VERSION_BYTES VersionFactory VersionNumber""".split())
