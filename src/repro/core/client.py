@@ -236,6 +236,7 @@ def _parent_span(trace):
 # ``client.stats`` keys bumped per completed key in ``_finish_op``: the
 # op's own count, plus the GET outcome (mutation statuses have none).
 _STAT_KEY = {"get": "gets", "set": "sets", "erase": "erases", "cas": "cas",
+             "append": "appends",
              "hit": "hits", "miss": "misses", "error": "get_errors"}
 
 
@@ -295,8 +296,9 @@ class CliqueMapClient:
             "gets": 0, "hits": 0, "misses": 0, "get_errors": 0,
             "retries": 0, "retries_shed": 0, "validation_failures": 0,
             "inquorate": 0, "config_refreshes": 0, "view_refreshes": 0,
-            "sets": 0, "erases": 0, "cas": 0, "overflow_lookups": 0,
-            "torn_reads": 0, "version_races": 0, "sor_hits": 0,
+            "sets": 0, "erases": 0, "cas": 0, "appends": 0,
+            "overflow_lookups": 0, "torn_reads": 0, "version_races": 0,
+            "sor_hits": 0,
         }
 
         # Degradation machinery: decorrelated-jitter backoff (seeded per
@@ -1857,35 +1859,45 @@ class CliqueMapClient:
         """Append to a value: a new mutation type built as a CAS loop (§9).
 
         Uncoordinated per-replica read-modify-write would diverge, so the
-        append is resolved at the client: GET, extend, CAS against the
-        observed version; retried on conflict. Creates the key if absent.
+        append is resolved at the client, one attempt of the op engine
+        at a time: GET, extend, CAS against the observed version (a
+        plain SET creates an absent key); a lost race retries. The inner
+        ops run under this op's span and what is left of its deadline.
         """
         started = self.sim.now
         deadline_at = started + (deadline or self.config.default_deadline)
-        for _attempt in range(self.config.max_retries):
-            if self.sim.now >= deadline_at:
-                break
-            if _attempt:
-                # Linear backoff de-synchronizes contending CAS loops.
-                yield self.sim.delay(self.config.retry_backoff *
-                                     _attempt * (1 + self.client_id % 3))
-            current = yield from self.get(key)
+        root = self.tracer.start("append", client=self.client_id)
+
+        def remaining() -> float:
+            return max(1e-6, deadline_at - self.sim.now)
+
+        def attempt(_n: int) -> Generator:
+            current = yield from self.get(key, remaining(), trace=root)
             if current.status is GetStatus.ERROR:
-                continue
+                raise _AttemptRetry("get-error")
             if current.status is GetStatus.MISS:
-                # Creation race: a plain SET; a concurrent newer mutation
-                # simply supersedes us, and we retry.
-                result = yield from self.set(key, suffix)
-                if result.status is SetStatus.APPLIED:
-                    return result
-                continue
-            result = yield from self.cas(key, current.value + suffix,
-                                         current.version)
-            if result.status is SetStatus.APPLIED:
-                result.latency = self.sim.now - started
-                return result
-        return MutationResult(SetStatus.FAILED,
-                              latency=self.sim.now - started)
+                # Creation race: a concurrent newer mutation supersedes
+                # the SET, and the retry sees its value.
+                result = yield from self.set(key, suffix, remaining(),
+                                             trace=root)
+            else:
+                result = yield from self.cas(
+                    key, current.value + suffix, current.version,
+                    remaining(), trace=root)
+            if result.status is not SetStatus.APPLIED:
+                raise _AttemptRetry("cas-conflict")
+            return result
+
+        result, attempts, reason = yield from self._run_op(
+            "append", root, deadline_at, attempt)
+        if result is None:
+            result = MutationResult(SetStatus.FAILED, error=reason)
+        result.latency = self.sim.now - started
+        result.attempts = attempts
+        root.finish()
+        result.trace = self._finish_op("append", result.status.value,
+                                       result.latency, root)
+        return result
 
     def _mutate_all(self, method: str, payload: dict, key_hash: bytes,
                     payload_size: int, span=NULL_SPAN,

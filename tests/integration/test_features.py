@@ -183,6 +183,69 @@ def test_concurrent_appends_all_land():
     assert sorted(value) == sorted(b"AAAABBBBCCCC")
 
 
+def _append_accounting(cell, client):
+    """One append's footprint in the three accounting channels."""
+    registry = cell.metrics
+    return (client.stats["appends"],
+            registry.total("cliquemap_ops_total", op="append"),
+            registry.total("cliquemap_op_latency_seconds", op="append"),
+            len([e for e in cell.flight.events(kind="op")
+                 if e.fields["op"] == "append"]))
+
+
+def test_append_is_counted_like_every_other_op():
+    """An applied and a failed append each move ``client.stats``, the
+    registry and the flight ring by exactly one, and the whole
+    read-modify-write is one span tree."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony", flight_recorder=True))
+    client = cell.connect_client()
+    assert _append_accounting(cell, client) == (0, 0, 0, 0)
+
+    applied = run(cell, client.append(b"log", b"a"))
+    assert applied.status is SetStatus.APPLIED
+    assert _append_accounting(cell, client) == (1, 1, 1, 1)
+    assert cell.metrics.value("cliquemap_ops_total", op="append",
+                              status="applied") == 1
+    root = applied.trace.root
+    assert root.name == "append" and root.parent is None
+    # (An abandoned SCAR leg that lands after its GET closed is hoisted
+    # here too; the inner ops are what is asserted.)
+    assert [child.name for child in root.children
+            if not child.name.startswith("transport.")] == ["get", "set"]
+    assert cell.tracer.last() is root
+
+    for backend in cell.serving_backends():
+        backend.crash()
+    failed = run(cell, client.append(b"log", b"b", deadline=1e-3))
+    assert failed.status is SetStatus.FAILED and failed.error
+    assert _append_accounting(cell, client) == (2, 2, 2, 2)
+    assert cell.metrics.value("cliquemap_ops_total", op="append",
+                              status="failed") == 1
+    assert cell.metrics.total("cliquemap_retries_total", op="append") >= 1
+
+
+def test_append_on_a_dead_cohort_returns_by_its_deadline():
+    """The engine checks the deadline and hands the inner ops what is
+    left of it; the private loop ran every attempt at the default
+    deadline and came back after 23x its own."""
+    cell, client = build()
+    for backend in cell.serving_backends():
+        backend.crash()
+
+    def app():
+        started = cell.sim.now
+        result = yield from client.append(b"k", b"c", deadline=200e-6)
+        return result, cell.sim.now - started
+
+    result, elapsed = run(cell, app())
+    assert result.status is SetStatus.FAILED
+    assert result.error == "get-error"
+    assert elapsed <= 1.5 * 200e-6
+    assert result.latency == elapsed
+    assert client.stats["appends"] == 1
+
+
 def test_append_with_compression():
     cell, client = build(compressing_config())
 
