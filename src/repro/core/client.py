@@ -240,6 +240,17 @@ _STAT_KEY = {"get": "gets", "set": "sets", "erase": "erases", "cas": "cas",
              "hit": "hits", "miss": "misses", "error": "get_errors"}
 
 
+# Read-through coordinator fetch status -> the GET's ``(status, source,
+# error)``, for a singleton and for a key of a batch alike.
+_SOR_OUTCOME = {
+    "hit": (GetStatus.HIT, "sor", None),
+    "miss": (GetStatus.MISS, "sor", None),
+    "negative": (GetStatus.MISS, "negative", None),
+    "shed": (GetStatus.MISS, "sor", "sor-backfill-shed"),
+    "error": (GetStatus.MISS, "sor", "sor-fetch-failed"),
+}
+
+
 class CliqueMapClient:
     """One application client of a CliqueMap cell."""
 
@@ -772,22 +783,22 @@ class CliqueMapClient:
         absence stays a MISS with the source telling the tiers apart.
         """
         span = root.child("sor.fetch")
-        status, value = yield from self.read_through.fetch(key)
-        span.annotate(result=status).finish()
+        fetched, value = yield from self.read_through.fetch(key)
+        span.annotate(result=fetched).finish()
         latency = self.sim.now - started
         root.finish()
-        if status == "hit":
+        status, source, error = self._sor_outcome(fetched)
+        return GetResult(status, value=value, attempts=attempts,
+                         latency=latency, source=source, error=error,
+                         trace=self._finish_op("get", status.value, latency,
+                                               root))
+
+    def _sor_outcome(self, fetched: str):
+        """A coordinator fetch status as a GET's ``(status, source,
+        error)``; counts the SoR hit."""
+        if fetched == "hit":
             self.stats["sor_hits"] += 1
-            return GetResult(GetStatus.HIT, value=value, attempts=attempts,
-                             latency=latency, source="sor",
-                             trace=self._finish_op("get", "hit", latency,
-                                                   root))
-        source = "negative" if status == "negative" else "sor"
-        error = {"shed": "sor-backfill-shed",
-                 "error": "sor-fetch-failed"}.get(status)
-        return GetResult(GetStatus.MISS, attempts=attempts, latency=latency,
-                         source=source, error=error,
-                         trace=self._finish_op("get", "miss", latency, root))
+        return _SOR_OUTCOME[fetched]
 
     def _read_through_multi(self, keys: List[bytes],
                             results: List["GetResult"]) -> Generator:
@@ -811,17 +822,11 @@ class CliqueMapClient:
         procs = {self.sim.process(rt.fetch(keys[i])): i for i in miss_idx}
         while procs:
             event, outcome = yield self.sim.any_of(list(procs))
-            i = procs.pop(event)
-            status, value = outcome
-            result = results[i]
+            result = results[procs.pop(event)]
+            fetched, result.value = outcome
             result.latency += self.sim.now - t0
-            if status == "hit":
-                self.stats["sor_hits"] += 1
-                result.status = GetStatus.HIT
-                result.value = value
-                result.source = "sor"
-            else:
-                result.source = "negative" if status == "negative" else "sor"
+            result.status, result.source, result.error = \
+                self._sor_outcome(fetched)
         return results
 
     def get_multi(self, keys: List[bytes],

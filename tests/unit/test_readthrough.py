@@ -197,6 +197,60 @@ def test_get_source_field_cache_sor_negative():
     cell.close()
 
 
+def test_get_multi_reads_through_like_a_singleton():
+    """Each batch key the cache tier misses goes through the miss
+    pipeline and reports what a singleton GET would: the SoR's value,
+    the tier that said "absent", or why the fetch did not happen."""
+    cell, sor, coordinator = build(policy=MissPolicy(
+        backfill_budget=1.0, backfill_fill_rate=0.0, fetch_deadline=2e-3,
+        fetch_retries=1))
+    client = cell.connect_client()
+    # A foreground fetch is never shed; class one key's fetch as
+    # backfill against a dry budget to drive that outcome.
+    assert coordinator.backfill_budget.try_spend()
+    fetch = coordinator.fetch
+    coordinator.fetch = lambda key: fetch(
+        key, klass="backfill" if key == b"sor-005" else "foreground")
+
+    def booked(before):
+        return {k: client.stats[k] - before[k]
+                for k in ("gets", "hits", "misses", "sor_hits")}
+
+    def app():
+        yield from client.set(b"cached", b"in-cache")
+        yield from client.get(b"nope")  # SoR miss, remembered
+        before = dict(client.stats)
+        batch = yield from client.get_multi(
+            [b"cached", b"sor-001", b"nope", b"other", b"sor-005"])
+        batch_booked = booked(before)
+        before = dict(client.stats)
+        single = yield from client.get(b"sor-002")
+        single_booked = booked(before)
+        sor.host.crash()
+        failed = yield from client.get_multi([b"sor-006", b"sor-007"])
+        return batch, batch_booked, single, single_booked, failed
+
+    batch, batch_booked, single, single_booked, failed = run(cell, app())
+    assert [(r.status, r.source, r.error, r.value) for r in batch] == [
+        (GetStatus.HIT, "cache", None, b"in-cache"),
+        (GetStatus.HIT, "sor", None, b"durable-1"),
+        (GetStatus.MISS, "negative", None, None),
+        (GetStatus.MISS, "sor", None, None),
+        (GetStatus.MISS, "sor", "sor-backfill-shed", None)]
+    assert [(r.status, r.source, r.error) for r in failed] == \
+        [(GetStatus.MISS, "sor", "sor-fetch-failed")] * 2
+    # Pinned, not endorsed: a batch books its keys against the cache
+    # tier before the miss pipeline runs, so a key the SoR then serves
+    # stays a booked miss (beside sor_hits); a singleton books a hit.
+    assert batch_booked == {"gets": 5, "hits": 1, "misses": 4,
+                            "sor_hits": 1}
+    assert (single.status, single.source) == (GetStatus.HIT, "sor")
+    assert single_booked == {"gets": 1, "hits": 1, "misses": 0,
+                             "sor_hits": 1}
+    client.close()
+    cell.close()
+
+
 def test_set_rides_write_behind_to_sor():
     cell, sor, coordinator = build()
     client = cell.connect_client()
