@@ -49,6 +49,10 @@ from .version import VersionFactory, VersionNumber
 # version tiebreaks and backoff seeds not depend on process history).
 _client_ids = itertools.count(1 << 20)
 
+_TOUCH_BATCH_MAX = 512           # key hashes per batched Touch RPC (§4.2)
+_COMPRESS_CPU_PER_KB = 10e-6     # ~100 MB/s deflate
+_DECOMPRESS_CPU_PER_KB = 3e-6    # ~300 MB/s inflate
+
 
 @dataclass
 class ClientCostModel:
@@ -82,7 +86,6 @@ class ClientConfig:
     mutation_rpc_deadline: float = 5e-3
     touch_enabled: bool = True
     touch_flush_interval: float = 20e-3
-    touch_batch_max: int = 512
     reconnect_interval: float = 2e-3
     overflow_rpc_lookup: bool = True
     # Ablation switch: always fetch the datum from the logical primary
@@ -93,8 +96,6 @@ class ClientConfig:
     # since values are stored wrapped with a 1-byte scheme header.
     compression_enabled: bool = False
     compression_min_bytes: int = 512
-    compress_cpu_per_kb: float = 10e-6      # ~100 MB/s deflate
-    decompress_cpu_per_kb: float = 3e-6     # ~300 MB/s inflate
     costs: ClientCostModel = field(default_factory=ClientCostModel)
 
     def __post_init__(self) -> None:
@@ -123,10 +124,6 @@ class ClientConfig:
             raise CliqueMapError(
                 "ClientConfig.retry_budget_fill_rate must be >= 0, "
                 f"got {self.retry_budget_fill_rate!r}")
-        if self.touch_batch_max < 1:
-            raise CliqueMapError(
-                "ClientConfig.touch_batch_max must be >= 1, "
-                f"got {self.touch_batch_max!r}")
         if self.compression_min_bytes < 0:
             raise CliqueMapError(
                 "ClientConfig.compression_min_bytes must be >= 0, "
@@ -1592,8 +1589,7 @@ class CliqueMapClient:
             return value
         if len(value) >= self.config.compression_min_bytes:
             yield self.host.execute(
-                len(value) / 1024.0 * self.config.compress_cpu_per_kb,
-                "cliquemap-client")
+                len(value) / 1024.0 * _COMPRESS_CPU_PER_KB, "cliquemap-client")
             compressed = zlib.compress(value)
             if len(compressed) < len(value):
                 return self._ZLIB + compressed
@@ -1608,7 +1604,7 @@ class CliqueMapClient:
         scheme, body = stored[:1], stored[1:]
         if scheme == self._ZLIB:
             yield self.host.execute(
-                len(body) / 1024.0 * self.config.decompress_cpu_per_kb,
+                len(body) / 1024.0 * _DECOMPRESS_CPU_PER_KB,
                 "cliquemap-client")
             return zlib.decompress(body)
         return body
@@ -1989,8 +1985,8 @@ class CliqueMapClient:
             view = self._views.get(task)
             if view is None or not view.healthy:
                 continue
-            for i in range(0, len(hashes), self.config.touch_batch_max):
-                batch = hashes[i:i + self.config.touch_batch_max]
+            for i in range(0, len(hashes), _TOUCH_BATCH_MAX):
+                batch = hashes[i:i + _TOUCH_BATCH_MAX]
                 try:
                     yield from view.channel.call(
                         "Touch", {"key_hashes": batch},

@@ -172,9 +172,8 @@ def test_core_surface_is_frozen():
         default_deadline max_retries retry_backoff retry_backoff_cap
         retry_budget_capacity retry_budget_fill_rate health
         mutation_rpc_deadline touch_enabled touch_flush_interval
-        touch_batch_max reconnect_interval overflow_rpc_lookup
-        force_primary_data_fetch compression_enabled compression_min_bytes
-        compress_cpu_per_kb decompress_cpu_per_kb costs""".split()
+        reconnect_interval overflow_rpc_lookup force_primary_data_fetch
+        compression_enabled compression_min_bytes costs""".split()
 
 
 def test_soak_config_fields_are_frozen():

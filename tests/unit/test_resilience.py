@@ -264,7 +264,6 @@ def test_health_policy_validation():
     {"retry_backoff": -1e-6},
     {"retry_backoff": 5e-3, "retry_backoff_cap": 1e-3},
     {"retry_budget_fill_rate": -1.0},
-    {"touch_batch_max": 0},
     {"compression_min_bytes": -1},
 ])
 def test_client_config_rejects_bad_values(kwargs):
