@@ -40,6 +40,22 @@ def test_workflow_keeps_four_jobs_and_every_smoke_row_runs_something():
     assert all(row["run"].strip() for row in rows)
 
 
+def test_the_bench_suite_runs_on_one_interpreter():
+    """``pytest benchmarks/`` is minutes of deterministic simulation
+    (``bench_population``'s 10^7 offered ops, ``bench_parallel`` at full
+    scale): the ``tests`` job runs ``tests/`` on every interpreter of
+    its matrix and the benches on the newest one only."""
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]
+    versions = job["strategy"]["matrix"]["python-version"]
+    assert len(versions) >= 3 and versions[-1] == "3.12"
+    by_target = {step["run"].split()[1]: step
+                 for step in job["steps"] if "pytest" in step.get("run", "")}
+    assert sorted(by_target) == ["benchmarks/", "tests/"]
+    assert "if" not in by_target["tests/"]
+    assert by_target["benchmarks/"]["if"] == \
+        "matrix.python-version == '3.12'"
+
+
 def test_every_cli_line_parses_and_names_a_known_scenario():
     parser = build_parser()
     cli_lines = [words[3:] for words in _command_lines()
