@@ -233,8 +233,8 @@ def _parent_span(trace):
 # ``client.stats`` keys bumped per completed key in ``_finish_op``: the
 # op's own count, plus the GET outcome (mutation statuses have none).
 _STAT_KEY = {"get": "gets", "set": "sets", "erase": "erases", "cas": "cas",
-             "append": "appends",
-             "hit": "hits", "miss": "misses", "error": "get_errors"}
+             "append": "appends", "hit": "hits", "miss": "misses",
+             "error": "get_errors"}
 
 
 # Read-through coordinator fetch status -> the GET's ``(status, source,
@@ -1130,7 +1130,8 @@ class CliqueMapClient:
             latency = self.sim.now - started
             for i, reply in zip(idxs, replies):
                 status, value, version = self._lookup_outcome(reply)
-                value = yield from self._decode_value(value)
+                if status is GetStatus.HIT:
+                    value = yield from self._decode_value(value)
                 results[i] = GetResult(status, value=value, version=version,
                                        latency=latency)
                 self._finish_op("get", status.value, latency, root,
@@ -1192,8 +1193,9 @@ class CliqueMapClient:
         ballot.close()
         span.finish()  # quorum settled: the index phase is over
         if not ballot.settled:
-            raise _AttemptRetry(ballot.hazard(), ballot.config_mismatch,
-                                tuple(ballot.stale))
+            raise _AttemptRetry(ballot.hazard(),
+                                refresh_config=ballot.config_mismatch,
+                                stale_tasks=tuple(ballot.stale))
         return ballot
 
     def _attempt_2xr(self, key: bytes, key_hash: bytes,

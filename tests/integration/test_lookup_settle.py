@@ -122,9 +122,9 @@ def _torn(rig):
     writes = []
     for backend in rig.cohort:
         index = backend.index
-        entry = index.read_entry(
-            index.bucket_for(rig.key_hash),
-            index.find_way(index.bucket_for(rig.key_hash), rig.key_hash))
+        bucket = index.bucket_for(rig.key_hash)
+        entry = index.read_entry(bucket,
+                                 index.find_way(bucket, rig.key_hash))
         good = backend.data.read_at(entry.offset, entry.size)
         backend.data.write_at(entry.offset,
                               good[:-1] + bytes([good[-1] ^ 0xFF]))

@@ -234,8 +234,9 @@ def test_ballot_records_what_the_legs_showed():
         [VoteKind.ERROR, VoteKind.ERROR, VoteKind.PRESENT]
     assert ballot.stale == ["a"] and ballot.config_mismatch
     assert not ballot.overflow
-    ballot.cast("d", ("ok", "d", bucket(overflow=True)))
-    assert ballot.overflow and ballot.votes[-1].kind is VoteKind.ABSENT
+    spilled = Ballot(KEY_HASH, 3, 2)
+    vote = spilled.cast("a", ("ok", "a", bucket(overflow=True)))
+    assert spilled.overflow and vote.kind is VoteKind.ABSENT
 
 
 def test_settled_ballot_records_late_votes_but_does_not_move():
