@@ -930,12 +930,6 @@ class CliqueMapClient:
 
         data_procs: Dict[object, Tuple[int, str]] = {}
 
-        def start_data_fetch(i: int, span) -> None:
-            source = ballots[i].source()
-            proc = self.sim.process(self._fetch_data(
-                self._views[source.task], source.entry, span))
-            data_procs[proc] = (i, source.task)
-
         # Drain the coalesced index fetches as they land, casting each
         # entry into its key's ballot so the data fetch starts the
         # instant the key's first responders agree. Votes landing after
@@ -958,7 +952,10 @@ class CliqueMapClient:
                     # sibling index fetches are still draining, so it is
                     # recorded under the phase that initiated it — the
                     # phase spans themselves stay contiguous.
-                    start_data_fetch(i, index_span)
+                    source = ballot.source()
+                    proc = self.sim.process(self._fetch_data(
+                        self._views[source.task], source.entry, index_span))
+                    data_procs[proc] = (i, source.task)
         index_span.finish()
         # The data phase starts at the simulated instant the index phase
         # ends, so index.duration + data.duration == op latency (the PR 1
@@ -976,19 +973,17 @@ class CliqueMapClient:
                 trace=self._finish_op("get", status.value, latency, root,
                                       batched=True))
 
-        # Every vote is in: misses finish, unsettled keys fall back.
+        # Every asked replica's vote is in (each leg yields one outcome
+        # per entry), so a key no vote settled has no quorum: it falls
+        # back. Misses finish here.
         overflow_procs: Dict[object, int] = {}
         for i, ballot in enumerate(ballots):
             if i in fallback:
                 continue
-            if not ballot.settled and \
-                    ballot.close().outcome is QuorumOutcome.PRESENT:
-                start_data_fetch(i, data_span)
-            outcome = ballot.decision.outcome
-            if outcome is QuorumOutcome.PRESENT:
-                continue  # data fetch in flight
-            if outcome is not QuorumOutcome.ABSENT:
+            if not ballot.settled:
                 fallback[i] = ballot.hazard()
+            elif ballot.decision.outcome is QuorumOutcome.PRESENT:
+                continue  # data fetch in flight
             elif self.config.overflow_rpc_lookup and ballot.overflow:
                 proc = self.sim.process(self._isolate(
                     self._maybe_overflow_lookup(
