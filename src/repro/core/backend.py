@@ -293,11 +293,11 @@ class Backend:
         key_hash = self.placement.key_hash(key)
         lock = yield from self._lock_key(key_hash)
         try:
-            stored = self._stored_version(key_hash)
-            if version <= stored:
+            where = self._locate(key_hash)
+            if version <= self._stored_version(key_hash, where[2]):
                 return {"applied": False, "reason": "superseded",
                         "config_id": self.config_id}
-            yield from self._remove_entry(key_hash)
+            yield from self._remove_entry(key_hash, where)
             self.tombstones.note_erase(key_hash, version)
             self.stats.erases_applied += 1
             return {"applied": True, "reason": "ok",
@@ -318,14 +318,15 @@ class Backend:
         # not both pass the check (that would lose one update).
         lock = yield from self._lock_key(key_hash)
         try:
-            stored = self._stored_version(key_hash)
+            where = self._locate(key_hash)
+            stored = self._stored_version(key_hash, where[2])
             if stored != expected:
                 self.stats.cas_failed += 1
                 return {"applied": False, "reason": "version-mismatch",
                         "stored_version": stored.pack(),
                         "config_id": self.config_id}
             applied, reason = yield from self._apply_set_locked(
-                key, key_hash, value, new_version)
+                key, key_hash, value, new_version, where)
         finally:
             self._unlock_key(key_hash, lock)
         if applied:
@@ -397,11 +398,11 @@ class Backend:
             self.config.scan_cpu_per_entry * max(1, self.resident_keys),
             self._component)
         summary: Dict[bytes, bytes] = {}
-        for key_hash, version in self._iter_versions():
+        for key_hash, packed_version in self._iter_versions():
             if shard_filter is not None and \
                     primary_for(key_hash, num_shards) != shard_filter:
                 continue
-            summary[key_hash] = version.pack()
+            summary[key_hash] = packed_version
         context.response_size_override = 32 * max(1, len(summary))
         return {"entries": summary}
 
@@ -534,13 +535,21 @@ class Backend:
         if lock.count == 0 and lock.queue_len == 0:
             del self._key_locks[key_hash]
 
-    def _stored_version(self, key_hash: bytes) -> VersionNumber:
-        """Highest version known for this key: index, overflow, tombstones."""
-        best = self.tombstones.version_floor(key_hash)
+    def _locate(self, key_hash: bytes):
+        """``(bucket, way, entry)`` of the key at this instant: one way-scan,
+        one materialised entry. ``(bucket, None, None)`` when absent."""
         bucket = self.index.bucket_for(key_hash)
         way = self.index.find_way(bucket, key_hash)
-        if way is not None:
-            best = max(best, self.index.read_entry(bucket, way).version)
+        if way is None:
+            return bucket, None, None
+        return bucket, way, self.index.read_entry(bucket, way)
+
+    def _stored_version(self, key_hash: bytes, entry) -> VersionNumber:
+        """Highest version known for this key: its index ``entry`` (from
+        :meth:`_locate`, under the same key lock), overflow, tombstones."""
+        best = self.tombstones.version_floor(key_hash)
+        if entry is not None:
+            best = max(best, entry.version)
         spilled = self.overflow.get(key_hash)
         if spilled is not None:
             best = max(best, spilled[2])
@@ -553,11 +562,9 @@ class Backend:
         spilled = self.overflow.get(key_hash)
         if spilled is not None and spilled[0] == key:
             return spilled[1], spilled[2]
-        bucket = self.index.bucket_for(key_hash)
-        way = self.index.find_way(bucket, key_hash)
-        if way is None:
+        entry = self._locate(key_hash)[2]
+        if entry is None:
             return None
-        entry = self.index.read_entry(bucket, way)
         raw = self.data.read_at(entry.offset, entry.size)
         decoded = try_decode(raw)
         if decoded is None or decoded.key != key:
@@ -565,10 +572,12 @@ class Backend:
         return decoded.value, decoded.version
 
     def _iter_versions(self):
-        for _bucket, entry in self.index.entries():
-            yield entry.key_hash, entry.version
+        """(key_hash, packed version) of everything resident — the 16
+        bytes the index stores, which is what a scan summary ships."""
+        for _bucket, _way, key_hash, packed in self.index.stored_versions():
+            yield key_hash, packed
         for key_hash, (_k, _v, version) in self.overflow.items():
-            yield key_hash, version
+            yield key_hash, version.pack()
 
     # -- SET machinery -----------------------------------------------------
 
@@ -579,23 +588,24 @@ class Backend:
         key_hash = self.placement.key_hash(key)
         lock = yield from self._lock_key(key_hash)
         try:
-            return (yield from self._apply_set_locked(key, key_hash, value,
-                                                      version))
+            return (yield from self._apply_set_locked(
+                key, key_hash, value, version, self._locate(key_hash)))
         finally:
             self._unlock_key(key_hash, lock)
 
     def _apply_set_locked(self, key: bytes, key_hash: bytes, value: bytes,
-                          version: VersionNumber) -> Generator:
-        stored = self._stored_version(key_hash)
-        if version <= stored:
+                          version: VersionNumber, where) -> Generator:
+        """``where`` is :meth:`_locate`'s answer, under the key lock with
+        no ``yield`` since. What runs after a ``yield`` below (the free-way
+        scan, ``write_entry``'s validity test) reads the index again:
+        eviction, promotion and index resize do not take this key's lock."""
+        bucket, way, entry = where
+        if version <= self._stored_version(key_hash, entry):
             return False, "superseded"
 
         size = entry_size(len(key), len(value))
-        bucket = self.index.bucket_for(key_hash)
-        way = self.index.find_way(bucket, key_hash)
 
         if way is not None:
-            entry = self.index.read_entry(bucket, way)
             block = self.data.allocator.block_size(entry.offset) \
                 if self.data.allocator.is_allocated(entry.offset) else 0
             if block >= size:
@@ -718,18 +728,17 @@ class Backend:
         self.tombstones.forget(key_hash)
         return True, "overflow"
 
-    def _remove_entry(self, key_hash: bytes) -> Generator:
+    def _remove_entry(self, key_hash: bytes, where=None) -> Generator:
         """Eviction/erase procedure: nullify the IndexEntry, then reclaim.
 
         The order (pointer first, data second) plus the combined checksum
         means in-flight 2xR GETs either complete (ordered-before) or
-        poison themselves (§4.2).
+        poison themselves (§4.2). A caller that just located the key
+        (:meth:`_locate`, no ``yield`` since) hands the answer in.
         """
         self.overflow.pop(key_hash, None)
-        bucket = self.index.bucket_for(key_hash)
-        way = self.index.find_way(bucket, key_hash)
+        bucket, way, entry = where or self._locate(key_hash)
         if way is not None:
-            entry = self.index.read_entry(bucket, way)
             self.index.clear_entry(bucket, way)
             yield self.sim.delay(self.config.min_write_step)
             self._free_block(entry.offset)

@@ -6,10 +6,13 @@ number of 64-byte IndexEntries. An IndexEntry is tagged with the 128-bit
 KeyHash, carries the KV pair's VersionNumber (§5.1), and points (region
 id, offset, size) at the DataEntry in the data region.
 
-Both sides speak this byte format: the backend writes entries through
-:class:`IndexRegion`, clients parse raw bucket bytes fetched via RMA with
-:func:`parse_bucket`, and the SCAR program (installed into the software
-NIC) scans the same bytes server-side with :func:`make_scar_program`.
+Three readers speak this byte format, through one way-scan
+(:func:`scan_ways`): clients over the bucket bytes they fetched via RMA
+(:func:`parse_bucket`), the SCAR program (installed into the software
+NIC) over the bytes it snapshots server-side
+(:func:`make_scar_program`), and the backend — the only writer — over
+its own arena, in place (:class:`IndexRegion`). A way becomes an object
+(:func:`parse_entry`) only when somebody wants its fields.
 
 Entries reserve trailing bytes for future evolution — protocol changes
 must be tolerable to deployed readers (§6), which self-validation makes
@@ -31,6 +34,10 @@ BUCKET_HEADER_BYTES = BUCKET_HEADER.size   # 16
 
 ENTRY = struct.Struct("<16s16sQQII8x")     # key_hash, version, region, offset,
 ENTRY_BYTES = ENTRY.size                   # size, flags (+8 reserved) = 64
+# What the readers take from a way without materialising it: the flag
+# word sits at entry offset 52.
+_TAG = struct.Struct("<16s36xI")           # key_hash, flags
+_STORED = struct.Struct("<16s16s20xI")     # key_hash, version, flags
 
 FLAG_OVERFLOW = 0x1        # bucket flag: an entry spilled to the RPC path
 ENTRY_FLAG_VALID = 0x1     # entry flag: slot is occupied
@@ -42,7 +49,7 @@ def bucket_size(ways: int) -> int:
 
 @dataclass(frozen=True)
 class ParsedIndexEntry:
-    """A client-side view of one IndexEntry."""
+    """One IndexEntry, materialised."""
 
     way: int
     key_hash: bytes
@@ -51,6 +58,34 @@ class ParsedIndexEntry:
     offset: int
     size: int
     valid: bool
+
+
+def scan_ways(buf, base: int, ways: int,
+              key_hash: Optional[bytes]) -> Optional[int]:
+    """The one way-loop, over any buffer holding a Bucket at ``base``:
+    the first valid way tagged ``key_hash`` — for ``key_hash=None``, the
+    first free way — or ``None``. Tag and flag word are read in place:
+    no slice, no entry object."""
+    unpack_from = _TAG.unpack_from
+    at = base + BUCKET_HEADER_BYTES
+    for way in range(ways):
+        tag, flags = unpack_from(buf, at)
+        if flags & ENTRY_FLAG_VALID:
+            if tag == key_hash:
+                return way
+        elif key_hash is None:
+            return way
+        at += ENTRY_BYTES
+    return None
+
+
+def parse_entry(buf, at: int, way: int) -> ParsedIndexEntry:
+    """Materialise the IndexEntry at byte ``at`` of ``buf``."""
+    kh, ver, region, offset, size, eflags = ENTRY.unpack_from(buf, at)
+    return ParsedIndexEntry(
+        way=way, key_hash=kh, version=VersionNumber.unpack(ver),
+        region_id=region, offset=offset, size=size,
+        valid=bool(eflags & ENTRY_FLAG_VALID))
 
 
 class ParsedBucket:
@@ -74,30 +109,21 @@ class ParsedBucket:
         self._ways = ways
         self._entries: Optional[Tuple[ParsedIndexEntry, ...]] = None
 
-    def _parse_way(self, way: int) -> ParsedIndexEntry:
-        kh, ver, region, offset, size, eflags = ENTRY.unpack_from(
-            self._raw, BUCKET_HEADER_BYTES + way * ENTRY_BYTES)
-        return ParsedIndexEntry(
-            way=way, key_hash=kh, version=VersionNumber.unpack(ver),
-            region_id=region, offset=offset, size=size,
-            valid=bool(eflags & ENTRY_FLAG_VALID))
-
     @property
     def entries(self) -> Tuple[ParsedIndexEntry, ...]:
         if self._entries is None:
             self._entries = tuple(
-                self._parse_way(way) for way in range(self._ways))
+                parse_entry(self._raw,
+                            BUCKET_HEADER_BYTES + way * ENTRY_BYTES, way)
+                for way in range(self._ways))
         return self._entries
 
     def find(self, key_hash: bytes) -> Optional[ParsedIndexEntry]:
-        raw = self._raw
-        unpack_from = ENTRY.unpack_from
-        for way in range(self._ways):
-            kh, _ver, _region, _offset, _size, eflags = unpack_from(
-                raw, BUCKET_HEADER_BYTES + way * ENTRY_BYTES)
-            if (eflags & ENTRY_FLAG_VALID) and kh == key_hash:
-                return self._parse_way(way)
-        return None
+        way = scan_ways(self._raw, 0, self._ways, key_hash)
+        if way is None:
+            return None
+        return parse_entry(self._raw,
+                           BUCKET_HEADER_BYTES + way * ENTRY_BYTES, way)
 
 
 def parse_bucket(data: bytes, ways: int) -> ParsedBucket:
@@ -119,13 +145,11 @@ def make_scar_program(ways: int):
     """
 
     def program(bucket_bytes: bytes, key_hash: bytes):
-        for way in range(ways):
-            off = BUCKET_HEADER_BYTES + way * ENTRY_BYTES
-            kh, _ver, region, offset, size, eflags = ENTRY.unpack_from(
-                bucket_bytes, off)
-            if (eflags & ENTRY_FLAG_VALID) and kh == key_hash:
-                return (region, offset, size)
-        return None
+        way = scan_ways(bucket_bytes, 0, ways, key_hash)
+        if way is None:
+            return None
+        return ENTRY.unpack_from(
+            bucket_bytes, BUCKET_HEADER_BYTES + way * ENTRY_BYTES)[2:5]
 
     return program
 
@@ -134,7 +158,8 @@ class IndexRegion:
     """The backend-side owner of the index bytes.
 
     All mutation happens here (inside RPC handlers); clients only ever see
-    raw bytes via RMA.
+    raw bytes via RMA. The owner reads its bytes where they lie (the
+    arena's buffer); only :meth:`read_entry` makes a way an object.
     """
 
     def __init__(self, num_buckets: int, ways: int, config_id: int):
@@ -143,22 +168,18 @@ class IndexRegion:
         self.num_buckets = num_buckets
         self.ways = ways
         self.config_id = config_id
-        total = num_buckets * bucket_size(ways)
-        self.arena = Arena(total, total)
+        self.bucket_bytes = bucket_size(ways)
+        self.total_bytes = num_buckets * self.bucket_bytes
+        self.arena = Arena(self.total_bytes, self.total_bytes)
         self.window = MemoryRegion(self.arena)
+        self._buf = self.arena.buffer   # read in place; writes go via arena
         self._used_entries = 0
-        for b in range(num_buckets):
-            self._write_header(b, flags=0)
+        # Every bucket starts as a stamped header over zeroed (free) ways.
+        self.arena.write(0, num_buckets * (
+            BUCKET_HEADER.pack(BUCKET_MAGIC, config_id, 0, 0) +
+            bytes(ways * ENTRY_BYTES)))
 
     # -- geometry -------------------------------------------------------
-
-    @property
-    def bucket_bytes(self) -> int:
-        return bucket_size(self.ways)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.num_buckets * self.bucket_bytes
 
     def bucket_for(self, key_hash: bytes) -> int:
         # Low 64 bits pick the bucket (high bits picked the shard).
@@ -187,8 +208,8 @@ class IndexRegion:
                                             flags, 0))
 
     def read_flags(self, bucket: int) -> int:
-        raw = self.arena.read(self.bucket_offset(bucket), BUCKET_HEADER_BYTES)
-        return BUCKET_HEADER.unpack(raw)[2]
+        return BUCKET_HEADER.unpack_from(
+            self._buf, self.bucket_offset(bucket))[2]
 
     def set_overflow(self, bucket: int, value: bool) -> None:
         flags = self.read_flags(bucket)
@@ -206,47 +227,49 @@ class IndexRegion:
     def write_entry(self, bucket: int, way: int, key_hash: bytes,
                     version: VersionNumber, region_id: int, offset: int,
                     size: int) -> None:
-        was_valid = self.read_entry(bucket, way).valid
+        at = self.entry_offset(bucket, way)
+        was_valid = _TAG.unpack_from(self._buf, at)[1] & ENTRY_FLAG_VALID
         self.arena.write(
-            self.entry_offset(bucket, way),
-            ENTRY.pack(key_hash, version.pack(), region_id, offset, size,
-                       ENTRY_FLAG_VALID))
+            at, ENTRY.pack(key_hash, version.pack(), region_id, offset, size,
+                           ENTRY_FLAG_VALID))
         if not was_valid:
             self._used_entries += 1
 
     def clear_entry(self, bucket: int, way: int) -> None:
-        if self.read_entry(bucket, way).valid:
+        at = self.entry_offset(bucket, way)
+        if _TAG.unpack_from(self._buf, at)[1] & ENTRY_FLAG_VALID:
             self._used_entries -= 1
-        self.arena.write(self.entry_offset(bucket, way), bytes(ENTRY_BYTES))
+        self.arena.write(at, bytes(ENTRY_BYTES))
 
     def read_entry(self, bucket: int, way: int) -> ParsedIndexEntry:
-        raw = self.arena.read(self.entry_offset(bucket, way), ENTRY_BYTES)
-        kh, ver, region, offset, size, eflags = ENTRY.unpack(raw)
-        return ParsedIndexEntry(
-            way=way, key_hash=kh, version=VersionNumber.unpack(ver),
-            region_id=region, offset=offset, size=size,
-            valid=bool(eflags & ENTRY_FLAG_VALID))
+        return parse_entry(self._buf, self.entry_offset(bucket, way), way)
 
     def find_way(self, bucket: int, key_hash: bytes) -> Optional[int]:
-        for way in range(self.ways):
-            entry = self.read_entry(bucket, way)
-            if entry.valid and entry.key_hash == key_hash:
-                return way
-        return None
+        return scan_ways(self._buf, self.bucket_offset(bucket), self.ways,
+                         key_hash)
 
     def find_free_way(self, bucket: int) -> Optional[int]:
-        for way in range(self.ways):
-            if not self.read_entry(bucket, way).valid:
-                return way
-        return None
+        return scan_ways(self._buf, self.bucket_offset(bucket), self.ways,
+                         None)
+
+    def stored_versions(self) -> Iterator[Tuple[int, int, bytes, bytes]]:
+        """Yield (bucket, way, key_hash, packed version) for every valid
+        entry: the stored bytes, nothing materialised."""
+        buf = self._buf
+        unpack_from = _STORED.unpack_from
+        at = 0
+        for bucket in range(self.num_buckets):
+            at += BUCKET_HEADER_BYTES
+            for way in range(self.ways):
+                key_hash, version, flags = unpack_from(buf, at)
+                if flags & ENTRY_FLAG_VALID:
+                    yield bucket, way, key_hash, version
+                at += ENTRY_BYTES
 
     def entries(self) -> Iterator[Tuple[int, ParsedIndexEntry]]:
         """Yield (bucket, entry) for every valid entry."""
-        for bucket in range(self.num_buckets):
-            for way in range(self.ways):
-                entry = self.read_entry(bucket, way)
-                if entry.valid:
-                    yield bucket, entry
+        for bucket, way, _key_hash, _version in self.stored_versions():
+            yield bucket, self.read_entry(bucket, way)
 
     @property
     def used_entries(self) -> int:

@@ -150,8 +150,8 @@ class RepairScanner:
         for task in tasks:
             if task == self.backend.task_name:
                 summaries[task] = {
-                    kh: version
-                    for kh, version in self.backend._iter_versions()
+                    kh: VersionNumber.unpack(vb)
+                    for kh, vb in self.backend._iter_versions()
                     if placement.primary_shard(kh) == primary}
                 continue
             channel = self._channel_to(task)
@@ -266,8 +266,9 @@ class RepairScanner:
         shard = self.backend.shard if shard is None else shard
         primaries = [(shard - back) % placement.num_shards
                      for back in range(placement.replication)]
-        have: Dict[bytes, VersionNumber] = dict(
-            self.backend._iter_versions())
+        have: Dict[bytes, VersionNumber] = {
+            kh: VersionNumber.unpack(vb)
+            for kh, vb in self.backend._iter_versions()}
         installed = 0
         for primary in primaries:
             merged: Dict[bytes, VersionNumber] = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .truetime import TrueTime
 
@@ -20,10 +19,9 @@ VERSION_BYTES = 16
 _PACK = struct.Struct("<QII")  # truetime micros, client id, sequence
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class VersionNumber:
-    """A totally-ordered mutation version."""
+    """A totally-ordered mutation version: the order is the field order."""
 
     truetime_micros: int
     client_id: int
@@ -43,12 +41,6 @@ class VersionNumber:
 
     def is_zero(self) -> bool:
         return self == VersionNumber(0, 0, 0)
-
-    def _key(self):
-        return (self.truetime_micros, self.client_id, self.sequence)
-
-    def __lt__(self, other: "VersionNumber") -> bool:
-        return self._key() < other._key()
 
     def __repr__(self) -> str:
         return f"v({self.truetime_micros},{self.client_id},{self.sequence})"

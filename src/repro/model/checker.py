@@ -112,18 +112,31 @@ def check_invariants(state: ModelState, prev: Optional[ModelState],
     three-way divergence until a scan repair reconciles it — so exact
     quorum-existence is only an invariant for set/erase workloads.
     """
-    # I2: per-replica effective versions never decrease (vs. parent),
-    # except for a crash wiping a replica (checked by comparing only
-    # replicas live in both states and not just-restarted).
     if prev is not None:
-        for replica in range(REPLICAS):
-            if replica == state.crashed or replica == prev.crashed:
-                continue
-            if _effective(state, replica) < _effective(prev, replica):
-                return (f"I2 monotonicity: replica {replica} regressed "
-                        f"{_effective(prev, replica)} -> "
-                        f"{_effective(state, replica)}")
+        violation = _check_edge(state, prev)
+        if violation is not None:
+            return violation
+    return _check_state(state, crash_free, cas_free)
 
+
+def _check_edge(state: ModelState, prev: ModelState) -> Optional[str]:
+    """I2, the one invariant of a transition rather than of a state:
+    per-replica effective versions never decrease (vs. parent), except
+    for a crash wiping a replica (checked by comparing only replicas
+    live in both states and not just-restarted)."""
+    for replica in range(REPLICAS):
+        if replica == state.crashed or replica == prev.crashed:
+            continue
+        if _effective(state, replica) < _effective(prev, replica):
+            return (f"I2 monotonicity: replica {replica} regressed "
+                    f"{_effective(prev, replica)} -> "
+                    f"{_effective(state, replica)}")
+    return None
+
+
+def _check_state(state: ModelState, crash_free: bool,
+                 cas_free: bool) -> Optional[str]:
+    """I1 and I3–I5: functions of the state and its two scopes alone."""
     reads = state.quorum_reads()
 
     # I1: an acked, unsuperseded SET whose deliveries to live replicas
@@ -214,23 +227,29 @@ def check(max_sets: int = 2, max_erases: int = 1, max_cas: int = 0,
     seen.add((initial, budget_key(initial_budget)))
     states = 0
     transitions = 0
+    cas_free = initial_budget["cas"] == 0
 
     while queue:
         state, budget, trace = queue.popleft()
         states += 1
         for label, nxt, nxt_budget in successors(state, budget):
             transitions += 1
-            crash_free = nxt_budget.get("crash", 0) == \
-                initial_budget["crash"] and nxt.crashed is None
-            cas_free = initial_budget.get("cas", 0) == 0
-            violation = check_invariants(nxt, state, crash_free, cas_free)
+            # I2 belongs to the edge; the state invariants depend only on
+            # what ``key`` holds (``crash_free`` is a function of it,
+            # ``cas_free`` of the run), so they are checked once per key.
+            key = (nxt, budget_key(nxt_budget))
+            fresh = key not in seen
+            violation = _check_edge(nxt, state)
+            if violation is None and fresh:
+                crash_free = nxt_budget.get("crash", 0) == \
+                    initial_budget["crash"] and nxt.crashed is None
+                violation = _check_state(nxt, crash_free, cas_free)
             if violation is not None:
                 return CheckResult(states, transitions, Counterexample(
                     invariant=violation.split(":")[0],
                     state=nxt, detail=violation,
                     trace=trace + (label,)))
-            key = (nxt, budget_key(nxt_budget))
-            if key not in seen:
+            if fresh:
                 seen.add(key)
                 queue.append((nxt, nxt_budget, trace + (label,)))
 

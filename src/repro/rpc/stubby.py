@@ -283,8 +283,8 @@ class RpcChannel:
         ok = False
         resp_bytes = 0
         try:
-            response = yield from self._serve(request, span)
-            resp_bytes = response.wire_size
+            response, resp_bytes = yield from self._serve(request, req_bytes,
+                                                          span)
             ok = True
         finally:
             self.metrics.record(req_bytes, resp_bytes, ok)
@@ -302,7 +302,10 @@ class RpcChannel:
                (model.client_recv_cpu if resp_bytes else 0.0)
         return half + (req_bytes + resp_bytes) / 1024.0 * model.per_kilobyte_cpu
 
-    def _serve(self, request: Message, span=NULL_SPAN) -> Generator:
+    def _serve(self, request: Message, req_bytes: int,
+               span=NULL_SPAN) -> Generator:
+        """Run the server side; returns ``(response, resp_bytes)``. Each
+        envelope is sized once, where it is built."""
         server = self.server
         if not server.serving:
             # A connection reset: a short wait, then failure back to client.
@@ -323,7 +326,7 @@ class RpcChannel:
         try:
             yield server.host.execute(
                 model.server_recv_cpu +
-                request.wire_size / 1024.0 * model.per_kilobyte_cpu,
+                req_bytes / 1024.0 * model.per_kilobyte_cpu,
                 component)
 
             context = HandlerContext(server, self.principal, request.metadata,
@@ -340,13 +343,14 @@ class RpcChannel:
             response = Message(method=request.method, payload=result or {},
                                version=self.version,
                                size_override=context.response_size_override)
+            resp_bytes = response.wire_size
             yield server.host.execute(
                 model.server_send_cpu +
-                response.wire_size / 1024.0 * model.per_kilobyte_cpu,
+                resp_bytes / 1024.0 * model.per_kilobyte_cpu,
                 component)
         finally:
             serve_span.finish()
-        return response
+        return response, resp_bytes
 
 
 def connect(sim: Simulator, fabric: Fabric, client_host: Host,

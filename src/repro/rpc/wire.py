@@ -19,23 +19,29 @@ ENVELOPE_OVERHEAD_BYTES = 96  # headers, auth token, method name, tracing
 
 def estimate_size(value: Any) -> int:
     """Rough serialized size, in bytes, of a payload value."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, (bytes, bytearray, memoryview)):
+    # The scalars handlers actually send, by exact type; then containers;
+    # then the isinstance ladder for scalar subclasses and other buffers
+    # (``bool`` cannot be subclassed, so it never reaches the ``int`` rung).
+    kind = type(value)
+    if kind is bytes:
         return len(value)
-    if isinstance(value, str):
+    if kind is str:
         return len(value.encode("utf-8"))
+    if kind is int or kind is float:
+        return 8
+    if value is None or kind is bool:
+        return 1
     if isinstance(value, dict):
         return sum(estimate_size(k) + estimate_size(v) + 2
                    for k, v in value.items())
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(estimate_size(v) + 2 for v in value)
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
     # Dataclass-ish objects with __dict__; fall back to repr length.
     inner = getattr(value, "__dict__", None)
     if inner is not None:

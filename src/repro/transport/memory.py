@@ -86,6 +86,13 @@ class Arena:
         """Bytes of DRAM currently backing the arena."""
         return len(self._buf)
 
+    @property
+    def buffer(self) -> bytearray:
+        """The backing bytes, for their owner to read in place. ``grow``
+        extends this one object, so hold the bytearray and never a
+        ``memoryview`` of it: a live export makes ``grow`` raise."""
+        return self._buf
+
     def grow(self, new_size: int) -> None:
         """Populate the arena out to ``new_size`` bytes."""
         if new_size < self.populated:

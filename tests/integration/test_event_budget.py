@@ -1,7 +1,10 @@
-"""Regression guards for the op path's scheduler-entry budget and for
-behaviour preservation: deterministic counts and digests, not timings."""
+"""Regression guards for the op path's scheduler-entry budget, for what
+a mutation costs the host in Python calls, and for behaviour
+preservation: deterministic counts and digests, not timings."""
 
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.core import Cell, CellSpec, GetStatus, ReplicationMode
@@ -36,6 +39,84 @@ def test_one_2xr_get_on_pony_stays_within_its_event_budget():
     sim.run(until=sim.process(app()))
     cell.close()
     assert min(costs) <= 48, costs
+
+
+def _host_calls(sim, op):
+    """Python ``call`` events, by what was called, while ``op`` runs."""
+    counts = Counter()
+
+    def profiler(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename.endswith("repro/core/index.py"):
+            counts["core/index.py"] += 1
+            if code.co_name == "read_entry":
+                counts["read_entry"] += 1
+        elif code.co_filename.endswith("repro/rpc/wire.py"):
+            if code.co_name == "wire_size":
+                counts["wire_size"] += 1
+            elif code.co_name == "estimate_size" and \
+                    frame.f_back.f_code.co_name == "wire_size":
+                counts["estimate_size walks"] += 1
+
+    proc = sim.process(op())
+    sys.setprofile(profiler)
+    try:
+        sim.run(until=proc)
+    finally:
+        sys.setprofile(None)
+    return dict(counts)
+
+
+def test_one_set_stays_within_its_host_call_budget():
+    """What one client SET — three replica RPCs on R=3.2 — may cost the
+    host in Python calls, beside what it costs the scheduler. Each limit
+    is what the tree does plus one call; per replica the budget pays for:
+
+    * ``core/index.py``, 11 calls: ``bucket_for``; one way-scan under the
+      key lock (``find_way`` → ``bucket_offset`` → ``scan_ways``); then
+      either the matching way materialised (``read_entry`` →
+      ``entry_offset`` → ``bucket_offset`` → ``parse_entry``, an
+      overwrite) or the free-way scan after the data write plus the
+      resize check (``find_free_way`` → ``bucket_offset`` →
+      ``scan_ways``, ``load_factor``, an insert); and ``write_entry`` →
+      ``entry_offset`` → ``bucket_offset``, whose validity test reads
+      one flag word in place.
+    * ``read_entry``, 1 call on an overwrite (the way somebody wants as
+      an object) and none on an insert.
+    * ``wire_size``, 2 evaluations per RPC: the request where
+      ``_call_inner`` builds it, the response where ``_serve`` does.
+    * ``estimate_size``, 3 top-level walks per RPC: the request's
+      metadata (its body is a modeled size), the response's payload and
+      metadata.
+
+    Before the backend read its index in place an insert was 273 calls
+    into ``core/index.py`` with 48 ``read_entry``, 12 ``wire_size`` and
+    18 walks."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=6,
+                         transport="pony"))
+    client = cell.connect_client(strategy="2xr")
+    sim = cell.sim
+
+    def set_key(key, value):
+        def op():
+            result = yield from client.set(key, value)
+            assert result.ok
+        return op
+
+    for generation in range(3):        # warm: connections, the key's slab
+        sim.run(until=sim.process(set_key(b"key", b"value-%d" % generation)()))
+    overwrite = _host_calls(sim, set_key(b"key", b"value-9"))
+    insert = _host_calls(sim, set_key(b"fresh", b"value"))
+    cell.close()
+    assert overwrite["core/index.py"] <= 34, overwrite
+    assert overwrite["read_entry"] <= 4, overwrite
+    assert insert["core/index.py"] <= 34, insert
+    assert insert.get("read_entry", 0) <= 1, insert
+    for counts in (overwrite, insert):
+        assert counts["wire_size"] <= 7, counts
+        assert counts["estimate_size walks"] <= 10, counts
 
 
 def test_scale_equivalence_slice_reproduces_the_frozen_digest():

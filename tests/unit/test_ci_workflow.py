@@ -56,6 +56,15 @@ def test_the_bench_suite_runs_on_one_interpreter():
         "matrix.python-version == '3.12'"
 
 
+def test_the_tests_job_logs_its_slowest_tests():
+    """Tier-1's wall time is a number the ROADMAP tracks; the log of
+    every run says which tests own it."""
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]
+    tier1 = [step["run"] for step in job["steps"]
+             if step.get("run", "").startswith("pytest tests/")]
+    assert len(tier1) == 1 and "--durations=20" in tier1[0].split()
+
+
 def test_every_cli_line_parses_and_names_a_known_scenario():
     parser = build_parser()
     cli_lines = [words[3:] for words in _command_lines()

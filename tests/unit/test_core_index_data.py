@@ -1,11 +1,15 @@
 """Unit tests for the index region, data entries, and the slab allocator."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.data import (DataRegion, encode_entry_parts, entry_size,
                              try_decode)
 from repro.core.hashing import default_key_hash
-from repro.core.index import (ENTRY_BYTES, IndexRegion, bucket_size,
+from repro.core.index import (ENTRY, ENTRY_BYTES, ENTRY_FLAG_VALID,
+                              IndexRegion, ParsedIndexEntry, bucket_size,
                               make_scar_program, parse_bucket)
 from repro.core.slab import SlabAllocator
 from repro.core.version import VersionNumber
@@ -130,6 +134,173 @@ def test_index_entries_iterator():
     index.write_entry(3, 0, khs[2], V1, 1, 32, 10)
     found = {entry.key_hash for _b, entry in index.entries()}
     assert found == set(khs)
+
+
+# -- the in-place way-scan against its reference -------------------------------
+#
+# The reference is the straightforward way to read an index: copy one
+# entry out of the arena, unpack all of it, look at the object. The
+# region, the client-side parse and the SCAR program share one in-place
+# scan instead; every answer they give must be the reference's.
+
+def ref_read_entry(index, bucket, way):
+    raw = index.arena.read(index.entry_offset(bucket, way), ENTRY_BYTES)
+    kh, ver, region, offset, size, eflags = ENTRY.unpack(raw)
+    return ParsedIndexEntry(
+        way=way, key_hash=kh, version=VersionNumber.unpack(ver),
+        region_id=region, offset=offset, size=size,
+        valid=bool(eflags & ENTRY_FLAG_VALID))
+
+
+def ref_find_way(index, bucket, key_hash):
+    for way in range(index.ways):
+        entry = ref_read_entry(index, bucket, way)
+        if entry.valid and entry.key_hash == key_hash:
+            return way
+    return None
+
+
+def ref_find_free_way(index, bucket):
+    for way in range(index.ways):
+        if not ref_read_entry(index, bucket, way).valid:
+            return way
+    return None
+
+
+def ref_entries(index):
+    return [(bucket, entry)
+            for bucket in range(index.num_buckets)
+            for entry in (ref_read_entry(index, bucket, way)
+                          for way in range(index.ways))
+            if entry.valid]
+
+
+# Duplicates and near misses: same tag twice, first / last byte off by one,
+# a prefix of another tag, the all-zero tag a never-written way carries.
+_BASE = default_key_hash(b"scan")
+TAGS = [_BASE,
+        bytes([_BASE[0] ^ 1]) + _BASE[1:],
+        _BASE[:15] + bytes([_BASE[15] ^ 1]),
+        _BASE[:8] + bytes(8),
+        bytes(16),
+        default_key_hash(b"other")]
+ABSENT_TAG = default_key_hash(b"never stored")
+
+# One way's history: never written; written; written then cleared;
+# written twice (an overwrite); or raw bytes with a garbage flag word put
+# there behind the region's back (only bit 0 means "valid").
+way_specs = st.one_of(
+    st.just(("never",)),
+    st.tuples(st.just("write"), st.sampled_from(TAGS)),
+    st.tuples(st.just("clear"), st.sampled_from(TAGS)),
+    st.tuples(st.just("overwrite"), st.sampled_from(TAGS),
+              st.sampled_from(TAGS)),
+    st.tuples(st.just("garbage"), st.sampled_from(TAGS),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+@st.composite
+def index_tables(draw):
+    num_buckets = draw(st.integers(1, 4))
+    ways = draw(st.integers(1, 7))
+    table = draw(st.lists(way_specs, min_size=num_buckets * ways,
+                          max_size=num_buckets * ways))
+    return num_buckets, ways, table
+
+
+def build_index(num_buckets, ways, table):
+    """Apply the table through the public API, check the counter, then
+    plant the garbage ways (which no counter could know about)."""
+    index = IndexRegion(num_buckets, ways, config_id=5)
+    cells = [(bucket, way) for bucket in range(num_buckets)
+             for way in range(ways)]
+    for n, ((bucket, way), spec) in enumerate(zip(cells, table)):
+        version = VersionNumber(1000 + n, n % 3, n)
+        if spec[0] in ("write", "clear", "overwrite"):
+            index.write_entry(bucket, way, spec[1], version, 7, 64 * n, 10 + n)
+        if spec[0] == "clear":
+            index.clear_entry(bucket, way)
+        if spec[0] == "overwrite":
+            index.write_entry(bucket, way, spec[2], version, 8, 64 * n, 20 + n)
+    assert index.used_entries == len(ref_entries(index))
+    for n, ((bucket, way), spec) in enumerate(zip(cells, table)):
+        if spec[0] == "garbage":
+            index.arena.write(
+                index.entry_offset(bucket, way),
+                ENTRY.pack(spec[1], VersionNumber(9, 9, n).pack(), 3, n, n,
+                           spec[2]))
+    return index
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_tables())
+def test_in_place_scan_equals_the_read_entry_reference(table):
+    num_buckets, ways, specs = table
+    index = build_index(num_buckets, ways, specs)
+    program = make_scar_program(ways)
+    assert list(index.entries()) == ref_entries(index)
+    for bucket in range(num_buckets):          # bucket 0 … the last bucket
+        assert index.find_free_way(bucket) == ref_find_free_way(index, bucket)
+        raw = index.window.read(index.bucket_offset(bucket),
+                                index.bucket_bytes)
+        parsed = parse_bucket(raw, ways)
+        reference = tuple(ref_read_entry(index, bucket, way)
+                          for way in range(ways))
+        assert tuple(index.read_entry(bucket, way)
+                     for way in range(ways)) == reference
+        assert parsed.entries == reference
+        for tag in TAGS + [ABSENT_TAG]:
+            way = ref_find_way(index, bucket, tag)
+            assert index.find_way(bucket, tag) == way
+            if way is None:
+                assert parsed.find(tag) is None
+                assert program(raw, tag) is None
+            else:
+                entry = reference[way]
+                assert parsed.find(tag) == entry
+                assert program(raw, tag) == (entry.region_id, entry.offset,
+                                             entry.size)
+
+
+def ref_region_bytes(num_buckets, ways, config_id, overflowed=()):
+    """The index bytes as the header-at-a-time code laid them out: one
+    packed header per bucket over zeroed ways; ``set_overflow`` and
+    ``set_config_id`` rewrite whole headers."""
+    return b"".join(
+        struct.pack("<IIII", 0xC11C3A90, config_id,
+                    1 if bucket in overflowed else 0, 0) +
+        bytes(ways * ENTRY_BYTES) for bucket in range(num_buckets))
+
+
+@pytest.mark.parametrize("num_buckets,ways", [(1, 1), (3, 2), (512, 7)])
+def test_region_is_stamped_byte_identically(num_buckets, ways):
+    index = IndexRegion(num_buckets, ways, config_id=0xABCD)
+
+    def whole():
+        return index.arena.read(0, index.total_bytes)
+
+    assert index.total_bytes == num_buckets * bucket_size(ways)
+    assert whole() == ref_region_bytes(num_buckets, ways, 0xABCD)
+    last = num_buckets - 1
+    index.set_overflow(last, True)
+    index.set_overflow(0, True)
+    assert whole() == ref_region_bytes(num_buckets, ways, 0xABCD, {0, last})
+    index.set_config_id(0x1234)
+    assert whole() == ref_region_bytes(num_buckets, ways, 0x1234, {0, last})
+    index.set_overflow(0, False)
+    assert whole() == ref_region_bytes(num_buckets, ways, 0x1234,
+                                       {last} - {0})
+
+
+def test_scan_range_checks_stay():
+    index = IndexRegion(num_buckets=2, ways=2, config_id=0)
+    for call in (lambda: index.find_way(2, TAGS[0]),
+                 lambda: index.find_free_way(-1),
+                 lambda: index.read_entry(0, 2),
+                 lambda: index.write_entry(2, 0, TAGS[0], V1, 1, 0, 1),
+                 lambda: index.clear_entry(0, -1)):
+        with pytest.raises(IndexError):
+            call()
 
 
 # -- data entries ------------------------------------------------------------

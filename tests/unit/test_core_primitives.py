@@ -1,6 +1,7 @@
 """Unit tests for hashing, checksums, TrueTime, and VersionNumbers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.checksum import checksum_ok, kv_checksum
 from repro.core.hashing import (KEY_HASH_BYTES, Placement, default_key_hash)
@@ -137,6 +138,24 @@ def test_version_ordering_truetime_dominates():
     assert VersionNumber(2, 0, 0) > VersionNumber(1, 99, 99)
     assert VersionNumber(1, 2, 0) > VersionNumber(1, 1, 99)
     assert VersionNumber(1, 1, 2) > VersionNumber(1, 1, 1)
+
+
+version_fields = st.tuples(st.integers(0, 2 ** 64 - 1),
+                           st.integers(0, 2 ** 32 - 1),
+                           st.integers(0, 2 ** 32 - 1))
+
+
+@given(st.lists(version_fields, min_size=1, max_size=6))
+def test_version_order_is_tuple_order(fields):
+    versions = [VersionNumber(*f) for f in fields]
+    for f, v in zip(fields, versions):
+        assert v <= v and v >= v and not v < v and not v > v
+        for g, w in zip(fields, versions):
+            assert (v < w, v <= w, v > w, v >= w, v == w) == \
+                (f < g, f <= g, f > g, f >= g, f == g)
+    assert max(versions) == VersionNumber(*max(fields))
+    assert sorted(versions) == [VersionNumber(*f) for f in sorted(fields)]
+    assert all(VersionNumber.unpack(v.pack()) == v for v in versions)
 
 
 def test_version_pack_unpack_roundtrip():

@@ -1,6 +1,11 @@
 """Unit tests for the RPC framework (wire, auth, channels, servers)."""
 
+import collections
+import enum
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import Fabric, FabricConfig, gbps
 from repro.rpc import (Acl, ApplicationError, AuthConfig, Authenticator,
@@ -47,6 +52,151 @@ def test_estimate_size_primitives():
     assert estimate_size("hey") == 3
     assert estimate_size({"k": "vv"}) > 3
     assert estimate_size([1, 2]) == 20
+
+
+def ref_estimate_size(value):
+    """The isinstance ladder ``estimate_size`` was before it dispatched on
+    exact type: the reference every value must still size to, because
+    wire bytes feed NIC serialization and CPU charges."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, dict):
+        return sum(ref_estimate_size(k) + ref_estimate_size(v) + 2
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(ref_estimate_size(v) + 2 for v in value)
+    inner = getattr(value, "__dict__", None)
+    if inner is not None:
+        return ref_estimate_size(inner)
+    return len(repr(value))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Label(str):
+    pass
+
+
+@dataclass
+class Blob:
+    body: object
+    note: str = "é"
+
+
+class Slotted:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<slotted>"
+
+
+hashable_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False), st.binary(max_size=40),
+    st.text(max_size=12), st.sampled_from([Colour.RED, Label("né"), 1, True]))
+leaves = st.one_of(
+    hashable_leaves,
+    st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+    st.just(Slotted()), st.just(range(3)))
+payloads = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(hashable_leaves, children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=3).map(
+            collections.OrderedDict),
+        st.sets(hashable_leaves, max_size=4),
+        st.frozensets(hashable_leaves, max_size=4),
+        children.map(Blob)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_estimate_size_equals_the_isinstance_ladder(value):
+    assert estimate_size(value) == ref_estimate_size(value)
+
+
+KH, VB = bytes(range(16)), bytes(range(16, 32))
+HANDLER_SHAPES = [
+    # requests
+    {"key": b"k" * 24, "value": b"v" * 900, "version": VB},             # Set
+    {"entries": [(b"k1", b"v" * 70, VB), (b"k2", b"", VB)]},  # MultiSet/MigrateIn
+    {"key": b"k", "version": VB},                                       # Erase
+    {"key": b"k", "value": b"v", "new_version": VB,
+     "expected_version": VB},                                           # Cas
+    {"key": b"k"}, {"keys": [b"a", b"bb", b"ccc"]},     # Lookup / MultiLookup
+    {"key_hashes": [KH, KH]},                                           # Touch
+    {"primary_shard": 3}, {"primary_shard": 3, "num_shards": 12},  # ScanSummary
+    {"key_hash": KH}, {"occupancy_threshold": 0.5}, {},
+    # responses
+    {"applied": True, "reason": "ok", "config_id": 4},
+    {"applied": False, "reason": "version-mismatch", "stored_version": VB,
+     "config_id": 4},
+    {"results": [{"applied": True, "reason": "ok"},
+                 {"applied": False, "reason": "superseded"}], "config_id": 1},
+    {"found": False}, {"found": True, "value": b"v" * 33, "version": VB},
+    {"results": [{"found": False},
+                 {"found": True, "value": b"x", "version": VB}]},
+    {"found": True, "key": b"k", "value": b"v", "version": VB},
+    {"ingested": 2}, {"entries": {KH: VB, VB: KH}}, {"applied": 3},
+    {"moved": 0, "live_slabs": 2},
+    {"task": "backend-0", "shard": 0, "config_id": 1, "index_region_id": 9,
+     "num_buckets": 512, "ways": 7, "bucket_bytes": 464, "data_region_id": 10,
+     "supports_scar": True},
+    # metadata a traced call carries
+    {"trace_id": "t-é", "parent": None, "sampled": True},
+]
+
+
+@pytest.mark.parametrize("shape", HANDLER_SHAPES)
+def test_estimate_size_on_every_backend_handler_shape(shape):
+    assert estimate_size(shape) == ref_estimate_size(shape)
+    assert Message("M", shape, metadata={"trace": shape}).wire_size == \
+        96 + 2 * ref_estimate_size(shape) + ref_estimate_size("trace") + 2
+
+
+def test_bool_sizes_as_bool_and_int_subclass_as_int():
+    assert estimate_size(True) == 1 and estimate_size(1) == 8
+    assert estimate_size(Colour.RED) == 8
+    assert estimate_size("é") == 2 and estimate_size(Label("é")) == 2
+    assert estimate_size(memoryview(b"abc")) == estimate_size(
+        bytearray(b"abc")) == 3
+    assert estimate_size({1, 2}) == 20
+    assert estimate_size(Blob(b"ab")) == ref_estimate_size(
+        {"body": b"ab", "note": "é"})
+
+
+def test_an_rpc_sizes_each_envelope_once(monkeypatch):
+    """Request sized where it is built, response where it is built: two
+    ``wire_size`` evaluations per call, and the numbers the client books
+    are the ones the server charged."""
+    evaluations = []
+    real = Message.wire_size.fget
+    monkeypatch.setattr(
+        Message, "wire_size",
+        property(lambda self: evaluations.append(self.method) or real(self)))
+    sim, _f, _c, _s, server, channel = build({"Echo": echo_handler})
+    assert run_call(sim, channel, "Echo", {"msg": "hi"}) == {"echo": "hi"}
+    assert evaluations == ["Echo", "Echo"]
+    assert channel.metrics.bytes_sent == server.metrics.bytes_sent == \
+        96 + ref_estimate_size({"msg": "hi"})
+    assert channel.metrics.bytes_received == 96 + ref_estimate_size(
+        {"echo": "hi"})
 
 
 def test_message_wire_size_override():
