@@ -9,7 +9,9 @@ Two checks ride on one module:
   measurable slice. The whole thing — cell build, preload, run — must
   finish inside a 60 s wall budget with zero errors; the offered-per-
   wall-second datapoint lands in ``BENCH_population.json`` with a
-  regression floor.
+  regression floor, beside what the 1000-host cell cost the host to
+  exist (build seconds, peak RSS, RSS per backend host under a
+  ceiling).
 * **Fidelity** — the population model must be a *measurement* device,
   not a different workload. ``compare_population`` replays one seed with
   N real open-loop clients and with the aggregate model and asserts the
@@ -23,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import RSS_MB_PER_HOST_CEILING, check_build_cost, run_once
 
 from repro.analysis import compare_population, run_population_arm
 
@@ -98,11 +100,13 @@ def bench_population_scale(benchmark):
     assert run["offered_per_wall_sec"] >= OFFERED_PER_WALL_SEC_FLOOR, (
         f"offered/wall-s regressed: {run['offered_per_wall_sec']:,.0f} "
         f"< floor {OFFERED_PER_WALL_SEC_FLOOR:,.0f}")
+    check_build_cost(run)
 
     del run["latency_samples"]
     record = {
         "benchmark": "population",
         "floor_offered_per_wall_sec": OFFERED_PER_WALL_SEC_FLOOR,
+        "ceiling_rss_mb_per_host": RSS_MB_PER_HOST_CEILING,
         "scale": run,
     }
     if OUTPUT.exists():

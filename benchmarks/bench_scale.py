@@ -6,7 +6,10 @@ Two checks ride on one benchmark:
   serves 100k batched GETs split across the pony and 1RMA transports,
   and the whole thing must finish in under 60 s of wall-clock. The
   events/sec and simulated-ops-per-wall-second land in
-  ``BENCH_scale.json``.
+  ``BENCH_scale.json``, beside what a 200-host cell costs the host to
+  exist: build seconds and RSS per backend host (under a ceiling) from
+  the pony run — the first cell this process builds, so its peak-RSS
+  growth is the cell's own — and the process's peak RSS at the end.
 * **Equivalence** — kernel and model optimizations must change no
   behavior. A small seeded slice of the same workload must reproduce
   the golden per-op outcome digest, final clock and event count below,
@@ -29,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import RSS_MB_PER_HOST_CEILING, check_build_cost, run_once
 
 from repro.analysis import run_scale_workload
 
@@ -80,16 +83,23 @@ def bench_scale_cell(benchmark):
               f"scrapes={run['scrapes']}")
     print(f"  total ops={total_ops:,} wall={total_wall:.1f}s "
           f"(budget {WALL_BUDGET_SECONDS:.0f}s)")
+    build = dict(result["pony"], peak_rss_mb=max(
+        run["peak_rss_mb"] for run in result.values()))
 
     assert total_ops >= 100_000, total_ops
     assert total_wall < WALL_BUDGET_SECONDS, (
         f"scale smoke too slow: {total_wall:.1f}s for {total_ops:,} ops")
     for transport, run in result.items():
         assert run["errors"] == 0, (transport, run)
+    check_build_cost(build)
 
     OUTPUT.write_text(json.dumps({
         "benchmark": "scale",
         "num_hosts": NUM_HOSTS,
+        "build_seconds": build["build_seconds"],
+        "peak_rss_mb": build["peak_rss_mb"],
+        "rss_mb_per_host": build["rss_mb_per_host"],
+        "ceiling_rss_mb_per_host": RSS_MB_PER_HOST_CEILING,
         "total_ops": total_ops,
         "total_wall_seconds": total_wall,
         "ops_per_wall_sec": total_ops / total_wall,

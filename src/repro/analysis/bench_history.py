@@ -2,17 +2,21 @@
 
 Each benchmark in ``benchmarks/`` writes one JSON file at the repo root
 (``BENCH_kernel.json``, ``BENCH_parallel.json``, ...) with its headline
-numbers and — for the guarded ones — a recorded regression floor. The
+numbers and — for the guarded ones — a recorded regression bound. The
 perf record therefore lives in six disconnected files with six
 different shapes. This module flattens them into one trajectory table:
-benchmark → headline metric → value, floor, and margin over the floor,
-so ``repro.tools perf history`` (and CI logs) can show the whole perf
-posture at a glance and flag any metric sitting under its floor.
+benchmark → headline metric → value, bound, and margin against the
+bound, so ``repro.tools perf history`` (and CI logs) can show the whole
+perf posture at a glance and flag any metric on the wrong side of its
+bound.
 
 Shapes differ per benchmark, so extraction is a declarative list of
-``(metric, value_path, floor_path)`` dotted paths per benchmark name,
+``(metric, value_path, bound_path)`` dotted paths per benchmark name,
 with missing paths degrading to blank cells rather than errors — an
-absent bench file or a schema drift must never break the tracker.
+absent bench file or a schema drift must never break the tracker. A
+bound is a floor (higher is better) unless its key starts with
+``ceiling_``: then lower is better and the metric must sit at or under
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from .reporting import render_table
 
-# metric name -> (value dotted-path, floor dotted-path or None)
+# metric name -> (value dotted-path, bound dotted-path or None)
 _SPECS: Dict[str, List[tuple]] = {
     "kernel": [
         ("events_per_sec", "new.events_per_sec", "floor_events_per_sec"),
@@ -42,6 +46,13 @@ _SPECS: Dict[str, List[tuple]] = {
     "population": [
         ("events_per_sec", "fidelity.population.events_per_sec", None),
         ("ks_distance", "fidelity.comparison.ks_distance", None),
+        ("offered_per_wall_sec", "scale.offered_per_wall_sec",
+         "floor_offered_per_wall_sec"),
+        ("wall_seconds", "scale.wall_seconds", None),
+        ("build_seconds", "scale.build_seconds", None),
+        ("peak_rss_mb", "scale.peak_rss_mb", None),
+        ("rss_mb_per_host", "scale.rss_mb_per_host",
+         "ceiling_rss_mb_per_host"),
     ],
     "readthrough_herd": [
         ("fetch_reduction", "fetch_reduction", "fetch_reduction_floor"),
@@ -50,6 +61,9 @@ _SPECS: Dict[str, List[tuple]] = {
     "scale": [
         ("ops_per_wall_sec", "ops_per_wall_sec", None),
         ("events_per_sec", "events_per_sec", None),
+        ("build_seconds", "build_seconds", None),
+        ("peak_rss_mb", "peak_rss_mb", None),
+        ("rss_mb_per_host", "rss_mb_per_host", "ceiling_rss_mb_per_host"),
     ],
     "resize_handoff": [
         ("handoff_entries_per_sec", "handoff_entries_per_sec",
@@ -88,31 +102,34 @@ def load_bench_files(root: str = ".") -> Dict[str, Dict[str, Any]]:
 def bench_rows(benches: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Flatten loaded bench docs into trajectory rows.
 
-    Each row: ``benchmark``, ``metric``, ``value``, ``floor``,
-    ``margin`` (value/floor when both known), ``ok`` (False only when a
-    floored metric sits below its floor).
+    Each row: ``benchmark``, ``metric``, ``value``, ``bound``,
+    ``ceiling`` (the bound is an upper one), ``margin`` (value/bound
+    when both known), ``ok`` (False only when a bounded metric sits on
+    the wrong side of its bound).
     """
     rows: List[Dict[str, Any]] = []
     for name in sorted(benches):
         doc = benches[name]
         specs = _SPECS.get(name, [])
         if not specs:
-            # Unknown benchmark: surface any top-level floor pairs so
+            # Unknown benchmark: surface any top-level bound pairs so
             # new benches appear in the table without code changes.
-            specs = [(k[len("floor_"):], k[len("floor_"):], k)
-                     for k in sorted(doc) if k.startswith("floor_")]
-        for metric, value_path, floor_path in specs:
+            specs = [(k.split("_", 1)[1],) * 2 + (k,) for k in sorted(doc)
+                     if k.startswith(("floor_", "ceiling_"))]
+        for metric, value_path, bound_path in specs:
             value = _dig(doc, value_path)
-            floor = _dig(doc, floor_path)
+            bound = _dig(doc, bound_path)
+            ceiling = bound is not None and \
+                bound_path.rsplit(".", 1)[-1].startswith("ceiling_")
             margin = None
             ok = True
             if isinstance(value, (int, float)) and \
-                    isinstance(floor, (int, float)) and floor:
-                margin = value / floor
-                ok = value >= floor
+                    isinstance(bound, (int, float)) and bound:
+                margin = value / bound
+                ok = value <= bound if ceiling else value >= bound
             rows.append({"benchmark": name, "metric": metric,
-                         "value": value, "floor": floor,
-                         "margin": margin, "ok": ok})
+                         "value": value, "bound": bound,
+                         "ceiling": ceiling, "margin": margin, "ok": ok})
     return rows
 
 
@@ -129,13 +146,14 @@ def render_history(rows: List[Dict[str, Any]]) -> str:
     if not rows:
         return "no BENCH_*.json files found"
     table = [[row["benchmark"], row["metric"], _fmt(row["value"]),
-              _fmt(row["floor"]),
+              ("<= " if row["ceiling"] else "") + _fmt(row["bound"]),
               "-" if row["margin"] is None else f"{row['margin']:.2f}x",
-              "ok" if row["ok"] else "UNDER FLOOR"]
+              "ok" if row["ok"] else
+              "OVER CEILING" if row["ceiling"] else "UNDER FLOOR"]
              for row in rows]
     return render_table(
         "perf trajectory",
-        ["benchmark", "metric", "value", "floor", "margin", "status"],
+        ["benchmark", "metric", "value", "bound", "margin", "status"],
         table)
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..core import Cell, CellSpec, GetStatus, ReplicationMode
 from ..sim import RandomStream, ZipfSampler
@@ -29,6 +30,28 @@ ENGINE_COMPONENTS: Dict[str, tuple] = {
     "rdma": ("rma-client",),
     "1rma": ("rma-client",),
 }
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB."""
+    import resource  # Unix-only; the library itself must import anywhere
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def build_cell_measured(spec: CellSpec) -> Tuple[Cell, Dict]:
+    """Build ``spec``'s cell and report what existing costs the host:
+    ``build_seconds`` of wall, and ``rss_mb_per_host`` — how far the
+    build pushed the process's peak RSS, per backend host. From a fresh
+    interpreter that is the cell's footprint; after an earlier, larger
+    run in the same process it is a lower bound (the peak was already
+    set), so the scale benches build their headline cell first."""
+    rss_before, started = peak_rss_mb(), time.perf_counter()
+    cell = Cell(spec)
+    return cell, {
+        "build_seconds": time.perf_counter() - started,
+        "rss_mb_per_host": (peak_rss_mb() - rss_before) / spec.num_shards,
+    }
 
 
 def _engine_cpu(hosts, components) -> float:
@@ -245,7 +268,7 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
     spec = CellSpec(transport=transport, num_shards=num_hosts,
                     mode=ReplicationMode.R3_2, seed=seed, tracing=tracing)
     wall_start = time.perf_counter()
-    cell = Cell(spec)
+    cell, build_cost = build_cell_measured(spec)
     sim = cell.sim
     if observe:
         from ..observe import ObserveConfig
@@ -316,6 +339,8 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
         "wall_seconds": wall,
         "events_per_sec": sim._seq / wall if wall > 0 else 0.0,
         "ops_per_wall_sec": counts["ops"] / wall if wall > 0 else 0.0,
+        "peak_rss_mb": peak_rss_mb(),
+        **build_cost,
     }
 
 

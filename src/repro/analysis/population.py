@@ -23,8 +23,9 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from ..core import Cell, CellSpec, ReplicationMode
+from ..core import CellSpec, ReplicationMode
 from ..sim import RandomStream
+from .perf import build_cell_measured, peak_rss_mb
 from .stats import ks_distance
 
 #: Percentiles reported (and compared) per arm.
@@ -67,8 +68,9 @@ def run_population_arm(mode: str, *,
         raise ValueError(f"mode must be 'real' or 'population', "
                          f"got {mode!r}")
     wall_start = time.perf_counter()
-    cell = Cell(CellSpec(transport=transport, num_shards=num_hosts,
-                         mode=ReplicationMode.R3_2, seed=seed))
+    cell, build_cost = build_cell_measured(CellSpec(
+        transport=transport, num_shards=num_hosts,
+        mode=ReplicationMode.R3_2, seed=seed))
     sim = cell.sim
     stream = RandomStream(seed, "population-arm")
     keyspace = KeySpace(stream.child("keys"), num_keys,
@@ -136,6 +138,8 @@ def run_population_arm(mode: str, *,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "offered_per_wall_sec": metrics.offered / wall if wall > 0
         else 0.0,
+        "peak_rss_mb": peak_rss_mb(),
+        **build_cost,
     }
 
 

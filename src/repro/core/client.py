@@ -816,10 +816,11 @@ class CliqueMapClient:
         if not miss_idx:
             return results
         t0 = self.sim.now
-        procs = {self.sim.process(rt.fetch(keys[i])): i for i in miss_idx}
-        while procs:
-            event, outcome = yield self.sim.any_of(list(procs))
-            result = results[procs.pop(event)]
+        fetches = self.sim.fan_in()
+        for i in miss_idx:
+            fetches.spawn(rt.fetch(keys[i]), results[i])
+        while fetches.pending:
+            result, outcome = yield fetches.next()
             fetched, result.value = outcome
             result.latency += self.sim.now - t0
             result.status, result.source, result.error = \
@@ -921,23 +922,23 @@ class CliqueMapClient:
                 per_view.setdefault(view.task, []).append((i, offset))
 
         index_span = root.child("index", batch=n, backends=len(per_view))
-        pending: Dict[object, Tuple[BackendView, List[Tuple[int, int]]]] = {}
+        # One completion queue per phase: a speculative data fetch can
+        # land while index legs are still draining.
+        index_legs = self.sim.fan_in()
         for task, entries in per_view.items():
             view = self._views[task]
-            proc = self.sim.process(self._fetch_index_batch(
-                view, [offset for _i, offset in entries], index_span))
-            pending[proc] = (view, entries)
-
-        data_procs: Dict[object, Tuple[int, str]] = {}
+            index_legs.spawn(self._fetch_index_batch(
+                view, [offset for _i, offset in entries], index_span),
+                (view, entries))
+        data_legs = self.sim.fan_in()
 
         # Drain the coalesced index fetches as they land, casting each
         # entry into its key's ballot so the data fetch starts the
         # instant the key's first responders agree. Votes landing after
         # a key settled are still cast (and their quorum CPU charged):
         # their stale / config flags steer the batch's recovery.
-        while pending:
-            event, items = yield self.sim.any_of(list(pending))
-            view, entries = pending.pop(event)
+        while index_legs.pending:
+            (view, entries), items = yield index_legs.next()
             if isinstance(items, tuple):  # the whole leg failed as one
                 items = [items] * len(entries)
             for (i, _offset), item in zip(entries, items):
@@ -953,9 +954,9 @@ class CliqueMapClient:
                     # recorded under the phase that initiated it — the
                     # phase spans themselves stay contiguous.
                     source = ballot.source()
-                    proc = self.sim.process(self._fetch_data(
-                        self._views[source.task], source.entry, index_span))
-                    data_procs[proc] = (i, source.task)
+                    data_legs.spawn(self._fetch_data(
+                        self._views[source.task], source.entry, index_span),
+                        (i, source.task))
         index_span.finish()
         # The data phase starts at the simulated instant the index phase
         # ends, so index.duration + data.duration == op latency (the PR 1
@@ -976,7 +977,7 @@ class CliqueMapClient:
         # Every asked replica's vote is in (each leg yields one outcome
         # per entry), so a key no vote settled has no quorum: it falls
         # back. Misses finish here.
-        overflow_procs: Dict[object, int] = {}
+        overflow_legs = self.sim.fan_in()
         for i, ballot in enumerate(ballots):
             if i in fallback:
                 continue
@@ -985,17 +986,15 @@ class CliqueMapClient:
             elif ballot.decision.outcome is QuorumOutcome.PRESENT:
                 continue  # data fetch in flight
             elif self.config.overflow_rpc_lookup and ballot.overflow:
-                proc = self.sim.process(self._isolate(
+                overflow_legs.spawn(self._isolate(
                     self._maybe_overflow_lookup(
                         keys[i], cohorts[i], True, root),
-                    lambda _exc: (GetStatus.MISS, None, None)))
-                overflow_procs[proc] = i
+                    lambda _exc: (GetStatus.MISS, None, None)), i)
             else:
                 yield from finish_key(i, GetStatus.MISS)
 
-        while data_procs:
-            event, outcome = yield self.sim.any_of(list(data_procs))
-            i, task = data_procs.pop(event)
+        while data_legs.pending:
+            (i, task), outcome = yield data_legs.next()
             try:
                 status, value, version = self._validate_data(
                     keys[i], key_hashes[i], outcome, ballots[i], task)
@@ -1005,9 +1004,9 @@ class CliqueMapClient:
             yield from finish_key(i, status, value, version)
         data_span.finish()
 
-        while overflow_procs:
-            event, outcome = yield self.sim.any_of(list(overflow_procs))
-            yield from finish_key(overflow_procs.pop(event), *outcome)
+        while overflow_legs.pending:
+            i, outcome = yield overflow_legs.next()
+            yield from finish_key(i, *outcome)
 
         yield from self._finish_batch(
             "get_multi", root, results, fallback, started, deadline_at,
@@ -1113,11 +1112,11 @@ class CliqueMapClient:
             view.health.record_success()
             return reply.get("results", [])
 
-        procs = {self.sim.process(one(self._views[task], idxs)): idxs
-                 for task, idxs in per_view.items()}
-        while procs:
-            event, replies = yield self.sim.any_of(list(procs))
-            idxs = procs.pop(event)
+        lookups = self.sim.fan_in()
+        for task, idxs in per_view.items():
+            lookups.spawn(one(self._views[task], idxs), idxs)
+        while lookups.pending:
+            idxs, replies = yield lookups.next()
             if replies is None:
                 for i in idxs:
                     fallback[i] = "rpc-replica-unavailable"
@@ -1173,11 +1172,11 @@ class CliqueMapClient:
         raises :class:`_AttemptRetry` for the hazard of an unsettled one.
         """
         ballot = Ballot(key_hash, len(views), quorum, await_task)
-        pending = {self.sim.process(fetch(view, key_hash, span)): view
-                   for view in views}
-        while pending:
-            event, result = yield self.sim.any_of(list(pending))
-            view = pending.pop(event)
+        legs = self.sim.fan_in()
+        for view in views:
+            legs.spawn(fetch(view, key_hash, span), view)
+        while legs.pending:
+            view, result = yield legs.next()
             vote = ballot.cast(view.task, result)
             if on_vote is not None:
                 on_vote(view, vote, result)
@@ -1770,14 +1769,14 @@ class CliqueMapClient:
         replies_for: List[List[dict]] = [[] for _ in items]
         span = root.child("mutate", method="MultiSet",
                           backends=len(per_view))
-        procs = {self.sim.process(self._isolate(
-            self._mutation_rpc(self._views[task], "MultiSet",
-                               *multiset(idxs), span),
-            lambda _exc: None)): idxs
-            for task, idxs in per_view.items()}
-        while procs:
-            event, reply = yield self.sim.any_of(list(procs))
-            idxs = procs.pop(event)
+        rpcs = self.sim.fan_in()
+        for task, idxs in per_view.items():
+            rpcs.spawn(self._isolate(
+                self._mutation_rpc(self._views[task], "MultiSet",
+                                   *multiset(idxs), span),
+                lambda _exc: None), idxs)
+        while rpcs.pending:
+            idxs, reply = yield rpcs.next()
             if reply is None:
                 continue
             for i, key_reply in zip(idxs, reply.get("results", [])):

@@ -345,6 +345,83 @@ class AnyOf(Condition):
             event.defused = True
             self.fail(event._value)
 
+class FanIn:
+    """A parent's completion queue over the children it spawns.
+
+    ``while pending: yield sim.any_of(list(pending))`` registers a fresh
+    callback on every child still in flight each time one lands —
+    quadratic in the fan-out. Here each child carries one callback for
+    life and reports ``(tag, value)`` as it ends; the parent takes one
+    child per wait, O(log n) at worst::
+
+        legs = sim.fan_in()
+        for view in views:
+            legs.spawn(fetch(view), view)
+        while legs.pending:
+            view, result = yield legs.next()
+
+    A wait is met by the child that ends during it. When children ended
+    while the parent was not waiting, it takes the earliest *spawned* of
+    them first — the child ``any_of`` over an insertion-ordered
+    ``pending`` picked, so a drain moved onto a ``FanIn`` visits its
+    children in the order it always did. Also kept from ``AnyOf``: a
+    child that raised fails the parent's next wait with that exception
+    instead of surfacing as an unhandled process failure, and whatever
+    ends after the parent stopped waiting is dropped. One parent waits
+    at a time.
+    """
+
+    __slots__ = ("sim", "pending", "_spawned", "_landed", "_getter")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        #: Children spawned that the parent has not yet taken.
+        self.pending = 0
+        self._spawned = 0
+        # Heap of (spawn order, tag, child): ended, not yet taken.
+        self._landed: List[Tuple[int, Any, Event]] = []
+        self._getter: Optional[Event] = None   # the wait no child has met
+
+    def spawn(self, gen: Generator, tag: Any = None,
+              name: str = "") -> Process:
+        """Start ``gen`` as a child process reporting under ``tag``."""
+        child = Process(self.sim, gen, name)
+        self._spawned += 1
+        child.callbacks.append((self._child_done, (self._spawned, tag)))
+        self.pending += 1
+        return child
+
+    def next(self) -> Event:
+        """An event for the next child: ``(tag, value)``, or the
+        exception the child raised."""
+        if not self.pending:
+            raise SimulationError("FanIn.next() with no child left to take")
+        self.pending -= 1
+        getter = Event(self.sim)
+        if self._landed:
+            _order, tag, child = heapq.heappop(self._landed)
+            self._hand(getter, tag, child)
+        else:
+            self._getter = getter
+        return getter
+
+    def _child_done(self, child: Event, order: int, tag: Any) -> None:
+        if not child._ok:
+            child.defused = True    # the parent's wait raises it instead
+        getter = self._getter
+        if getter is None:
+            heapq.heappush(self._landed, (order, tag, child))
+        else:
+            self._getter = None
+            self._hand(getter, tag, child)
+
+    @staticmethod
+    def _hand(getter: Event, tag: Any, child: Event) -> None:
+        if child._ok:
+            getter.succeed((tag, child._value))
+        else:
+            getter.fail(child._value)
+
 class Simulator:
     """The event loop: a time-ordered queue of ``(time, seq, fn, args)``.
 
@@ -487,6 +564,9 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def fan_in(self) -> FanIn:
+        return FanIn(self)
 
     # -- running ----------------------------------------------------------
 

@@ -21,7 +21,8 @@ Run with ``python -m repro.tools <command>``:
 * ``perf profile`` — run a scale workload under cProfile and print the
   top-N hot spots (the starting point for optimization work).
 * ``perf history`` — aggregate every ``BENCH_*.json`` into one
-  perf-trajectory table and fail on floors.
+  perf-trajectory table and fail on a metric under its floor or over
+  its ceiling.
 * ``trace``        — synthesize/replay op traces; with ``--stitch`` /
   ``--flight`` / ``--federation-demo``, stitch cross-zone distributed
   traces and query postmortem flight-recorder dumps.
@@ -408,8 +409,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
         history = perf_history(args.root)
         print(history["rendered"])
         if history["regressions"]:
-            print(f"FAIL: {len(history['regressions'])} metric(s) under "
-                  f"their recorded floors")
+            print(f"FAIL: {len(history['regressions'])} metric(s) outside "
+                  f"their recorded bounds")
             return 1
         return 0
     result = run_multiget_benchmark(num_keys=args.keys,

@@ -2,9 +2,10 @@
 
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport,
                    TransportCounters)
-from .memory import (Arena, MemoryRegion, RegionRevokedError,
-                     RegistrationCostModel, RemoteHostDownError, RmaEndpoint,
-                     RmaError, RmaOutOfBoundsError, next_region_id)
+from .memory import (Arena, ArenaReservationError, MemoryRegion,
+                     RegionRevokedError, RegistrationCostModel,
+                     RemoteHostDownError, RmaEndpoint, RmaError,
+                     RmaOutOfBoundsError, next_region_id)
 from .onerma import OneRmaCostModel, OneRmaTransport
 from .pony import (PonyCostModel, PonyEngineGroup, PonyScaleConfig,
                    PonyTransport)
@@ -13,9 +14,9 @@ from .rdma import RdmaCostModel, RdmaTransport
 __all__ = [
     "RMA_REQUEST_BYTES", "RMA_RESPONSE_HEADER_BYTES", "Transport",
     "TransportCounters",
-    "Arena", "MemoryRegion", "RegionRevokedError", "RegistrationCostModel",
-    "RemoteHostDownError", "RmaEndpoint", "RmaError", "RmaOutOfBoundsError",
-    "next_region_id",
+    "Arena", "ArenaReservationError", "MemoryRegion", "RegionRevokedError",
+    "RegistrationCostModel", "RemoteHostDownError", "RmaEndpoint", "RmaError",
+    "RmaOutOfBoundsError", "next_region_id",
     "OneRmaCostModel", "OneRmaTransport",
     "PonyCostModel", "PonyEngineGroup", "PonyScaleConfig", "PonyTransport",
     "RdmaCostModel", "RdmaTransport",

@@ -1,15 +1,17 @@
 """RMA-accessible memory: arenas, windows, registration, revocation.
 
-Regions hold *real bytes* (``bytearray``). An RMA read snapshots those
-bytes at one simulated instant, so torn reads — an RMA read observing the
-intermediate state of a concurrent multi-step server-side mutation — arise
-from genuine interleavings, exactly the hazard CliqueMap's self-validating
-responses exist to catch (§3, §5.3).
+Regions hold *real bytes*: each :class:`Arena` is one private anonymous
+mapping. An RMA read snapshots those bytes at one simulated instant, so
+torn reads — an RMA read observing the intermediate state of a
+concurrent multi-step server-side mutation — arise from genuine
+interleavings, exactly the hazard CliqueMap's self-validating responses
+exist to catch (§3, §5.3).
 
 The data-region reshaping design of §4.1 is modeled faithfully:
 
-* an :class:`Arena` reserves a large *virtual* range but only a populated
-  prefix is backed by (accounted) DRAM;
+* an :class:`Arena` reserves its whole *virtual* range from the OS up
+  front, but only a populated prefix is addressable (and accounted as
+  DRAM); a page costs the host memory once the model writes to it;
 * growth creates a second, larger, *overlapping* :class:`MemoryRegion`
   window onto the same arena and advertises it under a new region id;
 * old windows keep working until explicitly revoked, so clients converge
@@ -22,6 +24,7 @@ created, which is why CliqueMap does that work off the critical path.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -68,39 +71,58 @@ class RegistrationCostModel:
         return self.base_seconds + pages * self.per_page_seconds
 
 
+class ArenaReservationError(MemoryError):
+    """The OS refused to reserve an arena's virtual range."""
+
+    def __init__(self, virtual_limit: int, cause: BaseException):
+        super().__init__(
+            f"cannot reserve an arena of virtual_limit={virtual_limit} "
+            f"bytes ({cause}); the address-space limit (RLIMIT_AS), strict "
+            f"overcommit or vm.max_map_count is in the way: lower "
+            f"BackendConfig.data_virtual_limit or raise the limit")
+        self.virtual_limit = virtual_limit
+
+
 class Arena:
     """A virtually-contiguous buffer, only partially populated by DRAM.
 
-    ``virtual_limit`` is the mmap(PROT_NONE) reservation; ``populated``
-    bytes are actually backed (and counted as DRAM used).
+    ``virtual_limit`` bytes are reserved as one private anonymous mapping
+    (copy-on-write, so forked or sharded workers can never share a
+    page); the first ``populated`` bytes are addressable and counted as
+    DRAM used. Untouched pages cost the host nothing, so the bounds
+    check on ``populated`` — not the length of the mapping — is what
+    keeps an access inside the arena.
     """
 
     def __init__(self, initial_bytes: int, virtual_limit: int):
         if initial_bytes < 0 or initial_bytes > virtual_limit:
             raise ValueError("initial size must be within the virtual limit")
         self.virtual_limit = virtual_limit
-        self._buf = bytearray(initial_bytes)
+        #: Bytes of DRAM currently backing the arena.
+        self.populated = initial_bytes
+        try:
+            # A zero-length mapping is illegal; an empty arena maps a page.
+            self._buf = mmap.mmap(-1, max(virtual_limit, 1),
+                                  access=mmap.ACCESS_COPY)
+        except (OSError, OverflowError) as exc:
+            raise ArenaReservationError(virtual_limit, exc) from exc
 
     @property
-    def populated(self) -> int:
-        """Bytes of DRAM currently backing the arena."""
-        return len(self._buf)
-
-    @property
-    def buffer(self) -> bytearray:
-        """The backing bytes, for their owner to read in place. ``grow``
-        extends this one object, so hold the bytearray and never a
-        ``memoryview`` of it: a live export makes ``grow`` raise."""
+    def buffer(self) -> mmap.mmap:
+        """The whole mapping, for its owner to read in place; the same
+        object for the arena's lifetime. It is ``virtual_limit`` long and
+        checks nothing: only ``[0, populated)`` is the arena."""
         return self._buf
 
     def grow(self, new_size: int) -> None:
-        """Populate the arena out to ``new_size`` bytes."""
+        """Populate the arena out to ``new_size`` bytes: bookkeeping
+        only, the pages above the old ``populated`` read as zeros."""
         if new_size < self.populated:
             raise ValueError("grow cannot shrink; build a new arena instead")
         if new_size > self.virtual_limit:
             raise ValueError(
                 f"grow to {new_size} exceeds virtual limit {self.virtual_limit}")
-        self._buf.extend(bytes(new_size - self.populated))
+        self.populated = new_size
 
     # Raw access used by windows; offsets are arena-absolute.
 
@@ -109,7 +131,7 @@ class Arena:
             raise RmaOutOfBoundsError(
                 f"read [{offset}, {offset + size}) beyond populated "
                 f"{self.populated}")
-        return bytes(self._buf[offset:offset + size])
+        return self._buf[offset:offset + size]
 
     def write(self, offset: int, data: bytes) -> None:
         if offset < 0 or offset + len(data) > self.populated:

@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.core import Cell, CellSpec, GetStatus, ReplicationMode
+from repro.sim import core as sim_core
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -39,6 +40,50 @@ def test_one_2xr_get_on_pony_stays_within_its_event_budget():
     sim.run(until=sim.process(app()))
     cell.close()
     assert min(costs) <= 48, costs
+
+
+def test_one_batched_get_multi_fans_in_linearly(monkeypatch):
+    """A 40-key ``get_multi`` on a 120-host 1RMA cell is 78 coalesced
+    index legs plus 40 data legs. Each leg reports to the batch through
+    one callback (``FanIn``): 119 child landings today, 3,902 when every
+    landing rebuilt an ``AnyOf`` over all the legs still in flight. The
+    scheduler-entry budget beside it is the batched counterpart of the
+    2xR GET's: 8 keys cost 406 entries (50.75 a key), 40 keys 1,652."""
+    landings = []
+    for condition in (sim_core.AnyOf, sim_core.FanIn):
+        wrapped = condition._child_done
+
+        def counted(self, *args, _wrapped=wrapped):
+            landings.append(type(self).__name__)
+            return _wrapped(self, *args)
+
+        monkeypatch.setattr(condition, "_child_done", counted)
+
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=120,
+                         transport="1rma"))
+    client = cell.connect_client(strategy="2xr")
+    sim = cell.sim
+    keys = [b"fan-%03d" % i for i in range(40)]
+    entries = {}
+
+    def app():
+        for key in keys:
+            result = yield from client.set(key, bytes(100))
+            assert result.ok
+        yield from client.get_multi(keys)       # warm: connections
+        for batch in (40, 8):
+            del landings[:]
+            before = sim._seq
+            got = yield from client.get_multi(keys[:batch])
+            entries[batch] = sim._seq - before
+            assert all(r.status is GetStatus.HIT and r.attempts == 1
+                       for r in got)
+            # At most three index legs and one data leg per key.
+            assert len(landings) <= 4 * batch, (batch, len(landings))
+
+    sim.run(until=sim.process(app()))
+    cell.close()
+    assert entries[8] <= 410 and entries[40] <= 1670, entries
 
 
 def _host_calls(sim, op):

@@ -344,7 +344,7 @@ GOLDEN = \
                                  'hit/1/0.0002049048734647129/-/first',
                                  'hit/1/0.0002049048734647129/-/first',
                                  'miss/1/0.0002049048734647129/-/-'],
-                        'entries': 87,
+                        'entries': 81,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
@@ -353,7 +353,7 @@ GOLDEN = \
                                  'hit/1/0.00020443291346471288/-/first',
                                  'hit/1/0.00020443291346471288/-/first',
                                  'miss/1/0.00020443291346471288/-/-'],
-                        'entries': 91,
+                        'entries': 85,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
@@ -802,7 +802,7 @@ GOLDEN = \
                                       'hit/1/0.00014059559296464405/-/first',
                                       'hit/1/6.907043485169823e-05/-/first',
                                       'miss/1/6.907043485169823e-05/-/-'],
-                             'entries': 87,
+                             'entries': 84,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -811,7 +811,7 @@ GOLDEN = \
                                       'hit/1/0.00014081800015214383/-/first',
                                       'hit/1/6.89402248516981e-05/-/first',
                                       'miss/1/6.89402248516981e-05/-/-'],
-                             'entries': 91,
+                             'entries': 88,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -826,7 +826,7 @@ GOLDEN = \
                                              'miss/1/6.856310009047345e-05/-/-',
                                              'hit/1/6.856310009047345e-05/-/first',
                                              'miss/1/6.856310009047345e-05/-/-'],
-                                    'entries': 75,
+                                    'entries': 72,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
@@ -837,7 +837,7 @@ GOLDEN = \
                                              'miss/1/6.843289009047333e-05/-/-',
                                              'hit/1/6.843289009047333e-05/-/first',
                                              'miss/1/6.843289009047333e-05/-/-'],
-                                    'entries': 77,
+                                    'entries': 74,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
@@ -854,7 +854,7 @@ GOLDEN = \
                                       'hit/1/0.00021496965093892816/-/first',
                                       'hit/1/0.0002049048734647129/-/first',
                                       'miss/1/0.0002049048734647129/-/-'],
-                             'entries': 86,
+                             'entries': 83,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -863,7 +863,7 @@ GOLDEN = \
                                       'hit/1/0.00021485030812642806/-/first',
                                       'hit/1/0.00020443291346471288/-/first',
                                       'miss/1/0.00020443291346471288/-/-'],
-                             'entries': 88,
+                             'entries': 85,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -878,7 +878,7 @@ GOLDEN = \
                                                   'hit/1/0.00021496965093892816/-/first',
                                                   'hit/1/0.0002049048734647129/-/first',
                                                   'miss/1/0.0002049048734647129/-/-'],
-                                         'entries': 85,
+                                         'entries': 82,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},
@@ -889,7 +889,7 @@ GOLDEN = \
                                                   'hit/1/0.00021485030812642806/-/first',
                                                   'hit/1/0.00020443291346471288/-/first',
                                                   'miss/1/0.00020443291346471288/-/-'],
-                                         'entries': 88,
+                                         'entries': 85,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},

@@ -11,7 +11,7 @@ from repro.core.slab import SlabAllocator
 from repro.core.tombstone import TombstoneCache
 from repro.core.version import VersionNumber
 from repro.core.index import ParsedIndexEntry
-from repro.transport import Arena
+from repro.transport import Arena, RmaOutOfBoundsError
 
 
 versions = st.builds(VersionNumber,
@@ -97,6 +97,55 @@ def test_corrupted_entry_never_validates_silently(key, value, version,
             entry.version == version:
         return  # semantic fields untouched (corruption hit padding)
     assert not entry.checksum_ok(kh)
+
+
+# -- arena ------------------------------------------------------------------
+
+ARENA_LIMIT = 16 * 1024
+
+arena_ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(-8, ARENA_LIMIT + 8),
+              st.binary(max_size=96)),
+    st.tuples(st.just("read"), st.integers(-8, ARENA_LIMIT + 8),
+              st.integers(-2, 96)),
+    st.tuples(st.just("grow"), st.integers(0, ARENA_LIMIT + 64),
+              st.none()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, ARENA_LIMIT), st.lists(arena_ops, max_size=60))
+def test_arena_matches_a_bytearray_that_really_grows(initial, ops):
+    """The mapping with a ``populated`` mark against the backing it
+    replaced: a plain bytearray, extended on grow, its length the only
+    bound."""
+    arena = Arena(initial, ARENA_LIMIT)
+    reference = bytearray(initial)
+    for op, at, arg in ops:
+        if op == "grow":
+            legal = len(reference) <= at <= ARENA_LIMIT
+            try:
+                arena.grow(at)
+            except ValueError:
+                assert not legal
+            else:
+                assert legal
+                reference.extend(bytes(at - len(reference)))
+            continue
+        size = len(arg) if op == "write" else arg
+        legal = at >= 0 and size >= 0 and at + size <= len(reference)
+        try:
+            got = arena.write(at, arg) if op == "write" \
+                else arena.read(at, size)
+        except RmaOutOfBoundsError:
+            assert not legal
+            continue
+        assert legal
+        if op == "write":
+            reference[at:at + size] = arg
+        else:
+            assert got == bytes(reference[at:at + size])
+        assert arena.populated == len(reference)
+    assert arena.read(0, arena.populated) == bytes(reference)
 
 
 # -- slab allocator ---------------------------------------------------------

@@ -65,6 +65,16 @@ def test_the_tests_job_logs_its_slowest_tests():
     assert len(tier1) == 1 and "--durations=20" in tier1[0].split()
 
 
+def test_the_perf_smoke_row_ends_by_enforcing_the_recorded_bounds():
+    """ROADMAP: a floor is "what ``perf history`` enforces" — so it runs,
+    after the benches of its row have rewritten their files."""
+    rows = yaml.safe_load(WORKFLOW.read_text())[
+        "jobs"]["smoke"]["strategy"]["matrix"]["include"]
+    perf = next(row for row in rows if row["name"] == "perf")
+    assert perf["run"].strip().splitlines()[-1].strip() == \
+        "python -m repro.tools perf history"
+
+
 def test_every_cli_line_parses_and_names_a_known_scenario():
     parser = build_parser()
     cli_lines = [words[3:] for words in _command_lines()

@@ -299,6 +299,33 @@ def test_bench_history_flags_metrics_under_their_floors(tmp_path):
     assert len(history["regressions"]) == 1
 
 
+def test_bench_history_flags_metrics_over_their_ceilings(tmp_path):
+    """A ``ceiling_`` bound is lower-is-better: at or under it is ok."""
+    def write(per_host):
+        (tmp_path / "BENCH_scale.json").write_text(json.dumps({
+            "benchmark": "scale", "ops_per_wall_sec": 3000.0,
+            "rss_mb_per_host": per_host, "ceiling_rss_mb_per_host": 0.5}))
+        (tmp_path / "BENCH_new.json").write_text(json.dumps({
+            "benchmark": "new", "seconds": 4.0 * per_host,
+            "ceiling_seconds": 1.0}))
+        history = perf_history(str(tmp_path))
+        return history, {(r["benchmark"], r["metric"]): r
+                         for r in history["rows"]}
+
+    history, rows = write(0.25)
+    assert history["regressions"] == []
+    row = rows[("scale", "rss_mb_per_host")]
+    assert row["ceiling"] and row["ok"] and math.isclose(row["margin"], 0.5)
+    assert not rows[("scale", "ops_per_wall_sec")]["ceiling"]
+    assert "<= 0.500" in history["rendered"]
+
+    history, rows = write(0.75)
+    assert [(r["benchmark"], r["metric"]) for r in history["regressions"]] \
+        == [("new", "seconds"), ("scale", "rss_mb_per_host")]
+    assert "OVER CEILING" in history["rendered"]
+    assert "UNDER FLOOR" not in history["rendered"]
+
+
 def test_bench_history_empty_dir(tmp_path):
     history = perf_history(str(tmp_path))
     assert history["rows"] == [] and history["regressions"] == []

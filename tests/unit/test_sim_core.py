@@ -246,6 +246,143 @@ def test_any_of_defuses_later_failures():
     assert got == ["fast"]
 
 
+def test_fan_in_takes_one_child_per_wait():
+    """A wait is met by the child that ends during it; children that
+    ended while nobody waited are taken earliest-spawned first — the
+    pick ``any_of(list(pending))`` made."""
+    sim = Simulator()
+    got = []
+
+    def child(delay, value):
+        yield sim.timeout(delay)
+        return value
+
+    def parent():
+        legs = sim.fan_in()
+        for tag, delay in (("slow", 3.0), ("fast", 1.0), ("c", 2.2),
+                           ("d", 2.0)):
+            legs.spawn(child(delay, tag.upper()), tag)
+        assert legs.pending == 4
+        got.append(((yield legs.next()), sim.now))
+        yield sim.timeout(1.5)      # d, then c, end while nobody waits
+        while legs.pending:
+            got.append(((yield legs.next()), sim.now))
+        with pytest.raises(SimulationError):
+            legs.next()
+
+    sim.run(until=sim.process(parent()))
+    assert got == [(("fast", "FAST"), 1.0), (("c", "C"), 2.5),
+                   (("d", "D"), 2.5), (("slow", "SLOW"), 3.0)]
+
+
+def test_fan_in_visits_children_in_the_order_an_any_of_drain_did():
+    """The idiom ``FanIn`` replaces, kept here as the reference: same
+    children, same busy parent, same visiting order and instants."""
+    delays = [5.0, 1.0, 4.0, 1.0, 2.5, 3.0, 0.5, 2.5]
+
+    def visit(drain):
+        sim = Simulator()
+        visited = []
+
+        def child(delay):
+            yield sim.timeout(delay)
+            return delay
+
+        def parent():
+            yield from drain(sim, child, visited)
+
+        sim.run(until=sim.process(parent()))
+        return visited
+
+    def any_of_drain(sim, child, visited):
+        pending = {sim.process(child(d)): i for i, d in enumerate(delays)}
+        while pending:
+            event, value = yield sim.any_of(list(pending))
+            visited.append((pending.pop(event), value, sim.now))
+            yield sim.timeout(0.8)      # a parent busy in simulated time
+
+    def fan_in_drain(sim, child, visited):
+        legs = sim.fan_in()
+        for i, d in enumerate(delays):
+            legs.spawn(child(d), i)
+        while legs.pending:
+            i, value = yield legs.next()
+            visited.append((i, value, sim.now))
+            yield sim.timeout(0.8)
+
+    assert visit(fan_in_drain) == visit(any_of_drain)
+
+
+def test_fan_in_registers_one_callback_per_child():
+    sim = Simulator()
+
+    def child(delay):
+        yield sim.timeout(delay)
+
+    def parent():
+        legs = sim.fan_in()
+        children = [legs.spawn(child(float(d))) for d in range(1, 30)]
+        while legs.pending:
+            yield legs.next()
+            assert all(len(c.callbacks) == 1 for c in children
+                       if c.callbacks is not None)
+
+    sim.run(until=sim.process(parent()))
+
+
+def test_fan_in_child_failure_reaches_the_parent_at_its_next_wait():
+    sim = Simulator()
+    seen = []
+
+    def child(delay, fail):
+        yield sim.timeout(delay)
+        if fail:
+            raise RuntimeError(f"child failed at {sim.now}")
+        return delay
+
+    def parent():
+        legs = sim.fan_in()
+        legs.spawn(child(1.0, False), "ok")
+        legs.spawn(child(2.0, True), "waited-for")
+        legs.spawn(child(3.0, True), "ended-before-the-wait")
+        legs.spawn(child(5.0, False), "last")
+        seen.append((yield legs.next()))
+        for _ in range(2):
+            try:
+                yield legs.next()
+            except RuntimeError as exc:
+                seen.append(str(exc))
+            yield sim.timeout(1.5)
+        seen.append((yield legs.next()))
+
+    sim.run(until=sim.process(parent()))
+    assert seen == [("ok", 1.0), "child failed at 2.0",
+                    "child failed at 3.0", ("last", 5.0)]
+
+
+def test_fan_in_drops_what_lands_after_the_parent_left():
+    """A parent that stops early (a settled quorum) leaves children in
+    flight: their results, and their failures, go nowhere."""
+    sim = Simulator()
+
+    def child(delay, fail):
+        yield sim.timeout(delay)
+        if fail:
+            raise RuntimeError("nobody is listening")
+        return delay
+
+    def parent():
+        legs = sim.fan_in()
+        legs.spawn(child(1.0, False), "first")
+        legs.spawn(child(2.0, False), "late")
+        legs.spawn(child(3.0, True), "late failure")
+        return (yield legs.next())
+
+    proc = sim.process(parent())
+    sim.run()       # to exhaustion: a late failure would re-raise here
+    assert proc.value == ("first", 1.0) and sim.now == 3.0
+
+
 def test_interrupt_wakes_process():
     sim = Simulator()
     log = []

@@ -1,7 +1,13 @@
 """Unit tests for RMA memory: arenas, windows, registration, revocation."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 
+from repro.core.index import IndexRegion
 from repro.net import Fabric, FabricConfig
 from repro.sim import Simulator
 from repro.transport import (Arena, MemoryRegion, RegionRevokedError,
@@ -48,6 +54,113 @@ def test_arena_bounds_checked():
         arena.read(60, 8)
     with pytest.raises(RmaOutOfBoundsError):
         arena.write(62, b"xyz")
+
+
+def test_mapping_past_populated_is_out_of_bounds_before_and_after_grow():
+    """The mapping is ``virtual_limit`` long; ``populated`` is the only
+    guard between an access and the reserved bytes above it."""
+    arena = Arena(4096, 1 << 20)
+    window = MemoryRegion(arena)
+    assert len(arena.buffer) == 1 << 20
+
+    def assert_reserved_range_raises():
+        top = arena.populated
+        for offset, size in ((top, 1), (top - 1, 2), (top + 4096, 16),
+                             (arena.virtual_limit - 8, 8),
+                             (0, arena.virtual_limit)):
+            with pytest.raises(RmaOutOfBoundsError):
+                arena.read(offset, size)
+            with pytest.raises(RmaOutOfBoundsError):
+                arena.write(offset, bytes(size))
+            with pytest.raises(RmaOutOfBoundsError):
+                MemoryRegion(arena, limit=arena.virtual_limit).read(
+                    offset, size)
+        assert arena.read(top - 8, 8) == bytes(8)
+
+    assert_reserved_range_raises()
+    arena.grow(64 * 1024)
+    assert_reserved_range_raises()
+    # The old window's limit predates the grow: what it cannot reach is
+    # populated now, and still out of its bounds.
+    assert window.limit == 4096
+    arena.write(4096, b"above the old window")
+    with pytest.raises(RmaOutOfBoundsError):
+        window.read(4096, 8)
+    with pytest.raises(RmaOutOfBoundsError):
+        window.read(4090, 8)
+    with pytest.raises(RmaOutOfBoundsError):
+        window.write(4096, b"x")
+    assert window.read(4088, 8) == bytes(8)
+    assert arena.buffer[4096:4101] == b"above"
+
+
+def test_empty_arena_works():
+    arena = Arena(0, 0)
+    assert arena.populated == arena.virtual_limit == 0
+    assert arena.read(0, 0) == b""
+    arena.write(0, b"")
+    arena.grow(0)
+    with pytest.raises(RmaOutOfBoundsError):
+        arena.read(0, 1)
+    with pytest.raises(ValueError):
+        arena.grow(1)
+
+
+def test_grow_is_bookkeeping():
+    """Same buffer object, every old byte kept, zeros above, and nothing
+    allocated in proportion to the growth."""
+    arena = Arena(1 << 20, 128 << 20)
+    buffer = arena.buffer
+    view = memoryview(buffer)   # a live export no longer pins the size
+    stamp = bytes(range(256)) * 4096
+    arena.write(0, stamp)
+    tracemalloc.start()
+    try:
+        arena.grow(65 << 20)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert arena.buffer is buffer
+    assert arena.populated == 65 << 20
+    assert arena.read(0, 1 << 20) == stamp
+    assert view[:256] == stamp[:256]
+    for offset in (1 << 20, 33 << 20, (65 << 20) - 4096):
+        assert arena.read(offset, 4096) == bytes(4096)
+
+
+def test_index_region_is_fully_populated():
+    """``IndexRegion`` reads ``arena.buffer`` in place, with no bounds
+    check of its own: its arena has no reserved tail to stray into."""
+    for buckets, ways in ((1, 1), (512, 7), (1024, 3)):
+        arena = IndexRegion(buckets, ways, config_id=1).arena
+        assert arena.populated == arena.virtual_limit == len(arena.buffer)
+
+
+_REFUSED_RESERVATION = """
+import resource
+from repro.core import BackendConfig
+from repro.transport import Arena, ArenaReservationError
+limit = BackendConfig().data_virtual_limit
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    Arena(1 << 20, limit)
+except ArenaReservationError as exc:
+    assert exc.virtual_limit == limit
+    print(exc)
+"""
+
+
+def test_refused_reservation_is_one_typed_error():
+    """Under an address-space limit the OS refuses the mapping; the
+    error says which number to lower."""
+    result = subprocess.run(
+        [sys.executable, "-c", _REFUSED_RESERVATION], capture_output=True,
+        text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == 0, result.stderr
+    assert f"virtual_limit={1 << 28}" in result.stdout
+    assert "BackendConfig.data_virtual_limit" in result.stdout
 
 
 def test_window_reads_through_to_arena():
