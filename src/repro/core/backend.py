@@ -385,53 +385,32 @@ class Backend:
 
     def _handle_scan_summary(self, payload, context: HandlerContext
                              ) -> Generator:
-        """KeyHash -> version exchange for cohort repair scans (§5.4).
-
-        An optional ``num_shards`` evaluates the primary filter under a
-        different modulus than this backend's own placement — resize
-        backfill asks old-layout tasks "what do you hold that shard *i*
-        of the target layout owns" this way.
-        """
-        shard_filter = payload.get("primary_shard")
-        num_shards = payload.get("num_shards") or self.placement.num_shards
+        """KeyHash -> version exchange for cohort repair scans (§5.4):
+        :meth:`held_versions` plus its CPU charge and response size."""
         yield self.host.execute(
             self.config.scan_cpu_per_entry * max(1, self.resident_keys),
             self._component)
-        summary: Dict[bytes, bytes] = {}
-        for key_hash, packed_version in self._iter_versions():
-            if shard_filter is not None and \
-                    primary_for(key_hash, num_shards) != shard_filter:
-                continue
-            summary[key_hash] = packed_version
+        summary = self.held_versions(payload.get("primary_shard"),
+                                     payload.get("num_shards"))
         context.response_size_override = 32 * max(1, len(summary))
         return {"entries": summary}
 
     def _handle_repair_get(self, payload, context: HandlerContext
                            ) -> Generator:
         """Source a full KV pair for an on-demand repair."""
-        key_hash: bytes = payload["key_hash"]
         yield self.host.execute(self.config.lookup_cpu, self._component)
-        key = self._keys.get(key_hash)
-        if key is None:
+        entry = self.export_entry(payload["key_hash"])
+        if entry is None:
             return {"found": False}
-        found = self.lookup_local(key)
-        if found is None:
-            return {"found": False}
-        value, version = found
+        key, value, packed_version = entry
         context.response_size_override = len(key) + len(value) + 64
         return {"found": True, "key": key, "value": value,
-                "version": version.pack()}
+                "version": packed_version}
 
     def _handle_migrate_in(self, payload, context: HandlerContext
                            ) -> Generator:
         """Bulk-install entries pushed by a migrating peer or repair."""
-        entries = payload["entries"]
-        applied = 0
-        for key, value, version_bytes in entries:
-            ok, _reason = yield from self._apply_set(
-                key, value, VersionNumber.unpack(version_bytes))
-            if ok:
-                applied += 1
+        applied = yield from self.install_entries(payload["entries"])
         self.stats.repairs_applied += applied
         return {"applied": applied}
 
@@ -917,15 +896,46 @@ class Backend:
     # Migration & maintenance support (§6.1)
     # ------------------------------------------------------------------
 
+    def held_versions(self, primary: Optional[int] = None,
+                      num_shards: Optional[int] = None) -> Dict[bytes, bytes]:
+        """``{key_hash: packed version}`` resident for ``primary`` (all
+        if ``None``): the handoff plane's *summarize* (ARCHITECTURE §4).
+
+        ``num_shards`` evaluates ownership under a different modulus
+        than this backend's own placement — resize backfill asks
+        old-layout tasks "what do you hold that shard *i* of the target
+        layout owns" this way.
+        """
+        num_shards = num_shards or self.placement.num_shards
+        return {key_hash: packed
+                for key_hash, packed in self._iter_versions()
+                if primary is None
+                or primary_for(key_hash, num_shards) == primary}
+
+    def export_entry(self, key_hash: bytes
+                     ) -> Optional[Tuple[bytes, bytes, bytes]]:
+        """The resident ``(key, value, packed version)`` for a KeyHash,
+        or ``None`` — the plane's *export* verb."""
+        key = self._keys.get(key_hash)
+        found = None if key is None else self.lookup_local(key)
+        if found is None:
+            return None
+        return key, found[0], found[1].pack()
+
+    def install_entries(self, entries) -> Generator:
+        """Install ``(key, value, packed version)`` triples under version
+        arbitration; returns how many applied — the plane's *install*."""
+        applied = 0
+        for key, value, packed_version in entries:
+            ok, _reason = yield from self._apply_set(
+                key, value, VersionNumber.unpack(packed_version))
+            applied += ok
+        return applied
+
     def snapshot_entries(self) -> List[Tuple[bytes, bytes, bytes]]:
         """All resident (key, value, packed-version) tuples."""
-        out: List[Tuple[bytes, bytes, bytes]] = []
-        for key_hash, key in list(self._keys.items()):
-            found = self.lookup_local(key)
-            if found is not None:
-                value, version = found
-                out.append((key, value, version.pack()))
-        return out
+        exported = map(self.export_entry, list(self._keys))
+        return [entry for entry in exported if entry is not None]
 
     def purge_nonresident(self, placement: Placement,
                           shard: int) -> Generator:
@@ -939,8 +949,7 @@ class Backend:
         standard removal procedure, so racing RMA reads poison
         themselves instead of observing freed bytes.
         """
-        owned = set((shard - back) % placement.num_shards
-                    for back in range(placement.replication))
+        owned = set(placement.primaries_held_by(shard))
         purged = 0
         for key_hash, _version in list(self._iter_versions()):
             if primary_for(key_hash, placement.num_shards) in owned:

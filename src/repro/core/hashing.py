@@ -74,8 +74,7 @@ class Placement:
         cohort is every other shard holding any of those key ranges.
         """
         members = set()
-        for back in range(self.replication):
-            primary = (shard - back) % self.num_shards
+        for primary in self.primaries_held_by(shard):
             members.update(self.shards_for_primary(primary))
         members.discard(shard)
         return sorted(members)
@@ -83,3 +82,9 @@ class Placement:
     def shards_for_primary(self, primary: int) -> List[int]:
         return [(primary + i) % self.num_shards
                 for i in range(self.replication)]
+
+    def primaries_held_by(self, shard: int) -> List[int]:
+        """Primaries whose keys ``shard`` stores, its own first — the
+        inverse of :meth:`shards_for_primary`."""
+        return [(shard - back) % self.num_shards
+                for back in range(self.replication)]

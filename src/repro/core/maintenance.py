@@ -20,17 +20,17 @@ crashes, being crashes, take no lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional
 
-from ..rpc import Principal, RpcError, connect as rpc_connect
 from ..sim import Simulator
 from .errors import CliqueMapError
+from .repair import HANDOFF_BATCH, HandoffStub
+
+MIGRATE_RPC_DEADLINE = 100e-3
 
 
 @dataclass
 class MaintenanceConfig:
-    migrate_batch: int = 64            # entries per MigrateIn RPC
-    rpc_deadline: float = 100e-3
     restart_delay: float = 30.0        # binary restart time (planned)
     crash_restart_delay: float = 90.0  # reschedule + cold start (unplanned)
 
@@ -112,36 +112,26 @@ class MaintenanceController:
         spare.stop()
         self.cell.restart_backend_task(spare_task, shard=-1)
 
-    def _transfer(self, source, target,
-                  direction: str = "to-spare") -> Generator:
+    def _transfer(self, source, target, direction: str) -> Generator:
         """Stream every resident entry from source to target in batches."""
-        entries = source.snapshot_entries()
-        channel = rpc_connect(
-            self.sim, self.cell.fabric, source.host, target.rpc_server,
-            Principal(f"migrate@{source.task_name}"),
-            client_component=f"migrate:{source.task_name}")
-        batch: List[Tuple[bytes, bytes, bytes]] = []
-        for entry in entries:
-            batch.append(entry)
-            if len(batch) >= self.config.migrate_batch:
-                yield from self._send_batch(channel, batch, direction)
-                self.stats.entries_migrated += len(batch)
-                batch = []
-        if batch:
-            yield from self._send_batch(channel, batch, direction)
-            self.stats.entries_migrated += len(batch)
 
-    def _send_batch(self, channel, batch, direction: str) -> Generator:
-        size = sum(len(k) + len(v) + 32 for k, v, _ in batch)
-        try:
-            yield from channel.call("MigrateIn", {"entries": batch},
-                                    deadline=self.config.rpc_deadline,
-                                    request_size=size)
-        except RpcError:
+        def failed(_method: str) -> None:
             # Repairs reconcile the gap, but the failure must be visible:
             # a silent drop here looks identical to a healthy migration.
             self.stats.migration_rpc_errors += 1
             self._m_rpc_errors.labels(direction=direction).inc()
+
+        stub = HandoffStub(
+            self.sim, self.cell, source.host, f"migrate@{source.task_name}",
+            MIGRATE_RPC_DEADLINE, failed,
+            component=f"migrate:{source.task_name}")
+        entries = source.snapshot_entries()
+        # One install per batch, so ``entries_migrated`` advances as the
+        # transfer does.
+        for at in range(0, len(entries), HANDOFF_BATCH):
+            batch = entries[at:at + HANDOFF_BATCH]
+            yield from stub.install(target.task_name, batch)
+            self.stats.entries_migrated += len(batch)
 
     # ------------------------------------------------------------------
     # Unplanned maintenance

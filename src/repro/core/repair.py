@@ -11,12 +11,17 @@ consistent view.
 The same machinery runs en masse when a backend restarts after a crash:
 the restarted (empty) backend requests repairs from its two healthy
 cohort members.
+
+It is also the wire side of the *handoff plane* (ARCHITECTURE §4):
+:class:`HandoffStub` is the one sender of ``MigrateIn`` (repair, planned
+migration, the corpus loader) and :meth:`RepairScanner.recover_from` the
+one summary-diff pull (restart recovery, resize backfill).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..rpc import Principal, RpcError, connect as rpc_connect
 from ..sim import Simulator
@@ -28,14 +33,66 @@ from .version import VersionFactory, VersionNumber
 # disjoint from application clients.
 REPAIR_CLIENT_ID_BASE = 1 << 24
 
+REPAIR_RPC_DEADLINE = 50e-3   # every repair / resize-backfill RPC
+HANDOFF_BATCH = 64            # entries per MigrateIn RPC, for every mover
+
+#: A resident entry in flight: (key, value, packed version).
+Entry = Tuple[bytes, bytes, bytes]
+
+
+class HandoffStub:
+    """The handoff plane's peer stub: one deadline, one principal, one
+    channel per backend task (re-dialled when the task is a new
+    incarnation). A failed call tells ``on_error(method)`` and returns
+    ``None``: something reconciles the gap later, but never silently."""
+
+    def __init__(self, sim: Simulator, cell, host, principal: str,
+                 deadline: float, on_error: Callable[[str], None],
+                 component: str = "rpc-client"):
+        self.sim = sim
+        self.cell = cell          # the Cell: resolves task -> Backend
+        self.host = host
+        self.principal = Principal(principal)
+        self.deadline = deadline
+        self.on_error = on_error
+        self.component = component
+        self._channels: Dict[str, object] = {}
+
+    def call(self, task: str, method: str, payload: dict,
+             request_size: Optional[int] = None) -> Generator:
+        peer = self.cell.backend_by_task(task)
+        channel = self._channels.get(task)
+        if channel is None or channel.server is not peer.rpc_server:
+            channel = self._channels[task] = rpc_connect(
+                self.sim, self.cell.fabric, self.host, peer.rpc_server,
+                self.principal, client_component=self.component)
+        try:
+            return (yield from channel.call(method, payload,
+                                            deadline=self.deadline,
+                                            request_size=request_size))
+        except RpcError:
+            self.on_error(method)
+            return None
+
+    def install(self, task: str, entries: List[Entry]) -> Generator:
+        """Push ``entries`` to ``task``, :data:`HANDOFF_BATCH` per
+        ``MigrateIn``; returns how many the peer applied."""
+        applied = 0
+        for at in range(0, len(entries), HANDOFF_BATCH):
+            chunk = entries[at:at + HANDOFF_BATCH]
+            reply = yield from self.call(
+                task, "MigrateIn", {"entries": chunk},
+                request_size=sum(len(k) + len(v) + 32 for k, v, _ in chunk))
+            if reply is not None:
+                applied += reply["applied"]
+        return applied
+
 
 @dataclass
 class RepairConfig:
-    """Scanner cadence and limits."""
+    """Scanner cadence."""
 
     scan_interval: float = 10.0          # tens of seconds typical (§5.4)
-    rpc_deadline: float = 50e-3
-    batch_size: int = 64                 # repair installs per MigrateIn RPC
     enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -43,14 +100,6 @@ class RepairConfig:
             raise CliqueMapError(
                 f"RepairConfig.scan_interval must be > 0, "
                 f"got {self.scan_interval!r}")
-        if self.rpc_deadline <= 0:
-            raise CliqueMapError(
-                f"RepairConfig.rpc_deadline must be > 0, "
-                f"got {self.rpc_deadline!r}")
-        if self.batch_size < 1:
-            raise CliqueMapError(
-                f"RepairConfig.batch_size must be >= 1, "
-                f"got {self.batch_size!r}")
 
 
 @dataclass
@@ -73,18 +122,18 @@ class RepairScanner:
         self.backend = backend
         self.config = config or RepairConfig()
         self.stats = RepairStats()
-        self._channels: Dict[str, object] = {}
         self.versions = VersionFactory(
-            REPAIR_CLIENT_ID_BASE + backend.shard,
-            TrueTime(sim))
+            REPAIR_CLIENT_ID_BASE + backend.shard, TrueTime(sim))
         self._proc = None
         # Repair RPC failures are retried by later scans, but they are
         # no longer silent: every one is counted by method.
-        registry = getattr(cell, "metrics", None)
-        self._m_rpc_errors = registry.counter(
+        self._m_rpc_errors = cell.metrics.counter(
             "cliquemap_repair_rpc_errors_total",
-            "Repair-plane RPCs that failed, by method"
-        ) if registry is not None else None
+            "Repair-plane RPCs that failed, by method")
+        self.peers = HandoffStub(
+            sim, cell, backend.host, f"repair@{backend.task_name}",
+            REPAIR_RPC_DEADLINE, self._count_rpc_error,
+            component=f"repair:{backend.task_name}")
 
     # -- wiring -----------------------------------------------------------
 
@@ -105,19 +154,37 @@ class RepairScanner:
 
     def _count_rpc_error(self, method: str) -> None:
         self.stats.rpc_errors += 1
-        if self._m_rpc_errors is not None:
-            self._m_rpc_errors.labels(method=method).inc()
+        self._m_rpc_errors.labels(method=method).inc()
 
-    def _channel_to(self, task: str):
-        peer = self.cell.backend_by_task(task)
-        channel = self._channels.get(task)
-        if channel is None or channel.server is not peer.rpc_server:
-            channel = rpc_connect(
-                self.sim, self.cell.fabric, self.backend.host,
-                peer.rpc_server, Principal(f"repair@{self.backend.task_name}"),
-                client_component=f"repair:{self.backend.task_name}")
-            self._channels[task] = channel
-        return channel
+    # -- summarize and export, from a peer or from the co-located backend ---
+
+    def _summary(self, task: str, primary: Optional[int],
+                 num_shards: Optional[int] = None) -> Generator:
+        """What ``task`` holds for ``primary`` (``None``: for any) as
+        ``{key_hash: version}``; ``None`` if it did not answer.
+        ``num_shards``, when given, rides the wire and replaces the
+        peer's own modulus."""
+        if task == self.backend.task_name:
+            packed = self.backend.held_versions(primary, num_shards)
+        else:
+            payload = {"primary_shard": primary}
+            if num_shards is not None:
+                payload["num_shards"] = num_shards
+            reply = yield from self.peers.call(task, "ScanSummary", payload)
+            if reply is None:
+                return None
+            packed = reply["entries"]
+        return {kh: VersionNumber.unpack(vb) for kh, vb in packed.items()}
+
+    def _fetch(self, key_hash: bytes, source_task: str) -> Generator:
+        """The :data:`Entry` ``source_task`` holds for a KeyHash, or None."""
+        if source_task == self.backend.task_name:
+            return self.backend.export_entry(key_hash)
+        reply = yield from self.peers.call(
+            source_task, "RepairGet", {"key_hash": key_hash})
+        if reply is None or not reply.get("found"):
+            return None
+        return reply["key"], reply["value"], reply["version"]
 
     # -- periodic cohort scanning -------------------------------------------
 
@@ -134,42 +201,27 @@ class RepairScanner:
     def scan_once(self) -> Generator:
         """One full cohort scan + repairs for every dirty quorum found."""
         self.stats.scans += 1
-        placement = self.backend.placement
         # Every primary shard whose keys this backend stores.
-        primaries = [(self.backend.shard - back) % placement.num_shards
-                     for back in range(placement.replication)]
-        for primary in primaries:
+        for primary in self.backend.placement.primaries_held_by(
+                self.backend.shard):
             yield from self._scan_primary(primary)
 
     def _scan_primary(self, primary: int) -> Generator:
-        placement = self.backend.placement
-        replica_shards = placement.shards_for_primary(primary)
-        tasks = [self.cell.task_for_shard(s) for s in replica_shards]
-
+        tasks = self._cohort_tasks(self.backend.placement, primary)
         summaries: Dict[str, Dict[bytes, VersionNumber]] = {}
         for task in tasks:
-            if task == self.backend.task_name:
-                summaries[task] = {
-                    kh: VersionNumber.unpack(vb)
-                    for kh, vb in self.backend._iter_versions()
-                    if placement.primary_shard(kh) == primary}
-                continue
-            channel = self._channel_to(task)
-            try:
-                reply = yield from channel.call(
-                    "ScanSummary", {"primary_shard": primary},
-                    deadline=self.config.rpc_deadline)
-            except RpcError:
-                self._count_rpc_error("ScanSummary")
+            summary = yield from self._summary(task, primary)
+            if summary is None:
                 return  # peer unreachable; skip this round
-            summaries[task] = {
-                kh: VersionNumber.unpack(vb)
-                for kh, vb in reply["entries"].items()}
+            summaries[task] = summary
 
-        dirty = self._find_dirty(summaries)
-        for key_hash, source_task in dirty:
+        for key_hash, source_task in self._find_dirty(summaries):
             self.stats.dirty_quorums_found += 1
             yield from self._repair_key(key_hash, source_task, tasks)
+
+    def _cohort_tasks(self, placement, primary: int) -> List[str]:
+        return [self.cell.task_for_shard(s)
+                for s in placement.shards_for_primary(primary)]
 
     def _find_dirty(self, summaries: Dict[str, Dict[bytes, VersionNumber]]
                     ) -> List:
@@ -194,164 +246,78 @@ class RepairScanner:
     def _repair_key(self, key_hash: bytes, source_task: str,
                     replica_tasks: List[str]) -> Generator:
         """Fetch the datum, re-install everywhere at a new version (§5.4)."""
-        kv = yield from self._fetch_kv(key_hash, source_task)
-        if kv is None:
+        entry = yield from self._fetch(key_hash, source_task)
+        if entry is None:
             return
-        key, value, _old_version = kv
-        new_version = self.versions.next()
-        entry = (key, value, new_version.pack())
+        key, value, _old_version = entry
+        fresh = [(key, value, self.versions.next().pack())]
         for task in replica_tasks:
-            yield from self._install(task, [entry])
+            if task == self.backend.task_name:
+                # No RPC, so not one of the backend's ``repairs_applied``.
+                yield from self.backend.install_entries(fresh)
+            else:
+                yield from self.peers.install(task, fresh)
         self.stats.keys_repaired += 1
 
-    def _fetch_kv(self, key_hash: bytes, source_task: str) -> Generator:
-        if source_task == self.backend.task_name:
-            key = self.backend._keys.get(key_hash)
-            if key is None:
-                return None
-            found = self.backend.lookup_local(key)
-            if found is None:
-                return None
-            return key, found[0], found[1]
-        channel = self._channel_to(source_task)
-        try:
-            reply = yield from channel.call(
-                "RepairGet", {"key_hash": key_hash},
-                deadline=self.config.rpc_deadline)
-        except RpcError:
-            self._count_rpc_error("RepairGet")
-            return None
-        if not reply.get("found"):
-            return None
-        return (reply["key"], reply["value"],
-                VersionNumber.unpack(reply["version"]))
+    # -- the one pull (restarts, resize backfill) -----------------------------
 
-    def _install(self, task: str, entries) -> Generator:
-        size = sum(len(k) + len(v) + 32 for k, v, _ in entries)
-        if task == self.backend.task_name:
-            for key, value, version_bytes in entries:
-                yield from self.backend._apply_set(
-                    key, value, VersionNumber.unpack(version_bytes))
-            return
-        channel = self._channel_to(task)
-        try:
-            yield from channel.call("MigrateIn", {"entries": entries},
-                                    deadline=self.config.rpc_deadline,
-                                    request_size=size)
-        except RpcError:
-            # The peer will be caught by a later scan — but the failure
-            # is counted, not swallowed silently.
-            self._count_rpc_error("MigrateIn")
-
-    # -- pull-based recovery (restarts, resize backfill) ----------------------
-
-    def recover_from(self, peer_tasks: List[str],
-                     placement=None, shard: Optional[int] = None
-                     ) -> Generator:
+    def recover_from(self, peer_tasks: Optional[List[str]] = None,
+                     placement=None, shard: Optional[int] = None) -> Generator:
         """Pull every entry this backend should hold — serving ``shard``
         under ``placement`` (defaults: its own) — that a peer holds at a
         newer version or that is missing locally. Returns the number of
         entries installed.
 
-        This is restart recovery generalized for elastic cells: during a
-        resize the new replica pulls its key ranges from the *old*
-        cohort, filtering peer summaries under the target modulus (the
-        ``num_shards`` override on ScanSummary). Installs keep the
-        source versions and are arbitrated by the backend, so re-running
-        a sweep is idempotent — the converging-handoff property resize
-        cutover relies on.
+        ``peer_tasks=None`` asks each primary's own cohort: restart
+        recovery. Resize backfill names the *old* cohort and the target
+        ``placement``; an explicit placement is what puts ``num_shards``
+        on the wire, so peers filter under the target modulus. Installs
+        keep the source versions and are arbitrated by the backend, so
+        re-running a sweep is idempotent — the converging-handoff
+        property resize cutover relies on. The pull streams (fetch,
+        flush at :data:`HANDOFF_BATCH`, continue): live writers race it.
         """
-        placement = placement if placement is not None \
-            else self.backend.placement
+        num_shards = None if placement is None else placement.num_shards
+        placement = placement or self.backend.placement
         shard = self.backend.shard if shard is None else shard
-        primaries = [(shard - back) % placement.num_shards
-                     for back in range(placement.replication)]
-        have: Dict[bytes, VersionNumber] = {
-            kh: VersionNumber.unpack(vb)
-            for kh, vb in self.backend._iter_versions()}
+        me = self.backend.task_name
+        have = yield from self._summary(me, None)
         installed = 0
-        for primary in primaries:
-            merged: Dict[bytes, VersionNumber] = {}
-            source: Dict[bytes, str] = {}
-            for task in peer_tasks:
-                if task == self.backend.task_name:
+        for primary in placement.primaries_held_by(shard):
+            # key_hash -> (newest version any peer reported, that peer)
+            newest: Dict[bytes, Tuple[VersionNumber, str]] = {}
+            for task in (peer_tasks if peer_tasks is not None
+                         else self._cohort_tasks(placement, primary)):
+                if task == me:
                     continue
-                channel = self._channel_to(task)
-                try:
-                    reply = yield from channel.call(
-                        "ScanSummary",
-                        {"primary_shard": primary,
-                         "num_shards": placement.num_shards},
-                        deadline=self.config.rpc_deadline)
-                except RpcError:
-                    self._count_rpc_error("ScanSummary")
-                    continue
-                for kh, vb in reply["entries"].items():
-                    version = VersionNumber.unpack(vb)
-                    if kh not in merged or version > merged[kh]:
-                        merged[kh] = version
-                        source[kh] = task
-            batch = []
-            for key_hash, version in merged.items():
+                summary = yield from self._summary(task, primary, num_shards)
+                for kh, version in (summary or {}).items():
+                    if kh not in newest or version > newest[kh][0]:
+                        newest[kh] = version, task
+            batch: List[Entry] = []
+            for key_hash, (version, task) in newest.items():
                 mine = have.get(key_hash)
                 if mine is not None and mine >= version:
                     continue
-                kv = yield from self._fetch_kv(key_hash, source[key_hash])
-                if kv is None:
+                entry = yield from self._fetch(key_hash, task)
+                if entry is None:
                     continue
-                key, value, src_version = kv
-                batch.append((key, value, src_version.pack()))
-                if len(batch) >= self.config.batch_size:
-                    yield from self._install(self.backend.task_name, batch)
-                    installed += len(batch)
-                    batch = []
-            if batch:
-                yield from self._install(self.backend.task_name, batch)
-                installed += len(batch)
-        self.stats.keys_recovered += installed
+                batch.append(entry)
+                if len(batch) >= HANDOFF_BATCH:
+                    installed += yield from self._keep(batch)
+            installed += yield from self._keep(batch)
         return installed
 
-    # -- restart recovery --------------------------------------------------------
+    def _keep(self, batch: List[Entry]) -> Generator:
+        """Install a pulled batch locally and empty it; returns its size."""
+        count = len(batch)
+        yield from self.backend.install_entries(batch)
+        self.stats.keys_recovered += count
+        batch.clear()
+        return count
 
     def restart_recovery(self) -> Generator:
         """En-masse repair after an unplanned restart: pull everything this
         shard should hold from the two healthy cohort members."""
         self.stats.restart_recoveries += 1
-        placement = self.backend.placement
-        primaries = [(self.backend.shard - back) % placement.num_shards
-                     for back in range(placement.replication)]
-        for primary in primaries:
-            replica_shards = placement.shards_for_primary(primary)
-            peer_tasks = [self.cell.task_for_shard(s)
-                          for s in replica_shards
-                          if self.cell.task_for_shard(s) !=
-                          self.backend.task_name]
-            merged: Dict[bytes, VersionNumber] = {}
-            source: Dict[bytes, str] = {}
-            for task in peer_tasks:
-                channel = self._channel_to(task)
-                try:
-                    reply = yield from channel.call(
-                        "ScanSummary", {"primary_shard": primary},
-                        deadline=self.config.rpc_deadline)
-                except RpcError:
-                    continue
-                for kh, vb in reply["entries"].items():
-                    version = VersionNumber.unpack(vb)
-                    if kh not in merged or version > merged[kh]:
-                        merged[kh] = version
-                        source[kh] = task
-            batch = []
-            for key_hash, version in merged.items():
-                kv = yield from self._fetch_kv(key_hash, source[key_hash])
-                if kv is None:
-                    continue
-                key, value, src_version = kv
-                batch.append((key, value, src_version.pack()))
-                if len(batch) >= self.config.batch_size:
-                    yield from self._install(self.backend.task_name, batch)
-                    self.stats.keys_recovered += len(batch)
-                    batch = []
-            if batch:
-                yield from self._install(self.backend.task_name, batch)
-                self.stats.keys_recovered += len(batch)
+        return (yield from self.recover_from())

@@ -17,8 +17,8 @@ key-range handoff in phases:
    *and* are shadowed onto the target cohort.
 2. **backfill** — converging repair sweeps ride the RPC plane: every
    task in the target layout pulls the entries its new primaries own
-   from every old-layout task, via the existing
-   :class:`~repro.core.repair.RepairScanner` machinery (ScanSummary
+   from every old-layout task, via the handoff plane's one pull,
+   :meth:`~repro.core.repair.RepairScanner.recover_from` (ScanSummary
    version diff, RepairGet, version-arbitrated installs — re-running a
    sweep is idempotent). Sweeps repeat until one copies nothing new.
 3. **cutover** — the final layout is CAS-published (``num_shards``
@@ -47,13 +47,7 @@ from ..sim import Simulator
 from .config import CellConfig
 from .errors import CliqueMapError
 from .hashing import Placement
-from .repair import RepairConfig, RepairScanner
-from .truetime import TrueTime
-from .version import VersionFactory
-
-# Version-factory id space for resize-driven installs, disjoint from
-# application clients and the per-backend repair scanners.
-RESIZE_CLIENT_ID_BASE = 1 << 25
+from .repair import RepairScanner
 
 
 @dataclass
@@ -63,8 +57,6 @@ class ResizeConfig:
     max_sweeps: int = 12          # backfill rounds before abort/cutover
     sweep_interval: float = 0.01  # pause between converging sweeps
     drain_grace: float = 0.05     # cutover -> stop of departing tasks
-    rpc_deadline: float = 50e-3
-    batch_size: int = 64          # installs per MigrateIn RPC
 
     def __post_init__(self) -> None:
         if self.max_sweeps < 1:
@@ -287,10 +279,8 @@ class ResizeController:
                     continue  # the next sweep retries this target
                 peers = [t for t in old_tasks
                          if t != task and self.cell.backends[t].alive]
-                scanner = self._scanner_for(task, idx)
-                count = yield from scanner.recover_from(
+                installed += yield from self._scanner_for(task).recover_from(
                     peers, placement=placement, shard=idx)
-                installed += count
             self.stats.sweeps += 1
             if installed:
                 self._m_backfill.labels().inc(installed)
@@ -323,21 +313,14 @@ class ResizeController:
     def _targets_alive(self, target: List[str]) -> bool:
         return all(self.cell.backends[t].alive for t in target)
 
-    def _scanner_for(self, task: str, shard: int) -> RepairScanner:
+    def _scanner_for(self, task: str) -> RepairScanner:
         """An ephemeral (loop-less) repair scanner co-located with one
         target task, reused across this resize's sweeps."""
         scanner = self._scanners.get(task)
         if scanner is None or \
                 scanner.backend is not self.cell.backends[task]:
-            scanner = RepairScanner(
-                self.sim, self.cell, self.cell.backends[task],
-                RepairConfig(rpc_deadline=self.config.rpc_deadline,
-                             batch_size=self.config.batch_size))
-            # Disjoint version-id space (the backfill installs at source
-            # versions, but keep the factory distinct regardless).
-            scanner.versions = VersionFactory(
-                RESIZE_CLIENT_ID_BASE + shard, TrueTime(self.sim))
-            self._scanners[task] = scanner
+            scanner = self._scanners[task] = RepairScanner(
+                self.sim, self.cell, self.cell.backends[task])
         return scanner
 
     def _summary(self, action: str, outcome: str, started: float,

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List
 
 from ..core import Cell, TrueTime, VersionFactory
-from ..rpc import Principal, RpcError, connect as rpc_connect
+from ..core.repair import HANDOFF_BATCH, HandoffStub
+from ..rpc import Principal, connect as rpc_connect
 from .sor import SystemOfRecord
 
 LOADER_CLIENT_ID = (1 << 24) + (1 << 20)
+LOADER_RPC_DEADLINE = 1.0
 
 
 @dataclass
@@ -25,46 +27,42 @@ class LoadReport:
     replicas_written: int = 0
     batches: int = 0
     duration: float = 0.0
+    rpc_errors: int = 0          # MigrateIn batches a replica never took
 
 
 class CorpusLoader:
     """Moves a sealed corpus into a cell, replica by replica."""
 
-    def __init__(self, cell: Cell, sor: SystemOfRecord,
-                 batch_size: int = 64, rpc_deadline: float = 1.0):
+    def __init__(self, cell: Cell, sor: SystemOfRecord):
         self.cell = cell
         self.sor = sor
         self.sim = cell.sim
-        self.batch_size = batch_size
-        self.rpc_deadline = rpc_deadline
         self.versions = VersionFactory(LOADER_CLIENT_ID, TrueTime(self.sim))
-        host = cell.add_local_host(f"host/loader-{sor.name}")
+        self._host = cell.add_local_host(f"host/loader-{sor.name}")
         self._sor_channel = rpc_connect(
-            self.sim, cell.fabric, host, sor.rpc_server, Principal("loader"))
-        self._backend_channels: Dict[str, object] = {}
-        self._host = host
-
-    def _channel_to_backend(self, task: str):
-        channel = self._backend_channels.get(task)
-        backend = self.cell.backend_by_task(task)
-        if channel is None or channel.server is not backend.rpc_server:
-            channel = rpc_connect(self.sim, self.cell.fabric, self._host,
-                                  backend.rpc_server, Principal("loader"))
-            self._backend_channels[task] = channel
-        return channel
+            self.sim, cell.fabric, self._host, sor.rpc_server,
+            Principal("loader"))
 
     def load(self) -> Generator:
         """Scan the corpus and install every KV at all its replicas."""
         if not self.sor.sealed:
             raise RuntimeError("freeze the corpus before loading (§6.4)")
         report = LoadReport()
+
+        def failed(_method: str) -> None:
+            # Repairs reconcile gaps and immutable data is safe on its
+            # other replica — but the report says a replica was skipped.
+            report.rpc_errors += 1
+
+        backends = HandoffStub(self.sim, self.cell, self._host, "loader",
+                               LOADER_RPC_DEADLINE, failed)
         started = self.sim.now
         cursor = 0
         placement = self.cell.placement
         while True:
             reply = yield from self._sor_channel.call(
-                "Scan", {"cursor": cursor, "limit": self.batch_size},
-                deadline=self.rpc_deadline)
+                "Scan", {"cursor": cursor, "limit": HANDOFF_BATCH},
+                deadline=LOADER_RPC_DEADLINE)
             if reply.get("throttled"):
                 # Provisioned-throughput pushback: wait out the bucket
                 # refill instead of spinning on the same cursor.
@@ -83,15 +81,8 @@ class CorpusLoader:
                         (key, value, version.pack()))
                 report.keys_loaded += 1
             for task, entries in per_task.items():
-                size = sum(len(k) + len(v) + 32 for k, v, _ in entries)
-                channel = self._channel_to_backend(task)
-                try:
-                    result = yield from channel.call(
-                        "MigrateIn", {"entries": entries},
-                        deadline=self.rpc_deadline, request_size=size)
-                    report.replicas_written += result["applied"]
-                except RpcError:
-                    pass  # repairs reconcile gaps; immutable data is safe
+                report.replicas_written += yield from backends.install(
+                    task, entries)
             if reply["done"]:
                 break
         report.duration = self.sim.now - started

@@ -182,12 +182,11 @@ def test_unplanned_crash_mid_transfer_loses_no_acked_writes():
                     transport="pony",
                     repair_config=RepairConfig(enabled=True,
                                                scan_interval=0.05),
-                    maintenance_config=MaintenanceConfig(
-                        migrate_batch=8, restart_delay=0.1))
+                    maintenance_config=MaintenanceConfig(restart_delay=0.1))
     cell = Cell(spec)
     client = cell.connect_client()
     sim = cell.sim
-    keys = 120
+    keys = 400
 
     def seed():
         for i in range(keys):
@@ -198,8 +197,8 @@ def test_unplanned_crash_mid_transfer_loses_no_acked_writes():
     migrated_at_crash = []
 
     def crash_mid_transfer():
-        # The first _transfer (primary -> spare) takes ~0.5ms with
-        # batch=8; land the crash squarely inside it.
+        # The first _transfer (primary -> spare) is seven batches of 64
+        # and takes ~0.5ms; land the crash squarely inside it.
         yield sim.timeout(0.2e-3)
         migrated_at_crash.append(cell.maintenance.stats.entries_migrated)
         yield from cell.maintenance.unplanned_crash(0, restart_delay=0.05)

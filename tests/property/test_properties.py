@@ -277,6 +277,23 @@ def test_placement_shards_distinct_and_in_range(key, num_shards, replication):
     assert all(0 <= s < num_shards for s in shards)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_primaries_held_by_inverts_shards_for_primary(layout):
+    """``p in primaries_held_by(s)`` iff ``s in shards_for_primary(p)``,
+    for every layout with ``replication <= num_shards <= 64``."""
+    num_shards, replication = layout
+    placement = Placement(num_shards, replication)
+    for shard in range(num_shards):
+        held = placement.primaries_held_by(shard)
+        assert len(held) == len(set(held)) == replication
+        assert held[0] == shard
+        for primary in range(num_shards):
+            assert (primary in held) == \
+                (shard in placement.shards_for_primary(primary))
+
+
 # -- index region byte format ---------------------------------------------------
 
 @settings(max_examples=50, deadline=None)

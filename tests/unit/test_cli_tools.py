@@ -115,6 +115,15 @@ def test_drill_planned(capsys):
     assert "50/50" in capsys.readouterr().out
 
 
+def test_drill_unplanned(capsys):
+    """The drill runs a real restart recovery: the restarted backend
+    holds its keys again, not just the quorum around it."""
+    assert main(["drill", "unplanned"]) == 0
+    out = capsys.readouterr().out
+    assert "50/50 keys readable" in out
+    assert "50/50 resident again" in out
+
+
 def test_ads_command(capsys):
     assert main(["ads", "--duration", "0.5", "--keys", "100"]) == 0
     assert "hit rate" in capsys.readouterr().out

@@ -176,6 +176,24 @@ def test_core_surface_is_frozen():
         compression_enabled compression_min_bytes costs""".split()
 
 
+def test_handoff_config_fields_are_frozen():
+    """Repair, resize and maintenance keep only knobs some caller sets:
+    RPC deadlines and the MigrateIn batch are constants of the handoff
+    plane (``core/repair.py``), not per-owner fields."""
+    import dataclasses
+
+    from repro import core
+
+    def names(config):
+        return [f.name for f in dataclasses.fields(config)]
+
+    assert names(core.RepairConfig) == ["scan_interval", "enabled"]
+    assert names(core.ResizeConfig) == ["max_sweeps", "sweep_interval",
+                                        "drain_grace"]
+    assert names(core.MaintenanceConfig) == ["restart_delay",
+                                             "crash_restart_delay"]
+
+
 def test_soak_config_fields_are_frozen():
     """The soak harness keeps only knobs some caller sets; a new one
     needs a caller in src/, tests/ or benchmarks/ and a line here."""
