@@ -21,12 +21,11 @@ from typing import Callable
 
 # Re-exported for the bench modules.
 from repro.testing import (cell_cpu_hosts, drive, key_with_primary_shard,
-                           measure_gets, preload_keys, run_closed_loop,
-                           total_cpu)
+                           measure_gets, preload_keys, total_cpu)
 
 __all__ = ["run_once", "drive", "preload_keys", "measure_gets",
            "key_with_primary_shard", "total_cpu", "cell_cpu_hosts",
-           "run_closed_loop", "RSS_MB_PER_HOST_CEILING", "check_build_cost"]
+           "RSS_MB_PER_HOST_CEILING", "check_build_cost"]
 
 #: What a backend may cost the host before the first op: its index
 #: stamps (0.23 MiB measured), not its populated arena (1.23 MiB when

@@ -17,11 +17,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import preload_keys, run_once
 
 from repro.analysis import render_table
 from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
-                        ReplicationMode, SetStatus)
+                        ReplicationMode)
 from repro.net import Fabric, FabricConfig
 from repro.sim import RandomStream, Simulator
 from repro.transport import PonyCostModel, PonyScaleConfig, PonyTransport
@@ -73,12 +73,7 @@ def run_experiment():
 
     keys = [b"obj-%d" % i for i in range(64)]
 
-    def setup():
-        for key in keys:
-            result = yield from clients[0].set(key, bytes(VALUE_BYTES))
-            assert result.status is SetStatus.APPLIED
-
-    sim.run(until=sim.process(setup()))
+    preload_keys(cell, clients[0], keys, VALUE_BYTES)
 
     co_tenant_groups = [
         transport.engine_group(

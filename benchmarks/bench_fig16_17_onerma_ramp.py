@@ -17,11 +17,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import preload_keys, run_once
 
 from repro.analysis import LatencyRecorder, render_table
-from repro.core import (Cell, CellSpec, GetStrategy, ReplicationMode,
-                        SetStatus)
+from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 from repro.net import CStateModel, HostConfig
 from repro.sim import RandomStream
 
@@ -46,12 +45,7 @@ def run_experiment():
         strategy=GetStrategy.TWO_R) for _ in range(CLIENTS)]
     keys = [b"obj-%d" % i for i in range(32)]
 
-    def setup():
-        for key in keys:
-            result = yield from clients[0].set(key, bytes(VALUE_BYTES))
-            assert result.status is SetStatus.APPLIED
-
-    sim.run(until=sim.process(setup()))
+    preload_keys(cell, clients[0], keys, VALUE_BYTES)
 
     transport = cell.transport
     stream = RandomStream(5, "1rma-ramp")

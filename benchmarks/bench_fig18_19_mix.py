@@ -10,11 +10,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import preload_keys, run_once
 
 from repro.analysis import LatencyRecorder, render_table
 from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
-                        ReplicationMode, SetStatus)
+                        ReplicationMode)
 from repro.sim import RandomStream
 
 VALUE_BYTES = 4096
@@ -33,12 +33,7 @@ def run_mix(get_fraction: float):
     sim = cell.sim
     keys = [b"obj-%d" % i for i in range(KEYS)]
 
-    def setup():
-        for key in keys:
-            result = yield from clients[0].set(key, bytes(VALUE_BYTES))
-            assert result.status is SetStatus.APPLIED
-
-    sim.run(until=sim.process(setup()))
+    preload_keys(cell, clients[0], keys, VALUE_BYTES)
 
     get_latency = LatencyRecorder()
     set_latency = LatencyRecorder()

@@ -10,11 +10,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import run_once
+from _common import preload_keys, run_once
 
 from repro.analysis import LatencyRecorder, render_table
 from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
-                        ReplicationMode, SetStatus)
+                        ReplicationMode)
 from repro.sim import RandomStream
 
 SIZES = [32, 256, 2048, 16384]
@@ -32,12 +32,7 @@ def run_size(value_bytes: int):
     sim = cell.sim
     keys = [b"obj-%d" % i for i in range(KEYS)]
 
-    def setup():
-        for key in keys:
-            result = yield from client.set(key, bytes(value_bytes))
-            assert result.status is SetStatus.APPLIED
-
-    sim.run(until=sim.process(setup()))
+    preload_keys(cell, client, keys, value_bytes)
     get_latency = LatencyRecorder()
     set_latency = LatencyRecorder()
     stream = RandomStream(31, f"size-{value_bytes}")

@@ -4,9 +4,9 @@ from .bench_history import (bench_rows, load_bench_files, perf_history,
                             render_history)
 from .dashboard import (BackendSnapshot, CellSnapshot, ClientSnapshot,
                         snapshot_cell)
-from .perf import (profile_hotspots, render_multiget_table,
-                   run_kernel_stress, run_multiget_benchmark,
-                   run_scale_workload, write_bench_json)
+from .perf import (render_multiget_table, run_kernel_stress,
+                   run_multiget_benchmark, run_scale_workload,
+                   write_bench_json)
 from .parallel import (assert_digest_equivalent, compare_parallel,
                        digest_mismatches, profile_parallel_hotspots,
                        run_federation_arm)
@@ -31,7 +31,6 @@ __all__ = [
     "cpu_ns_per_op", "cpu_us_per_op", "ks_distance",
     "run_multiget_benchmark", "render_multiget_table", "write_bench_json",
     "run_kernel_stress", "run_scale_workload",
-    "profile_hotspots",
     "PERCENTILES", "run_population_arm", "compare_population",
     "run_federation_arm", "compare_parallel", "digest_mismatches",
     "assert_digest_equivalent", "profile_parallel_hotspots",

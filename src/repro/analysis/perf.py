@@ -344,29 +344,6 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
     }
 
 
-def profile_hotspots(top: int = 25, transport: str = "pony",
-                     num_hosts: int = 24, ops: int = 2000,
-                     seed: int = 1, sort: str = "cumulative",
-                     stream=None) -> Dict:
-    """Run a short scale workload under cProfile; print top-N hot spots.
-
-    The profiling hook future optimization PRs start from: it answers
-    "where does kernel wall-clock go now?" without any setup.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = run_scale_workload(transport=transport, num_hosts=num_hosts,
-                                ops=ops, seed=seed)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=stream) if stream is not None \
-        else pstats.Stats(profiler)
-    stats.strip_dirs().sort_stats(sort).print_stats(top)
-    return result
-
-
 def write_bench_json(result: Dict, path: str) -> None:
     """Write one perf datapoint where the trajectory tooling expects it."""
     with open(path, "w") as fh:
@@ -394,5 +371,4 @@ def render_multiget_table(result: Dict) -> str:
 __all__ = [
     "ENGINE_COMPONENTS", "run_multiget_benchmark", "write_bench_json",
     "render_multiget_table", "run_kernel_stress", "run_scale_workload",
-    "profile_hotspots",
 ]

@@ -24,14 +24,16 @@ from ..rpc import (HandlerContext, Principal, RpcError, RpcServer,
 from ..sim import Simulator
 from ..core.hashing import default_key_hash
 
+# Handler CPU of a lookup (application code: dict + LRU) and of a store.
+GET_CPU = 1.2e-6
+SET_CPU = 1.8e-6
+
 
 @dataclass
 class MemcacheGConfig:
     """Server tunables."""
 
     capacity_bytes: int = 64 << 20
-    get_cpu: float = 1.2e-6          # application lookup code (dict + LRU)
-    set_cpu: float = 1.8e-6
     per_kilobyte_cpu: float = 0.10e-6
 
 
@@ -72,7 +74,7 @@ class MemcacheGServer:
 
     def _handle_get(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
-        yield from self._charge(self.config.get_cpu, len(key))
+        yield from self._charge(GET_CPU, len(key))
         self.stats.gets += 1
         value = self._store.get(key)
         if value is None:
@@ -85,7 +87,7 @@ class MemcacheGServer:
     def _handle_set(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
         value: bytes = payload["value"]
-        yield from self._charge(self.config.set_cpu, len(key) + len(value))
+        yield from self._charge(SET_CPU, len(key) + len(value))
         old = self._store.pop(key, None)
         if old is not None:
             self._used_bytes -= len(key) + len(old)
@@ -100,7 +102,7 @@ class MemcacheGServer:
 
     def _handle_delete(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
-        yield from self._charge(self.config.get_cpu, len(key))
+        yield from self._charge(GET_CPU, len(key))
         old = self._store.pop(key, None)
         if old is not None:
             self._used_bytes -= len(key) + len(old)

@@ -30,6 +30,25 @@ from .tombstone import TombstoneCache
 from .version import VersionNumber
 
 
+#: Data-region growth factor when the populated arena crosses its
+#: watermark, and index growth factor on a resize.
+GROW_FACTOR = 1.5
+INDEX_RESIZE_MULTIPLIER = 2
+#: Remembered erase versions (bounded; oldest forgotten first).
+TOMBSTONE_CAPACITY = 4096
+#: Timing of multi-step DataEntry writes: the tear window.
+WRITE_BYTES_PER_SEC = 8e9
+# Handler CPU costs.
+SET_CPU = 2.0e-6
+LOOKUP_CPU = 1.5e-6
+TOUCH_CPU_PER_RECORD = 0.08e-6
+SCAN_CPU_PER_ENTRY = 0.05e-6
+#: Each extra entry of a batched MultiSet RPC: the request dispatch is
+#: paid once, so additional entries are much cheaper than standalone
+#: ops (§7.1 backfill batching).
+MULTI_ENTRY_CPU = 0.5e-6
+
+
 @dataclass
 class BackendConfig:
     """Tunables for one backend task."""
@@ -40,30 +59,16 @@ class BackendConfig:
     data_virtual_limit: int = 1 << 28          # 256 MiB reserved virtually
     slab_bytes: int = 256 * 1024               # slab size (max object ~slab)
     grow_watermark: float = 0.80               # grow when used/populated above
-    grow_factor: float = 1.5
     index_resize_load_factor: float = 0.85
-    index_resize_multiplier: int = 2
     eviction_policy: str = "lru"
-    tombstone_capacity: int = 4096
     overflow_rpc_fallback: bool = True
     overflow_capacity: int = 1024
-    # Timing of multi-step DataEntry writes: the tear window.
-    write_bytes_per_sec: float = 8e9
-    min_write_step: float = 0.2e-6
+    min_write_step: float = 0.2e-6             # shortest tear-window step
     # Ablation switch: write body+checksum in one indivisible step (no
     # tear window). Unrealistic for RMA-exposed memory; used to show the
     # design's torn-read handling is actually load-bearing.
     atomic_entry_writes: bool = False
-    # Handler CPU costs.
-    set_cpu: float = 2.0e-6
-    lookup_cpu: float = 1.5e-6
-    touch_cpu_per_record: float = 0.08e-6
-    scan_cpu_per_entry: float = 0.05e-6
     per_kilobyte_cpu: float = 0.10e-6
-    # Each extra entry of a batched MultiSet/MultiLookup RPC: the request
-    # dispatch is paid once, so additional entries are much cheaper than
-    # standalone ops (§7.1 backfill batching).
-    multi_entry_cpu: float = 0.5e-6
     old_window_grace: float = 20e-3
 
 
@@ -119,7 +124,7 @@ class Backend:
         self.index = IndexRegion(cfg.num_buckets, cfg.ways, self.config_id)
         self.data = DataRegion(cfg.data_initial_bytes, cfg.data_virtual_limit,
                                slab_bytes=cfg.slab_bytes)
-        self.tombstones = TombstoneCache(cfg.tombstone_capacity)
+        self.tombstones = TombstoneCache(TOMBSTONE_CAPACITY)
         self.policy = make_policy(cfg.eviction_policy)
         # key_hash -> (key, value, version) for bucket-overflow spills.
         self.overflow: Dict[bytes, Tuple[bytes, bytes, VersionNumber]] = {}
@@ -167,7 +172,6 @@ class Backend:
                 ("Erase", self._handle_erase),
                 ("Cas", self._handle_cas),
                 ("Lookup", self._handle_lookup),
-                ("MultiLookup", self._handle_multi_lookup),
                 ("Touch", self._handle_touch),
                 ("ScanSummary", self._handle_scan_summary),
                 ("RepairGet", self._handle_repair_get),
@@ -260,8 +264,8 @@ class Backend:
                           context: HandlerContext) -> Generator:
         """Batched SET: many client-nominated mutations in one RPC (§7.1).
 
-        The per-RPC dispatch CPU (``set_cpu``) is paid once; each extra
-        entry costs only ``multi_entry_cpu`` plus payload handling. Every
+        The per-RPC dispatch CPU (``SET_CPU``) is paid once; each extra
+        entry costs only ``MULTI_ENTRY_CPU`` plus payload handling. Every
         entry is applied independently and reported per-entry, so one
         superseded or rejected entry never poisons its batch siblings.
         """
@@ -269,8 +273,7 @@ class Backend:
         total_bytes = sum(len(key) + len(value)
                           for key, value, _version in entries)
         yield self.host.execute(
-            self.config.set_cpu +
-            self.config.multi_entry_cpu * max(0, len(entries) - 1) +
+            SET_CPU + MULTI_ENTRY_CPU * max(0, len(entries) - 1) +
             total_bytes / 1024.0 * self.config.per_kilobyte_cpu,
             self._component)
         results = []
@@ -340,7 +343,7 @@ class Backend:
     def _handle_lookup(self, payload, context: HandlerContext) -> Generator:
         """Two-sided lookup: RPC fallback, WAN access, overflow hits."""
         key: bytes = payload["key"]
-        yield self.host.execute(self.config.lookup_cpu, self._component)
+        yield self.host.execute(LOOKUP_CPU, self._component)
         self.stats.rpc_lookups += 1
         found = self.lookup_local(key)
         if found is None:
@@ -349,35 +352,11 @@ class Backend:
         context.response_size_override = len(value) + 64
         return {"found": True, "value": value, "version": version.pack()}
 
-    def _handle_multi_lookup(self, payload,
-                             context: HandlerContext) -> Generator:
-        """Batched two-sided lookup: the RPC-strategy analog of MultiSet."""
-        keys: List[bytes] = payload["keys"]
-        yield self.host.execute(
-            self.config.lookup_cpu +
-            self.config.multi_entry_cpu * max(0, len(keys) - 1),
-            self._component)
-        self.stats.rpc_lookups += len(keys)
-        results = []
-        response_bytes = 0
-        for key in keys:
-            found = self.lookup_local(key)
-            if found is None:
-                results.append({"found": False})
-                continue
-            value, version = found
-            response_bytes += len(value) + 64
-            results.append({"found": True, "value": value,
-                            "version": version.pack()})
-        context.response_size_override = max(
-            32, response_bytes + 16 * len(keys))
-        return {"results": results}
-
     def _handle_touch(self, payload, context: HandlerContext) -> Generator:
         """Ingest batched client access records to drive eviction (§4.2)."""
         records: List[bytes] = payload["key_hashes"]
         yield self.host.execute(
-            self.config.touch_cpu_per_record * max(1, len(records)),
+            TOUCH_CPU_PER_RECORD * max(1, len(records)),
             self._component)
         for key_hash in records:
             self.policy.record_access(key_hash)
@@ -388,7 +367,7 @@ class Backend:
         """KeyHash -> version exchange for cohort repair scans (§5.4):
         :meth:`held_versions` plus its CPU charge and response size."""
         yield self.host.execute(
-            self.config.scan_cpu_per_entry * max(1, self.resident_keys),
+            SCAN_CPU_PER_ENTRY * max(1, self.resident_keys),
             self._component)
         summary = self.held_versions(payload.get("primary_shard"),
                                      payload.get("num_shards"))
@@ -398,7 +377,7 @@ class Backend:
     def _handle_repair_get(self, payload, context: HandlerContext
                            ) -> Generator:
         """Source a full KV pair for an on-demand repair."""
-        yield self.host.execute(self.config.lookup_cpu, self._component)
+        yield self.host.execute(LOOKUP_CPU, self._component)
         entry = self.export_entry(payload["key_hash"])
         if entry is None:
             return {"found": False}
@@ -486,7 +465,7 @@ class Backend:
 
     def _charge_mutation_cpu(self, payload_bytes: int) -> Generator:
         yield self.host.execute(
-            self.config.set_cpu +
+            SET_CPU +
             payload_bytes / 1024.0 * self.config.per_kilobyte_cpu,
             self._component)
 
@@ -643,7 +622,7 @@ class Backend:
         """Write body, wait, then checksum — the real tear window."""
         body, checksum = encode_entry_parts(key, value, version, key_hash)
         step = max(self.config.min_write_step,
-                   len(body) / self.config.write_bytes_per_sec)
+                   len(body) / WRITE_BYTES_PER_SEC)
         if self.config.atomic_entry_writes:
             self.data.write_at(offset, body + checksum)
             yield self.sim.delay(step)
@@ -760,8 +739,7 @@ class Backend:
         if self.data.populated_bytes >= self.data.arena.virtual_limit:
             return False
         if not self._growing_data:
-            new_size = min(int(self.data.populated_bytes *
-                               self.config.grow_factor),
+            new_size = min(int(self.data.populated_bytes * GROW_FACTOR),
                            self.data.arena.virtual_limit)
             if new_size <= self.data.populated_bytes:
                 return False
@@ -784,8 +762,7 @@ class Backend:
         if allocator.utilization_of_populated() < self.config.grow_watermark \
                 and allocator.headroom_bytes >= allocator.slab_bytes:
             return
-        new_size = min(int(self.data.populated_bytes *
-                           self.config.grow_factor),
+        new_size = min(int(self.data.populated_bytes * GROW_FACTOR),
                        self.data.arena.virtual_limit)
         if new_size <= self.data.populated_bytes:
             return
@@ -866,8 +843,7 @@ class Backend:
     def _resize_index(self) -> Generator:
         """Upsize the index: build, populate, revoke old region (§4.1)."""
         old = self.index
-        new = IndexRegion(old.num_buckets *
-                          self.config.index_resize_multiplier,
+        new = IndexRegion(old.num_buckets * INDEX_RESIZE_MULTIPLIER,
                           old.ways, self.config_id)
         yield self.sim.delay(
             self.registration_cost.registration_time(new.total_bytes))

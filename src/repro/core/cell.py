@@ -46,7 +46,6 @@ class CellSpec:
     resize_config: ResizeConfig = field(default_factory=ResizeConfig)
     fabric_config: FabricConfig = field(default_factory=FabricConfig)
     host_config: HostConfig = field(default_factory=HostConfig)
-    config_store_latency: float = 300e-6
     # When set, only these principal names may mutate the corpus (Set /
     # Erase / Cas); reads stay open to any authenticated principal.
     # Internal principals (repair@*, migrate@*, loader) keep working.
@@ -66,7 +65,6 @@ class CellSpec:
     # alerts). Off by default — hook sites hold NULL_FLIGHT and take
     # the same zero-allocation fast path as disabled tracing.
     flight_recorder: bool = False
-    flight_capacity: int = 4096
 
 
 def make_transport(name: str, sim: Simulator, fabric: Fabric,
@@ -97,8 +95,7 @@ class Cell:
         self.fabric = fabric or Fabric(self.sim, self.spec.fabric_config)
         self.transport = transport if transport is not None else \
             make_transport(self.spec.transport, self.sim, self.fabric)
-        self.config_store = ConfigStore(
-            self.sim, read_latency=self.spec.config_store_latency)
+        self.config_store = ConfigStore(self.sim)
         self.placement = Placement(self.spec.num_shards,
                                    self.spec.mode.replicas)
         # One registry + tracer for the whole cell: every client created
@@ -111,9 +108,7 @@ class Cell:
             seed=self.spec.seed, namespace=f"{self.spec.name}/{zone}",
             tail_sample_every=self.spec.trace_sample_every,
             tail_slow_threshold=self.spec.trace_slow_threshold)
-        self.flight = FlightRecorder(
-            clock=lambda: self.sim.now,
-            capacity=self.spec.flight_capacity) \
+        self.flight = FlightRecorder(clock=lambda: self.sim.now) \
             if self.spec.flight_recorder else NULL_FLIGHT
         self.fabric.registry = self.metrics
         if self.transport is not None:
@@ -214,9 +209,8 @@ class Cell:
             acl.allow(method, "loader")
         # Reads / metadata / maintenance stay open to any authenticated
         # principal (matching the paper's per-RPC ACL posture).
-        for method in ("Info", "Lookup", "MultiLookup", "Touch",
-                       "ScanSummary", "RepairGet", "Defragment",
-                       "MigrateIn"):
+        for method in ("Info", "Lookup", "Touch", "ScanSummary",
+                       "RepairGet", "Defragment", "MigrateIn"):
             acl.allow_prefix(method, "")
         return acl
 

@@ -798,34 +798,30 @@ class CliqueMapClient:
         return _SOR_OUTCOME[fetched]
 
     def _read_through_multi(self, keys: List[bytes],
-                            results: List["GetResult"]) -> Generator:
+                            results: List["GetResult"], root) -> Generator:
         """Drive leftover batch MISSes through the miss pipeline.
 
-        The batched/RPC fast paths settle against the cache tier only;
-        this pass fans their misses out to the coordinator (single-
-        flight dedupes same-key siblings) and upgrades resolved entries
-        in place. Cache-tier op metrics are untouched — SoR outcomes
-        are counted by the coordinator's own families.
+        The batched fast path settles against the cache tier only and
+        leaves its read-through MISSes unbooked; this pass fans them out
+        to the coordinator (single-flight dedupes same-key siblings),
+        upgrades resolved entries in place and books each key once,
+        with its final status and a latency that includes the SoR
+        fetch — exactly what a singleton :meth:`get` books.
         """
-        rt = self.read_through
-        if rt is None or not rt.policy.read_through:
-            return results
-        miss_idx = [i for i, r in enumerate(results)
-                    if r is not None and r.status is GetStatus.MISS and
-                    r.source == "cache"]
-        if not miss_idx:
-            return results
-        t0 = self.sim.now
         fetches = self.sim.fan_in()
-        for i in miss_idx:
-            fetches.spawn(rt.fetch(keys[i]), results[i])
+        for i, result in enumerate(results):
+            if result.status is GetStatus.MISS and result.source == "cache":
+                fetches.spawn(self.read_through.fetch(keys[i]), result)
+        t0 = self.sim.now
         while fetches.pending:
             result, outcome = yield fetches.next()
             fetched, result.value = outcome
             result.latency += self.sim.now - t0
             result.status, result.source, result.error = \
                 self._sor_outcome(fetched)
-        return results
+            result.trace = self._finish_op("get", result.status.value,
+                                           result.latency, root,
+                                           batched=True)
 
     def get_multi(self, keys: List[bytes],
                   deadline: Optional[float] = None) -> Generator:
@@ -839,19 +835,17 @@ class CliqueMapClient:
         fast path cannot settle — inquorate, stale view, failed
         validation, a quarantined cohort — fall back to the singleton
         :meth:`get` retry machinery *individually*, so one poisoned or
-        slow key never aborts its batch siblings.
+        slow key never aborts its batch siblings. Every other batch
+        (MSG, RPC, R=2/Immutable) is a parallel fan-out of singleton
+        GETs.
         """
         if not keys:
             return []
-        if len(keys) >= 2 and self.cell is not None:
-            if self.strategy in (GetStrategy.TWO_R, GetStrategy.SCAR) and \
-                    self.transport is not None and \
-                    self.cell.mode is not ReplicationMode.R2_IMMUTABLE:
-                results = yield from self._batched_get_multi(keys, deadline)
-                return (yield from self._read_through_multi(keys, results))
-            if self.strategy is GetStrategy.RPC:
-                results = yield from self._rpc_get_multi(keys, deadline)
-                return (yield from self._read_through_multi(keys, results))
+        if len(keys) >= 2 and self.cell is not None and \
+                self.strategy in (GetStrategy.TWO_R, GetStrategy.SCAR) and \
+                self.transport is not None and \
+                self.cell.mode is not ReplicationMode.R2_IMMUTABLE:
+            return (yield from self._batched_get_multi(keys, deadline))
         return (yield from self._fanout(
             [self.get(key, deadline) for key in keys],
             self._get_error_result))
@@ -962,6 +956,8 @@ class CliqueMapClient:
         # ends, so index.duration + data.duration == op latency (the PR 1
         # sum-invariant, kept for the batched path).
         data_span = root.child("data", batch=n)
+        rt = self.read_through
+        reads_through = rt is not None and rt.policy.read_through
 
         def finish_key(i: int, status: GetStatus, value=None,
                        version=None) -> Generator:
@@ -969,10 +965,13 @@ class CliqueMapClient:
                 self._note_touch(key_hashes[i])
                 value = yield from self._decode_value(value)
             latency = self.sim.now - started
-            results[i] = GetResult(
-                status, value=value, version=version, latency=latency,
-                trace=self._finish_op("get", status.value, latency, root,
-                                      batched=True))
+            results[i] = GetResult(status, value=value, version=version,
+                                   latency=latency)
+            if status is not GetStatus.MISS or not reads_through:
+                # A read-through MISS is booked once, by the miss
+                # pipeline, with its final status (a singleton's rule).
+                results[i].trace = self._finish_op(
+                    "get", status.value, latency, root, batched=True)
 
         # Every asked replica's vote is in (each leg yields one outcome
         # per entry), so a key no vote settled has no quorum: it falls
@@ -1015,6 +1014,8 @@ class CliqueMapClient:
             refresh_config=any(ballots[i].config_mismatch for i in fallback),
             stale_tasks=dict.fromkeys(
                 task for i in fallback for task in ballots[i].stale))
+        if reads_through:
+            yield from self._read_through_multi(keys, results, root)
         return results
 
     def _finish_batch(self, op: str, root, results: List[Optional[OpResult]],
@@ -1076,65 +1077,6 @@ class CliqueMapClient:
                 else self._bucket_outcome(view, raw) for raw in raw_items]
 
         return self._rma_leg(view, issue, per_entry)
-
-    def _rpc_get_multi(self, keys: List[bytes],
-                       deadline: Optional[float]) -> Generator:
-        """Batched WAN/fallback lookup: one MultiLookup RPC per backend."""
-        started = self.sim.now
-        deadline_at = started + (deadline or self.config.default_deadline)
-        n = len(keys)
-        self._h_batch_size_get.observe(n)
-        root = self.tracer.start("get_multi", client=self.client_id,
-                                 batch=n, strategy="rpc")
-        results: List[Optional[GetResult]] = [None] * n
-        fallback: Dict[int, str] = {}
-        per_view: Dict[str, List[int]] = {}
-        for i, key in enumerate(keys):
-            views = self._replica_views(self.placement.key_hash(key))
-            if not views:
-                fallback[i] = "no-healthy-replicas"
-                continue
-            per_view.setdefault(views[0].task, []).append(i)
-
-        def one(view: BackendView, idxs: List[int]) -> Generator:
-            lookup_span = root.child("rpc-multilookup", task=view.task,
-                                     batch=len(idxs))
-            try:
-                reply = yield from view.channel.call(
-                    "MultiLookup", {"keys": [keys[i] for i in idxs]},
-                    deadline=max(1e-6, deadline_at - self.sim.now),
-                    request_size=sum(len(keys[i]) for i in idxs) + 64,
-                    trace=lookup_span)
-            except RpcError:
-                return None
-            finally:
-                lookup_span.finish()
-            view.health.record_success()
-            return reply.get("results", [])
-
-        lookups = self.sim.fan_in()
-        for task, idxs in per_view.items():
-            lookups.spawn(one(self._views[task], idxs), idxs)
-        while lookups.pending:
-            idxs, replies = yield lookups.next()
-            if replies is None:
-                for i in idxs:
-                    fallback[i] = "rpc-replica-unavailable"
-                continue
-            latency = self.sim.now - started
-            for i, reply in zip(idxs, replies):
-                status, value, version = self._lookup_outcome(reply)
-                if status is GetStatus.HIT:
-                    value = yield from self._decode_value(value)
-                results[i] = GetResult(status, value=value, version=version,
-                                       latency=latency)
-                self._finish_op("get", status.value, latency, root,
-                                batched=True)
-        yield from self._finish_batch(
-            "get_multi", root, results, fallback, started, deadline_at,
-            lambda i, remaining: self.get(keys[i], remaining),
-            self._get_error_result)
-        return results
 
     # -- one attempt ---------------------------------------------------------
 
@@ -1609,8 +1551,8 @@ class CliqueMapClient:
     # Mutations (§5.2)
     # ------------------------------------------------------------------
 
-    def _note_write_behind(self, key: bytes,
-                           value: Optional[bytes]) -> Generator:
+    def _note_sor_write(self, key: bytes,
+                        value: Optional[bytes]) -> Generator:
         """Propagate an acknowledged mutation to the SoR (write-behind).
 
         Values are noted *raw* (pre-compression): the SoR stores
@@ -1677,7 +1619,7 @@ class CliqueMapClient:
             # Acked at quorum: the SoR learns of it via write-behind (or
             # a sync write-through when the buffer is full); the op's
             # acknowledged latency is the cache-tier latency.
-            yield from self._note_write_behind(key, sor_value)
+            yield from self._note_sor_write(key, sor_value)
         result.trace = self._finish_op(op, result.status.value,
                                        result.latency, root)
         return result
@@ -1794,7 +1736,7 @@ class CliqueMapClient:
                 fallback[i] = "inquorate"
                 continue
             if status is SetStatus.APPLIED:
-                yield from self._note_write_behind(items[i][0], items[i][1])
+                yield from self._note_sor_write(items[i][0], items[i][1])
             results[i] = MutationResult(
                 status, version=versions[i], replicas_applied=applied,
                 latency=latency,
@@ -1842,7 +1784,7 @@ class CliqueMapClient:
                                                               candidate)
         if status is SetStatus.APPLIED:
             stored = None
-            yield from self._note_write_behind(key, raw_value)
+            yield from self._note_sor_write(key, raw_value)
         else:
             status = SetStatus.FAILED  # a superseded CAS lost its race
         return MutationResult(status, version=version,

@@ -27,6 +27,11 @@ from typing import Generator, List, Optional
 
 from ..core.errors import CliqueMapError
 
+#: Shards one grow or shrink action adds or retires.
+RESIZE_STEP = 1
+#: Objectives whose active alerts force a scale-out.
+ALERT_OBJECTIVES = ("availability", "latency")
+
 
 @dataclass
 class AutoscalerConfig:
@@ -39,12 +44,8 @@ class AutoscalerConfig:
     scale_in_rps: float = 5_000.0
     min_shards: int = 3
     max_shards: int = 16
-    grow_step: int = 1
-    shrink_step: int = 1
     cooldown: float = 0.3             # min gap between resize actions
     hysteresis_rounds: int = 3        # consecutive low rounds before shrink
-    # Objectives whose active alerts force a scale-out.
-    alert_objectives: tuple = ("availability", "latency")
 
     def __post_init__(self) -> None:
         if self.min_shards < 1 or self.max_shards < self.min_shards:
@@ -120,7 +121,7 @@ class Autoscaler:
         rps = self.plane.scraper.rate(
             "cliquemap_backend_rpcs_total", cfg.load_window, now) \
             / max(1, len(serving))
-        alerting = any(key[0] in cfg.alert_objectives
+        alerting = any(key[0] in ALERT_OBJECTIVES
                        for key in self.plane.engine.active)
 
         if self.cell.resize.active or self.cell.topology_lock.count:
@@ -144,7 +145,7 @@ class Autoscaler:
             self._record(now, "grow", reason, len(serving), rps)
             self.stats.grows += 1
             self._last_action_at = now
-            yield from self.cell.grow(cfg.grow_step)
+            yield from self.cell.grow(RESIZE_STEP)
             return
 
         if rps < cfg.scale_in_rps:
@@ -152,8 +153,8 @@ class Autoscaler:
             if self._low_rounds < cfg.hysteresis_rounds:
                 self._record(now, "hold", "hysteresis", len(serving), rps)
                 return
-            if len(serving) - cfg.shrink_step < cfg.min_shards or \
-                    len(serving) - cfg.shrink_step < \
+            if len(serving) - RESIZE_STEP < cfg.min_shards or \
+                    len(serving) - RESIZE_STEP < \
                     self.cell.spec.mode.replicas:
                 self._record(now, "hold", "at-min-shards", len(serving), rps)
                 return
@@ -164,7 +165,7 @@ class Autoscaler:
             self._record(now, "shrink", "load-low", len(serving), rps)
             self.stats.shrinks += 1
             self._last_action_at = now
-            yield from self.cell.shrink(count=cfg.shrink_step)
+            yield from self.cell.shrink(count=RESIZE_STEP)
             return
 
         self._low_rounds = 0

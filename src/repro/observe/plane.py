@@ -17,6 +17,7 @@ directly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -25,6 +26,11 @@ from ..telemetry.export import prometheus_text, write_chrome_trace
 from ..telemetry.timeseries import Scraper
 from .prober import Prober, ProberConfig
 from .slo import SloEngine, SloObjective, default_objectives
+
+
+#: Finished span trees the cell's tracer keeps while a plane runs —
+#: enough for a useful trace export.
+TRACE_RETAINED = 512
 
 
 @dataclass
@@ -37,16 +43,9 @@ class ObserveConfig:
     histogram_sum: bool = False         # scrape histogram sums too (O(n))
     probers: int = 1                    # synthetic probers to run
     prober: ProberConfig = field(default_factory=ProberConfig)
-    availability_target: float = 0.99
-    latency_target: float = 0.90
-    # Multi-window burn-rate rule shape (sim-seconds; see slo module).
-    alert_long_window: float = 0.4
-    alert_short_window: float = 0.1
-    alert_burn_factor: float = 2.0
-    # Override the stock objectives entirely (None -> defaults).
+    # The SLOs to evaluate; None -> default_objectives(cell name), whose
+    # keyword arguments set targets and the burn-rate rule shape.
     objectives: Optional[List[SloObjective]] = None
-    # Keep enough finished span trees for a useful trace export.
-    trace_retained: int = 512
 
 
 class ObservabilityPlane:
@@ -63,23 +62,10 @@ class ObservabilityPlane:
             histogram_sum=cfg.histogram_sum)
         self.probers: List[Prober] = []
         for i in range(cfg.probers):
-            prober_cfg = ProberConfig(
-                interval=cfg.prober.interval,
-                num_keys=cfg.prober.num_keys,
-                value_bytes=cfg.prober.value_bytes,
-                deadline=cfg.prober.deadline,
-                latency_slo_seconds=cfg.prober.latency_slo_seconds,
-                erase_every=cfg.prober.erase_every,
-                label=f"prober-{i}")
-            self.probers.append(Prober(cell, prober_cfg))
+            self.probers.append(Prober(cell, dataclasses.replace(
+                cfg.prober, label=f"prober-{i}")))
         objectives = cfg.objectives if cfg.objectives is not None else \
-            default_objectives(
-                cell.spec.name,
-                availability_target=cfg.availability_target,
-                latency_target=cfg.latency_target,
-                long_window=cfg.alert_long_window,
-                short_window=cfg.alert_short_window,
-                fire_factor=cfg.alert_burn_factor)
+            default_objectives(cell.spec.name)
         self.engine = SloEngine(self.scraper, objectives,
                                 registry=cell.metrics)
         # Alert transitions join the cell's flight-recorder stream (a
@@ -99,8 +85,8 @@ class ObservabilityPlane:
         self.started = True
         self.scraper.install(self.cell.sim)
         self.engine.attach()
-        if self.cell.tracer.max_retained < self.config.trace_retained:
-            self.cell.tracer.max_retained = self.config.trace_retained
+        if self.cell.tracer.max_retained < TRACE_RETAINED:
+            self.cell.tracer.max_retained = TRACE_RETAINED
         for prober in self.probers:
             prober.start()
         return self

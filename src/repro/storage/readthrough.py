@@ -31,11 +31,13 @@ outcomes in ``cliquemap_sor_writebacks_total{result}``; cache fills in
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from ..core.resilience import BackoffPolicy, RetryBudget
 from ..rpc import Principal, RpcError, connect as rpc_connect
 from ..sim import RandomStream
+from .policy import (FETCH_BACKOFF, FLUSH_BATCH_MAX, FLUSH_INTERVAL,
+                     NEGATIVE_CAPACITY)
 
 _MISSING = object()
 
@@ -175,7 +177,7 @@ class ReadThroughCoordinator:
     def _leader_fetch(self, key: bytes, flight: _Flight) -> Generator:
         policy = self.policy
         deadline_at = self.sim.now + policy.fetch_deadline
-        backoff = BackoffPolicy(policy.fetch_backoff,
+        backoff = BackoffPolicy(FETCH_BACKOFF,
                                 policy.fetch_deadline / 4, self._rand)
         for attempt in range(policy.fetch_retries):
             if self.sim.now >= deadline_at:
@@ -220,7 +222,7 @@ class ReadThroughCoordinator:
         self._m_fills.labels(result=result.status.name.lower()).inc()
 
     def _note_negative(self, key: bytes) -> None:
-        if len(self._negative) >= self.policy.negative_capacity:
+        if len(self._negative) >= NEGATIVE_CAPACITY:
             self._negative.pop(next(iter(self._negative)))
         self._negative[key] = self.sim.now + self.policy.negative_ttl
 
@@ -231,8 +233,7 @@ class ReadThroughCoordinator:
     def note_write(self, key: bytes, value: Optional[bytes]) -> bool:
         """Record an acknowledged cache mutation (``None`` = erase).
 
-        Returns True when absorbed (buffered for write-behind, or
-        write-behind is off and the SoR is managed out-of-band). False
+        Returns True when absorbed into the write-behind buffer. False
         means the dirty buffer is full: the caller must propagate the
         write synchronously via :meth:`write_through`.
         """
@@ -240,8 +241,6 @@ class ReadThroughCoordinator:
         flight = self._flights.get(key)
         if flight is not None:
             flight.dirtied = True
-        if not self.policy.write_behind:
-            return True
         if key in self._dirty:
             self._dirty[key] = value          # keeps first-dirty order
             return True
@@ -257,6 +256,8 @@ class ReadThroughCoordinator:
         """Synchronous SoR write: the full-buffer degradation path."""
         self.stats["sync_writes"] += 1
         ok = yield from self._sor_write(key, value)
+        if not ok:
+            self.stats["writebacks_dropped"] += 1
         self._m_writebacks.labels(
             result="sync" if ok else "dropped").inc()
 
@@ -269,8 +270,8 @@ class ReadThroughCoordinator:
 
     def _flush_loop(self) -> Generator:
         while not self._closed:
-            yield self.sim.delay(self.policy.flush_interval)
-            yield from self._flush_once(self.policy.flush_batch_max)
+            yield self.sim.delay(FLUSH_INTERVAL)
+            yield from self._flush_once(FLUSH_BATCH_MAX)
 
     def _flush_once(self, budget: int) -> Generator:
         """Flush up to ``budget`` dirty keys, oldest-first.
@@ -303,7 +304,7 @@ class ReadThroughCoordinator:
         else:
             payload = {"key": key, "value": value}
             size = len(key) + len(value) + 64
-        backoff = BackoffPolicy(self.policy.fetch_backoff,
+        backoff = BackoffPolicy(FETCH_BACKOFF,
                                 self.policy.fetch_deadline / 4, self._rand)
         for attempt in range(self.policy.fetch_retries):
             try:
@@ -383,7 +384,7 @@ class ReadThroughCoordinator:
             if self._dirty and not flushed:
                 # Persistently throttled: wait out one flush interval so
                 # the provisioned buckets refill, then try again.
-                yield self.sim.delay(self.policy.flush_interval)
+                yield self.sim.delay(FLUSH_INTERVAL)
 
     def close(self) -> None:
         """Stop the flusher; drive a final drain when the sim is idle."""

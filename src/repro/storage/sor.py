@@ -45,13 +45,17 @@ class StorageCostModel:
     cpu_per_read: float = 10e-6          # storage-server CPU per request
 
 
+#: Payload bytes one provisioned capacity unit covers.
+UNIT_BYTES = 4096
+
+
 @dataclass
 class ProvisionedThroughput:
     """HopperKV/DynamoDB-style provisioned capacity for one SoR.
 
     Reads and writes each draw from a token bucket refilled at
     ``read_units``/``write_units`` per simulated second; one unit covers
-    ``unit_bytes`` of payload (a request costs ``ceil(size/unit_bytes)``,
+    ``UNIT_BYTES`` of payload (a request costs ``ceil(size/UNIT_BYTES)``,
     minimum one). The bucket holds up to ``burst_seconds`` worth of
     units, so short bursts ride on accumulated credit. Requests that
     find the bucket dry are throttled — the reply carries
@@ -62,7 +66,6 @@ class ProvisionedThroughput:
     read_units: float = 2000.0
     write_units: float = 1000.0
     burst_seconds: float = 2.0
-    unit_bytes: int = 4096
 
     def __post_init__(self) -> None:
         for name in ("read_units", "write_units"):
@@ -74,10 +77,6 @@ class ProvisionedThroughput:
             raise CliqueMapError(
                 "ProvisionedThroughput.burst_seconds must be > 0, "
                 f"got {self.burst_seconds!r}")
-        if self.unit_bytes < 1:
-            raise CliqueMapError(
-                "ProvisionedThroughput.unit_bytes must be >= 1, "
-                f"got {self.unit_bytes!r}")
 
 
 class SystemOfRecord:
@@ -190,8 +189,7 @@ class SystemOfRecord:
     # -- provisioned capacity ---------------------------------------------
 
     def _units(self, nbytes: int) -> float:
-        unit = self.throughput.unit_bytes
-        return float(max(1, -(-nbytes // unit)))
+        return float(max(1, -(-nbytes // UNIT_BYTES)))
 
     def _admit(self, bucket: Optional[RetryBudget], nbytes: int) -> bool:
         if bucket is None:

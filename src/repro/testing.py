@@ -8,7 +8,7 @@ to shards, and snapshotting CPU. Used by this repo's own benchmark suite
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Sequence
+from typing import Generator, List, Sequence
 
 from .analysis import LatencyRecorder
 from .core import Cell, CliqueMapClient, GetStatus, SetStatus
@@ -71,21 +71,3 @@ def cell_cpu_hosts(cell: Cell) -> List:
     """The hosts whose CPU a whole-cell efficiency measurement should sum."""
     return [b.host for b in cell.backends.values()]
 
-
-def run_closed_loop(cell: Cell, clients: Iterable[CliqueMapClient],
-                    keys: Sequence[bytes], ops_per_worker: int,
-                    workers_per_client: int = 1) -> LatencyRecorder:
-    """Closed-loop GET load from several clients; returns latencies."""
-    recorder = LatencyRecorder()
-    sim = cell.sim
-
-    def worker(client):
-        for i in range(ops_per_worker):
-            result = yield from client.get(keys[i % len(keys)])
-            if result.status is GetStatus.HIT:
-                recorder.record(result.latency)
-
-    procs = [sim.process(worker(c))
-             for c in clients for _ in range(workers_per_client)]
-    sim.run(until=sim.all_of(procs))
-    return recorder

@@ -18,8 +18,10 @@ Run with ``python -m repro.tools <command>``:
   ``trace.json`` and adds the SLI and alert tables.
 * ``perf``         — batched-vs-singleton multiget measurement; emits
   ``BENCH_multiget.json`` for the perf trajectory.
-* ``perf profile`` — run a scale workload under cProfile and print the
-  top-N hot spots (the starting point for optimization work).
+* ``perf profile`` — run a sharded federation with one cProfile per
+  worker and print the aggregated top-N hot spots (per-layer host
+  profiles of the benchmark workloads are
+  ``benchmarks/perf/run.py --trace 1``).
 * ``perf history`` — aggregate every ``BENCH_*.json`` into one
   perf-trajectory table and fail on a metric under its floor or over
   its ceiling.
@@ -436,25 +438,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_profile(args: argparse.Namespace) -> int:
-    from ..analysis import profile_hotspots
-
-    if args.parallel:
-        # Sharded run: every worker profiles its own shard; the per-shard
-        # cProfile dumps are aggregated into one top-N table so hotspot
-        # analysis reads the same as a single-process profile.
-        from ..analysis import profile_parallel_hotspots
-        zones = [f"dc-{chr(ord('a') + i)}" for i in range(args.zones)]
-        profile_parallel_hotspots(zones=zones, top=args.top,
-                                  sort=args.sort,
-                                  duration=args.parallel_duration)
-        return 0
-    result = profile_hotspots(top=args.top, transport=args.transport,
-                              num_hosts=args.hosts, ops=args.ops,
-                              seed=args.seed, sort=args.sort)
-    print(f"workload: transport={args.transport} hosts={args.hosts} "
-          f"ops={result['ops']:,} events={result['events']:,} "
-          f"wall={result['wall_seconds']:.2f}s "
-          f"events/s={result['events_per_sec']:,.0f}")
+    # Sharded run: every worker profiles its own shard; the per-shard
+    # cProfile dumps are aggregated into one top-N table.
+    from ..analysis import profile_parallel_hotspots
+    zones = [f"dc-{chr(ord('a') + i)}" for i in range(args.zones)]
+    profile_parallel_hotspots(zones=zones, top=args.top, sort=args.sort,
+                              duration=args.parallel_duration)
     return 0
 
 
@@ -628,12 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perf",
                        help="perf tooling: multiget datapoint (default, "
                             "writes BENCH_multiget.json) or 'profile' to "
-                            "run a workload under cProfile")
+                            "run a sharded workload under cProfile")
     p.add_argument("mode", nargs="?", default="multiget",
                    choices=["multiget", "profile", "history"],
                    help="'multiget' (default) measures batched-vs-"
                         "singleton; 'profile' prints top-N cProfile hot "
-                        "spots of a scale workload; 'history' renders "
+                        "spots of a sharded federation; 'history' renders "
                         "every BENCH_*.json as one perf-trajectory table "
                         "and fails if any metric is under its floor")
     p.add_argument("--keys", type=int, default=32)
@@ -649,19 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort", default="cumulative",
                    choices=["cumulative", "tottime", "ncalls"],
                    help="profile mode: pstats sort order")
-    p.add_argument("--hosts", type=int, default=24,
-                   help="profile mode: cell size for the workload")
-    p.add_argument("--ops", type=int, default=2000,
-                   help="profile mode: ops to drive under the profiler")
-    p.add_argument("--parallel", action="store_true",
-                   help="profile mode: profile a sharded (one worker "
-                        "process per zone) federation instead; per-shard "
-                        "cProfile output is aggregated into one table")
     p.add_argument("--zones", type=int, default=4,
-                   help="profile mode with --parallel: number of zones")
+                   help="profile mode: number of zones (one worker "
+                        "process each)")
     p.add_argument("--parallel-duration", type=float, default=0.2,
-                   help="profile mode with --parallel: simulated seconds "
-                        "of federated workload to profile")
+                   help="profile mode: simulated seconds of federated "
+                        "workload to profile")
     p.add_argument("--root", default=".",
                    help="history mode: directory holding the "
                         "BENCH_*.json files")

@@ -1,12 +1,11 @@
 """Synthetic load generation against a CliqueMap cell.
 
-Two modes:
-
-* **open loop** — batches arrive by a Poisson process at an offered rate
-  (optionally time-varying, e.g. diurnal); queueing and overload behavior
-  emerge naturally;
-* **closed loop** — each worker issues the next batch as soon as the
-  previous completes, measuring peak sustainable op rate (Fig 6a).
+GET traffic is **open loop**: batches arrive by a Poisson process at an
+offered rate (optionally time-varying, e.g. diurnal), so queueing and
+overload behavior emerge naturally. Every open-loop GET driver runs the
+one driver loop of :class:`~repro.workloads.population.ClientPopulation`
+— a real client is a population of one. SET traffic is a plain Poisson
+stream per client.
 
 All results land in :mod:`repro.analysis` recorders.
 """
@@ -142,56 +141,22 @@ class LoadGenerator:
         self._m_shed = clients[0].metrics.counter(
             "cliquemap_loadgen_shed_total",
             "Offered ops dropped because a client hit its outstanding "
-            "cap, by generator mode") if clients else None
+            "cap") if clients else None
 
-    def _count_shed(self, ops: int, mode: str) -> None:
+    def _count_shed(self, ops: int) -> None:
         self.metrics.shed += ops
         if self._m_shed is not None:
-            self._m_shed.labels(mode=mode).inc(ops)
+            self._m_shed.labels().inc(ops)
 
     # -- GET traffic ----------------------------------------------------------
 
     def start_open_loop_gets(self, rate_per_client,
                              duration: float,
                              batch_sampler=None) -> List:
-        """Poisson arrivals at ``rate_per_client`` ops/sec (callable ok)."""
-        procs = []
-        for i, client in enumerate(self.clients):
-            stream = self.stream.child(f"get-arrivals-{i}")
-            procs.append(self.sim.process(self._open_get_loop(
-                client, rate_per_client, duration, batch_sampler, stream)))
-        return procs
-
-    def _open_get_loop(self, client, rate, duration, batch_sampler,
-                       stream) -> Generator:
-        end = self.sim.now + duration
-        outstanding = [0]
-        while self.sim.now < end:
-            now_rate = rate(self.sim.now) if callable(rate) else rate
-            batch = batch_sampler.sample() if batch_sampler else 1
-            interval = batch / max(now_rate, 1e-9)
-            yield self.sim.delay(stream.expovariate(1.0 / interval))
-            self.metrics.offered += batch
-            if outstanding[0] >= self.max_outstanding:
-                # Shed rather than queue unboundedly — but count it, or
-                # the offered-vs-delivered gap is unmeasurable.
-                self._count_shed(batch, "open")
-                continue
-            outstanding[0] += 1
-            proc = self.sim.process(
-                self._one_get_batch(client, batch, outstanding))
-            proc.defused = True
-
-    def _one_get_batch(self, client, batch: int, outstanding) -> Generator:
-        try:
-            keys = self.keyspace.sample_keys(batch)
-            start = self.sim.now
-            results = yield from client.get_multi(keys)
-            batch_latency = self.sim.now - start
-            for result in results:
-                self._record_get(result, batch_latency)
-        finally:
-            outstanding[0] -= 1
+        """Poisson arrivals at ``rate_per_client`` ops/sec (callable ok):
+        a population of one modeled client per pool client."""
+        return self.start_population_gets(
+            len(self.clients), rate_per_client, duration, batch_sampler)
 
     def start_population_gets(self, num_clients: int, rate_per_client,
                               duration: float, batch_sampler=None,
@@ -204,9 +169,8 @@ class LoadGenerator:
         Each real client becomes a *driver* for an equal slice of the
         modeled population. See :mod:`repro.workloads.population` for
         the model and its fidelity argument; with ``num_clients`` equal
-        to the pool size (one modeled client per driver) the arrival
-        process — and therefore the whole run — is identical to
-        :meth:`start_open_loop_gets` on the same seed.
+        to the pool size (one modeled client per driver) it is
+        :meth:`start_open_loop_gets`.
         """
         from .population import ClientPopulation, PopulationConfig
         population = ClientPopulation(self, PopulationConfig(
@@ -216,28 +180,6 @@ class LoadGenerator:
             if max_outstanding_per_client is None
             else max_outstanding_per_client))
         return population.start(batch_sampler)
-
-    def start_closed_loop_gets(self, workers_per_client: int,
-                               duration: float,
-                               batch_sampler=None) -> List:
-        """Max-rate GETs: each worker re-issues immediately (Fig 6a)."""
-        procs = []
-        for client in self.clients:
-            for _w in range(workers_per_client):
-                procs.append(self.sim.process(
-                    self._closed_get_loop(client, duration, batch_sampler)))
-        return procs
-
-    def _closed_get_loop(self, client, duration, batch_sampler) -> Generator:
-        end = self.sim.now + duration
-        while self.sim.now < end:
-            batch = batch_sampler.sample() if batch_sampler else 1
-            keys = self.keyspace.sample_keys(batch)
-            start = self.sim.now
-            results = yield from client.get_multi(keys)
-            batch_latency = self.sim.now - start
-            for result in results:
-                self._record_get(result, batch_latency)
 
     def _record_get(self, result, batch_latency: float) -> None:
         metrics = self.metrics

@@ -42,11 +42,11 @@ price of the aggregation; runs that need per-client quarantine fidelity
 should lower N/D (more drivers).
 
 **Honesty template.** With one modeled client per driver (N == D, no
-thinning) the arrival loop consumes the *identical* random-stream draw
-sequence as :meth:`LoadGenerator.start_open_loop_gets`, so a
-population-of-1 run reproduces a one-real-client run exactly — the same
-seed-for-seed equivalence check PR 4 used to prove the kernel fast path
-honest (see ``tests/integration/test_population.py``).
+thinning) the driver loop *is* the open loop of one real client — the
+identity and thinning draws are skipped — so
+:meth:`LoadGenerator.start_open_loop_gets` runs exactly that
+configuration, and a population-of-1 run reproduces a one-real-client
+run event for event (see ``tests/integration/test_population.py``).
 """
 
 from __future__ import annotations
@@ -147,18 +147,16 @@ class ClientPopulation:
             batch = batch_sampler.sample() if batch_sampler else 1
             # Superposition: the slice's aggregate offered key-rate is
             # slice_size * per-client rate; batches of size b arrive at
-            # aggregate_rate / b. Same arithmetic as the open loop, so
-            # a slice of one replays it draw for draw.
+            # aggregate_rate / b. A slice of one is one real client.
             interval = batch / max(per_client * slice_size, 1e-9)
             yield sim.delay(stream.expovariate(1.0 / interval))
             metrics.offered += batch
             # Identity restores per-client semantics; the draw is
-            # skipped for a slice of one to keep the open-loop draw
-            # sequence (the population-of-1 equivalence check).
+            # skipped for a slice of one, which has one identity.
             ident = id_base if slice_size == 1 \
                 else id_base + stream.randint(0, slice_size - 1)
             if outstanding.get(ident, 0) >= cap:
-                generator._count_shed(batch, "population")
+                generator._count_shed(batch)
                 continue
             if sample_rate < 1.0 and stream.random() >= sample_rate:
                 metrics.thinned += batch

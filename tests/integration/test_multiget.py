@@ -71,6 +71,28 @@ def test_batched_get_multi_results_align_with_keys():
     cell.close()
 
 
+def test_rpc_get_multi_equals_singleton_gets():
+    """An RPC-strategy batch is a fan-out of singleton GETs: over hits,
+    misses and a crashed replica its results align with ``keys`` and
+    equal what one GET per key returns."""
+    cell = build()
+    keys = make_keys(12)
+    seed(cell, cell.connect_client(strategy=GetStrategy.TWO_R), keys)
+    cell.serving_backends()[0].crash()
+    client = cell.connect_client(
+        strategy=GetStrategy.RPC,
+        client_config=ClientConfig(default_deadline=50e-3))
+    asked = keys[:8] + [b"never-set-%d" % i for i in range(4)]
+
+    batch = run(cell, client.get_multi(asked))
+    singles = [run(cell, client.get(key)) for key in asked]
+    assert [(r.status, r.value) for r in batch] == \
+        [(r.status, r.value) for r in singles] == \
+        [(GetStatus.HIT, b"value-%d" % i) for i in range(8)] + \
+        [(GetStatus.MISS, None)] * 4
+    cell.close()
+
+
 def test_batched_get_multi_uses_fewer_fabric_transfers():
     """One coalesced index fetch per (backend, batch): the number of
     request transfers must scale with the replica count, not the key

@@ -5,15 +5,25 @@ cheapest configuration of the new machinery must be *exactly* the old
 machinery (population-of-1 == one real open-loop client, same seed, same
 events), and the interesting configurations must match statistically
 (KS distance over latency samples, hit-rate and delivered-op deltas).
+
+``DRIVER_GOLDEN`` freezes what every open-loop GET driver in the tree
+produces — the real-client arm, the Ads and Geo workloads, a shed-heavy
+open loop — as counts plus a digest over every latency sample. To
+re-stamp: ``PYTHONPATH=src python tests/integration/test_population.py``.
 """
+
+import hashlib
+import pprint
 
 import pytest
 
 from repro.analysis import compare_population, run_population_arm
 from repro.core import Cell, CellSpec, CliqueMapError, ReplicationMode
 from repro.sim import RandomStream
-from repro.workloads import (ClientPopulation, KeySpace, LoadGenerator,
-                             PopulationConfig, WorkloadMetrics, populate)
+from repro.workloads import (AdsScenario, AdsWorkload, ClientPopulation,
+                             GeoScenario, GeoWorkload, KeySpace,
+                             LoadGenerator, PopulationConfig,
+                             WorkloadMetrics, populate)
 
 
 # -- exact equivalence --------------------------------------------------------
@@ -108,6 +118,108 @@ def test_open_loop_counts_sheds_instead_of_dropping_silently():
         metrics.shed
 
 
+# -- load-driver sameness -----------------------------------------------------
+
+def _samples_digest(samples) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for sample in samples:
+        digest.update(repr(sample).encode())
+    return digest.hexdigest()
+
+
+def _metrics_stamp(sim, metrics: WorkloadMetrics) -> dict:
+    return {"events": sim._seq, "offered": metrics.offered,
+            "shed": metrics.shed, "ops": metrics.gets,
+            "hits": metrics.hits, "sets": metrics.sets,
+            "get_latency": _samples_digest(metrics.get_latency.samples()),
+            "set_latency": _samples_digest(metrics.set_latency.samples())}
+
+
+def _stamp_real_arm() -> dict:
+    run = run_population_arm("real", num_modeled=2, rate_per_client=4000.0,
+                             duration=0.1, seed=13, num_hosts=4,
+                             num_keys=96, outstanding_cap=2, drain=0.05)
+    return {"events": run["events"], "offered": run["offered"],
+            "shed": run["shed"], "ops": run["ops"],
+            "get_latency": _samples_digest(run["latency_samples"])}
+
+
+def _stamp_ads() -> dict:
+    workload = AdsWorkload(AdsScenario(
+        num_shards=3, num_clients=2, num_keys=60,
+        get_rate_per_client=400.0, write_rate_per_client=20.0,
+        backfill_period=0.1, duration=0.25, seed=3))
+    workload.preload()
+    return _metrics_stamp(workload.sim, workload.run())
+
+
+def _stamp_geo() -> dict:
+    workload = GeoWorkload(GeoScenario(
+        num_shards=3, num_clients=2, num_updaters=1, num_keys=60,
+        base_get_rate_per_client=400.0, day_length=0.2, duration=0.3,
+        update_rate_per_client=30.0, seed=4))
+    workload.preload()
+    return _metrics_stamp(workload.sim, workload.run())
+
+
+def _stamp_shed_heavy() -> dict:
+    # The open loop of test_open_loop_counts_sheds_instead_of_dropping_
+    # silently, frozen draw for draw.
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
+    sim = cell.sim
+    stream = RandomStream(7, "shed")
+    keyspace = KeySpace(stream.child("keys"), 32)
+    client = cell.connect_client()
+    sim.run(until=sim.process(populate(client, keyspace, 64)))
+    metrics = WorkloadMetrics()
+    gen = LoadGenerator(sim, [client], keyspace, stream.child("load"),
+                        metrics, max_outstanding_per_client=1)
+    procs = gen.start_open_loop_gets(rate_per_client=200_000.0,
+                                     duration=0.05)
+    sim.run(until=sim.all_of(procs))
+    sim.run(until=sim.now + 0.2)
+    return _metrics_stamp(sim, metrics)
+
+
+DRIVERS = {"real_arm": _stamp_real_arm, "ads": _stamp_ads,
+           "geo": _stamp_geo, "shed_heavy": _stamp_shed_heavy}
+
+DRIVER_GOLDEN = {'real_arm': {'events': 53880,
+              'offered': 828,
+              'shed': 4,
+              'ops': 824,
+              'get_latency': 'cc9df66b39d184f8ea45233be30faec4'},
+ 'ads': {'events': 29870,
+         'offered': 333,
+         'shed': 0,
+         'ops': 205,
+         'hits': 205,
+         'sets': 17,
+         'get_latency': 'abd239a122dcc8c735aa890242348edf',
+         'set_latency': '172f6843229f5d743e185a06e62fdb0c'},
+ 'geo': {'events': 19543,
+         'offered': 227,
+         'shed': 0,
+         'ops': 216,
+         'hits': 216,
+         'sets': 10,
+         'get_latency': 'c1a4fb07e8ff767efe17ae5426c73f7c',
+         'set_latency': '5c2026220155b0d0dadea9adf3d5754e'},
+ 'shed_heavy': {'events': 153852,
+                'offered': 10053,
+                'shed': 6952,
+                'ops': 3101,
+                'hits': 3101,
+                'sets': 0,
+                'get_latency': '462e450a7350032ca65834bba43c51ea',
+                'set_latency': 'cae66941d9efbd404e4d88758ea67670'}}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_open_loop_drivers_reproduce_their_stamped_runs(name):
+    assert DRIVERS[name]() == DRIVER_GOLDEN[name]
+
+
 # -- configuration validation -------------------------------------------------
 
 def test_population_config_rejects_nonsense():
@@ -140,3 +252,9 @@ def test_run_population_arm_rejects_unknown_mode():
     with pytest.raises(ValueError):
         run_population_arm("imaginary", num_modeled=1,
                            rate_per_client=1.0, duration=0.1)
+
+
+if __name__ == "__main__":
+    print("DRIVER_GOLDEN = \\")
+    pprint.pprint({name: fn() for name, fn in DRIVERS.items()},
+                  width=79, sort_dicts=False)

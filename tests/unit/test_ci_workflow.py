@@ -36,7 +36,7 @@ def test_workflow_keeps_four_jobs_and_every_smoke_row_runs_something():
     assert sorted(doc["jobs"]) == ["lint", "perf-selfcheck", "smoke", "tests"]
     rows = doc["jobs"]["smoke"]["strategy"]["matrix"]["include"]
     names = [row["name"] for row in rows]
-    assert len(names) == len(set(names)) == 10
+    assert len(names) == len(set(names)) == 11
     assert all(row["run"].strip() for row in rows)
 
 
@@ -73,6 +73,16 @@ def test_the_perf_smoke_row_ends_by_enforcing_the_recorded_bounds():
     perf = next(row for row in rows if row["name"] == "perf")
     assert perf["run"].strip().splitlines()[-1].strip() == \
         "python -m repro.tools perf history"
+
+
+def test_every_example_runs_in_the_examples_smoke_row():
+    """Examples are callers too: each one runs end to end in CI."""
+    rows = yaml.safe_load(WORKFLOW.read_text())[
+        "jobs"]["smoke"]["strategy"]["matrix"]["include"]
+    row = next(row for row in rows if row["name"] == "examples")
+    ran = [shlex.split(line) for line in row["run"].strip().splitlines()]
+    assert sorted(ran) == [["python", f"examples/{path.name}"]
+                           for path in sorted(ROOT.glob("examples/*.py"))]
 
 
 def test_every_cli_line_parses_and_names_a_known_scenario():

@@ -205,3 +205,39 @@ def test_soak_config_fields_are_frozen():
         seed duration settle num_shards num_keys transport scenario plan
         observe export_dir flight sor sor_throughput resize_config
         population population_rate population_sample_rate""".split()
+
+
+def test_option_fields_are_frozen():
+    """Options no caller set are module constants at their one value,
+    not fields; a new field needs a caller in src/, benchmarks/ or
+    examples/ and a line here."""
+    import dataclasses
+
+    from repro.baselines import MemcacheGConfig
+    from repro.core import BackendConfig, CellSpec
+    from repro.observe import AutoscalerConfig, ObserveConfig
+    from repro.storage import MissPolicy, ProvisionedThroughput
+
+    frozen = {
+        BackendConfig: """num_buckets ways data_initial_bytes
+            data_virtual_limit slab_bytes grow_watermark
+            index_resize_load_factor eviction_policy overflow_rpc_fallback
+            overflow_capacity min_write_step atomic_entry_writes
+            per_kilobyte_cpu old_window_grace""",
+        CellSpec: """name mode num_shards num_spares transport
+            backend_config repair_config maintenance_config resize_config
+            fabric_config host_config writer_principals seed tracing
+            trace_sample_every trace_slow_threshold flight_recorder""",
+        ObserveConfig: """scrape_interval retention_points
+            retention_seconds histogram_sum probers prober objectives""",
+        AutoscalerConfig: """evaluate_interval load_window scale_out_rps
+            scale_in_rps min_shards max_shards cooldown hysteresis_rounds""",
+        MissPolicy: """read_through negative_ttl backfill_budget
+            backfill_fill_rate coalesce dirty_buffer_max fetch_deadline
+            fetch_retries""",
+        MemcacheGConfig: "capacity_bytes per_kilobyte_cpu",
+        ProvisionedThroughput: "read_units write_units burst_seconds",
+    }
+    for config, fields in frozen.items():
+        assert [f.name for f in dataclasses.fields(config)] == \
+            fields.split(), config.__name__

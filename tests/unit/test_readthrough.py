@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Cell, CellSpec, GetStatus, ReplicationMode
+from repro.core import Cell, CellSpec, GetStatus, ReplicationMode, SetStatus
 from repro.core.errors import CliqueMapError
 from repro.storage import (MissPolicy, SystemOfRecord,
                            SystemOfRecordProtocol)
@@ -26,18 +26,15 @@ def run(cell, gen):
 
 def test_miss_policy_defaults_valid():
     policy = MissPolicy()
-    assert policy.read_through and policy.write_behind and policy.coalesce
+    assert policy.read_through and policy.coalesce
 
 
 @pytest.mark.parametrize("kwargs", [
     {"negative_ttl": -0.1},
     {"backfill_fill_rate": -1.0},
     {"dirty_buffer_max": 0},
-    {"flush_interval": 0.0},
-    {"flush_batch_max": 0},
     {"fetch_deadline": -1.0},
     {"fetch_retries": 0},
-    {"negative_capacity": 0},
 ])
 def test_miss_policy_rejects_bad_values(kwargs):
     with pytest.raises(CliqueMapError):
@@ -159,6 +156,27 @@ def test_write_behind_buffer_bound_forces_sync_fallback():
     cell.close()
 
 
+def test_dropped_write_through_is_counted_in_stats_and_registry():
+    """A full buffer degrades to write-through; when that synchronous
+    write cannot land either, the drop is one ``writebacks_dropped`` in
+    ``stats`` and one ``result="dropped"`` writeback on the registry."""
+    cell, sor, coordinator = build(policy=MissPolicy(
+        dirty_buffer_max=1, fetch_deadline=2e-3, fetch_retries=1))
+    client = cell.connect_client()
+
+    def app():
+        yield from client.set(b"buffered", b"1")
+        sor.host.crash()
+        return (yield from client.set(b"overflow", b"2"))
+
+    assert run(cell, app()).status is SetStatus.APPLIED
+    assert coordinator.stats["buffer_overflows"] == 1
+    assert coordinator.stats["writebacks_dropped"] == 1 == \
+        cell.metrics.total("cliquemap_sor_writebacks_total",
+                           result="dropped")
+    client.close()
+
+
 def test_write_behind_update_keeps_first_dirty_position():
     cell, sor, coordinator = build()
     coordinator.note_write(b"x", b"1")
@@ -239,10 +257,9 @@ def test_get_multi_reads_through_like_a_singleton():
         (GetStatus.MISS, "sor", "sor-backfill-shed", None)]
     assert [(r.status, r.source, r.error) for r in failed] == \
         [(GetStatus.MISS, "sor", "sor-fetch-failed")] * 2
-    # Pinned, not endorsed: a batch books its keys against the cache
-    # tier before the miss pipeline runs, so a key the SoR then serves
-    # stays a booked miss (beside sor_hits); a singleton books a hit.
-    assert batch_booked == {"gets": 5, "hits": 1, "misses": 4,
+    # One booking rule: a batch key the SoR serves is booked a hit,
+    # once, exactly as the singleton below books it.
+    assert batch_booked == {"gets": 5, "hits": 2, "misses": 3,
                             "sor_hits": 1}
     assert (single.status, single.source) == (GetStatus.HIT, "sor")
     assert single_booked == {"gets": 1, "hits": 1, "misses": 0,

@@ -216,19 +216,6 @@ def test_populate_installs_corpus():
     assert installed == 30
 
 
-def test_load_generator_closed_loop_records_metrics():
-    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
-    clients = [cell.connect_client() for _ in range(2)]
-    ks = KeySpace(RandomStream(5, "k"), num_keys=20)
-    cell.sim.run(until=cell.sim.process(populate(clients[0], ks, 64)))
-    gen = LoadGenerator(cell.sim, clients, ks, RandomStream(5, "load"))
-    procs = gen.start_closed_loop_gets(workers_per_client=2, duration=5e-3)
-    cell.sim.run(until=cell.sim.all_of(procs))
-    assert gen.metrics.gets > 10
-    assert gen.metrics.hit_rate == 1.0
-    assert gen.metrics.get_latency.percentile(50) > 0
-
-
 def test_load_generator_open_loop_offered_rate():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
     clients = [cell.connect_client()]

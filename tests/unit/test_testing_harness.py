@@ -3,8 +3,7 @@
 
 from repro.core import Cell, CellSpec, GetStrategy, ReplicationMode
 from repro.testing import (cell_cpu_hosts, drive, key_with_primary_shard,
-                           measure_gets, preload_keys, run_closed_loop,
-                           total_cpu)
+                           measure_gets, preload_keys, total_cpu)
 
 
 def build():
@@ -47,11 +46,3 @@ def test_total_cpu_sums_hosts():
     assert len(hosts) == 4
     assert total_cpu(*hosts) > 0
 
-
-def test_run_closed_loop_collects_hits():
-    cell, client = build()
-    keys = [b"key-%d" % i for i in range(5)]
-    preload_keys(cell, client, keys, 128)
-    recorder = run_closed_loop(cell, [client], keys, ops_per_worker=20,
-                               workers_per_client=2)
-    assert recorder.count == 40
