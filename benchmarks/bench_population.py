@@ -90,7 +90,8 @@ def bench_population_scale(benchmark):
     print(f"  wall={run['wall_seconds']:.1f}s "
           f"(budget {WALL_BUDGET_SECONDS:.0f}s) "
           f"events/s={run['events_per_sec']:,.0f} "
-          f"offered/wall-s={run['offered_per_wall_sec']:,.0f}")
+          f"offered/wall-s={run['offered_per_wall_sec']:,.0f} "
+          f"gc={run['gc_collections']} in {run['gc_seconds']:.2f}s")
 
     assert run["offered"] >= OFFERED_FLOOR, run["offered"]
     assert run["errors"] == 0, run

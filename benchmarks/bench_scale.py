@@ -9,7 +9,8 @@ Two checks ride on one benchmark:
   ``BENCH_scale.json``, beside what a 200-host cell costs the host to
   exist: build seconds and RSS per backend host (under a ceiling) from
   the pony run — the first cell this process builds, so its peak-RSS
-  growth is the cell's own — and the process's peak RSS at the end.
+  growth is the cell's own — and the process's peak RSS at the end,
+  plus the cyclic collector's collections and seconds in each run.
 * **Equivalence** — kernel and model optimizations must change no
   behavior. A small seeded slice of the same workload must reproduce
   the golden per-op outcome digest, final clock and event count below,
@@ -80,7 +81,8 @@ def bench_scale_cell(benchmark):
               f"events/s={run['events_per_sec']:,.0f} "
               f"sim-ops/wall-s={run['ops_per_wall_sec']:,.0f} "
               f"hits={run['hits']:,} errors={run['errors']} "
-              f"scrapes={run['scrapes']}")
+              f"scrapes={run['scrapes']} gc={run['gc_collections']} "
+              f"in {run['gc_seconds']:.2f}s")
     print(f"  total ops={total_ops:,} wall={total_wall:.1f}s "
           f"(budget {WALL_BUDGET_SECONDS:.0f}s)")
     build = dict(result["pony"], peak_rss_mb=max(
@@ -100,6 +102,9 @@ def bench_scale_cell(benchmark):
         "peak_rss_mb": build["peak_rss_mb"],
         "rss_mb_per_host": build["rss_mb_per_host"],
         "ceiling_rss_mb_per_host": RSS_MB_PER_HOST_CEILING,
+        "gc_collections": [sum(gens) for gens in zip(
+            *(run["gc_collections"] for run in result.values()))],
+        "gc_seconds": sum(run["gc_seconds"] for run in result.values()),
         "total_ops": total_ops,
         "total_wall_seconds": total_wall,
         "ops_per_wall_sec": total_ops / total_wall,
@@ -112,6 +117,8 @@ def bench_scale_cell(benchmark):
                 "events_per_sec": run["events_per_sec"],
                 "ops_per_wall_sec": run["ops_per_wall_sec"],
                 "digest": run["digest"],
+                "gc_collections": run["gc_collections"],
+                "gc_seconds": run["gc_seconds"],
             } for transport, run in result.items()
         },
     }, indent=2, sort_keys=True) + "\n")

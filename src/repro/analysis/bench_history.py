@@ -53,6 +53,8 @@ _SPECS: Dict[str, List[tuple]] = {
         ("peak_rss_mb", "scale.peak_rss_mb", None),
         ("rss_mb_per_host", "scale.rss_mb_per_host",
          "ceiling_rss_mb_per_host"),
+        ("gc_collections", "scale.gc_collections", None),
+        ("gc_seconds", "scale.gc_seconds", None),
     ],
     "readthrough_herd": [
         ("fetch_reduction", "fetch_reduction", "fetch_reduction_floor"),
@@ -64,6 +66,8 @@ _SPECS: Dict[str, List[tuple]] = {
         ("build_seconds", "build_seconds", None),
         ("peak_rss_mb", "peak_rss_mb", None),
         ("rss_mb_per_host", "rss_mb_per_host", "ceiling_rss_mb_per_host"),
+        ("gc_collections", "gc_collections", None),
+        ("gc_seconds", "gc_seconds", None),
     ],
     "resize_handoff": [
         ("handoff_entries_per_sec", "handoff_entries_per_sec",

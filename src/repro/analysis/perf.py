@@ -13,11 +13,13 @@ anywhere.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
 import time
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 from ..core import Cell, CellSpec, GetStatus, ReplicationMode
 from ..sim import RandomStream, ZipfSampler
@@ -37,6 +39,33 @@ def peak_rss_mb() -> float:
     import resource  # Unix-only; the library itself must import anywhere
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+@contextmanager
+def gc_ledger() -> Iterator[Dict]:
+    """What the cyclic garbage collector did inside the block.
+
+    Yields ``{"gc_collections": [gen0, gen1, gen2], "gc_seconds": s}``,
+    filled in as collections run: how many of each generation, and the
+    host seconds spent in them. cProfile cannot show this cost — it books
+    each collection on whichever frame happened to allocate — so the
+    scale benches report it beside their wall seconds.
+    """
+    ledger = {"gc_collections": [0, 0, 0], "gc_seconds": 0.0}
+    started = [0.0]
+
+    def tally(phase: str, info: Dict) -> None:
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            ledger["gc_seconds"] += time.perf_counter() - started[0]
+            ledger["gc_collections"][info["generation"]] += 1
+
+    gc.callbacks.append(tally)
+    try:
+        yield ledger
+    finally:
+        gc.callbacks.remove(tally)
 
 
 def build_cell_measured(spec: CellSpec) -> Tuple[Cell, Dict]:
@@ -267,59 +296,60 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
     """
     spec = CellSpec(transport=transport, num_shards=num_hosts,
                     mode=ReplicationMode.R3_2, seed=seed, tracing=tracing)
-    wall_start = time.perf_counter()
-    cell, build_cost = build_cell_measured(spec)
-    sim = cell.sim
-    if observe:
-        from ..observe import ObserveConfig
-        cell.observe(ObserveConfig(probers=0, scrape_interval=1e-3))
-    keys = [b"sk-%05d" % i for i in range(num_keys)]
-    value = bytes(value_bytes)
+    with gc_ledger() as gc_cost:
+        wall_start = time.perf_counter()
+        cell, build_cost = build_cell_measured(spec)
+        sim = cell.sim
+        if observe:
+            from ..observe import ObserveConfig
+            cell.observe(ObserveConfig(probers=0, scrape_interval=1e-3))
+        keys = [b"sk-%05d" % i for i in range(num_keys)]
+        value = bytes(value_bytes)
 
-    client0 = cell.connect_client(strategy="2xr")
-    clients = [client0] + [cell.connect_client(strategy="2xr")
-                           for _ in range(num_clients - 1)]
+        client0 = cell.connect_client(strategy="2xr")
+        clients = [client0] + [cell.connect_client(strategy="2xr")
+                               for _ in range(num_clients - 1)]
 
-    def preload():
-        for key in keys:
-            result = yield from client0.set(key, value)
-            assert result.ok, (key, result)
+        def preload():
+            for key in keys:
+                result = yield from client0.set(key, value)
+                assert result.ok, (key, result)
 
-    sim.run(until=sim.process(preload()))
+        sim.run(until=sim.process(preload()))
 
-    digest = hashlib.blake2b(digest_size=16)
-    counts = {"ops": 0, "hits": 0, "misses": 0, "errors": 0}
-    per_worker = -(-ops // num_clients)  # ceil: total >= requested ops
+        digest = hashlib.blake2b(digest_size=16)
+        counts = {"ops": 0, "hits": 0, "misses": 0, "errors": 0}
+        per_worker = -(-ops // num_clients)  # ceil: total >= requested ops
 
-    def worker(wid: int, client) -> "object":
-        sampler = ZipfSampler(RandomStream(seed, f"scale-{wid}"), num_keys)
-        issued = 0
-        while issued < per_worker:
-            n = min(batch, per_worker - issued)
-            wanted = [keys[r] for r in sampler.sample_n(n)]
-            results = yield from client.get_multi(wanted)
-            for result in results:
-                counts["ops"] += 1
-                if result.status is GetStatus.HIT:
-                    counts["hits"] += 1
-                elif result.status is GetStatus.MISS:
-                    counts["misses"] += 1
-                else:
-                    counts["errors"] += 1
-                digest.update(
-                    b"%d|%s|%d|%d|%s;" %
-                    (wid, result.status.name.encode(),
-                     len(result.value or b""), result.attempts,
-                     repr(result.latency).encode()))
-            issued += n
+        def worker(wid: int, client) -> "object":
+            sampler = ZipfSampler(RandomStream(seed, f"scale-{wid}"), num_keys)
+            issued = 0
+            while issued < per_worker:
+                n = min(batch, per_worker - issued)
+                wanted = [keys[r] for r in sampler.sample_n(n)]
+                results = yield from client.get_multi(wanted)
+                for result in results:
+                    counts["ops"] += 1
+                    if result.status is GetStatus.HIT:
+                        counts["hits"] += 1
+                    elif result.status is GetStatus.MISS:
+                        counts["misses"] += 1
+                    else:
+                        counts["errors"] += 1
+                    digest.update(
+                        b"%d|%s|%d|%d|%s;" %
+                        (wid, result.status.name.encode(),
+                         len(result.value or b""), result.attempts,
+                         repr(result.latency).encode()))
+                issued += n
 
-    procs = [sim.process(worker(i, c)) for i, c in enumerate(clients)]
-    start_sim = sim.now
-    sim.run(until=sim.all_of(procs))
-    sim_elapsed = sim.now - start_sim
-    scrapes = cell.observability.scraper.scrapes if observe else 0
-    cell.close()
-    wall = time.perf_counter() - wall_start
+        procs = [sim.process(worker(i, c)) for i, c in enumerate(clients)]
+        start_sim = sim.now
+        sim.run(until=sim.all_of(procs))
+        sim_elapsed = sim.now - start_sim
+        scrapes = cell.observability.scraper.scrapes if observe else 0
+        cell.close()
+        wall = time.perf_counter() - wall_start
 
     return {
         "benchmark": "scale",
@@ -341,6 +371,7 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
         "ops_per_wall_sec": counts["ops"] / wall if wall > 0 else 0.0,
         "peak_rss_mb": peak_rss_mb(),
         **build_cost,
+        **gc_cost,
     }
 
 
@@ -371,4 +402,5 @@ def render_multiget_table(result: Dict) -> str:
 __all__ = [
     "ENGINE_COMPONENTS", "run_multiget_benchmark", "write_bench_json",
     "render_multiget_table", "run_kernel_stress", "run_scale_workload",
+    "gc_ledger",
 ]

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from ..core import CellSpec, ReplicationMode
 from ..sim import RandomStream
-from .perf import build_cell_measured, peak_rss_mb
+from .perf import build_cell_measured, gc_ledger, peak_rss_mb
 from .stats import ks_distance
 
 #: Percentiles reported (and compared) per arm.
@@ -67,47 +67,48 @@ def run_population_arm(mode: str, *,
     if mode not in ("real", "population"):
         raise ValueError(f"mode must be 'real' or 'population', "
                          f"got {mode!r}")
-    wall_start = time.perf_counter()
-    cell, build_cost = build_cell_measured(CellSpec(
-        transport=transport, num_shards=num_hosts,
-        mode=ReplicationMode.R3_2, seed=seed))
-    sim = cell.sim
-    stream = RandomStream(seed, "population-arm")
-    keyspace = KeySpace(stream.child("keys"), num_keys,
-                        cache_ranks=keyspace_cache_ranks)
-    batch_sampler = None
-    if batch_median is not None:
-        batch_sampler = BatchSizeSampler(stream.child("batches"),
-                                         median=batch_median,
-                                         sigma=batch_sigma, hi=batch_max)
+    with gc_ledger() as gc_cost:
+        wall_start = time.perf_counter()
+        cell, build_cost = build_cell_measured(CellSpec(
+            transport=transport, num_shards=num_hosts,
+            mode=ReplicationMode.R3_2, seed=seed))
+        sim = cell.sim
+        stream = RandomStream(seed, "population-arm")
+        keyspace = KeySpace(stream.child("keys"), num_keys,
+                            cache_ranks=keyspace_cache_ranks)
+        batch_sampler = None
+        if batch_median is not None:
+            batch_sampler = BatchSizeSampler(stream.child("batches"),
+                                             median=batch_median,
+                                             sigma=batch_sigma, hi=batch_max)
 
-    loader = cell.connect_client(strategy="2xr")
-    installed = sim.run(until=sim.process(populate(
-        loader, keyspace, value_bytes,
-        count=max(1, int(preload_fraction * num_keys)))))
+        loader = cell.connect_client(strategy="2xr")
+        installed = sim.run(until=sim.process(populate(
+            loader, keyspace, value_bytes,
+            count=max(1, int(preload_fraction * num_keys)))))
 
-    pool_size = num_modeled if mode == "real" else num_drivers
-    clients = [cell.connect_client(strategy="2xr")
-               for _ in range(pool_size)]
-    metrics = WorkloadMetrics()
-    generator = LoadGenerator(sim, clients, keyspace,
-                              stream.child("load"), metrics,
-                              max_outstanding_per_client=outstanding_cap)
-    if mode == "real":
-        procs = generator.start_open_loop_gets(
-            rate_per_client, duration, batch_sampler)
-    else:
-        procs = generator.start_population_gets(
-            num_modeled, rate_per_client, duration, batch_sampler,
-            op_sample_rate=op_sample_rate)
-    start_sim = sim.now
-    sim.run(until=sim.all_of(procs))
-    sim.run(until=sim.now + drain)   # let in-flight batches land
-    sim_elapsed = sim.now - start_sim
-    events = sim._seq
-    shed_total = cell.metrics.total("cliquemap_loadgen_shed_total")
-    cell.close()
-    wall = time.perf_counter() - wall_start
+        pool_size = num_modeled if mode == "real" else num_drivers
+        clients = [cell.connect_client(strategy="2xr")
+                   for _ in range(pool_size)]
+        metrics = WorkloadMetrics()
+        generator = LoadGenerator(sim, clients, keyspace,
+                                  stream.child("load"), metrics,
+                                  max_outstanding_per_client=outstanding_cap)
+        if mode == "real":
+            procs = generator.start_open_loop_gets(
+                rate_per_client, duration, batch_sampler)
+        else:
+            procs = generator.start_population_gets(
+                num_modeled, rate_per_client, duration, batch_sampler,
+                op_sample_rate=op_sample_rate)
+        start_sim = sim.now
+        sim.run(until=sim.all_of(procs))
+        sim.run(until=sim.now + drain)   # let in-flight batches land
+        sim_elapsed = sim.now - start_sim
+        events = sim._seq
+        shed_total = cell.metrics.total("cliquemap_loadgen_shed_total")
+        cell.close()
+        wall = time.perf_counter() - wall_start
 
     latency = metrics.get_latency
     return {
@@ -140,6 +141,7 @@ def run_population_arm(mode: str, *,
         else 0.0,
         "peak_rss_mb": peak_rss_mb(),
         **build_cost,
+        **gc_cost,
     }
 
 

@@ -256,6 +256,9 @@ class RpcChannel:
                 f"{method} exceeded deadline of {deadline * 1e3:.2f} ms")
         finally:
             span.finish()
+            # A failed call's exception holds this frame in its traceback;
+            # the frame must not hold the process that holds the exception.
+            inner = None
 
     # -- internals -----------------------------------------------------------
 

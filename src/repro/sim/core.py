@@ -190,19 +190,19 @@ class Process(Event):
     the exception that escaped it.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_wait_cb", "_waiting_on",
-                 "_token", "name")
+    __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "_token",
+                 "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise SimulationError("process() requires a generator")
         self._gen = gen
-        # Bound once per process: every resume/wait re-uses these handles
-        # instead of allocating a bound method (or closure) per step.
+        # The generator's own methods, bound once per process. A bound
+        # method of the process itself is never cached on it: that would
+        # make every process a reference cycle only the collector frees.
         self._send = gen.send
         self._throw = gen.throw
-        self._wait_cb = self._on_wait_done
         self.name = name or getattr(gen, "__name__", "process")
         # What we are parked on: the awaited event (identity-checked) or
         # the token of a parked wait (Simulator.delay, Resource.hold);
@@ -261,7 +261,10 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process died
-            self.fail(exc)
+            # Keep the process's own frames, drop this one: its ``self``
+            # (and, through f_back, the caller stack) would make the
+            # stored exception a reference cycle.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         finally:
             sim._active = None
@@ -275,12 +278,13 @@ class Process(Event):
             self.fail(SimulationError("process cannot wait on itself"))
             return
         self._waiting_on = target
-        # Inlined target.add_callback(self._wait_cb).
+        # Inlined target.add_callback(self._on_wait_done): the bound
+        # method lives in the callback list and dies with it.
         cbs = target.callbacks
         if cbs is None:
-            sim.call_soon(self._wait_cb, target)
+            sim.call_soon(self._on_wait_done, target)
         else:
-            cbs.append((self._wait_cb, ()))
+            cbs.append((self._on_wait_done, ()))
 
 class Condition(Event):
     """Base for composite events over a set of child events."""

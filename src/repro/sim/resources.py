@@ -51,7 +51,6 @@ class Resource:
         # (priority, seq, None, process, token, duration, done, args).
         self._queue: Deque[tuple] = deque()
         self._seq = 0
-        self._finish_cb = self._finish  # bound once, not per hold
         # Utilization accounting: integral of busy slots over time.
         self._busy_integral = 0.0
         self._last_change = sim.now
@@ -148,9 +147,9 @@ class Resource:
         sim._seq = seq = sim._seq + 1
         if duration == 0:
             sim._ready.append(
-                (seq, self._finish_cb, (proc, token, done, args)))
+                (seq, self._finish, (proc, token, done, args)))
         else:
-            heappush(sim._heap, (now + duration, seq, self._finish_cb,
+            heappush(sim._heap, (now + duration, seq, self._finish,
                                  (proc, token, done, args)))
         return PARKED
 
@@ -182,6 +181,8 @@ class Resource:
         if request.resource is not self:
             raise SimulationError("release of unknown request")
         request.resource = None
+        # Granted with itself as its value; the holder already has it.
+        request._value = None
         if request._triggered:
             self._account()
             self._busy -= 1
@@ -218,7 +219,7 @@ class Resource:
                     continue
             self._account()
             self._busy += 1
-            self.sim._push(duration, self._finish_cb,
+            self.sim._push(duration, self._finish,
                            (proc, token, done, args))
 
 

@@ -48,6 +48,7 @@ Design notes:
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import ref
 
 from ..sim.rand import RandomStream
 
@@ -71,10 +72,16 @@ class _IdAllocator:
 
 
 class Span:
-    """One named interval of simulated time, with labels and children."""
+    """One named interval of simulated time, with labels and children.
+
+    A span owns its children; its :attr:`parent` is a weak reference, so
+    a tree is acyclic and dies by reference counting the moment its root
+    is dropped (docs/ARCHITECTURE.md §14).
+    """
 
     __slots__ = ("name", "labels", "start", "end", "children", "_clock",
-                 "parent", "trace_id", "span_id", "remote_parent", "_ids")
+                 "_parent", "trace_id", "span_id", "remote_parent", "_ids",
+                 "__weakref__")
 
     def __init__(self, name: str, clock: Callable[[], float],
                  labels: Optional[Dict[str, Any]] = None,
@@ -90,13 +97,23 @@ class Span:
         self.start = clock() if start is None else start
         self.end: Optional[float] = None
         self.children: List["Span"] = []
-        self.parent = parent
+        self._parent = ref(parent) if parent is not None else None
         self._ids = ids if ids is not None else (
             parent._ids if parent is not None else _IdAllocator())
         self.span_id = span_id if span_id is not None else self._ids()
         self.trace_id = trace_id if trace_id is not None else (
             parent.trace_id if parent is not None else None)
         self.remote_parent = remote_parent
+
+    @property
+    def parent(self) -> Optional["Span"]:
+        """The enclosing span, or None for a root (or once the tree that
+        held this span has been dropped)."""
+        return self._parent() if self._parent is not None else None
+
+    @parent.setter
+    def parent(self, span: Optional["Span"]) -> None:
+        self._parent = ref(span) if span is not None else None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -118,11 +135,10 @@ class Span:
         if self.end is not None:
             anc = self._open_ancestor()
             if anc is not None:
-                span = Span(name, anc._clock, labels, parent=anc)
-                span.labels.setdefault("late_child_of", self.name)
-                anc.children.append(span)
-                return span
-        span = Span(name, target._clock, labels, parent=target)
+                labels.setdefault("late_child_of", self.name)
+                target = anc
+        span = Span(name, target._clock, parent=target)
+        span.labels = labels    # a fresh dict already: ``**labels``
         target.children.append(span)
         return span
 
@@ -147,18 +163,21 @@ class Span:
         """
         if self.end is None:
             self.end = self._clock() if at is None else at
-            open_children = [c for c in self.children if c.end is None]
-            if open_children:
-                anc = self._open_ancestor()
-                for child in open_children:
-                    if anc is not None:
-                        self.children.remove(child)
-                        child.parent = anc
-                        child.labels.setdefault("hoisted_from", self.name)
-                        anc.children.append(child)
-                    else:
-                        child.labels.setdefault("clipped_by", self.name)
-                        child.finish(self.end)
+            for child in self.children:
+                if child.end is None:
+                    break
+            else:
+                return self     # the common case: nothing left open
+            anc = self._open_ancestor()
+            for child in [c for c in self.children if c.end is None]:
+                if anc is not None:
+                    self.children.remove(child)
+                    child.parent = anc
+                    child.labels.setdefault("hoisted_from", self.name)
+                    anc.children.append(child)
+                else:
+                    child.labels.setdefault("clipped_by", self.name)
+                    child.finish(self.end)
         return self
 
     def annotate(self, **labels: Any) -> "Span":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import mmap
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -52,6 +53,14 @@ class RemoteHostDownError(RmaError):
 
 
 _region_ids = itertools.count(1)
+
+# An arena reserves address space, not memory: without MAP_NORESERVE a
+# private writable mapping is charged against commit at full size, and
+# under heuristic overcommit fork() refuses to copy a (merged) reservation
+# larger than RAM + swap. Python 3.11's mmap module does not export the
+# flag; 0x4000 is its Linux value.
+_RESERVE_FLAGS = mmap.MAP_PRIVATE | getattr(
+    mmap, "MAP_NORESERVE", 0x4000 if sys.platform.startswith("linux") else 0)
 
 
 def next_region_id() -> int:
@@ -88,10 +97,11 @@ class Arena:
 
     ``virtual_limit`` bytes are reserved as one private anonymous mapping
     (copy-on-write, so forked or sharded workers can never share a
-    page); the first ``populated`` bytes are addressable and counted as
-    DRAM used. Untouched pages cost the host nothing, so the bounds
-    check on ``populated`` — not the length of the mapping — is what
-    keeps an access inside the arena.
+    page; ``MAP_NORESERVE``, so the reservation commits no memory); the
+    first ``populated`` bytes are addressable and counted as DRAM used.
+    Untouched pages cost the host nothing, so the bounds check on
+    ``populated`` — not the length of the mapping — is what keeps an
+    access inside the arena.
     """
 
     def __init__(self, initial_bytes: int, virtual_limit: int):
@@ -103,7 +113,8 @@ class Arena:
         try:
             # A zero-length mapping is illegal; an empty arena maps a page.
             self._buf = mmap.mmap(-1, max(virtual_limit, 1),
-                                  access=mmap.ACCESS_COPY)
+                                  flags=_RESERVE_FLAGS,
+                                  prot=mmap.PROT_READ | mmap.PROT_WRITE)
         except (OSError, OverflowError) as exc:
             raise ArenaReservationError(virtual_limit, exc) from exc
 

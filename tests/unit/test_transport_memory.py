@@ -163,6 +163,45 @@ def test_refused_reservation_is_one_typed_error():
     assert "BackendConfig.data_virtual_limit" in result.stdout
 
 
+_FORK_PAST_RESERVATIONS = """
+import os
+from repro.core import BackendConfig
+from repro.transport import Arena
+meminfo = dict(line.split(":") for line in open("/proc/meminfo"))
+commit = sum(int(meminfo[k].split()[0]) << 10
+             for k in ("MemTotal", "SwapTotal"))
+limit = BackendConfig().data_virtual_limit
+arenas = [Arena(1 << 20, limit) for _ in range(commit // limit + 4)]
+pid = os.fork()
+if pid == 0:
+    os._exit(0)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(len(arenas) * limit > commit)
+"""
+
+
+def _overcommit_mode():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return int(fh.read())
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(_overcommit_mode() in (None, 2),
+                    reason="needs Linux without strict overcommit")
+def test_reservations_past_ram_do_not_block_fork():
+    """Arena reservations are address space, not committed memory: a
+    process holding more of them than RAM + swap can still fork."""
+    result = subprocess.run(
+        [sys.executable, "-c", _FORK_PAST_RESERVATIONS], capture_output=True,
+        text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
+
+
 def test_window_reads_through_to_arena():
     arena = Arena(128, 256)
     window = MemoryRegion(arena)
