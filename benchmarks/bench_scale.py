@@ -17,9 +17,10 @@ Two checks ride on one benchmark:
   observed or not. The model parks processes on the live kernel
   (``Resource.hold``), so it can no longer be replayed on the verbatim
   pre-fast-path kernel; the golden values are that replay, frozen: the
-  digest and clock are what both kernels produced up to PR 13, and the
-  event count is re-stamped whenever a PR removes scheduler entries on
-  purpose (230,117 before ``hold``). Nothing in the model iterates a
+  digest and clock are what both kernels produced up to PR 13 (re-stamped
+  once since, when fabric jitter moved to one stream per egress link),
+  and the event count is re-stamped whenever a PR removes scheduler
+  entries on purpose (230,117 before ``hold``). Nothing in the model iterates a
   set of names or key hashes any more, so the slice runs in this
   process under whatever hash seed it was launched with (it used to
   need a fresh ``PYTHONHASHSEED=0`` interpreter); the values survived
@@ -50,9 +51,9 @@ ONERMA_OPS = 40_000
 EQUIV_HOSTS = 24
 EQUIV_OPS = 2_000
 GOLDEN = {
-    "digest": "d1e48854c1df9c335c52d32dbd6e447f",
-    "sim_seconds": 0.0016126497951080149,
-    "events": 150_291,
+    "digest": "5aa4b2611892c3f89bd6b0d669a40afe",
+    "sim_seconds": 0.001613852941330693,
+    "events": 150_267,
 }
 
 

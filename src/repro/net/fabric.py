@@ -165,7 +165,9 @@ class Fabric:
         self.sim = sim
         self.config = config or FabricConfig()
         self.hosts: Dict[str, Host] = {}
+        # Loss and corruption draws; jitter comes from the sender's stream.
         self._rand = RandomStream(self.config.seed, "fabric")
+        self._jitter: Dict[str, RandomStream] = {}
         self._partitions: set = set()
         self._link_faults: Dict[frozenset, LinkFault] = {}
         self._host_faults: Dict[str, LinkFault] = {}
@@ -213,6 +215,9 @@ class Fabric:
         rate = nic_rate if nic_rate is not None \
             else self.config.host_rate_bytes_per_sec
         host.nic = Nic(self.sim, name, rate, self.config.mtu)
+        # One jitter stream per egress link: a flow's latencies depend on
+        # its own sender's traffic, never on unrelated traffic in the cell.
+        self._jitter[name] = RandomStream(self.config.seed, f"jitter:{name}")
         self.hosts[name] = host
         return host
 
@@ -279,7 +284,8 @@ class Fabric:
             delay = self.config.one_way_delay if src.zone == dst.zone \
                 else self.config.inter_zone_delay
             if self.config.delay_jitter:
-                delay += self._rand.uniform(0.0, self.config.delay_jitter)
+                delay += self._jitter[src.name].uniform(
+                    0.0, self.config.delay_jitter)
             if fault is not None and fault.latency_multiplier != 1.0:
                 delay *= fault.latency_multiplier
                 span.annotate(slowed=fault.latency_multiplier)
@@ -374,7 +380,8 @@ class Fabric:
 
         def antagonist():
             interval = chunk_bytes / offered_bytes_per_sec
-            rand = self._rand.child(f"antagonist:{target.name}")
+            rand = RandomStream(self.config.seed,
+                                f"antagonist:{target.name}")
             while True:
                 if direction in ("egress", "both"):
                     self.sim.process(chunk_sender(target.nic.egress))

@@ -9,8 +9,8 @@ under which principal, with how many request bytes and what deadline is
 observable (resize backfill races live writers), so it is the model's
 behaviour, not an accident of which copy of the loop a mover runs.
 
-``GOLDEN`` is what the tree produced when each scenario was stamped (on
-the commit *before* the plane was written once); a refactor of
+``GOLDEN`` is what the tree produced when each scenario was stamped
+(first on the commit *before* the plane was written once); a refactor of
 ``core/repair.py`` / ``resize.py`` / ``maintenance.py`` /
 ``storage/loader.py`` must reproduce every digest, and a deliberate
 behaviour change re-stamps only the scenario it names.
@@ -196,26 +196,28 @@ SCENARIOS = {fn.__name__: fn for fn in (
     restart_recovery_under_sets, scan_with_missing_and_stale,
     grow_then_shrink_under_sets, planned_restart, corpus_load)}
 
-#: Stamped on 23d72a2 (the parent of the change that wrote the plane once).
+#: Stamped on 23d72a2 (the parent of the change that wrote the plane once);
+#: every digest re-stamped when fabric jitter moved to one stream per
+#: egress link (a new jitter sequence: ``RepairGet`` 710 -> 721 on grow).
 GOLDEN = \
 {'restart_recovery_under_sets': {'rpcs': {'ScanSummary': 6,
                                           'RepairGet': 250,
                                           'MigrateIn': 0},
-                                 'digest': '58a122dd2680062f'},
+                                 'digest': 'fb6fe1f8c4a0987c'},
  'scan_with_missing_and_stale': {'rpcs': {'ScanSummary': 6,
                                           'RepairGet': 13,
                                           'MigrateIn': 40},
-                                 'digest': '282a652e5539022f'},
+                                 'digest': '7edf079c1baaf19f'},
  'grow_then_shrink_under_sets': {'rpcs': {'ScanSummary': 1134,
-                                          'RepairGet': 710,
+                                          'RepairGet': 721,
                                           'MigrateIn': 0},
-                                 'digest': 'f77c800875ef56a9'},
+                                 'digest': '4d99c6d2c2e84081'},
  'planned_restart': {'rpcs': {'ScanSummary': 0,
                               'RepairGet': 0,
                               'MigrateIn': 6},
-                     'digest': '3ca44029481d0f22'},
+                     'digest': '0104fab54fd143ac'},
  'corpus_load': {'rpcs': {'ScanSummary': 0, 'RepairGet': 0, 'MigrateIn': 12},
-                 'digest': 'fa782c89e38806c9'}}
+                 'digest': '241bce31f9c34bed'}}
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))

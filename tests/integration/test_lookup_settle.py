@@ -250,151 +250,151 @@ def measure(scenario: str, path: str) -> dict:
 # -- the frozen table --------------------------------------------------------------
 
 GOLDEN = \
-{'present:2xr': {'keys': ['hit/1/2.0317936068847166e-05/-/first'],
+{'present:2xr': {'keys': ['hit/1/2.086587008144874e-05/-/first'],
                  'entries': 58,
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '52:57e1405e'},
- 'present:scar': {'keys': ['hit/1/1.1135045883598144e-05/-/first'],
+                 'spans': '52:3ba8c601'},
+ 'present:scar': {'keys': ['hit/1/1.124819909684941e-05/-/first'],
                   'entries': 50,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '39:967c615b'},
- 'present:serial': {'keys': ['hit/1/2.0289489865848347e-05/-/first'],
+                  'spans': '39:61e7183f'},
+ 'present:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
                     'entries': 26,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '27:c2b776d8'},
- 'present:multi-pony': {'keys': ['hit/1/2.1625364230467886e-05/-/first',
-                                 'hit/1/2.222896445243426e-05/-/first',
-                                 'hit/1/2.2863714296576234e-05/-/first',
-                                 'miss/1/1.1804533578910572e-05/-/-'],
+                    'spans': '27:9c685de3'},
+ 'present:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
+                                 'hit/1/2.1770204240974017e-05/-/first',
+                                 'hit/1/2.222087220972403e-05/-/first',
+                                 'miss/1/1.291226710883203e-05/-/-'],
                         'entries': 84,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '72:38ffece6'},
- 'present:multi-1rma': {'keys': ['hit/1/2.126209971307425e-05/-/first',
-                                 'hit/1/2.139847212411167e-05/-/first',
-                                 'hit/1/2.174204977918267e-05/-/first',
-                                 'miss/1/1.1406802499017155e-05/-/-'],
+                        'spans': '72:56928160'},
+ 'present:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
+                                 'hit/1/2.146124081709908e-05/-/first',
+                                 'hit/1/2.1508105686291043e-05/-/first',
+                                 'miss/1/1.1536193705832874e-05/-/-'],
                         'entries': 88,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '72:7f1a6387'},
- 'absent:2xr': {'keys': ['miss/1/1.0732046823265376e-05/-/-'],
+                        'spans': '72:8f5c536a'},
+ 'absent:2xr': {'keys': ['miss/1/1.0694171055121026e-05/-/-'],
                 'entries': 44,
                 'stats': {'gets': 1, 'misses': 1},
                 'retries': {},
                 'fallback': {},
-                'spans': '38:7bffcaea'},
- 'absent:scar': {'keys': ['miss/1/1.0917916823265355e-05/-/-'],
+                'spans': '38:33575bfc'},
+ 'absent:scar': {'keys': ['miss/1/1.0880041055121004e-05/-/-'],
                  'entries': 44,
                  'stats': {'gets': 1, 'misses': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '38:9d84aaaf'},
- 'absent:serial': {'keys': ['miss/1/1.0029571573582892e-05/-/-'],
+                 'spans': '38:1a5af474'},
+ 'absent:serial': {'keys': ['miss/1/1.0104273282546803e-05/-/-'],
                    'entries': 15,
                    'stats': {'gets': 1, 'misses': 1},
                    'retries': {},
                    'fallback': {},
-                   'spans': '14:cdb2e15f'},
- 'absent:multi-pony': {'keys': ['hit/1/2.2440531808426054e-05/-/first',
-                                'miss/1/1.1912644323265305e-05/-/-',
-                                'hit/1/2.1958257443329874e-05/-/first',
-                                'miss/1/1.1912644323265305e-05/-/-'],
+                   'spans': '14:a1aa08f8'},
+ 'absent:multi-pony': {'keys': ['hit/1/2.165045102843022e-05/-/first',
+                                'miss/1/1.1820841385097071e-05/-/-',
+                                'hit/1/2.234736394471392e-05/-/first',
+                                'miss/1/1.1820841385097071e-05/-/-'],
                        'entries': 72,
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
-                       'spans': '60:607d819f'},
- 'absent:multi-1rma': {'keys': ['hit/1/2.1717331316543627e-05/-/first',
-                                'miss/1/1.1598395765649127e-05/-/-',
-                                'hit/1/2.1299275448213514e-05/-/first',
-                                'miss/1/1.1598395765649127e-05/-/-'],
+                       'spans': '60:ca31f0fa'},
+ 'absent:multi-1rma': {'keys': ['hit/1/2.1717810100034996e-05/-/first',
+                                'miss/1/1.1657488946668405e-05/-/-',
+                                'hit/1/2.1409445469171545e-05/-/first',
+                                'miss/1/1.1657488946668405e-05/-/-'],
                        'entries': 74,
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
-                       'spans': '60:bc3a7837'},
- 'crashed:2xr': {'keys': ['hit/1/1.992921565758404e-05/-/first'],
+                       'spans': '60:f9c125dc'},
+ 'crashed:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
                  'entries': 51,
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '46:6e8b3645'},
- 'crashed:scar': {'keys': ['hit/1/1.1407127147454845e-05/-/first'],
+                 'spans': '46:218a0064'},
+ 'crashed:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
                   'entries': 43,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '33:b46077f7'},
- 'crashed:serial': {'keys': ['hit/1/0.00022493114676980122/-/first'],
+                  'spans': '33:8c2bda54'},
+ 'crashed:serial': {'keys': ['hit/1/0.0002251647544254243/-/first'],
                     'entries': 34,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '34:67c5b59f'},
- 'crashed:multi-pony': {'keys': ['hit/1/0.0002049048734647129/-/first',
-                                 'hit/1/0.0002049048734647129/-/first',
-                                 'hit/1/0.0002049048734647129/-/first',
-                                 'miss/1/0.0002049048734647129/-/-'],
-                        'entries': 81,
+                    'spans': '34:204adcc5'},
+ 'crashed:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
+                                 'hit/1/0.00020504653021611652/-/first',
+                                 'hit/1/0.00020504653021611652/-/first',
+                                 'miss/1/0.00020504653021611652/-/-'],
+                        'entries': 82,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '67:671bda3e'},
- 'crashed:multi-1rma': {'keys': ['hit/1/0.00020443291346471288/-/first',
-                                 'hit/1/0.00020443291346471288/-/first',
-                                 'hit/1/0.00020443291346471288/-/first',
-                                 'miss/1/0.00020443291346471288/-/-'],
+                        'spans': '67:fc8dd502'},
+ 'crashed:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
+                                 'hit/1/0.00020457457021611652/-/first',
+                                 'hit/1/0.00020457457021611652/-/first',
+                                 'miss/1/0.00020457457021611652/-/-'],
                         'entries': 85,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '67:970b4889'},
- 'stale-view:2xr': {'keys': ['hit/1/1.992921565758404e-05/-/first'],
+                        'spans': '67:30173fa8'},
+ 'stale-view:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
                     'entries': 55,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '47:72f9334f'},
- 'stale-view:scar': {'keys': ['hit/1/1.1407127147454845e-05/-/first'],
+                    'spans': '47:7809782b'},
+ 'stale-view:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
                      'entries': 47,
                      'stats': {'gets': 1, 'hits': 1},
                      'retries': {},
                      'fallback': {},
-                     'spans': '34:44cc96b2'},
- 'stale-view:serial': {'keys': ['hit/1/2.543658426980126e-05/-/first'],
+                     'spans': '34:6882fce0'},
+ 'stale-view:serial': {'keys': ['hit/1/2.5670191925424328e-05/-/first'],
                        'entries': 33,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
-                       'spans': '35:01dc559e'},
- 'stale-view:multi-pony': {'keys': ['hit/1/2.1413802369420112e-05/-/first',
-                                    'hit/1/2.2017402591386487e-05/-/first',
-                                    'hit/1/2.265215243552846e-05/-/first',
-                                    'miss/1/1.1592971717862798e-05/-/-'],
+                       'spans': '35:edd62367'},
+ 'stale-view:multi-pony': {'keys': ['hit/1/2.172953308679829e-05/-/first',
+                                    'hit/1/2.2289244188331654e-05/-/first',
+                                    'hit/1/2.2739912157081666e-05/-/first',
+                                    'miss/1/1.1758807056189624e-05/-/-'],
                            'entries': 84,
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '72:478c96f6'},
- 'stale-view:multi-1rma': {'keys': ['hit/1/2.1579859713074254e-05/-/first',
-                                    'hit/1/2.1716232124111673e-05/-/first',
-                                    'hit/1/2.2059809779182674e-05/-/first',
-                                    'miss/1/1.1406802499017155e-05/-/-'],
+                           'spans': '72:0c0690b7'},
+ 'stale-view:multi-1rma': {'keys': ['hit/1/2.1636698407081416e-05/-/first',
+                                    'hit/1/2.1500944167455733e-05/-/first',
+                                    'hit/1/2.1547809036647696e-05/-/first',
+                                    'miss/1/1.1258137056189524e-05/-/-'],
                            'entries': 88,
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '72:271394f8'},
- 'stale+crashed:2xr': {'keys': ['hit/2/0.00030747082005868525/-/first'],
+                           'spans': '72:c7d8f5e2'},
+ 'stale+crashed:2xr': {'keys': ['hit/2/0.0003078920068864874/-/first'],
                        'entries': 105,
                        'stats': {'gets': 1,
                                  'hits': 1,
@@ -402,8 +402,8 @@ GOLDEN = \
                                  'view_refreshes': 1},
                        'retries': {'stale-view': 1},
                        'fallback': {},
-                       'spans': '79:a2fed84f'},
- 'stale+crashed:scar': {'keys': ['hit/2/0.00029812682294101623/-/first'],
+                       'spans': '79:faf16a11'},
+ 'stale+crashed:scar': {'keys': ['hit/2/0.0002984085035468533/-/first'],
                         'entries': 87,
                         'stats': {'gets': 1,
                                   'hits': 1,
@@ -411,17 +411,17 @@ GOLDEN = \
                                   'view_refreshes': 1},
                         'retries': {'stale-view': 1},
                         'fallback': {},
-                        'spans': '54:4dfcc8f3'},
- 'stale+crashed:serial': {'keys': ['error/10/0.004379147301388648/replica-error/-'],
+                        'spans': '54:c25d4bf5'},
+ 'stale+crashed:serial': {'keys': ['error/10/0.004379235659825922/replica-error/-'],
                           'entries': 152,
                           'stats': {'get_errors': 1, 'gets': 1, 'retries': 10},
                           'retries': {'replica-error': 10},
                           'fallback': {},
-                          'spans': '97:2602d19c'},
- 'stale+crashed:multi-pony': {'keys': ['hit/1/0.00027876990927755353/-/first',
-                                       'hit/1/0.0002792269463869287/-/first',
-                                       'hit/1/0.00028108896025181413/-/first',
-                                       'miss/1/0.0002803299749002516/-/-'],
+                          'spans': '97:9ffd9499'},
+ 'stale+crashed:multi-pony': {'keys': ['hit/1/0.0002790012164907037/-/first',
+                                       'hit/1/0.00028047289149890457/-/first',
+                                       'hit/1/0.0002813847450145294/-/first',
+                                       'miss/1/0.0002815380526317169/-/-'],
                               'entries': 176,
                               'stats': {'gets': 4,
                                         'hits': 3,
@@ -429,11 +429,11 @@ GOLDEN = \
                                         'view_refreshes': 1},
                               'retries': {},
                               'fallback': {'stale-view': 4},
-                              'spans': '138:6eed6267'},
- 'stale+crashed:multi-1rma': {'keys': ['hit/1/0.00028638034743796244/-/first',
-                                       'hit/1/0.0002861709078219043/-/first',
-                                       'hit/1/0.000286629004140247/-/first',
-                                       'miss/1/0.00027657664448372393/-/-'],
+                              'spans': '138:ffc9a1da'},
+ 'stale+crashed:multi-1rma': {'keys': ['hit/1/0.00028691407979032743/-/first',
+                                       'hit/1/0.00028724506607298887/-/first',
+                                       'hit/1/0.0002868245897447155/-/first',
+                                       'miss/1/0.00027726419449373876/-/-'],
                               'entries': 218,
                               'stats': {'gets': 4,
                                         'hits': 3,
@@ -441,20 +441,20 @@ GOLDEN = \
                                         'view_refreshes': 1},
                               'retries': {},
                               'fallback': {'stale-view': 4},
-                              'spans': '177:1a9715ab'},
- 'newer-config:2xr': {'keys': ['hit/1/2.0317936068847166e-05/-/first'],
+                              'spans': '177:3e3d52f2'},
+ 'newer-config:2xr': {'keys': ['hit/1/2.1358775974740702e-05/-/first'],
                       'entries': 59,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '52:2efa72fa'},
- 'newer-config:scar': {'keys': ['hit/1/1.1591643539848179e-05/-/first'],
+                      'spans': '52:d5008f39'},
+ 'newer-config:scar': {'keys': ['hit/1/1.1704796753099446e-05/-/first'],
                        'entries': 52,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
-                       'spans': '39:4854bac1'},
- 'newer-config:serial': {'keys': ['hit/2/0.0005349344705077557/-/first'],
+                       'spans': '39:cac96e88'},
+ 'newer-config:serial': {'keys': ['hit/2/0.000535553738570654/-/first'],
                          'entries': 86,
                          'stats': {'config_refreshes': 1,
                                    'gets': 1,
@@ -463,26 +463,26 @@ GOLDEN = \
                                    'view_refreshes': 3},
                          'retries': {'config-mismatch': 1},
                          'fallback': {},
-                         'spans': '41:b0a6e6bc'},
- 'newer-config:multi-pony': {'keys': ['hit/1/2.1625364230467886e-05/-/first',
-                                      'hit/1/2.222896445243426e-05/-/first',
-                                      'hit/1/2.2863714296576234e-05/-/first',
-                                      'miss/1/1.1804533578910572e-05/-/-'],
+                         'spans': '41:75b77100'},
+ 'newer-config:multi-pony': {'keys': ['hit/1/2.172953308679829e-05/-/first',
+                                      'hit/1/2.2289244188331654e-05/-/first',
+                                      'hit/1/2.2739912157081666e-05/-/first',
+                                      'miss/1/1.1758807056189624e-05/-/-'],
                              'entries': 84,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:20945740'},
- 'newer-config:multi-1rma': {'keys': ['hit/1/2.1579859713074254e-05/-/first',
-                                      'hit/1/2.1716232124111673e-05/-/first',
-                                      'hit/1/2.2059809779182674e-05/-/first',
-                                      'miss/1/1.1406802499017155e-05/-/-'],
+                             'spans': '72:34bb7e26'},
+ 'newer-config:multi-1rma': {'keys': ['hit/1/2.1914755056724766e-05/-/first',
+                                      'hit/1/2.1779000817099083e-05/-/first',
+                                      'hit/1/2.1825865686291046e-05/-/first',
+                                      'miss/1/1.1536193705832874e-05/-/-'],
                              'entries': 88,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:11a630dd'},
- 'config+crashed:2xr': {'keys': ['hit/2/0.0007369538227856967/-/first'],
+                             'spans': '72:7b213e2a'},
+ 'config+crashed:2xr': {'keys': ['hit/2/0.0007373172180405587/-/first'],
                         'entries': 140,
                         'stats': {'config_refreshes': 1,
                                   'gets': 1,
@@ -491,8 +491,8 @@ GOLDEN = \
                                   'view_refreshes': 2},
                         'retries': {'config-mismatch': 1},
                         'fallback': {},
-                        'spans': '84:ada3d5f5'},
- 'config+crashed:scar': {'keys': ['hit/2/0.0007277370647822704/-/first'],
+                        'spans': '84:5107fe0f'},
+ 'config+crashed:scar': {'keys': ['hit/2/0.0007279196703234085/-/first'],
                          'entries': 123,
                          'stats': {'config_refreshes': 1,
                                    'gets': 1,
@@ -501,8 +501,8 @@ GOLDEN = \
                                    'view_refreshes': 2},
                          'retries': {'config-mismatch': 1},
                          'fallback': {},
-                         'spans': '59:4c4a27bf'},
- 'config+crashed:serial': {'keys': ['hit/2/0.0005420380186576398/-/first'],
+                         'spans': '59:a8a69011'},
+ 'config+crashed:serial': {'keys': ['hit/2/0.0005424257264791194/-/first'],
                            'entries': 82,
                            'stats': {'config_refreshes': 1,
                                      'gets': 1,
@@ -511,11 +511,11 @@ GOLDEN = \
                                      'view_refreshes': 2},
                            'retries': {'config-mismatch': 1},
                            'fallback': {},
-                           'spans': '41:66fa913b'},
- 'config+crashed:multi-pony': {'keys': ['hit/1/0.0007084172127571606/-/first',
-                                        'hit/1/0.0007088742498665357/-/first',
-                                        'hit/1/0.0007106983963509106/-/first',
-                                        'miss/1/0.0007099394109993481/-/-'],
+                           'spans': '41:3023ff0e'},
+ 'config+crashed:multi-pony': {'keys': ['hit/1/0.0007084371371413122/-/first',
+                                        'hit/1/0.0007093507719069374/-/first',
+                                        'hit/1/0.0007107191058913124/-/first',
+                                        'miss/1/0.0007108724135084999/-/-'],
                                'entries': 207,
                                'stats': {'config_refreshes': 1,
                                          'gets': 4,
@@ -524,11 +524,11 @@ GOLDEN = \
                                          'view_refreshes': 2},
                                'retries': {},
                                'fallback': {'config-mismatch': 4},
-                               'spans': '138:2bf123ed'},
- 'config+crashed:multi-1rma': {'keys': ['hit/1/0.0007162648198871425/-/first',
-                                        'hit/1/0.000716059125395205/-/first',
-                                        'hit/1/0.0007156653551450152/-/first',
-                                        'miss/1/0.0007062480936164789/-/-'],
+                               'spans': '138:635c281b'},
+ 'config+crashed:multi-1rma': {'keys': ['hit/1/0.0007161383283404824/-/first',
+                                        'hit/1/0.0007166086399112295/-/first',
+                                        'hit/1/0.0007166783503418226/-/first',
+                                        'miss/1/0.0007068759269395914/-/-'],
                                'entries': 243,
                                'stats': {'config_refreshes': 1,
                                          'gets': 4,
@@ -537,74 +537,74 @@ GOLDEN = \
                                          'view_refreshes': 2},
                                'retries': {},
                                'fallback': {'config-mismatch': 4},
-                               'spans': '177:c371a83b'},
- 'dirty:2xr': {'keys': ['hit/1/2.0316218881347116e-05/-/second'],
-               'entries': 59,
+                               'spans': '177:296c3fd1'},
+ 'dirty:2xr': {'keys': ['hit/1/2.165228830539837e-05/-/second'],
+               'entries': 70,
                'stats': {'gets': 1, 'hits': 1},
                'retries': {},
                'fallback': {},
-               'spans': '52:9ac1cf3c'},
- 'dirty:scar': {'keys': ['hit/1/1.1589648032035694e-05/-/second'],
+               'spans': '64:8c6482b2'},
+ 'dirty:scar': {'keys': ['hit/1/1.1704459839036825e-05/-/second'],
                 'entries': 52,
                 'stats': {'gets': 1, 'hits': 1},
                 'retries': {},
                 'fallback': {},
-                'spans': '39:bc5a125d'},
- 'dirty:serial': {'keys': ['hit/1/2.0289489865848347e-05/-/first'],
+                'spans': '39:65585f8e'},
+ 'dirty:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
                   'entries': 26,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '27:c2b776d8'},
- 'dirty:multi-pony': {'keys': ['hit/1/2.1625364230467886e-05/-/first',
-                               'hit/1/2.2865431484076068e-05/-/second',
-                               'hit/1/2.2225530077434378e-05/-/first',
-                               'miss/1/1.1804533578910572e-05/-/-'],
+                  'spans': '27:9c685de3'},
+ 'dirty:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
+                               'hit/1/2.2409829714290148e-05/-/second',
+                               'hit/1/2.1766769865974134e-05/-/first',
+                               'miss/1/1.251226710883202e-05/-/-'],
                       'entries': 84,
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '72:2e7dd2d1'},
- 'dirty:multi-1rma': {'keys': ['hit/1/2.126209971307425e-05/-/first',
-                               'hit/1/2.202012227918253e-05/-/second',
-                               'hit/1/2.1394647124111667e-05/-/first',
-                               'miss/1/1.1406802499017155e-05/-/-'],
+                      'spans': '72:c764f908'},
+ 'dirty:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
+                               'hit/1/2.1786178186290902e-05/-/second',
+                               'hit/1/2.1457415817099077e-05/-/first',
+                               'miss/1/1.1536193705832874e-05/-/-'],
                       'entries': 88,
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '72:54a0ff17'},
- 'dirty+slow-quorum:2xr': {'keys': ['hit/1/0.00013958438244344063/-/second'],
+                      'spans': '72:abb7b1eb'},
+ 'dirty+slow-quorum:2xr': {'keys': ['hit/1/0.00014116503967746981/-/second'],
                            'entries': 70,
                            'stats': {'gets': 1, 'hits': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '64:d88f1f65'},
- 'dirty+slow-quorum:scar': {'keys': ['hit/1/7.006734476390508e-05/-/second'],
+                           'spans': '64:8ee0039d'},
+ 'dirty+slow-quorum:scar': {'keys': ['hit/1/7.129423218095292e-05/-/second'],
                             'entries': 52,
                             'stats': {'gets': 1, 'hits': 1},
                             'retries': {},
                             'fallback': {},
-                            'spans': '39:721a3c64'},
- 'dirty+slow-quorum:multi-pony': {'keys': ['hit/1/8.10040806436958e-05/-/first',
-                                           'hit/1/0.0001444331613584623/-/second',
-                                           'hit/1/8.160424649066229e-05/-/first',
-                                           'miss/1/7.245574999213851e-05/-/-'],
+                            'spans': '39:bb6ec53a'},
+ 'dirty+slow-quorum:multi-pony': {'keys': ['hit/1/7.949678606095057e-05/-/first',
+                                           'hit/1/0.0001428936417703176/-/second',
+                                           'hit/1/7.994745402970058e-05/-/first',
+                                           'miss/1/7.253600644951768e-05/-/-'],
                                   'entries': 84,
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '72:fdcf9328'},
- 'dirty+slow-quorum:multi-1rma': {'keys': ['hit/1/8.085563720619548e-05/-/first',
-                                           'hit/1/0.00014440063028582357/-/second',
-                                           'hit/1/8.09881846172329e-05/-/first',
-                                           'miss/1/7.207079704449988e-05/-/-'],
+                                  'spans': '72:0d496acd'},
+ 'dirty+slow-quorum:multi-1rma': {'keys': ['hit/1/7.995162275321595e-05/-/first',
+                                           'hit/1/0.0001427453936453174/-/second',
+                                           'hit/1/8.000529214160796e-05/-/first',
+                                           'miss/1/7.203533644951758e-05/-/-'],
                                   'entries': 88,
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '72:1d9d58c0'},
- 'three-way:2xr': {'keys': ['error/10/0.004099406846549287/inquorate/-'],
+                                  'spans': '72:59574a2d'},
+ 'three-way:2xr': {'keys': ['error/10/0.004099102610399179/inquorate/-'],
                    'entries': 562,
                    'stats': {'get_errors': 1,
                              'gets': 1,
@@ -612,8 +612,8 @@ GOLDEN = \
                              'retries': 10},
                    'retries': {'inquorate': 10},
                    'fallback': {},
-                   'spans': '493:4d7f5b9c'},
- 'three-way:scar': {'keys': ['error/10/0.0040988667507342955/inquorate/-'],
+                   'spans': '493:ee78bf6e'},
+ 'three-way:scar': {'keys': ['error/10/0.004098651118649595/inquorate/-'],
                     'entries': 489,
                     'stats': {'get_errors': 1,
                               'gets': 1,
@@ -621,11 +621,11 @@ GOLDEN = \
                               'retries': 10},
                     'retries': {'inquorate': 10},
                     'fallback': {},
-                    'spans': '380:2d8f5256'},
- 'three-way:multi-pony': {'keys': ['hit/1/2.1781608413794077e-05/-/first',
-                                   'error/10/0.004121497659015037/inquorate/-',
-                                   'hit/1/2.223227638254409e-05/-/first',
-                                   'miss/1/1.1804533578910572e-05/-/-'],
+                    'spans': '380:06d7095d'},
+ 'three-way:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
+                                   'error/10/0.004120575372728145/inquorate/-',
+                                   'hit/1/2.1766769865974134e-05/-/first',
+                                   'miss/1/1.251226710883202e-05/-/-'],
                           'entries': 554,
                           'stats': {'get_errors': 1,
                                     'gets': 4,
@@ -635,11 +635,11 @@ GOLDEN = \
                                     'retries': 10},
                           'retries': {'inquorate': 10},
                           'fallback': {'inquorate': 1},
-                          'spans': '440:5912a58f'},
- 'three-way:multi-1rma': {'keys': ['hit/1/2.1418343896400442e-05/-/first',
-                                   'error/10/0.00411344151326455/inquorate/-',
-                                   'hit/1/2.1295149245895216e-05/-/first',
-                                   'miss/1/1.1406802499017155e-05/-/-'],
+                          'spans': '440:83282ac4'},
+ 'three-way:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
+                                   'error/10/0.004113831400295442/inquorate/-',
+                                   'hit/1/2.1457415817099077e-05/-/first',
+                                   'miss/1/1.1536193705832874e-05/-/-'],
                           'entries': 625,
                           'stats': {'get_errors': 1,
                                     'gets': 4,
@@ -649,35 +649,35 @@ GOLDEN = \
                                     'retries': 10},
                           'retries': {'inquorate': 10},
                           'fallback': {'inquorate': 1},
-                          'spans': '550:f9e20124'},
- 'overflow-rpc-on:2xr': {'keys': ['hit/1/7.279904614838971e-05/-/first'],
+                          'spans': '550:d8a78d3b'},
+ 'overflow-rpc-on:2xr': {'keys': ['hit/1/7.281980986909779e-05/-/first'],
                          'entries': 62,
                          'stats': {'gets': 1,
                                    'hits': 1,
                                    'overflow_lookups': 1},
                          'retries': {},
                          'fallback': {},
-                         'spans': '50:40faa2ba'},
- 'overflow-rpc-on:scar': {'keys': ['hit/1/7.298454114838967e-05/-/first'],
+                         'spans': '50:8d8d1849'},
+ 'overflow-rpc-on:scar': {'keys': ['hit/1/7.300530486909775e-05/-/first'],
                           'entries': 62,
                           'stats': {'gets': 1,
                                     'hits': 1,
                                     'overflow_lookups': 1},
                           'retries': {},
                           'fallback': {},
-                          'spans': '50:bfc57c2b'},
- 'overflow-rpc-on:serial': {'keys': ['hit/1/7.18266395630285e-05/-/first'],
+                          'spans': '50:6f46ccbd'},
+ 'overflow-rpc-on:serial': {'keys': ['hit/1/7.203457549032218e-05/-/first'],
                             'entries': 32,
                             'stats': {'gets': 1,
                                       'hits': 1,
                                       'overflow_lookups': 1},
                             'retries': {},
                             'fallback': {},
-                            'spans': '26:a843c987'},
- 'overflow-rpc-on:multi-pony': {'keys': ['hit/1/7.3181449812376e-05/-/first',
-                                         'hit/1/7.313620088717485e-05/-/first',
-                                         'hit/1/7.373267057833328e-05/-/first',
-                                         'miss/1/0.00019854365033710993/-/-'],
+                            'spans': '26:20c63f61'},
+ 'overflow-rpc-on:multi-pony': {'keys': ['hit/1/7.32641813954557e-05/-/first',
+                                         'hit/1/7.338322903225236e-05/-/first',
+                                         'hit/1/7.343893524908401e-05/-/first',
+                                         'miss/1/0.00019782004718144346/-/-'],
                                 'entries': 150,
                                 'stats': {'gets': 4,
                                           'hits': 3,
@@ -685,11 +685,11 @@ GOLDEN = \
                                           'overflow_lookups': 4},
                                 'retries': {},
                                 'fallback': {},
-                                'spans': '106:142d7b87'},
- 'overflow-rpc-on:multi-1rma': {'keys': ['hit/1/7.253673981237586e-05/-/first',
-                                         'hit/1/7.249149088717471e-05/-/first',
-                                         'hit/1/7.308796057833313e-05/-/first',
-                                         'miss/1/0.00019789894033710978/-/-'],
+                                'spans': '106:09480977'},
+ 'overflow-rpc-on:multi-1rma': {'keys': ['hit/1/7.263088885505354e-05/-/first',
+                                         'hit/1/7.27499364918502e-05/-/first',
+                                         'hit/1/7.280564270868185e-05/-/first',
+                                         'miss/1/0.0001971867546410413/-/-'],
                                 'entries': 148,
                                 'stats': {'gets': 4,
                                           'hits': 3,
@@ -697,44 +697,44 @@ GOLDEN = \
                                           'overflow_lookups': 4},
                                 'retries': {},
                                 'fallback': {},
-                                'spans': '106:78eee7a5'},
- 'overflow-rpc-off:2xr': {'keys': ['miss/1/1.0519254237358446e-05/-/-'],
+                                'spans': '106:4994fa6d'},
+ 'overflow-rpc-off:2xr': {'keys': ['miss/1/1.0464307385755914e-05/-/-'],
                           'entries': 44,
                           'stats': {'gets': 1, 'misses': 1},
                           'retries': {},
                           'fallback': {},
-                          'spans': '38:7a5d71c1'},
- 'overflow-rpc-off:scar': {'keys': ['miss/1/1.0704749237358405e-05/-/-'],
+                          'spans': '38:238c9a33'},
+ 'overflow-rpc-off:scar': {'keys': ['miss/1/1.0649802385755873e-05/-/-'],
                            'entries': 44,
                            'stats': {'gets': 1, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '38:1b0d09c3'},
- 'overflow-rpc-off:serial': {'keys': ['miss/1/9.895008764098604e-06/-/-'],
+                           'spans': '38:914f397a'},
+ 'overflow-rpc-off:serial': {'keys': ['miss/1/9.823397076508342e-06/-/-'],
                              'entries': 15,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '14:3d4787f4'},
- 'overflow-rpc-off:multi-pony': {'keys': ['miss/1/1.1270649237358609e-05/-/-',
-                                          'miss/1/1.1270649237358609e-05/-/-',
-                                          'miss/1/1.1270649237358609e-05/-/-',
-                                          'miss/1/1.1270649237358609e-05/-/-'],
+                             'spans': '14:ea70a31e'},
+ 'overflow-rpc-off:multi-pony': {'keys': ['miss/1/1.1083772066288562e-05/-/-',
+                                          'miss/1/1.1083772066288562e-05/-/-',
+                                          'miss/1/1.1083772066288562e-05/-/-',
+                                          'miss/1/1.1083772066288562e-05/-/-'],
                                  'entries': 46,
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
-                                 'spans': '36:58e59438'},
- 'overflow-rpc-off:multi-1rma': {'keys': ['miss/1/1.0625939237358462e-05/-/-',
-                                          'miss/1/1.0625939237358462e-05/-/-',
-                                          'miss/1/1.0625939237358462e-05/-/-',
-                                          'miss/1/1.0625939237358462e-05/-/-'],
+                                 'spans': '36:1075e28a'},
+ 'overflow-rpc-off:multi-1rma': {'keys': ['miss/1/1.0450479525886402e-05/-/-',
+                                          'miss/1/1.0450479525886402e-05/-/-',
+                                          'miss/1/1.0450479525886402e-05/-/-',
+                                          'miss/1/1.0450479525886402e-05/-/-'],
                                  'entries': 44,
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
-                                 'spans': '36:94beef38'},
- 'torn:2xr': {'keys': ['hit/2/6.243999199579732e-05/-/first'],
+                                 'spans': '36:1ccc1051'},
+ 'torn:2xr': {'keys': ['hit/2/6.177851808534596e-05/-/first'],
               'entries': 107,
               'stats': {'gets': 1,
                         'hits': 1,
@@ -743,8 +743,8 @@ GOLDEN = \
                         'validation_failures': 1},
               'retries': {'validation-torn-or-stale': 1},
               'fallback': {},
-              'spans': '104:6782cfea'},
- 'torn:scar': {'keys': ['hit/2/5.334347243727568e-05/-/first'],
+              'spans': '104:33f40e83'},
+ 'torn:scar': {'keys': ['hit/2/5.382592556490691e-05/-/first'],
                'entries': 102,
                'stats': {'gets': 1,
                          'hits': 1,
@@ -753,8 +753,8 @@ GOLDEN = \
                          'validation_failures': 1},
                'retries': {'validation-torn-or-stale': 1},
                'fallback': {},
-               'spans': '91:bfde5f38'},
- 'torn:serial': {'keys': ['hit/2/8.111448316400443e-05/-/first'],
+               'spans': '91:6afa4a8b'},
+ 'torn:serial': {'keys': ['hit/2/8.188937174908055e-05/-/first'],
                  'entries': 67,
                  'stats': {'gets': 1,
                            'hits': 1,
@@ -763,11 +763,11 @@ GOLDEN = \
                            'validation_failures': 1},
                  'retries': {'validation-torn-or-stale': 1},
                  'fallback': {},
-                 'spans': '80:e7da34b2'},
- 'torn:multi-pony': {'keys': ['hit/1/2.1625364230467886e-05/-/first',
-                              'hit/2/7.610613100173696e-05/-/first',
-                              'hit/1/2.2863714296576234e-05/-/first',
-                              'miss/1/1.1804533578910572e-05/-/-'],
+                 'spans': '80:bd41ba44'},
+ 'torn:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
+                              'hit/2/7.562655930721184e-05/-/first',
+                              'hit/1/2.222087220972403e-05/-/first',
+                              'miss/1/1.291226710883203e-05/-/-'],
                      'entries': 177,
                      'stats': {'gets': 4,
                                'hits': 3,
@@ -777,11 +777,11 @@ GOLDEN = \
                                'validation_failures': 1},
                      'retries': {'validation-torn-or-stale': 1},
                      'fallback': {'validation-torn-or-stale': 1},
-                     'spans': '163:c2adf492'},
- 'torn:multi-1rma': {'keys': ['hit/1/2.126209971307425e-05/-/first',
-                              'hit/2/8.353402635616813e-05/-/first',
-                              'hit/1/2.174204977918267e-05/-/first',
-                              'miss/1/1.1406802499017155e-05/-/-'],
+                     'spans': '163:13a08357'},
+ 'torn:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
+                              'hit/2/8.378156640495842e-05/-/first',
+                              'hit/1/2.1508105686291043e-05/-/first',
+                              'miss/1/1.1536193705832874e-05/-/-'],
                      'entries': 202,
                      'stats': {'gets': 4,
                                'hits': 3,
@@ -791,111 +791,111 @@ GOLDEN = \
                                'validation_failures': 1},
                      'retries': {'validation-torn-or-stale': 1},
                      'fallback': {'validation-torn-or-stale': 1},
-                     'spans': '176:13b527c7'},
- 'primary:slow:2xr': {'keys': ['hit/1/0.00013858171977649148/-/first'],
+                     'spans': '176:80ecf1b4'},
+ 'primary:slow:2xr': {'keys': ['hit/1/0.00014208546346408787/-/first'],
                       'entries': 59,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '52:510dbc50'},
- 'primary:slow:multi-pony': {'keys': ['hit/1/6.907043485169823e-05/-/first',
-                                      'hit/1/0.00014059559296464405/-/first',
-                                      'hit/1/6.907043485169823e-05/-/first',
-                                      'miss/1/6.907043485169823e-05/-/-'],
+                      'spans': '52:5469ae57'},
+ 'primary:slow:multi-pony': {'keys': ['hit/1/7.119418687065622e-05/-/first',
+                                      'hit/1/0.0001428025024483823/-/first',
+                                      'hit/1/7.119418687065622e-05/-/first',
+                                      'miss/1/7.119418687065622e-05/-/-'],
                              'entries': 84,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:97d09798'},
- 'primary:slow:multi-1rma': {'keys': ['hit/1/6.89402248516981e-05/-/first',
-                                      'hit/1/0.00014081800015214383/-/first',
-                                      'hit/1/6.89402248516981e-05/-/first',
-                                      'miss/1/6.89402248516981e-05/-/-'],
+                             'spans': '72:cf475b36'},
+ 'primary:slow:multi-1rma': {'keys': ['hit/1/7.10639768706561e-05/-/first',
+                                      'hit/1/0.00014302490963588209/-/first',
+                                      'hit/1/7.10639768706561e-05/-/first',
+                                      'miss/1/7.10639768706561e-05/-/-'],
                              'entries': 88,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:49260114'},
- 'primary:slow-absent:2xr': {'keys': ['miss/1/7.2197773696597e-05/-/-'],
+                             'spans': '72:fb855b67'},
+ 'primary:slow-absent:2xr': {'keys': ['miss/1/7.083366344096738e-05/-/-'],
                              'entries': 46,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '38:040c734c'},
- 'primary:slow-absent:multi-pony': {'keys': ['hit/1/6.856310009047345e-05/-/first',
-                                             'miss/1/6.856310009047345e-05/-/-',
-                                             'hit/1/6.856310009047345e-05/-/first',
-                                             'miss/1/6.856310009047345e-05/-/-'],
+                             'spans': '38:d4fb297a'},
+ 'primary:slow-absent:multi-pony': {'keys': ['hit/1/7.206278108077657e-05/-/first',
+                                             'miss/1/7.206278108077657e-05/-/-',
+                                             'hit/1/7.206278108077657e-05/-/first',
+                                             'miss/1/7.206278108077657e-05/-/-'],
                                     'entries': 72,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
                                     'retries': {},
                                     'fallback': {},
-                                    'spans': '60:1c094416'},
- 'primary:slow-absent:multi-1rma': {'keys': ['hit/1/6.843289009047333e-05/-/first',
-                                             'miss/1/6.843289009047333e-05/-/-',
-                                             'hit/1/6.843289009047333e-05/-/first',
-                                             'miss/1/6.843289009047333e-05/-/-'],
+                                    'spans': '60:21556dcf'},
+ 'primary:slow-absent:multi-1rma': {'keys': ['hit/1/7.193257108077645e-05/-/first',
+                                             'miss/1/7.193257108077645e-05/-/-',
+                                             'hit/1/7.193257108077645e-05/-/first',
+                                             'miss/1/7.193257108077645e-05/-/-'],
                                     'entries': 74,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
                                     'retries': {},
                                     'fallback': {},
-                                    'spans': '60:c52691cd'},
- 'primary:down:2xr': {'keys': ['hit/1/0.0002147008600153704/-/first'],
+                                    'spans': '60:e9bc0282'},
+ 'primary:down:2xr': {'keys': ['hit/1/0.00021492371908202526/-/first'],
                       'entries': 58,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '46:3eaf2e7b'},
- 'primary:down:multi-pony': {'keys': ['hit/1/0.0002049048734647129/-/first',
-                                      'hit/1/0.00021496965093892816/-/first',
-                                      'hit/1/0.0002049048734647129/-/first',
-                                      'miss/1/0.0002049048734647129/-/-'],
+                      'spans': '46:66227e1a'},
+ 'primary:down:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
+                                      'hit/1/0.00021516228206087495/-/first',
+                                      'hit/1/0.00020504653021611652/-/first',
+                                      'miss/1/0.00020504653021611652/-/-'],
                              'entries': 83,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '67:055aa7d0'},
- 'primary:down:multi-1rma': {'keys': ['hit/1/0.00020443291346471288/-/first',
-                                      'hit/1/0.00021485030812642806/-/first',
-                                      'hit/1/0.00020443291346471288/-/first',
-                                      'miss/1/0.00020443291346471288/-/-'],
+                             'spans': '67:e73833db'},
+ 'primary:down:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
+                                      'hit/1/0.00021504293924837486/-/first',
+                                      'hit/1/0.00020457457021611652/-/first',
+                                      'miss/1/0.00020457457021611652/-/-'],
                              'entries': 85,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '67:d1911db9'},
- 'primary:down+slow-backup:2xr': {'keys': ['hit/1/0.0002147008600153704/-/first'],
+                             'spans': '67:9e1e1e2c'},
+ 'primary:down+slow-backup:2xr': {'keys': ['hit/1/0.00021473013030505505/-/first'],
                                   'entries': 57,
                                   'stats': {'gets': 1, 'hits': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '46:11a60c19'},
- 'primary:down+slow-backup:multi-pony': {'keys': ['hit/1/0.0002049048734647129/-/first',
-                                                  'hit/1/0.00021496965093892816/-/first',
-                                                  'hit/1/0.0002049048734647129/-/first',
-                                                  'miss/1/0.0002049048734647129/-/-'],
+                                  'spans': '46:4f4831e9'},
+ 'primary:down+slow-backup:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
+                                                  'hit/1/0.00021516228206087495/-/first',
+                                                  'hit/1/0.00020504653021611652/-/first',
+                                                  'miss/1/0.00020504653021611652/-/-'],
                                          'entries': 82,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:d9c115c6'},
- 'primary:down+slow-backup:multi-1rma': {'keys': ['hit/1/0.00020443291346471288/-/first',
-                                                  'hit/1/0.00021485030812642806/-/first',
-                                                  'hit/1/0.00020443291346471288/-/first',
-                                                  'miss/1/0.00020443291346471288/-/-'],
+                                         'spans': '67:8239b4c5'},
+ 'primary:down+slow-backup:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
+                                                  'hit/1/0.00021504293924837486/-/first',
+                                                  'hit/1/0.00020457457021611652/-/first',
+                                                  'miss/1/0.00020457457021611652/-/-'],
                                          'entries': 85,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:57e5e39f'}}
+                                         'spans': '67:7d9abd19'}}
 
 
 @pytest.mark.parametrize("scenario,path", ROWS,

@@ -184,34 +184,35 @@ def _stamp_shed_heavy() -> dict:
 DRIVERS = {"real_arm": _stamp_real_arm, "ads": _stamp_ads,
            "geo": _stamp_geo, "shed_heavy": _stamp_shed_heavy}
 
-DRIVER_GOLDEN = {'real_arm': {'events': 53880,
+DRIVER_GOLDEN = \
+{'real_arm': {'events': 53880,
               'offered': 828,
               'shed': 4,
               'ops': 824,
-              'get_latency': 'cc9df66b39d184f8ea45233be30faec4'},
+              'get_latency': 'db337d479840fe8fbe0e6339aee2e2b1'},
  'ads': {'events': 29870,
          'offered': 333,
          'shed': 0,
          'ops': 205,
          'hits': 205,
          'sets': 17,
-         'get_latency': 'abd239a122dcc8c735aa890242348edf',
-         'set_latency': '172f6843229f5d743e185a06e62fdb0c'},
- 'geo': {'events': 19543,
+         'get_latency': '8e978c5af5ee8ef34c01cfdb222a114c',
+         'set_latency': '09a849abba851c50277c538f6e1c2be4'},
+ 'geo': {'events': 19539,
          'offered': 227,
          'shed': 0,
          'ops': 216,
          'hits': 216,
          'sets': 10,
-         'get_latency': 'c1a4fb07e8ff767efe17ae5426c73f7c',
-         'set_latency': '5c2026220155b0d0dadea9adf3d5754e'},
- 'shed_heavy': {'events': 153852,
+         'get_latency': '0f3256216000dd1c54bc1ae166780c20',
+         'set_latency': '3fac1ad994316966984f1af0a6e7bf08'},
+ 'shed_heavy': {'events': 153544,
                 'offered': 10053,
-                'shed': 6952,
-                'ops': 3101,
-                'hits': 3101,
+                'shed': 6959,
+                'ops': 3094,
+                'hits': 3094,
                 'sets': 0,
-                'get_latency': '462e450a7350032ca65834bba43c51ea',
+                'get_latency': 'd2d427bd1d2e85d5116f58f2c4b036ea',
                 'set_latency': 'cae66941d9efbd404e4d88758ea67670'}}
 
 

@@ -154,20 +154,54 @@ def test_antagonist_consumes_bandwidth():
     latencies = []
 
     def probe():
-        # Let the antagonist build up queue first.
+        # Let the antagonist build up queue first, then sample it ~3 chunk
+        # times apart: a 95 %-loaded link idles in bursts, and probes
+        # closer together all land in one burst or all miss it.
         yield sim.timeout(5e-3)
         for _ in range(20):
             start = sim.now
             yield from fabric.deliver(other, victim, 4096)
             latencies.append(sim.now - start)
-            yield sim.timeout(1e-4)
+            yield sim.timeout(2e-3)
 
     sim.process(probe())
-    sim.run(until=0.1)
+    sim.run(until=0.2)
     wire = fabric.config.mtu.wire_bytes(4096)
     unloaded = 2 * wire / 1e8 + 1e-6
     # Queueing behind antagonist chunks must visibly exceed unloaded latency.
     assert sorted(latencies)[len(latencies) // 2] > 2 * unloaded
+
+
+def _round_trip_latencies(cross_traffic: bool):
+    """50 a->b->a round trips, optionally beside an unrelated c->d flow."""
+    sim, fabric = make_fabric(jitter=0.5e-6)
+    a, b, c, d = (fabric.add_host(name) for name in "abcd")
+    latencies = []
+
+    def flow():
+        for _ in range(50):
+            start = sim.now
+            yield from fabric.deliver(a, b, 512)
+            yield from fabric.deliver(b, a, 4096)
+            latencies.append(sim.now - start)
+
+    def unrelated():
+        for _ in range(80):
+            yield from fabric.deliver(c, d, 2048)
+
+    sim.process(flow())
+    if cross_traffic:
+        sim.process(unrelated())
+    sim.run()
+    return latencies
+
+
+def test_one_flows_latency_is_independent_of_unrelated_traffic():
+    """Jitter is drawn from the sender's own stream, so traffic on links a
+    flow never touches cannot shift its latencies."""
+    alone = _round_trip_latencies(cross_traffic=False)
+    assert len(set(alone)) > 1      # jitter is on
+    assert _round_trip_latencies(cross_traffic=True) == alone
 
 
 def test_antagonist_direction_validated():
