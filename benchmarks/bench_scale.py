@@ -17,11 +17,12 @@ Two checks ride on one benchmark:
   observed or not. The model parks processes on the live kernel
   (``Resource.hold``), so it can no longer be replayed on the verbatim
   pre-fast-path kernel; the golden values are that replay, frozen: the
-  digest and clock are what both kernels produced up to PR 13 (re-stamped
-  once since, when fabric jitter moved to one stream per egress link),
-  and the event count is re-stamped whenever a PR removes scheduler
-  entries on purpose (230,117 before ``hold``). Nothing in the model iterates a
-  set of names or key hashes any more, so the slice runs in this
+  digest and clock are what both kernels produced while both could run
+  the model (re-stamped once since, when fabric jitter moved to one
+  stream per egress link), and the event count is re-stamped whenever a
+  change removes scheduler entries on purpose (230,117 before
+  ``hold``). Nothing in the model iterates a set of names or key
+  hashes any more, so the slice runs in this
   process under whatever hash seed it was launched with (it used to
   need a fresh ``PYTHONHASHSEED=0`` interpreter); the values survived
   that fix unchanged, and the process-global region-id counter does not
@@ -53,7 +54,7 @@ EQUIV_OPS = 2_000
 GOLDEN = {
     "digest": "5aa4b2611892c3f89bd6b0d669a40afe",
     "sim_seconds": 0.001613852941330693,
-    "events": 150_267,
+    "events": 129_727,
 }
 
 

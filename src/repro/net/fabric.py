@@ -10,15 +10,24 @@ which captures the three effects the paper's controlled experiments rely
 on: sender bottlenecks, receiver incast, and base round-trip latency. The
 core fabric is assumed non-blocking (as in a full-bisection CLOS), so
 contention only occurs at host NICs.
+
+A delivery is one parked wait, ``corrupted = yield fabric.send(...)``,
+costing two scheduler entries: the send reserves the egress link (a
+:class:`~repro.net.nic.Link` is arithmetic) and pushes the arrival at
+``depart + delay``; the arrival reserves the ingress link and pushes the
+sender's wake-up for the instant the last byte lands. Jitter comes from
+the sender's own stream, drawn at the send: a link is FIFO, so send order
+is departure order, and no other traffic can shift a flow's latencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from heapq import heappush
+from typing import Any, Dict, Generator, Optional
 
-from ..sim import Process, RandomStream, Simulator
-from ..telemetry import NULL_SPAN
+from ..sim import Process, RandomStream, SimulationError, Simulator
+from ..sim.core import PARKED
 from .host import Host, HostConfig
 from .nic import MtuConfig, Nic, gbps
 
@@ -44,7 +53,7 @@ class LinkFault:
     Losses behave like partitions for the affected delivery — the sender
     burns the retransmit-timeout delay and raises
     :class:`NetworkDropError`. Corruption is surfaced to RMA callers as
-    a flag on the delivery (see :meth:`Fabric.deliver`), which transports
+    a flag on the delivery (see :meth:`Fabric.send`), which transports
     translate into flipped payload bytes for the client's checksum
     validation to catch; RPC payloads are carried by a transport with
     its own integrity layer and are not corrupted.
@@ -226,81 +235,122 @@ class Fabric:
 
     # -- delivery -------------------------------------------------------------
 
-    def deliver(self, src: Host, dst: Host, payload_bytes: int,
-                trace=None, parts: int = 1) -> Generator:
-        """Move ``payload_bytes`` from ``src`` to ``dst`` (a generator).
+    def send(self, src: Host, dst: Host, payload_bytes: int,
+             trace=None, parts: int = 1) -> Any:
+        """Move ``payload_bytes`` from ``src`` to ``dst``: ``corrupted =
+        yield fabric.send(...)`` from a process.
 
-        Completes when the last byte has been received; returns ``True``
-        when an injected gray fault corrupted the delivery in flight (the
-        caller decides what "corrupted" means for its payload — RMA
-        transports flip response bytes, RPC ignores the flag). Loopback
-        delivery (src is dst) skips the NIC entirely. When ``trace`` (a
-        telemetry span) is given, the delivery decomposes into
-        egress-queueing, propagation, and ingress-queueing child spans.
+        A parked wait (see :meth:`Simulator.delay`): the caller resumes
+        when the last byte has been received, with ``True`` when an
+        injected gray fault corrupted the delivery in flight (the caller
+        decides what "corrupted" means for its payload — RMA transports
+        flip response bytes, RPC ignores the flag), or raises
+        :class:`NetworkDropError` after ``partition_detect_delay`` when a
+        partition or a loss ate it. Loopback delivery (src is dst) skips
+        the NIC entirely. When ``trace`` (a telemetry span) is given, the
+        delivery decomposes into egress-queueing, propagation, and
+        ingress-queueing child spans.
 
         ``parts`` declares how many logical operations this single
         transfer coalesces (batched multi-key ops, §7.1): the wire cost is
         still one transfer — that is the point — but the coalescing is
         counted so dashboards can attribute fabric savings to batching.
+
+        Interrupting the sender abandons the wait, not the bytes already
+        handed to its egress link (the NIC sends the frame); a delivery
+        whose sender was interrupted never occupies the receiver's ingress.
         """
-        span = (trace or NULL_SPAN).child("fabric.deliver", src=src.name,
-                                          dst=dst.name, bytes=payload_bytes)
+        sim = self.sim
+        proc = sim._active
+        if proc is None:
+            raise SimulationError("send() called outside a process")
+        proc._token = proc._waiting_on = token = proc._token + 1
+        span = trace.child("fabric.deliver", src=src.name, dst=dst.name,
+                           bytes=payload_bytes) if trace else None
         if parts > 1:
-            span.annotate(parts=parts)
+            if span is not None:
+                span.annotate(parts=parts)
             self._count("cliquemap_fabric_coalesced_total",
                         "Fabric transfers carrying a coalesced multi-op "
                         "payload")
-        try:
-            if src is dst:
-                yield self.sim.delay(1e-7)
-                return False
-            if self.is_partitioned(src, dst):
-                # Packets vanish; the sender learns via (re)transmit timeout.
-                span.annotate(dropped=True, reason="partition")
-                self._count_drop("partition")
-                yield self.sim.delay(self.config.partition_detect_delay)
-                raise NetworkDropError(src.name, dst.name, "partition")
-            fault = self.fault_between(src, dst)
-            corrupted = False
-            if fault is not None:
-                if fault.loss_probability and \
-                        self._rand.bernoulli(fault.loss_probability):
-                    span.annotate(dropped=True, reason="loss")
-                    self._count_drop("loss")
-                    yield self.sim.delay(
-                        self.config.partition_detect_delay)
-                    raise NetworkDropError(src.name, dst.name, "loss")
-                if fault.corrupt_probability and \
-                        self._rand.bernoulli(fault.corrupt_probability):
-                    corrupted = True
+        if src is dst:
+            sim.inject(sim.now + 1e-7, _resume, proc, token, False,
+                       () if span is None else (span,))
+            return PARKED
+        if self.is_partitioned(src, dst):
+            return self._drop(proc, token, span, src, dst, "partition")
+        fault = self.fault_between(src, dst)
+        corrupted = False
+        if fault is not None:
+            if fault.loss_probability and \
+                    self._rand.bernoulli(fault.loss_probability):
+                return self._drop(proc, token, span, src, dst, "loss")
+            if fault.corrupt_probability and \
+                    self._rand.bernoulli(fault.corrupt_probability):
+                corrupted = True
+                if span is not None:
                     span.annotate(corrupted=True)
-                    self._count("cliquemap_fabric_corrupted_total",
-                                "Deliveries corrupted in flight by an "
-                                "injected gray fault")
-            wire = self.config.mtu.wire_bytes(payload_bytes)
-            egress = span.child("egress")
-            yield src.nic.egress.transmit(wire)
-            egress.finish()
-            delay = self.config.one_way_delay if src.zone == dst.zone \
-                else self.config.inter_zone_delay
-            if self.config.delay_jitter:
-                delay += self._jitter[src.name].uniform(
-                    0.0, self.config.delay_jitter)
-            if fault is not None and fault.latency_multiplier != 1.0:
-                delay *= fault.latency_multiplier
+                self._count("cliquemap_fabric_corrupted_total",
+                            "Deliveries corrupted in flight by an "
+                            "injected gray fault")
+        config = self.config
+        wire = config.mtu.wire_bytes(payload_bytes)
+        depart = src.nic.egress.reserve(wire)
+        delay = config.one_way_delay if src.zone == dst.zone \
+            else config.inter_zone_delay
+        if config.delay_jitter:
+            delay += self._jitter[src.name].uniform(0.0, config.delay_jitter)
+        if fault is not None and fault.latency_multiplier != 1.0:
+            delay *= fault.latency_multiplier
+            if span is not None:
                 span.annotate(slowed=fault.latency_multiplier)
-                self._count("cliquemap_fabric_slowed_total",
-                            "Deliveries delayed by an injected slow-link "
-                            "fault")
+            self._count("cliquemap_fabric_slowed_total",
+                        "Deliveries delayed by an injected slow-link fault")
+        propagate = None
+        if span is not None:
+            span.child("egress").finish(depart)
             propagate = span.child("propagate")
-            yield self.sim.delay(delay)
+            propagate.start = depart
+        # Pushed at the absolute instant, as Resource.hold pushes its
+        # completion: ``now + (at - now)`` is not always the float ``at``.
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (depart + delay, seq, self._arrive,
+                             (proc, token, dst.nic.ingress, wire, corrupted,
+                              span, propagate)))
+        return PARKED
+
+    def deliver(self, src: Host, dst: Host, payload_bytes: int,
+                trace=None, parts: int = 1) -> Generator:
+        """:meth:`send` as a generator, for ``yield from`` callers."""
+        return (yield self.send(src, dst, payload_bytes, trace, parts))
+
+    def _arrive(self, proc: Process, token: int, ingress, wire: int,
+                corrupted: bool, span, propagate) -> None:
+        """A delivery reaches the receiver: serialize through its ingress
+        link, then wake the sender."""
+        if proc._waiting_on != token:
+            return      # the sender was interrupted in flight
+        done = ingress.reserve(wire)
+        spans = ()
+        if span is not None:
             propagate.finish()
-            ingress = span.child("ingress")
-            yield dst.nic.ingress.transmit(wire)
-            ingress.finish()
-            return corrupted
-        finally:
-            span.finish()
+            spans = (span.child("ingress"), span)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (done, seq, _resume,
+                             (proc, token, corrupted, spans)))
+
+    def _drop(self, proc: Process, token: int, span, src: Host, dst: Host,
+              reason: str) -> Any:
+        """Packets vanish; the sender learns via (re)transmit timeout."""
+        if span is not None:
+            span.annotate(dropped=True, reason=reason)
+        self._count_drop(reason)
+        sim = self.sim
+        sim.inject(sim.now + self.config.partition_detect_delay, _resume,
+                   proc, token, False, () if span is None else (span,),
+                   NetworkDropError(src.name, dst.name, reason))
+        return PARKED
 
     def corrupt(self, data: bytes) -> bytes:
         """Flip one seeded-random byte of ``data`` (a corrupted delivery)."""
@@ -370,13 +420,11 @@ class Fabric:
         Models the §7.2.1 antagonist that pushes ~95 Gbps of demand through
         one backend's NIC. Traffic is an open loop of fixed-size chunks at
         the offered rate; chunks queue behind (and delay) CliqueMap's own
-        transfers on the same links.
+        transfers on the same links. Nobody waits for a chunk, so handing
+        it to the link schedules nothing.
         """
         if direction not in ("egress", "ingress", "both"):
             raise ValueError(f"bad antagonist direction {direction!r}")
-
-        def chunk_sender(link):
-            yield link.transmit(chunk_bytes)
 
         def antagonist():
             interval = chunk_bytes / offered_bytes_per_sec
@@ -384,12 +432,25 @@ class Fabric:
                                 f"antagonist:{target.name}")
             while True:
                 if direction in ("egress", "both"):
-                    self.sim.process(chunk_sender(target.nic.egress))
+                    target.nic.egress.reserve(chunk_bytes)
                 if direction in ("ingress", "both"):
-                    self.sim.process(chunk_sender(target.nic.ingress))
+                    target.nic.ingress.reserve(chunk_bytes)
                 yield self.sim.delay(rand.expovariate(1.0 / interval))
 
         proc = self.sim.process(antagonist(),
                                 name=f"antagonist:{target.name}")
         proc.defused = True
         return proc
+
+
+def _resume(proc: Process, token: int, corrupted: bool, spans: tuple,
+            exc: Optional[BaseException] = None) -> None:
+    """Wake a sender parked in :meth:`Fabric.send`, unless it was
+    interrupted meanwhile (the token check ``Resource.hold`` makes)."""
+    for span in spans:
+        span.finish()
+    if proc._waiting_on == token and not proc._triggered:
+        if exc is None:
+            proc._step(proc._send, corrupted)
+        else:
+            proc._step(proc._throw, exc)

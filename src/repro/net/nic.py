@@ -1,11 +1,13 @@
 """NIC and link models: serialization delay, FIFO queueing, byte counters.
 
-A :class:`Link` is a single serializing server: a transfer of N wire bytes
-holds the link for ``N / rate`` simulated seconds, and competing transfers
-queue FIFO. Each host gets a NIC with an independent
-egress and ingress link — which is exactly what makes *incast* (many
-senders converging on one receiver's ingress link, Fig 12) and *antagonist
-load* (a bandwidth hog on one server's NIC, Fig 11) emerge naturally.
+A :class:`Link` is a single serializing server kept as arithmetic: a
+transfer of N wire bytes accepted at ``now`` leaves at ``max(now,
+free_at) + N / rate``, the instant a FIFO ``Resource.hold`` of ``N /
+rate`` would complete whether it queued or not, so accepting a transfer
+schedules nothing. Each host gets a NIC with an independent egress and
+ingress link — which is exactly what makes *incast* (many senders
+converging on one receiver's ingress link, Fig 12) and *antagonist load*
+(a bandwidth hog on one server's NIC, Fig 11) emerge naturally.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from ..sim import Resource, Simulator
+from ..sim import SimulationError, Simulator
+from ..sim.core import PARKED
 
 
 def gbps(value: float) -> float:
@@ -41,7 +44,7 @@ class MtuConfig:
 
 
 class Link:
-    """A unidirectional serializing link of fixed rate."""
+    """A unidirectional serializing link of fixed rate: a FIFO server."""
 
     def __init__(self, sim: Simulator, rate_bytes_per_sec: float,
                  name: str = ""):
@@ -50,17 +53,31 @@ class Link:
         self.sim = sim
         self.name = name
         self.rate = rate_bytes_per_sec
-        self._server = Resource(sim, capacity=1, name=f"link:{name}")
+        self.free_at = 0.0          # when the last accepted byte leaves
         self.bytes_carried = 0
+
+    def reserve(self, wire_bytes: int) -> float:
+        """Accept ``wire_bytes`` now; returns the instant the last one
+        leaves. Accepted bytes are sent whatever becomes of their sender
+        (the NIC sends the frame) and count in ``bytes_carried`` at once."""
+        start = self.sim.now
+        if self.free_at > start:
+            start = self.free_at
+        self.free_at = done = start + wire_bytes / self.rate
+        self.bytes_carried += wire_bytes
+        return done
 
     def transmit(self, wire_bytes: int) -> Any:
         """Serialize ``wire_bytes`` through the link: ``yield
-        link.transmit(n)`` from a process (see :meth:`Resource.hold`)."""
-        return self._server.hold(wire_bytes / self.rate, 0,
-                                 self._carried, (wire_bytes,))
-
-    def _carried(self, wire_bytes: int) -> None:
-        self.bytes_carried += wire_bytes
+        link.transmit(n)`` from a process, a parked wait (see
+        :meth:`Simulator.delay`) that ends when the last byte leaves."""
+        sim = self.sim
+        proc = sim._active
+        if proc is None:
+            raise SimulationError("transmit() called outside a process")
+        proc._token = proc._waiting_on = token = proc._token + 1
+        sim.inject(self.reserve(wire_bytes), proc._on_wake, token)
+        return PARKED
 
 
 class Nic:

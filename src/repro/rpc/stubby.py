@@ -211,8 +211,8 @@ class RpcChannel:
             yield self.client_host.execute(cost, self.client_component)
             yield self.server.host.execute(cost, f"rpc-server:{self.server.name}")
         for _ in range(self.authenticator.extra_rtts):
-            yield from self.fabric.deliver(self.client_host, self.server.host, 128)
-            yield from self.fabric.deliver(self.server.host, self.client_host, 128)
+            yield self.fabric.send(self.client_host, self.server.host, 128)
+            yield self.fabric.send(self.server.host, self.client_host, 128)
         self._connected = True
 
     def call(self, method: str, payload: Dict[str, Any],
@@ -280,8 +280,8 @@ class RpcChannel:
         except HostDownError as exc:
             raise UnavailableError(str(exc)) from exc
 
-        yield from self.fabric.deliver(self.client_host, self.server.host,
-                                       req_bytes, trace=span)
+        yield self.fabric.send(self.client_host, self.server.host,
+                               req_bytes, trace=span)
 
         ok = False
         resp_bytes = 0
@@ -293,8 +293,8 @@ class RpcChannel:
             self.metrics.record(req_bytes, resp_bytes, ok)
             self.server.metrics.record(req_bytes, resp_bytes, ok)
 
-        yield from self.fabric.deliver(self.server.host, self.client_host,
-                                       resp_bytes, trace=span)
+        yield self.fabric.send(self.server.host, self.client_host,
+                               resp_bytes, trace=span)
         yield self.client_host.execute(
             self.cost_for_client(0, resp_bytes), self.client_component)
         return response.payload

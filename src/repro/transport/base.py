@@ -98,8 +98,10 @@ class Transport:
         """Run one op: request -> serve -> response; returns its payload.
 
         Every public op *returns* this generator (no frame of its own: a
-        leg's every resume walks the whole ``yield from`` chain) and
-        declares only what differs (docs/ARCHITECTURE.md §4): ``entries``,
+        leg's every resume walks the whole ``yield from`` chain, client ->
+        ``_rma_leg`` -> here; each delivery is one parked
+        ``fabric.send`` wait, with no frame either) and declares only
+        what differs (docs/ARCHITECTURE.md §4): ``entries``,
         0 for a single op (``nic.tx`` / ``nic.rx`` spans) or n for a
         coalesced one (one ``nic.batch`` span, ``parts=n`` transfers);
         request bytes and tx cost; ``serve(endpoint, span)``, a generator
@@ -126,7 +128,7 @@ class Transport:
                 around.finish()
             # Unknown endpoint: the request's bytes leave the client anyway.
             endpoint = self.endpoints.get(server_name)
-            yield from self.fabric.deliver(
+            yield self.fabric.send(
                 client_host, endpoint.host if endpoint is not None
                 else self.fabric.host(server_name),
                 request_bytes, trace, entries or 1)
@@ -136,7 +138,7 @@ class Transport:
                 raise RemoteHostDownError(f"op to {server_name} timed out")
             payload, response_bytes, rx_cost = yield from serve(endpoint,
                                                                 trace)
-            corrupted = yield from self.fabric.deliver(
+            corrupted = yield self.fabric.send(
                 endpoint.host, client_host, response_bytes, trace,
                 entries or 1)
         except RmaError:

@@ -251,19 +251,19 @@ def measure(scenario: str, path: str) -> dict:
 
 GOLDEN = \
 {'present:2xr': {'keys': ['hit/1/2.086587008144874e-05/-/first'],
-                 'entries': 58,
+                 'entries': 50,
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
                  'spans': '52:3ba8c601'},
  'present:scar': {'keys': ['hit/1/1.124819909684941e-05/-/first'],
-                  'entries': 50,
+                  'entries': 44,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
                   'spans': '39:61e7183f'},
  'present:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
-                    'entries': 26,
+                    'entries': 22,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
@@ -272,7 +272,7 @@ GOLDEN = \
                                  'hit/1/2.1770204240974017e-05/-/first',
                                  'hit/1/2.222087220972403e-05/-/first',
                                  'miss/1/1.291226710883203e-05/-/-'],
-                        'entries': 84,
+                        'entries': 72,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
@@ -281,25 +281,25 @@ GOLDEN = \
                                  'hit/1/2.146124081709908e-05/-/first',
                                  'hit/1/2.1508105686291043e-05/-/first',
                                  'miss/1/1.1536193705832874e-05/-/-'],
-                        'entries': 88,
+                        'entries': 76,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
                         'spans': '72:8f5c536a'},
  'absent:2xr': {'keys': ['miss/1/1.0694171055121026e-05/-/-'],
-                'entries': 44,
+                'entries': 38,
                 'stats': {'gets': 1, 'misses': 1},
                 'retries': {},
                 'fallback': {},
                 'spans': '38:33575bfc'},
  'absent:scar': {'keys': ['miss/1/1.0880041055121004e-05/-/-'],
-                 'entries': 44,
+                 'entries': 38,
                  'stats': {'gets': 1, 'misses': 1},
                  'retries': {},
                  'fallback': {},
                  'spans': '38:1a5af474'},
  'absent:serial': {'keys': ['miss/1/1.0104273282546803e-05/-/-'],
-                   'entries': 15,
+                   'entries': 13,
                    'stats': {'gets': 1, 'misses': 1},
                    'retries': {},
                    'fallback': {},
@@ -308,7 +308,7 @@ GOLDEN = \
                                 'miss/1/1.1820841385097071e-05/-/-',
                                 'hit/1/2.234736394471392e-05/-/first',
                                 'miss/1/1.1820841385097071e-05/-/-'],
-                       'entries': 72,
+                       'entries': 62,
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
@@ -317,25 +317,25 @@ GOLDEN = \
                                 'miss/1/1.1657488946668405e-05/-/-',
                                 'hit/1/2.1409445469171545e-05/-/first',
                                 'miss/1/1.1657488946668405e-05/-/-'],
-                       'entries': 74,
+                       'entries': 64,
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
                        'spans': '60:f9c125dc'},
  'crashed:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
-                 'entries': 51,
+                 'entries': 44,
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
                  'spans': '46:218a0064'},
  'crashed:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
-                  'entries': 43,
+                  'entries': 38,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
                   'spans': '33:8c2bda54'},
  'crashed:serial': {'keys': ['hit/1/0.0002251647544254243/-/first'],
-                    'entries': 34,
+                    'entries': 29,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
@@ -344,7 +344,7 @@ GOLDEN = \
                                  'hit/1/0.00020504653021611652/-/first',
                                  'hit/1/0.00020504653021611652/-/first',
                                  'miss/1/0.00020504653021611652/-/-'],
-                        'entries': 82,
+                        'entries': 71,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
@@ -353,25 +353,25 @@ GOLDEN = \
                                  'hit/1/0.00020457457021611652/-/first',
                                  'hit/1/0.00020457457021611652/-/first',
                                  'miss/1/0.00020457457021611652/-/-'],
-                        'entries': 85,
+                        'entries': 74,
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
                         'spans': '67:30173fa8'},
  'stale-view:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
-                    'entries': 55,
+                    'entries': 48,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
                     'spans': '47:7809782b'},
  'stale-view:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
-                     'entries': 47,
+                     'entries': 42,
                      'stats': {'gets': 1, 'hits': 1},
                      'retries': {},
                      'fallback': {},
                      'spans': '34:6882fce0'},
  'stale-view:serial': {'keys': ['hit/1/2.5670191925424328e-05/-/first'],
-                       'entries': 33,
+                       'entries': 28,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
@@ -380,7 +380,7 @@ GOLDEN = \
                                     'hit/1/2.2289244188331654e-05/-/first',
                                     'hit/1/2.2739912157081666e-05/-/first',
                                     'miss/1/1.1758807056189624e-05/-/-'],
-                           'entries': 84,
+                           'entries': 72,
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
@@ -389,13 +389,13 @@ GOLDEN = \
                                     'hit/1/2.1500944167455733e-05/-/first',
                                     'hit/1/2.1547809036647696e-05/-/first',
                                     'miss/1/1.1258137056189524e-05/-/-'],
-                           'entries': 88,
+                           'entries': 76,
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
                            'spans': '72:c7d8f5e2'},
  'stale+crashed:2xr': {'keys': ['hit/2/0.0003078920068864874/-/first'],
-                       'entries': 105,
+                       'entries': 91,
                        'stats': {'gets': 1,
                                  'hits': 1,
                                  'retries': 1,
@@ -404,7 +404,7 @@ GOLDEN = \
                        'fallback': {},
                        'spans': '79:faf16a11'},
  'stale+crashed:scar': {'keys': ['hit/2/0.0002984085035468533/-/first'],
-                        'entries': 87,
+                        'entries': 77,
                         'stats': {'gets': 1,
                                   'hits': 1,
                                   'retries': 1,
@@ -413,7 +413,7 @@ GOLDEN = \
                         'fallback': {},
                         'spans': '54:c25d4bf5'},
  'stale+crashed:serial': {'keys': ['error/10/0.004379235659825922/replica-error/-'],
-                          'entries': 152,
+                          'entries': 137,
                           'stats': {'get_errors': 1, 'gets': 1, 'retries': 10},
                           'retries': {'replica-error': 10},
                           'fallback': {},
@@ -422,7 +422,7 @@ GOLDEN = \
                                        'hit/1/0.00028047289149890457/-/first',
                                        'hit/1/0.0002813847450145294/-/first',
                                        'miss/1/0.0002815380526317169/-/-'],
-                              'entries': 176,
+                              'entries': 153,
                               'stats': {'gets': 4,
                                         'hits': 3,
                                         'misses': 1,
@@ -434,7 +434,7 @@ GOLDEN = \
                                        'hit/1/0.00028724506607298887/-/first',
                                        'hit/1/0.0002868245897447155/-/first',
                                        'miss/1/0.00027726419449373876/-/-'],
-                              'entries': 218,
+                              'entries': 189,
                               'stats': {'gets': 4,
                                         'hits': 3,
                                         'misses': 1,
@@ -443,19 +443,19 @@ GOLDEN = \
                               'fallback': {'stale-view': 4},
                               'spans': '177:3e3d52f2'},
  'newer-config:2xr': {'keys': ['hit/1/2.1358775974740702e-05/-/first'],
-                      'entries': 59,
+                      'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
                       'spans': '52:d5008f39'},
  'newer-config:scar': {'keys': ['hit/1/1.1704796753099446e-05/-/first'],
-                       'entries': 52,
+                       'entries': 46,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
                        'spans': '39:cac96e88'},
  'newer-config:serial': {'keys': ['hit/2/0.000535553738570654/-/first'],
-                         'entries': 86,
+                         'entries': 74,
                          'stats': {'config_refreshes': 1,
                                    'gets': 1,
                                    'hits': 1,
@@ -468,7 +468,7 @@ GOLDEN = \
                                       'hit/1/2.2289244188331654e-05/-/first',
                                       'hit/1/2.2739912157081666e-05/-/first',
                                       'miss/1/1.1758807056189624e-05/-/-'],
-                             'entries': 84,
+                             'entries': 72,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -477,13 +477,13 @@ GOLDEN = \
                                       'hit/1/2.1779000817099083e-05/-/first',
                                       'hit/1/2.1825865686291046e-05/-/first',
                                       'miss/1/1.1536193705832874e-05/-/-'],
-                             'entries': 88,
+                             'entries': 76,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
                              'spans': '72:7b213e2a'},
  'config+crashed:2xr': {'keys': ['hit/2/0.0007373172180405587/-/first'],
-                        'entries': 140,
+                        'entries': 122,
                         'stats': {'config_refreshes': 1,
                                   'gets': 1,
                                   'hits': 1,
@@ -493,7 +493,7 @@ GOLDEN = \
                         'fallback': {},
                         'spans': '84:5107fe0f'},
  'config+crashed:scar': {'keys': ['hit/2/0.0007279196703234085/-/first'],
-                         'entries': 123,
+                         'entries': 109,
                          'stats': {'config_refreshes': 1,
                                    'gets': 1,
                                    'hits': 1,
@@ -503,7 +503,7 @@ GOLDEN = \
                          'fallback': {},
                          'spans': '59:a8a69011'},
  'config+crashed:serial': {'keys': ['hit/2/0.0005424257264791194/-/first'],
-                           'entries': 82,
+                           'entries': 71,
                            'stats': {'config_refreshes': 1,
                                      'gets': 1,
                                      'hits': 1,
@@ -516,7 +516,7 @@ GOLDEN = \
                                         'hit/1/0.0007093507719069374/-/first',
                                         'hit/1/0.0007107191058913124/-/first',
                                         'miss/1/0.0007108724135084999/-/-'],
-                               'entries': 207,
+                               'entries': 181,
                                'stats': {'config_refreshes': 1,
                                          'gets': 4,
                                          'hits': 3,
@@ -529,7 +529,7 @@ GOLDEN = \
                                         'hit/1/0.0007166086399112295/-/first',
                                         'hit/1/0.0007166783503418226/-/first',
                                         'miss/1/0.0007068759269395914/-/-'],
-                               'entries': 243,
+                               'entries': 211,
                                'stats': {'config_refreshes': 1,
                                          'gets': 4,
                                          'hits': 3,
@@ -539,19 +539,19 @@ GOLDEN = \
                                'fallback': {'config-mismatch': 4},
                                'spans': '177:296c3fd1'},
  'dirty:2xr': {'keys': ['hit/1/2.165228830539837e-05/-/second'],
-               'entries': 70,
+               'entries': 60,
                'stats': {'gets': 1, 'hits': 1},
                'retries': {},
                'fallback': {},
                'spans': '64:8c6482b2'},
  'dirty:scar': {'keys': ['hit/1/1.1704459839036825e-05/-/second'],
-                'entries': 52,
+                'entries': 46,
                 'stats': {'gets': 1, 'hits': 1},
                 'retries': {},
                 'fallback': {},
                 'spans': '39:65585f8e'},
  'dirty:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
-                  'entries': 26,
+                  'entries': 22,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
@@ -560,7 +560,7 @@ GOLDEN = \
                                'hit/1/2.2409829714290148e-05/-/second',
                                'hit/1/2.1766769865974134e-05/-/first',
                                'miss/1/1.251226710883202e-05/-/-'],
-                      'entries': 84,
+                      'entries': 72,
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
@@ -569,19 +569,19 @@ GOLDEN = \
                                'hit/1/2.1786178186290902e-05/-/second',
                                'hit/1/2.1457415817099077e-05/-/first',
                                'miss/1/1.1536193705832874e-05/-/-'],
-                      'entries': 88,
+                      'entries': 76,
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
                       'spans': '72:abb7b1eb'},
  'dirty+slow-quorum:2xr': {'keys': ['hit/1/0.00014116503967746981/-/second'],
-                           'entries': 70,
+                           'entries': 60,
                            'stats': {'gets': 1, 'hits': 1},
                            'retries': {},
                            'fallback': {},
                            'spans': '64:8ee0039d'},
  'dirty+slow-quorum:scar': {'keys': ['hit/1/7.129423218095292e-05/-/second'],
-                            'entries': 52,
+                            'entries': 46,
                             'stats': {'gets': 1, 'hits': 1},
                             'retries': {},
                             'fallback': {},
@@ -590,7 +590,7 @@ GOLDEN = \
                                            'hit/1/0.0001428936417703176/-/second',
                                            'hit/1/7.994745402970058e-05/-/first',
                                            'miss/1/7.253600644951768e-05/-/-'],
-                                  'entries': 84,
+                                  'entries': 72,
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
@@ -599,13 +599,13 @@ GOLDEN = \
                                            'hit/1/0.0001427453936453174/-/second',
                                            'hit/1/8.000529214160796e-05/-/first',
                                            'miss/1/7.203533644951758e-05/-/-'],
-                                  'entries': 88,
+                                  'entries': 76,
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
                                   'spans': '72:59574a2d'},
  'three-way:2xr': {'keys': ['error/10/0.004099102610399179/inquorate/-'],
-                   'entries': 562,
+                   'entries': 483,
                    'stats': {'get_errors': 1,
                              'gets': 1,
                              'inquorate': 10,
@@ -614,7 +614,7 @@ GOLDEN = \
                    'fallback': {},
                    'spans': '493:ee78bf6e'},
  'three-way:scar': {'keys': ['error/10/0.004098651118649595/inquorate/-'],
-                    'entries': 489,
+                    'entries': 429,
                     'stats': {'get_errors': 1,
                               'gets': 1,
                               'inquorate': 10,
@@ -626,7 +626,7 @@ GOLDEN = \
                                    'error/10/0.004120575372728145/inquorate/-',
                                    'hit/1/2.1766769865974134e-05/-/first',
                                    'miss/1/1.251226710883202e-05/-/-'],
-                          'entries': 554,
+                          'entries': 484,
                           'stats': {'get_errors': 1,
                                     'gets': 4,
                                     'hits': 2,
@@ -640,7 +640,7 @@ GOLDEN = \
                                    'error/10/0.004113831400295442/inquorate/-',
                                    'hit/1/2.1457415817099077e-05/-/first',
                                    'miss/1/1.1536193705832874e-05/-/-'],
-                          'entries': 625,
+                          'entries': 537,
                           'stats': {'get_errors': 1,
                                     'gets': 4,
                                     'hits': 2,
@@ -651,7 +651,7 @@ GOLDEN = \
                           'fallback': {'inquorate': 1},
                           'spans': '550:d8a78d3b'},
  'overflow-rpc-on:2xr': {'keys': ['hit/1/7.281980986909779e-05/-/first'],
-                         'entries': 62,
+                         'entries': 54,
                          'stats': {'gets': 1,
                                    'hits': 1,
                                    'overflow_lookups': 1},
@@ -659,7 +659,7 @@ GOLDEN = \
                          'fallback': {},
                          'spans': '50:8d8d1849'},
  'overflow-rpc-on:scar': {'keys': ['hit/1/7.300530486909775e-05/-/first'],
-                          'entries': 62,
+                          'entries': 54,
                           'stats': {'gets': 1,
                                     'hits': 1,
                                     'overflow_lookups': 1},
@@ -667,7 +667,7 @@ GOLDEN = \
                           'fallback': {},
                           'spans': '50:6f46ccbd'},
  'overflow-rpc-on:serial': {'keys': ['hit/1/7.203457549032218e-05/-/first'],
-                            'entries': 32,
+                            'entries': 28,
                             'stats': {'gets': 1,
                                       'hits': 1,
                                       'overflow_lookups': 1},
@@ -678,7 +678,7 @@ GOLDEN = \
                                          'hit/1/7.338322903225236e-05/-/first',
                                          'hit/1/7.343893524908401e-05/-/first',
                                          'miss/1/0.00019782004718144346/-/-'],
-                                'entries': 150,
+                                'entries': 132,
                                 'stats': {'gets': 4,
                                           'hits': 3,
                                           'misses': 1,
@@ -690,7 +690,7 @@ GOLDEN = \
                                          'hit/1/7.27499364918502e-05/-/first',
                                          'hit/1/7.280564270868185e-05/-/first',
                                          'miss/1/0.0001971867546410413/-/-'],
-                                'entries': 148,
+                                'entries': 130,
                                 'stats': {'gets': 4,
                                           'hits': 3,
                                           'misses': 1,
@@ -699,19 +699,19 @@ GOLDEN = \
                                 'fallback': {},
                                 'spans': '106:4994fa6d'},
  'overflow-rpc-off:2xr': {'keys': ['miss/1/1.0464307385755914e-05/-/-'],
-                          'entries': 44,
+                          'entries': 38,
                           'stats': {'gets': 1, 'misses': 1},
                           'retries': {},
                           'fallback': {},
                           'spans': '38:238c9a33'},
  'overflow-rpc-off:scar': {'keys': ['miss/1/1.0649802385755873e-05/-/-'],
-                           'entries': 44,
+                           'entries': 38,
                            'stats': {'gets': 1, 'misses': 1},
                            'retries': {},
                            'fallback': {},
                            'spans': '38:914f397a'},
  'overflow-rpc-off:serial': {'keys': ['miss/1/9.823397076508342e-06/-/-'],
-                             'entries': 15,
+                             'entries': 13,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -720,7 +720,7 @@ GOLDEN = \
                                           'miss/1/1.1083772066288562e-05/-/-',
                                           'miss/1/1.1083772066288562e-05/-/-',
                                           'miss/1/1.1083772066288562e-05/-/-'],
-                                 'entries': 46,
+                                 'entries': 40,
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
@@ -729,13 +729,13 @@ GOLDEN = \
                                           'miss/1/1.0450479525886402e-05/-/-',
                                           'miss/1/1.0450479525886402e-05/-/-',
                                           'miss/1/1.0450479525886402e-05/-/-'],
-                                 'entries': 44,
+                                 'entries': 38,
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
                                  'spans': '36:1ccc1051'},
  'torn:2xr': {'keys': ['hit/2/6.177851808534596e-05/-/first'],
-              'entries': 107,
+              'entries': 91,
               'stats': {'gets': 1,
                         'hits': 1,
                         'retries': 1,
@@ -745,7 +745,7 @@ GOLDEN = \
               'fallback': {},
               'spans': '104:33f40e83'},
  'torn:scar': {'keys': ['hit/2/5.382592556490691e-05/-/first'],
-               'entries': 102,
+               'entries': 88,
                'stats': {'gets': 1,
                          'hits': 1,
                          'retries': 1,
@@ -755,7 +755,7 @@ GOLDEN = \
                'fallback': {},
                'spans': '91:6afa4a8b'},
  'torn:serial': {'keys': ['hit/2/8.188937174908055e-05/-/first'],
-                 'entries': 67,
+                 'entries': 55,
                  'stats': {'gets': 1,
                            'hits': 1,
                            'retries': 1,
@@ -768,7 +768,7 @@ GOLDEN = \
                               'hit/2/7.562655930721184e-05/-/first',
                               'hit/1/2.222087220972403e-05/-/first',
                               'miss/1/1.291226710883203e-05/-/-'],
-                     'entries': 177,
+                     'entries': 151,
                      'stats': {'gets': 4,
                                'hits': 3,
                                'misses': 1,
@@ -782,7 +782,7 @@ GOLDEN = \
                               'hit/2/8.378156640495842e-05/-/first',
                               'hit/1/2.1508105686291043e-05/-/first',
                               'miss/1/1.1536193705832874e-05/-/-'],
-                     'entries': 202,
+                     'entries': 174,
                      'stats': {'gets': 4,
                                'hits': 3,
                                'misses': 1,
@@ -793,7 +793,7 @@ GOLDEN = \
                      'fallback': {'validation-torn-or-stale': 1},
                      'spans': '176:80ecf1b4'},
  'primary:slow:2xr': {'keys': ['hit/1/0.00014208546346408787/-/first'],
-                      'entries': 59,
+                      'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
@@ -802,7 +802,7 @@ GOLDEN = \
                                       'hit/1/0.0001428025024483823/-/first',
                                       'hit/1/7.119418687065622e-05/-/first',
                                       'miss/1/7.119418687065622e-05/-/-'],
-                             'entries': 84,
+                             'entries': 72,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -811,13 +811,13 @@ GOLDEN = \
                                       'hit/1/0.00014302490963588209/-/first',
                                       'hit/1/7.10639768706561e-05/-/first',
                                       'miss/1/7.10639768706561e-05/-/-'],
-                             'entries': 88,
+                             'entries': 76,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
                              'spans': '72:fb855b67'},
  'primary:slow-absent:2xr': {'keys': ['miss/1/7.083366344096738e-05/-/-'],
-                             'entries': 46,
+                             'entries': 40,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -826,7 +826,7 @@ GOLDEN = \
                                              'miss/1/7.206278108077657e-05/-/-',
                                              'hit/1/7.206278108077657e-05/-/first',
                                              'miss/1/7.206278108077657e-05/-/-'],
-                                    'entries': 72,
+                                    'entries': 62,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
@@ -837,7 +837,7 @@ GOLDEN = \
                                              'miss/1/7.193257108077645e-05/-/-',
                                              'hit/1/7.193257108077645e-05/-/first',
                                              'miss/1/7.193257108077645e-05/-/-'],
-                                    'entries': 74,
+                                    'entries': 64,
                                     'stats': {'gets': 4,
                                               'hits': 2,
                                               'misses': 2},
@@ -845,7 +845,7 @@ GOLDEN = \
                                     'fallback': {},
                                     'spans': '60:e9bc0282'},
  'primary:down:2xr': {'keys': ['hit/1/0.00021492371908202526/-/first'],
-                      'entries': 58,
+                      'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
@@ -854,7 +854,7 @@ GOLDEN = \
                                       'hit/1/0.00021516228206087495/-/first',
                                       'hit/1/0.00020504653021611652/-/first',
                                       'miss/1/0.00020504653021611652/-/-'],
-                             'entries': 83,
+                             'entries': 72,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
@@ -863,13 +863,13 @@ GOLDEN = \
                                       'hit/1/0.00021504293924837486/-/first',
                                       'hit/1/0.00020457457021611652/-/first',
                                       'miss/1/0.00020457457021611652/-/-'],
-                             'entries': 85,
+                             'entries': 74,
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
                              'spans': '67:9e1e1e2c'},
  'primary:down+slow-backup:2xr': {'keys': ['hit/1/0.00021473013030505505/-/first'],
-                                  'entries': 57,
+                                  'entries': 50,
                                   'stats': {'gets': 1, 'hits': 1},
                                   'retries': {},
                                   'fallback': {},
@@ -878,7 +878,7 @@ GOLDEN = \
                                                   'hit/1/0.00021516228206087495/-/first',
                                                   'hit/1/0.00020504653021611652/-/first',
                                                   'miss/1/0.00020504653021611652/-/-'],
-                                         'entries': 82,
+                                         'entries': 71,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},
@@ -889,7 +889,7 @@ GOLDEN = \
                                                   'hit/1/0.00021504293924837486/-/first',
                                                   'hit/1/0.00020457457021611652/-/first',
                                                   'miss/1/0.00020457457021611652/-/-'],
-                                         'entries': 85,
+                                         'entries': 74,
                                          'stats': {'gets': 4,
                                                    'hits': 3,
                                                    'misses': 1},

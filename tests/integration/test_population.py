@@ -185,12 +185,12 @@ DRIVERS = {"real_arm": _stamp_real_arm, "ads": _stamp_ads,
            "geo": _stamp_geo, "shed_heavy": _stamp_shed_heavy}
 
 DRIVER_GOLDEN = \
-{'real_arm': {'events': 53880,
+{'real_arm': {'events': 46608,
               'offered': 828,
               'shed': 4,
               'ops': 824,
               'get_latency': 'db337d479840fe8fbe0e6339aee2e2b1'},
- 'ads': {'events': 29870,
+ 'ads': {'events': 28850,
          'offered': 333,
          'shed': 0,
          'ops': 205,
@@ -198,7 +198,7 @@ DRIVER_GOLDEN = \
          'sets': 17,
          'get_latency': '8e978c5af5ee8ef34c01cfdb222a114c',
          'set_latency': '09a849abba851c50277c538f6e1c2be4'},
- 'geo': {'events': 19539,
+ 'geo': {'events': 18549,
          'offered': 227,
          'shed': 0,
          'ops': 216,
@@ -206,7 +206,7 @@ DRIVER_GOLDEN = \
          'sets': 10,
          'get_latency': '0f3256216000dd1c54bc1ae166780c20',
          'set_latency': '3fac1ad994316966984f1af0a6e7bf08'},
- 'shed_heavy': {'events': 153544,
+ 'shed_heavy': {'events': 134734,
                 'offered': 10053,
                 'shed': 6959,
                 'ops': 3094,

@@ -1,9 +1,11 @@
 """Unit tests for NIC links, MTU framing, and the fabric delivery model."""
 
+import random
+
 import pytest
 
 from repro.net import Fabric, FabricConfig, Link, MtuConfig, gbps
-from repro.sim import Simulator
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
 def make_fabric(rate=gbps(50.0), delay=4e-6, jitter=0.0):
@@ -66,6 +68,129 @@ def test_link_rejects_zero_rate():
     sim = Simulator()
     with pytest.raises(ValueError):
         Link(sim, rate_bytes_per_sec=0)
+
+
+class HoldLink:
+    """The reference: a FIFO link as one ``Resource.hold`` per transfer."""
+
+    def __init__(self, sim, rate_bytes_per_sec):
+        self.rate = rate_bytes_per_sec
+        self._server = Resource(sim, capacity=1)
+
+    def transmit(self, wire_bytes):
+        return self._server.hold(wire_bytes / self.rate)
+
+
+def _completions(make_link, transfers):
+    """When each ``(start, wire_bytes)`` transfer's last byte leaves."""
+    sim = Simulator()
+    link = make_link(sim)
+    ends = [None] * len(transfers)
+
+    def sender(i, start, wire_bytes):
+        yield sim.delay(start)
+        yield link.transmit(wire_bytes)
+        ends[i] = sim.now
+
+    for i, (start, wire_bytes) in enumerate(transfers):
+        sim.process(sender(i, start, wire_bytes))
+    sim.run()
+    return ends
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arithmetic_link_completes_when_a_held_resource_would(seed):
+    """``max(now, free_at) + bytes / rate`` is the float ``Resource.hold``
+    computes, whether the transfer found the link idle or queued — also
+    when several start at the same instant."""
+    rng = random.Random(seed)
+    rate = gbps(8.0)
+    # Starts on a 25 us grid, so many coincide; ~10 us services load the
+    # link to ~60 %: some transfers find it idle, others queue.
+    transfers = [(rng.randrange(200) * 25e-6, rng.randint(66, 20_000))
+                 for _ in range(300)]
+    ends = _completions(lambda sim: Link(sim, rate), transfers)
+    assert ends == _completions(lambda sim: HoldLink(sim, rate), transfers)
+    assert any(end > start + 2 * size / rate
+               for (start, size), end in zip(transfers, ends))
+
+
+def test_link_counts_bytes_when_it_accepts_them():
+    sim = Simulator()
+    link = Link(sim, rate_bytes_per_sec=1e6)
+    assert link.reserve(1000) == pytest.approx(1e-3)
+    assert link.bytes_carried == 1000       # not when the last byte leaves
+    assert link.reserve(500) == pytest.approx(1.5e-3)   # queued behind
+    assert link.bytes_carried == 1500
+
+
+def test_an_interrupted_sender_still_occupies_the_link():
+    """The NIC sends a frame it has accepted: interrupting a queued sender
+    abandons its wait, not its bytes (a queued ``Resource.hold`` was
+    skipped instead), so a later transfer still queues behind them."""
+    sim = Simulator()
+    link = Link(sim, rate_bytes_per_sec=1e6)
+    ends = {}
+
+    def sender(name, start=0.0):
+        yield sim.delay(start)
+        try:
+            yield link.transmit(1000)
+            ends[name] = sim.now
+        except Interrupt:
+            ends[name] = "interrupted"
+
+    sim.process(sender("first"))
+    victim = sim.process(sender("victim"))
+    sim.process(sender("last", start=0.5e-3))
+
+    def interrupter():
+        yield sim.delay(0.1e-3)
+        victim.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert ends == {"first": pytest.approx(1e-3), "victim": "interrupted",
+                    "last": pytest.approx(3e-3)}
+    assert link.bytes_carried == 3000
+
+
+def test_a_sender_interrupted_in_flight_never_reaches_the_ingress_link():
+    sim, fabric = make_fabric(rate=1e8, delay=10e-6)
+    a, b, rx = (fabric.add_host(name) for name in ("a", "b", "rx"))
+    wire = fabric.config.mtu.wire_bytes(100_000)
+    outcome = {}
+
+    def send(name, src, start=0.0):
+        yield sim.delay(start)
+        began = sim.now
+        try:
+            yield fabric.send(src, rx, 100_000)
+            outcome[name] = sim.now - began
+        except Interrupt:
+            outcome[name] = "interrupted"
+
+    victim = sim.process(send("victim", a))
+    # Lands 1 us behind the victim: it would queue for a whole frame time.
+    sim.process(send("other", b, start=1e-6))
+
+    def interrupter():
+        yield sim.delay(wire / 1e8 + 5e-6)      # mid-propagation
+        victim.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert outcome == {"victim": "interrupted",
+                       "other": pytest.approx(2 * wire / 1e8 + 10e-6)}
+    assert a.nic.bytes_sent == wire             # its egress sent the frame
+    assert rx.nic.bytes_received == wire        # only the other's bytes
+
+
+def test_send_is_a_parked_wait():
+    _sim, fabric = make_fabric()
+    a, b = fabric.add_host("a"), fabric.add_host("b")
+    with pytest.raises(SimulationError):
+        fabric.send(a, b, 100)      # outside a process: nobody to park
 
 
 def test_deliver_end_to_end_latency():

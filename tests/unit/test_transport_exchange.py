@@ -231,7 +231,7 @@ def measure_failure(transport: str, scenario: str, op: str) -> dict:
 
 # -- the frozen tables -------------------------------------------------------------
 
-HAPPY = {'rdma:read': {'entries': 9,
+HAPPY = {'rdma:read': {'entries': 7,
                'done_at': '7.050976000000001e-05',
                'client_cpu': {'rma-client': '7e-07'},
                'server_cpu': {},
@@ -257,7 +257,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                         (2, 'propagate', '', '4.000000000000002e-06'),
                         (2, 'ingress', '', '5.664000000000493e-08'),
                         (1, 'nic.rx', '', '3.4999999999999495e-07')]},
- 'rdma:read_multi': {'entries': 9,
+ 'rdma:read_multi': {'entries': 7,
                      'done_at': '7.418208000000001e-05',
                      'client_cpu': {'rma-client': '7e-07'},
                      'server_cpu': {},
@@ -287,7 +287,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
                               (3, 'ingress', '', '7.670400000000041e-07')]},
- 'pony:read': {'entries': 9,
+ 'pony:read': {'entries': 7,
                'done_at': '6.902176000000003e-05',
                'client_cpu': {'pony': '8.529999999999999e-07'},
                'server_cpu': {'pony': '5.03e-07'},
@@ -313,7 +313,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                         (2, 'propagate', '', '4.000000000000002e-06'),
                         (2, 'ingress', '', '5.664000000000493e-08'),
                         (1, 'nic.rx', '', '4.5300000000000396e-07')]},
- 'pony:read_multi': {'entries': 9,
+ 'pony:read_multi': {'entries': 7,
                      'done_at': '7.234501750000001e-05',
                      'client_cpu': {'pony': '9.0671875e-07'},
                      'server_cpu': {'pony': '6.7475e-07'},
@@ -343,7 +343,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
                               (3, 'ingress', '', '7.670400000000041e-07')]},
- '1rma:read': {'entries': 11,
+ '1rma:read': {'entries': 9,
                'done_at': '6.974176000000001e-05',
                'client_cpu': {'rma-client': '6e-07'},
                'server_cpu': {},
@@ -369,7 +369,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                         (2, 'propagate', '', '4.000000000000002e-06'),
                         (2, 'ingress', '', '5.664000000000493e-08'),
                         (1, 'nic.rx', '', '2.9999999999999374e-07')]},
- '1rma:read_multi': {'entries': 11,
+ '1rma:read_multi': {'entries': 9,
                      'done_at': '7.316608e-05',
                      'client_cpu': {'rma-client': '6e-07'},
                      'server_cpu': {},
@@ -399,7 +399,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
                               (3, 'ingress', '', '7.670400000000041e-07')]},
- 'pony:scar-hit': {'entries': 10,
+ 'pony:scar-hit': {'entries': 8,
                    'done_at': '6.972519750000001e-05',
                    'client_cpu': {'pony': '8.590468750000002e-07'},
                    'server_cpu': {'pony': '6.886718749999999e-07'},
@@ -425,7 +425,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                             (2, 'propagate', '', '4.000000000000002e-06'),
                             (2, 'ingress', '', '1.3408000000000126e-07'),
                             (1, 'nic.rx', '', '4.59046875000006e-07')]},
- 'pony:scar-miss': {'entries': 9,
+ 'pony:scar-miss': {'entries': 7,
                     'done_at': '6.9244385e-05',
                     'client_cpu': {'pony': '8.508437500000002e-07'},
                     'server_cpu': {'pony': '6.804687499999999e-07'},
@@ -451,7 +451,7 @@ HAPPY = {'rdma:read': {'entries': 9,
                              (2, 'propagate', '', '4.000000000000002e-06'),
                              (2, 'ingress', '', '2.2079999999999626e-08'),
                              (1, 'nic.rx', '', '4.508437500000005e-07')]},
- 'pony:message': {'entries': 11,
+ 'pony:message': {'entries': 9,
                   'done_at': '7.746597250000001e-05',
                   'client_cpu': {'pony': '8.544531249999999e-07'},
                   'server_cpu': {'msg-app': '3.8e-06',
@@ -698,16 +698,17 @@ def test_onerma_slot_returns_when_the_response_arrives():
 
 
 def test_entries_per_exchange_are_a_property_of_the_transport():
-    """9 / 9 / 11: tx, three hops out, serve, three hops back, rx — plus
-    1RMA's window slot and its second (PCIe) serve delay. A batch costs
-    what a singleton costs; SCAR's followed pointer and MSG's app-thread
-    wake-up are the only extra serve entries."""
+    """7 / 7 / 9: tx, the request delivery (arrival, wake-up), serve, the
+    response delivery, rx — plus 1RMA's window slot and its second (PCIe)
+    serve delay. A batch costs what a singleton costs; SCAR's followed
+    pointer and MSG's app-thread wake-up are the only extra serve
+    entries."""
     entries = {row: HAPPY[row]["entries"] for row in HAPPY}
     assert entries == {
-        "rdma:read": 9, "rdma:read_multi": 9,
-        "pony:read": 9, "pony:read_multi": 9,
-        "1rma:read": 11, "1rma:read_multi": 11,
-        "pony:scar-hit": 10, "pony:scar-miss": 9, "pony:message": 11}
+        "rdma:read": 7, "rdma:read_multi": 7,
+        "pony:read": 7, "pony:read_multi": 7,
+        "1rma:read": 9, "1rma:read_multi": 9,
+        "pony:scar-hit": 8, "pony:scar-miss": 7, "pony:message": 9}
 
 
 if __name__ == "__main__":

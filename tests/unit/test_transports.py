@@ -42,9 +42,10 @@ def test_read_returns_snapshot(transport_cls):
     assert transport.counters.bytes_fetched == 8
 
 
-def test_pony_read_costs_exactly_nine_scheduler_entries():
-    """Event budget: three engine services plus two deliveries of
-    (egress, propagate, ingress), one entry each — no zero-work hops."""
+def test_pony_read_costs_exactly_seven_scheduler_entries():
+    """Event budget: three engine services, one entry each, plus two
+    deliveries of two entries each (arrival, then the sender's wake-up
+    once the ingress link has the last byte) — no zero-work hops."""
     sim, _f, client, _s, transport, _e, _arena, window = setup_pair(
         PonyTransport)
     counted = []
@@ -59,7 +60,7 @@ def test_pony_read_costs_exactly_nine_scheduler_entries():
         counted.append((sim._seq - before, sim.now < 200e-6))
 
     sim.run(until=sim.process(proc()))
-    assert counted == [(9, True)]
+    assert counted == [(7, True)]
 
 
 @pytest.mark.parametrize("transport_cls", [RdmaTransport, OneRmaTransport,
