@@ -241,3 +241,74 @@ def test_option_fields_are_frozen():
     for config, fields in frozen.items():
         assert [f.name for f in dataclasses.fields(config)] == \
             fields.split(), config.__name__
+
+
+def _public_stat_names(stats):
+    if isinstance(stats, dict):
+        return sorted(stats)
+    return sorted(name for name in dir(stats) if not name.startswith("_")
+                  and not callable(getattr(stats, name)))
+
+
+def test_stats_keys_are_frozen():
+    """Every public ``stats`` key or field keeps its name: dashboards,
+    soak reports and ``benchmarks/perf`` read them."""
+    from repro import Cell, CellSpec
+    from repro.baselines.memcacheg import MemcacheGServer
+    from repro.core import Federation, FederationSpec, RepairConfig
+    from repro.storage import SystemOfRecord
+    from repro.workloads import WorkloadMetrics
+
+    cell = Cell(CellSpec(num_shards=3, transport="pony",
+                         repair_config=RepairConfig()))
+    client = cell.connect_client()
+    coordinator = cell.attach_sor(
+        SystemOfRecord(cell.sim, cell.add_local_host("host/sor")))
+    autoscaler = cell.observe().autoscale()
+    memcacheg = MemcacheGServer(cell.sim, cell.add_local_host("host/mc"),
+                                "mc")
+    federation = Federation(FederationSpec(cell_spec=CellSpec(num_shards=3)))
+    surfaces = {
+        "client": client.stats,
+        "readthrough": coordinator.stats,
+        "backend": cell.backends["backend-0"].stats,
+        "repair": cell.scanners["backend-0"].stats,
+        "resize": cell.resize.stats,
+        "maintenance": cell.maintenance.stats,
+        "autoscaler": autoscaler.stats,
+        "memcacheg": memcacheg.stats,
+        "transport": cell.transport.counters,
+        "federated": federation.make_client("dc-a").stats,
+        "workload": WorkloadMetrics(),
+    }
+    assert {name: " ".join(_public_stat_names(stats))
+            for name, stats in surfaces.items()} == {
+        "client": "appends cas config_refreshes erases get_errors gets "
+                  "hits inquorate misses overflow_lookups retries "
+                  "retries_shed sets sor_hits torn_reads "
+                  "validation_failures version_races view_refreshes",
+        "readthrough": "buffer_overflows buffered_serves coalesced errors "
+                       "fetches fills negative_hits shed sor_hits "
+                       "sor_misses sync_writes throttled writebacks "
+                       "writebacks_dropped writebacks_rejected "
+                       "writebacks_throttled",
+        "backend": "cas_applied cas_failed data_region_grows defrag_moves "
+                   "erases_applied evictions_associativity "
+                   "evictions_capacity index_resizes overflow_inserts "
+                   "repairs_applied rpc_lookups sets_applied "
+                   "sets_superseded",
+        "repair": "dirty_quorums_found keys_recovered keys_repaired "
+                  "restart_recoveries rpc_errors scans",
+        "resize": "aborted entries_backfilled entries_purged grows "
+                  "last_handoff_seconds shrinks sweeps",
+        "maintenance": "entries_migrated migration_rpc_errors "
+                       "planned_migrations unplanned_restarts",
+        "autoscaler": "blocked evaluations grows shrinks",
+        "memcacheg": "deletes evictions gets hits sets",
+        "transport": "batched_keys batched_reads bytes_fetched corrupted "
+                     "failures messages reads scars",
+        "federated": "local_hits misses remote_hits",
+        "workload": "get_errors get_latency get_timeline gets hit_rate "
+                    "hits offered set_latency set_timeline sets shed "
+                    "shed_rate thinned",
+    }
