@@ -19,7 +19,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ..net import Host
 from ..rpc import HandlerContext, RpcServer
 from ..sim import Resource, Simulator
-from ..telemetry import MetricsRegistry
+from ..telemetry import MetricsRegistry, tally
 from ..transport import RegistrationCostModel, Transport
 from .config import CellConfig
 from .data import DataRegion, encode_entry_parts, entry_size, try_decode
@@ -112,9 +112,6 @@ class Backend:
         self.registration_cost = registration_cost or RegistrationCostModel()
         self.stats = BackendStats()
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._m_handled = self.metrics.counter(
-            "cliquemap_backend_rpcs_total",
-            "RPCs handled by backend task and method")
         self._m_up = self.metrics.gauge(
             "cliquemap_backend_up",
             "1 while the backend task is serving, 0 after stop/crash")
@@ -165,26 +162,34 @@ class Backend:
 
     def _register_handlers(self) -> None:
         server = self.rpc_server
-        for method, handler in (
-                ("Info", self._handle_info),
-                ("Set", self._handle_set),
-                ("MultiSet", self._handle_multi_set),
-                ("Erase", self._handle_erase),
-                ("Cas", self._handle_cas),
-                ("Lookup", self._handle_lookup),
-                ("Touch", self._handle_touch),
-                ("ScanSummary", self._handle_scan_summary),
-                ("RepairGet", self._handle_repair_get),
-                ("MigrateIn", self._handle_migrate_in),
-                ("Defragment", self._handle_defragment)):
-            server.register(method, self._instrumented(method, handler))
+        handlers = (
+            ("Info", self._handle_info),
+            ("Set", self._handle_set),
+            ("MultiSet", self._handle_multi_set),
+            ("Erase", self._handle_erase),
+            ("Cas", self._handle_cas),
+            ("Lookup", self._handle_lookup),
+            ("Touch", self._handle_touch),
+            ("ScanSummary", self._handle_scan_summary),
+            ("RepairGet", self._handle_repair_get),
+            ("MigrateIn", self._handle_migrate_in),
+            ("Defragment", self._handle_defragment))
+        # Every method's series exists at zero from construction; a
+        # restarted task's fresh tally keeps summing into the same ones.
+        handled = self.metrics.adopt(
+            "cliquemap_backend_rpcs_total",
+            "RPCs handled by backend task and method",
+            tally(*(method for method, _handler in handlers)), ("method",),
+            task=self.task_name)
+        for method, handler in handlers:
+            server.register(method,
+                            self._instrumented(method, handler, handled))
 
-    def _instrumented(self, method: str, handler):
+    def _instrumented(self, method: str, handler, handled):
         """Wrap a handler: count it and open a per-method child span."""
-        handled = self._m_handled.labels(task=self.task_name, method=method)
 
         def wrapped(payload, context: HandlerContext) -> Generator:
-            handled.inc()
+            handled[method] += 1
             span = context.span.child(f"handler.{method.lower()}",
                                       task=self.task_name)
             try:

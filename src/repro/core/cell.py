@@ -100,8 +100,8 @@ class Cell:
                                    self.spec.mode.replicas)
         # One registry + tracer for the whole cell: every client created
         # through make_client() records into these, so benchmarks and the
-        # dashboard read a single coherent snapshot. The fabric counts
-        # drops/corruption/slow-links into the same registry.
+        # dashboard read a single coherent snapshot. The fabric's
+        # drop/corrupt/slow tallies for this zone's senders sum into it.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(
             clock=lambda: self.sim.now, enabled=self.spec.tracing,
@@ -110,9 +110,10 @@ class Cell:
             tail_slow_threshold=self.spec.trace_slow_threshold)
         self.flight = FlightRecorder(clock=lambda: self.sim.now) \
             if self.spec.flight_recorder else NULL_FLIGHT
-        self.fabric.registry = self.metrics
+        self.fabric.adopt_counts(self.metrics, zone)
         if self.transport is not None:
             self.transport.registry = self.metrics
+            self.transport.adopt_counts(self.metrics)
 
         # Attached lazily by observe(); None keeps the plane (scraper,
         # probers, SLO engine) entirely out of un-observed runs.
@@ -442,9 +443,8 @@ class Cell:
         self.sor_coordinator = coordinator
         for client in existing:
             client.read_through = coordinator
-        if hasattr(sor, "bind_registry") and \
-                getattr(sor, "registry", None) is None:
-            sor.bind_registry(self.metrics)
+        if hasattr(sor, "adopt_counts"):
+            sor.adopt_counts(self.metrics)
         return coordinator
 
     def close(self) -> None:

@@ -29,7 +29,7 @@ from ..rpc import (PermissionDeniedError, Principal, RpcChannel, RpcError,
                    connect as rpc_connect)
 from ..sim import Interrupt, RandomStream, Simulator
 from ..telemetry import (NULL_FLIGHT, NULL_SPAN, MetricsRegistry,
-                         TraceContext, Tracer)
+                         TraceContext, Tracer, tally)
 from ..transport import (RegionRevokedError, RemoteHostDownError, RmaError,
                          Transport)
 from .config import CellConfig, ConfigStore, GetStrategy, ReplicationMode
@@ -230,13 +230,6 @@ def _parent_span(trace):
     return trace
 
 
-# ``client.stats`` keys bumped per completed key in ``_finish_op``: the
-# op's own count, plus the GET outcome (mutation statuses have none).
-_STAT_KEY = {"get": "gets", "set": "sets", "erase": "erases", "cas": "cas",
-             "append": "appends", "hit": "hits", "miss": "misses",
-             "error": "get_errors"}
-
-
 # Read-through coordinator fetch status -> the GET's ``(status, source,
 # error)``, for a singleton and for a key of a batch alike.
 _SOR_OUTCOME = {
@@ -300,11 +293,9 @@ class CliqueMapClient:
         # and acknowledged mutations are noted for write-behind.
         self.read_through = None
 
-        self.stats = {
-            "gets": 0, "hits": 0, "misses": 0, "get_errors": 0,
-            "retries": 0, "retries_shed": 0, "validation_failures": 0,
-            "inquorate": 0, "config_refreshes": 0, "view_refreshes": 0,
-            "sets": 0, "erases": 0, "cas": 0, "appends": 0,
+        # Counts no registry family carries (see ``stats``).
+        self._counts = {
+            "config_refreshes": 0, "view_refreshes": 0,
             "overflow_lookups": 0, "torn_reads": 0, "version_races": 0,
             "sor_hits": 0,
         }
@@ -328,49 +319,53 @@ class CliqueMapClient:
         # ``if self._flight:`` and a disabled recorder costs nothing.
         self._flight = flight if flight is not None else NULL_FLIGHT
         self._flight_origin = f"client-{self.client_id}"
-        self._m_ops = self.metrics.counter(
+        # Counter tallies: the registry families and ``stats`` read them.
+        metrics = self.metrics
+        self._ops = metrics.adopt(
             "cliquemap_ops_total",
-            "Completed client operations by op and terminal status")
-        self._m_latency = self.metrics.histogram(
+            "Completed client operations by op and terminal status",
+            tally(("get", "hit"), ("get", "miss"), ("get", "error"),
+                  ("set", "applied"), ("set", "failed")), ("op", "status"))
+        self._m_latency = metrics.histogram(
             "cliquemap_op_latency_seconds",
             "End-to-end operation latency by op and lookup strategy")
-        self._m_retries = self.metrics.counter(
+        self._retries = metrics.adopt(
             "cliquemap_retries_total",
-            "Per-attempt retries by op and hazard reason")
-        self._m_touch_pending = self.metrics.gauge(
+            "Per-attempt retries by op and hazard reason", tally(),
+            ("op", "reason"))
+        self._m_touch_pending = metrics.gauge(
             "cliquemap_pending_touches",
             "Key touches buffered awaiting the next batched Touch RPC")
-        self._m_retries_shed = self.metrics.counter(
+        self._retries_shed = metrics.adopt(
             "cliquemap_retries_shed_total",
-            "Retries refused because the client's retry budget was dry")
-        self._m_quarantine = self.metrics.counter(
+            "Retries refused because the client's retry budget was dry",
+            tally(), ("op", "reason"))
+        self._quarantines = metrics.adopt(
             "cliquemap_backend_quarantine_total",
-            "Backend quarantine transitions by task and event (enter/exit)")
-        self._m_batch_size = self.metrics.histogram(
+            "Backend quarantine transitions by task and event (enter/exit)",
+            tally(), ("task", "event"))
+        self._m_batch_size = metrics.histogram(
             "cliquemap_batch_size_keys",
             "Keys per batched multi-key client operation")
-        self._m_batch_keys = self.metrics.counter(
+        self._batch_keys = metrics.adopt(
             "cliquemap_client_batch_keys_total",
-            "Keys resolved on the batched fast path, by op")
-        self._m_batch_fallback = self.metrics.counter(
+            "Keys resolved on the batched fast path, by op",
+            tally("get", "set"), ("op",))
+        self._batch_fallbacks = metrics.adopt(
             "cliquemap_batch_fallback_total",
-            "Batch keys diverted to the singleton retry path, by op/reason")
-        self._m_shadow = self.metrics.counter(
+            "Batch keys diverted to the singleton retry path, by op/reason",
+            tally(), ("op", "reason"))
+        self._shadows = metrics.adopt(
             "cliquemap_shadow_writes_total",
             "Dual-write shadows onto a resize target cohort, by "
-            "method and outcome")
+            "method and outcome", tally(), ("method", "outcome"))
 
         # Pre-bound series handles for the per-op hot path. Resolving
         # ``labels(...)`` sorts and hashes the label set on every call;
         # the strategy label is fixed for the client's lifetime, so the
-        # common (op, status) series are bound once here and the rest
-        # memoized on first use in :meth:`_finish_op`.
+        # common series are bound once here and the rest memoized on
+        # first use in :meth:`_finish_op`.
         strategy = self.strategy.value
-        self._h_ops = {
-            (op, status): self._m_ops.labels(op=op, status=status)
-            for op, status in (("get", "hit"), ("get", "miss"),
-                               ("get", "error"), ("set", "applied"),
-                               ("set", "failed"))}
         self._h_latency = {
             op: self._m_latency.labels(op=op, strategy=strategy)
             for op in ("get", "set", "erase", "append")}
@@ -379,10 +374,36 @@ class CliqueMapClient:
             for op in ("get", "set")}
         self._h_batch_size_get = self._m_batch_size.labels(op="get_multi")
         self._h_batch_size_set = self._m_batch_size.labels(op="set_multi")
-        self._h_batch_keys = {op: self._m_batch_keys.labels(op=op)
-                              for op in ("get", "set")}
         self._h_touch_pending = self._m_touch_pending.labels(
             client=self.client_id)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Built per read; op, outcome and retry keys are derived from
+        the registry tallies, the rest read ``_counts``."""
+        ops, retries, counts = self._ops, self._retries, self._counts
+        per_op = dict.fromkeys(("get", "set", "erase", "cas", "append"), 0)
+        for (op, _status), n in ops.items():
+            per_op[op] += n
+        return {
+            "gets": per_op["get"], "hits": ops["get", "hit"],
+            "misses": ops["get", "miss"], "get_errors": ops["get", "error"],
+            "retries": sum(retries.values()),
+            "retries_shed": sum(self._retries_shed.values()),
+            "validation_failures": sum(
+                n for (_op, reason), n in retries.items()
+                if reason.startswith("validation")),
+            "inquorate": sum(n for (_op, reason), n in retries.items()
+                             if reason == "inquorate"),
+            "config_refreshes": counts["config_refreshes"],
+            "view_refreshes": counts["view_refreshes"],
+            "sets": per_op["set"], "erases": per_op["erase"],
+            "cas": per_op["cas"], "appends": per_op["append"],
+            "overflow_lookups": counts["overflow_lookups"],
+            "torn_reads": counts["torn_reads"],
+            "version_races": counts["version_races"],
+            "sor_hits": counts["sor_hits"],
+        }
 
     # ------------------------------------------------------------------
     # Connection management
@@ -413,7 +434,7 @@ class CliqueMapClient:
             self.next_placement = None
 
     def _health_event(self, task: str, event: str) -> None:
-        self._m_quarantine.labels(task=task, event=event).inc()
+        self._quarantines[task, event] += 1
         if self._flight:
             self._flight.record("quarantine", origin=self._flight_origin,
                                 task=task, event=event)
@@ -458,14 +479,14 @@ class CliqueMapClient:
         view.health.mark_connected()
         if new_incarnation:
             view.health.reset_for_new_incarnation()
-        self.stats["view_refreshes"] += 1
+        self._counts["view_refreshes"] += 1
         return view
 
     def _refresh_config(self) -> Generator:
         """Re-read cell topology from the external HA store (§6.1)."""
         config = yield from self.config_store.get(self.cell_name)
         self._adopt_config(config)
-        self.stats["config_refreshes"] += 1
+        self._counts["config_refreshes"] += 1
         for task in self.cell.serving_tasks():
             yield from self._build_view(task)
 
@@ -565,9 +586,9 @@ class CliqueMapClient:
                     method, payload,
                     deadline=self.config.mutation_rpc_deadline,
                     request_size=payload_size)
-                self._m_shadow.labels(method=method, outcome="ok").inc()
+                self._shadows[method, "ok"] += 1
             except (PermissionDeniedError, RpcError):
-                self._m_shadow.labels(method=method, outcome="error").inc()
+                self._shadows[method, "error"] += 1
 
         proc = self.sim.process(one(), name=f"shadow:{view.task}")
         proc.defused = True
@@ -698,48 +719,31 @@ class CliqueMapClient:
                     yield from self._build_view(task)
 
     def _note_retry(self, op: str, reason: str, attempt: int) -> None:
-        """One failed attempt: stats, registry and flight together."""
-        stats = self.stats
-        stats["retries"] += 1
-        if reason.startswith("validation"):
-            stats["validation_failures"] += 1
-        elif reason == "inquorate":
-            stats["inquorate"] += 1
-        self._m_retries.labels(op=op, reason=reason).inc()
+        """One failed attempt: the tally and the flight recorder."""
+        self._retries[op, reason] += 1
         if self._flight:
             self._flight.record("retry", origin=self._flight_origin,
                                 op=op, reason=reason, attempt=attempt)
 
     def _note_shed(self, op: str, reason: str, attempt: int) -> None:
-        """One retry refused by the dry budget, in all three channels."""
-        self.stats["retries_shed"] += 1
-        self._m_retries_shed.labels(op=op, reason=reason).inc()
+        """One retry refused by the dry budget: tally and flight."""
+        self._retries_shed[op, reason] += 1
         if self._flight:
             self._flight.record("retry_shed", origin=self._flight_origin,
                                 op=op, reason=reason, attempt=attempt)
 
     def _finish_op(self, op: str, status: str, latency: float, root,
                    batched: bool = False) -> Optional[TraceContext]:
-        """Record one completed key: stats, metrics, flight, trace.
+        """Record one completed key: tally, latency, flight, trace.
 
         Every completion — singleton op or one key of a batch — passes
-        through here, so the three accounting channels cannot drift. A
-        ``batched`` key lands in the ``strategy="batched"`` latency
-        series and shares its batch's root, which the batch itself
-        finishes and records once.
+        through here. A ``batched`` key lands in the
+        ``strategy="batched"`` latency series and shares its batch's
+        root, which the batch itself finishes and records once.
         """
-        stats = self.stats
-        stats[_STAT_KEY[op]] += 1
-        outcome_key = _STAT_KEY.get(status)
-        if outcome_key is not None:
-            stats[outcome_key] += 1
-        handle = self._h_ops.get((op, status))
-        if handle is None:
-            handle = self._h_ops[(op, status)] = self._m_ops.labels(
-                op=op, status=status)
-        handle.inc()
+        self._ops[op, status] += 1
         if batched:
-            self._h_batch_keys[op].inc()
+            self._batch_keys[op] += 1
             latency_handle = self._h_batched_latency[op]
         else:
             latency_handle = self._h_latency.get(op)
@@ -794,7 +798,7 @@ class CliqueMapClient:
         """A coordinator fetch status as a GET's ``(status, source,
         error)``; counts the SoR hit."""
         if fetched == "hit":
-            self.stats["sor_hits"] += 1
+            self._counts["sor_hits"] += 1
         return _SOR_OUTCOME[fetched]
 
     def _read_through_multi(self, keys: List[bytes],
@@ -1030,7 +1034,7 @@ class CliqueMapClient:
         the batch root and record it once."""
         if fallback:
             for reason in fallback.values():
-                self._m_batch_fallback.labels(op=op, reason=reason).inc()
+                self._batch_fallbacks[op, reason] += 1
             # Recover shared state once, up front, so the per-key
             # singletons start from fresh views instead of each
             # re-discovering the same staleness (§4.1 retry procedure,
@@ -1463,15 +1467,15 @@ class CliqueMapClient:
         """Full §5.1 validation; returns a result tuple or None."""
         entry = try_decode(raw)
         if entry is None:
-            self.stats["torn_reads"] += 1    # structurally torn
+            self._counts["torn_reads"] += 1    # structurally torn
             return None
         if not entry.checksum_ok(key_hash):
-            self.stats["torn_reads"] += 1    # torn read
+            self._counts["torn_reads"] += 1    # torn read
             return None
         if entry.key != key:
             return GetStatus.MISS, None, None  # 128-bit hash collision
         if decision.version is not None and entry.version != decision.version:
-            self.stats["version_races"] += 1  # raced a newer mutation
+            self._counts["version_races"] += 1  # raced a newer mutation
             return None
         return GetStatus.HIT, entry.value, entry.version
 
@@ -1496,7 +1500,7 @@ class CliqueMapClient:
                                attempt: int = 1) -> Generator:
         """On a miss under an overflowed bucket, optionally try RPC (§4.2)."""
         if self.config.overflow_rpc_lookup and overflow_seen:
-            self.stats["overflow_lookups"] += 1
+            self._counts["overflow_lookups"] += 1
             overflow_span = span.child("overflow", attempt=attempt)
             try:
                 for view in views:

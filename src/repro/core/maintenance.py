@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..sim import Simulator
+from ..telemetry import tally
 from .errors import CliqueMapError
 from .repair import HANDOFF_BATCH, HandoffStub
 
@@ -51,14 +52,25 @@ class MaintenanceController:
         self.sim = sim
         self.cell = cell
         self.config = config or MaintenanceConfig()
-        self.stats = MaintenanceStats()
-        self._m_events = cell.metrics.counter(
+        self._entries_migrated = 0
+        # Counter tallies: events by kind, failed batches by direction.
+        self._events = cell.metrics.adopt(
             "cliquemap_maintenance_events_total",
-            "Maintenance events driven on the cell, by kind")
-        self._m_rpc_errors = cell.metrics.counter(
+            "Maintenance events driven on the cell, by kind", tally(),
+            ("kind",))
+        self._rpc_errors = cell.metrics.adopt(
             "cliquemap_migration_rpc_errors_total",
             "Migration MigrateIn batches that failed (reconciled by "
-            "repair), by direction")
+            "repair), by direction", tally(), ("direction",))
+
+    @property
+    def stats(self) -> MaintenanceStats:
+        """Built per read; all but ``entries_migrated`` are tallies."""
+        return MaintenanceStats(
+            planned_migrations=self._events["planned-restart"],
+            entries_migrated=self._entries_migrated,
+            unplanned_restarts=self._events["unplanned-crash"],
+            migration_rpc_errors=sum(self._rpc_errors.values()))
 
     # ------------------------------------------------------------------
     # Planned maintenance
@@ -86,8 +98,7 @@ class MaintenanceController:
                 f"shard {shard} (cell has an empty spare pool)")
         primary = self.cell.backend_by_task(primary_task)
         spare = self.cell.backend_by_task(spare_task)
-        self.stats.planned_migrations += 1
-        self._m_events.labels(kind="planned-restart").inc()
+        self._events["planned-restart"] += 1
 
         # 1. Transfer identity and data to the spare (RPC traffic).
         spare.shard = shard
@@ -118,8 +129,7 @@ class MaintenanceController:
         def failed(_method: str) -> None:
             # Repairs reconcile the gap, but the failure must be visible:
             # a silent drop here looks identical to a healthy migration.
-            self.stats.migration_rpc_errors += 1
-            self._m_rpc_errors.labels(direction=direction).inc()
+            self._rpc_errors[direction] += 1
 
         stub = HandoffStub(
             self.sim, self.cell, source.host, f"migrate@{source.task_name}",
@@ -131,7 +141,7 @@ class MaintenanceController:
         for at in range(0, len(entries), HANDOFF_BATCH):
             batch = entries[at:at + HANDOFF_BATCH]
             yield from stub.install(target.task_name, batch)
-            self.stats.entries_migrated += len(batch)
+            self._entries_migrated += len(batch)
 
     # ------------------------------------------------------------------
     # Unplanned maintenance
@@ -151,8 +161,7 @@ class MaintenanceController:
         backend = self.cell.backend_by_task(task)
         shard = backend.shard
         backend.crash()
-        self.stats.unplanned_restarts += 1
-        self._m_events.labels(kind="unplanned-crash").inc()
+        self._events["unplanned-crash"] += 1
         yield self.sim.delay(restart_delay
                              if restart_delay is not None
                              else self.config.crash_restart_delay)

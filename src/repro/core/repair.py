@@ -25,6 +25,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..rpc import Principal, RpcError, connect as rpc_connect
 from ..sim import Simulator
+from ..telemetry import tally
 from .errors import CliqueMapError
 from .truetime import TrueTime
 from .version import VersionFactory, VersionNumber
@@ -121,15 +122,18 @@ class RepairScanner:
         self.cell = cell          # the Cell: resolves shard -> Backend
         self.backend = backend
         self.config = config or RepairConfig()
-        self.stats = RepairStats()
+        # Counts no registry family carries (see ``stats``).
+        self._counts = {"scans": 0, "dirty_quorums_found": 0,
+                        "keys_repaired": 0, "restart_recoveries": 0,
+                        "keys_recovered": 0}
         self.versions = VersionFactory(
             REPAIR_CLIENT_ID_BASE + backend.shard, TrueTime(sim))
         self._proc = None
         # Repair RPC failures are retried by later scans, but they are
-        # no longer silent: every one is counted by method.
-        self._m_rpc_errors = cell.metrics.counter(
+        # no longer silent: every one is tallied by method.
+        self._rpc_errors = cell.metrics.adopt(
             "cliquemap_repair_rpc_errors_total",
-            "Repair-plane RPCs that failed, by method")
+            "Repair-plane RPCs that failed, by method", tally(), ("method",))
         self.peers = HandoffStub(
             sim, cell, backend.host, f"repair@{backend.task_name}",
             REPAIR_RPC_DEADLINE, self._count_rpc_error,
@@ -152,9 +156,14 @@ class RepairScanner:
             self._proc.interrupt()
         self._proc = None
 
+    @property
+    def stats(self) -> RepairStats:
+        """Built per read; ``rpc_errors`` is derived from its tally."""
+        return RepairStats(rpc_errors=sum(self._rpc_errors.values()),
+                           **self._counts)
+
     def _count_rpc_error(self, method: str) -> None:
-        self.stats.rpc_errors += 1
-        self._m_rpc_errors.labels(method=method).inc()
+        self._rpc_errors[method] += 1
 
     # -- summarize and export, from a peer or from the co-located backend ---
 
@@ -200,7 +209,7 @@ class RepairScanner:
 
     def scan_once(self) -> Generator:
         """One full cohort scan + repairs for every dirty quorum found."""
-        self.stats.scans += 1
+        self._counts["scans"] += 1
         # Every primary shard whose keys this backend stores.
         for primary in self.backend.placement.primaries_held_by(
                 self.backend.shard):
@@ -216,7 +225,7 @@ class RepairScanner:
             summaries[task] = summary
 
         for key_hash, source_task in self._find_dirty(summaries):
-            self.stats.dirty_quorums_found += 1
+            self._counts["dirty_quorums_found"] += 1
             yield from self._repair_key(key_hash, source_task, tasks)
 
     def _cohort_tasks(self, placement, primary: int) -> List[str]:
@@ -257,7 +266,7 @@ class RepairScanner:
                 yield from self.backend.install_entries(fresh)
             else:
                 yield from self.peers.install(task, fresh)
-        self.stats.keys_repaired += 1
+        self._counts["keys_repaired"] += 1
 
     # -- the one pull (restarts, resize backfill) -----------------------------
 
@@ -312,12 +321,12 @@ class RepairScanner:
         """Install a pulled batch locally and empty it; returns its size."""
         count = len(batch)
         yield from self.backend.install_entries(batch)
-        self.stats.keys_recovered += count
+        self._counts["keys_recovered"] += count
         batch.clear()
         return count
 
     def restart_recovery(self) -> Generator:
         """En-masse repair after an unplanned restart: pull everything this
         shard should hold from the two healthy cohort members."""
-        self.stats.restart_recoveries += 1
+        self._counts["restart_recoveries"] += 1
         return (yield from self.recover_from())

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ..sim import Simulator
+from ..telemetry import tally
 from .config import CellConfig
 from .errors import CliqueMapError
 from .hashing import Placement
@@ -87,15 +88,32 @@ class ResizeController:
         self.sim = sim
         self.cell = cell
         self.config = config or ResizeConfig()
-        self.stats = ResizeStats()
         self.active = False
-        self._m_events = cell.metrics.counter(
+        # Counts no registry family carries (see ``stats``).
+        self._counts = {"sweeps": 0, "entries_purged": 0,
+                        "last_handoff_seconds": 0.0}
+        # Counter tallies: handoffs by (kind, outcome), and entries
+        # backfilled (no labels: key ``()``).
+        self._events = cell.metrics.adopt(
             "cliquemap_resize_events_total",
-            "Resize lifecycle events by kind and outcome")
-        self._m_backfill = cell.metrics.counter(
+            "Resize lifecycle events by kind and outcome", tally(),
+            ("kind", "outcome"))
+        self._backfilled = cell.metrics.adopt(
             "cliquemap_resize_backfill_entries_total",
-            "Entries installed on target-cohort tasks during handoff")
+            "Entries installed on target-cohort tasks during handoff",
+            tally())
         self._scanners: Dict[str, RepairScanner] = {}
+
+    @property
+    def stats(self) -> ResizeStats:
+        """Built per read; all but the sweep, purge and duration fields
+        are derived from the events and backfill tallies."""
+        events = self._events
+        return ResizeStats(
+            grows=events["grow", "completed"],
+            shrinks=events["shrink", "completed"],
+            aborted=events["grow", "aborted"] + events["shrink", "aborted"],
+            entries_backfilled=self._backfilled[()], **self._counts)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -130,7 +148,10 @@ class ResizeController:
         started = self.sim.now
         joining: List[str] = []
         leaving: List[str] = []
-        outcome = "aborted"
+        # None while the request can still be refused: a refusal books
+        # nothing, and every started handoff books exactly one of
+        # "completed" or "aborted".
+        outcome = None
         try:
             current = cell.config_store.peek(cell.spec.name)
             old_tasks = list(current.shard_tasks)
@@ -161,7 +182,8 @@ class ResizeController:
                 if task in joining:
                     cell._create_backend(task, shard=idx,
                                          placement=target_placement)
-            self._m_events.labels(kind=action, outcome="started").inc()
+            self._events[action, "started"] += 1
+            outcome = "aborted"
             if cell.flight:
                 cell.flight.record("resize", origin="resize-controller",
                                    phase="started", action=action,
@@ -184,7 +206,6 @@ class ResizeController:
             if not converged and not self._targets_alive(target):
                 # A migration target never came back: abort cleanly.
                 yield from self._abort(action, joining, updated.config_id)
-                self.stats.aborted += 1
                 return self._summary(action, "aborted", started,
                                      len(old_tasks), len(old_tasks))
 
@@ -234,26 +255,23 @@ class ResizeController:
                     continue
                 purged = yield from backend.purge_nonresident(
                     target_placement, idx)
-                self.stats.entries_purged += purged
+                self._counts["entries_purged"] += purged
             for task in leaving:
                 backend = cell.backends[task]
                 if backend.alive:
                     backend.stop()
 
-            if action == "grow":
-                self.stats.grows += 1
-            else:
-                self.stats.shrinks += 1
             outcome = "completed"
             return self._summary(action, "completed", started,
                                  len(old_tasks), len(target))
         finally:
-            self.stats.last_handoff_seconds = self.sim.now - started
-            self._m_events.labels(kind=action, outcome=outcome).inc()
-            if cell.flight:
-                cell.flight.record("resize", origin="resize-controller",
-                                   phase=outcome, action=action,
-                                   duration=self.sim.now - started)
+            if outcome is not None:
+                self._counts["last_handoff_seconds"] = self.sim.now - started
+                self._events[action, outcome] += 1
+                if cell.flight:
+                    cell.flight.record("resize", origin="resize-controller",
+                                       phase=outcome, action=action,
+                                       duration=self.sim.now - started)
             self._scanners.clear()
             self.active = False
             cell.topology_lock.release(request)
@@ -281,10 +299,9 @@ class ResizeController:
                          if t != task and self.cell.backends[t].alive]
                 installed += yield from self._scanner_for(task).recover_from(
                     peers, placement=placement, shard=idx)
-            self.stats.sweeps += 1
+            self._counts["sweeps"] += 1
             if installed:
-                self._m_backfill.labels().inc(installed)
-                self.stats.entries_backfilled += installed
+                self._backfilled[()] += installed
             if installed == 0 and all_alive:
                 return True
             if self.config.sweep_interval:
@@ -330,8 +347,8 @@ class ResizeController:
             "outcome": outcome,
             "shards_before": shards_before,
             "shards_after": shards_after,
-            "sweeps": self.stats.sweeps,
-            "entries_backfilled": self.stats.entries_backfilled,
-            "entries_purged": self.stats.entries_purged,
+            "sweeps": self._counts["sweeps"],
+            "entries_backfilled": self._backfilled[()],
+            "entries_purged": self._counts["entries_purged"],
             "duration": self.sim.now - started,
         }

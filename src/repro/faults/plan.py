@@ -21,6 +21,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..net import Host, LinkFault
 from ..sim import RandomStream
+from ..telemetry import tally
 
 # Kinds drawn by default plan generation. "sor_brownout" is opt-in (it
 # needs an attached SoR and would perturb existing seeded plans), as are
@@ -148,9 +149,10 @@ class FaultInjector:
         self.injected: List[Tuple[float, FaultEvent, str]] = []
         self._partitions: List[Tuple[Host, Host]] = []
         self._antagonists: List = []
-        self._m_injected = cell.metrics.counter(
+        self._injected = cell.metrics.adopt(
             "cliquemap_faults_injected_total",
-            "Fault-plan events by kind and outcome (fired/skipped)")
+            "Fault-plan events by kind and outcome (fired/skipped)", tally(),
+            ("kind", "outcome"))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -185,7 +187,7 @@ class FaultInjector:
 
     def _record(self, event: FaultEvent, outcome: str) -> None:
         self.injected.append((self.sim.now, event, outcome))
-        self._m_injected.labels(kind=event.kind, outcome=outcome).inc()
+        self._injected[event.kind, outcome] += 1
         span = self.cell.tracer.start(f"fault.{event.kind}",
                                       outcome=outcome, **event.args)
         span.finish()

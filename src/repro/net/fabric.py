@@ -22,12 +22,14 @@ is departure order, and no other traffic can shift a flow's latencies.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Any, Dict, Generator, Optional
 
 from ..sim import Process, RandomStream, SimulationError, Simulator
 from ..sim.core import PARKED
+from ..telemetry import tally
 from .host import Host, HostConfig
 from .nic import MtuConfig, Nic, gbps
 
@@ -167,6 +169,20 @@ class CrossShardLink:
         return send_time + delay
 
 
+DROPPED = "cliquemap_fabric_dropped_total"
+CORRUPTED = "cliquemap_fabric_corrupted_total"
+SLOWED = "cliquemap_fabric_slowed_total"
+COALESCED = "cliquemap_fabric_coalesced_total"
+#: The counter families a fabric tallies: name -> (help, label names).
+FABRIC_COUNTERS = {
+    DROPPED: ("Deliveries dropped by the fabric, by cause", ("reason",)),
+    CORRUPTED: ("Deliveries corrupted in flight by an injected gray fault",
+                ()),
+    SLOWED: ("Deliveries delayed by an injected slow-link fault", ()),
+    COALESCED: ("Fabric transfers carrying a coalesced multi-op payload", ()),
+}
+
+
 class Fabric:
     """A set of hosts and the links between them."""
 
@@ -180,32 +196,17 @@ class Fabric:
         self._partitions: set = set()
         self._link_faults: Dict[frozenset, LinkFault] = {}
         self._host_faults: Dict[str, LinkFault] = {}
-        # Optional MetricsRegistry (set by Cell): drop/corrupt/slow events
-        # are counted here so a chaos run is readable from render_metrics().
-        self.registry = None
-        self._series_cache: Dict[tuple, object] = {}
-        self._series_registry = None
+        # Drop/corrupt/slow/coalesce tallies per sender zone, by family
+        # name, so a chaos run is readable from render_metrics().
+        self.counts: Dict[str, Dict[str, Any]] = defaultdict(
+            lambda: {name: tally() for name in FABRIC_COUNTERS})
 
-    def _count(self, name: str, help_text: str, **labels) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        if registry is not self._series_registry:
-            # Cell assigns the registry after construction; drop handles
-            # bound against a previous one.
-            self._series_cache = {}
-            self._series_registry = registry
-        key = (name,) + tuple(sorted(labels.items()))
-        series = self._series_cache.get(key)
-        if series is None:
-            series = self._series_cache[key] = \
-                registry.counter(name, help_text).labels(**labels)
-        series.inc()
-
-    def _count_drop(self, reason: str) -> None:
-        self._count("cliquemap_fabric_dropped_total",
-                    "Deliveries dropped by the fabric, by cause",
-                    reason=reason)
+    def adopt_counts(self, registry, zone: str) -> None:
+        # A cell sees what its own zone's hosts sent, even on a shared
+        # fabric.
+        for name, (help_text, labels) in FABRIC_COUNTERS.items():
+            registry.adopt(name, help_text, self.counts[zone][name], labels,
+                           listed=False)
 
     # -- topology -----------------------------------------------------------
 
@@ -270,9 +271,7 @@ class Fabric:
         if parts > 1:
             if span is not None:
                 span.annotate(parts=parts)
-            self._count("cliquemap_fabric_coalesced_total",
-                        "Fabric transfers carrying a coalesced multi-op "
-                        "payload")
+            self.counts[src.zone][COALESCED][()] += 1
         if src is dst:
             sim.inject(sim.now + 1e-7, _resume, proc, token, False,
                        () if span is None else (span,))
@@ -290,9 +289,7 @@ class Fabric:
                 corrupted = True
                 if span is not None:
                     span.annotate(corrupted=True)
-                self._count("cliquemap_fabric_corrupted_total",
-                            "Deliveries corrupted in flight by an "
-                            "injected gray fault")
+                self.counts[src.zone][CORRUPTED][()] += 1
         config = self.config
         wire = config.mtu.wire_bytes(payload_bytes)
         depart = src.nic.egress.reserve(wire)
@@ -304,8 +301,7 @@ class Fabric:
             delay *= fault.latency_multiplier
             if span is not None:
                 span.annotate(slowed=fault.latency_multiplier)
-            self._count("cliquemap_fabric_slowed_total",
-                        "Deliveries delayed by an injected slow-link fault")
+            self.counts[src.zone][SLOWED][()] += 1
         propagate = None
         if span is not None:
             span.child("egress").finish(depart)
@@ -345,7 +341,7 @@ class Fabric:
         """Packets vanish; the sender learns via (re)transmit timeout."""
         if span is not None:
             span.annotate(dropped=True, reason=reason)
-        self._count_drop(reason)
+        self.counts[src.zone][DROPPED][reason] += 1
         sim = self.sim
         sim.inject(sim.now + self.config.partition_detect_delay, _resume,
                    proc, token, False, () if span is None else (span,),

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from ..core.errors import CliqueMapError
+from ..telemetry import tally
 
 #: Shards one grow or shrink action adds or retires.
 RESIZE_STEP = 1
@@ -78,16 +79,26 @@ class Autoscaler:
         self.cell = plane.cell
         self.sim = plane.cell.sim
         self.config = config or AutoscalerConfig()
-        self.stats = AutoscalerStats()
         # (at, action, reason, shards) tuples; tests and reports read it.
         self.decisions: List[dict] = []
-        self._m_decisions = self.cell.metrics.counter(
+        # Evaluations by action: every evaluation records one decision,
+        # so this tally is also what ``stats`` counts.
+        self._actions = self.cell.metrics.adopt(
             "cliquemap_autoscaler_decisions_total",
-            "Autoscaler evaluation outcomes by action")
+            "Autoscaler evaluation outcomes by action", tally(), ("action",))
         self._low_rounds = 0
         self._last_action_at: Optional[float] = None
         self._proc = None
         self._stopped = False
+
+    @property
+    def stats(self) -> AutoscalerStats:
+        """Built per read; every field is derived from the tally."""
+        actions = self._actions
+        return AutoscalerStats(evaluations=sum(actions.values()),
+                               grows=actions["grow"],
+                               shrinks=actions["shrink"],
+                               blocked=actions["blocked"])
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -114,7 +125,6 @@ class Autoscaler:
     def evaluate_once(self) -> Generator:
         """One evaluation round (public so tests can step the loop)."""
         cfg = self.config
-        self.stats.evaluations += 1
         now = self.sim.now
         serving = self.cell.config_store.peek(
             self.cell.spec.name).shard_tasks
@@ -125,7 +135,6 @@ class Autoscaler:
                        for key in self.plane.engine.active)
 
         if self.cell.resize.active or self.cell.topology_lock.count:
-            self.stats.blocked += 1
             self._record(now, "blocked", "resize-or-maintenance-active",
                          len(serving), rps)
             return
@@ -143,7 +152,6 @@ class Autoscaler:
                 return
             reason = "slo-burn-alert" if alerting else "load-high"
             self._record(now, "grow", reason, len(serving), rps)
-            self.stats.grows += 1
             self._last_action_at = now
             yield from self.cell.grow(RESIZE_STEP)
             return
@@ -163,7 +171,6 @@ class Autoscaler:
                 return
             self._low_rounds = 0
             self._record(now, "shrink", "load-low", len(serving), rps)
-            self.stats.shrinks += 1
             self._last_action_at = now
             yield from self.cell.shrink(count=RESIZE_STEP)
             return
@@ -173,6 +180,6 @@ class Autoscaler:
 
     def _record(self, at: float, action: str, reason: str,
                 shards: int, rps: float) -> None:
-        self._m_decisions.labels(action=action).inc()
+        self._actions[action] += 1
         self.decisions.append({"at": at, "action": action, "reason": reason,
                                "shards": shards, "per_backend_rps": rps})

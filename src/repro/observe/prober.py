@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
 from ..core.errors import GetStatus
+from ..telemetry import tally
 
 
 @dataclass
@@ -75,24 +76,21 @@ class Prober:
         self._proc = None
         registry = cell.metrics
         base = dict(cell=cell.spec.name, prober=self.config.label)
-        ops = registry.counter(
+        ops = ("get", "set", "erase")
+        self._results = registry.adopt(
             "cliquemap_probe_ops_total",
-            "Synthetic probe operations by outcome")
-        latency_class = registry.counter(
+            "Synthetic probe operations by outcome",
+            tally(*((op, result) for op in ops
+                    for result in ("ok", "error", "corrupt"))),
+            ("op", "result"), **base)
+        self._classes = registry.adopt(
             "cliquemap_probe_latency_class_total",
-            "Probe ops classified against the per-op latency SLO")
+            "Probe ops classified against the per-op latency SLO",
+            tally(*((op, speed) for op in ops for speed in ("fast", "slow"))),
+            ("op", "class"), **base)
         latency = registry.histogram(
             "cliquemap_probe_latency_seconds",
             "End-to-end probe op latency (simulated seconds)")
-        self._m_ops = {
-            (op, result): ops.labels(op=op, result=result, **base)
-            for op in ("get", "set", "erase")
-            for result in ("ok", "error", "corrupt")}
-        self._m_class = {
-            (op, speed): latency_class.labels(op=op, **{"class": speed},
-                                              **base)
-            for op in ("get", "set", "erase")
-            for speed in ("fast", "slow")}
         self._m_latency = {op: latency.labels(op=op, **base)
                            for op in ("get", "set", "erase")}
 
@@ -121,11 +119,11 @@ class Prober:
         return stamp.ljust(self.config.value_bytes, b"x")
 
     def _record(self, op: str, result: str, latency: float) -> None:
-        self._m_ops[(op, result)].inc()
+        self._results[op, result] += 1
         self._m_latency[op].observe(latency)
         speed = "fast" if latency <= self.config.latency_slo_seconds \
             else "slow"
-        self._m_class[(op, speed)].inc()
+        self._classes[op, speed] += 1
 
     def _loop(self) -> Generator:
         yield from self.client.connect()
@@ -166,14 +164,12 @@ class Prober:
 
     def sli(self) -> Dict[str, float]:
         """Point-in-time SLIs from this prober's counters."""
-        ok = sum(c.value for (op, r), c in self._m_ops.items() if r == "ok")
-        bad = sum(c.value for (op, r), c in self._m_ops.items() if r != "ok")
-        fast = sum(c.value for (op, s), c in self._m_class.items()
-                   if s == "fast")
-        slow = sum(c.value for (op, s), c in self._m_class.items()
-                   if s == "slow")
-        total = ok + bad
-        classed = fast + slow
+        ok = float(sum(n for (op, r), n in self._results.items()
+                       if r == "ok"))
+        total = float(sum(self._results.values()))
+        fast = float(sum(n for (op, s), n in self._classes.items()
+                         if s == "fast"))
+        classed = float(sum(self._classes.values()))
         return {
             "ops": total,
             "availability": ok / total if total else float("nan"),

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..telemetry import NULL_FLIGHT
+from ..telemetry import NULL_FLIGHT, tally
 from ..telemetry.timeseries import Scraper
 
 
@@ -167,12 +167,11 @@ class SloEngine:
         # The cell's flight recorder (plane attaches it); alert fire /
         # resolve transitions land in the postmortem event stream.
         self.flight = NULL_FLIGHT
+        self._fired = tally()
         if registry is not None:
-            self._alerts_family = registry.counter(
-                "cliquemap_slo_alerts_total",
-                "SLO burn-rate alerts fired")
-        else:
-            self._alerts_family = None
+            registry.adopt("cliquemap_slo_alerts_total",
+                           "SLO burn-rate alerts fired", self._fired,
+                           ("objective", "cell", "severity"))
 
     def attach(self) -> "SloEngine":
         """Register as a scraper observer (evaluate on every tick)."""
@@ -205,10 +204,7 @@ class SloEngine:
                                window)
             self.active[key] = event
             self.events.append(event)
-            if self._alerts_family is not None:
-                self._alerts_family.labels(
-                    cell=objective.cell, objective=objective.name,
-                    severity=window.severity).inc()
+            self._fired[key] += 1
             if self.flight:
                 self.flight.record(
                     "alert", origin=f"slo/{objective.cell}",

@@ -36,6 +36,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from ..core.resilience import BackoffPolicy, RetryBudget
 from ..rpc import Principal, RpcError, connect as rpc_connect
 from ..sim import RandomStream
+from ..telemetry import tally
 from .policy import (FETCH_BACKOFF, FLUSH_BATCH_MAX, FLUSH_INTERVAL,
                      NEGATIVE_CAPACITY)
 
@@ -86,32 +87,52 @@ class ReadThroughCoordinator:
             capacity=policy.backfill_budget,
             fill_rate=policy.backfill_fill_rate)
 
-        self.stats = {
-            "fetches": 0, "sor_hits": 0, "sor_misses": 0, "coalesced": 0,
-            "negative_hits": 0, "buffered_serves": 0, "shed": 0,
-            "throttled": 0, "errors": 0, "fills": 0, "writebacks": 0,
-            "writebacks_throttled": 0, "writebacks_rejected": 0,
-            "writebacks_dropped": 0, "sync_writes": 0, "buffer_overflows": 0,
-        }
-        self._m_fetches = self.metrics.counter(
+        # Counts no registry family carries (see ``stats``).
+        self._counts = {"fetches": 0, "fills": 0, "sync_writes": 0,
+                        "buffer_overflows": 0}
+        # Counter tallies, keyed by ``result``: one integer per fact,
+        # summed by the registry family and read by ``stats``.
+        self._fetches = self.metrics.adopt(
             "cliquemap_sor_fetches_total",
             "Miss-path SoR fetch outcomes (hit/miss/negative/coalesced/"
-            "buffered/throttled/shed/error)")
-        self._h_fetches = {
-            result: self._m_fetches.labels(result=result)
-            for result in ("hit", "miss", "negative", "coalesced",
-                           "buffered", "throttled", "shed", "error")}
-        self._m_fills = self.metrics.counter(
+            "buffered/throttled/shed/error)",
+            tally("hit", "miss", "negative", "coalesced", "buffered",
+                  "throttled", "shed", "error"), ("result",))
+        self._fills = self.metrics.adopt(
             "cliquemap_sor_fills_total",
-            "Cache fills after an SoR fetch, by mutation outcome")
-        self._m_writebacks = self.metrics.counter(
+            "Cache fills after an SoR fetch, by mutation outcome", tally(),
+            ("result",))
+        self._writebacks = self.metrics.adopt(
             "cliquemap_sor_writebacks_total",
             "Write-behind flushes by result (ok/sync/throttled/rejected/"
-            "dropped)")
+            "dropped)", tally(), ("result",))
         self._g_dirty = self.metrics.gauge(
             "cliquemap_sor_dirty_buffer_depth",
             "Dirty keys buffered awaiting a write-behind flush"
         ).labels(sor=sor.name)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Built per read; all keys but four are derived from the fetch
+        and writeback tallies. The four are separate facts: ``fetches``
+        counts every call (``read_through`` off too); ``fills`` and
+        ``sync_writes`` count at the start what the fills and writebacks
+        families count, by status, at the end; ``buffer_overflows``."""
+        fetches, writebacks, counts = (self._fetches, self._writebacks,
+                                       self._counts)
+        return {
+            "fetches": counts["fetches"], "sor_hits": fetches["hit"],
+            "sor_misses": fetches["miss"], "coalesced": fetches["coalesced"],
+            "negative_hits": fetches["negative"],
+            "buffered_serves": fetches["buffered"], "shed": fetches["shed"],
+            "throttled": fetches["throttled"], "errors": fetches["error"],
+            "fills": counts["fills"], "writebacks": writebacks["ok"],
+            "writebacks_throttled": writebacks["throttled"],
+            "writebacks_rejected": writebacks["rejected"],
+            "writebacks_dropped": writebacks["dropped"],
+            "sync_writes": counts["sync_writes"],
+            "buffer_overflows": counts["buffer_overflows"],
+        }
 
     # ------------------------------------------------------------------
     # Read path
@@ -131,35 +152,31 @@ class ReadThroughCoordinator:
         foreground fetches never do.
         """
         policy = self.policy
-        self.stats["fetches"] += 1
+        self._counts["fetches"] += 1
         if not policy.read_through:
             return ("miss", None)
         expiry = self._negative.get(key)
         if expiry is not None:
             if self.sim.now < expiry:
-                self.stats["negative_hits"] += 1
-                self._h_fetches["negative"].inc()
+                self._fetches["negative"] += 1
                 return ("negative", None)
             self._negative.pop(key, None)
         dirty = self._dirty.get(key, _MISSING)
         if dirty is not _MISSING:
             # The dirty buffer holds the acknowledged latest value; the
             # SoR copy is stale until the flush lands.
-            self.stats["buffered_serves"] += 1
-            self._h_fetches["buffered"].inc()
+            self._fetches["buffered"] += 1
             return ("hit", dirty) if dirty is not None else ("miss", None)
         if policy.coalesce:
             flight = self._flights.get(key)
             if flight is not None:
-                self.stats["coalesced"] += 1
-                self._h_fetches["coalesced"].inc()
+                self._fetches["coalesced"] += 1
                 waiter = self.sim.event()
                 flight.waiters.append(waiter)
                 outcome = yield waiter
                 return outcome
         if klass == "backfill" and not self.backfill_budget.try_spend():
-            self.stats["shed"] += 1
-            self._h_fetches["shed"].inc()
+            self._fetches["shed"] += 1
             return ("shed", None)
         flight = _Flight()
         if policy.coalesce:
@@ -192,19 +209,16 @@ class ReadThroughCoordinator:
             if reply is not None and not reply.get("throttled"):
                 if reply.get("found"):
                     value = reply["value"]
-                    self.stats["sor_hits"] += 1
-                    self._h_fetches["hit"].inc()
+                    self._fetches["hit"] += 1
                     if not flight.dirtied:
                         yield from self._fill(key, value)
                     return ("hit", value)
-                self.stats["sor_misses"] += 1
-                self._h_fetches["miss"].inc()
+                self._fetches["miss"] += 1
                 if policy.negative_ttl > 0:
                     self._note_negative(key)
                 return ("miss", None)
             if reply is not None:
-                self.stats["throttled"] += 1
-                self._h_fetches["throttled"].inc()
+                self._fetches["throttled"] += 1
             if attempt + 1 >= policy.fetch_retries:
                 break
             delay = backoff.next_delay()
@@ -212,14 +226,13 @@ class ReadThroughCoordinator:
                 break
             if delay:
                 yield self.sim.delay(delay)
-        self.stats["errors"] += 1
-        self._h_fetches["error"].inc()
+        self._fetches["error"] += 1
         return ("error", None)
 
     def _fill(self, key: bytes, value: bytes) -> Generator:
-        self.stats["fills"] += 1
+        self._counts["fills"] += 1
         result = yield from self.fill_client.set(key, value)
-        self._m_fills.labels(result=result.status.name.lower()).inc()
+        self._fills[result.status.name.lower()] += 1
 
     def _note_negative(self, key: bytes) -> None:
         if len(self._negative) >= NEGATIVE_CAPACITY:
@@ -245,7 +258,7 @@ class ReadThroughCoordinator:
             self._dirty[key] = value          # keeps first-dirty order
             return True
         if len(self._dirty) >= self.policy.dirty_buffer_max:
-            self.stats["buffer_overflows"] += 1
+            self._counts["buffer_overflows"] += 1
             return False
         self._dirty[key] = value
         self._g_dirty.set(len(self._dirty))
@@ -254,12 +267,9 @@ class ReadThroughCoordinator:
 
     def write_through(self, key: bytes, value: Optional[bytes]) -> Generator:
         """Synchronous SoR write: the full-buffer degradation path."""
-        self.stats["sync_writes"] += 1
+        self._counts["sync_writes"] += 1
         ok = yield from self._sor_write(key, value)
-        if not ok:
-            self.stats["writebacks_dropped"] += 1
-        self._m_writebacks.labels(
-            result="sync" if ok else "dropped").inc()
+        self._writebacks["sync" if ok else "dropped"] += 1
 
     def _ensure_flusher(self) -> None:
         if self._flusher_started:
@@ -286,8 +296,7 @@ class ReadThroughCoordinator:
             value = self._dirty[key]
             ok = yield from self._sor_write(key, value)
             if not ok:
-                self.stats["writebacks_throttled"] += 1
-                self._m_writebacks.labels(result="throttled").inc()
+                self._writebacks["throttled"] += 1
                 break
             # Only retire the entry if it was not re-dirtied mid-flush.
             if key in self._dirty and self._dirty[key] is value:
@@ -314,14 +323,12 @@ class ReadThroughCoordinator:
             except RpcError:
                 reply = None
             if reply is not None and reply.get("applied"):
-                self.stats["writebacks"] += 1
-                self._m_writebacks.labels(result="ok").inc()
+                self._writebacks["ok"] += 1
                 return True
             if reply is not None and not reply.get("throttled"):
                 # Terminal rejection (e.g. a frozen corpus): drop the
                 # entry — retrying cannot succeed.
-                self.stats["writebacks_rejected"] += 1
-                self._m_writebacks.labels(result="rejected").inc()
+                self._writebacks["rejected"] += 1
                 return True
             if attempt + 1 >= self.policy.fetch_retries:
                 break
@@ -371,8 +378,8 @@ class ReadThroughCoordinator:
     def coalescing_ratio(self) -> float:
         """Fraction of miss-path fetch requests that piggybacked on an
         already-in-flight leader (0.0 when nothing coalesced)."""
-        coalesced = self.stats["coalesced"]
-        total = self.stats["fetches"]
+        coalesced = self._fetches["coalesced"]
+        total = self._counts["fetches"]
         return coalesced / total if total else 0.0
 
     def flush(self) -> Generator:

@@ -33,6 +33,7 @@ from ..core.resilience import RetryBudget
 from ..net import Host
 from ..rpc import HandlerContext, RpcServer
 from ..sim import Resource, Simulator
+from ..telemetry import tally
 
 
 @dataclass
@@ -84,15 +85,15 @@ class SystemOfRecord:
 
     ``throughput=None`` provisions unlimited capacity (the pre-PR-6
     behavior); pass a :class:`ProvisionedThroughput` to model a real
-    quota. ``registry`` (or a later :meth:`bind_registry`) adds
-    ``cliquemap_sor_requests_total{op,result}`` accounting.
+    quota. Requests are tallied by ``(op, result)`` in
+    ``request_counts``; :meth:`adopt_counts` sums that tally into a
+    registry's ``cliquemap_sor_requests_total{op,result}``.
     """
 
     def __init__(self, sim: Simulator, host: Host,
                  cost: Optional[StorageCostModel] = None,
                  name: str = "sor",
-                 throughput: Optional[ProvisionedThroughput] = None,
-                 registry=None):
+                 throughput: Optional[ProvisionedThroughput] = None):
         self.sim = sim
         self.host = host
         self.cost = cost or StorageCostModel()
@@ -129,11 +130,7 @@ class SystemOfRecord:
                 fill_rate=throughput.write_units)
         else:
             self._read_bucket = self._write_bucket = None
-        self.registry = None
-        self._m_requests = None
-        self._h_requests: Dict[Tuple[str, str], object] = {}
-        if registry is not None:
-            self.bind_registry(registry)
+        self.request_counts = tally()
         self.rpc_server = RpcServer(sim, host, f"storage/{name}")
         self.rpc_server.register("Read", self._handle_read)
         self.rpc_server.register("Scan", self._handle_scan)
@@ -141,24 +138,12 @@ class SystemOfRecord:
 
     # -- telemetry --------------------------------------------------------
 
-    def bind_registry(self, registry) -> None:
-        """Count requests into ``registry`` (idempotent per registry)."""
-        if registry is self.registry:
-            return
-        self.registry = registry
-        self._m_requests = registry.counter(
+    def adopt_counts(self, registry) -> None:
+        """Sum ``request_counts`` into ``registry`` (idempotent)."""
+        registry.adopt(
             "cliquemap_sor_requests_total",
-            "SoR-side requests by op and result (ok/miss/throttled/sealed)")
-        self._h_requests = {}
-
-    def _count(self, op: str, result: str) -> None:
-        if self._m_requests is None:
-            return
-        handle = self._h_requests.get((op, result))
-        if handle is None:
-            handle = self._h_requests[(op, result)] = \
-                self._m_requests.labels(op=op, result=result)
-        handle.inc()
+            "SoR-side requests by op and result (ok/miss/throttled/sealed)",
+            self.request_counts, ("op", "result"))
 
     # -- corpus management ------------------------------------------------
 
@@ -255,15 +240,15 @@ class SystemOfRecord:
         value = self._data.get(key)
         if not self._admit(self._read_bucket, len(value) if value else 0):
             self.throttled += 1
-            self._count("read", "throttled")
+            self.request_counts["read", "throttled"] += 1
             return {"found": False, "throttled": True,
                     "reason": "ProvisionedThroughputExceeded"}
         yield from self._media_read(len(value) if value else 0)
         self.reads += 1
         if value is None:
-            self._count("read", "miss")
+            self.request_counts["read", "miss"] += 1
             return {"found": False}
-        self._count("read", "ok")
+        self.request_counts["read", "ok"] += 1
         context.response_size_override = len(value) + 32
         return {"found": True, "value": value}
 
@@ -275,12 +260,12 @@ class SystemOfRecord:
         yield self.host.execute(self.cost.cpu_per_read,
                                 f"storage:{self.name}")
         if self._sealed:
-            self._count("write", "sealed")
+            self.request_counts["write", "sealed"] += 1
             return {"applied": False, "reason": "sealed"}
         nbytes = len(key) + (len(value) if value else 0)
         if not self._admit(self._write_bucket, nbytes):
             self.throttled += 1
-            self._count("write", "throttled")
+            self.request_counts["write", "throttled"] += 1
             return {"applied": False, "throttled": True,
                     "reason": "ProvisionedThroughputExceeded"}
         yield from self._media_read(nbytes)
@@ -294,7 +279,7 @@ class SystemOfRecord:
             self._data[key] = value
         self.writes += 1
         self.write_log.append(key)
-        self._count("write", "ok")
+        self.request_counts["write", "ok"] += 1
         return {"applied": True}
 
     def _handle_scan(self, payload, context: HandlerContext) -> Generator:
@@ -309,12 +294,12 @@ class SystemOfRecord:
         total = sum(len(k) + len(v) for k, v in entries)
         if not self._admit(self._read_bucket, total):
             self.throttled += 1
-            self._count("scan", "throttled")
+            self.request_counts["scan", "throttled"] += 1
             return {"entries": [], "next_cursor": cursor, "done": False,
                     "throttled": True,
                     "reason": "ProvisionedThroughputExceeded"}
         yield from self._media_read(total)
-        self._count("scan", "ok")
+        self.request_counts["scan", "ok"] += 1
         context.response_size_override = total + 64
         return {"entries": entries,
                 "next_cursor": cursor + len(keys),

@@ -23,6 +23,11 @@ Label cardinality is capped per family: once ``max_series`` distinct
 label combinations exist, further combinations collapse into a single
 overflow series (labeled ``overflow="true"``) instead of growing without
 bound — the standard production defense against label explosions.
+
+Counters are *tallies*: a component counts each fact once, into a dict
+of its own (:func:`tally`), which :meth:`MetricFamily.adopt` makes the
+family sum whenever it is read — so a component's ``stats`` and the
+registry read one integer (docs/ARCHITECTURE.md §6).
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from collections import Counter as _Tally
+from itertools import islice
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim import percentile
 
@@ -53,20 +60,35 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def tally(*zero_keys: Any) -> "_Tally[Any]":
+    """A count keyed by label values (a tuple, a single label's bare
+    value, or ``()``); ``zero_keys``, and so their series, start at 0."""
+    return _Tally(dict.fromkeys(zero_keys, 0))
+
+
 class Counter:
-    """A monotonically increasing value."""
+    """A monotonically increasing value: its adopted tally entries,
+    summed when read, plus any ad-hoc :meth:`inc`."""
 
     kind = "counter"
-    __slots__ = ("labels", "value")
+    __slots__ = ("labels", "_inc", "_sources")
 
     def __init__(self, labels: Dict[str, str]):
         self.labels = labels
-        self.value = 0.0
+        self._inc = 0.0
+        self._sources: List[Tuple[Dict[Any, int], Any]] = []
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a gauge")
-        self.value += amount
+        self._inc += amount
+
+    @property
+    def value(self) -> float:
+        value = self._inc
+        for counts, key in self._sources:
+            value += counts[key]
+        return value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"labels": dict(self.labels), "value": self.value}
@@ -248,8 +270,13 @@ class MetricFamily:
         # Label combinations collapsed into the overflow series.
         self.dropped_series = 0
         # Bumped whenever the series set changes; lets scrapers cache
-        # per-series bindings with an O(1) staleness check.
+        # per-series bindings with an O(1) staleness check. Current as of
+        # the last read: families() folds every family first.
         self.version = 0
+        # [tally, label names, constant labels, keys folded so far]
+        self._adopted: List[list] = []
+        # Unlisted families (MetricsRegistry.adopt) hide until a series.
+        self.listed = True
 
     def _new_series(self, key: LabelKey, labels: Dict[str, str]):
         if self.kind == "histogram":
@@ -265,6 +292,10 @@ class MetricFamily:
         Beyond ``max_series`` distinct combinations, new combinations
         share a single overflow series instead of growing the family.
         """
+        self._fold()
+        return self._resolve(labels)
+
+    def _resolve(self, labels: Dict[str, Any]):
         key = _label_key(labels)
         series = self._series.get(key)
         if series is not None:
@@ -287,6 +318,29 @@ class MetricFamily:
             self.version += 1
         return series
 
+    def adopt(self, counts: Dict[Any, int], labels: Sequence[str] = (),
+              **const: Any) -> None:
+        """Sum tally ``counts`` (keys naming ``labels``; ``const`` labels
+        every series it reaches) into this counter family from now on."""
+        if any(entry[0] is counts for entry in self._adopted):
+            return
+        self._adopted.append([counts, tuple(labels), const, 0])
+        self._fold()
+
+    def _fold(self) -> None:
+        # Gives each tally key written since the last read its series.
+        # Tally keys are never deleted, so the ones not yet folded are
+        # the last, in first-write order.
+        for entry in self._adopted:
+            counts, names, const, folded = entry
+            if len(counts) == folded:
+                continue
+            for key in islice(counts, folded, None):
+                labels = dict(const)
+                labels.update(zip(names, key if len(names) != 1 else (key,)))
+                self._resolve(labels)._sources.append((counts, key))
+            entry[3] = len(counts)
+
     def remove(self, **labels: Any) -> bool:
         """Deregister one series; True if it existed."""
         if self._series.pop(_label_key(labels), None) is None:
@@ -296,14 +350,16 @@ class MetricFamily:
 
     @property
     def series_count(self) -> int:
+        self._fold()
         return len(self._series)
 
     def series(self) -> List[Any]:
+        self._fold()
         return list(self._series.values())
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "help": self.help,
-                "series": [s.snapshot() for s in self._series.values()]}
+                "series": [s.snapshot() for s in self.series()]}
 
 
 class MetricsRegistry:
@@ -324,18 +380,22 @@ class MetricsRegistry:
     # -- registration --------------------------------------------------------
 
     def _family(self, name: str, kind: str, help: str,
-                sample_cap: Optional[int] = None) -> MetricFamily:
+                sample_cap: Optional[int] = None,
+                listed: bool = True) -> MetricFamily:
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(
                 name, kind, help, max_series=self.max_series_per_metric,
                 sample_cap=sample_cap if sample_cap is not None
                 else self.histogram_sample_cap)
+            family.listed = listed
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as {family.kind}, "
                 f"not {kind}")
+        elif listed:
+            family.listed = True
         return family
 
     def counter(self, name: str, help: str = "") -> MetricFamily:
@@ -348,11 +408,22 @@ class MetricsRegistry:
                   sample_cap: Optional[int] = None) -> MetricFamily:
         return self._family(name, "histogram", help, sample_cap=sample_cap)
 
+    def adopt(self, name: str, help: str, counts: Dict[Any, int],
+              labels: Sequence[str] = (), *, listed: bool = True,
+              **const: Any) -> Dict[Any, int]:
+        """:meth:`MetricFamily.adopt` into counter family ``name``;
+        returns ``counts``. Unless ``listed``, a family this creates is
+        listed from its first series on, as if the first write made it."""
+        self._family(name, "counter", help, listed=listed).adopt(
+            counts, labels, **const)
+        return counts
+
     def family(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
 
     def families(self) -> List[str]:
-        return sorted(self._families)
+        return sorted(name for name, family in self._families.items()
+                      if family.series_count or family.listed)
 
     # -- readbacks -----------------------------------------------------------
 
@@ -369,6 +440,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             return math.nan
+        family._fold()
         series = family._series.get(_label_key(labels))
         return series.value if series is not None else math.nan
 
@@ -395,8 +467,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Point-in-time view of every family: the export surface."""
-        return {name: family.snapshot()
-                for name, family in sorted(self._families.items())}
+        return {name: self._families[name].snapshot()
+                for name in self.families()}
 
 
 _default_registry = MetricsRegistry()

@@ -18,7 +18,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 
 from ..net import Fabric, Host
 from ..sim import Request, Simulator
-from ..telemetry import NULL_SPAN
+from ..telemetry import NULL_SPAN, tally
 from .memory import RemoteHostDownError, RmaEndpoint, RmaError
 
 RMA_REQUEST_BYTES = 64          # a one-sided read command on the wire
@@ -37,7 +37,8 @@ ReadResult = Union[bytes, RmaError]
 
 @dataclass
 class TransportCounters:
-    """Operation counters per transport."""
+    """Operation counters per transport (a view: see
+    :attr:`Transport.counters`)."""
 
     reads: int = 0
     scars: int = 0
@@ -61,11 +62,28 @@ class Transport:
         self.fabric = fabric
         self.op_timeout = op_timeout
         self.endpoints: Dict[str, RmaEndpoint] = {}
-        self.counters = TransportCounters()
+        # Every TransportCounters field but batched_keys, which is the
+        # tally of ``cliquemap_batched_keys_total`` (see adopt_counts).
+        self._counts = dict.fromkeys(
+            ("reads", "scars", "messages", "failures", "corrupted",
+             "bytes_fetched", "batched_reads"), 0)
+        self._batched_keys = tally()
         # Optional MetricsRegistry; the Cell wires this up so batched-op
         # amortization is observable per transport.
         self.registry = None
-        self._batch_handles = None
+        self._batch_cpu = None
+
+    @property
+    def counters(self) -> TransportCounters:
+        """Built per read; ``batched_keys`` is derived from its tally."""
+        return TransportCounters(**self._counts,
+                                 batched_keys=self._batched_keys[()])
+
+    def adopt_counts(self, registry) -> None:
+        registry.adopt("cliquemap_batched_keys_total",
+                       "Keys carried inside coalesced multi-entry "
+                       "transport ops", self._batched_keys, listed=False,
+                       transport=self.name)
 
     def attach(self, host: Host) -> RmaEndpoint:
         """Expose a host for RMA access; returns its endpoint."""
@@ -145,7 +163,7 @@ class Transport:
             # The one rule: an op the transport fails counts once, here
             # (a batch's failed entries in _snapshot_each; a dropped
             # delivery is the fabric's to count).
-            self.counters.failures += 1
+            self._counts["failures"] += 1
             raise
         finally:
             # Admission bounds what is in flight, not completion work:
@@ -207,8 +225,8 @@ class Transport:
                                 len(requests), trace)
 
     def _book_read(self, data: bytes, _response_bytes: int) -> None:
-        self.counters.reads += 1
-        self.counters.bytes_fetched += len(data)
+        self._counts["reads"] += 1
+        self._counts["bytes_fetched"] += len(data)
 
     def _snapshot_each(self, endpoint: RmaEndpoint,
                        requests: Sequence[ReadRequest]) -> List[ReadResult]:
@@ -219,7 +237,7 @@ class Transport:
                 results.append(
                     endpoint.resolve(region_id).read(offset, size))
             except RmaError as exc:
-                self.counters.failures += 1
+                self._counts["failures"] += 1
                 results.append(exc)
         return results
 
@@ -227,29 +245,23 @@ class Transport:
                     _response_bytes: int, engine_seconds: float) -> None:
         """Account one coalesced op and the engine/NIC CPU it amortized."""
         n = len(results)
-        self.counters.bytes_fetched += sum(
+        counts = self._counts
+        counts["bytes_fetched"] += sum(
             len(r) for r in results if isinstance(r, bytes))
-        self.counters.batched_reads += 1
-        self.counters.batched_keys += n
+        counts["batched_reads"] += 1
+        self._batched_keys[()] += n
         registry = self.registry
         if registry is None:
             return
-        handles = self._batch_handles
-        if handles is None or handles[0] is not registry:
-            # Cell assigns the registry after construction; bind the two
+        cpu = self._batch_cpu
+        if cpu is None or cpu[0] is not registry:
+            # Cell assigns the registry after construction; bind the
             # series once per registry instead of resolving per batch.
-            handles = self._batch_handles = (
-                registry,
-                registry.counter(
-                    "cliquemap_batched_keys_total",
-                    "Keys carried inside coalesced multi-entry transport "
-                    "ops").labels(transport=self.name),
-                registry.histogram(
-                    "cliquemap_batch_amortized_engine_cpu_seconds",
-                    "Per-key engine/NIC CPU of a coalesced op "
-                    "(total / keys)").labels(transport=self.name))
-        handles[1].inc(n)
-        handles[2].observe(engine_seconds / n)
+            cpu = self._batch_cpu = (registry, registry.histogram(
+                "cliquemap_batch_amortized_engine_cpu_seconds",
+                "Per-key engine/NIC CPU of a coalesced op "
+                "(total / keys)").labels(transport=self.name))
+        cpu[1].observe(engine_seconds / n)
 
     @staticmethod
     def _batch_request_bytes(n: int) -> int:
@@ -278,7 +290,7 @@ class Transport:
                     len(section) > len(sections[victim])):
                 victim = i
         if victim is not None:
-            self.counters.corrupted += 1
+            self._counts["corrupted"] += 1
             sections[victim] = self.fabric.corrupt(sections[victim])
         return sections
 

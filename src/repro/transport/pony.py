@@ -271,8 +271,8 @@ class PonyTransport(Transport):
     def _book_scar(self, _response, response_bytes: int) -> None:
         # Fetched bytes are the whole response, header included: bucket
         # and datum are not separable on the wire.
-        self.counters.scars += 1
-        self.counters.bytes_fetched += response_bytes
+        self._counts["scars"] += 1
+        self._counts["bytes_fetched"] += response_bytes
 
     # -- two-sided messaging (MSG lookup strategy) ----------------------------
 
@@ -320,4 +320,4 @@ class PonyTransport(Transport):
             self._book_message)
 
     def _book_message(self, _response, _response_bytes: int) -> None:
-        self.counters.messages += 1
+        self._counts["messages"] += 1

@@ -13,11 +13,12 @@ All results land in :mod:`repro.analysis` recorders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..analysis import LatencyRecorder, TimeSeries
 from ..core import CliqueMapClient, GetStatus, SetStatus
 from ..sim import RandomStream, Simulator, ZipfSampler
+from ..telemetry import tally
 
 
 class KeySpace:
@@ -105,8 +106,15 @@ class WorkloadMetrics:
     # not driven). Without these, overload makes the offered rate
     # unmeasurable — sheds used to vanish silently.
     offered: int = 0
-    shed: int = 0
     thinned: int = 0
+    # The ``cliquemap_loadgen_shed_total`` tally (no labels: key ``()``)
+    # that ``shed`` reads.
+    _shed: Dict[tuple, int] = field(default_factory=tally, init=False,
+                                     repr=False)
+
+    @property
+    def shed(self) -> int:
+        return self._shed[()]
 
     def with_timeline(self, bin_width: float) -> "WorkloadMetrics":
         self.get_timeline = TimeSeries(bin_width, "get-latency")
@@ -135,18 +143,17 @@ class LoadGenerator:
         self.stream = stream
         self.metrics = metrics or WorkloadMetrics()
         self.max_outstanding = max_outstanding_per_client
-        # Sheds land both in WorkloadMetrics and on the cell's registry
-        # (clients share the cell registry), so soaks and the
-        # observability plane see them alongside every other reaction.
-        self._m_shed = clients[0].metrics.counter(
-            "cliquemap_loadgen_shed_total",
-            "Offered ops dropped because a client hit its outstanding "
-            "cap") if clients else None
+        # WorkloadMetrics.shed is also the cell registry's series (clients
+        # share the cell registry), so soaks and the observability plane
+        # see sheds alongside every other reaction.
+        if clients:
+            clients[0].metrics.adopt(
+                "cliquemap_loadgen_shed_total",
+                "Offered ops dropped because a client hit its outstanding "
+                "cap", self.metrics._shed)
 
     def _count_shed(self, ops: int) -> None:
-        self.metrics.shed += ops
-        if self._m_shed is not None:
-            self._m_shed.labels().inc(ops)
+        self.metrics._shed[()] += ops
 
     # -- GET traffic ----------------------------------------------------------
 

@@ -145,3 +145,24 @@ def test_default_wan_delay_still_works():
     result = run(federation, app())
     assert result.status is GetStatus.HIT
     assert b.stats["remote_hits"] == 1
+
+
+def test_fabric_events_count_in_the_sending_zones_cell():
+    """The zones share one fabric, but each cell's registry counts the
+    drops its own zone's hosts sent: a partition inside dc-a is dc-a's."""
+    federation = build()
+    client = connect(federation, "dc-a", remote_fallback=False)
+    cell_a, cell_b = federation.cells["dc-a"], federation.cells["dc-b"]
+    federation.fabric.partition(client.local.host,
+                                cell_a.backends["backend-0"].host)
+
+    def app():
+        for i in range(5):
+            yield from client.set(b"k-%d" % i, b"v")
+            yield from client.get(b"k-%d" % i)
+
+    run(federation, app())
+    dropped = "cliquemap_fabric_dropped_total"
+    assert cell_a.metrics.total(dropped, reason="partition") > 0
+    assert cell_b.metrics.total(dropped) == 0
+    assert dropped not in cell_b.metrics.families()

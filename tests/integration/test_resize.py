@@ -168,6 +168,66 @@ def test_resize_events_and_backfill_metrics_counted():
     assert cell.resize.stats.entries_backfilled > 0
 
 
+def resize_events(cell):
+    """``{(kind, outcome): count}`` read off the registry."""
+    family = cell.metrics.family("cliquemap_resize_events_total")
+    return {(s.labels["kind"], s.labels["outcome"]): s.value
+            for s in family.series()}
+
+
+@pytest.mark.parametrize("request_kwargs", [
+    dict(tasks=["no-such-task"]), dict(count=1)])
+def test_refused_resize_books_nothing(request_kwargs):
+    """A shrink refused before its handoff starts (an unknown task, or
+    below replication) books no event and no abort in either channel."""
+    cell = make_cell(num_shards=3)
+
+    def attempt():
+        with pytest.raises(CliqueMapError):
+            yield from cell.shrink(**request_kwargs)
+
+    cell.sim.run(until=cell.sim.process(attempt()))
+    assert resize_events(cell) == {}
+    assert cell.resize.stats.aborted == 0
+    assert not cell.resize.active and cell.topology_lock.count == 0
+
+
+def test_started_handoff_that_fails_books_aborted_once(monkeypatch):
+    """A handoff that started and then failed is one ``aborted`` in both
+    channels, and ``started == completed + aborted``."""
+    cell = make_cell(num_shards=3)
+
+    def failing_backfill(*_args, **_kwargs):
+        raise CliqueMapError("backfill failed")
+        yield
+
+    monkeypatch.setattr(cell.resize, "_backfill", failing_backfill)
+
+    def attempt():
+        with pytest.raises(CliqueMapError, match="backfill failed"):
+            yield from cell.grow(1)
+
+    cell.sim.run(until=cell.sim.process(attempt()))
+    assert resize_events(cell) == {("grow", "started"): 1.0,
+                                   ("grow", "aborted"): 1.0}
+    assert cell.resize.stats.aborted == 1
+    assert cell.resize.stats.grows == 0
+
+
+def test_every_finished_handoff_is_completed_or_aborted():
+    cell = make_cell(num_shards=3)
+    client = cell.connect_client()
+    seed_keys(cell, client, 20)
+    cell.sim.run(until=cell.sim.process(cell.grow(1)))
+    cell.sim.run(until=cell.sim.process(cell.shrink(count=1)))
+    events = resize_events(cell)
+    for kind in ("grow", "shrink"):
+        assert events[kind, "started"] == events[kind, "completed"] + \
+            events.get((kind, "aborted"), 0.0) == 1.0
+    stats = cell.resize.stats
+    assert (stats.grows, stats.shrinks, stats.aborted) == (1, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Resize chaos scenarios (the soak harness the CLI and CI run)
 # ---------------------------------------------------------------------------

@@ -79,3 +79,52 @@ def test_all_examples_have_docstrings_and_main():
         assert source.lstrip().startswith(("#!", '"""')), path.name
         assert "def main" in source, path.name
         assert '__name__ == "__main__"' in source, path.name
+
+
+def _metric_catalogue():
+    """``{family: (kind, label names)}`` from the ARCHITECTURE §6 table."""
+    rows = re.findall(r"^\| `(cliquemap_\w+)` \| (\w+) \| ([^|]*) \|",
+                      read("docs/ARCHITECTURE.md"), re.M)
+    return {name: (kind, set(re.findall(r"`(\w+)`", labels)))
+            for name, kind, labels in rows}
+
+
+def test_every_metric_family_is_catalogued():
+    """Every ``cliquemap_*`` literal under ``src/`` has a catalogue row,
+    and every family a small observed cell registers — SoR, probers,
+    SLO engine, autoscaler, repair, resize and maintenance attached —
+    has its row's kind and label names."""
+    from repro.core import Cell, CellSpec, RepairConfig
+    from repro.storage import SystemOfRecord
+
+    catalogue = _metric_catalogue()
+    literals = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        literals |= set(re.findall(r"[\"'](cliquemap_\w+)[\"']",
+                                   path.read_text()))
+    assert sorted(literals - set(catalogue)) == []
+    assert sorted(set(catalogue) - literals) == []
+
+    cell = Cell(CellSpec(num_shards=3, transport="pony",
+                         repair_config=RepairConfig()))
+    sor = SystemOfRecord(cell.sim, cell.add_local_host("host/sor"))
+    sor.load({b"cold": b"v"})
+    cell.attach_sor(sor)
+    cell.observe().autoscale()
+    client = cell.connect_client()
+
+    def app():
+        yield from client.set(b"k", b"v")
+        yield from client.get(b"k")
+        yield from client.get(b"cold")
+        yield cell.sim.delay(0.05)
+
+    cell.sim.run(until=cell.sim.process(app()))
+    registered = cell.metrics.families()
+    assert len(registered) >= 20
+    for name in registered:
+        family = cell.metrics.family(name)
+        kind, labels = catalogue[name]
+        assert family.kind == kind, name
+        for series in family.series():
+            assert set(series.labels) == labels, (name, series.labels)

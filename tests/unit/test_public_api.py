@@ -312,3 +312,58 @@ def test_stats_keys_are_frozen():
                     "hits offered set_latency set_timeline sets shed "
                     "shed_rate thinned",
     }
+
+
+#: The facts a component's ``stats`` and a registry family once counted
+#: at two write sites, by the module that counts them. Each is now one
+#: tally entry that ``stats`` reads.
+_TALLIED_STATS = {
+    "core/client.py": "gets sets erases cas appends hits misses get_errors "
+                      "retries validation_failures inquorate retries_shed",
+    "storage/readthrough.py": "sor_hits sor_misses negative_hits "
+                              "buffered_serves coalesced shed throttled "
+                              "errors writebacks writebacks_throttled "
+                              "writebacks_rejected writebacks_dropped",
+    "core/repair.py": "rpc_errors",
+    "core/maintenance.py": "planned_migrations unplanned_restarts "
+                           "migration_rpc_errors",
+    "core/resize.py": "grows shrinks aborted entries_backfilled",
+    "observe/autoscale.py": "evaluations grows shrinks blocked",
+    "transport/base.py": "batched_keys",
+    "transport/pony.py": "batched_keys",
+    "transport/onerma.py": "batched_keys",
+    "transport/rdma.py": "batched_keys",
+    "workloads/generators.py": "shed",
+}
+
+
+def test_one_write_site_per_counted_fact():
+    """Counters are tallies: outside ``telemetry/`` nothing increments a
+    registry series, no ``stats`` store increments a tallied fact, and
+    the handle caches and late-bound registry paths stay deleted."""
+    import pathlib
+    import re
+
+    import repro
+
+    assert sum(len(keys.split()) for path, keys in _TALLIED_STATS.items()
+               if not path.startswith("transport/")) + 1 == 38
+    root = pathlib.Path(repro.__file__).parent
+    increment = re.compile(
+        r"\b(?:stats|counters|metrics|_counts)\s*"
+        r"(?:\[\s*[\"'](\w+)[\"']\s*\]|\.(\w+))\s*\+=")
+    gone = ("_h_ops", "_h_fetches", "_h_batch_keys", "_STAT_KEY",
+            "_h_requests", "bind_registry", "_series_cache",
+            "_series_registry", "fabric.registry")
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("telemetry/"):
+            continue
+        source = path.read_text()
+        assert ".inc(" not in source, rel
+        for name in gone:
+            assert name not in source, (rel, name)
+        tallied = set(_TALLIED_STATS.get(rel, "").split())
+        for match in increment.finditer(source):
+            key = match.group(1) or match.group(2)
+            assert key not in tallied, (rel, match.group(0))
