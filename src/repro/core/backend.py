@@ -162,26 +162,24 @@ class Backend:
 
     def _register_handlers(self) -> None:
         server = self.rpc_server
-        handlers = (
-            ("Info", self._handle_info),
-            ("Set", self._handle_set),
-            ("MultiSet", self._handle_multi_set),
-            ("Erase", self._handle_erase),
-            ("Cas", self._handle_cas),
-            ("Lookup", self._handle_lookup),
-            ("Touch", self._handle_touch),
-            ("ScanSummary", self._handle_scan_summary),
-            ("RepairGet", self._handle_repair_get),
-            ("MigrateIn", self._handle_migrate_in),
-            ("Defragment", self._handle_defragment))
-        # Every method's series exists at zero from construction; a
-        # restarted task's fresh tally keeps summing into the same ones.
+        # A restarted task's fresh tally sums into the same series.
         handled = self.metrics.adopt(
             "cliquemap_backend_rpcs_total",
-            "RPCs handled by backend task and method",
-            tally(*(method for method, _handler in handlers)), ("method",),
+            "RPCs handled by backend task and method", tally(), ("method",),
             task=self.task_name)
-        for method, handler in handlers:
+        for method, handler in (
+                ("Info", self._handle_info),
+                ("Set", self._handle_set),
+                ("MultiSet", self._handle_multi_set),
+                ("Erase", self._handle_erase),
+                ("Cas", self._handle_cas),
+                ("Lookup", self._handle_lookup),
+                ("Touch", self._handle_touch),
+                ("ScanSummary", self._handle_scan_summary),
+                ("RepairGet", self._handle_repair_get),
+                ("MigrateIn", self._handle_migrate_in),
+                ("Defragment", self._handle_defragment)):
+            handled[method] = 0      # every method's series exists at 0
             server.register(method,
                             self._instrumented(method, handler, handled))
 

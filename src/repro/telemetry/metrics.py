@@ -71,12 +71,13 @@ class Counter:
     summed when read, plus any ad-hoc :meth:`inc`."""
 
     kind = "counter"
-    __slots__ = ("labels", "_inc", "_sources")
+    __slots__ = ("labels", "_inc", "_sources", "_value")
 
     def __init__(self, labels: Dict[str, str]):
         self.labels = labels
         self._inc = 0.0
         self._sources: List[Tuple[Dict[Any, int], Any]] = []
+        self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -88,7 +89,11 @@ class Counter:
         value = self._inc
         for counts, key in self._sources:
             value += counts[key]
-        return value
+        # The same float object while the sum holds still: a scraped
+        # series then stores one object per change, not one per point.
+        if value != self._value:
+            self._value = value
+        return self._value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"labels": dict(self.labels), "value": self.value}
@@ -270,11 +275,13 @@ class MetricFamily:
         # Label combinations collapsed into the overflow series.
         self.dropped_series = 0
         # Bumped whenever the series set changes; lets scrapers cache
-        # per-series bindings with an O(1) staleness check. Current as of
-        # the last read: families() folds every family first.
+        # per-series bindings with an O(1) staleness check. Read it
+        # after families(), which folds every family.
         self.version = 0
-        # [tally, label names, constant labels, keys folded so far]
-        self._adopted: List[list] = []
+        # Adopted (tally, label names, constant labels), and how many
+        # keys of each tally are folded into series so far.
+        self._adopted: List[tuple] = []
+        self._folded: List[int] = []
         # Unlisted families (MetricsRegistry.adopt) hide until a series.
         self.listed = True
 
@@ -292,10 +299,6 @@ class MetricFamily:
         Beyond ``max_series`` distinct combinations, new combinations
         share a single overflow series instead of growing the family.
         """
-        self._fold()
-        return self._resolve(labels)
-
-    def _resolve(self, labels: Dict[str, Any]):
         key = _label_key(labels)
         series = self._series.get(key)
         if series is not None:
@@ -322,24 +325,26 @@ class MetricFamily:
               **const: Any) -> None:
         """Sum tally ``counts`` (keys naming ``labels``; ``const`` labels
         every series it reaches) into this counter family from now on."""
-        if any(entry[0] is counts for entry in self._adopted):
+        if any(adopted[0] is counts for adopted in self._adopted):
             return
-        self._adopted.append([counts, tuple(labels), const, 0])
+        self._adopted.append((counts, tuple(labels), const))
+        self._folded.append(0)
         self._fold()
 
     def _fold(self) -> None:
         # Gives each tally key written since the last read its series.
         # Tally keys are never deleted, so the ones not yet folded are
         # the last, in first-write order.
-        for entry in self._adopted:
-            counts, names, const, folded = entry
-            if len(counts) == folded:
-                continue
+        sizes = [len(adopted[0]) for adopted in self._adopted]
+        if sizes == self._folded:
+            return
+        for (counts, names, const), folded in zip(self._adopted,
+                                                  self._folded):
             for key in islice(counts, folded, None):
                 labels = dict(const)
                 labels.update(zip(names, key if len(names) != 1 else (key,)))
-                self._resolve(labels)._sources.append((counts, key))
-            entry[3] = len(counts)
+                self.labels(**labels)._sources.append((counts, key))
+        self._folded = sizes
 
     def remove(self, **labels: Any) -> bool:
         """Deregister one series; True if it existed."""
@@ -411,9 +416,8 @@ class MetricsRegistry:
     def adopt(self, name: str, help: str, counts: Dict[Any, int],
               labels: Sequence[str] = (), *, listed: bool = True,
               **const: Any) -> Dict[Any, int]:
-        """:meth:`MetricFamily.adopt` into counter family ``name``;
-        returns ``counts``. Unless ``listed``, a family this creates is
-        listed from its first series on, as if the first write made it."""
+        """:meth:`MetricFamily.adopt` into counter ``name``; returns
+        ``counts``. Unless ``listed``, the family waits for a series."""
         self._family(name, "counter", help, listed=listed).adopt(
             counts, labels, **const)
         return counts
