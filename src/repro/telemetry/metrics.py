@@ -25,7 +25,7 @@ overflow series (labeled ``overflow="true"``) instead of growing without
 bound — the standard production defense against label explosions.
 
 Counters are *tallies*: a component counts each fact once, into a dict
-of its own (:func:`tally`), which :meth:`MetricFamily.adopt` makes the
+of its own (:func:`tally`), which :meth:`MetricsRegistry.adopt` makes the
 family sum whenever it is read — so a component's ``stats`` and the
 registry read one integer (docs/ARCHITECTURE.md §6).
 """
@@ -321,10 +321,8 @@ class MetricFamily:
             self.version += 1
         return series
 
-    def adopt(self, counts: Dict[Any, int], labels: Sequence[str] = (),
-              **const: Any) -> None:
-        """Sum tally ``counts`` (keys naming ``labels``; ``const`` labels
-        every series it reaches) into this counter family from now on."""
+    def _adopt(self, counts: Dict[Any, int], labels: Sequence[str],
+               const: Dict[str, Any]) -> None:
         if any(adopted[0] is counts for adopted in self._adopted):
             return
         self._adopted.append((counts, tuple(labels), const))
@@ -416,10 +414,13 @@ class MetricsRegistry:
     def adopt(self, name: str, help: str, counts: Dict[Any, int],
               labels: Sequence[str] = (), *, listed: bool = True,
               **const: Any) -> Dict[Any, int]:
-        """:meth:`MetricFamily.adopt` into counter ``name``; returns
-        ``counts``. Unless ``listed``, the family waits for a series."""
-        self._family(name, "counter", help, listed=listed).adopt(
-            counts, labels, **const)
+        """Sum tally ``counts`` into counter family ``name`` from now on,
+        and return it. Its keys name ``labels``, and ``const`` labels
+        every series it reaches; re-adopting a tally is a no-op. Unless
+        ``listed``, a family this creates is listed from its first
+        series on, as if the tally's first write had registered it."""
+        self._family(name, "counter", help, listed=listed)._adopt(
+            counts, labels, const)
         return counts
 
     def family(self, name: str) -> Optional[MetricFamily]:

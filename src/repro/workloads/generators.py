@@ -107,13 +107,12 @@ class WorkloadMetrics:
     # unmeasurable — sheds used to vanish silently.
     offered: int = 0
     thinned: int = 0
-    # The ``cliquemap_loadgen_shed_total`` tally (no labels: key ``()``)
-    # that ``shed`` reads.
     _shed: Dict[tuple, int] = field(default_factory=tally, init=False,
                                      repr=False)
 
     @property
     def shed(self) -> int:
+        """Derived: the ``cliquemap_loadgen_shed_total`` tally (key ``()``)."""
         return self._shed[()]
 
     def with_timeline(self, bin_width: float) -> "WorkloadMetrics":
