@@ -89,7 +89,7 @@ class ResizeController:
         self.cell = cell
         self.config = config or ResizeConfig()
         self.active = False
-        # Counts no registry family carries (see ``stats``).
+        # The ``stats`` fields no registry family carries.
         self._counts = {"sweeps": 0, "entries_purged": 0,
                         "last_handoff_seconds": 0.0}
         # Counter tallies: handoffs by (kind, outcome), and entries
