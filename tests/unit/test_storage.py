@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import Cell, CellSpec, ReplicationMode
 from repro.rpc import Principal, connect as rpc_connect
-from repro.storage import (ProvisionedThroughput, StorageCostModel,
-                           SystemOfRecord)
+from repro.storage import (CorpusLoader, MissPolicy, ProvisionedThroughput,
+                           StorageCostModel, SystemOfRecord)
 
 
 def build_sor(num_keys=10, throughput=None, **cost_kwargs):
@@ -171,3 +171,48 @@ def test_write_requires_unsealed_corpus():
     reply = call(cell, channel, "Write", {"key": b"other", "value": b"v"})
     assert not reply["applied"]
     assert reply["reason"] == "sealed"
+
+
+def test_sor_accounting_under_throttling():
+    """``reads``, ``writes`` and ``throttled`` agree with the request
+    tally when the quota pushes back on all three verbs: a read-through
+    Read, a write-behind Write and a loader Scan."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                         transport="pony"))
+    sor = SystemOfRecord(
+        cell.sim, cell.fabric.add_host("host/sor"),
+        throughput=ProvisionedThroughput(read_units=10.0, write_units=10.0,
+                                         burst_seconds=0.1))
+    sor.load({b"k-%d" % i: b"v-%d" % i for i in range(3)})
+    coordinator = cell.attach_sor(sor, MissPolicy())
+    client = cell.connect_client()
+
+    def app():
+        reads = [cell.sim.process(client.get(b"k-%d" % i))
+                 for i in range(2)]
+        reads.append(cell.sim.process(client.get(b"absent")))
+        yield cell.sim.all_of(reads)
+        for i in range(3):
+            yield from client.set(b"w-%d" % i, b"x-%d" % i)
+        yield from coordinator.flush()
+        sor.freeze()
+        # This miss spends the refilled read unit, so the Scan waits.
+        yield from client.get(b"absent")
+        return (yield from CorpusLoader(cell, sor).load())
+
+    report = cell.sim.run(until=cell.sim.process(app()))
+    assert report.keys_loaded == 6  # the corpus plus three write-backs
+    requests = cell.metrics.value
+
+    def count(op, result):
+        return requests("cliquemap_sor_requests_total", op=op,
+                        result=result)
+
+    assert all(count(op, "throttled") > 0 for op in ("read", "write",
+                                                     "scan"))
+    assert sor.reads == count("read", "ok") + count("read", "miss") > 0
+    assert sor.writes == count("write", "ok") == len(sor.write_log) > 0
+    assert sor.throttled == sum(count(op, "throttled")
+                                for op in ("read", "write", "scan"))
+    client.close()
+    cell.close()
