@@ -41,9 +41,6 @@ class LatencyRecorder:
             self._sorted = sorted(self._samples)
         return percentile(self._sorted, p)
 
-    def percentiles(self, ps: Sequence[float]) -> Dict[float, float]:
-        return {p: self.percentile(p) for p in ps}
-
     def samples(self) -> List[float]:
         """A copy of the raw samples, in recording order."""
         return list(self._samples)
@@ -57,10 +54,6 @@ class LatencyRecorder:
         if not self._samples:
             return math.nan
         return sum(self._samples) / len(self._samples)
-
-    def reset(self) -> None:
-        self._samples.clear()
-        self._sorted = None
 
 
 class TimeSeries:

@@ -92,9 +92,6 @@ class StitchedTrace:
                 return True
         return False
 
-    def ops(self) -> List[str]:
-        return [root["name"] for root in self.roots]
-
     def render(self) -> str:
         """Indented plain-text tree, one line per span, zone-tagged."""
         lines = [f"trace {self.trace_id}  zones={','.join(self.zones)}  "
@@ -110,12 +107,6 @@ class StitchedTrace:
                 f"{span['name']:<{max(1, 22 - 2 * depth)}} "
                 f"{duration * 1e6:9.2f}us{labels}")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"trace_id": self.trace_id, "zones": self.zones,
-                "cross_zone": self.cross_zone, "latency": self.latency,
-                "has_error": self.has_error, "roots": self.roots,
-                "orphans": self.orphans}
 
 
 def zone_traces_from_digests(

@@ -136,7 +136,6 @@ class ConfigStore:
         self.read_latency = read_latency
         self._cells: Dict[str, CellConfig] = {}
         self.reads = 0
-        self.updates = 0
 
     def publish(self, config: CellConfig) -> None:
         """Install or replace a cell's configuration (bumps nothing)."""
@@ -160,7 +159,6 @@ class ConfigStore:
                 f"{expected_config_id}, store has {config.config_id}")
         mutate(config)
         config.config_id += 1
-        self.updates += 1
         return config.clone()
 
     def get(self, name: str) -> Generator:

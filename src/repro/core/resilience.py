@@ -168,7 +168,6 @@ class BackendHealth:
         self.on_event = on_event
         self.connected = False
         self.consecutive_failures = 0
-        self.consecutive_successes = 0
         self.quarantines = 0
         self._quarantined_until: Optional[float] = None
         self._cooldown = self.policy.quarantine_base
@@ -198,13 +197,11 @@ class BackendHealth:
 
     def record_success(self) -> None:
         self.consecutive_failures = 0
-        self.consecutive_successes += 1
         self._cooldown = self.policy.quarantine_base
         if self._quarantined_until is not None:
             self._exit_quarantine()
 
     def record_failure(self) -> None:
-        self.consecutive_successes = 0
         self.consecutive_failures += 1
         if self.consecutive_failures >= self.policy.failure_threshold and \
                 not self.quarantined:
@@ -227,7 +224,6 @@ class BackendHealth:
         cannot mask.
         """
         self.consecutive_failures = 0
-        self.consecutive_successes = 0
         self._cooldown = self.policy.quarantine_base
         if self._quarantined_until is not None:
             self._exit_quarantine()

@@ -81,14 +81,6 @@ class RpcCostModel:
     server_send_cpu: float = 12e-6
     per_kilobyte_cpu: float = 0.15e-6   # marshalling cost per KB each side
 
-    def client_cpu(self, req_bytes: int, resp_bytes: int) -> float:
-        return (self.client_send_cpu + self.client_recv_cpu +
-                (req_bytes + resp_bytes) / 1024.0 * self.per_kilobyte_cpu)
-
-    def server_cpu(self, req_bytes: int, resp_bytes: int) -> float:
-        return (self.server_recv_cpu + self.server_send_cpu +
-                (req_bytes + resp_bytes) / 1024.0 * self.per_kilobyte_cpu)
-
 
 @dataclass
 class RpcMetrics:

@@ -5,11 +5,11 @@ from .core import (AllOf, AnyOf, Event, FanIn, Interrupt, Process,
 from .parallel import (ShardCoordinator, ShardMessage, ShardProgram,
                        ShardRunReport)
 from .rand import MixtureSizeDistribution, RandomStream, ZipfSampler, percentile
-from .resources import Request, Resource, Store
+from .resources import Request, Resource
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "FanIn", "Interrupt", "Process",
-    "SimulationError", "Simulator", "Timeout", "Request", "Resource", "Store",
+    "SimulationError", "Simulator", "Timeout", "Request", "Resource",
     "RandomStream", "ZipfSampler", "MixtureSizeDistribution", "percentile",
     "ShardCoordinator", "ShardMessage", "ShardProgram", "ShardRunReport",
 ]

@@ -48,9 +48,6 @@ class RandomStream:
     def choice(self, seq: Sequence):
         return self._rng.choice(seq)
 
-    def sample(self, seq: Sequence, k: int):
-        return self._rng.sample(seq, k)
-
     def shuffle(self, seq: List) -> None:
         self._rng.shuffle(seq)
 
@@ -60,12 +57,6 @@ class RandomStream:
 
     def lognormal(self, mu: float, sigma: float) -> float:
         return self._rng.lognormvariate(mu, sigma)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
-
-    def bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p

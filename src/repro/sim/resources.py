@@ -4,8 +4,7 @@
 engines, link slots): a process that knows how long it will occupy a slot
 calls :meth:`Resource.hold` (one scheduler entry per service); a true
 lock, released whenever its holder decides, uses ``request``/``release``.
-:class:`Store` is a FIFO queue of items between producer and consumer
-processes. Resources track utilization so higher layers (Pony Express
+Resources track utilization so higher layers (Pony Express
 scale-out, CPU accounting) can make load-driven decisions.
 """
 
@@ -222,39 +221,3 @@ class Resource:
             self.sim._push(duration, self._finish,
                            (proc, token, done, args))
 
-
-class Store:
-    """An unbounded FIFO of items; ``get`` blocks until an item arrives."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

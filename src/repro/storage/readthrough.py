@@ -197,8 +197,6 @@ class ReadThroughCoordinator:
         backoff = BackoffPolicy(FETCH_BACKOFF,
                                 policy.fetch_deadline / 4, self._rand)
         for attempt in range(policy.fetch_retries):
-            if self.sim.now >= deadline_at:
-                break
             try:
                 reply = yield from self.channel.call(
                     "Read", {"key": key},

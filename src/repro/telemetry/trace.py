@@ -142,14 +142,6 @@ class Span:
         target.children.append(span)
         return span
 
-    def adopt(self, span: "Span") -> "Span":
-        """Attach an already-created span as a child (speculative work)."""
-        span.parent = self
-        if span.trace_id is None:
-            span.trace_id = self.trace_id
-        self.children.append(span)
-        return span
-
     def finish(self, at: Optional[float] = None) -> "Span":
         """Close the span (idempotent: the first finish wins).
 
@@ -272,9 +264,6 @@ class _NullSpan:
 
     def child(self, name: str, **labels: Any) -> "_NullSpan":
         return self
-
-    def adopt(self, span):
-        return span
 
     def finish(self, at: Optional[float] = None) -> "_NullSpan":
         return self

@@ -89,14 +89,3 @@ def test_placement_shards_for_primary_wraps():
     from repro.core import Placement
     placement = Placement(num_shards=4, replication=3)
     assert placement.shards_for_primary(3) == [3, 0, 1]
-
-
-def test_store_len_tracks_items():
-    from repro.sim import Store
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.try_get() == 1
-    assert len(store) == 1

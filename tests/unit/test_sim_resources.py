@@ -1,9 +1,9 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -403,67 +403,3 @@ def test_hold_matches_the_request_timeout_release_triple(capacity, jobs,
                sorted(dict(resizes).items())]
     assert _completions(True, capacity, jobs, resizes) == \
         _completions(False, capacity, jobs, resizes)
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-
-    sim.process(getter())
-    sim.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def putter():
-        yield sim.timeout(3.0)
-        store.put("y")
-
-    sim.process(getter())
-    sim.process(putter())
-    sim.run()
-    assert got == [(3.0, "y")]
-
-
-def test_store_fifo_between_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.process(getter("g1"))
-    sim.process(getter("g2"))
-
-    def putter():
-        yield sim.timeout(1.0)
-        store.put(1)
-        store.put(2)
-
-    sim.process(putter())
-    sim.run()
-    assert got == [("g1", 1), ("g2", 2)]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(5)
-    assert store.try_get() == 5
-    assert len(store) == 0

@@ -173,9 +173,6 @@ def test_null_span_is_a_sink():
     assert NULL_SPAN.finish() is NULL_SPAN
     assert NULL_SPAN.find("x") is None
     assert list(NULL_SPAN.walk()) == []
-    # adopt() passes real spans through untouched.
-    real = Span("s", FakeClock())
-    assert NULL_SPAN.adopt(real) is real
     # The `trace or NULL_SPAN` idiom resolves to the sink for None too.
     assert (None or NULL_SPAN) is NULL_SPAN
 
