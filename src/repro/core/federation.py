@@ -142,19 +142,21 @@ class FederatedClient:
     def set(self, key: bytes, value: bytes,
             deadline: Optional[float] = None) -> Generator:
         """Write everywhere: the local cell plus every remote cell."""
-        root = self._start_fed_span("fed.set")
-        result = yield from self.local.set(key, value, deadline, trace=root)
-        for remote in self.remotes.values():
-            yield from remote.set(key, value, trace=root)
-        self._finish_fed_span(root, result.status.name.lower())
-        return result
+        return self._write_everywhere("set", (key, value), deadline)
 
     def erase(self, key: bytes,
               deadline: Optional[float] = None) -> Generator:
-        root = self._start_fed_span("fed.erase")
-        result = yield from self.local.erase(key, deadline, trace=root)
+        return self._write_everywhere("erase", (key,), deadline)
+
+    def _write_everywhere(self, op: str, args: tuple,
+                          deadline: Optional[float]) -> Generator:
+        """The fan-out write: ``op`` on the local cell, then on every
+        remote cell; the local result is the op's result."""
+        root = self._start_fed_span(f"fed.{op}")
+        result = yield from getattr(self.local, op)(*args, deadline,
+                                                    trace=root)
         for remote in self.remotes.values():
-            yield from remote.erase(key, trace=root)
+            yield from getattr(remote, op)(*args, trace=root)
         self._finish_fed_span(root, result.status.name.lower())
         return result
 

@@ -30,13 +30,14 @@ checks in :mod:`repro.analysis.parallel` meaningful.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net import CrossShardLink, Fabric, FabricConfig
 from ..sim import Event, RandomStream, ShardProgram, Simulator
 from .cell import Cell, CellSpec
-from .errors import GetStatus
 from .federation import FederatedClient, Federation, FederationSpec, \
     build_zone_cell
 
@@ -89,7 +90,8 @@ class ZoneShardSpec:
 
 @dataclass
 class RemoteOpResult:
-    """What a WAN remote op returned (reconstructed shard-side)."""
+    """What a WAN remote op returned (reconstructed shard-side), with
+    the status enum the stood-in client's op returns."""
 
     status: object
     value: Optional[bytes] = None
@@ -109,46 +111,37 @@ class RemoteZoneProxy:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def _wan_span(self, trace, op: str):
-        """Local span covering the parked WAN round trip (or None).
+    def _call(self, op: str, args: tuple, trace):
+        """One remote op over the WAN, parked until its reply.
 
+        When traced, a local ``wan.call`` span covers the round trip.
         Its :meth:`~repro.telemetry.Span.ref` rides in the request
         message; the destination starts a ``wan.serve`` root whose
         ``remote_parent`` is exactly this span — the joint the post-run
         stitcher reassembles.
         """
-        if not trace:
-            return None, None
-        span = trace.child("wan.call", op=op,
-                           dst=self.shard.spec.zones[self.dst_index])
-        return span, span.ref(self.shard.zone)
+        span = ref = None
+        if trace:
+            span = trace.child("wan.call", op=op,
+                               dst=self.shard.spec.zones[self.dst_index])
+            ref = span.ref(self.shard.zone)
+        status, value = yield from self.shard.wan_call(
+            self.dst_index, op, args, trace_ref=ref)
+        if span is not None:
+            span.annotate(status=status.name).finish()
+        return RemoteOpResult(status, value)
 
     def get(self, key: bytes, deadline: Optional[float] = None,
             trace=None):
-        span, ref = self._wan_span(trace, "get")
-        status_name, value = yield from self.shard.wan_call(
-            self.dst_index, "get", key, None, trace_ref=ref)
-        if span is not None:
-            span.annotate(status=status_name).finish()
-        return RemoteOpResult(GetStatus[status_name], value)
+        return self._call("get", (key,), trace)
 
     def set(self, key: bytes, value: bytes,
             deadline: Optional[float] = None, trace=None):
-        span, ref = self._wan_span(trace, "set")
-        status_name, _ = yield from self.shard.wan_call(
-            self.dst_index, "set", key, value, trace_ref=ref)
-        if span is not None:
-            span.annotate(status=status_name).finish()
-        return RemoteOpResult(status_name)
+        return self._call("set", (key, value), trace)
 
     def erase(self, key: bytes, deadline: Optional[float] = None,
               trace=None):
-        span, ref = self._wan_span(trace, "erase")
-        status_name, _ = yield from self.shard.wan_call(
-            self.dst_index, "erase", key, None, trace_ref=ref)
-        if span is not None:
-            span.annotate(status=status_name).finish()
-        return RemoteOpResult(status_name)
+        return self._call("erase", (key,), trace)
 
 
 class OpDigest:
@@ -212,6 +205,26 @@ def make_population(cell: Cell, zone: str, workload: ZoneWorkloadSpec):
     cell.sim.run(until=cell.sim.process(
         populate(drivers[0], keyspace, workload.value_bytes)))
     return LoadGenerator(cell.sim, drivers, keyspace, stream)
+
+
+def build_zone(cell: Cell, zone: str, workload: ZoneWorkloadSpec,
+               new_client: Callable[[], FederatedClient]):
+    """The zone sequence both arms run on their cell: preload, then
+    ``workload.clients`` connected federated clients from
+    ``new_client``, then the population. Returns the clients and the
+    population's load generator (or None).
+
+    Running one sequence is what makes a 1-zone sharded run
+    event-for-event identical to the plain one; ``new_client`` is the
+    one difference (WAN proxies or shared-fabric remote clients).
+    """
+    preload_zone(cell, zone, workload)
+    fed_clients = []
+    for _ in range(workload.clients):
+        fed_client = new_client()
+        cell.sim.run(until=cell.sim.process(fed_client.connect()))
+        fed_clients.append(fed_client)
+    return fed_clients, make_population(cell, zone, workload)
 
 
 def _fed_client_loop(sim: Simulator, zone: str, zones: Tuple[str, ...],
@@ -311,7 +324,6 @@ class ZoneShard(ShardProgram):
         self.fabric = Fabric(self.sim, spec.fabric_config)
         self.cell = build_zone_cell(spec.zone, spec.cell_spec, self.sim,
                                     self.fabric)
-        preload_zone(self.cell, spec.zone, spec.workload)
         # WAN links to every other shard; min latency == the fabric's
         # cross-zone delay, so the boundary costs what the shared-fabric
         # federation's WAN hop costs.
@@ -323,22 +335,21 @@ class ZoneShard(ShardProgram):
         self._pending: Dict[int, Event] = {}
         self._req_seq = 0
         self.op_digest = OpDigest()
-        # Federated clients, named/created exactly as Federation
-        # .make_client does so a 1-zone shard is bit-identical to the
-        # plain run (per-zone counter == the federation-global one).
-        self.fed_clients: List[FederatedClient] = []
-        for n in range(1, spec.workload.clients + 1):
+        remotes = {other: RemoteZoneProxy(self, index)
+                   for index, other in enumerate(spec.zones)
+                   if other != spec.zone}
+        # Host names as Federation.make_client gives them: with one
+        # zone, this per-zone counter is the federation-global one.
+        seq = itertools.count(1)
+
+        def new_client() -> FederatedClient:
             host = self.fabric.add_host(
-                f"{spec.zone}/host/fed-client-{n}", zone=spec.zone)
-            local = self.cell.make_client(host=host)
-            remotes = {other: RemoteZoneProxy(self, index)
-                       for index, other in enumerate(spec.zones)
-                       if other != spec.zone}
-            fed_client = FederatedClient(spec.zone, local, remotes)
-            self.sim.run(until=self.sim.process(fed_client.connect()))
-            self.fed_clients.append(fed_client)
-        self.generator = make_population(self.cell, spec.zone,
-                                         spec.workload)
+                f"{spec.zone}/host/fed-client-{next(seq)}", zone=spec.zone)
+            return FederatedClient(spec.zone,
+                                   self.cell.make_client(host=host), remotes)
+
+        self.fed_clients, self.generator = build_zone(
+            self.cell, spec.zone, spec.workload, new_client)
         # The gateway executes inbound WAN ops; RPC strategy, like the
         # remote clients it stands in for (RMA is WAN-inapplicable).
         self._gateway = None
@@ -353,10 +364,13 @@ class ZoneShard(ShardProgram):
 
     # -- WAN protocol ------------------------------------------------------
 
-    def wan_call(self, dst_index: int, op: str, key: bytes,
-                 value: Optional[bytes],
+    def wan_call(self, dst_index: int, op: str, args: tuple,
                  trace_ref: Optional[tuple] = None):
         """Issue one remote op; parks until the reply arrives (generator).
+
+        ``op`` names the gateway client's method and ``args`` its
+        positional arguments; the reply is the op's status enum and, for
+        a GET, its value.
 
         ``trace_ref`` (a :data:`~repro.telemetry.SpanRef` or None) rides
         in the request message's ``trace`` field — propagation only,
@@ -367,7 +381,7 @@ class ZoneShard(ShardProgram):
         event = Event(self.sim)
         self._pending[req_id] = event
         link = self._links[dst_index]
-        self.send(dst_index, "req", (req_id, self.index, op, key, value),
+        self.send(dst_index, "req", (req_id, self.index, op, args),
                   arrival=link.arrival(self.sim.now), trace=trace_ref)
         payload = yield event
         return payload
@@ -387,7 +401,7 @@ class ZoneShard(ShardProgram):
         self.sim.process(self._serve(payload, trace_ref))
 
     def _serve(self, payload, trace_ref=None):
-        req_id, src_index, op, key, value = payload
+        req_id, src_index, op, args = payload
         # Serve-side root: joins the originating trace (same trace_id)
         # with the WAN caller's span as its remote parent, so the
         # stitcher can hang this zone's whole serve tree under the
@@ -398,15 +412,8 @@ class ZoneShard(ShardProgram):
             root = self.cell.tracer.start(
                 "wan.serve", remote_parent=tuple(trace_ref), op=op,
                 zone=self.zone, src=self.spec.zones[src_index])
-        if op == "get":
-            result = yield from self._gateway.get(key, trace=root)
-            reply = (req_id, result.status.name, result.value)
-        elif op == "set":
-            result = yield from self._gateway.set(key, value, trace=root)
-            reply = (req_id, result.status.name, None)
-        else:
-            result = yield from self._gateway.erase(key, trace=root)
-            reply = (req_id, result.status.name, None)
+        result = yield from getattr(self._gateway, op)(*args, trace=root)
+        reply = (req_id, result.status, getattr(result, "value", None))
         if root:
             root.annotate(status=result.status.name).finish()
             self.cell.tracer.record(root)
@@ -415,8 +422,8 @@ class ZoneShard(ShardProgram):
                   arrival=link.arrival(self.sim.now))
 
     def _complete_call(self, payload) -> None:
-        req_id, status_name, value = payload
-        self._pending.pop(req_id).succeed((status_name, value))
+        req_id, status, value = payload
+        self._pending.pop(req_id).succeed((status, value))
 
     def digest(self) -> Dict[str, object]:
         return _zone_digest(self.zone, self.op_digest, self.fed_clients,
@@ -438,7 +445,7 @@ def run_plain_federation(zones: Tuple[str, ...],
     """Run the same per-zone workload on a plain single-event-loop
     :class:`Federation` (all zones, one fabric, one simulator).
 
-    Per-zone build steps happen in the same order as
+    Each zone is built by :func:`build_zone`, as in
     :meth:`ZoneShard.build`, so with a single zone this run is
     event-for-event identical to the sharded one and the digests match
     bitwise. Returns per-zone digests plus kernel totals.
@@ -451,15 +458,9 @@ def run_plain_federation(zones: Tuple[str, ...],
     runtimes = []
     for zone in zones:
         cell = federation.cells[zone]
-        preload_zone(cell, zone, workload)
-        digest = OpDigest()
-        fed_clients = []
-        for _ in range(workload.clients):
-            fed_client = federation.make_client(zone)
-            sim.run(until=sim.process(fed_client.connect()))
-            fed_clients.append(fed_client)
-        generator = make_population(cell, zone, workload)
-        runtimes.append((zone, cell, digest, fed_clients, generator))
+        fed_clients, generator = build_zone(
+            cell, zone, workload, partial(federation.make_client, zone))
+        runtimes.append((zone, cell, OpDigest(), fed_clients, generator))
     start = sim.now
     for zone, _cell, digest, fed_clients, generator in runtimes:
         start_zone_workload(sim, zone, zones, fed_clients, generator,

@@ -3,6 +3,7 @@
 
 from repro.core import CellSpec, GetStatus, ReplicationMode, SetStatus
 from repro.core.federation import Federation, FederationSpec
+from repro.core.parallelfed import ZoneShard, ZoneShardSpec, ZoneWorkloadSpec
 from repro.net import FabricConfig
 
 
@@ -166,3 +167,54 @@ def test_fabric_events_count_in_the_sending_zones_cell():
     assert cell_a.metrics.total(dropped, reason="partition") > 0
     assert cell_b.metrics.total(dropped) == 0
     assert dropped not in cell_b.metrics.families()
+
+
+def test_sharded_wan_erase_leaves_the_key_missing_in_both_zones():
+    """The sharded arm's WAN SET and ERASE: two in-process shards pump
+    each other's outbox, as the coordinator does at each barrier. The
+    proxy reports a mutation's status as the client it stands in for
+    does (a :class:`SetStatus`), and a federated erase reaches the
+    remote zone's cell."""
+    zones = ("dc-a", "dc-b")
+    fabric_config = FabricConfig(inter_zone_delay=2e-3, delay_jitter=0.0)
+    shards = []
+    for index, zone in enumerate(zones):
+        shard = ZoneShard(ZoneShardSpec(
+            zone=zone, zones=zones,
+            cell_spec=CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
+                               transport="pony"),
+            fabric_config=fabric_config,
+            workload=ZoneWorkloadSpec(clients=1, shared_keys=1,
+                                      private_keys=1)))
+        shard.index = index
+        shard.build()
+        shards.append(shard)
+    origin = shards[0]
+    fed_client = origin.fed_clients[0]
+    proxy = fed_client.remotes["dc-b"]
+
+    def pump(gen):
+        proc = origin.sim.process(gen)
+        now = max(shard.sim.now for shard in shards)
+        while not proc.triggered:
+            now += fabric_config.inter_zone_delay
+            for shard in shards:
+                shard.sim.run(until=now)
+            for shard in shards:
+                for message in shard.drain_outbox():
+                    shards[message.dst].receive(message)
+        return proc.value
+
+    def local_get(shard, key):
+        client = shard.cell.connect_client()
+        return shard.sim.run(until=shard.sim.process(client.get(key)))
+
+    key = b"fed-erase"
+    assert pump(proxy.set(key, b"v")).status is SetStatus.APPLIED
+    assert pump(fed_client.set(key, b"v")).status is SetStatus.APPLIED
+    assert all(local_get(shard, key).status is GetStatus.HIT
+               for shard in shards)
+    assert pump(fed_client.erase(key)).status is SetStatus.APPLIED
+    assert all(local_get(shard, key).status is GetStatus.MISS
+               for shard in shards)
+    assert pump(proxy.erase(key)).status is SetStatus.APPLIED
