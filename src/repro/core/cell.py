@@ -112,7 +112,6 @@ class Cell:
             if self.spec.flight_recorder else NULL_FLIGHT
         self.fabric.adopt_counts(self.metrics, zone)
         if self.transport is not None:
-            self.transport.registry = self.metrics
             self.transport.adopt_counts(self.metrics)
 
         # Attached lazily by observe(); None keeps the plane (scraper,

@@ -87,7 +87,8 @@ class SystemOfRecord:
     behavior); pass a :class:`ProvisionedThroughput` to model a real
     quota. Requests are tallied by ``(op, result)`` in
     ``request_counts``; :meth:`adopt_counts` sums that tally into a
-    registry's ``cliquemap_sor_requests_total{op,result}``.
+    registry's ``cliquemap_sor_requests_total{op,result}``, and
+    ``reads``, ``writes`` and ``throttled`` are reads of it.
     """
 
     def __init__(self, sim: Simulator, host: Host,
@@ -112,9 +113,6 @@ class SystemOfRecord:
             bus = Resource(sim, capacity=1, name=f"{host.name}.media-bus")
             host._storage_media_bus = bus
         self._bus = bus
-        self.reads = 0
-        self.writes = 0
-        self.throttled = 0
         self.write_log: List[bytes] = []     # applied Write keys, in order
         self._brownout_factor = 1.0
         self._brownout_token = None
@@ -144,6 +142,22 @@ class SystemOfRecord:
             "cliquemap_sor_requests_total",
             "SoR-side requests by op and result (ok/miss/throttled/sealed)",
             self.request_counts, ("op", "result"))
+
+    @property
+    def reads(self) -> int:
+        """Reads served from media: found or not."""
+        counts = self.request_counts
+        return counts["read", "ok"] + counts["read", "miss"]
+
+    @property
+    def writes(self) -> int:
+        return self.request_counts["write", "ok"]
+
+    @property
+    def throttled(self) -> int:
+        """Requests of any op refused by the provisioned quota."""
+        return sum(count for (_op, result), count
+                   in self.request_counts.items() if result == "throttled")
 
     # -- corpus management ------------------------------------------------
 
@@ -239,12 +253,10 @@ class SystemOfRecord:
                                 f"storage:{self.name}")
         value = self._data.get(key)
         if not self._admit(self._read_bucket, len(value) if value else 0):
-            self.throttled += 1
             self.request_counts["read", "throttled"] += 1
             return {"found": False, "throttled": True,
                     "reason": "ProvisionedThroughputExceeded"}
         yield from self._media_read(len(value) if value else 0)
-        self.reads += 1
         if value is None:
             self.request_counts["read", "miss"] += 1
             return {"found": False}
@@ -264,7 +276,6 @@ class SystemOfRecord:
             return {"applied": False, "reason": "sealed"}
         nbytes = len(key) + (len(value) if value else 0)
         if not self._admit(self._write_bucket, nbytes):
-            self.throttled += 1
             self.request_counts["write", "throttled"] += 1
             return {"applied": False, "throttled": True,
                     "reason": "ProvisionedThroughputExceeded"}
@@ -277,7 +288,6 @@ class SystemOfRecord:
             if key not in self._data:
                 self._keys_ordered.append(key)
             self._data[key] = value
-        self.writes += 1
         self.write_log.append(key)
         self.request_counts["write", "ok"] += 1
         return {"applied": True}
@@ -293,7 +303,6 @@ class SystemOfRecord:
                                               for k in keys]
         total = sum(len(k) + len(v) for k, v in entries)
         if not self._admit(self._read_bucket, total):
-            self.throttled += 1
             self.request_counts["scan", "throttled"] += 1
             return {"entries": [], "next_cursor": cursor, "done": False,
                     "throttled": True,

@@ -408,8 +408,12 @@ class MetricsRegistry:
         return self._family(name, "gauge", help)
 
     def histogram(self, name: str, help: str = "",
-                  sample_cap: Optional[int] = None) -> MetricFamily:
-        return self._family(name, "histogram", help, sample_cap=sample_cap)
+                  sample_cap: Optional[int] = None, *,
+                  listed: bool = True) -> MetricFamily:
+        """Unless ``listed``, a family this creates hides until its
+        first series, as an unlisted adopted counter family does."""
+        return self._family(name, "histogram", help, sample_cap=sample_cap,
+                            listed=listed)
 
     def adopt(self, name: str, help: str, counts: Dict[Any, int],
               labels: Sequence[str] = (), *, listed: bool = True,

@@ -68,9 +68,7 @@ class Transport:
             ("reads", "scars", "messages", "failures", "corrupted",
              "bytes_fetched", "batched_reads"), 0)
         self._batched_keys = tally()
-        # Optional MetricsRegistry; the Cell wires this up so batched-op
-        # amortization is observable per transport.
-        self.registry = None
+        # The batch-CPU histogram family, once a registry adopts us.
         self._batch_cpu = None
 
     @property
@@ -80,10 +78,16 @@ class Transport:
                                  batched_keys=self._batched_keys[()])
 
     def adopt_counts(self, registry) -> None:
+        """Sum the batched-key tally into ``registry`` and observe
+        batch CPU there; both families list from their first series."""
         registry.adopt("cliquemap_batched_keys_total",
                        "Keys carried inside coalesced multi-entry "
                        "transport ops", self._batched_keys, listed=False,
                        transport=self.name)
+        self._batch_cpu = registry.histogram(
+            "cliquemap_batch_amortized_engine_cpu_seconds",
+            "Per-key engine/NIC CPU of a coalesced op (total / keys)",
+            listed=False)
 
     def attach(self, host: Host) -> RmaEndpoint:
         """Expose a host for RMA access; returns its endpoint."""
@@ -250,18 +254,9 @@ class Transport:
             len(r) for r in results if isinstance(r, bytes))
         counts["batched_reads"] += 1
         self._batched_keys[()] += n
-        registry = self.registry
-        if registry is None:
-            return
-        cpu = self._batch_cpu
-        if cpu is None or cpu[0] is not registry:
-            # Cell assigns the registry after construction; bind the
-            # series once per registry instead of resolving per batch.
-            cpu = self._batch_cpu = (registry, registry.histogram(
-                "cliquemap_batch_amortized_engine_cpu_seconds",
-                "Per-key engine/NIC CPU of a coalesced op "
-                "(total / keys)").labels(transport=self.name))
-        cpu[1].observe(engine_seconds / n)
+        if self._batch_cpu is not None:
+            self._batch_cpu.labels(transport=self.name).observe(
+                engine_seconds / n)
 
     @staticmethod
     def _batch_request_bytes(n: int) -> int:
