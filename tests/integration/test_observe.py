@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import run_scale_workload
 from repro.core import Cell, CellSpec, ReplicationMode
 from repro.faults import SoakConfig, run_soak
-from repro.observe import ObserveConfig, ProberConfig
+from repro.observe import ObserveConfig, Prober, ProberConfig
 from repro.tools import main
 
 
@@ -151,3 +151,30 @@ def test_cli_observe_gray_faults_run_clean(fault, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "invariants hold" in out
+
+
+@pytest.mark.parametrize("read_back", [b"never-written", b"other-key"])
+def test_prober_books_a_lost_write_as_corrupt(read_back, monkeypatch):
+    """A GET that misses (or returns another value) right after an
+    applied SET is the ``corrupt`` verdict — a data-integrity failure —
+    and it takes the availability SLI below 1."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
+    writer = cell.connect_client()
+    cell.sim.run(until=cell.sim.process(writer.set(b"other-key", b"stale")))
+    prober = Prober(cell, ProberConfig(interval=2e-3))
+    real_get = prober.client.get
+    # The round's read lands on another key: the write it just made is
+    # lost from the prober's vantage.
+    monkeypatch.setattr(prober.client, "get",
+                        lambda _key, deadline=None:
+                        real_get(read_back, deadline=deadline))
+    prober.start()
+    cell.sim.run(until=cell.sim.now + 0.02)
+    prober.stop()
+    cell.sim.run(until=cell.sim.now + 0.01)   # the last round completes
+    probes = cell.metrics.total
+    assert probes("cliquemap_probe_ops_total", op="set", result="ok") == \
+        probes("cliquemap_probe_ops_total", op="get",
+               result="corrupt") == prober.rounds > 0
+    assert probes("cliquemap_probe_ops_total", op="get", result="ok") == 0
+    assert prober.sli()["availability"] < 1.0

@@ -23,13 +23,14 @@ FAST_RESIZE = ResizeConfig(max_sweeps=20, sweep_interval=0.005,
                            drain_grace=0.02)
 
 
-def make_cell(num_shards=3, num_spares=0, resize_config=None, seed=101):
+def make_cell(num_shards=3, num_spares=0, resize_config=None, seed=101,
+              **spec):
     return Cell(CellSpec(
         mode=ReplicationMode.R3_2, num_shards=num_shards,
         num_spares=num_spares, transport="pony", seed=seed,
         repair_config=RepairConfig(enabled=True, scan_interval=0.25),
         maintenance_config=MaintenanceConfig(restart_delay=0.05),
-        resize_config=resize_config or FAST_RESIZE))
+        resize_config=resize_config or FAST_RESIZE, **spec))
 
 
 def seed_keys(cell, client, count, prefix=b"k"):
@@ -212,6 +213,40 @@ def test_started_handoff_that_fails_books_aborted_once(monkeypatch):
                                    ("grow", "aborted"): 1.0}
     assert cell.resize.stats.aborted == 1
     assert cell.resize.stats.grows == 0
+
+
+def test_flight_records_follow_started_handoffs(monkeypatch):
+    """The ``resize`` flight record: a grow records ``started`` then
+    ``completed``, a refused shrink records nothing, and a started
+    handoff that fails records ``aborted`` once."""
+    cell = make_cell(num_shards=3, flight_recorder=True)
+
+    def phases():
+        return [(e.fields["action"], e.fields["phase"])
+                for e in cell.flight.events("resize")]
+
+    cell.sim.run(until=cell.sim.process(cell.grow(1)))
+    assert phases() == [("grow", "started"), ("grow", "completed")]
+
+    def refused():
+        with pytest.raises(CliqueMapError):
+            yield from cell.shrink(tasks=["no-such-task"])
+
+    cell.sim.run(until=cell.sim.process(refused()))
+    assert len(phases()) == 2
+
+    def failing_backfill(*_args, **_kwargs):
+        raise CliqueMapError("backfill failed")
+        yield
+
+    monkeypatch.setattr(cell.resize, "_backfill", failing_backfill)
+
+    def failed():
+        with pytest.raises(CliqueMapError, match="backfill failed"):
+            yield from cell.grow(1)
+
+    cell.sim.run(until=cell.sim.process(failed()))
+    assert phases()[2:] == [("grow", "started"), ("grow", "aborted")]
 
 
 def test_every_finished_handoff_is_completed_or_aborted():
