@@ -66,9 +66,6 @@ class Federation:
             self.cells[zone] = build_zone_cell(
                 zone, self.spec.cell_spec, self.sim, self.fabric)
 
-    def cell(self, zone: str) -> Cell:
-        return self.cells[zone]
-
     def make_client(self, zone: str, remote_fallback: bool = True,
                     **kwargs) -> "FederatedClient":
         """A client homed in ``zone``; connect with ``client.connect()``."""
@@ -150,8 +147,6 @@ class FederatedClient:
 
     def _write_everywhere(self, op: str, args: tuple,
                           deadline: Optional[float]) -> Generator:
-        """The fan-out write: ``op`` on the local cell, then on every
-        remote cell; the local result is the op's result."""
         root = self._start_fed_span(f"fed.{op}")
         result = yield from getattr(self.local, op)(*args, deadline,
                                                     trace=root)

@@ -90,8 +90,7 @@ class ZoneShardSpec:
 
 @dataclass
 class RemoteOpResult:
-    """What a WAN remote op returned (reconstructed shard-side), with
-    the status enum the stood-in client's op returns."""
+    """What a WAN remote op returned: the stood-in client's status."""
 
     status: object
     value: Optional[bytes] = None
@@ -209,15 +208,10 @@ def make_population(cell: Cell, zone: str, workload: ZoneWorkloadSpec):
 
 def build_zone(cell: Cell, zone: str, workload: ZoneWorkloadSpec,
                new_client: Callable[[], FederatedClient]):
-    """The zone sequence both arms run on their cell: preload, then
-    ``workload.clients`` connected federated clients from
-    ``new_client``, then the population. Returns the clients and the
-    population's load generator (or None).
-
-    Running one sequence is what makes a 1-zone sharded run
-    event-for-event identical to the plain one; ``new_client`` is the
-    one difference (WAN proxies or shared-fabric remote clients).
-    """
+    """Preload, connect ``workload.clients`` federated clients from
+    ``new_client``, then build the population: the one zone sequence of
+    both arms, which only ``new_client`` tells apart. Returns the clients
+    and the population's load generator (or None)."""
     preload_zone(cell, zone, workload)
     fed_clients = []
     for _ in range(workload.clients):
@@ -366,11 +360,8 @@ class ZoneShard(ShardProgram):
 
     def wan_call(self, dst_index: int, op: str, args: tuple,
                  trace_ref: Optional[tuple] = None):
-        """Issue one remote op; parks until the reply arrives (generator).
-
-        ``op`` names the gateway client's method and ``args`` its
-        positional arguments; the reply is the op's status enum and, for
-        a GET, its value.
+        """Run ``op(*args)`` on the destination's gateway client; parks
+        until the reply (its status enum and value) arrives (generator).
 
         ``trace_ref`` (a :data:`~repro.telemetry.SpanRef` or None) rides
         in the request message's ``trace`` field — propagation only,

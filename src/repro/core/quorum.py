@@ -73,9 +73,6 @@ class QuorumDecision:
     # agree. A two-of-three agreement is a *dirty quorum* (§5.4).
     unanimous: bool = False
 
-    def includes(self, task: str) -> bool:
-        return task in self.members
-
 
 def evaluate(votes: List[ReplicaVote], total_replicas: int,
              quorum: int) -> QuorumDecision:

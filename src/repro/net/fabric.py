@@ -79,11 +79,6 @@ class LinkFault:
                 f"latency_multiplier must be >= 1, "
                 f"got {self.latency_multiplier}")
 
-    @property
-    def degraded(self) -> bool:
-        return (self.loss_probability > 0 or self.corrupt_probability > 0
-                or self.latency_multiplier != 1.0)
-
     def combine(self, other: "LinkFault") -> "LinkFault":
         """Stack two faults: independent losses/corruption, serial slowdown."""
         return LinkFault(

@@ -134,9 +134,6 @@ class Host:
         """
         self.ledger.charge(component, cpu_seconds * self.config.cpu_slowdown)
 
-    def utilization(self) -> float:
-        return self.cores.utilization()
-
     def __repr__(self) -> str:
         return f"Host({self.name!r}, cores={self.config.cores})"
 

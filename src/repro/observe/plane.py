@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..telemetry.export import prometheus_text, write_chrome_trace
+from ..telemetry.export import write_chrome_trace
 from ..telemetry.timeseries import Scraper
 from .prober import Prober, ProberConfig
 from .slo import SloEngine, SloObjective, default_objectives
@@ -114,10 +114,6 @@ class ObservabilityPlane:
 
     # -- readbacks / exports -------------------------------------------------
 
-    def alerts(self):
-        """All fired alert events so far."""
-        return self.engine.fired()
-
     def sli_summary(self) -> Dict[str, Any]:
         """Per-prober SLIs plus alert totals, for tables and reports."""
         probers = {p.config.label: p.sli() for p in self.probers}
@@ -144,6 +140,3 @@ class ObservabilityPlane:
         event count."""
         return write_chrome_trace(path, self.cell.tracer.finished,
                                   process_name=self.cell.spec.name)
-
-    def prometheus_text(self) -> str:
-        return prometheus_text(self.cell.metrics)

@@ -118,15 +118,6 @@ class LanguageShim:
         self.ops += 1
         return result
 
-    def erase(self, key: bytes,
-              deadline: Optional[float] = None) -> Generator:
-        yield from self._shim_cpu(len(key))
-        yield from self._cross(len(key), 0)
-        result = yield from self.client.erase(key, deadline)
-        yield from self._cross(0, 16)
-        yield from self._shim_cpu(16)
-        self.ops += 1
-        return result
 
 
 def make_shim(client: CliqueMapClient, language: str) -> LanguageShim:

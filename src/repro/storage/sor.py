@@ -145,7 +145,6 @@ class SystemOfRecord:
 
     @property
     def reads(self) -> int:
-        """Reads served from media: found or not."""
         counts = self.request_counts
         return counts["read", "ok"] + counts["read", "miss"]
 
@@ -155,7 +154,6 @@ class SystemOfRecord:
 
     @property
     def throttled(self) -> int:
-        """Requests of any op refused by the provisioned quota."""
         return sum(count for (_op, result), count
                    in self.request_counts.items() if result == "throttled")
 

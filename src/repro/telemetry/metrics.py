@@ -369,9 +369,8 @@ class MetricsRegistry:
     """Named metric families plus snapshot/aggregation readbacks.
 
     One registry normally spans one :class:`~repro.core.cell.Cell` (its
-    clients and backends all record here); a module-level default exists
-    for ad-hoc use. Families are created on first use and are kind-checked
-    on re-registration.
+    clients and backends all record here). Families are created on first
+    use and are kind-checked on re-registration.
     """
 
     def __init__(self, max_series_per_metric: int = 256,
@@ -410,8 +409,7 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   sample_cap: Optional[int] = None, *,
                   listed: bool = True) -> MetricFamily:
-        """Unless ``listed``, a family this creates hides until its
-        first series, as an unlisted adopted counter family does."""
+        """Unless ``listed``, a new family hides until its first series."""
         return self._family(name, "histogram", help, sample_cap=sample_cap,
                             listed=listed)
 
@@ -478,11 +476,3 @@ class MetricsRegistry:
         """Point-in-time view of every family: the export surface."""
         return {name: self._families[name].snapshot()
                 for name in self.families()}
-
-
-_default_registry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The module-level registry (for ad-hoc/standalone instrumentation)."""
-    return _default_registry

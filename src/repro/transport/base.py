@@ -78,8 +78,7 @@ class Transport:
                                  batched_keys=self._batched_keys[()])
 
     def adopt_counts(self, registry) -> None:
-        """Sum the batched-key tally into ``registry`` and observe
-        batch CPU there; both families list from their first series."""
+        """Count batched keys and observe batch CPU into ``registry``."""
         registry.adopt("cliquemap_batched_keys_total",
                        "Keys carried inside coalesced multi-entry "
                        "transport ops", self._batched_keys, listed=False,
