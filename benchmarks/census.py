@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
 """Line census: which lines of ``src/repro`` tier-1 and the examples reach.
 
-    python3 benchmarks/census.py [--out FILE] [--no-tests] [--no-examples]
-                                 [-- PYTEST_ARGS ...]
-
-``PYTEST_ARGS`` replace the default ``tests`` (e.g. ``-- tests/unit``).
+    python3 benchmarks/census.py [--out FILE]
 
 No coverage package is installed, so the recorder is ``sys.settrace``
 (and ``threading.settrace``, so threads are traced too). The first pass
@@ -19,9 +16,11 @@ reached when a ``line`` event fires on it, or, for a ``def`` line, the
 spawn a fresh interpreter are not traced.
 
 Prints, per module, the executable lines and the lines unreached by
-tier-1, by the examples and by both, then the totals. ``--out`` writes
-the same numbers plus every unreached line number as JSON, so two trees
-can be diffed. Tracing multiplies tier-1's wall time about tenfold.
+tier-1, by the examples and by both, then the totals, and writes the
+same numbers plus every unreached line number as JSON (``--out``,
+default ``census.json``), so two trees can be diffed. Tracing makes
+tier-1 about ten times slower: budget an hour and a half for both
+passes on a 2-core box.
 """
 
 from __future__ import annotations
@@ -100,11 +99,10 @@ class LineRecorder:
         threading.settrace(None)
 
 
-def run_tests(pytest_args: List[str]) -> Dict[str, Set[int]]:
+def run_tests() -> Dict[str, Set[int]]:
     import pytest
     with LineRecorder() as recorder:
-        status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              *(pytest_args or ["tests"])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     print(f"tier-1 exit status {int(status)}", flush=True)
     return recorder.hits
 
@@ -166,25 +164,17 @@ def report(table: Dict[str, dict]) -> Dict[str, int]:
 
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="write the census as JSON here")
-    parser.add_argument("--no-tests", action="store_true",
-                        help="skip the tier-1 pass")
-    parser.add_argument("--no-examples", action="store_true",
-                        help="skip the examples pass")
-    parser.add_argument("pytest_args", nargs="*",
-                        help="pytest arguments in place of 'tests' "
-                             "(after --)")
+    parser.add_argument("--out", default="census.json",
+                        help="where to write the census as JSON")
     args = parser.parse_args(argv)
+    out = os.path.abspath(args.out)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(ROOT)
-    tests = {} if args.no_tests else run_tests(args.pytest_args)
-    examples = {} if args.no_examples else run_examples()
-    table = census(tests, examples)
+    table = census(run_tests(), run_examples())
     totals = report(table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"totals": totals, "modules": table}, handle,
-                      indent=1, sort_keys=True)
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump({"totals": totals, "modules": table}, handle, indent=1,
+                  sort_keys=True)
     return 0
 
 
