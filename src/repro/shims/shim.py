@@ -119,7 +119,6 @@ class LanguageShim:
         return result
 
 
-
 def make_shim(client: CliqueMapClient, language: str) -> LanguageShim:
     """Build a shim (or a pass-through for cpp) over a connected client."""
     return LanguageShim(client, language)
