@@ -1288,7 +1288,8 @@ class CliqueMapClient:
             raise _AttemptRetry("no-healthy-replicas")
         for view in views:
             def issue():
-                msg_span = span.child("msg", attempt=attempt, task=view.task)
+                msg_span = span.child("transport.message", attempt=attempt,
+                                      task=view.task)
                 return msg_span, self.transport.message(
                     self.host, view.host_name, "cliquemap-lookup",
                     len(key) + 64, {"key": key}, trace=msg_span)
@@ -1307,7 +1308,7 @@ class CliqueMapClient:
         if not views:
             raise _AttemptRetry("no-healthy-replicas")
         for view in views:
-            lookup_span = span.child("rpc-lookup", attempt=attempt,
+            lookup_span = span.child("rpc.lookup", attempt=attempt,
                                      task=view.task)
             try:
                 reply = yield from view.channel.call(
@@ -1501,7 +1502,7 @@ class CliqueMapClient:
         """On a miss under an overflowed bucket, optionally try RPC (§4.2)."""
         if self.config.overflow_rpc_lookup and overflow_seen:
             self._counts["overflow_lookups"] += 1
-            overflow_span = span.child("overflow", attempt=attempt)
+            overflow_span = span.child("rpc.overflow", attempt=attempt)
             try:
                 for view in views:
                     try:

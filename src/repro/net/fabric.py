@@ -244,8 +244,9 @@ class Fabric:
         :class:`NetworkDropError` after ``partition_detect_delay`` when a
         partition or a loss ate it. Loopback delivery (src is dst) skips
         the NIC entirely. When ``trace`` (a telemetry span) is given, the
-        delivery decomposes into egress-queueing, propagation, and
-        ingress-queueing child spans.
+        delivery is one ``fabric.deliver`` child span labelled with the
+        instants it left the egress link (``depart``) and reached the
+        receiver (``arrive``), which bound its three phases.
 
         ``parts`` declares how many logical operations this single
         transfer coalesces (batched multi-key ops, §7.1): the wire cost is
@@ -268,8 +269,7 @@ class Fabric:
                 span.annotate(parts=parts)
             self.counts[src.zone][COALESCED][()] += 1
         if src is dst:
-            sim.inject(sim.now + 1e-7, _resume, proc, token, False,
-                       () if span is None else (span,))
+            sim.inject(sim.now + 1e-7, _resume, proc, token, False, span)
             return PARKED
         if self.is_partitioned(src, dst):
             return self._drop(proc, token, span, src, dst, "partition")
@@ -297,17 +297,14 @@ class Fabric:
             if span is not None:
                 span.annotate(slowed=fault.latency_multiplier)
             self.counts[src.zone][SLOWED][()] += 1
-        propagate = None
         if span is not None:
-            span.child("egress").finish(depart)
-            propagate = span.child("propagate")
-            propagate.start = depart
+            span.labels["depart"] = depart
         # Pushed at the absolute instant, as Resource.hold pushes its
         # completion: ``now + (at - now)`` is not always the float ``at``.
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (depart + delay, seq, self._arrive,
                              (proc, token, dst.nic.ingress, wire, corrupted,
-                              span, propagate)))
+                              span)))
         return PARKED
 
     def deliver(self, src: Host, dst: Host, payload_bytes: int,
@@ -316,20 +313,18 @@ class Fabric:
         return (yield self.send(src, dst, payload_bytes, trace, parts))
 
     def _arrive(self, proc: Process, token: int, ingress, wire: int,
-                corrupted: bool, span, propagate) -> None:
+                corrupted: bool, span) -> None:
         """A delivery reaches the receiver: serialize through its ingress
         link, then wake the sender."""
         if proc._waiting_on != token:
             return      # the sender was interrupted in flight
         done = ingress.reserve(wire)
-        spans = ()
-        if span is not None:
-            propagate.finish()
-            spans = (span.child("ingress"), span)
         sim = self.sim
+        if span is not None:
+            span.labels["arrive"] = sim.now
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (done, seq, _resume,
-                             (proc, token, corrupted, spans)))
+                             (proc, token, corrupted, span)))
 
     def _drop(self, proc: Process, token: int, span, src: Host, dst: Host,
               reason: str) -> Any:
@@ -339,7 +334,7 @@ class Fabric:
         self.counts[src.zone][DROPPED][reason] += 1
         sim = self.sim
         sim.inject(sim.now + self.config.partition_detect_delay, _resume,
-                   proc, token, False, () if span is None else (span,),
+                   proc, token, False, span,
                    NetworkDropError(src.name, dst.name, reason))
         return PARKED
 
@@ -434,11 +429,11 @@ class Fabric:
         return proc
 
 
-def _resume(proc: Process, token: int, corrupted: bool, spans: tuple,
+def _resume(proc: Process, token: int, corrupted: bool, span,
             exc: Optional[BaseException] = None) -> None:
     """Wake a sender parked in :meth:`Fabric.send`, unless it was
     interrupted meanwhile (the token check ``Resource.hold`` makes)."""
-    for span in spans:
+    if span is not None:
         span.finish()
     if proc._waiting_on == token and not proc._triggered:
         if exc is None:

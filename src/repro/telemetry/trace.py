@@ -62,8 +62,8 @@ class _IdAllocator:
 
     __slots__ = ("_next",)
 
-    def __init__(self, start: int = 1):
-        self._next = start
+    def __init__(self):
+        self._next = 1
 
     def __call__(self) -> int:
         span_id = self._next
@@ -85,22 +85,20 @@ class Span:
 
     def __init__(self, name: str, clock: Callable[[], float],
                  labels: Optional[Dict[str, Any]] = None,
-                 start: Optional[float] = None,
                  parent: Optional["Span"] = None,
                  trace_id: Optional[str] = None,
-                 span_id: Optional[int] = None,
                  remote_parent: Optional[SpanRef] = None,
                  ids: Optional[_IdAllocator] = None):
         self.name = name
         self._clock = clock
         self.labels: Dict[str, Any] = dict(labels) if labels else {}
-        self.start = clock() if start is None else start
+        self.start = clock()
         self.end: Optional[float] = None
         self.children: List["Span"] = []
         self._parent = ref(parent) if parent is not None else None
         self._ids = ids if ids is not None else (
             parent._ids if parent is not None else _IdAllocator())
-        self.span_id = span_id if span_id is not None else self._ids()
+        self.span_id = self._ids()
         self.trace_id = trace_id if trace_id is not None else (
             parent.trace_id if parent is not None else None)
         self.remote_parent = remote_parent
@@ -250,18 +248,6 @@ class _NullSpan:
 
     __slots__ = ()
 
-    name = "null"
-    labels: Dict[str, Any] = {}
-    start = 0.0
-    end = 0.0
-    children: List[Span] = []
-    finished = True
-    duration = 0.0
-    parent = None
-    trace_id = None
-    span_id = 0
-    remote_parent = None
-
     def child(self, name: str, **labels: Any) -> "_NullSpan":
         return self
 
@@ -271,23 +257,11 @@ class _NullSpan:
     def annotate(self, **labels: Any) -> "_NullSpan":
         return self
 
-    def ref(self, zone: str = "") -> None:
-        return None
-
     def walk(self, depth: int = 0):
         return iter(())
 
     def find(self, name: str) -> None:
         return None
-
-    def find_all(self, name: str) -> List[Span]:
-        return []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def render(self) -> str:
-        return "(tracing disabled)"
 
     def __bool__(self) -> bool:
         # Falsy, so ``trace or NULL_SPAN`` idioms and "did we trace?"
@@ -363,7 +337,6 @@ class Tracer:
         self.clock = clock
         self.enabled = enabled
         self.max_retained = max_retained
-        self.namespace = namespace
         self.tail_sample_every = tail_sample_every
         self.tail_slow_threshold = tail_slow_threshold
         self.finished: List[Span] = []

@@ -123,64 +123,61 @@ class Transport:
         ``_rma_leg`` -> here; each delivery is one parked
         ``fabric.send`` wait, with no frame either) and declares only
         what differs (docs/ARCHITECTURE.md §4): ``entries``,
-        0 for a single op (``nic.tx`` / ``nic.rx`` spans) or n for a
-        coalesced one (one ``nic.batch`` span, ``parts=n`` transfers);
-        request bytes and tx cost; ``serve(endpoint, span)``, a generator
-        that opens ``backend.serve``, snapshots memory and returns
-        ``(payload, response_bytes, rx_cost)`` — or raises, failing the op
-        with no response leg; ``land(payload)``, how an in-flight
-        corruption lands (``None``: never); ``book(payload,
+        0 for a single op or n for a coalesced one (``parts=n``
+        transfers); request bytes and tx cost; ``serve(endpoint, span)``,
+        a generator that opens ``backend.serve``, snapshots memory and
+        returns ``(payload, response_bytes, rx_cost)`` — or raises,
+        failing the op with no response leg; ``land(payload)``, how an
+        in-flight corruption lands (``None``: never); ``book(payload,
         response_bytes)``, its counters. Transports differ in three hooks:
-        :meth:`_initiator`, :meth:`_admit`, :meth:`_stamp`.
+        :meth:`_initiator`, :meth:`_admit`, :meth:`_stamp`. One
+        ``nic.exchange`` span closes on every exit; its self time before
+        its first child and after its last is the client's tx and rx.
         """
-        trace = trace or NULL_SPAN
-        if entries:
-            trace = around = trace.child("nic.batch", entries=entries)
-        else:
-            around = trace.child("nic.tx")
+        span = (trace or NULL_SPAN).child("nic.exchange", entries=entries)
         cpu = self._initiator(client_host)
-        yield cpu(tx_cost)
-        slot = self._admit(client_host)
         try:
+            yield cpu(tx_cost)
+            slot = self._admit(client_host)
+            try:
+                if slot is not None:
+                    yield slot
+                    issued_at = self.sim.now
+                # Unknown endpoint: the request's bytes leave the client
+                # anyway.
+                endpoint = self.endpoints.get(server_name)
+                yield self.fabric.send(
+                    client_host, endpoint.host if endpoint is not None
+                    else self.fabric.host(server_name),
+                    request_bytes, span, entries or 1)
+                endpoint = self._check_remote(server_name, client_host)
+                if endpoint is None:  # dead: fail like a timed-out op
+                    yield self.sim.delay(self.op_timeout)
+                    raise RemoteHostDownError(
+                        f"op to {server_name} timed out")
+                payload, response_bytes, rx_cost = yield from serve(
+                    endpoint, span)
+                corrupted = yield self.fabric.send(
+                    endpoint.host, client_host, response_bytes, span,
+                    entries or 1)
+            except RmaError:
+                # The one rule: an op the transport fails counts once, here
+                # (a batch's failed entries in _snapshot_each; a dropped
+                # delivery is the fabric's to count).
+                self._counts["failures"] += 1
+                raise
+            finally:
+                # Admission bounds what is in flight, not completion work:
+                # released when the response arrives or the op fails.
+                if slot is not None:
+                    slot.resource.release(slot)
+            if corrupted and land is not None:
+                payload = land(payload)
             if slot is not None:
-                yield slot
-                issued_at = self.sim.now
-            if not entries:
-                around.finish()
-            # Unknown endpoint: the request's bytes leave the client anyway.
-            endpoint = self.endpoints.get(server_name)
-            yield self.fabric.send(
-                client_host, endpoint.host if endpoint is not None
-                else self.fabric.host(server_name),
-                request_bytes, trace, entries or 1)
-            endpoint = self._check_remote(server_name, client_host)
-            if endpoint is None:  # dead: fail like a timed-out op
-                yield self.sim.delay(self.op_timeout)
-                raise RemoteHostDownError(f"op to {server_name} timed out")
-            payload, response_bytes, rx_cost = yield from serve(endpoint,
-                                                                trace)
-            corrupted = yield self.fabric.send(
-                endpoint.host, client_host, response_bytes, trace,
-                entries or 1)
-        except RmaError:
-            # The one rule: an op the transport fails counts once, here
-            # (a batch's failed entries in _snapshot_each; a dropped
-            # delivery is the fabric's to count).
-            self._counts["failures"] += 1
-            raise
+                self._stamp(issued_at)
+            yield cpu(rx_cost)
         finally:
-            # Admission bounds what is in flight, not completion work:
-            # released when the response arrives or the op fails.
-            if slot is not None:
-                slot.resource.release(slot)
-        if corrupted and land is not None:
-            payload = land(payload)
-        if slot is not None:
-            self._stamp(issued_at)
-        if not entries:
-            around = trace.child("nic.rx")
-        yield cpu(rx_cost)
-        around.finish()
+            span.finish()
         book(payload, response_bytes)
         return payload
 

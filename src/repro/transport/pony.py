@@ -301,7 +301,7 @@ class PonyTransport(Transport):
                               self._payload_cost(request_bytes))
             # Wake an application thread and run the handler on host CPU —
             # the expensive part two-sided designs pay (§6.3).
-            app_span = span.child("app-thread")
+            app_span = span.child("handler.message")
             yield endpoint.host.execute(cost.msg_thread_wakeup +
                                         cost.msg_app_cpu, "msg-app")
             response_payload, response_bytes = handlers[name](request_payload)

@@ -255,19 +255,19 @@ GOLDEN = \
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '52:3ba8c601'},
+                 'spans': '24:8ba2229b'},
  'present:scar': {'keys': ['hit/1/1.124819909684941e-05/-/first'],
                   'entries': 44,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '39:61e7183f'},
+                  'spans': '18:1b262249'},
  'present:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
                     'entries': 22,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '27:9c685de3'},
+                    'spans': '13:3084400e'},
  'present:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
                                  'hit/1/2.1770204240974017e-05/-/first',
                                  'hit/1/2.222087220972403e-05/-/first',
@@ -276,7 +276,7 @@ GOLDEN = \
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '72:56928160'},
+                        'spans': '33:5cbdb215'},
  'present:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
                                  'hit/1/2.146124081709908e-05/-/first',
                                  'hit/1/2.1508105686291043e-05/-/first',
@@ -285,25 +285,25 @@ GOLDEN = \
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '72:8f5c536a'},
+                        'spans': '33:0ddfa5cc'},
  'absent:2xr': {'keys': ['miss/1/1.0694171055121026e-05/-/-'],
                 'entries': 38,
                 'stats': {'gets': 1, 'misses': 1},
                 'retries': {},
                 'fallback': {},
-                'spans': '38:33575bfc'},
+                'spans': '17:7e421bda'},
  'absent:scar': {'keys': ['miss/1/1.0880041055121004e-05/-/-'],
                  'entries': 38,
                  'stats': {'gets': 1, 'misses': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '38:1a5af474'},
+                 'spans': '17:22b54a08'},
  'absent:serial': {'keys': ['miss/1/1.0104273282546803e-05/-/-'],
                    'entries': 13,
                    'stats': {'gets': 1, 'misses': 1},
                    'retries': {},
                    'fallback': {},
-                   'spans': '14:a1aa08f8'},
+                   'spans': '7:b81352c4'},
  'absent:multi-pony': {'keys': ['hit/1/2.165045102843022e-05/-/first',
                                 'miss/1/1.1820841385097071e-05/-/-',
                                 'hit/1/2.234736394471392e-05/-/first',
@@ -312,7 +312,7 @@ GOLDEN = \
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
-                       'spans': '60:ca31f0fa'},
+                       'spans': '28:58588150'},
  'absent:multi-1rma': {'keys': ['hit/1/2.1717810100034996e-05/-/first',
                                 'miss/1/1.1657488946668405e-05/-/-',
                                 'hit/1/2.1409445469171545e-05/-/first',
@@ -321,25 +321,25 @@ GOLDEN = \
                        'stats': {'gets': 4, 'hits': 2, 'misses': 2},
                        'retries': {},
                        'fallback': {},
-                       'spans': '60:f9c125dc'},
+                       'spans': '28:f52e87b0'},
  'crashed:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
                  'entries': 44,
                  'stats': {'gets': 1, 'hits': 1},
                  'retries': {},
                  'fallback': {},
-                 'spans': '46:218a0064'},
+                 'spans': '22:d80bbdc4'},
  'crashed:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
                   'entries': 38,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '33:8c2bda54'},
+                  'spans': '16:eab1c0c0'},
  'crashed:serial': {'keys': ['hit/1/0.0002251647544254243/-/first'],
                     'entries': 29,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '34:204adcc5'},
+                    'spans': '17:8a529ee9'},
  'crashed:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
                                  'hit/1/0.00020504653021611652/-/first',
                                  'hit/1/0.00020504653021611652/-/first',
@@ -348,7 +348,7 @@ GOLDEN = \
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '67:fc8dd502'},
+                        'spans': '31:16030a41'},
  'crashed:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
                                  'hit/1/0.00020457457021611652/-/first',
                                  'hit/1/0.00020457457021611652/-/first',
@@ -357,25 +357,25 @@ GOLDEN = \
                         'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                         'retries': {},
                         'fallback': {},
-                        'spans': '67:30173fa8'},
+                        'spans': '31:d6e7698c'},
  'stale-view:2xr': {'keys': ['hit/1/2.0536374705449538e-05/-/first'],
                     'entries': 48,
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '47:7809782b'},
+                    'spans': '23:60542001'},
  'stale-view:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
                      'entries': 42,
                      'stats': {'gets': 1, 'hits': 1},
                      'retries': {},
                      'fallback': {},
-                     'spans': '34:6882fce0'},
+                     'spans': '17:d1c62ab3'},
  'stale-view:serial': {'keys': ['hit/1/2.5670191925424328e-05/-/first'],
                        'entries': 28,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
-                       'spans': '35:edd62367'},
+                       'spans': '18:236bdcf3'},
  'stale-view:multi-pony': {'keys': ['hit/1/2.172953308679829e-05/-/first',
                                     'hit/1/2.2289244188331654e-05/-/first',
                                     'hit/1/2.2739912157081666e-05/-/first',
@@ -384,7 +384,7 @@ GOLDEN = \
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '72:0c0690b7'},
+                           'spans': '33:8fe0435c'},
  'stale-view:multi-1rma': {'keys': ['hit/1/2.1636698407081416e-05/-/first',
                                     'hit/1/2.1500944167455733e-05/-/first',
                                     'hit/1/2.1547809036647696e-05/-/first',
@@ -393,7 +393,7 @@ GOLDEN = \
                            'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '72:c7d8f5e2'},
+                           'spans': '33:90b90b60'},
  'stale+crashed:2xr': {'keys': ['hit/2/0.0003078920068864874/-/first'],
                        'entries': 91,
                        'stats': {'gets': 1,
@@ -402,7 +402,7 @@ GOLDEN = \
                                  'view_refreshes': 1},
                        'retries': {'stale-view': 1},
                        'fallback': {},
-                       'spans': '79:faf16a11'},
+                       'spans': '38:b08e8676'},
  'stale+crashed:scar': {'keys': ['hit/2/0.0002984085035468533/-/first'],
                         'entries': 77,
                         'stats': {'gets': 1,
@@ -411,13 +411,13 @@ GOLDEN = \
                                   'view_refreshes': 1},
                         'retries': {'stale-view': 1},
                         'fallback': {},
-                        'spans': '54:c25d4bf5'},
+                        'spans': '27:d8b21fa9'},
  'stale+crashed:serial': {'keys': ['error/10/0.004379235659825922/replica-error/-'],
                           'entries': 137,
                           'stats': {'get_errors': 1, 'gets': 1, 'retries': 10},
                           'retries': {'replica-error': 10},
                           'fallback': {},
-                          'spans': '97:9ffd9499'},
+                          'spans': '64:232193fa'},
  'stale+crashed:multi-pony': {'keys': ['hit/1/0.0002790012164907037/-/first',
                                        'hit/1/0.00028047289149890457/-/first',
                                        'hit/1/0.0002813847450145294/-/first',
@@ -429,7 +429,7 @@ GOLDEN = \
                                         'view_refreshes': 1},
                               'retries': {},
                               'fallback': {'stale-view': 4},
-                              'spans': '138:ffc9a1da'},
+                              'spans': '67:bef3c8f9'},
  'stale+crashed:multi-1rma': {'keys': ['hit/1/0.00028691407979032743/-/first',
                                        'hit/1/0.00028724506607298887/-/first',
                                        'hit/1/0.0002868245897447155/-/first',
@@ -441,19 +441,19 @@ GOLDEN = \
                                         'view_refreshes': 1},
                               'retries': {},
                               'fallback': {'stale-view': 4},
-                              'spans': '177:3e3d52f2'},
+                              'spans': '85:c599ff4d'},
  'newer-config:2xr': {'keys': ['hit/1/2.1358775974740702e-05/-/first'],
                       'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '52:d5008f39'},
+                      'spans': '24:4c4e0f51'},
  'newer-config:scar': {'keys': ['hit/1/1.1704796753099446e-05/-/first'],
                        'entries': 46,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
-                       'spans': '39:cac96e88'},
+                       'spans': '18:8d37c4cf'},
  'newer-config:serial': {'keys': ['hit/2/0.000535553738570654/-/first'],
                          'entries': 74,
                          'stats': {'config_refreshes': 1,
@@ -463,7 +463,7 @@ GOLDEN = \
                                    'view_refreshes': 3},
                          'retries': {'config-mismatch': 1},
                          'fallback': {},
-                         'spans': '41:75b77100'},
+                         'spans': '20:88568ac7'},
  'newer-config:multi-pony': {'keys': ['hit/1/2.172953308679829e-05/-/first',
                                       'hit/1/2.2289244188331654e-05/-/first',
                                       'hit/1/2.2739912157081666e-05/-/first',
@@ -472,7 +472,7 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:34bb7e26'},
+                             'spans': '33:7e3892c5'},
  'newer-config:multi-1rma': {'keys': ['hit/1/2.1914755056724766e-05/-/first',
                                       'hit/1/2.1779000817099083e-05/-/first',
                                       'hit/1/2.1825865686291046e-05/-/first',
@@ -481,7 +481,7 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:7b213e2a'},
+                             'spans': '33:b3cdc0c2'},
  'config+crashed:2xr': {'keys': ['hit/2/0.0007373172180405587/-/first'],
                         'entries': 122,
                         'stats': {'config_refreshes': 1,
@@ -491,7 +491,7 @@ GOLDEN = \
                                   'view_refreshes': 2},
                         'retries': {'config-mismatch': 1},
                         'fallback': {},
-                        'spans': '84:5107fe0f'},
+                        'spans': '39:0e19f69b'},
  'config+crashed:scar': {'keys': ['hit/2/0.0007279196703234085/-/first'],
                          'entries': 109,
                          'stats': {'config_refreshes': 1,
@@ -501,7 +501,7 @@ GOLDEN = \
                                    'view_refreshes': 2},
                          'retries': {'config-mismatch': 1},
                          'fallback': {},
-                         'spans': '59:a8a69011'},
+                         'spans': '28:fbd6aa68'},
  'config+crashed:serial': {'keys': ['hit/2/0.0005424257264791194/-/first'],
                            'entries': 71,
                            'stats': {'config_refreshes': 1,
@@ -511,7 +511,7 @@ GOLDEN = \
                                      'view_refreshes': 2},
                            'retries': {'config-mismatch': 1},
                            'fallback': {},
-                           'spans': '41:3023ff0e'},
+                           'spans': '20:1eb992f1'},
  'config+crashed:multi-pony': {'keys': ['hit/1/0.0007084371371413122/-/first',
                                         'hit/1/0.0007093507719069374/-/first',
                                         'hit/1/0.0007107191058913124/-/first',
@@ -524,7 +524,7 @@ GOLDEN = \
                                          'view_refreshes': 2},
                                'retries': {},
                                'fallback': {'config-mismatch': 4},
-                               'spans': '138:635c281b'},
+                               'spans': '67:4ba6edd3'},
  'config+crashed:multi-1rma': {'keys': ['hit/1/0.0007161383283404824/-/first',
                                         'hit/1/0.0007166086399112295/-/first',
                                         'hit/1/0.0007166783503418226/-/first',
@@ -537,25 +537,25 @@ GOLDEN = \
                                          'view_refreshes': 2},
                                'retries': {},
                                'fallback': {'config-mismatch': 4},
-                               'spans': '177:296c3fd1'},
+                               'spans': '85:3d320da3'},
  'dirty:2xr': {'keys': ['hit/1/2.165228830539837e-05/-/second'],
                'entries': 60,
                'stats': {'gets': 1, 'hits': 1},
                'retries': {},
                'fallback': {},
-               'spans': '64:8c6482b2'},
+               'spans': '29:e525e077'},
  'dirty:scar': {'keys': ['hit/1/1.1704459839036825e-05/-/second'],
                 'entries': 46,
                 'stats': {'gets': 1, 'hits': 1},
                 'retries': {},
                 'fallback': {},
-                'spans': '39:65585f8e'},
+                'spans': '18:e12531e3'},
  'dirty:serial': {'keys': ['hit/1/2.0544372752404733e-05/-/first'],
                   'entries': 22,
                   'stats': {'gets': 1, 'hits': 1},
                   'retries': {},
                   'fallback': {},
-                  'spans': '27:9c685de3'},
+                  'spans': '13:b8940566'},
  'dirty:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
                                'hit/1/2.2409829714290148e-05/-/second',
                                'hit/1/2.1766769865974134e-05/-/first',
@@ -564,7 +564,7 @@ GOLDEN = \
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '72:c764f908'},
+                      'spans': '33:806ea2d7'},
  'dirty:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
                                'hit/1/2.1786178186290902e-05/-/second',
                                'hit/1/2.1457415817099077e-05/-/first',
@@ -573,19 +573,19 @@ GOLDEN = \
                       'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '72:abb7b1eb'},
+                      'spans': '33:c124b82a'},
  'dirty+slow-quorum:2xr': {'keys': ['hit/1/0.00014116503967746981/-/second'],
                            'entries': 60,
                            'stats': {'gets': 1, 'hits': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '64:8ee0039d'},
+                           'spans': '29:721dfdb8'},
  'dirty+slow-quorum:scar': {'keys': ['hit/1/7.129423218095292e-05/-/second'],
                             'entries': 46,
                             'stats': {'gets': 1, 'hits': 1},
                             'retries': {},
                             'fallback': {},
-                            'spans': '39:bb6ec53a'},
+                            'spans': '18:2d988813'},
  'dirty+slow-quorum:multi-pony': {'keys': ['hit/1/7.949678606095057e-05/-/first',
                                            'hit/1/0.0001428936417703176/-/second',
                                            'hit/1/7.994745402970058e-05/-/first',
@@ -594,7 +594,7 @@ GOLDEN = \
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '72:0d496acd'},
+                                  'spans': '33:2fb382ca'},
  'dirty+slow-quorum:multi-1rma': {'keys': ['hit/1/7.995162275321595e-05/-/first',
                                            'hit/1/0.0001427453936453174/-/second',
                                            'hit/1/8.000529214160796e-05/-/first',
@@ -603,7 +603,7 @@ GOLDEN = \
                                   'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '72:59574a2d'},
+                                  'spans': '33:46c8c4f7'},
  'three-way:2xr': {'keys': ['error/10/0.004099102610399179/inquorate/-'],
                    'entries': 483,
                    'stats': {'get_errors': 1,
@@ -612,7 +612,7 @@ GOLDEN = \
                              'retries': 10},
                    'retries': {'inquorate': 10},
                    'fallback': {},
-                   'spans': '493:ee78bf6e'},
+                   'spans': '218:e2906514'},
  'three-way:scar': {'keys': ['error/10/0.004098651118649595/inquorate/-'],
                     'entries': 429,
                     'stats': {'get_errors': 1,
@@ -621,7 +621,7 @@ GOLDEN = \
                               'retries': 10},
                     'retries': {'inquorate': 10},
                     'fallback': {},
-                    'spans': '380:06d7095d'},
+                    'spans': '170:c4bc388f'},
  'three-way:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
                                    'error/10/0.004120575372728145/inquorate/-',
                                    'hit/1/2.1766769865974134e-05/-/first',
@@ -635,7 +635,7 @@ GOLDEN = \
                                     'retries': 10},
                           'retries': {'inquorate': 10},
                           'fallback': {'inquorate': 1},
-                          'spans': '440:83282ac4'},
+                          'spans': '198:c8e945b0'},
  'three-way:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
                                    'error/10/0.004113831400295442/inquorate/-',
                                    'hit/1/2.1457415817099077e-05/-/first',
@@ -649,7 +649,7 @@ GOLDEN = \
                                     'retries': 10},
                           'retries': {'inquorate': 10},
                           'fallback': {'inquorate': 1},
-                          'spans': '550:d8a78d3b'},
+                          'spans': '245:c4d9a8e2'},
  'overflow-rpc-on:2xr': {'keys': ['hit/1/7.281980986909779e-05/-/first'],
                          'entries': 54,
                          'stats': {'gets': 1,
@@ -657,7 +657,7 @@ GOLDEN = \
                                    'overflow_lookups': 1},
                          'retries': {},
                          'fallback': {},
-                         'spans': '50:8d8d1849'},
+                         'spans': '23:d0eabd4b'},
  'overflow-rpc-on:scar': {'keys': ['hit/1/7.300530486909775e-05/-/first'],
                           'entries': 54,
                           'stats': {'gets': 1,
@@ -665,7 +665,7 @@ GOLDEN = \
                                     'overflow_lookups': 1},
                           'retries': {},
                           'fallback': {},
-                          'spans': '50:6f46ccbd'},
+                          'spans': '23:b4053db6'},
  'overflow-rpc-on:serial': {'keys': ['hit/1/7.203457549032218e-05/-/first'],
                             'entries': 28,
                             'stats': {'gets': 1,
@@ -673,7 +673,7 @@ GOLDEN = \
                                       'overflow_lookups': 1},
                             'retries': {},
                             'fallback': {},
-                            'spans': '26:20c63f61'},
+                            'spans': '13:352558aa'},
  'overflow-rpc-on:multi-pony': {'keys': ['hit/1/7.32641813954557e-05/-/first',
                                          'hit/1/7.338322903225236e-05/-/first',
                                          'hit/1/7.343893524908401e-05/-/first',
@@ -685,7 +685,7 @@ GOLDEN = \
                                           'overflow_lookups': 4},
                                 'retries': {},
                                 'fallback': {},
-                                'spans': '106:09480977'},
+                                'spans': '52:c5665416'},
  'overflow-rpc-on:multi-1rma': {'keys': ['hit/1/7.263088885505354e-05/-/first',
                                          'hit/1/7.27499364918502e-05/-/first',
                                          'hit/1/7.280564270868185e-05/-/first',
@@ -697,25 +697,25 @@ GOLDEN = \
                                           'overflow_lookups': 4},
                                 'retries': {},
                                 'fallback': {},
-                                'spans': '106:4994fa6d'},
+                                'spans': '52:5b845be7'},
  'overflow-rpc-off:2xr': {'keys': ['miss/1/1.0464307385755914e-05/-/-'],
                           'entries': 38,
                           'stats': {'gets': 1, 'misses': 1},
                           'retries': {},
                           'fallback': {},
-                          'spans': '38:238c9a33'},
+                          'spans': '17:95810506'},
  'overflow-rpc-off:scar': {'keys': ['miss/1/1.0649802385755873e-05/-/-'],
                            'entries': 38,
                            'stats': {'gets': 1, 'misses': 1},
                            'retries': {},
                            'fallback': {},
-                           'spans': '38:914f397a'},
+                           'spans': '17:ff76db36'},
  'overflow-rpc-off:serial': {'keys': ['miss/1/9.823397076508342e-06/-/-'],
                              'entries': 13,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '14:ea70a31e'},
+                             'spans': '7:3d0cfd91'},
  'overflow-rpc-off:multi-pony': {'keys': ['miss/1/1.1083772066288562e-05/-/-',
                                           'miss/1/1.1083772066288562e-05/-/-',
                                           'miss/1/1.1083772066288562e-05/-/-',
@@ -724,7 +724,7 @@ GOLDEN = \
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
-                                 'spans': '36:1075e28a'},
+                                 'spans': '18:e834cdf9'},
  'overflow-rpc-off:multi-1rma': {'keys': ['miss/1/1.0450479525886402e-05/-/-',
                                           'miss/1/1.0450479525886402e-05/-/-',
                                           'miss/1/1.0450479525886402e-05/-/-',
@@ -733,7 +733,7 @@ GOLDEN = \
                                  'stats': {'gets': 4, 'misses': 4},
                                  'retries': {},
                                  'fallback': {},
-                                 'spans': '36:1ccc1051'},
+                                 'spans': '18:e2e1a1a7'},
  'torn:2xr': {'keys': ['hit/2/6.177851808534596e-05/-/first'],
               'entries': 91,
               'stats': {'gets': 1,
@@ -743,7 +743,7 @@ GOLDEN = \
                         'validation_failures': 1},
               'retries': {'validation-torn-or-stale': 1},
               'fallback': {},
-              'spans': '104:33f40e83'},
+              'spans': '48:30b61541'},
  'torn:scar': {'keys': ['hit/2/5.382592556490691e-05/-/first'],
                'entries': 88,
                'stats': {'gets': 1,
@@ -753,7 +753,7 @@ GOLDEN = \
                          'validation_failures': 1},
                'retries': {'validation-torn-or-stale': 1},
                'fallback': {},
-               'spans': '91:6afa4a8b'},
+               'spans': '42:aa1a5ab1'},
  'torn:serial': {'keys': ['hit/2/8.188937174908055e-05/-/first'],
                  'entries': 55,
                  'stats': {'gets': 1,
@@ -763,7 +763,7 @@ GOLDEN = \
                            'validation_failures': 1},
                  'retries': {'validation-torn-or-stale': 1},
                  'fallback': {},
-                 'spans': '80:bd41ba44'},
+                 'spans': '38:5fcd0787'},
  'torn:multi-pony': {'keys': ['hit/1/2.1210493139440655e-05/-/first',
                               'hit/2/7.562655930721184e-05/-/first',
                               'hit/1/2.222087220972403e-05/-/first',
@@ -777,7 +777,7 @@ GOLDEN = \
                                'validation_failures': 1},
                      'retries': {'validation-torn-or-stale': 1},
                      'fallback': {'validation-torn-or-stale': 1},
-                     'spans': '163:13a08357'},
+                     'spans': '75:10da773e'},
  'torn:multi-1rma': {'keys': ['hit/1/2.1596995056724763e-05/-/first',
                               'hit/2/8.378156640495842e-05/-/first',
                               'hit/1/2.1508105686291043e-05/-/first',
@@ -791,13 +791,13 @@ GOLDEN = \
                                'validation_failures': 1},
                      'retries': {'validation-torn-or-stale': 1},
                      'fallback': {'validation-torn-or-stale': 1},
-                     'spans': '176:80ecf1b4'},
+                     'spans': '81:2984d2a2'},
  'primary:slow:2xr': {'keys': ['hit/1/0.00014208546346408787/-/first'],
                       'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '52:5469ae57'},
+                      'spans': '24:e0b9fee6'},
  'primary:slow:multi-pony': {'keys': ['hit/1/7.119418687065622e-05/-/first',
                                       'hit/1/0.0001428025024483823/-/first',
                                       'hit/1/7.119418687065622e-05/-/first',
@@ -806,7 +806,7 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:cf475b36'},
+                             'spans': '33:6f4bfe46'},
  'primary:slow:multi-1rma': {'keys': ['hit/1/7.10639768706561e-05/-/first',
                                       'hit/1/0.00014302490963588209/-/first',
                                       'hit/1/7.10639768706561e-05/-/first',
@@ -815,13 +815,13 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '72:fb855b67'},
+                             'spans': '33:f329c483'},
  'primary:slow-absent:2xr': {'keys': ['miss/1/7.083366344096738e-05/-/-'],
                              'entries': 40,
                              'stats': {'gets': 1, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '38:d4fb297a'},
+                             'spans': '17:64dd0f40'},
  'primary:slow-absent:multi-pony': {'keys': ['hit/1/7.206278108077657e-05/-/first',
                                              'miss/1/7.206278108077657e-05/-/-',
                                              'hit/1/7.206278108077657e-05/-/first',
@@ -832,7 +832,7 @@ GOLDEN = \
                                               'misses': 2},
                                     'retries': {},
                                     'fallback': {},
-                                    'spans': '60:21556dcf'},
+                                    'spans': '28:690b0a07'},
  'primary:slow-absent:multi-1rma': {'keys': ['hit/1/7.193257108077645e-05/-/first',
                                              'miss/1/7.193257108077645e-05/-/-',
                                              'hit/1/7.193257108077645e-05/-/first',
@@ -843,13 +843,13 @@ GOLDEN = \
                                               'misses': 2},
                                     'retries': {},
                                     'fallback': {},
-                                    'spans': '60:e9bc0282'},
+                                    'spans': '28:544007b7'},
  'primary:down:2xr': {'keys': ['hit/1/0.00021492371908202526/-/first'],
                       'entries': 51,
                       'stats': {'gets': 1, 'hits': 1},
                       'retries': {},
                       'fallback': {},
-                      'spans': '46:66227e1a'},
+                      'spans': '22:93b844f0'},
  'primary:down:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
                                       'hit/1/0.00021516228206087495/-/first',
                                       'hit/1/0.00020504653021611652/-/first',
@@ -858,7 +858,7 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '67:e73833db'},
+                             'spans': '31:f2fe3b0f'},
  'primary:down:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
                                       'hit/1/0.00021504293924837486/-/first',
                                       'hit/1/0.00020457457021611652/-/first',
@@ -867,13 +867,13 @@ GOLDEN = \
                              'stats': {'gets': 4, 'hits': 3, 'misses': 1},
                              'retries': {},
                              'fallback': {},
-                             'spans': '67:9e1e1e2c'},
+                             'spans': '31:2dccafe8'},
  'primary:down+slow-backup:2xr': {'keys': ['hit/1/0.00021473013030505505/-/first'],
                                   'entries': 50,
                                   'stats': {'gets': 1, 'hits': 1},
                                   'retries': {},
                                   'fallback': {},
-                                  'spans': '46:4f4831e9'},
+                                  'spans': '22:9f6eaf2c'},
  'primary:down+slow-backup:multi-pony': {'keys': ['hit/1/0.00020504653021611652/-/first',
                                                   'hit/1/0.00021516228206087495/-/first',
                                                   'hit/1/0.00020504653021611652/-/first',
@@ -884,7 +884,7 @@ GOLDEN = \
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:8239b4c5'},
+                                         'spans': '31:5401ccb2'},
  'primary:down+slow-backup:multi-1rma': {'keys': ['hit/1/0.00020457457021611652/-/first',
                                                   'hit/1/0.00021504293924837486/-/first',
                                                   'hit/1/0.00020457457021611652/-/first',
@@ -895,7 +895,7 @@ GOLDEN = \
                                                    'misses': 1},
                                          'retries': {},
                                          'fallback': {},
-                                         'spans': '67:7d9abd19'}}
+                                         'spans': '31:7f6ae2fe'}}
 
 
 @pytest.mark.parametrize("scenario,path", ROWS,

@@ -76,17 +76,53 @@ def test_2xr_get_spans_reach_the_backend(transport):
     assert any(s.labels.get("kind") == "data"
                for s in root.find_all("transport.read"))
 
-    # Every read crosses the fabric (egress → propagate → ingress) and
-    # lands on a backend host.
+    # Every read crosses the fabric (egress → propagate → ingress, read
+    # from the delivery's depart / arrive instants) and lands on a
+    # backend host.
     deliver = root.find("fabric.deliver")
     assert deliver is not None
-    assert [c.name for c in deliver.children] == ["egress", "propagate",
-                                                  "ingress"]
+    assert deliver.children == []
+    assert deliver.start < deliver.labels["depart"] < \
+        deliver.labels["arrive"] < deliver.end
     serve = root.find("backend.serve")
     assert serve is not None
     assert serve.labels["host"].startswith("host/backend-")
     # All spans inside a finished op are themselves finished.
     assert all(span.finished for _d, span in root.walk())
+
+
+def test_partitioned_batch_leg_keeps_its_exchange():
+    """The client partitioned from one backend: that backend's coalesced
+    leg fails with its exchange span inside it, closed at the failure —
+    not hoisted to the op root and clipped there."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, transport="1rma",
+                         seed=3))
+    client = cell.connect_client()
+    keys = [b"partitioned-%d" % i for i in range(16)]
+
+    def app():
+        for key in keys:
+            yield from client.set(key, b"v" * 64)
+        cell.fabric.partition(client.host,
+                              cell.backend_by_task("backend-0").host)
+        return (yield from client.get_multi(keys))
+
+    results = cell.sim.run(until=cell.sim.process(app()))
+    assert all(r.hit for r in results)
+    root = cell.tracer.last()
+    assert root.name == "get_multi"
+    assert not [s for _d, s in root.walk() if str(
+        s.labels.get("hoisted_from", "")).startswith("transport.")]
+    down = [s for _d, s in root.walk()
+            if s.labels.get("outcome") == "down"]
+    assert [s.name for s in down] == ["transport.read_multi"]
+    exchange, = down[0].children
+    assert exchange.name == "nic.exchange" and exchange.labels["entries"]
+    assert exchange.end == down[0].end
+    for _d, span in root.walk():
+        if span.name.startswith("nic."):
+            assert span.parent.name.startswith("transport.")
+            assert span.end <= span.parent.end
 
 
 def test_mutation_trace_reaches_backend_handlers():

@@ -95,11 +95,39 @@ def _delta(before: dict, after: dict) -> dict:
             if after[k] != before.get(k, 0)}
 
 
+#: Labels that are instants, read back as the phase rows below.
+INSTANTS = ("depart", "arrive")
+
+
 def _tree(root: Span) -> list:
-    return [(depth, span.name,
-             " ".join(f"{k}={v}" for k, v in sorted(span.labels.items())),
-             repr(span.duration))
-            for depth, span in root.walk()][1:]
+    """Every span under ``root``, plus the phases its instants carry.
+
+    An exchange is one ``nic.exchange`` span and a delivery one
+    ``fabric.deliver`` span; the rows named ``nic.tx`` / ``nic.rx`` and
+    ``egress`` / ``propagate`` / ``ingress`` are derived from them (the
+    exchange's self time before its first child and after its last; a
+    delivery's ``depart`` and ``arrive``), so each phase's duration is
+    frozen as a row of its own.
+    """
+    return list(_rows(root, 0))[1:]
+
+
+def _rows(span: Span, depth: int):
+    labels = " ".join(f"{k}={v}" for k, v in sorted(span.labels.items())
+                      if k not in INSTANTS)
+    yield depth, span.name, labels, repr(span.duration)
+    below = depth + 1
+    if span.name == "nic.exchange":
+        yield below, "nic.tx", "", repr(span.children[0].start - span.start)
+    if "depart" in span.labels:
+        depart, arrive = span.labels["depart"], span.labels["arrive"]
+        yield below, "egress", "", repr(depart - span.start)
+        yield below, "propagate", "", repr(arrive - depart)
+        yield below, "ingress", "", repr(span.end - arrive)
+    for child in span.children:
+        yield from _rows(child, below)
+    if span.name == "nic.exchange":
+        yield below, "nic.rx", "", repr(span.end - span.children[-1].end)
 
 
 # -- the happy path ------------------------------------------------------------
@@ -237,26 +265,30 @@ HAPPY = {'rdma:read': {'entries': 7,
                'server_cpu': {},
                'counters': {'bytes_fetched': '256', 'reads': '1'},
                'payload': 256,
-               'tree': [(1, 'nic.tx', '', '3.5000000000000173e-07'),
-                        (1,
+               'tree': [(1,
+                         'nic.exchange',
+                         'entries=0',
+                         '1.0254880000000008e-05'),
+                        (2, 'nic.tx', '', '3.5000000000000173e-07'),
+                        (2,
                          'fabric.deliver',
                          'bytes=64 dst=server src=client',
                          '4.0416000000000055e-06'),
-                        (2, 'egress', '', '2.0799999999998175e-08'),
-                        (2, 'propagate', '', '4.000000000000002e-06'),
-                        (2, 'ingress', '', '2.080000000000495e-08'),
-                        (1,
+                        (3, 'egress', '', '2.0799999999998175e-08'),
+                        (3, 'propagate', '', '4.000000000000002e-06'),
+                        (3, 'ingress', '', '2.080000000000495e-08'),
+                        (2,
                          'backend.serve',
                          'host=server',
                          '1.3999999999999934e-06'),
-                        (1,
+                        (2,
                          'fabric.deliver',
                          'bytes=288 dst=client src=server',
                          '4.113280000000012e-06'),
-                        (2, 'egress', '', '5.664000000000493e-08'),
-                        (2, 'propagate', '', '4.000000000000002e-06'),
-                        (2, 'ingress', '', '5.664000000000493e-08'),
-                        (1, 'nic.rx', '', '3.4999999999999495e-07')]},
+                        (3, 'egress', '', '5.664000000000493e-08'),
+                        (3, 'propagate', '', '4.000000000000002e-06'),
+                        (3, 'ingress', '', '5.664000000000493e-08'),
+                        (2, 'nic.rx', '', '3.4999999999999495e-07')]},
  'rdma:read_multi': {'entries': 7,
                      'done_at': '7.418208000000001e-05',
                      'client_cpu': {'rma-client': '7e-07'},
@@ -266,9 +298,10 @@ HAPPY = {'rdma:read': {'entries': 7,
                                   'bytes_fetched': '4672'},
                      'payload': [64, 512, 4096],
                      'tree': [(1,
-                               'nic.batch',
+                               'nic.exchange',
                                'entries=3',
                                '1.2091040000000006e-05'),
+                              (2, 'nic.tx', '', '3.4999999999999495e-07'),
                               (2,
                                'fabric.deliver',
                                'bytes=112 dst=server parts=3 src=client',
@@ -286,33 +319,38 @@ HAPPY = {'rdma:read': {'entries': 7,
                                '5.5340800000000105e-06'),
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
-                              (3, 'ingress', '', '7.670400000000041e-07')]},
+                              (3, 'ingress', '', '7.670400000000041e-07'),
+                              (2, 'nic.rx', '', '3.4999999999999495e-07')]},
  'pony:read': {'entries': 7,
                'done_at': '6.902176000000003e-05',
                'client_cpu': {'pony': '8.529999999999999e-07'},
                'server_cpu': {'pony': '5.03e-07'},
                'counters': {'bytes_fetched': '256', 'reads': '1'},
                'payload': 256,
-               'tree': [(1, 'nic.tx', '', '4.0000000000000295e-07'),
-                        (1,
+               'tree': [(1,
+                         'nic.exchange',
+                         'entries=0',
+                         '9.510880000000023e-06'),
+                        (2, 'nic.tx', '', '4.0000000000000295e-07'),
+                        (2,
                          'fabric.deliver',
                          'bytes=64 dst=server src=client',
                          '4.041599999999999e-06'),
-                        (2, 'egress', '', '2.0799999999998175e-08'),
-                        (2, 'propagate', '', '3.999999999999996e-06'),
-                        (2, 'ingress', '', '2.080000000000495e-08'),
-                        (1,
+                        (3, 'egress', '', '2.0799999999998175e-08'),
+                        (3, 'propagate', '', '3.999999999999996e-06'),
+                        (3, 'ingress', '', '2.080000000000495e-08'),
+                        (2,
                          'backend.serve',
                          'host=server',
                          '5.030000000000052e-07'),
-                        (1,
+                        (2,
                          'fabric.deliver',
                          'bytes=288 dst=client src=server',
                          '4.113280000000012e-06'),
-                        (2, 'egress', '', '5.664000000000493e-08'),
-                        (2, 'propagate', '', '4.000000000000002e-06'),
-                        (2, 'ingress', '', '5.664000000000493e-08'),
-                        (1, 'nic.rx', '', '4.5300000000000396e-07')]},
+                        (3, 'egress', '', '5.664000000000493e-08'),
+                        (3, 'propagate', '', '4.000000000000002e-06'),
+                        (3, 'ingress', '', '5.664000000000493e-08'),
+                        (2, 'nic.rx', '', '4.5300000000000396e-07')]},
  'pony:read_multi': {'entries': 7,
                      'done_at': '7.234501750000001e-05',
                      'client_cpu': {'pony': '9.0671875e-07'},
@@ -322,9 +360,10 @@ HAPPY = {'rdma:read': {'entries': 7,
                                   'bytes_fetched': '4672'},
                      'payload': [64, 512, 4096],
                      'tree': [(1,
-                               'nic.batch',
+                               'nic.exchange',
                                'entries=3',
                                '1.1172508750000008e-05'),
+                              (2, 'nic.tx', '', '4.013124999999965e-07'),
                               (2,
                                'fabric.deliver',
                                'bytes=112 dst=server parts=3 src=client',
@@ -342,33 +381,38 @@ HAPPY = {'rdma:read': {'entries': 7,
                                '5.5340800000000105e-06'),
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
-                              (3, 'ingress', '', '7.670400000000041e-07')]},
+                              (3, 'ingress', '', '7.670400000000041e-07'),
+                              (2, 'nic.rx', '', '5.05406249999999e-07')]},
  '1rma:read': {'entries': 9,
                'done_at': '6.974176000000001e-05',
                'client_cpu': {'rma-client': '6e-07'},
                'server_cpu': {},
                'counters': {'bytes_fetched': '256', 'reads': '1'},
                'payload': 256,
-               'tree': [(1, 'nic.tx', '', '3.000000000000005e-07'),
-                        (1,
+               'tree': [(1,
+                         'nic.exchange',
+                         'entries=0',
+                         '9.870880000000006e-06'),
+                        (2, 'nic.tx', '', '3.000000000000005e-07'),
+                        (2,
                          'fabric.deliver',
                          'bytes=64 dst=server src=client',
                          '4.0416000000000055e-06'),
-                        (2, 'egress', '', '2.0799999999998175e-08'),
-                        (2, 'propagate', '', '4.000000000000002e-06'),
-                        (2, 'ingress', '', '2.080000000000495e-08'),
-                        (1,
+                        (3, 'egress', '', '2.0799999999998175e-08'),
+                        (3, 'propagate', '', '4.000000000000002e-06'),
+                        (3, 'ingress', '', '2.080000000000495e-08'),
+                        (2,
                          'backend.serve',
                          'host=server',
                          '1.115999999999994e-06'),
-                        (1,
+                        (2,
                          'fabric.deliver',
                          'bytes=288 dst=client src=server',
                          '4.113280000000012e-06'),
-                        (2, 'egress', '', '5.664000000000493e-08'),
-                        (2, 'propagate', '', '4.000000000000002e-06'),
-                        (2, 'ingress', '', '5.664000000000493e-08'),
-                        (1, 'nic.rx', '', '2.9999999999999374e-07')]},
+                        (3, 'egress', '', '5.664000000000493e-08'),
+                        (3, 'propagate', '', '4.000000000000002e-06'),
+                        (3, 'ingress', '', '5.664000000000493e-08'),
+                        (2, 'nic.rx', '', '2.9999999999999374e-07')]},
  '1rma:read_multi': {'entries': 9,
                      'done_at': '7.316608e-05',
                      'client_cpu': {'rma-client': '6e-07'},
@@ -378,9 +422,10 @@ HAPPY = {'rdma:read': {'entries': 7,
                                   'bytes_fetched': '4672'},
                      'payload': [64, 512, 4096],
                      'tree': [(1,
-                               'nic.batch',
+                               'nic.exchange',
                                'entries=3',
                                '1.1583040000000004e-05'),
+                              (2, 'nic.tx', '', '2.9999999999999374e-07'),
                               (2,
                                'fabric.deliver',
                                'bytes=112 dst=server parts=3 src=client',
@@ -398,59 +443,68 @@ HAPPY = {'rdma:read': {'entries': 7,
                                '5.5340800000000105e-06'),
                               (3, 'egress', '', '7.670400000000041e-07'),
                               (3, 'propagate', '', '4.000000000000002e-06'),
-                              (3, 'ingress', '', '7.670400000000041e-07')]},
+                              (3, 'ingress', '', '7.670400000000041e-07'),
+                              (2, 'nic.rx', '', '2.9999999999999374e-07')]},
  'pony:scar-hit': {'entries': 8,
                    'done_at': '6.972519750000001e-05',
                    'client_cpu': {'pony': '8.590468750000002e-07'},
                    'server_cpu': {'pony': '6.886718749999999e-07'},
                    'counters': {'bytes_fetched': '772', 'scars': '1'},
                    'payload': [40, 700],
-                   'tree': [(1, 'nic.tx', '', '4.0000000000000295e-07'),
-                            (1,
+                   'tree': [(1,
+                             'nic.exchange',
+                             'entries=0',
+                             '9.862598750000008e-06'),
+                            (2, 'nic.tx', '', '4.0000000000000295e-07'),
+                            (2,
                              'fabric.deliver',
                              'bytes=80 dst=server src=client',
                              '4.046719999999991e-06'),
-                            (2, 'egress', '', '2.3360000000001077e-08'),
-                            (2, 'propagate', '', '3.999999999999996e-06'),
-                            (2, 'ingress', '', '2.33599999999943e-08'),
-                            (1,
+                            (3, 'egress', '', '2.3360000000001077e-08'),
+                            (3, 'propagate', '', '3.999999999999996e-06'),
+                            (3, 'ingress', '', '2.33599999999943e-08'),
+                            (2,
                              'backend.serve',
                              'host=server op=scar',
                              '6.88671875000003e-07'),
-                            (1,
+                            (2,
                              'fabric.deliver',
                              'bytes=772 dst=client src=server',
                              '4.268160000000005e-06'),
-                            (2, 'egress', '', '1.3408000000000126e-07'),
-                            (2, 'propagate', '', '4.000000000000002e-06'),
-                            (2, 'ingress', '', '1.3408000000000126e-07'),
-                            (1, 'nic.rx', '', '4.59046875000006e-07')]},
+                            (3, 'egress', '', '1.3408000000000126e-07'),
+                            (3, 'propagate', '', '4.000000000000002e-06'),
+                            (3, 'ingress', '', '1.3408000000000126e-07'),
+                            (2, 'nic.rx', '', '4.59046875000006e-07')]},
  'pony:scar-miss': {'entries': 7,
                     'done_at': '6.9244385e-05',
                     'client_cpu': {'pony': '8.508437500000002e-07'},
                     'server_cpu': {'pony': '6.804687499999999e-07'},
                     'counters': {'bytes_fetched': '72', 'scars': '1'},
                     'payload': [40, None],
-                    'tree': [(1, 'nic.tx', '', '4.0000000000000295e-07'),
-                             (1,
+                    'tree': [(1,
+                              'nic.exchange',
+                              'entries=0',
+                              '9.622192499999994e-06'),
+                             (2, 'nic.tx', '', '4.0000000000000295e-07'),
+                             (2,
                               'fabric.deliver',
                               'bytes=80 dst=server src=client',
                               '4.046719999999991e-06'),
-                             (2, 'egress', '', '2.3360000000001077e-08'),
-                             (2, 'propagate', '', '3.999999999999996e-06'),
-                             (2, 'ingress', '', '2.33599999999943e-08'),
-                             (1,
+                             (3, 'egress', '', '2.3360000000001077e-08'),
+                             (3, 'propagate', '', '3.999999999999996e-06'),
+                             (3, 'ingress', '', '2.33599999999943e-08'),
+                             (2,
                               'backend.serve',
                               'host=server op=scar',
                               '6.804687499999975e-07'),
-                             (1,
+                             (2,
                               'fabric.deliver',
                               'bytes=72 dst=client src=server',
                               '4.044160000000002e-06'),
-                             (2, 'egress', '', '2.2079999999999626e-08'),
-                             (2, 'propagate', '', '4.000000000000002e-06'),
-                             (2, 'ingress', '', '2.2079999999999626e-08'),
-                             (1, 'nic.rx', '', '4.508437500000005e-07')]},
+                             (3, 'egress', '', '2.2079999999999626e-08'),
+                             (3, 'propagate', '', '4.000000000000002e-06'),
+                             (3, 'ingress', '', '2.2079999999999626e-08'),
+                             (2, 'nic.rx', '', '4.508437500000005e-07')]},
  'pony:message': {'entries': 9,
                   'done_at': '7.746597250000001e-05',
                   'client_cpu': {'pony': '8.544531249999999e-07'},
@@ -458,27 +512,28 @@ HAPPY = {'rdma:read': {'entries': 7,
                                  'pony': '9.044531249999998e-07'},
                   'counters': {'messages': '1'},
                   'payload': {'found': True},
-                  'tree': [(1, 'nic.tx', '', '4.0093750000000416e-07'),
-                           (1,
+                  'tree': [(1, 'nic.exchange', 'entries=0', '1.373298625e-05'),
+                           (2, 'nic.tx', '', '4.0093750000000416e-07'),
+                           (2,
                             'fabric.deliver',
                             'bytes=80 dst=server src=client',
                             '4.046719999999991e-06'),
-                           (2, 'egress', '', '2.33599999999943e-08'),
-                           (2, 'propagate', '', '4.000000000000002e-06'),
-                           (2, 'ingress', '', '2.33599999999943e-08'),
-                           (1,
+                           (3, 'egress', '', '2.33599999999943e-08'),
+                           (3, 'propagate', '', '4.000000000000002e-06'),
+                           (3, 'ingress', '', '2.33599999999943e-08'),
+                           (2,
                             'backend.serve',
                             'host=server op=msg',
                             '4.7044531250000065e-06'),
-                           (2, 'app-thread', '', '3.7999999999999975e-06'),
-                           (1,
+                           (3, 'handler.message', '', '3.7999999999999975e-06'),
+                           (2,
                             'fabric.deliver',
                             'bytes=332 dst=client src=server',
                             '4.127359999999994e-06'),
-                           (2, 'egress', '', '6.367999999999598e-08'),
-                           (2, 'propagate', '', '4.000000000000002e-06'),
-                           (2, 'ingress', '', '6.367999999999598e-08'),
-                           (1, 'nic.rx', '', '4.535156250000036e-07')]}}
+                           (3, 'egress', '', '6.367999999999598e-08'),
+                           (3, 'propagate', '', '4.000000000000002e-06'),
+                           (3, 'ingress', '', '6.367999999999598e-08'),
+                           (2, 'nic.rx', '', '4.535156250000036e-07')]}}
 
 FAILURE = {'rdma:revoked:read': {'outcome': 'RegionRevokedError',
                        'elapsed': '5.791600000000001e-06',
@@ -690,11 +745,47 @@ def test_onerma_slot_returns_when_the_response_arrives():
     roots = [Span("op", lambda: sim.now) for _ in range(2)]
     procs = [sim.process(rig.op("read", trace=root)) for root in roots]
     sim.run(until=sim.all_of(procs))
-    first_rx = roots[0].find("nic.rx")
-    second_tx = roots[1].find("nic.tx")
-    assert first_rx.duration > 0
-    assert second_tx.end == first_rx.start  # admitted: its nic.tx closes
+    first_exchange = roots[0].find("nic.exchange")
+    first_response = first_exchange.children[-1]
+    second_request = roots[1].find("fabric.deliver")
+    assert first_exchange.end > first_response.end  # rx still to come
+    # Admitted: its request leaves the instant the first response lands.
+    assert second_request.start == first_response.end
     assert rig.window_count() == 0
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("op", ["read", "read_multi"])
+def test_a_failed_exchange_closes_inside_its_leg(transport, op):
+    """A partitioned exchange raises out of its leg; its span must close
+    as it does, where it is. (A coalesced one used to stay open, be
+    hoisted out of the leg when the leg closed, and be clipped by the
+    root; a single one closed after tx and covered none of the wait.)"""
+    rig = Rig(transport)
+    sim = rig.sim
+    root = Span("op", lambda: sim.now)
+    leg = root.child(f"transport.{op}")
+
+    def proc():
+        yield from rig.op(op)
+        yield sim.timeout(50e-6)
+        rig.fabric.partition(rig.client, rig.server)
+        with pytest.raises(NetworkDropError):
+            yield from rig.op(op, trace=leg)
+        leg.finish()
+        yield sim.timeout(50e-6)
+        root.finish()
+
+    sim.run(until=sim.process(proc()))
+    assert not [s for _d, s in root.walk() if str(
+        s.labels.get("hoisted_from", "")).startswith("transport.")]
+    exchanges = [s for _d, s in root.walk() if s.name.startswith("nic.")]
+    assert [s.parent for s in exchanges] == [leg]
+    assert exchanges[0].end == leg.end      # closed when the drop surfaced
+    deliver, = exchanges[0].children
+    assert deliver.labels["dropped"] is True
+    assert "depart" not in deliver.labels and deliver.end == leg.end
+    assert rig.window_count() in (None, 0)
 
 
 def test_entries_per_exchange_are_a_property_of_the_transport():
