@@ -13,12 +13,14 @@ then checksum), so a concurrent RMA read genuinely observes a torn entry.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..net import Host
 from ..rpc import HandlerContext, RpcServer
-from ..sim import Resource, Simulator
+from ..sim import Process, Simulator
+from ..sim.core import PARKED
 from ..telemetry import MetricsRegistry, tally
 from ..transport import RegistrationCostModel, Transport
 from .config import CellConfig
@@ -133,8 +135,9 @@ class Backend:
         self._resize_waiters: List = []
         # Per-key mutexes: concurrent mutation handlers for the same key
         # must serialize (server-side mutual exclusion is exactly what the
-        # RPC-based mutation path buys, §3).
-        self._key_locks: Dict[bytes, Resource] = {}
+        # RPC-based mutation path buys, §3). A locked key maps to its
+        # FIFO of parked waiters, ``(process, token)``.
+        self._key_locks: Dict[bytes, Deque[Tuple[Process, int]]] = {}
         self._growing_data = False
         self._grow_waiters: List = []
         self._stopped = False
@@ -297,7 +300,7 @@ class Backend:
         yield from self._charge_mutation_cpu(len(key))
         yield from self._stall_if_resizing()
         key_hash = self.placement.key_hash(key)
-        lock = yield from self._lock_key(key_hash)
+        yield from self._lock_key(key_hash)
         try:
             where = self._locate(key_hash)
             if version <= self._stored_version(key_hash, where[2]):
@@ -309,7 +312,7 @@ class Backend:
             return {"applied": True, "reason": "ok",
                     "config_id": self.config_id}
         finally:
-            self._unlock_key(key_hash, lock)
+            self._unlock_key(key_hash)
 
     def _handle_cas(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
@@ -322,7 +325,7 @@ class Backend:
         # The expected-version check and the install must be atomic under
         # the key lock: two CAS racing on the same expected version must
         # not both pass the check (that would lose one update).
-        lock = yield from self._lock_key(key_hash)
+        yield from self._lock_key(key_hash)
         try:
             where = self._locate(key_hash)
             stored = self._stored_version(key_hash, where[2])
@@ -334,7 +337,7 @@ class Backend:
             applied, reason = yield from self._apply_set_locked(
                 key, key_hash, value, new_version, where)
         finally:
-            self._unlock_key(key_hash, lock)
+            self._unlock_key(key_hash)
         if applied:
             self.stats.cas_applied += 1
         else:
@@ -480,21 +483,28 @@ class Backend:
             yield ev
 
     def _lock_key(self, key_hash: bytes) -> Generator:
-        lock = self._key_locks.get(key_hash)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1)
-            self._key_locks[key_hash] = lock
-        request = lock.request()
-        yield request
-        return request
+        """Take the key's mutex: ``yield from``. Every grant, the
+        uncontended one too, is one zero-delay hop."""
+        sim = self.sim
+        proc = sim._active
+        proc._token = proc._waiting_on = token = proc._token + 1
+        waiters = self._key_locks.get(key_hash)
+        if waiters is None:
+            self._key_locks[key_hash] = deque()
+            sim.call_soon(proc._on_wake, token)
+        else:
+            waiters.append((proc, token))
+        yield PARKED
 
-    def _unlock_key(self, key_hash: bytes, request) -> None:
-        lock = self._key_locks.get(key_hash)
-        if lock is None:
-            return
-        lock.release(request)
-        if lock.count == 0 and lock.queue_len == 0:
-            del self._key_locks[key_hash]
+    def _unlock_key(self, key_hash: bytes) -> None:
+        """Hand the mutex to the first waiter still parked on it."""
+        waiters = self._key_locks[key_hash]
+        while waiters:
+            proc, token = waiters.popleft()
+            if proc._waiting_on == token:   # else interrupted while queued
+                self.sim.call_soon(proc._on_wake, token)
+                return
+        del self._key_locks[key_hash]
 
     def _locate(self, key_hash: bytes):
         """``(bucket, way, entry)`` of the key at this instant: one way-scan,
@@ -547,12 +557,12 @@ class Backend:
         """Install key=value at version; monotonic, tearing-aware."""
         yield from self._stall_if_resizing()
         key_hash = self.placement.key_hash(key)
-        lock = yield from self._lock_key(key_hash)
+        yield from self._lock_key(key_hash)
         try:
             return (yield from self._apply_set_locked(
                 key, key_hash, value, version, self._locate(key_hash)))
         finally:
-            self._unlock_key(key_hash, lock)
+            self._unlock_key(key_hash)
 
     def _apply_set_locked(self, key: bytes, key_hash: bytes, value: bytes,
                           version: VersionNumber, where) -> Generator:
@@ -933,12 +943,12 @@ class Backend:
         for key_hash, _version in list(self._iter_versions()):
             if primary_for(key_hash, placement.num_shards) in owned:
                 continue
-            lock = yield from self._lock_key(key_hash)
+            yield from self._lock_key(key_hash)
             try:
                 yield from self._remove_entry(key_hash)
                 self.tombstones.forget(key_hash)
             finally:
-                self._unlock_key(key_hash, lock)
+                self._unlock_key(key_hash)
             purged += 1
             if purged % 64 == 0:
                 yield self.host.execute(2e-6, self._component)

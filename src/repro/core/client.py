@@ -22,12 +22,14 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..net import Fabric, Host, NetworkDropError
 from ..rpc import (PermissionDeniedError, Principal, RpcChannel, RpcError,
                    connect as rpc_connect)
 from ..sim import Interrupt, RandomStream, Simulator
+from ..sim.core import PARKED
 from ..telemetry import (NULL_FLIGHT, NULL_SPAN, MetricsRegistry,
                          TraceContext, Tracer, tally)
 from ..transport import (RegionRevokedError, RemoteHostDownError, RmaError,
@@ -577,21 +579,16 @@ class CliqueMapClient:
 
         Shadows never count toward the quorum (acks come only from the
         authoritative cohort) and never block the foreground op; a lost
-        shadow is caught by the post-cutover reconcile sweep.
+        shadow is caught by the post-cutover reconcile sweep. Started
+        one zero-delay hop from now, where a per-shadow process used to.
         """
 
-        def one() -> Generator:
-            try:
-                yield from view.channel.call(
-                    method, payload,
-                    deadline=self.config.mutation_rpc_deadline,
-                    request_size=payload_size)
-                self._shadows[method, "ok"] += 1
-            except (PermissionDeniedError, RpcError):
-                self._shadows[method, "error"] += 1
+        def landed(_reply, exc: Optional[BaseException]) -> None:
+            self._shadows[method, "ok" if exc is None else "error"] += 1
 
-        proc = self.sim.process(one(), name=f"shadow:{view.task}")
-        proc.defused = True
+        self.sim.call_soon(view.channel.start, method, payload,
+                           self.config.mutation_rpc_deadline, landed,
+                           payload_size)
 
     # ------------------------------------------------------------------
     # GET
@@ -1716,12 +1713,23 @@ class CliqueMapClient:
         replies_for: List[List[dict]] = [[] for _ in items]
         span = root.child("mutate", method="MultiSet",
                           backends=len(per_view))
+
+        def leg(view: BackendView, payload: dict, size: int) -> Generator:
+            # A process per backend: the FanIn below takes its children
+            # in an order only processes give it.
+            try:
+                reply = yield from view.channel.call(
+                    "MultiSet", payload,
+                    deadline=self.config.mutation_rpc_deadline,
+                    request_size=size, trace=span)
+            except (PermissionDeniedError, RpcError) as exc:
+                return self._book_mutation(view, None, exc)
+            return self._book_mutation(view, reply, None)
+
         rpcs = self.sim.fan_in()
         for task, idxs in per_view.items():
-            rpcs.spawn(self._isolate(
-                self._mutation_rpc(self._views[task], "MultiSet",
-                                   *multiset(idxs), span),
-                lambda _exc: None), idxs)
+            rpcs.spawn(self._isolate(leg(self._views[task], *multiset(idxs)),
+                                     lambda _exc: None), idxs)
         while rpcs.pending:
             idxs, reply = yield rpcs.next()
             if reply is None:
@@ -1846,7 +1854,14 @@ class CliqueMapClient:
     def _mutate_all(self, method: str, payload: dict, key_hash: bytes,
                     payload_size: int, span=NULL_SPAN,
                     attempt: int = 1) -> Generator:
-        """Issue one mutation RPC to every replica; None for failures."""
+        """Issue one mutation RPC to every replica; None for failures.
+
+        No process per replica: each RPC is started one zero-delay hop
+        from now and books its reply as it lands; the op, parked, resumes
+        two hops after the last landing. Those hops are where a
+        per-replica process started, and where the last one ended and
+        its ``AllOf`` fired, so every entry keeps its order.
+        """
         yield self.host.execute(self.config.costs.mutation_cpu,
                                 "cliquemap-client")
         views = self._replica_views(key_hash)
@@ -1855,36 +1870,48 @@ class CliqueMapClient:
         if not views:
             return []
         fanout_span = span.child("mutate", attempt=attempt, method=method)
-        procs = [self.sim.process(self._mutation_rpc(
-            view, method, payload, payload_size, fanout_span))
-            for view in views]
-        replies = yield self.sim.all_of(procs)
+        sim = self.sim
+        proc = sim._active
+        proc._token = proc._waiting_on = token = proc._token + 1
+        replies: List[Optional[dict]] = [None] * len(views)
+        left = [len(views)]
+
+        def landed(i: int, reply, exc: Optional[BaseException]) -> None:
+            replies[i] = self._book_mutation(views[i], reply, exc)
+            left[0] -= 1
+            if not left[0]:
+                sim.call_soon(sim.call_soon, proc._on_wake, token)
+
+        for i, view in enumerate(views):
+            sim.call_soon(view.channel.start, method, payload,
+                          self.config.mutation_rpc_deadline,
+                          partial(landed, i), payload_size, fanout_span)
+        yield PARKED
         fanout_span.finish()
         return replies
 
-    def _mutation_rpc(self, view: BackendView, method: str, payload: dict,
-                      payload_size: int, span) -> Generator:
-        """One mutation RPC to one replica: its reply, or None on failure."""
-        try:
-            reply = yield from view.channel.call(
-                method, payload, deadline=self.config.mutation_rpc_deadline,
-                request_size=payload_size, trace=span)
+    def _book_mutation(self, view: BackendView, reply: Optional[dict],
+                       exc: Optional[BaseException]) -> Optional[dict]:
+        """Book one replica's mutation reply as it lands: the reply, or
+        None on failure."""
+        if exc is None:
             view.health.record_success()
             reply_config = reply.get("config_id")
             if reply_config is not None and \
                     reply_config > self.cell.config_id:
                 self._note_stale_config(reply_config)
             return reply
-        except PermissionDeniedError:
+        if isinstance(exc, PermissionDeniedError):
             return None  # unauthorized: not retryable
-        except RpcError:
-            view_alive = self.directory(view.task).alive \
-                if self.directory else True
-            if not view_alive:
-                self._leg_down(view)
-            else:
-                view.health.record_failure()
-            return None
+        if not isinstance(exc, RpcError):
+            raise exc
+        view_alive = self.directory(view.task).alive \
+            if self.directory else True
+        if not view_alive:
+            self._leg_down(view)
+        else:
+            view.health.record_failure()
+        return None
 
     # ------------------------------------------------------------------
     # Touch reporting (§4.2)

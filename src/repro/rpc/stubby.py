@@ -14,12 +14,13 @@ Calls are generators driven inside simulation processes::
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..net import Fabric, Host, HostDownError, NetworkDropError
 from ..sim import Simulator
+from ..sim.core import PARKED, Process
 from ..telemetry import NULL_SPAN
 from .auth import Acl, AuthConfig, Authenticator, Principal
 from .wire import Message, ProtocolVersion
@@ -110,15 +111,8 @@ class RpcMetrics:
 class HandlerContext:
     """What a handler sees about the call it is serving."""
 
-    def __init__(self, server: "RpcServer", principal: Principal,
-                 metadata: Dict[str, Any], version: ProtocolVersion,
-                 span=NULL_SPAN):
-        self.server = server
-        self.sim = server.sim
-        self.host = server.host
-        self.principal = principal
-        self.metadata = metadata
-        self.version = version
+    def __init__(self, sim: Simulator, span=NULL_SPAN):
+        self.sim = sim
         # The server-side telemetry span; handlers may attach children.
         self.span = span
         # Handlers set this to model large replies whose bytes aren't held.
@@ -173,9 +167,6 @@ class RpcServer:
 # Channel
 # ---------------------------------------------------------------------------
 
-_call_ids = itertools.count(1)
-
-
 class RpcChannel:
     """A client's connection to one server."""
 
@@ -218,39 +209,45 @@ class RpcChannel:
         whose bulk bytes are modeled rather than held (e.g. value blobs).
         ``trace`` (a telemetry span) receives an ``rpc.call`` child span
         covering the whole call, including the deadline-expiry path.
+        This is :meth:`start` with its caller parked until ``done``.
         """
+        proc = self.sim._active
+        proc._token = proc._waiting_on = token = proc._token + 1
+        self.start(method, payload, deadline, partial(_resume, proc, token),
+                   request_size, trace, metadata)
+        try:
+            return (yield PARKED)
+        finally:
+            # A failed call's exception holds this frame in its traceback;
+            # the frame must not hold the process that holds the exception.
+            proc = None
+
+    def start(self, method: str, payload: Dict[str, Any],
+              deadline: Optional[float],
+              done: Callable[[Any, Optional[BaseException]], Any],
+              request_size: Optional[int] = None, trace=None,
+              metadata: Optional[Dict[str, Any]] = None) -> None:
+        """Issue an RPC with no caller process: ``done(reply, None)`` or
+        ``done(None, error)`` runs exactly once.
+
+        The call is one process (its server side keeps running past an
+        expired deadline) raced against one raw heap entry at ``now +
+        deadline``: whichever comes first decides, and ``done`` runs one
+        zero-delay hop later, where ``any_of([call, timeout])`` resumed
+        its waiter; with no deadline it runs as the process ends. A
+        failure the deadline beat is defused, as under ``AnyOf``.
+        """
+        sim = self.sim
         span = (trace or NULL_SPAN).child("rpc.call", method=method,
                                           server=self.server.name)
-        inner = self.sim.process(
+        inner = sim.process(
             self._call_inner(method, payload, metadata or {}, request_size,
                              span),
             name=f"rpc:{method}")
-        try:
-            if deadline is None:
-                try:
-                    result = yield inner
-                except RpcError:
-                    raise
-                except (HostDownError, NetworkDropError) as exc:
-                    raise UnavailableError(str(exc)) from exc
-                return result
-
-            timer = self.sim.timeout(deadline)
-            try:
-                event, value = yield self.sim.any_of([inner, timer])
-            except (HostDownError, NetworkDropError) as exc:
-                raise UnavailableError(str(exc)) from exc
-            if event is inner:
-                return value
-            inner.defused = True
-            span.annotate(deadline_exceeded=True)
-            raise DeadlineExceededError(
-                f"{method} exceeded deadline of {deadline * 1e3:.2f} ms")
-        finally:
-            span.finish()
-            # A failed call's exception holds this frame in its traceback;
-            # the frame must not hold the process that holds the exception.
-            inner = None
+        race = _Race(sim, span, done, deadline is not None)
+        inner.callbacks.append((race.landed, ()))
+        if deadline is not None:
+            sim.call_in(deadline, race.expired, method, deadline)
 
     # -- internals -----------------------------------------------------------
 
@@ -258,6 +255,8 @@ class RpcChannel:
                     metadata: Dict[str, Any],
                     request_size: Optional[int],
                     span=NULL_SPAN) -> Generator:
+        """The call's process: client send, the server side, the reply.
+        Each envelope is sized once, where it is built."""
         if not self._connected:
             yield from self.connect()
 
@@ -275,17 +274,55 @@ class RpcChannel:
         yield self.fabric.send(self.client_host, self.server.host,
                                req_bytes, trace=span)
 
+        server = self.server
+        serve_span = NULL_SPAN
         ok = False
         resp_bytes = 0
         try:
-            response, resp_bytes = yield from self._serve(request, req_bytes,
-                                                          span)
+            if not server.serving:
+                # A connection reset: a short wait, then failure back to
+                # the client.
+                yield self.sim.delay(50e-6)
+                raise UnavailableError(f"{server.name} is not serving")
+            if not self.version.compatible_with(server.min_version,
+                                                server.max_version):
+                raise VersionMismatchError(
+                    f"client {self.version} outside server range "
+                    f"[{server.min_version}, {server.max_version}]")
+            server.acl.check(self.principal, method)
+            handler = server.handler_for(method)
+
+            serve_span = span.child("backend.serve", host=server.host.name,
+                                    method=method)
+            component = f"rpc-server:{server.name}"
+            model = server.cost_model
+            yield server.host.execute(
+                model.server_recv_cpu +
+                req_bytes / 1024.0 * model.per_kilobyte_cpu, component)
+            context = HandlerContext(self.sim, serve_span)
+            try:
+                result = yield from handler(payload, context)
+            except RpcError:
+                raise
+            except HostDownError as exc:
+                raise UnavailableError(str(exc)) from exc
+            except Exception as exc:  # noqa: BLE001 - application failure
+                raise ApplicationError(exc) from exc
+
+            response = Message(method=method, payload=result or {},
+                               version=self.version,
+                               size_override=context.response_size_override)
+            resp_bytes = response.wire_size
+            yield server.host.execute(
+                model.server_send_cpu +
+                resp_bytes / 1024.0 * model.per_kilobyte_cpu, component)
             ok = True
         finally:
+            serve_span.finish()
             self.metrics.record(req_bytes, resp_bytes, ok)
-            self.server.metrics.record(req_bytes, resp_bytes, ok)
+            server.metrics.record(req_bytes, resp_bytes, ok)
 
-        yield self.fabric.send(self.server.host, self.client_host,
+        yield self.fabric.send(server.host, self.client_host,
                                resp_bytes, trace=span)
         yield self.client_host.execute(
             self.cost_for_client(0, resp_bytes), self.client_component)
@@ -297,55 +334,58 @@ class RpcChannel:
                (model.client_recv_cpu if resp_bytes else 0.0)
         return half + (req_bytes + resp_bytes) / 1024.0 * model.per_kilobyte_cpu
 
-    def _serve(self, request: Message, req_bytes: int,
-               span=NULL_SPAN) -> Generator:
-        """Run the server side; returns ``(response, resp_bytes)``. Each
-        envelope is sized once, where it is built."""
-        server = self.server
-        if not server.serving:
-            # A connection reset: a short wait, then failure back to client.
-            yield self.sim.delay(50e-6)
-            raise UnavailableError(f"{server.name} is not serving")
-        if not request.version.compatible_with(server.min_version,
-                                               server.max_version):
-            raise VersionMismatchError(
-                f"client {request.version} outside server range "
-                f"[{server.min_version}, {server.max_version}]")
-        server.acl.check(self.principal, request.method)
-        handler = server.handler_for(request.method)
 
-        serve_span = span.child("backend.serve", host=server.host.name,
-                                method=request.method)
-        component = f"rpc-server:{server.name}"
-        model = server.cost_model
-        try:
-            yield server.host.execute(
-                model.server_recv_cpu +
-                req_bytes / 1024.0 * model.per_kilobyte_cpu,
-                component)
+class _Race:
+    """One call's process against its deadline entry (:meth:`RpcChannel.
+    start`): the first to fire decides, ``done`` runs once."""
 
-            context = HandlerContext(server, self.principal, request.metadata,
-                                     request.version, span=serve_span)
-            try:
-                result = yield from handler(request.payload, context)
-            except RpcError:
-                raise
-            except HostDownError as exc:
-                raise UnavailableError(str(exc)) from exc
-            except Exception as exc:  # noqa: BLE001 - application failure
-                raise ApplicationError(exc) from exc
+    __slots__ = ("sim", "span", "done", "hop")
 
-            response = Message(method=request.method, payload=result or {},
-                               version=self.version,
-                               size_override=context.response_size_override)
-            resp_bytes = response.wire_size
-            yield server.host.execute(
-                model.server_send_cpu +
-                resp_bytes / 1024.0 * model.per_kilobyte_cpu,
-                component)
-        finally:
-            serve_span.finish()
-        return response, resp_bytes
+    def __init__(self, sim: Simulator, span, done: Callable, hop: bool):
+        self.sim = sim
+        self.span = span
+        self.done: Optional[Callable] = done    # None once decided
+        self.hop = hop
+
+    def landed(self, inner: Process) -> None:
+        done, self.done = self.done, None
+        if done is None:
+            return      # expired: a failure is defused by this callback
+        if inner._ok:
+            reply, exc = inner._value, None
+        else:
+            reply, exc = None, inner._value
+            if isinstance(exc, (HostDownError, NetworkDropError)):
+                cause, exc = exc, UnavailableError(str(exc))
+                exc.__cause__ = cause
+        if self.hop:
+            self.sim.call_soon(self._settle, done, reply, exc)
+        else:
+            self._settle(done, reply, exc)
+
+    def expired(self, method: str, deadline: float) -> None:
+        done, self.done = self.done, None
+        if done is None:
+            return      # the call landed first
+        self.span.annotate(deadline_exceeded=True)
+        self.sim.call_soon(self._settle, done, None, DeadlineExceededError(
+            f"{method} exceeded deadline of {deadline * 1e3:.2f} ms"))
+
+    def _settle(self, done: Callable, reply: Any,
+                exc: Optional[BaseException]) -> None:
+        self.span.finish()
+        done(reply, exc)
+
+
+def _resume(proc: Process, token: int, reply: Any,
+            exc: Optional[BaseException]) -> None:
+    """Wake a caller parked in :meth:`RpcChannel.call`, unless it was
+    interrupted meanwhile."""
+    if proc._waiting_on == token and not proc._triggered:
+        if exc is None:
+            proc._step(proc._send, reply)
+        else:
+            proc._step(proc._throw, exc)
 
 
 def connect(sim: Simulator, fabric: Fabric, client_host: Host,

@@ -32,8 +32,10 @@ def estimate_size(value: Any) -> int:
     if value is None or kind is bool:
         return 1
     if isinstance(value, dict):
-        return sum(estimate_size(k) + estimate_size(v) + 2
-                   for k, v in value.items())
+        size = 0
+        for k, v in value.items():
+            size += estimate_size(k) + estimate_size(v) + 2
+        return size
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(estimate_size(v) + 2 for v in value)
     if isinstance(value, (int, float)):

@@ -289,15 +289,8 @@ class TraceContext:
     def __init__(self, root: Span):
         self.root = root
 
-    @property
-    def trace_id(self) -> Optional[str]:
-        return self.root.trace_id
-
     def child(self, name: str, **labels: Any) -> Span:
         return self.root.child(name, **labels)
-
-    def ref(self, zone: str = "") -> Optional[SpanRef]:
-        return self.root.ref(zone)
 
     def finish(self, at: Optional[float] = None) -> Span:
         return self.root.finish(at)

@@ -88,6 +88,36 @@ def test_one_batched_get_multi_fans_in_linearly(monkeypatch):
     assert entries[8] <= 350 and entries[40] <= 1420, entries
 
 
+def test_one_set_stays_within_its_event_budget():
+    """An untraced SET on R=3.2 is three replica RPCs: 51 scheduler
+    entries today, overwrite or insert, 53 while each replica's RPC ran
+    under a process of its own and the op waited on their ``AllOf``.
+    Each RPC is 16: the hop that starts it, its process's start and
+    end, its deadline entry and the hop that settles the race; five
+    host CPU holds, two deliveries of two entries each, the key-lock
+    grant and the data write. The op adds its own CPU hold and the
+    fan-out's two closing hops."""
+    cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=6,
+                         transport="pony"))
+    client = cell.connect_client(strategy="2xr")
+    sim = cell.sim
+    costs = {}
+
+    def app():
+        for generation in range(3):     # warm: connections, the key's slab
+            result = yield from client.set(b"key", b"value-%d" % generation)
+            assert result.ok
+        for key in (b"key", b"fresh"):
+            before = sim._seq
+            result = yield from client.set(key, b"value-9")
+            assert result.ok and result.attempts == 1
+            costs[key] = sim._seq - before
+
+    sim.run(until=sim.process(app()))
+    cell.close()
+    assert max(costs.values()) <= 52, costs
+
+
 def _host_calls(sim, op):
     """Python ``call`` events, by what was called, while ``op`` runs."""
     counts = Counter()

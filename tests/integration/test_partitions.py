@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         RepairConfig, ReplicationMode, SetStatus)
+from repro.core.client import CliqueMapClient
+from repro.core.resilience import BackendHealth
 from repro.net import Fabric, FabricConfig, NetworkDropError
 from repro.sim import Simulator
 
@@ -62,6 +64,42 @@ def test_reads_survive_client_partitioned_from_one_replica():
         return hits
 
     assert run(cell, app()) == 10
+
+
+def test_a_set_books_each_replica_reply_as_it_lands(monkeypatch):
+    """One replica partitioned, two land: the fan-out books one failure
+    and two successes, and the tally sees the replies in view order."""
+    booked, tallied = [], []
+    for outcome in ("record_success", "record_failure"):
+        def record(health, _real=getattr(BackendHealth, outcome),
+                   _outcome=outcome):
+            booked.append((_outcome, health))
+            return _real(health)
+        monkeypatch.setattr(BackendHealth, outcome, record)
+    tally = CliqueMapClient._tally
+    monkeypatch.setattr(CliqueMapClient, "_tally", staticmethod(
+        lambda replies, quorum: tallied.append(list(replies)) or
+        tally(replies, quorum)))
+    cell = build()
+    client = cell.connect_client(strategy=GetStrategy.TWO_R)
+
+    def app():
+        yield from client.set(b"warm", b"v")        # connections
+        cell.fabric.partition(client.host,
+                              cell.backend_by_task("backend-1").host)
+        views = client._replica_views(client.placement.key_hash(b"key"))
+        del booked[:], tallied[:]
+        return views, (yield from client.set(b"key", b"value"))
+
+    views, result = run(cell, app())
+    assert result.status is SetStatus.APPLIED and result.replicas_applied == 2
+    task_of = {view.health: view.task for view in views}
+    assert sorted((outcome, task_of[health]) for outcome, health in booked) \
+        == [("record_failure", "backend-1"), ("record_success", "backend-0"),
+            ("record_success", "backend-2")]
+    [replies] = tallied
+    assert [reply is not None for reply in replies] == \
+        [view.task != "backend-1" for view in views]
 
 
 def test_writes_during_partition_create_dirty_quorums():

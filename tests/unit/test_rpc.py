@@ -273,6 +273,98 @@ def test_deadline_not_triggered_when_fast():
     assert result == {"echo": "x"}
 
 
+def test_a_reply_before_its_deadline_wakes_its_caller_once():
+    """The reply is returned; the deadline entry, firing later while the
+    caller is parked on something else, resumes nothing."""
+    sim, *_rest, channel = build({"Echo": echo_handler})
+    wakes = []
+
+    def caller():
+        result = yield from channel.call("Echo", {"msg": "x"},
+                                         deadline=10e-3)
+        wakes.append((sim.now, result))
+        yield sim.delay(20e-3)      # parked across the deadline instant
+        wakes.append((sim.now, None))
+
+    sim.run(until=sim.process(caller()))
+    (landed, result), (woke, _none) = wakes
+    assert result == {"echo": "x"} and landed < 10e-3
+    assert woke == landed + 20e-3
+
+
+def test_an_expired_call_raises_at_its_deadline_while_the_server_serves():
+    """``DeadlineExceededError`` at exactly start + deadline; the server
+    side still runs to completion and both ends record the call."""
+    served = []
+
+    def slow(payload, context):
+        yield context.sim.delay(10e-3)
+        served.append(context.sim.now)
+        return {}
+
+    sim, *_rest, server, channel = build({"Slow": slow})
+    raised = []
+
+    def caller():
+        yield sim.delay(1e-3)
+        started = sim.now
+        try:
+            yield from channel.call("Slow", {}, deadline=2e-3)
+        except DeadlineExceededError:
+            raised.append((started, sim.now))
+
+    sim.process(caller())
+    sim.run()
+    [(started, at)] = raised
+    assert at == started + 2e-3
+    assert len(served) == 1 and served[0] > at
+    assert server.metrics.calls == channel.metrics.calls == 1
+    assert server.metrics.errors == channel.metrics.errors == 0
+
+
+def test_a_call_failing_after_its_deadline_does_not_surface():
+    def late_failure(payload, context):
+        yield context.sim.delay(5e-3)
+        raise KeyError("after the deadline")
+
+    sim, *_rest, server, channel = build({"Bad": late_failure})
+    with pytest.raises(DeadlineExceededError):
+        run_call(sim, channel, "Bad", {}, deadline=1e-3)
+    sim.run()       # the call's process fails now, defused
+    assert server.metrics.errors == 1
+
+
+@pytest.mark.parametrize("deadline", [None, 1e-3])
+def test_start_runs_done_exactly_once_on_each_path(deadline):
+    def slow(payload, context):
+        yield context.sim.delay(5e-3)
+        return {}
+
+    def late_failure(payload, context):
+        yield context.sim.delay(5e-3)
+        raise KeyError("late")
+
+    sim, *_rest, channel = build({"Echo": echo_handler, "Slow": slow,
+                                  "Bad": late_failure})
+    done = collections.defaultdict(list)
+    for method in ("Echo", "Nope", "Slow", "Bad"):
+        channel.start(method, {"msg": method}, deadline,
+                      lambda reply, exc, method=method: done[method].append(
+                          (sim.now, reply, type(exc).__name__)))
+    sim.run()
+    assert all(len(calls) == 1 for calls in done.values()) and \
+        len(done) == 4, done
+    assert done["Echo"][0][1:] == ({"echo": "Echo"}, "NoneType")
+    assert done["Nope"][0][1:] == (None, "MethodNotFoundError")
+    if deadline is None:
+        assert done["Slow"][0][1:] == ({}, "NoneType")
+        assert done["Bad"][0][1:] == (None, "ApplicationError")
+    else:
+        for method in ("Slow", "Bad"):
+            assert done[method] == [(deadline, None,
+                                     "DeadlineExceededError")]
+
+
 def test_unavailable_when_server_stopped():
     sim, *_rest, server, channel = build({"Echo": echo_handler})
     server.stop()
