@@ -54,7 +54,7 @@ EQUIV_OPS = 2_000
 GOLDEN = {
     "digest": "5aa4b2611892c3f89bd6b0d669a40afe",
     "sim_seconds": 0.001613852941330693,
-    "events": 129_727,
+    "events": 127_679,
 }
 
 
