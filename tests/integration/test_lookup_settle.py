@@ -363,19 +363,19 @@ GOLDEN = \
                     'stats': {'gets': 1, 'hits': 1},
                     'retries': {},
                     'fallback': {},
-                    'spans': '23:60542001'},
+                    'spans': '23:0458f337'},
  'stale-view:scar': {'keys': ['hit/1/1.1444065204259737e-05/-/first'],
                      'entries': 42,
                      'stats': {'gets': 1, 'hits': 1},
                      'retries': {},
                      'fallback': {},
-                     'spans': '17:d1c62ab3'},
+                     'spans': '17:72072ef9'},
  'stale-view:serial': {'keys': ['hit/1/2.5670191925424328e-05/-/first'],
                        'entries': 28,
                        'stats': {'gets': 1, 'hits': 1},
                        'retries': {},
                        'fallback': {},
-                       'spans': '18:236bdcf3'},
+                       'spans': '18:e9c7b535'},
  'stale-view:multi-pony': {'keys': ['hit/1/2.172953308679829e-05/-/first',
                                     'hit/1/2.2289244188331654e-05/-/first',
                                     'hit/1/2.2739912157081666e-05/-/first',
@@ -402,7 +402,7 @@ GOLDEN = \
                                  'view_refreshes': 1},
                        'retries': {'stale-view': 1},
                        'fallback': {},
-                       'spans': '38:b08e8676'},
+                       'spans': '38:74ebe5fe'},
  'stale+crashed:scar': {'keys': ['hit/2/0.0002984085035468533/-/first'],
                         'entries': 77,
                         'stats': {'gets': 1,
@@ -411,13 +411,13 @@ GOLDEN = \
                                   'view_refreshes': 1},
                         'retries': {'stale-view': 1},
                         'fallback': {},
-                        'spans': '27:d8b21fa9'},
+                        'spans': '27:d7732f23'},
  'stale+crashed:serial': {'keys': ['error/10/0.004379235659825922/replica-error/-'],
                           'entries': 137,
                           'stats': {'get_errors': 1, 'gets': 1, 'retries': 10},
                           'retries': {'replica-error': 10},
                           'fallback': {},
-                          'spans': '64:232193fa'},
+                          'spans': '64:09bb2bed'},
  'stale+crashed:multi-pony': {'keys': ['hit/1/0.0002790012164907037/-/first',
                                        'hit/1/0.00028047289149890457/-/first',
                                        'hit/1/0.0002813847450145294/-/first',
