@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..net import Host
 from ..rpc import HandlerContext, RpcServer
-from ..sim import Process, Simulator
+from ..sim import Simulator
 from ..sim.core import PARKED
 from ..telemetry import MetricsRegistry, tally
 from ..transport import RegistrationCostModel, Transport
@@ -136,8 +136,8 @@ class Backend:
         # Per-key mutexes: concurrent mutation handlers for the same key
         # must serialize (server-side mutual exclusion is exactly what the
         # RPC-based mutation path buys, §3). A locked key maps to its
-        # FIFO of parked waiters, ``(process, token)``.
-        self._key_locks: Dict[bytes, Deque[Tuple[Process, int]]] = {}
+        # FIFO of parked waiters' wake-ups, ``(process._on_wake, token)``.
+        self._key_locks: Dict[bytes, Deque[Tuple[Callable, int]]] = {}
         self._growing_data = False
         self._grow_waiters: List = []
         self._stopped = False
@@ -493,18 +493,15 @@ class Backend:
             self._key_locks[key_hash] = deque()
             sim.call_soon(proc._on_wake, token)
         else:
-            waiters.append((proc, token))
+            waiters.append((proc._on_wake, token))
         yield PARKED
 
     def _unlock_key(self, key_hash: bytes) -> None:
-        """Hand the mutex to the first waiter still parked on it."""
         waiters = self._key_locks[key_hash]
-        while waiters:
-            proc, token = waiters.popleft()
-            if proc._waiting_on == token:   # else interrupted while queued
-                self.sim.call_soon(proc._on_wake, token)
-                return
-        del self._key_locks[key_hash]
+        if waiters:
+            self.sim.call_soon(*waiters.popleft())
+        else:
+            del self._key_locks[key_hash]
 
     def _locate(self, key_hash: bytes):
         """``(bucket, way, entry)`` of the key at this instant: one way-scan,

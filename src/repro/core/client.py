@@ -579,8 +579,8 @@ class CliqueMapClient:
 
         Shadows never count toward the quorum (acks come only from the
         authoritative cohort) and never block the foreground op; a lost
-        shadow is caught by the post-cutover reconcile sweep. Started
-        one zero-delay hop from now, where a per-shadow process used to.
+        shadow is caught by the post-cutover reconcile sweep. It starts
+        one zero-delay hop from now, as a process of its own would.
         """
 
         def landed(_reply, exc: Optional[BaseException]) -> None:
@@ -1856,11 +1856,11 @@ class CliqueMapClient:
                     attempt: int = 1) -> Generator:
         """Issue one mutation RPC to every replica; None for failures.
 
-        No process per replica: each RPC is started one zero-delay hop
-        from now and books its reply as it lands; the op, parked, resumes
-        two hops after the last landing. Those hops are where a
-        per-replica process started, and where the last one ended and
-        its ``AllOf`` fired, so every entry keeps its order.
+        No process per replica: each RPC starts one zero-delay hop from
+        now and books its reply as it lands, and the parked op resumes
+        two hops after the last landing. The hops order every entry as
+        per-replica processes joined by ``all_of`` would: their starts,
+        then the last one's exit and the join.
         """
         yield self.host.execute(self.config.costs.mutation_cpu,
                                 "cliquemap-client")

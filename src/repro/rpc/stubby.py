@@ -213,7 +213,7 @@ class RpcChannel:
         """
         proc = self.sim._active
         proc._token = proc._waiting_on = token = proc._token + 1
-        self.start(method, payload, deadline, partial(_resume, proc, token),
+        self.start(method, payload, deadline, partial(proc._on_wake, token),
                    request_size, trace, metadata)
         try:
             return (yield PARKED)
@@ -230,12 +230,12 @@ class RpcChannel:
         """Issue an RPC with no caller process: ``done(reply, None)`` or
         ``done(None, error)`` runs exactly once.
 
-        The call is one process (its server side keeps running past an
-        expired deadline) raced against one raw heap entry at ``now +
-        deadline``: whichever comes first decides, and ``done`` runs one
-        zero-delay hop later, where ``any_of([call, timeout])`` resumed
-        its waiter; with no deadline it runs as the process ends. A
-        failure the deadline beat is defused, as under ``AnyOf``.
+        The call is one process raced against one raw heap entry at
+        ``now + deadline``. The first to fire decides, and ``done`` runs
+        one zero-delay hop later, as a waiter on ``any_of`` of the two
+        would resume; with no deadline it runs as the process ends. The
+        server side keeps running past an expired deadline, and a
+        failure it ends with then is defused.
         """
         sim = self.sim
         span = (trace or NULL_SPAN).child("rpc.call", method=method,
@@ -244,10 +244,36 @@ class RpcChannel:
             self._call_inner(method, payload, metadata or {}, request_size,
                              span),
             name=f"rpc:{method}")
-        race = _Race(sim, span, done, deadline is not None)
-        inner.callbacks.append((race.landed, ()))
+        decided = []
+
+        def settle(reply, exc: Optional[BaseException]) -> None:
+            span.finish()
+            done(reply, exc)
+
+        def landed(proc: Process) -> None:
+            if decided:
+                return      # expired; being a callback defuses a failure
+            decided.append(True)
+            reply, exc = (proc._value, None) if proc._ok else \
+                (None, proc._value)
+            if isinstance(exc, (HostDownError, NetworkDropError)):
+                cause, exc = exc, UnavailableError(str(exc))
+                exc.__cause__ = cause
+            if deadline is None:
+                settle(reply, exc)
+            else:
+                sim.call_soon(settle, reply, exc)
+
+        def expired() -> None:
+            if not decided:
+                decided.append(True)
+                span.annotate(deadline_exceeded=True)
+                sim.call_soon(settle, None, DeadlineExceededError(
+                    f"{method} exceeded deadline of {deadline * 1e3:.2f} ms"))
+
+        inner.callbacks.append((landed, ()))
         if deadline is not None:
-            sim.call_in(deadline, race.expired, method, deadline)
+            sim.call_in(deadline, expired)
 
     # -- internals -----------------------------------------------------------
 
@@ -333,59 +359,6 @@ class RpcChannel:
         half = (model.client_send_cpu if req_bytes else 0.0) + \
                (model.client_recv_cpu if resp_bytes else 0.0)
         return half + (req_bytes + resp_bytes) / 1024.0 * model.per_kilobyte_cpu
-
-
-class _Race:
-    """One call's process against its deadline entry (:meth:`RpcChannel.
-    start`): the first to fire decides, ``done`` runs once."""
-
-    __slots__ = ("sim", "span", "done", "hop")
-
-    def __init__(self, sim: Simulator, span, done: Callable, hop: bool):
-        self.sim = sim
-        self.span = span
-        self.done: Optional[Callable] = done    # None once decided
-        self.hop = hop
-
-    def landed(self, inner: Process) -> None:
-        done, self.done = self.done, None
-        if done is None:
-            return      # expired: a failure is defused by this callback
-        if inner._ok:
-            reply, exc = inner._value, None
-        else:
-            reply, exc = None, inner._value
-            if isinstance(exc, (HostDownError, NetworkDropError)):
-                cause, exc = exc, UnavailableError(str(exc))
-                exc.__cause__ = cause
-        if self.hop:
-            self.sim.call_soon(self._settle, done, reply, exc)
-        else:
-            self._settle(done, reply, exc)
-
-    def expired(self, method: str, deadline: float) -> None:
-        done, self.done = self.done, None
-        if done is None:
-            return      # the call landed first
-        self.span.annotate(deadline_exceeded=True)
-        self.sim.call_soon(self._settle, done, None, DeadlineExceededError(
-            f"{method} exceeded deadline of {deadline * 1e3:.2f} ms"))
-
-    def _settle(self, done: Callable, reply: Any,
-                exc: Optional[BaseException]) -> None:
-        self.span.finish()
-        done(reply, exc)
-
-
-def _resume(proc: Process, token: int, reply: Any,
-            exc: Optional[BaseException]) -> None:
-    """Wake a caller parked in :meth:`RpcChannel.call`, unless it was
-    interrupted meanwhile."""
-    if proc._waiting_on == token and not proc._triggered:
-        if exc is None:
-            proc._step(proc._send, reply)
-        else:
-            proc._step(proc._throw, exc)
 
 
 def connect(sim: Simulator, fabric: Fabric, client_host: Host,

@@ -233,13 +233,14 @@ class Process(Event):
             event.defused = True
             self._step(self._throw, event._value)
 
-    def _on_wake(self, token: int,
+    def _on_wake(self, token: int, value: Any = None,
                  exc: Optional[BaseException] = None) -> None:
-        """Resume from a parked wait (or fail it with ``exc``)."""
+        """Resume from a parked wait with ``value`` (or fail it with
+        ``exc``)."""
         if token != self._waiting_on or self._triggered:
             return  # stale wake-up (we were interrupted meanwhile)
         if exc is None:
-            self._step(self._send, None)
+            self._step(self._send, value)
         else:
             self._step(self._throw, exc)
 

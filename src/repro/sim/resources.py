@@ -214,7 +214,7 @@ class Resource:
                 try:
                     duration = self._at_grant(duration)
                 except Exception as exc:  # noqa: BLE001 - refused
-                    self.sim.call_soon(proc._on_wake, token, exc)
+                    self.sim.call_soon(proc._on_wake, token, None, exc)
                     continue
             self._account()
             self._busy += 1

@@ -73,16 +73,14 @@ class OneRmaTransport(Transport):
 
         def serve(endpoint, span):
             span = span.child("backend.serve", host=server_name)
-            try:
-                yield self.sim.delay(cost.server_nic_latency)
-                window = endpoint.resolve(region_id)
-                # PCIe read of the payload; none if translation rejects it.
-                if endpoint.fits(region_id, offset, size):
-                    yield self.sim.delay(cost.pcie_base_latency +
-                                         size / cost.pcie_bytes_per_sec)
-                data = window.read(offset, size)  # the snapshot instant
-            finally:
-                span.finish()
+            yield self.sim.delay(cost.server_nic_latency)
+            window = endpoint.resolve(region_id)
+            # PCIe read of the payload; none if translation rejects it.
+            if endpoint.fits(region_id, offset, size):
+                yield self.sim.delay(cost.pcie_base_latency +
+                                     size / cost.pcie_bytes_per_sec)
+            data = window.read(offset, size)  # the snapshot instant
+            span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_complete_cpu)
 

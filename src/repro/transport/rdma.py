@@ -45,12 +45,9 @@ class RdmaTransport(Transport):
         def serve(endpoint, span):
             # NIC processing + DMA at the server; no server CPU involved.
             span = span.child("backend.serve", host=server_name)
-            try:
-                yield self.sim.delay(cost.server_nic_latency)
-                data = endpoint.resolve(region_id).read(offset,
-                                                        size)  # snapshot
-            finally:
-                span.finish()
+            yield self.sim.delay(cost.server_nic_latency)
+            data = endpoint.resolve(region_id).read(offset, size)  # snapshot
+            span.finish()
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_poll_cpu)
 
