@@ -115,6 +115,12 @@ class Span:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        self.finish()   # on every exit, a raise included
+
     def _open_ancestor(self) -> Optional["Span"]:
         anc = self.parent
         while anc is not None and anc.end is not None:
@@ -253,6 +259,12 @@ class _NullSpan:
 
     def finish(self, at: Optional[float] = None) -> "_NullSpan":
         return self
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        pass
 
     def annotate(self, **labels: Any) -> "_NullSpan":
         return self

@@ -72,15 +72,14 @@ class OneRmaTransport(Transport):
         cost = self.cost
 
         def serve(endpoint, span):
-            span = span.child("backend.serve", host=server_name)
-            yield self.sim.delay(cost.server_nic_latency)
-            window = endpoint.resolve(region_id)
-            # PCIe read of the payload; none if translation rejects it.
-            if endpoint.fits(region_id, offset, size):
-                yield self.sim.delay(cost.pcie_base_latency +
-                                     size / cost.pcie_bytes_per_sec)
-            data = window.read(offset, size)  # the snapshot instant
-            span.finish()
+            with span.child("backend.serve", host=server_name):
+                yield self.sim.delay(cost.server_nic_latency)
+                window = endpoint.resolve(region_id)
+                # PCIe read of the payload; none if translation rejects it.
+                if endpoint.fits(region_id, offset, size):
+                    yield self.sim.delay(cost.pcie_base_latency +
+                                         size / cost.pcie_bytes_per_sec)
+                data = window.read(offset, size)  # the snapshot instant
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_complete_cpu)
 
@@ -100,14 +99,13 @@ class OneRmaTransport(Transport):
         cost = self.cost
 
         def serve(endpoint, span):
-            span = span.child("backend.serve", host=server_name, op="batch")
-            yield self.sim.delay(cost.server_nic_latency)
-            total_size = sum(size for region_id, offset, size in requests
-                             if endpoint.fits(region_id, offset, size))
-            yield self.sim.delay(cost.pcie_base_latency +
-                                 total_size / cost.pcie_bytes_per_sec)
-            results = self._snapshot_each(endpoint, requests)
-            span.finish()
+            with span.child("backend.serve", host=server_name, op="batch"):
+                yield self.sim.delay(cost.server_nic_latency)
+                total_size = sum(size for region_id, offset, size in requests
+                                 if endpoint.fits(region_id, offset, size))
+                yield self.sim.delay(cost.pcie_base_latency +
+                                     total_size / cost.pcie_bytes_per_sec)
+                results = self._snapshot_each(endpoint, requests)
             return (results, self._batch_response_bytes(results),
                     cost.client_complete_cpu)
 

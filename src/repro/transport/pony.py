@@ -160,11 +160,11 @@ class PonyTransport(Transport):
 
         def serve(endpoint, span):
             group = self.engine_groups[server_name]
-            span = span.child("backend.serve", host=server_name)
-            yield group.serve(cost.server_read + self._payload_cost(
-                size if endpoint.fits(region_id, offset, size) else 0))
-            data = endpoint.resolve(region_id).read(offset, size)  # snapshot
-            span.finish()
+            with span.child("backend.serve", host=server_name):
+                yield group.serve(cost.server_read + self._payload_cost(
+                    size if endpoint.fits(region_id, offset, size) else 0))
+                # the snapshot instant
+                data = endpoint.resolve(region_id).read(offset, size)
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_rx + self._payload_cost(len(data)))
 
@@ -191,14 +191,13 @@ class PonyTransport(Transport):
         def serve(endpoint, span):
             nonlocal engine_seconds
             group = self.engine_groups[server_name]
-            span = span.child("backend.serve", host=server_name, op="batch")
-            total_size = sum(size for region_id, offset, size in requests
-                             if endpoint.fits(region_id, offset, size))
-            serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
-                          self._payload_cost(total_size))
-            yield group.serve(serve_cost)
-            results = self._snapshot_each(endpoint, requests)
-            span.finish()
+            with span.child("backend.serve", host=server_name, op="batch"):
+                total_size = sum(size for region_id, offset, size in requests
+                                 if endpoint.fits(region_id, offset, size))
+                serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
+                              self._payload_cost(total_size))
+                yield group.serve(serve_cost)
+                results = self._snapshot_each(endpoint, requests)
             resp_bytes = self._batch_response_bytes(results)
             rx_cost = cost.client_rx + self._payload_cost(resp_bytes)
             engine_seconds = tx_cost + serve_cost + rx_cost
@@ -227,29 +226,30 @@ class PonyTransport(Transport):
             if endpoint.scar_program is None:
                 raise RegionRevokedError(index_region_id)
             group = self.engine_groups[server_name]
-            span = span.child("backend.serve", host=server_name, op="scar")
-            yield group.serve(
-                cost.server_read + cost.scar_scan + self._payload_cost(
-                    bucket_size if endpoint.fits(
-                        index_region_id, bucket_offset, bucket_size) else 0))
-            bucket = endpoint.resolve(index_region_id).read(bucket_offset,
-                                                            bucket_size)
+            with span.child("backend.serve", host=server_name, op="scar"):
+                yield group.serve(
+                    cost.server_read + cost.scar_scan + self._payload_cost(
+                        bucket_size if endpoint.fits(
+                            index_region_id, bucket_offset, bucket_size)
+                        else 0))
+                bucket = endpoint.resolve(index_region_id).read(
+                    bucket_offset, bucket_size)
 
-            data: Optional[bytes] = None
-            pointer = endpoint.scar_program(bucket, key_hash)
-            # A pointer the window cannot hold (torn, corrupted) is not
-            # followed: it buys no engine time.
-            if pointer is not None and endpoint.fits(*pointer):
-                data_region_id, data_offset, data_size = pointer
-                try:
-                    data_window = endpoint.resolve(data_region_id)
-                    yield group.serve(self._payload_cost(data_size))
-                    data = data_window.read(data_offset, data_size)
-                except (RegionRevokedError, RmaOutOfBoundsError):
-                    # Pointer raced with a reshape/eviction; return just
-                    # the bucket — the client validates and retries.
-                    pass
-            span.finish()
+                data: Optional[bytes] = None
+                pointer = endpoint.scar_program(bucket, key_hash)
+                # A pointer the window cannot hold (torn, corrupted) is
+                # not followed: it buys no engine time.
+                if pointer is not None and endpoint.fits(*pointer):
+                    data_region_id, data_offset, data_size = pointer
+                    try:
+                        data_window = endpoint.resolve(data_region_id)
+                        yield group.serve(self._payload_cost(data_size))
+                        data = data_window.read(data_offset, data_size)
+                    except (RegionRevokedError, RmaOutOfBoundsError):
+                        # Pointer raced with a reshape/eviction; return
+                        # just the bucket — the client validates and
+                        # retries.
+                        pass
             resp_bytes = (len(bucket) + (len(data) if data else 0) +
                           RMA_RESPONSE_HEADER_BYTES)
             return ((bucket, data), resp_bytes,
@@ -296,19 +296,19 @@ class PonyTransport(Transport):
             if name not in handlers:
                 raise RegionRevokedError(-1)
             group = self.engine_groups[server_name]
-            span = span.child("backend.serve", host=server_name, op="msg")
-            yield group.serve(cost.server_read +
-                              self._payload_cost(request_bytes))
-            # Wake an application thread and run the handler on host CPU —
-            # the expensive part two-sided designs pay (§6.3).
-            app_span = span.child("handler.message")
-            yield endpoint.host.execute(cost.msg_thread_wakeup +
-                                        cost.msg_app_cpu, "msg-app")
-            response_payload, response_bytes = handlers[name](request_payload)
-            app_span.finish()
-            yield group.serve(cost.client_tx +
-                              self._payload_cost(response_bytes))
-            span.finish()
+            with span.child("backend.serve", host=server_name,
+                            op="msg") as span:
+                yield group.serve(cost.server_read +
+                                  self._payload_cost(request_bytes))
+                # Wake an application thread and run the handler on host
+                # CPU — the expensive part two-sided designs pay (§6.3).
+                with span.child("handler.message"):
+                    yield endpoint.host.execute(cost.msg_thread_wakeup +
+                                                cost.msg_app_cpu, "msg-app")
+                    response_payload, response_bytes = handlers[name](
+                        request_payload)
+                yield group.serve(cost.client_tx +
+                                  self._payload_cost(response_bytes))
             return (response_payload,
                     response_bytes + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_rx + self._payload_cost(response_bytes))

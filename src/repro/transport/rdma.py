@@ -44,10 +44,10 @@ class RdmaTransport(Transport):
 
         def serve(endpoint, span):
             # NIC processing + DMA at the server; no server CPU involved.
-            span = span.child("backend.serve", host=server_name)
-            yield self.sim.delay(cost.server_nic_latency)
-            data = endpoint.resolve(region_id).read(offset, size)  # snapshot
-            span.finish()
+            with span.child("backend.serve", host=server_name):
+                yield self.sim.delay(cost.server_nic_latency)
+                # the snapshot instant
+                data = endpoint.resolve(region_id).read(offset, size)
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
                     cost.client_poll_cpu)
 
@@ -66,11 +66,10 @@ class RdmaTransport(Transport):
         cost = self.cost
 
         def serve(endpoint, span):
-            span = span.child("backend.serve", host=server_name, op="batch")
-            yield self.sim.delay(cost.server_nic_latency +
-                                 cost.batch_entry_latency * (n - 1))
-            results = self._snapshot_each(endpoint, requests)
-            span.finish()
+            with span.child("backend.serve", host=server_name, op="batch"):
+                yield self.sim.delay(cost.server_nic_latency +
+                                     cost.batch_entry_latency * (n - 1))
+                results = self._snapshot_each(endpoint, requests)
             return (results, self._batch_response_bytes(results),
                     cost.client_poll_cpu)
 
