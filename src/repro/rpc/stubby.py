@@ -244,32 +244,31 @@ class RpcChannel:
             self._call_inner(method, payload, metadata or {}, request_size,
                              span),
             name=f"rpc:{method}")
-        decided = []
+        pending = [done]    # emptied by whichever fires first
 
-        def settle(reply, exc: Optional[BaseException]) -> None:
+        def settle(done, reply, exc: Optional[BaseException]) -> None:
             span.finish()
             done(reply, exc)
 
         def landed(proc: Process) -> None:
-            if decided:
+            if not pending:
                 return      # expired; being a callback defuses a failure
-            decided.append(True)
             reply, exc = (proc._value, None) if proc._ok else \
                 (None, proc._value)
             if isinstance(exc, (HostDownError, NetworkDropError)):
                 cause, exc = exc, UnavailableError(str(exc))
                 exc.__cause__ = cause
             if deadline is None:
-                settle(reply, exc)
+                settle(pending.pop(), reply, exc)
             else:
-                sim.call_soon(settle, reply, exc)
+                sim.call_soon(settle, pending.pop(), reply, exc)
 
         def expired() -> None:
-            if not decided:
-                decided.append(True)
+            if pending:
                 span.annotate(deadline_exceeded=True)
-                sim.call_soon(settle, None, DeadlineExceededError(
-                    f"{method} exceeded deadline of {deadline * 1e3:.2f} ms"))
+                error = DeadlineExceededError(
+                    f"{method} exceeded deadline of {deadline * 1e3:.2f} ms")
+                sim.call_soon(settle, pending.pop(), None, error)
 
         inner.callbacks.append((landed, ()))
         if deadline is not None:
