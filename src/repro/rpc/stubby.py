@@ -244,9 +244,9 @@ class RpcChannel:
             self._call_inner(method, payload, metadata or {}, request_size,
                              span),
             name=f"rpc:{method}")
-        pending = [done]    # emptied by whichever fires first
+        pending = [span, done]      # emptied by whichever fires first
 
-        def settle(done, reply, exc: Optional[BaseException]) -> None:
+        def settle(span, done, reply, exc: Optional[BaseException]) -> None:
             span.finish()
             done(reply, exc)
 
@@ -258,17 +258,20 @@ class RpcChannel:
             if isinstance(exc, (HostDownError, NetworkDropError)):
                 cause, exc = exc, UnavailableError(str(exc))
                 exc.__cause__ = cause
+            args = (*pending, reply, exc)
+            pending.clear()
             if deadline is None:
-                settle(pending.pop(), reply, exc)
+                settle(*args)
             else:
-                sim.call_soon(settle, pending.pop(), reply, exc)
+                sim.call_soon(settle, *args)
 
         def expired() -> None:
             if pending:
-                span.annotate(deadline_exceeded=True)
+                pending[0].annotate(deadline_exceeded=True)
                 error = DeadlineExceededError(
                     f"{method} exceeded deadline of {deadline * 1e3:.2f} ms")
-                sim.call_soon(settle, pending.pop(), None, error)
+                sim.call_soon(settle, *pending, None, error)
+                pending.clear()
 
         inner.callbacks.append((landed, ()))
         if deadline is not None:
