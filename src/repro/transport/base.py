@@ -125,8 +125,8 @@ class Transport:
         what differs (docs/ARCHITECTURE.md §4): ``entries``,
         0 for a single op or n for a coalesced one (``parts=n``
         transfers); request bytes and tx cost; ``serve(endpoint, span)``,
-        a generator that opens ``backend.serve`` (a ``with`` block:
-        closed on every exit), snapshots memory and returns ``(payload, response_bytes, rx_cost)`` — or raises,
+        a generator that opens ``backend.serve``, snapshots memory and
+        returns ``(payload, response_bytes, rx_cost)`` — or raises,
         failing the op with no response leg; ``land(payload)``, how an
         in-flight corruption lands (``None``: never); ``book(payload,
         response_bytes)``, its counters. Transports differ in three hooks:
