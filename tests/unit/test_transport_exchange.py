@@ -788,36 +788,6 @@ def test_a_failed_exchange_closes_inside_its_leg(transport, op):
     assert rig.window_count() in (None, 0)
 
 
-@pytest.mark.parametrize("transport,op", [
-    ("rdma", "read"), ("pony", "read"), ("1rma", "read"),
-    ("pony", "scar-hit")])
-def test_a_serve_that_raises_closes_its_span_at_the_raise(transport, op):
-    """A read of a revoked window raises inside the serve stage, after
-    ``backend.serve`` opened: the serve closes its span at the raise
-    instant itself (it used to be hoisted out of the exchange and then
-    clipped by the root)."""
-    rig = Rig(transport)
-    sim = rig.sim
-    root = Span("op", lambda: sim.now)
-    raised = []
-
-    def proc():
-        yield from rig.op(op)
-        yield sim.timeout(50e-6)
-        rig.endpoint.revoke(rig.window)
-        with pytest.raises(RegionRevokedError):
-            yield from rig.op(op, trace=root)
-        raised.append(sim.now)
-        yield sim.timeout(50e-6)
-        root.finish()
-
-    sim.run(until=sim.process(proc()))
-    serve, = [s for _d, s in root.walk() if s.name == "backend.serve"]
-    assert serve.end == raised[0] < root.end
-    assert "hoisted_from" not in serve.labels
-    assert "clipped_by" not in serve.labels
-
-
 def test_entries_per_exchange_are_a_property_of_the_transport():
     """7 / 7 / 9: tx, the request delivery (arrival, wake-up), serve, the
     response delivery, rx — plus 1RMA's window slot and its second (PCIe)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import Fabric, FabricConfig, gbps
 from repro.sim import Simulator
+from repro.telemetry import Span
 from repro.transport import (Arena, MemoryRegion, OneRmaTransport,
                              PonyScaleConfig, PonyTransport, RdmaTransport,
                              RegionRevokedError, RemoteHostDownError)
@@ -301,3 +302,44 @@ def test_onerma_solicitation_window_limits_outstanding():
     # With a window of 2, the six ops complete in three distinct waves.
     waves = sorted(set(round(t, 9) for t in completions))
     assert len(waves) >= 3
+
+
+@pytest.mark.parametrize("transport_cls,op", [
+    (RdmaTransport, "read"), (PonyTransport, "read"),
+    (OneRmaTransport, "read"), (PonyTransport, "scar")])
+def test_a_serve_that_raises_closes_its_span_at_the_raise(transport_cls,
+                                                          op):
+    """A read of a revoked window raises inside the serve stage, after
+    ``backend.serve`` opened: the serve closes its span at the raise
+    instant itself (it used to be hoisted out of the exchange and then
+    clipped by the root)."""
+    sim, _f, client, _s, transport, endpoint, _a, window = setup_pair(
+        transport_cls)
+    if op == "scar":
+        endpoint.install_scar_program(lambda bucket, key_hash: None)
+
+    def issue(trace=None):
+        if op == "read":
+            return transport.read(client, "server", window.region_id, 0, 64,
+                                  trace=trace)
+        return transport.scar(client, "server", window.region_id, 0, 40,
+                              b"H" * 16, trace=trace)
+
+    root = Span("op", lambda: sim.now)
+    raised = []
+
+    def proc():
+        yield from issue()
+        yield sim.timeout(50e-6)
+        endpoint.revoke(window)
+        with pytest.raises(RegionRevokedError):
+            yield from issue(root)
+        raised.append(sim.now)
+        yield sim.timeout(50e-6)
+        root.finish()
+
+    drive(sim, proc())
+    serve, = [s for _d, s in root.walk() if s.name == "backend.serve"]
+    assert serve.end == raised[0] < root.end
+    assert "hoisted_from" not in serve.labels
+    assert "clipped_by" not in serve.labels
