@@ -92,9 +92,8 @@ class TimeSeries:
 class CounterSeries:
     """Accumulates additive quantities (e.g. bytes) into time bins."""
 
-    def __init__(self, bin_width: float, name: str = ""):
+    def __init__(self, bin_width: float):
         self.bin_width = bin_width
-        self.name = name
         self._bins: Dict[int, float] = {}
 
     def add(self, t: float, amount: float) -> None:

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
-from ..net import Fabric, FabricConfig, Host, HostConfig
+from ..net import Fabric, FabricConfig, Host
 from ..rpc import (HandlerContext, Principal, RpcError, RpcServer,
                    connect as rpc_connect)
 from ..sim import Simulator
@@ -27,6 +27,9 @@ from ..core.hashing import default_key_hash
 # Handler CPU of a lookup (application code: dict + LRU) and of a store.
 GET_CPU = 1.2e-6
 SET_CPU = 1.8e-6
+PER_KILOBYTE_CPU = 0.10e-6
+#: Deadline of every client RPC.
+RPC_DEADLINE = 50e-3
 
 
 @dataclass
@@ -34,7 +37,6 @@ class MemcacheGConfig:
     """Server tunables."""
 
     capacity_bytes: int = 64 << 20
-    per_kilobyte_cpu: float = 0.10e-6
 
 
 @dataclass
@@ -69,7 +71,7 @@ class MemcacheGServer:
 
     def _charge(self, base: float, nbytes: int) -> Generator:
         yield self.host.execute(
-            base + nbytes / 1024.0 * self.config.per_kilobyte_cpu,
+            base + nbytes / 1024.0 * PER_KILOBYTE_CPU,
             self.component)
 
     def _handle_get(self, payload, context: HandlerContext) -> Generator:
@@ -117,18 +119,14 @@ class MemcacheGServer:
 class MemcacheGCluster:
     """A sharded MemcacheG deployment on the simulated fabric."""
 
-    def __init__(self, sim: Optional[Simulator] = None,
-                 fabric: Optional[Fabric] = None,
-                 num_shards: int = 4,
-                 config: Optional[MemcacheGConfig] = None,
-                 host_config: Optional[HostConfig] = None):
-        self.sim = sim or Simulator()
-        self.fabric = fabric or Fabric(self.sim, FabricConfig())
+    def __init__(self, num_shards: int = 4,
+                 config: Optional[MemcacheGConfig] = None):
+        self.sim = Simulator()
+        self.fabric = Fabric(self.sim, FabricConfig())
         self.num_shards = num_shards
         self.servers: List[MemcacheGServer] = []
         for shard in range(num_shards):
-            host = self.fabric.add_host(f"host/memcacheg-{shard}",
-                                        host_config)
+            host = self.fabric.add_host(f"host/memcacheg-{shard}")
             self.servers.append(MemcacheGServer(
                 self.sim, host, f"shard-{shard}", config))
         self._client_count = 0
@@ -153,12 +151,10 @@ _client_ids = itertools.count(1)
 class MemcacheGClient:
     """Key-sharded RPC client for the cluster."""
 
-    def __init__(self, cluster: MemcacheGCluster, host: Host,
-                 rpc_deadline: float = 50e-3):
+    def __init__(self, cluster: MemcacheGCluster, host: Host):
         self.cluster = cluster
         self.sim = cluster.sim
         self.host = host
-        self.rpc_deadline = rpc_deadline
         self.client_id = next(_client_ids)
         self.principal = Principal(f"memcacheg-client-{self.client_id}")
         self._channels: Dict[str, object] = {}
@@ -177,7 +173,7 @@ class MemcacheGClient:
         server = self.cluster.shard_for(key)
         try:
             reply = yield from self._channel(server).call(
-                "Get", {"key": key}, deadline=self.rpc_deadline)
+                "Get", {"key": key}, deadline=RPC_DEADLINE)
         except RpcError:
             return False, None
         return reply.get("found", False), reply.get("value")
@@ -187,7 +183,7 @@ class MemcacheGClient:
         try:
             reply = yield from self._channel(server).call(
                 "Set", {"key": key, "value": value},
-                deadline=self.rpc_deadline,
+                deadline=RPC_DEADLINE,
                 request_size=len(key) + len(value) + 32)
         except RpcError:
             return False
@@ -197,7 +193,7 @@ class MemcacheGClient:
         server = self.cluster.shard_for(key)
         try:
             reply = yield from self._channel(server).call(
-                "Delete", {"key": key}, deadline=self.rpc_deadline)
+                "Delete", {"key": key}, deadline=RPC_DEADLINE)
         except RpcError:
             return False
         return reply.get("deleted", False)

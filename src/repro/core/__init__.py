@@ -3,8 +3,8 @@
 from .backend import Backend, BackendConfig, BackendStats
 from .cell import Cell, CellSpec, make_transport
 from .checksum import CHECKSUM_BYTES, checksum_ok, kv_checksum
-from .client import (BackendView, ClientConfig, ClientCostModel,
-                     CliqueMapClient, GetResult, MutationResult, OpResult)
+from .client import (BackendView, ClientConfig, CliqueMapClient, GetResult,
+                     MutationResult, OpResult)
 from .config import (CellConfig, ConfigStore, GetStrategy,
                      ReplicationMode)
 from .data import (DataEntryView, DataRegion, encode_entry_parts, entry_size,
@@ -38,7 +38,7 @@ __all__ = [
     "Backend", "BackendConfig", "BackendStats",
     "Cell", "CellSpec", "make_transport",
     "CHECKSUM_BYTES", "checksum_ok", "kv_checksum",
-    "BackendView", "ClientConfig", "ClientCostModel", "CliqueMapClient",
+    "BackendView", "ClientConfig", "CliqueMapClient",
     "GetResult", "MutationResult", "OpResult",
     "CellConfig", "ConfigStore", "GetStrategy", "ReplicationMode",
     "DataEntryView", "DataRegion", "encode_entry_parts", "entry_size",

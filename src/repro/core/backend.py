@@ -49,6 +49,9 @@ SCAN_CPU_PER_ENTRY = 0.05e-6
 #: paid once, so additional entries are much cheaper than standalone
 #: ops (§7.1 backfill batching).
 MULTI_ENTRY_CPU = 0.5e-6
+PER_KILOBYTE_CPU = 0.10e-6
+#: Kernel memory management + NIC registration of a grown region.
+REGISTRATION_COST = RegistrationCostModel()
 
 
 @dataclass
@@ -70,7 +73,6 @@ class BackendConfig:
     # tear window). Unrealistic for RMA-exposed memory; used to show the
     # design's torn-read handling is actually load-bearing.
     atomic_entry_writes: bool = False
-    per_kilobyte_cpu: float = 0.10e-6
     old_window_grace: float = 20e-3
 
 
@@ -100,7 +102,6 @@ class Backend:
                  shard: int, placement: Placement, cell: CellConfig,
                  config: Optional[BackendConfig] = None,
                  transport: Optional[Transport] = None,
-                 registration_cost: Optional[RegistrationCostModel] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.sim = sim
         self.host = host
@@ -111,7 +112,6 @@ class Backend:
         self.config_id = cell.config_id
         self.config = config or BackendConfig()
         self.transport = transport
-        self.registration_cost = registration_cost or RegistrationCostModel()
         self.stats = BackendStats()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._m_up = self.metrics.gauge(
@@ -280,7 +280,7 @@ class Backend:
                           for key, value, _version in entries)
         yield self.host.execute(
             SET_CPU + MULTI_ENTRY_CPU * max(0, len(entries) - 1) +
-            total_bytes / 1024.0 * self.config.per_kilobyte_cpu,
+            total_bytes / 1024.0 * PER_KILOBYTE_CPU,
             self._component)
         results = []
         for key, value, version_bytes in entries:
@@ -472,7 +472,7 @@ class Backend:
     def _charge_mutation_cpu(self, payload_bytes: int) -> Generator:
         yield self.host.execute(
             SET_CPU +
-            payload_bytes / 1024.0 * self.config.per_kilobyte_cpu,
+            payload_bytes / 1024.0 * PER_KILOBYTE_CPU,
             self._component)
 
     def _stall_if_resizing(self) -> Generator:
@@ -784,8 +784,7 @@ class Backend:
     def _grow_data_region(self, new_size: int) -> Generator:
         grow_bytes = new_size - self.data.populated_bytes
         # Kernel memory management + registration, off the critical path.
-        yield self.sim.delay(
-            self.registration_cost.registration_time(grow_bytes))
+        yield self.sim.delay(REGISTRATION_COST.registration_time(grow_bytes))
         if not self.alive:
             self._growing_data = False
             self._fire_grow_waiters()
@@ -856,7 +855,7 @@ class Backend:
         new = IndexRegion(old.num_buckets * INDEX_RESIZE_MULTIPLIER,
                           old.ways, self.config_id)
         yield self.sim.delay(
-            self.registration_cost.registration_time(new.total_bytes))
+            REGISTRATION_COST.registration_time(new.total_bytes))
         for _bucket, entry in old.entries():
             bucket = new.bucket_for(entry.key_hash)
             way = new.find_free_way(bucket)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..net import Fabric, FabricConfig, Host, HostConfig
+from ..net import Fabric, Host, HostConfig
 from ..rpc import Acl, Principal
 from ..sim import Resource, Simulator
 from ..telemetry import (NULL_FLIGHT, FlightRecorder, MetricsRegistry,
@@ -44,8 +44,6 @@ class CellSpec:
     maintenance_config: MaintenanceConfig = field(
         default_factory=MaintenanceConfig)
     resize_config: ResizeConfig = field(default_factory=ResizeConfig)
-    fabric_config: FabricConfig = field(default_factory=FabricConfig)
-    host_config: HostConfig = field(default_factory=HostConfig)
     # When set, only these principal names may mutate the corpus (Set /
     # Erase / Cas); reads stay open to any authenticated principal.
     # Internal principals (repair@*, migrate@*, loader) keep working.
@@ -67,15 +65,15 @@ class CellSpec:
     flight_recorder: bool = False
 
 
-def make_transport(name: str, sim: Simulator, fabric: Fabric,
-                   **kwargs) -> Optional[Transport]:
+def make_transport(name: str, sim: Simulator,
+                   fabric: Fabric) -> Optional[Transport]:
     """Transport factory keyed by the spec's transport name."""
     if name == "pony":
-        return PonyTransport(sim, fabric, **kwargs)
+        return PonyTransport(sim, fabric)
     if name == "1rma":
-        return OneRmaTransport(sim, fabric, **kwargs)
+        return OneRmaTransport(sim, fabric)
     if name == "rdma":
-        return RdmaTransport(sim, fabric, **kwargs)
+        return RdmaTransport(sim, fabric)
     if name in ("none", ""):
         return None
     raise ValueError(f"unknown transport {name!r}")
@@ -92,7 +90,7 @@ class Cell:
         self.spec = spec or CellSpec()
         self.zone = zone
         self.sim = sim or Simulator()
-        self.fabric = fabric or Fabric(self.sim, self.spec.fabric_config)
+        self.fabric = fabric or Fabric(self.sim)
         self.transport = transport if transport is not None else \
             make_transport(self.spec.transport, self.sim, self.fabric)
         self.config_store = ConfigStore(self.sim)
@@ -164,9 +162,7 @@ class Cell:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def add_local_host(self, name: str,
-                       host_config: Optional[HostConfig] = None,
-                       nic_rate: Optional[float] = None) -> Host:
+    def add_local_host(self, name: str) -> Host:
         """Add a fabric host placed in this cell's zone.
 
         Zone-aware host placement for everything a cell owns (backends,
@@ -178,12 +174,11 @@ class Cell:
         """
         if self.zone != "local":
             name = f"{self.zone}/{name}"
-        return self.fabric.add_host(name, host_config, nic_rate,
-                                    zone=self.zone)
+        return self.fabric.add_host(name, zone=self.zone)
 
     def _create_backend(self, task: str, shard: int,
                         placement: Optional[Placement] = None) -> Backend:
-        host = self.add_local_host(f"host/{task}", self.spec.host_config)
+        host = self.add_local_host(f"host/{task}")
         backend = Backend(self.sim, host, task, shard,
                           placement if placement is not None
                           else self.placement,
@@ -355,7 +350,7 @@ class Cell:
             if zone != "local":
                 name = f"{zone}/{name}"
             host = self.fabric.add_host(
-                name, host_config or self.spec.host_config, zone=zone)
+                name, host_config, zone=zone)
         if zone != self.zone:
             if strategy is None:
                 strategy = GetStrategy.RPC

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -41,8 +41,7 @@ from .hashing import Placement
 from .index import parse_bucket
 from .quorum import (Ballot, QuorumDecision, QuorumOutcome, ReplicaVote,
                      VoteKind)
-from .resilience import (BackendHealth, BackoffPolicy, HealthPolicy,
-                         RetryBudget)
+from .resilience import BackendHealth, BackoffPolicy, RetryBudget
 from .truetime import TrueTime
 from .version import VersionFactory, VersionNumber
 
@@ -55,17 +54,13 @@ _TOUCH_BATCH_MAX = 512           # key hashes per batched Touch RPC (§4.2)
 _COMPRESS_CPU_PER_KB = 10e-6     # ~100 MB/s deflate
 _DECOMPRESS_CPU_PER_KB = 3e-6    # ~300 MB/s inflate
 
-
-@dataclass
-class ClientCostModel:
-    """CliqueMap-client CPU costs (distinct from transport/engine CPU)."""
-
-    issue_op_cpu: float = 0.22e-6       # set up one RMA op
-    completion_cpu: float = 0.28e-6     # process one RMA completion
-    validate_cpu: float = 0.30e-6       # checksum + key comparison
-    validate_per_kb: float = 0.045e-6
-    quorum_cpu: float = 0.12e-6         # evaluate votes
-    mutation_cpu: float = 0.60e-6       # build mutation RPCs
+# CliqueMap-client CPU costs (distinct from transport/engine CPU).
+_ISSUE_OP_CPU = 0.22e-6          # set up one RMA op
+_COMPLETION_CPU = 0.28e-6        # process one RMA completion
+_VALIDATE_CPU = 0.30e-6          # checksum + key comparison
+_VALIDATE_PER_KB = 0.045e-6
+_QUORUM_CPU = 0.12e-6            # evaluate votes
+_MUTATION_CPU = 0.60e-6          # build mutation RPCs
 
 
 @dataclass
@@ -84,7 +79,6 @@ class ClientConfig:
     # fast with a "budget-exhausted" reason. capacity <= 0 disables.
     retry_budget_capacity: float = 128.0
     retry_budget_fill_rate: float = 1000.0      # tokens per second
-    health: HealthPolicy = field(default_factory=HealthPolicy)
     mutation_rpc_deadline: float = 5e-3
     touch_enabled: bool = True
     touch_flush_interval: float = 20e-3
@@ -98,7 +92,6 @@ class ClientConfig:
     # since values are stored wrapped with a 1-byte scheme header.
     compression_enabled: bool = False
     compression_min_bytes: int = 512
-    costs: ClientCostModel = field(default_factory=ClientCostModel)
 
     def __post_init__(self) -> None:
         for name, minimum in (("default_deadline", 0.0),
@@ -253,7 +246,6 @@ class CliqueMapClient:
                  principal: Optional[Principal] = None,
                  strategy: Optional[GetStrategy] = None,
                  config: Optional[ClientConfig] = None,
-                 truetime: Optional[TrueTime] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  flight=None,
@@ -274,7 +266,7 @@ class CliqueMapClient:
                         if transport is not None and transport.supports_scar
                         else GetStrategy.TWO_R)
         self.strategy = GetStrategy.coerce(strategy)
-        self.truetime = truetime or TrueTime(sim)
+        self.truetime = TrueTime(sim)
         self.versions = VersionFactory(self.client_id, self.truetime)
 
         self.cell: Optional[CellConfig] = None
@@ -443,7 +435,6 @@ class CliqueMapClient:
 
     def _new_health(self, task: str) -> BackendHealth:
         return BackendHealth(task, clock=lambda: self.sim.now,
-                             policy=self.config.health,
                              on_event=self._health_event)
 
     def _build_view(self, task: str) -> Generator:
@@ -940,8 +931,7 @@ class CliqueMapClient:
                 ballot = ballots[i]
                 was_settled = ballot.settled
                 ballot.cast(view.task, item)
-                self.host.charge_inline(self.config.costs.quorum_cpu,
-                                        "cliquemap-client")
+                self.host.charge_inline(_QUORUM_CPU, "cliquemap-client")
                 if ballot.settled and not was_settled and \
                         ballot.decision.outcome is QuorumOutcome.PRESENT:
                     # Speculative: this key's data fetch starts while
@@ -1123,8 +1113,7 @@ class CliqueMapClient:
             vote = ballot.cast(view.task, result)
             if on_vote is not None:
                 on_vote(view, vote, result)
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
+            self.host.charge_inline(_QUORUM_CPU, "cliquemap-client")
             if ballot.settled:
                 break
         ballot.close()
@@ -1368,8 +1357,7 @@ class CliqueMapClient:
         delegate to it: a leg is resumed once per transport event, and
         every resume walks the whole ``yield from`` chain.)
         """
-        costs = self.config.costs
-        self.host.charge_inline(costs.issue_op_cpu, "cliquemap-client")
+        self.host.charge_inline(_ISSUE_OP_CPU, "cliquemap-client")
         span, op = issue()
         try:
             try:
@@ -1387,7 +1375,7 @@ class CliqueMapClient:
             self._leg_down(view)
             return ("down", view.task, None)
         span.finish()
-        self.host.charge_inline(costs.completion_cpu, "cliquemap-client")
+        self.host.charge_inline(_COMPLETION_CPU, "cliquemap-client")
         view.health.record_success()
         if outcome is not None:
             return outcome(view, payload)
@@ -1455,9 +1443,8 @@ class CliqueMapClient:
     # -- vote/validation helpers ------------------------------------------------
 
     def _charge_validation(self, raw: bytes) -> Generator:
-        cost = self.config.costs
         yield self.host.execute(
-            cost.validate_cpu + len(raw) / 1024.0 * cost.validate_per_kb,
+            _VALIDATE_CPU + len(raw) / 1024.0 * _VALIDATE_PER_KB,
             "cliquemap-client")
 
     def _try_validate(self, key: bytes, key_hash: bytes, raw: bytes,
@@ -1675,8 +1662,7 @@ class CliqueMapClient:
         build_span = root.child("build", batch=n)
         # One mutation-build charge for the whole batch — the per-op CPU
         # the coalesced path amortizes.
-        yield self.host.execute(self.config.costs.mutation_cpu,
-                                "cliquemap-client")
+        yield self.host.execute(_MUTATION_CPU, "cliquemap-client")
         encoded: List[bytes] = []
         versions: List[VersionNumber] = []
         for _key, value in items:
@@ -1741,8 +1727,7 @@ class CliqueMapClient:
         for i in range(n):
             if i in fallback:
                 continue
-            self.host.charge_inline(self.config.costs.quorum_cpu,
-                                    "cliquemap-client")
+            self.host.charge_inline(_QUORUM_CPU, "cliquemap-client")
             latency = self.sim.now - started
             status, applied = self._tally(replies_for[i], quorum)
             if status is SetStatus.FAILED:
@@ -1862,8 +1847,7 @@ class CliqueMapClient:
         per-replica processes joined by ``all_of`` would: their starts,
         then the last one's exit and the join.
         """
-        yield self.host.execute(self.config.costs.mutation_cpu,
-                                "cliquemap-client")
+        yield self.host.execute(_MUTATION_CPU, "cliquemap-client")
         views = self._replica_views(key_hash)
         for shadow in self._shadow_views(key_hash):
             self._shadow_mutate(shadow, method, payload, payload_size)

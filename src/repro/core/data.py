@@ -81,12 +81,10 @@ class DataRegion:
     """
 
     def __init__(self, initial_bytes: int, virtual_limit: int,
-                 slab_bytes: int = 64 * 1024,
-                 allocator_factory=None):
+                 slab_bytes: int = 64 * 1024):
         from .slab import SlabAllocator
         self.arena = Arena(initial_bytes, virtual_limit)
-        factory = allocator_factory or SlabAllocator
-        self.allocator = factory(self.arena, slab_bytes=slab_bytes)
+        self.allocator = SlabAllocator(self.arena, slab_bytes=slab_bytes)
         self.active_window = MemoryRegion(self.arena)
         self.old_windows = []
 

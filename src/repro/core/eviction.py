@@ -197,13 +197,12 @@ class ArcPolicy(EvictionPolicy):
         return len(self.t1) + len(self.t2)
 
 
-def make_policy(name: str, stream: Optional[RandomStream] = None,
-                capacity: int = 10000) -> EvictionPolicy:
+def make_policy(name: str) -> EvictionPolicy:
     """Factory keyed by policy name: 'lru', 'arc', or 'random'."""
     if name == "lru":
         return LruPolicy()
     if name == "arc":
-        return ArcPolicy(capacity=capacity)
+        return ArcPolicy()
     if name == "random":
-        return RandomPolicy(stream)
+        return RandomPolicy()
     raise ValueError(f"unknown eviction policy {name!r}")

@@ -42,6 +42,10 @@ from .federation import FederatedClient, Federation, FederationSpec, \
     build_zone_cell
 
 
+#: Value size of every scripted and population SET of a zone workload.
+VALUE_BYTES = 128
+
+
 @dataclass(frozen=True)
 class ZoneWorkloadSpec:
     """Per-zone workload for a (sharded or plain) federation run.
@@ -63,7 +67,6 @@ class ZoneWorkloadSpec:
     remote_every: int = 8
     shared_keys: int = 64
     private_keys: int = 16
-    value_bytes: int = 128
     population_clients: int = 0
     population_rate: float = 0.0        # key-ops/sec per modeled client
     population_drivers: int = 4
@@ -178,7 +181,7 @@ def preload_zone(cell: Cell, zone: str, workload: ZoneWorkloadSpec) -> None:
     """Install the zone's shared + private keys in its own cell (only —
     other zones learn private keys through remote fallback)."""
     client = cell.connect_client()
-    value = bytes(workload.value_bytes)
+    value = bytes(VALUE_BYTES)
 
     def loader():
         for i in range(workload.shared_keys):
@@ -202,7 +205,7 @@ def make_population(cell: Cell, zone: str, workload: ZoneWorkloadSpec):
     drivers = [cell.connect_client()
                for _ in range(workload.population_drivers)]
     cell.sim.run(until=cell.sim.process(
-        populate(drivers[0], keyspace, workload.value_bytes)))
+        populate(drivers[0], keyspace, VALUE_BYTES)))
     return LoadGenerator(cell.sim, drivers, keyspace, stream)
 
 
@@ -225,7 +228,7 @@ def _fed_client_loop(sim: Simulator, zone: str, zones: Tuple[str, ...],
                      fed_client: FederatedClient, index: int,
                      workload: ZoneWorkloadSpec, digest: OpDigest):
     stream = RandomStream(workload.seed, f"fed:{zone}:{index}")
-    value = bytes(workload.value_bytes)
+    value = bytes(VALUE_BYTES)
     others = [z for z in zones if z != zone]
     op = 0
     while True:
@@ -236,7 +239,7 @@ def _fed_client_loop(sim: Simulator, zone: str, zones: Tuple[str, ...],
             key = _shared_key(zone,
                               stream.randint(0, workload.shared_keys - 1))
             result = yield from fed_client.set(key, value)
-            kind, value_len = "set", workload.value_bytes
+            kind, value_len = "set", VALUE_BYTES
         elif others and workload.remote_every and \
                 op % workload.remote_every == 1:
             other = others[stream.randint(0, len(others) - 1)]

@@ -39,7 +39,7 @@ class SlabAllocator:
     """Allocates blocks out of size-classed slabs carved from an arena."""
 
     def __init__(self, arena: Arena, slab_bytes: int = 64 * 1024,
-                 min_block: int = 64, growth_factor: float = 2.0):
+                 min_block: int = 64):
         if slab_bytes <= 0 or min_block <= 0:
             raise ValueError("slab_bytes and min_block must be positive")
         self.arena = arena
@@ -48,7 +48,7 @@ class SlabAllocator:
         size = min_block
         while size <= slab_bytes:
             self._classes.append(size)
-            size = int(size * growth_factor)
+            size *= 2                         # each class doubles
         if self._classes[-1] != slab_bytes:
             self._classes.append(slab_bytes)
         self._carved = 0                      # bytes carved into slabs so far

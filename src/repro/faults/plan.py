@@ -30,6 +30,9 @@ from ..telemetry import tally
 # in the authoritative layout).
 DEFAULT_KINDS = ("crash", "partition", "heal", "gray", "antagonist",
                  "nothing")
+#: Mean gap between a generated plan's events (drawn uniformly from
+#: half to one and a half times it).
+MEAN_INTERVAL = 0.15
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,6 @@ class FaultPlan:
     @classmethod
     def generate(cls, stream: RandomStream, duration: float,
                  num_shards: int, num_clients: int = 1,
-                 mean_interval: float = 0.15,
                  kinds: Sequence[str] = DEFAULT_KINDS) -> "FaultPlan":
         """Draw a random plan; identical streams yield identical plans.
 
@@ -89,7 +91,7 @@ class FaultPlan:
         plan = cls()
         t = 0.0
         while True:
-            t += stream.uniform(0.5 * mean_interval, 1.5 * mean_interval)
+            t += stream.uniform(0.5 * MEAN_INTERVAL, 1.5 * MEAN_INTERVAL)
             if t >= duration:
                 break
             kind = stream.choice(list(kinds))

@@ -23,7 +23,7 @@ is departure order, and no other traffic can shift a flow's latencies.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Dict, Generator, Optional
 
@@ -32,6 +32,9 @@ from ..sim.core import PARKED
 from ..telemetry import tally
 from .host import Host, HostConfig
 from .nic import MtuConfig, Nic, gbps
+
+#: Size of one antagonist chunk (``Fabric.start_antagonist``).
+_ANTAGONIST_CHUNK_BYTES = 64 * 1024
 
 
 class NetworkDropError(Exception):
@@ -103,8 +106,9 @@ class FabricConfig:
     # How long a sender waits before concluding its packets are being
     # dropped (retransmission timeout stand-in).
     partition_detect_delay: float = 150e-6
-    mtu: MtuConfig = field(default_factory=MtuConfig)
     seed: int = 1
+    #: Framing is the paper testbed's: a class constant, not a field.
+    mtu = MtuConfig()
 
 
 class CrossShardLink:
@@ -207,7 +211,6 @@ class Fabric:
 
     def add_host(self, name: str,
                  host_config: Optional[HostConfig] = None,
-                 nic_rate: Optional[float] = None,
                  zone: str = "local") -> Host:
         """Create a host with an attached NIC and register it.
 
@@ -217,9 +220,7 @@ class Fabric:
             raise ValueError(f"duplicate host name {name!r}")
         host = Host(self.sim, name, host_config)
         host.zone = zone
-        rate = nic_rate if nic_rate is not None \
-            else self.config.host_rate_bytes_per_sec
-        host.nic = Nic(self.sim, name, rate, self.config.mtu)
+        host.nic = Nic(self.sim, name, self.config.host_rate_bytes_per_sec)
         # One jitter stream per egress link: a flow's latencies depend on
         # its own sender's traffic, never on unrelated traffic in the cell.
         self._jitter[name] = RandomStream(self.config.seed, f"jitter:{name}")
@@ -399,8 +400,7 @@ class Fabric:
     # -- background antagonist traffic ---------------------------------------
 
     def start_antagonist(self, target: Host, offered_bytes_per_sec: float,
-                         direction: str = "both",
-                         chunk_bytes: int = 64 * 1024) -> Process:
+                         direction: str = "both") -> Process:
         """Offer competing traffic through ``target``'s NIC.
 
         Models the §7.2.1 antagonist that pushes ~95 Gbps of demand through
@@ -413,14 +413,14 @@ class Fabric:
             raise ValueError(f"bad antagonist direction {direction!r}")
 
         def antagonist():
-            interval = chunk_bytes / offered_bytes_per_sec
+            interval = _ANTAGONIST_CHUNK_BYTES / offered_bytes_per_sec
             rand = RandomStream(self.config.seed,
                                 f"antagonist:{target.name}")
             while True:
                 if direction in ("egress", "both"):
-                    target.nic.egress.reserve(chunk_bytes)
+                    target.nic.egress.reserve(_ANTAGONIST_CHUNK_BYTES)
                 if direction in ("ingress", "both"):
-                    target.nic.ingress.reserve(chunk_bytes)
+                    target.nic.ingress.reserve(_ANTAGONIST_CHUNK_BYTES)
                 yield self.sim.delay(rand.expovariate(1.0 / interval))
 
         proc = self.sim.process(antagonist(),

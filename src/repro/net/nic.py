@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
-from ..sim import SimulationError, Simulator
-from ..sim.core import PARKED
+from ..sim import Simulator
 
 
 def gbps(value: float) -> float:
@@ -38,9 +36,6 @@ class MtuConfig:
             return self.header_bytes
         frames = math.ceil(payload / self.mtu_bytes)
         return payload + frames * self.header_bytes
-
-    def frames(self, payload: int) -> int:
-        return max(1, math.ceil(payload / self.mtu_bytes))
 
 
 class Link:
@@ -67,27 +62,14 @@ class Link:
         self.bytes_carried += wire_bytes
         return done
 
-    def transmit(self, wire_bytes: int) -> Any:
-        """Serialize ``wire_bytes`` through the link: ``yield
-        link.transmit(n)`` from a process, a parked wait (see
-        :meth:`Simulator.delay`) that ends when the last byte leaves."""
-        sim = self.sim
-        proc = sim._active
-        if proc is None:
-            raise SimulationError("transmit() called outside a process")
-        proc._token = proc._waiting_on = token = proc._token + 1
-        sim.inject(self.reserve(wire_bytes), proc._on_wake, token)
-        return PARKED
-
 
 class Nic:
     """A host's network interface: an egress link and an ingress link."""
 
     def __init__(self, sim: Simulator, host_name: str,
-                 rate_bytes_per_sec: float, mtu: MtuConfig):
+                 rate_bytes_per_sec: float):
         self.sim = sim
         self.host_name = host_name
-        self.mtu = mtu
         self.egress = Link(sim, rate_bytes_per_sec, f"{host_name}.egress")
         self.ingress = Link(sim, rate_bytes_per_sec, f"{host_name}.ingress")
 

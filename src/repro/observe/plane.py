@@ -38,9 +38,6 @@ class ObserveConfig:
     """Everything the plane needs beyond the cell itself."""
 
     scrape_interval: float = 1e-3       # sim-seconds between scrapes
-    retention_points: int = 4096        # ring-buffer depth per series
-    retention_seconds: Optional[float] = None
-    histogram_sum: bool = False         # scrape histogram sums too (O(n))
     probers: int = 1                    # synthetic probers to run
     prober: ProberConfig = field(default_factory=ProberConfig)
     # The SLOs to evaluate; None -> default_objectives(cell name), whose
@@ -55,11 +52,7 @@ class ObservabilityPlane:
         self.cell = cell
         self.config = config or ObserveConfig()
         cfg = self.config
-        self.scraper = Scraper(
-            cell.metrics, interval=cfg.scrape_interval,
-            retention_points=cfg.retention_points,
-            retention_seconds=cfg.retention_seconds,
-            histogram_sum=cfg.histogram_sum)
+        self.scraper = Scraper(cell.metrics, interval=cfg.scrape_interval)
         self.probers: List[Prober] = []
         for i in range(cfg.probers):
             self.probers.append(Prober(cell, dataclasses.replace(

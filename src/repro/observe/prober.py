@@ -28,49 +28,39 @@ collide with workload keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..core.errors import GetStatus
 from ..telemetry import tally
 
+NUM_KEYS = 8                     # dedicated probe keys, round-robined
+VALUE_BYTES = 64                 # probe value payload size
+DEADLINE = 2e-3                  # per-op deadline (availability bound)
+LATENCY_SLO_SECONDS = 1.5e-3     # "fast" threshold for the latency SLI
+ERASE_EVERY = 16                 # every Nth round also exercises ERASE
+
 
 @dataclass
 class ProberConfig:
-    """Shape of one prober's traffic and its per-op latency threshold."""
+    """How often one prober probes, and its name."""
 
     interval: float = 5e-3          # sim-seconds between probe rounds
-    num_keys: int = 8               # dedicated probe keys, round-robined
-    value_bytes: int = 64           # probe value payload size
-    deadline: float = 2e-3          # per-op deadline (availability bound)
-    latency_slo_seconds: float = 1.5e-3   # "fast" threshold for the SLI
-    erase_every: int = 16           # every Nth round also exercises ERASE
     label: str = "prober-0"
 
     def validate(self) -> None:
         if self.interval <= 0:
             raise ValueError(f"interval must be > 0, got {self.interval!r}")
-        if self.num_keys < 1:
-            raise ValueError(f"num_keys must be >= 1, got {self.num_keys!r}")
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline!r}")
-        if self.latency_slo_seconds <= 0:
-            raise ValueError("latency_slo_seconds must be > 0, got "
-                             f"{self.latency_slo_seconds!r}")
-        if self.erase_every < 1:
-            raise ValueError(
-                f"erase_every must be >= 1, got {self.erase_every!r}")
 
 
 class Prober:
     """One synthetic prober: a dedicated client plus its probe loop."""
 
-    def __init__(self, cell, config: Optional[ProberConfig] = None,
-                 client_kwargs: Optional[Dict[str, Any]] = None):
+    def __init__(self, cell, config: Optional[ProberConfig] = None):
         self.cell = cell
         self.config = config or ProberConfig()
         self.config.validate()
         self.sim = cell.sim
-        self.client = cell.make_client(**(client_kwargs or {}))
+        self.client = cell.make_client()
         self.rounds = 0
         self._running = False
         self._proc = None
@@ -111,18 +101,17 @@ class Prober:
     # -- probing -------------------------------------------------------------
 
     def _key(self, round_index: int) -> bytes:
-        n = round_index % self.config.num_keys
+        n = round_index % NUM_KEYS
         return f"__probe__/{self.config.label}/{n}".encode()
 
     def _value(self, round_index: int) -> bytes:
         stamp = f"probe:{self.config.label}:{round_index}:".encode()
-        return stamp.ljust(self.config.value_bytes, b"x")
+        return stamp.ljust(VALUE_BYTES, b"x")
 
     def _record(self, op: str, result: str, latency: float) -> None:
         self._results[op, result] += 1
         self._m_latency[op].observe(latency)
-        speed = "fast" if latency <= self.config.latency_slo_seconds \
-            else "slow"
+        speed = "fast" if latency <= LATENCY_SLO_SECONDS else "slow"
         self._classes[op, speed] += 1
 
     def _loop(self) -> Generator:
@@ -134,16 +123,15 @@ class Prober:
 
     def _round(self, index: int) -> Generator:
         """One probe round: SET, then GET-and-verify, then maybe ERASE."""
-        cfg = self.config
         key = self._key(index)
         value = self._value(index)
 
         set_res = yield from self.client.set(key, value,
-                                             deadline=cfg.deadline)
+                                             deadline=DEADLINE)
         self._record("set", "ok" if set_res.ok else "error",
                      set_res.latency)
 
-        get_res = yield from self.client.get(key, deadline=cfg.deadline)
+        get_res = yield from self.client.get(key, deadline=DEADLINE)
         if get_res.status is GetStatus.ERROR:
             self._record("get", "error", get_res.latency)
         elif set_res.ok and (get_res.status is not GetStatus.HIT or
@@ -154,9 +142,9 @@ class Prober:
         else:
             self._record("get", "ok", get_res.latency)
 
-        if (index + 1) % cfg.erase_every == 0:
+        if (index + 1) % ERASE_EVERY == 0:
             erase_res = yield from self.client.erase(key,
-                                                     deadline=cfg.deadline)
+                                                     deadline=DEADLINE)
             self._record("erase", "ok" if erase_res.ok else "error",
                          erase_res.latency)
 

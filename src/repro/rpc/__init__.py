@@ -3,7 +3,7 @@
 from .auth import (Acl, AuthConfig, Authenticator, PermissionDeniedError,
                    Principal)
 from .stubby import (ApplicationError, DeadlineExceededError, HandlerContext,
-                     MethodNotFoundError, RpcChannel, RpcCostModel, RpcError,
+                     MethodNotFoundError, RpcChannel, RpcError,
                      RpcMetrics, RpcServer, UnavailableError,
                      VersionMismatchError, connect)
 from .wire import ENVELOPE_OVERHEAD_BYTES, Message, ProtocolVersion, estimate_size
@@ -11,7 +11,7 @@ from .wire import ENVELOPE_OVERHEAD_BYTES, Message, ProtocolVersion, estimate_si
 __all__ = [
     "Acl", "AuthConfig", "Authenticator", "PermissionDeniedError", "Principal",
     "ApplicationError", "DeadlineExceededError", "HandlerContext",
-    "MethodNotFoundError", "RpcChannel", "RpcCostModel", "RpcError",
+    "MethodNotFoundError", "RpcChannel", "RpcError",
     "RpcMetrics", "RpcServer", "UnavailableError", "VersionMismatchError",
     "connect",
     "ENVELOPE_OVERHEAD_BYTES", "Message", "ProtocolVersion", "estimate_size",

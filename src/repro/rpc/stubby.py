@@ -65,22 +65,17 @@ class ApplicationError(RpcError):
 
 
 # ---------------------------------------------------------------------------
-# Cost model and metrics
+# Costs and metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RpcCostModel:
-    """Per-call CPU charges for framework + transport code.
-
-    Defaults sum to ~52 us across client and server, matching the paper's
-    ">50 CPU-us even for an empty RPC".
-    """
-
-    client_send_cpu: float = 14e-6
-    client_recv_cpu: float = 12e-6
-    server_recv_cpu: float = 14e-6
-    server_send_cpu: float = 12e-6
-    per_kilobyte_cpu: float = 0.15e-6   # marshalling cost per KB each side
+# Per-call CPU charges for framework + transport code. They sum to ~52 us
+# across client and server, matching the paper's ">50 CPU-us even for an
+# empty RPC".
+_CLIENT_SEND_CPU = 14e-6
+_CLIENT_RECV_CPU = 12e-6
+_SERVER_RECV_CPU = 14e-6
+_SERVER_SEND_CPU = 12e-6
+_PER_KILOBYTE_CPU = 0.15e-6      # marshalling cost per KB each side
 
 
 @dataclass
@@ -128,15 +123,13 @@ class RpcServer:
     def __init__(self, sim: Simulator, host: Host, name: str,
                  acl: Optional[Acl] = None,
                  min_version: ProtocolVersion = ProtocolVersion(1, 0),
-                 max_version: ProtocolVersion = ProtocolVersion(1, 99),
-                 cost_model: Optional[RpcCostModel] = None):
+                 max_version: ProtocolVersion = ProtocolVersion(1, 99)):
         self.sim = sim
         self.host = host
         self.name = name
         self.acl = acl or Acl()
         self.min_version = min_version
         self.max_version = max_version
-        self.cost_model = cost_model or RpcCostModel()
         self.metrics = RpcMetrics()
         self._handlers: Dict[str, Handler] = {}
         self._serving = True
@@ -323,10 +316,9 @@ class RpcChannel:
             serve_span = span.child("backend.serve", host=server.host.name,
                                     method=method)
             component = f"rpc-server:{server.name}"
-            model = server.cost_model
             yield server.host.execute(
-                model.server_recv_cpu +
-                req_bytes / 1024.0 * model.per_kilobyte_cpu, component)
+                _SERVER_RECV_CPU + req_bytes / 1024.0 * _PER_KILOBYTE_CPU,
+                component)
             context = HandlerContext(self.sim, serve_span)
             try:
                 result = yield from handler(payload, context)
@@ -342,8 +334,8 @@ class RpcChannel:
                                size_override=context.response_size_override)
             resp_bytes = response.wire_size
             yield server.host.execute(
-                model.server_send_cpu +
-                resp_bytes / 1024.0 * model.per_kilobyte_cpu, component)
+                _SERVER_SEND_CPU + resp_bytes / 1024.0 * _PER_KILOBYTE_CPU,
+                component)
             ok = True
         finally:
             serve_span.finish()
@@ -357,10 +349,9 @@ class RpcChannel:
         return response.payload
 
     def cost_for_client(self, req_bytes: int, resp_bytes: int) -> float:
-        model = self.server.cost_model
-        half = (model.client_send_cpu if req_bytes else 0.0) + \
-               (model.client_recv_cpu if resp_bytes else 0.0)
-        return half + (req_bytes + resp_bytes) / 1024.0 * model.per_kilobyte_cpu
+        half = (_CLIENT_SEND_CPU if req_bytes else 0.0) + \
+               (_CLIENT_RECV_CPU if resp_bytes else 0.0)
+        return half + (req_bytes + resp_bytes) / 1024.0 * _PER_KILOBYTE_CPU
 
 
 def connect(sim: Simulator, fabric: Fabric, client_host: Host,

@@ -93,18 +93,17 @@ class SystemOfRecord:
 
     def __init__(self, sim: Simulator, host: Host,
                  cost: Optional[StorageCostModel] = None,
-                 name: str = "sor",
                  throughput: Optional[ProvisionedThroughput] = None):
         self.sim = sim
         self.host = host
         self.cost = cost or StorageCostModel()
-        self.name = name
+        self.name = "sor"
         self.throughput = throughput
         self._data: Dict[bytes, bytes] = {}
         self._keys_ordered: List[bytes] = []
         self._sealed = False
         self._media = Resource(sim, capacity=self.cost.media_channels,
-                               name=f"{name}.media")
+                               name="sor.media")
         # One media *bus* per host: seeks overlap across channels, but
         # transfers share the host's bandwidth, so concurrent fetches
         # contend instead of each enjoying the full bytes_per_sec.
@@ -129,7 +128,7 @@ class SystemOfRecord:
         else:
             self._read_bucket = self._write_bucket = None
         self.request_counts = tally()
-        self.rpc_server = RpcServer(sim, host, f"storage/{name}")
+        self.rpc_server = RpcServer(sim, host, "storage/sor")
         self.rpc_server.register("Read", self._handle_read)
         self.rpc_server.register("Scan", self._handle_scan)
         self.rpc_server.register("Write", self._handle_write)

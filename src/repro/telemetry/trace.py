@@ -290,7 +290,7 @@ NULL_SPAN = _NullSpan()
 class TraceContext:
     """The tracing state threaded through one operation.
 
-    Thin by design: it carries the operation's root span plus the clock,
+    Thin by design: it carries the operation's root span,
     and is what public APIs accept as their ``trace=`` argument. Most
     instrumented layers only ever see a :class:`Span`; the context exists
     so callers can pass "trace this op into here" as one object.
@@ -300,15 +300,6 @@ class TraceContext:
 
     def __init__(self, root: Span):
         self.root = root
-
-    def child(self, name: str, **labels: Any) -> Span:
-        return self.root.child(name, **labels)
-
-    def finish(self, at: Optional[float] = None) -> Span:
-        return self.root.finish(at)
-
-    def render(self) -> str:
-        return self.root.render()
 
 
 # Statuses that mark an operation trace as an error for tail sampling.
@@ -329,7 +320,9 @@ class Tracer:
     Tail sampling (``tail_sample_every``): when set, :meth:`record`
     keeps full span trees only for error ops, slow ops (duration >=
     ``tail_slow_threshold``, when given), and a deterministic 1-in-N of
-    the rest; everything else is counted in ``sampled_out`` and
+    the roots it is handed (a parented span, such as an ``append``'s
+    inner GET, is part of its root's tree, not a decision of its own);
+    everything else is counted in ``sampled_out`` and
     dropped. Left at ``None`` (the default) every finished root is
     retained, bounded by ``max_retained``.
     """
@@ -347,6 +340,7 @@ class Tracer:
         self.finished: List[Span] = []
         self.started = 0
         self.sampled_out = 0
+        self._decisions = 0
         self._ids = _IdAllocator()
         self._trace_rand = RandomStream(
             seed if seed is not None else 0,
@@ -388,6 +382,7 @@ class Tracer:
             del self.finished[:len(self.finished) - self.max_retained]
 
     def _tail_keep(self, span: Span) -> bool:
+        self._decisions += 1
         status = span.labels.get("status")
         if status in ERROR_STATUSES or span.labels.get("error"):
             return True
@@ -395,7 +390,7 @@ class Tracer:
                 span.finished and span.duration >= self.tail_slow_threshold):
             return True
         # Deterministic 1-in-N on the kept-or-dropped decision sequence.
-        return (self.started % self.tail_sample_every) == 0
+        return (self._decisions % self.tail_sample_every) == 0
 
     def last(self) -> Optional[Span]:
         return self.finished[-1] if self.finished else None

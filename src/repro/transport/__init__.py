@@ -6,10 +6,10 @@ from .memory import (Arena, ArenaReservationError, MemoryRegion,
                      RegionRevokedError, RegistrationCostModel,
                      RemoteHostDownError, RmaEndpoint, RmaError,
                      RmaOutOfBoundsError, next_region_id)
-from .onerma import OneRmaCostModel, OneRmaTransport
+from .onerma import OneRmaTransport
 from .pony import (PonyCostModel, PonyEngineGroup, PonyScaleConfig,
                    PonyTransport)
-from .rdma import RdmaCostModel, RdmaTransport
+from .rdma import RdmaTransport
 
 __all__ = [
     "RMA_REQUEST_BYTES", "RMA_RESPONSE_HEADER_BYTES", "Transport",
@@ -17,7 +17,7 @@ __all__ = [
     "Arena", "ArenaReservationError", "MemoryRegion", "RegionRevokedError",
     "RegistrationCostModel", "RemoteHostDownError", "RmaEndpoint", "RmaError",
     "RmaOutOfBoundsError", "next_region_id",
-    "OneRmaCostModel", "OneRmaTransport",
+    "OneRmaTransport",
     "PonyCostModel", "PonyEngineGroup", "PonyScaleConfig", "PonyTransport",
-    "RdmaCostModel", "RdmaTransport",
+    "RdmaTransport",
 ]

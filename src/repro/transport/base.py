@@ -55,12 +55,12 @@ class Transport:
 
     name = "base"
     supports_scar = False
+    #: How long an op waits on a crashed host before it fails.
+    op_timeout = 200e-6
 
-    def __init__(self, sim: Simulator, fabric: Fabric,
-                 op_timeout: float = 200e-6):
+    def __init__(self, sim: Simulator, fabric: Fabric):
         self.sim = sim
         self.fabric = fabric
-        self.op_timeout = op_timeout
         self.endpoints: Dict[str, RmaEndpoint] = {}
         # Every TransportCounters field but batched_keys, which is the
         # tally of ``cliquemap_batched_keys_total`` (see adopt_counts).

@@ -159,13 +159,12 @@ class MemoryRegion:
     own region id and revocation state.
     """
 
-    def __init__(self, arena: Arena, limit: Optional[int] = None,
-                 region_id: Optional[int] = None):
+    def __init__(self, arena: Arena, limit: Optional[int] = None):
         self.arena = arena
         self.limit = arena.populated if limit is None else limit
         if self.limit > arena.virtual_limit:
             raise ValueError("window limit exceeds arena virtual limit")
-        self.region_id = next_region_id() if region_id is None else region_id
+        self.region_id = next_region_id()
         self.revoked = False
 
     def read(self, offset: int, size: int) -> bytes:

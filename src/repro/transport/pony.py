@@ -25,18 +25,20 @@ from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport)
 from .memory import RegionRevokedError, RmaOutOfBoundsError
 
 
+BATCH_ENTRY = 0.06e-6           # each extra entry of a coalesced read
+MSG_THREAD_WAKEUP = 2.6e-6      # wake a server app thread (MSG mode)
+MSG_APP_CPU = 1.2e-6            # server application lookup code
+
+
 @dataclass
 class PonyCostModel:
-    """Engine service times and messaging costs."""
+    """Engine service times (Fig 15 calibrates them)."""
 
     client_tx: float = 0.40e-6        # initiate an op
     client_rx: float = 0.45e-6        # process a completion
     server_read: float = 0.50e-6      # serve a one-sided read
     scar_scan: float = 0.18e-6        # extra bucket-scan work for SCAR
-    batch_entry: float = 0.06e-6      # each extra entry of a coalesced read
     per_kilobyte: float = 0.012e-6    # payload handling per KB per side
-    msg_thread_wakeup: float = 2.6e-6  # wake a server app thread (MSG mode)
-    msg_app_cpu: float = 1.2e-6       # server application lookup code
 
 
 @dataclass
@@ -119,9 +121,8 @@ class PonyTransport(Transport):
     supports_scar = True
 
     def __init__(self, sim, fabric, cost_model: Optional[PonyCostModel] = None,
-                 scale: Optional[PonyScaleConfig] = None,
-                 op_timeout: float = 200e-6):
-        super().__init__(sim, fabric, op_timeout)
+                 scale: Optional[PonyScaleConfig] = None):
+        super().__init__(sim, fabric)
         self.cost = cost_model or PonyCostModel()
         self.scale = scale or PonyScaleConfig()
         self.engine_groups: Dict[str, PonyEngineGroup] = {}
@@ -179,7 +180,7 @@ class PonyTransport(Transport):
         """Coalesced read: one engine op per side serves the whole batch.
 
         The engine dispatch (``client_tx``/``server_read``/``client_rx``)
-        is paid once; each extra entry adds only ``batch_entry`` scan work
+        is paid once; each extra entry adds only ``BATCH_ENTRY`` scan work
         plus payload handling, which is where the amortization of §7.1
         comes from.
         """
@@ -194,7 +195,7 @@ class PonyTransport(Transport):
             with span.child("backend.serve", host=server_name, op="batch"):
                 total_size = sum(size for region_id, offset, size in requests
                                  if endpoint.fits(region_id, offset, size))
-                serve_cost = (cost.server_read + cost.batch_entry * (n - 1) +
+                serve_cost = (cost.server_read + BATCH_ENTRY * (n - 1) +
                               self._payload_cost(total_size))
                 yield group.serve(serve_cost)
                 results = self._snapshot_each(endpoint, requests)
@@ -303,8 +304,8 @@ class PonyTransport(Transport):
                 # Wake an application thread and run the handler on host
                 # CPU — the expensive part two-sided designs pay (§6.3).
                 with span.child("handler.message"):
-                    yield endpoint.host.execute(cost.msg_thread_wakeup +
-                                                cost.msg_app_cpu, "msg-app")
+                    yield endpoint.host.execute(MSG_THREAD_WAKEUP +
+                                                MSG_APP_CPU, "msg-app")
                     response_payload, response_bytes = handlers[name](
                         request_payload)
                 yield group.serve(cost.client_tx +

@@ -9,21 +9,16 @@ is the plainest of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator
 
 from ..net import Host
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport)
 
-
-@dataclass
-class RdmaCostModel:
-    """Timing/CPU constants for the hardware RDMA path."""
-
-    client_post_cpu: float = 0.35e-6   # post work request
-    client_poll_cpu: float = 0.35e-6   # reap completion
-    server_nic_latency: float = 1.4e-6  # NIC processing + DMA at server
-    batch_entry_latency: float = 0.2e-6  # extra DMA per coalesced entry
+# Timing/CPU constants for the hardware RDMA path.
+_CLIENT_POST_CPU = 0.35e-6       # post work request
+_CLIENT_POLL_CPU = 0.35e-6       # reap completion
+_SERVER_NIC_LATENCY = 1.4e-6     # NIC processing + DMA at server
+_BATCH_ENTRY_LATENCY = 0.2e-6    # extra DMA per coalesced entry
 
 
 class RdmaTransport(Transport):
@@ -32,27 +27,20 @@ class RdmaTransport(Transport):
     name = "rdma"
     supports_scar = False
 
-    def __init__(self, sim, fabric, cost_model: RdmaCostModel = None,
-                 op_timeout: float = 200e-6):
-        super().__init__(sim, fabric, op_timeout)
-        self.cost = cost_model or RdmaCostModel()
-
     def read(self, client_host: Host, server_name: str, region_id: int,
              offset: int, size: int, trace=None) -> Generator:
         """Perform a one-sided read; returns the snapshot bytes."""
-        cost = self.cost
-
         def serve(endpoint, span):
             # NIC processing + DMA at the server; no server CPU involved.
             with span.child("backend.serve", host=server_name):
-                yield self.sim.delay(cost.server_nic_latency)
+                yield self.sim.delay(_SERVER_NIC_LATENCY)
                 # the snapshot instant
                 data = endpoint.resolve(region_id).read(offset, size)
             return (data, len(data) + RMA_RESPONSE_HEADER_BYTES,
-                    cost.client_poll_cpu)
+                    _CLIENT_POLL_CPU)
 
         return self._exchange(client_host, server_name, trace, 0,
-                              RMA_REQUEST_BYTES, cost.client_post_cpu,
+                              RMA_REQUEST_BYTES, _CLIENT_POST_CPU,
                               serve, self._corrupt_one, self._book_read)
 
     def _read_batch(self, client_host: Host, server_name: str, requests,
@@ -60,24 +48,22 @@ class RdmaTransport(Transport):
         """Coalesced read: one posted work request covers the batch.
 
         The client pays one post and one poll regardless of batch size;
-        the server NIC pipelines the extra DMAs at ``batch_entry_latency``
+        the server NIC pipelines the extra DMAs at ``_BATCH_ENTRY_LATENCY``
         each instead of a full per-op NIC traversal.
         """
-        cost = self.cost
-
         def serve(endpoint, span):
             with span.child("backend.serve", host=server_name, op="batch"):
-                yield self.sim.delay(cost.server_nic_latency +
-                                     cost.batch_entry_latency * (n - 1))
+                yield self.sim.delay(_SERVER_NIC_LATENCY +
+                                     _BATCH_ENTRY_LATENCY * (n - 1))
                 results = self._snapshot_each(endpoint, requests)
             return (results, self._batch_response_bytes(results),
-                    cost.client_poll_cpu)
+                    _CLIENT_POLL_CPU)
 
         def book(results, response_bytes):
             self._book_batch(results, response_bytes,
-                             cost.client_post_cpu + cost.client_poll_cpu)
+                             _CLIENT_POST_CPU + _CLIENT_POLL_CPU)
 
         return self._exchange(client_host, server_name, trace, n,
                               self._batch_request_bytes(n),
-                              cost.client_post_cpu, serve, self._corrupt,
+                              _CLIENT_POST_CPU, serve, self._corrupt,
                               book)

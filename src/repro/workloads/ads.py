@@ -36,9 +36,9 @@ class AdsScenario:
 class AdsWorkload:
     """Builds a cell and drives Ads-shaped traffic at it."""
 
-    def __init__(self, scenario: AdsScenario = None, cell: Cell = None):
+    def __init__(self, scenario: AdsScenario = None):
         self.scenario = scenario or AdsScenario()
-        self.cell = cell or Cell(CellSpec(
+        self.cell = Cell(CellSpec(
             mode=ReplicationMode.R3_2,
             num_shards=self.scenario.num_shards, transport="pony"))
         self.sim = self.cell.sim

@@ -20,16 +20,18 @@ from ..core import CliqueMapClient, GetStatus, SetStatus
 from ..sim import RandomStream, Simulator, ZipfSampler
 from ..telemetry import tally
 
+#: Zipf exponent of every key corpus's popularity.
+ZIPF_S = 0.99
+
 
 class KeySpace:
     """A fixed corpus of keys with a zipf popularity distribution."""
 
     def __init__(self, stream: RandomStream, num_keys: int,
-                 prefix: bytes = b"key", zipf_s: float = 0.99,
-                 cache_ranks: int = 65536):
+                 prefix: bytes = b"key", cache_ranks: int = 65536):
         self.num_keys = num_keys
         self.prefix = prefix
-        self._sampler = ZipfSampler(stream, num_keys, zipf_s)
+        self._sampler = ZipfSampler(stream, num_keys, ZIPF_S)
         # Zipf traffic revisits a small head of the corpus constantly;
         # cache those encoded key bytes instead of re-rendering per
         # draw. The cache is bounded to the head (``cache_ranks``

@@ -17,6 +17,8 @@ from ..sim import RandomStream
 from .distributions import diurnal_rate, geo_batch_sizes, geo_object_sizes
 from .generators import KeySpace, LoadGenerator, WorkloadMetrics, populate
 
+DIURNAL_AMPLITUDE = 0.5          # => 3x peak-to-trough GET rate
+
 
 @dataclass
 class GeoScenario:
@@ -27,7 +29,6 @@ class GeoScenario:
     num_updaters: int = 2
     num_keys: int = 2000
     base_get_rate_per_client: float = 2000.0
-    diurnal_amplitude: float = 0.5          # => 3x peak-to-trough
     day_length: float = 8.0                 # a compressed "day" in sim-secs
     update_rate_per_client: float = 150.0   # steady model refresh
     duration: float = 16.0                  # two compressed days
@@ -37,9 +38,9 @@ class GeoScenario:
 class GeoWorkload:
     """Builds a cell and drives Geo-shaped diurnal traffic at it."""
 
-    def __init__(self, scenario: GeoScenario = None, cell: Cell = None):
+    def __init__(self, scenario: GeoScenario = None):
         self.scenario = scenario or GeoScenario()
-        self.cell = cell or Cell(CellSpec(
+        self.cell = Cell(CellSpec(
             mode=ReplicationMode.R3_2,
             num_shards=self.scenario.num_shards, transport="pony"))
         self.sim = self.cell.sim
@@ -68,7 +69,7 @@ class GeoWorkload:
     def run(self) -> WorkloadMetrics:
         scenario = self.scenario
         rate = diurnal_rate(scenario.base_get_rate_per_client,
-                            amplitude=scenario.diurnal_amplitude,
+                            amplitude=DIURNAL_AMPLITUDE,
                             period=scenario.day_length,
                             phase=scenario.day_length / 4)
         procs: List = []

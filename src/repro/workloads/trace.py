@@ -121,11 +121,12 @@ class TraceRecorder:
 
 def synthesize_trace(stream: RandomStream, num_keys: int, ops: int,
                      get_fraction: float = 0.95,
-                     rate: float = 10000.0,
-                     size_dist=None, zipf_s: float = 0.99) -> Trace:
-    """Build a synthetic trace with Poisson arrivals and zipf keys."""
+                     rate: float = 10000.0) -> Trace:
+    """Build a synthetic trace with Poisson arrivals and zipf keys; every
+    SET writes 512 bytes."""
     from ..sim import ZipfSampler
-    sampler = ZipfSampler(stream.child("keys"), num_keys, zipf_s)
+    from .generators import ZIPF_S
+    sampler = ZipfSampler(stream.child("keys"), num_keys, ZIPF_S)
     trace = Trace()
     t = 0.0
     for _ in range(ops):
@@ -134,8 +135,7 @@ def synthesize_trace(stream: RandomStream, num_keys: int, ops: int,
         if stream.bernoulli(get_fraction):
             trace.append(TraceOp(t, "get", key, 1))
         else:
-            size = size_dist.sample() if size_dist is not None else 512
-            trace.append(TraceOp(t, "set", key, size))
+            trace.append(TraceOp(t, "set", key, 512))
     return trace
 
 

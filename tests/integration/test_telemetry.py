@@ -256,3 +256,26 @@ def test_set_multi_phases_sum_to_batch_latency():
     assert total == pytest.approx(root.duration, rel=1e-9)
     # Every key in a coalesced batch completes with the batch.
     assert all(r.latency == root.duration for r in results)
+
+
+def test_tail_sampling_keeps_one_in_n_of_each_op_kind():
+    """An append opens its inner GET and CAS as parented spans; those
+    are part of its one root, so appends are sampled 1-in-N like GETs."""
+    cell = Cell(CellSpec(num_shards=3, trace_sample_every=3))
+    client = cell.connect_client()
+    tracer = cell.tracer
+    kept = {}
+
+    def app():
+        for op in ("append", "get"):
+            dropped = tracer.sampled_out
+            for i in range(60):
+                key = b"log-%d" % i
+                if op == "append":
+                    yield from client.append(key, b"entry")
+                else:
+                    yield from client.get(key)
+            kept[op] = 60 - (tracer.sampled_out - dropped)
+
+    cell.sim.run(until=cell.sim.process(app()))
+    assert kept == {"append": 20, "get": 20}

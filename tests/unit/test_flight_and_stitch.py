@@ -126,6 +126,25 @@ def test_tail_sampling_keeps_errors_slow_and_one_in_n():
     assert 10 <= kept <= 20              # ~1-in-10 plus the specials
 
 
+def test_tail_sampling_counts_roots_not_parented_spans():
+    clock = FakeClock()
+    tracer = Tracer(clock, max_retained=1000, tail_sample_every=3,
+                    tail_slow_threshold=1.0)
+    for i in range(99):
+        root = tracer.start("append")
+        for leg in ("get", "cas"):
+            tracer.start(leg, parent=root).finish()
+        if i == 4:
+            root.annotate(status="timeout")
+        if i == 7:
+            clock.now += 2.0             # a slow op
+        root.finish()
+        tracer.record(root)
+    assert any(s.labels.get("status") == "timeout" for s in tracer.finished)
+    assert any(s.duration >= 1.0 for s in tracer.finished)
+    assert len(tracer.finished) == 33 + 2    # 1-in-3, plus both specials
+
+
 # -- flight recorder ----------------------------------------------------------
 
 def test_flight_recorder_ring_bound_and_queries():

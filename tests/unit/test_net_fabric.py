@@ -25,42 +25,24 @@ def test_gbps_conversion():
 def test_mtu_wire_bytes_single_frame():
     mtu = MtuConfig(mtu_bytes=5000, header_bytes=66)
     assert mtu.wire_bytes(100) == 166
-    assert mtu.frames(100) == 1
 
 
 def test_mtu_wire_bytes_multi_frame():
     mtu = MtuConfig(mtu_bytes=5000, header_bytes=66)
-    assert mtu.frames(12000) == 3
     assert mtu.wire_bytes(12000) == 12000 + 3 * 66
 
 
 def test_link_serialization_delay():
     sim = Simulator()
     link = Link(sim, rate_bytes_per_sec=1e6)
-    done = []
-
-    def proc():
-        yield link.transmit(1000)
-        done.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert done == [pytest.approx(1e-3)]
+    assert link.reserve(1000) == pytest.approx(1e-3)
     assert link.bytes_carried == 1000
 
 
 def test_link_queues_concurrent_transfers():
     sim = Simulator()
     link = Link(sim, rate_bytes_per_sec=1e6)
-    ends = []
-
-    def proc():
-        yield link.transmit(1000)
-        ends.append(sim.now)
-
-    sim.process(proc())
-    sim.process(proc())
-    sim.run()
+    ends = [link.reserve(1000), link.reserve(1000)]
     assert ends == [pytest.approx(1e-3), pytest.approx(2e-3)]
 
 
@@ -70,32 +52,26 @@ def test_link_rejects_zero_rate():
         Link(sim, rate_bytes_per_sec=0)
 
 
-class HoldLink:
-    """The reference: a FIFO link as one ``Resource.hold`` per transfer."""
-
-    def __init__(self, sim, rate_bytes_per_sec):
-        self.rate = rate_bytes_per_sec
-        self._server = Resource(sim, capacity=1)
-
-    def transmit(self, wire_bytes):
-        return self._server.hold(wire_bytes / self.rate)
-
-
-def _completions(make_link, transfers):
-    """When each ``(start, wire_bytes)`` transfer's last byte leaves."""
+def _completions(rate, transfers):
+    """When each ``(start, wire_bytes)`` transfer's last byte leaves: as
+    the arithmetic link reserves it, and as the reference -- a FIFO link
+    as one ``Resource.hold`` per transfer -- wakes its sender."""
     sim = Simulator()
-    link = make_link(sim)
-    ends = [None] * len(transfers)
+    link = Link(sim, rate)
+    held = Resource(sim, capacity=1)
+    reserved = [None] * len(transfers)
+    waited = [None] * len(transfers)
 
     def sender(i, start, wire_bytes):
         yield sim.delay(start)
-        yield link.transmit(wire_bytes)
-        ends[i] = sim.now
+        reserved[i] = link.reserve(wire_bytes)
+        yield held.hold(wire_bytes / rate)
+        waited[i] = sim.now
 
     for i, (start, wire_bytes) in enumerate(transfers):
         sim.process(sender(i, start, wire_bytes))
     sim.run()
-    return ends
+    return reserved, waited
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -109,8 +85,8 @@ def test_arithmetic_link_completes_when_a_held_resource_would(seed):
     # link to ~60 %: some transfers find it idle, others queue.
     transfers = [(rng.randrange(200) * 25e-6, rng.randint(66, 20_000))
                  for _ in range(300)]
-    ends = _completions(lambda sim: Link(sim, rate), transfers)
-    assert ends == _completions(lambda sim: HoldLink(sim, rate), transfers)
+    ends, reference = _completions(rate, transfers)
+    assert ends == reference
     assert any(end > start + 2 * size / rate
                for (start, size), end in zip(transfers, ends))
 
@@ -134,9 +110,10 @@ def test_an_interrupted_sender_still_occupies_the_link():
 
     def sender(name, start=0.0):
         yield sim.delay(start)
+        done = link.reserve(1000)
         try:
-            yield link.transmit(1000)
-            ends[name] = sim.now
+            yield sim.delay(done - sim.now)
+            ends[name] = done
         except Interrupt:
             ends[name] = "interrupted"
 

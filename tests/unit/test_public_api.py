@@ -152,7 +152,7 @@ def test_core_surface_is_frozen():
     assert sorted(core.__all__) == sorted("""
         Backend BackendConfig BackendStats Cell CellSpec make_transport
         CHECKSUM_BYTES checksum_ok kv_checksum BackendView ClientConfig
-        ClientCostModel CliqueMapClient GetResult MutationResult OpResult
+        CliqueMapClient GetResult MutationResult OpResult
         CellConfig ConfigStore GetStrategy ReplicationMode
         DataEntryView DataRegion encode_entry_parts entry_size try_decode
         CliqueMapError ConfigCasError GetStatus SetStatus ArcPolicy
@@ -170,10 +170,10 @@ def test_core_surface_is_frozen():
         TrueTime VERSION_BYTES VersionFactory VersionNumber""".split())
     assert [f.name for f in dataclasses.fields(core.ClientConfig)] == """
         default_deadline max_retries retry_backoff retry_backoff_cap
-        retry_budget_capacity retry_budget_fill_rate health
+        retry_budget_capacity retry_budget_fill_rate
         mutation_rpc_deadline touch_enabled touch_flush_interval
         reconnect_interval overflow_rpc_lookup force_primary_data_fetch
-        compression_enabled compression_min_bytes costs""".split()
+        compression_enabled compression_min_bytes""".split()
 
 
 def test_handoff_config_fields_are_frozen():
@@ -209,34 +209,76 @@ def test_soak_config_fields_are_frozen():
 
 def test_option_fields_are_frozen():
     """Options no caller set are module constants at their one value,
-    not fields; a new field needs a caller in src/, benchmarks/ or
-    examples/ and a line here."""
+    not fields (``test_option_census.py``); a new field needs a caller
+    in src/, benchmarks/ or examples/ and a line here."""
     import dataclasses
 
     from repro.baselines import MemcacheGConfig
-    from repro.core import BackendConfig, CellSpec
-    from repro.observe import AutoscalerConfig, ObserveConfig
-    from repro.storage import MissPolicy, ProvisionedThroughput
+    from repro.core import (BackendConfig, CellConfig, CellSpec,
+                            FederationSpec, HealthPolicy, ZoneShardSpec,
+                            ZoneWorkloadSpec)
+    from repro.faults import Scenario
+    from repro.net import CStateModel, FabricConfig, HostConfig, MtuConfig
+    from repro.observe import (AutoscalerConfig, ObserveConfig,
+                               ProberConfig, SloObjective)
+    from repro.rpc import AuthConfig
+    from repro.storage import (MissPolicy, ProvisionedThroughput,
+                               StorageCostModel)
+    from repro.transport import (PonyCostModel, PonyScaleConfig,
+                                 RegistrationCostModel)
+    from repro.workloads import AdsScenario, GeoScenario, PopulationConfig
 
     frozen = {
         BackendConfig: """num_buckets ways data_initial_bytes
             data_virtual_limit slab_bytes grow_watermark
             index_resize_load_factor eviction_policy overflow_rpc_fallback
             overflow_capacity min_write_step atomic_entry_writes
-            per_kilobyte_cpu old_window_grace""",
+            old_window_grace""",
         CellSpec: """name mode num_shards num_spares transport
             backend_config repair_config maintenance_config resize_config
-            fabric_config host_config writer_principals seed tracing
+            writer_principals seed tracing
             trace_sample_every trace_slow_threshold flight_recorder""",
-        ObserveConfig: """scrape_interval retention_points
-            retention_seconds histogram_sum probers prober objectives""",
+        ObserveConfig: "scrape_interval probers prober objectives",
         AutoscalerConfig: """evaluate_interval load_window scale_out_rps
             scale_in_rps min_shards max_shards cooldown hysteresis_rounds""",
         MissPolicy: """read_through negative_ttl backfill_budget
             backfill_fill_rate coalesce dirty_buffer_max fetch_deadline
             fetch_retries""",
-        MemcacheGConfig: "capacity_bytes per_kilobyte_cpu",
+        MemcacheGConfig: "capacity_bytes",
         ProvisionedThroughput: "read_units write_units burst_seconds",
+        CellConfig: """name mode num_shards config_id shard_tasks spares
+            spare_roles resize_num_shards migrating_to draining""",
+        FederationSpec: "zones cell_spec fabric_config",
+        ZoneShardSpec: "zone zones cell_spec fabric_config workload duration",
+        ZoneWorkloadSpec: """clients think_mean fanout_every remote_every
+            shared_keys private_keys population_clients population_rate
+            population_drivers population_keys seed export_traces""",
+        HealthPolicy: """failure_threshold quarantine_base quarantine_max
+            quarantine_backoff""",
+        Scenario: "events observe sor pressure",
+        FabricConfig: """host_rate_bytes_per_sec one_way_delay delay_jitter
+            inter_zone_delay partition_detect_delay seed""",
+        CStateModel: "enabled idle_threshold wakeup_latency",
+        HostConfig: "cores c_state cpu_slowdown",
+        MtuConfig: "mtu_bytes header_bytes",
+        ProberConfig: "interval label",
+        SloObjective: "name cell target good total windows min_events",
+        AuthConfig: "handshake_cpu handshake_rtts enabled",
+        StorageCostModel: "media_latency bytes_per_sec media_channels "
+                          "cpu_per_read",
+        RegistrationCostModel: "base_seconds per_page_seconds page_bytes",
+        PonyCostModel: "client_tx client_rx server_read scar_scan "
+                       "per_kilobyte",
+        PonyScaleConfig: """base_engines max_engines sample_interval
+            scale_up_threshold scale_down_threshold""",
+        AdsScenario: """num_shards num_clients num_keys get_rate_per_client
+            write_rate_per_client backfill_period backfill_fraction
+            duration seed""",
+        GeoScenario: """num_shards num_clients num_updaters num_keys
+            base_get_rate_per_client day_length update_rate_per_client
+            duration seed""",
+        PopulationConfig: """num_clients rate_per_client duration
+            op_sample_rate max_outstanding_per_client""",
     }
     for config, fields in frozen.items():
         assert [f.name for f in dataclasses.fields(config)] == \

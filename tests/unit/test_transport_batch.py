@@ -19,6 +19,7 @@ from repro.sim import Simulator
 from repro.transport import (Arena, MemoryRegion, OneRmaTransport,
                              PonyTransport, RdmaTransport,
                              RegionRevokedError, RemoteHostDownError)
+from repro.transport.pony import BATCH_ENTRY
 
 ALL_TRANSPORTS = [RdmaTransport, OneRmaTransport, PonyTransport]
 
@@ -163,7 +164,7 @@ def test_onerma_batch_is_one_command():
 def test_onerma_batch_takes_one_window_slot():
     sim, _f, client, _s, transport, _e, arena, window = setup_pair(
         OneRmaTransport)
-    n = transport.cost.solicitation_window_ops * 2  # > window as singletons
+    n = transport.solicitation_window_ops * 2  # > window as singletons
     arena.write(0, b"z" * 8)
     requests = [(window.region_id, 0, 8)] * n
     results = drive(sim, transport.read_multi(client, "server", requests))
@@ -186,7 +187,7 @@ def test_pony_batch_single_server_engine_op():
     # One dispatch plus (n-1) per-entry increments — far below n
     # dispatches.
     ceiling = (transport.cost.server_read +
-               transport.cost.batch_entry * n +
+               BATCH_ENTRY * n +
                transport._payload_cost(16 * n) + 1e-9)
     assert server_cpu <= ceiling
     assert server_cpu < n * transport.cost.server_read

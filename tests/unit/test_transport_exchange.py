@@ -21,10 +21,9 @@ import pytest
 from repro.net import Fabric, FabricConfig, NetworkDropError, gbps
 from repro.sim import Simulator
 from repro.telemetry import Span
-from repro.transport import (Arena, MemoryRegion, OneRmaCostModel,
-                             OneRmaTransport, PonyTransport, RdmaTransport,
-                             RegionRevokedError, RemoteHostDownError,
-                             RmaOutOfBoundsError)
+from repro.transport import (Arena, MemoryRegion, OneRmaTransport,
+                             PonyTransport, RdmaTransport, RegionRevokedError,
+                             RemoteHostDownError, RmaOutOfBoundsError)
 
 TRANSPORTS = {"rdma": RdmaTransport, "pony": PonyTransport,
               "1rma": OneRmaTransport}
@@ -740,7 +739,7 @@ def test_onerma_slot_returns_when_the_response_arrives():
     initiator's completion work: with a window of one, a second read is
     admitted the instant the first one's response lands — not after its
     completion CPU — exactly as a batch always did."""
-    rig = Rig("1rma", cost_model=OneRmaCostModel(solicitation_window_ops=1))
+    rig = Rig("1rma", solicitation_window_ops=1)
     sim = rig.sim
     roots = [Span("op", lambda: sim.now) for _ in range(2)]
     procs = [sim.process(rig.op("read", trace=root)) for root in roots]

@@ -278,14 +278,11 @@ def test_pony_engines_scale_back_down_when_idle():
 
 def test_onerma_solicitation_window_limits_outstanding():
     """1RMA's congestion control: ops beyond the window queue locally."""
-    from repro.transport import OneRmaCostModel
     sim = Simulator()
     fabric = Fabric(sim, FabricConfig(delay_jitter=0.0))
     client = fabric.add_host("client")
     server = fabric.add_host("server")
-    transport = OneRmaTransport(
-        sim, fabric,
-        cost_model=OneRmaCostModel(solicitation_window_ops=2))
+    transport = OneRmaTransport(sim, fabric, solicitation_window_ops=2)
     endpoint = transport.attach(server)
     arena = Arena(4096, 4096)
     window = endpoint.expose(MemoryRegion(arena))
