@@ -21,7 +21,7 @@ def run_experiment():
     scenario = AdsScenario(num_shards=6, num_clients=4, num_keys=800,
                            get_rate_per_client=2500.0,
                            write_rate_per_client=40.0,
-                           backfill_period=1.0, backfill_fraction=0.05,
+                           backfill_period=1.0,
                            duration=4.0)
     workload = AdsWorkload(scenario)
     workload.preload()

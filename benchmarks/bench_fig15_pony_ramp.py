@@ -52,8 +52,7 @@ def run_experiment():
         cost_model=PonyCostModel(client_tx=2.2e-6, client_rx=2.6e-6,
                                  server_read=2.8e-6, scar_scan=0.8e-6,
                                  per_kilobyte=0.05e-6),
-        scale=PonyScaleConfig(base_engines=1, max_engines=4,
-                              sample_interval=1e-3,
+        scale=PonyScaleConfig(sample_interval=1e-3,
                               scale_up_threshold=0.45,
                               scale_down_threshold=0.15))
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=BACKENDS,

@@ -38,8 +38,7 @@ def run_experiment():
     # Clients run on hosts with C-states enabled: the idle-wakeup penalty
     # is what produces Fig 17's low-load latency bump.
     client_host_config = HostConfig(
-        cores=4, c_state=CStateModel(enabled=True, idle_threshold=150e-6,
-                                     wakeup_latency=40e-6))
+        cores=4, c_state=CStateModel(enabled=True, idle_threshold=150e-6))
     clients = [cell.connect_client(
         host_config=client_host_config,
         strategy=GetStrategy.TWO_R) for _ in range(CLIENTS)]

@@ -27,8 +27,7 @@ from .quorum import (Ballot, QuorumDecision, QuorumOutcome, ReplicaVote,
                      VoteKind, evaluate)
 from .repair import RepairConfig, RepairScanner, RepairStats
 from .resize import ResizeConfig, ResizeController, ResizeStats
-from .resilience import (BackendHealth, BackoffPolicy, HealthPolicy,
-                         RetryBudget)
+from .resilience import BackendHealth, BackoffPolicy, RetryBudget
 from .slab import SlabAllocator
 from .tombstone import TombstoneCache
 from .truetime import TrueTime
@@ -56,7 +55,7 @@ __all__ = [
     "evaluate",
     "RepairConfig", "RepairScanner", "RepairStats",
     "ResizeConfig", "ResizeController", "ResizeStats",
-    "BackendHealth", "BackoffPolicy", "HealthPolicy", "RetryBudget",
+    "BackendHealth", "BackoffPolicy", "RetryBudget",
     "SlabAllocator", "TombstoneCache", "TrueTime",
     "VERSION_BYTES", "VersionFactory", "VersionNumber",
 ]

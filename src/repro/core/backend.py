@@ -22,7 +22,7 @@ from ..rpc import HandlerContext, RpcServer
 from ..sim import Simulator
 from ..sim.core import PARKED
 from ..telemetry import MetricsRegistry, tally
-from ..transport import RegistrationCostModel, Transport
+from ..transport import Transport, registration_time
 from .config import CellConfig
 from .data import DataRegion, encode_entry_parts, entry_size, try_decode
 from .eviction import make_policy
@@ -50,8 +50,10 @@ SCAN_CPU_PER_ENTRY = 0.05e-6
 #: ops (§7.1 backfill batching).
 MULTI_ENTRY_CPU = 0.5e-6
 PER_KILOBYTE_CPU = 0.10e-6
-#: Kernel memory management + NIC registration of a grown region.
-REGISTRATION_COST = RegistrationCostModel()
+#: Overflow-table entries before a spill is refused.
+OVERFLOW_CAPACITY = 1024
+#: How long a retired data window stays readable after a grow.
+OLD_WINDOW_GRACE = 20e-3
 
 
 @dataclass
@@ -67,13 +69,11 @@ class BackendConfig:
     index_resize_load_factor: float = 0.85
     eviction_policy: str = "lru"
     overflow_rpc_fallback: bool = True
-    overflow_capacity: int = 1024
     min_write_step: float = 0.2e-6             # shortest tear-window step
     # Ablation switch: write body+checksum in one indivisible step (no
     # tear window). Unrealistic for RMA-exposed memory; used to show the
     # design's torn-read handling is actually load-bearing.
     atomic_entry_writes: bool = False
-    old_window_grace: float = 20e-3
 
 
 @dataclass
@@ -672,7 +672,7 @@ class Backend:
                                         incoming_hash: bytes) -> Generator:
         """Evict within the bucket to make the new KV RMA-accessible."""
         if self.config.overflow_rpc_fallback and \
-                len(self.overflow) < self.config.overflow_capacity:
+                len(self.overflow) < OVERFLOW_CAPACITY:
             return None  # caller spills instead of evicting
         candidates = [self.index.read_entry(bucket, w)
                       for w in range(self.index.ways)]
@@ -687,7 +687,7 @@ class Backend:
     def _spill_to_overflow(self, bucket: int, key_hash: bytes, key: bytes,
                            value: bytes, version: VersionNumber):
         if not self.config.overflow_rpc_fallback or \
-                len(self.overflow) >= self.config.overflow_capacity:
+                len(self.overflow) >= OVERFLOW_CAPACITY:
             return False, "bucket-full"
         self.overflow[key_hash] = (key, value, version)
         self._keys[key_hash] = key
@@ -784,7 +784,7 @@ class Backend:
     def _grow_data_region(self, new_size: int) -> Generator:
         grow_bytes = new_size - self.data.populated_bytes
         # Kernel memory management + registration, off the critical path.
-        yield self.sim.delay(REGISTRATION_COST.registration_time(grow_bytes))
+        yield self.sim.delay(registration_time(grow_bytes))
         if not self.alive:
             self._growing_data = False
             self._fire_grow_waiters()
@@ -800,7 +800,7 @@ class Backend:
         # pointers into the live window (offsets are arena-absolute, so
         # only the region id changes); clients with stale buckets still
         # converge via their own retry path.
-        yield self.sim.delay(self.config.old_window_grace)
+        yield self.sim.delay(OLD_WINDOW_GRACE)
         retired = self.data.retire_oldest_window()
         if retired is not None:
             yield from self._refresh_stale_pointers(retired.region_id)
@@ -855,7 +855,7 @@ class Backend:
         new = IndexRegion(old.num_buckets * INDEX_RESIZE_MULTIPLIER,
                           old.ways, self.config_id)
         yield self.sim.delay(
-            REGISTRATION_COST.registration_time(new.total_bytes))
+            registration_time(new.total_bytes))
         for _bucket, entry in old.entries():
             bucket = new.bucket_for(entry.key_hash)
             way = new.find_free_way(bucket)

@@ -53,6 +53,7 @@ _client_ids = itertools.count(1 << 20)
 _TOUCH_BATCH_MAX = 512           # key hashes per batched Touch RPC (§4.2)
 _COMPRESS_CPU_PER_KB = 10e-6     # ~100 MB/s deflate
 _DECOMPRESS_CPU_PER_KB = 3e-6    # ~300 MB/s inflate
+_COMPRESS_MIN_BYTES = 512        # smaller values are stored raw
 
 # CliqueMap-client CPU costs (distinct from transport/engine CPU).
 _ISSUE_OP_CPU = 0.22e-6          # set up one RMA op
@@ -91,7 +92,6 @@ class ClientConfig:
     # a *corpus-level* convention: every client of the corpus must agree,
     # since values are stored wrapped with a 1-byte scheme header.
     compression_enabled: bool = False
-    compression_min_bytes: int = 512
 
     def __post_init__(self) -> None:
         for name, minimum in (("default_deadline", 0.0),
@@ -119,10 +119,6 @@ class ClientConfig:
             raise CliqueMapError(
                 "ClientConfig.retry_budget_fill_rate must be >= 0, "
                 f"got {self.retry_budget_fill_rate!r}")
-        if self.compression_min_bytes < 0:
-            raise CliqueMapError(
-                "ClientConfig.compression_min_bytes must be >= 0, "
-                f"got {self.compression_min_bytes!r}")
 
 
 @dataclass
@@ -606,8 +602,7 @@ class CliqueMapClient:
                                           attempt),
             lambda retry: self._recover_get(retry, key_hash))
         status, value, version = outcome or (GetStatus.ERROR, None, None)
-        if status is GetStatus.MISS and self.read_through is not None and \
-                self.read_through.policy.read_through:
+        if status is GetStatus.MISS and self.read_through is not None:
             return (yield from self._read_through_miss(
                 key, attempts, started, root))
         latency = self.sim.now - started
@@ -947,8 +942,7 @@ class CliqueMapClient:
         # ends, so index.duration + data.duration == op latency (the PR 1
         # sum-invariant, kept for the batched path).
         data_span = root.child("data", batch=n)
-        rt = self.read_through
-        reads_through = rt is not None and rt.policy.read_through
+        reads_through = self.read_through is not None
 
         def finish_key(i: int, status: GetStatus, value=None,
                        version=None) -> Generator:
@@ -1514,7 +1508,7 @@ class CliqueMapClient:
         """Wrap (and maybe compress) a value for storage."""
         if not self.config.compression_enabled:
             return value
-        if len(value) >= self.config.compression_min_bytes:
+        if len(value) >= _COMPRESS_MIN_BYTES:
             yield self.host.execute(
                 len(value) / 1024.0 * _COMPRESS_CPU_PER_KB, "cliquemap-client")
             compressed = zlib.compress(value)

@@ -128,12 +128,15 @@ class CellConfig:
         return copy.deepcopy(self)
 
 
+#: One read of the external HA config store (seconds).
+CONFIG_READ_LATENCY = 300e-6
+
+
 class ConfigStore:
     """The external HA store clients refresh configuration from."""
 
-    def __init__(self, sim: Simulator, read_latency: float = 300e-6):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.read_latency = read_latency
         self._cells: Dict[str, CellConfig] = {}
         self.reads = 0
 
@@ -163,7 +166,7 @@ class ConfigStore:
 
     def get(self, name: str) -> Generator:
         """Read a configuration snapshot (a generator; costs latency)."""
-        yield self.sim.delay(self.read_latency)
+        yield self.sim.delay(CONFIG_READ_LATENCY)
         self.reads += 1
         config = self._cells.get(name)
         if config is None:

@@ -13,7 +13,7 @@ conflict (bucket full).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..sim import RandomStream
 
@@ -81,8 +81,8 @@ class RandomPolicy(EvictionPolicy):
 
     name = "random"
 
-    def __init__(self, stream: Optional[RandomStream] = None):
-        self._stream = stream or RandomStream(0, "evict-random")
+    def __init__(self):
+        self._stream = RandomStream(0, "evict-random")
         self._resident = {}
 
     def record_insert(self, key_hash: bytes) -> None:

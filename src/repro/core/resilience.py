@@ -28,11 +28,9 @@ two runs with the same seed schedule identical retries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..sim import RandomStream
-from .errors import CliqueMapError
 
 
 class BackoffPolicy:
@@ -112,32 +110,12 @@ class RetryBudget:
         return False
 
 
-@dataclass
-class HealthPolicy:
-    """Knobs for the per-backend health scoreboard."""
-
-    failure_threshold: int = 3        # consecutive failures -> quarantine
-    quarantine_base: float = 25e-3    # first cooldown
-    quarantine_max: float = 0.5       # cooldown ceiling
-    quarantine_backoff: float = 2.0   # cooldown escalation per re-entry
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise CliqueMapError(
-                f"HealthPolicy.failure_threshold must be >= 1, "
-                f"got {self.failure_threshold}")
-        if self.quarantine_base <= 0:
-            raise CliqueMapError(
-                f"HealthPolicy.quarantine_base must be > 0, "
-                f"got {self.quarantine_base}")
-        if self.quarantine_max < self.quarantine_base:
-            raise CliqueMapError(
-                "HealthPolicy.quarantine_max must be >= quarantine_base, "
-                f"got {self.quarantine_max} < {self.quarantine_base}")
-        if self.quarantine_backoff < 1.0:
-            raise CliqueMapError(
-                f"HealthPolicy.quarantine_backoff must be >= 1, "
-                f"got {self.quarantine_backoff}")
+#: Consecutive failures that put a backend in quarantine, the first
+#: cooldown, the cooldown ceiling and its escalation per re-entry.
+FAILURE_THRESHOLD = 3
+QUARANTINE_BASE = 25e-3
+QUARANTINE_MAX = 0.5
+QUARANTINE_BACKOFF = 2.0
 
 
 class BackendHealth:
@@ -150,7 +128,7 @@ class BackendHealth:
       set by :meth:`mark_connected`. A successful handshake does *not*
       clear quarantine — a gray link can handshake fine and still fail
       data ops, and re-admitting it on handshake would flap forever.
-    * quarantine — entered after ``failure_threshold`` consecutive op
+    * quarantine — entered after ``FAILURE_THRESHOLD`` consecutive op
       failures, for a cooldown that escalates on re-entry. Exited
       lazily when the cooldown expires (checked on the next
       :meth:`available` call) or immediately on an op success.
@@ -160,17 +138,15 @@ class BackendHealth:
     """
 
     def __init__(self, task: str, clock: Callable[[], float],
-                 policy: Optional[HealthPolicy] = None,
                  on_event: Optional[Callable[[str, str], None]] = None):
         self.task = task
         self.clock = clock
-        self.policy = policy or HealthPolicy()
         self.on_event = on_event
         self.connected = False
         self.consecutive_failures = 0
         self.quarantines = 0
         self._quarantined_until: Optional[float] = None
-        self._cooldown = self.policy.quarantine_base
+        self._cooldown = QUARANTINE_BASE
 
     # -- state queries ------------------------------------------------------
 
@@ -197,19 +173,18 @@ class BackendHealth:
 
     def record_success(self) -> None:
         self.consecutive_failures = 0
-        self._cooldown = self.policy.quarantine_base
+        self._cooldown = QUARANTINE_BASE
         if self._quarantined_until is not None:
             self._exit_quarantine()
 
     def record_failure(self) -> None:
         self.consecutive_failures += 1
-        if self.consecutive_failures >= self.policy.failure_threshold and \
+        if self.consecutive_failures >= FAILURE_THRESHOLD and \
                 not self.quarantined:
             self.quarantines += 1
             self._quarantined_until = self.clock() + self._cooldown
-            self._cooldown = min(self.policy.quarantine_max,
-                                 self._cooldown *
-                                 self.policy.quarantine_backoff)
+            self._cooldown = min(QUARANTINE_MAX,
+                                 self._cooldown * QUARANTINE_BACKOFF)
             if self.on_event is not None:
                 self.on_event(self.task, "enter")
 
@@ -224,7 +199,7 @@ class BackendHealth:
         cannot mask.
         """
         self.consecutive_failures = 0
-        self._cooldown = self.policy.quarantine_base
+        self._cooldown = QUARANTINE_BASE
         if self._quarantined_until is not None:
             self._exit_quarantine()
 

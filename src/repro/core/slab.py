@@ -35,17 +35,20 @@ class SlabInfo:
         return not self.allocated
 
 
+#: The smallest size class (bytes).
+MIN_BLOCK = 64
+
+
 class SlabAllocator:
     """Allocates blocks out of size-classed slabs carved from an arena."""
 
-    def __init__(self, arena: Arena, slab_bytes: int = 64 * 1024,
-                 min_block: int = 64):
-        if slab_bytes <= 0 or min_block <= 0:
-            raise ValueError("slab_bytes and min_block must be positive")
+    def __init__(self, arena: Arena, slab_bytes: int = 64 * 1024):
+        if slab_bytes <= 0:
+            raise ValueError("slab_bytes must be positive")
         self.arena = arena
         self.slab_bytes = slab_bytes
         self._classes: List[int] = []
-        size = min_block
+        size = MIN_BLOCK
         while size <= slab_bytes:
             self._classes.append(size)
             size *= 2                         # each class doubles

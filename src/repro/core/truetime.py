@@ -12,16 +12,17 @@ from __future__ import annotations
 from ..sim import RandomStream, Simulator
 
 
+#: Bound on a process's clock skew (seconds).
+EPSILON = 1e-3
+
+
 class TrueTime:
     """Per-process clock view with bounded uncertainty."""
 
-    def __init__(self, sim: Simulator, epsilon: float = 1e-3,
-                 stream: RandomStream = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.epsilon = epsilon
-        stream = stream or RandomStream(0, "truetime")
         # A fixed per-process offset within [-eps, +eps].
-        self._offset = stream.uniform(-epsilon, epsilon)
+        self._offset = RandomStream(0, "truetime").uniform(-EPSILON, EPSILON)
         self._last_micros = 0
 
     def now_micros(self) -> int:

@@ -56,8 +56,8 @@ class FaultEvent:
 class FaultPlan:
     """An ordered schedule of :class:`FaultEvent`."""
 
-    def __init__(self, events: Optional[Sequence[FaultEvent]] = None):
-        self._events: List[FaultEvent] = list(events or [])
+    def __init__(self):
+        self._events: List[FaultEvent] = []
 
     def add(self, at: float, kind: str, duration: float = 0.0,
             **args) -> "FaultPlan":

@@ -197,7 +197,6 @@ class SoakConfig:
     # admission-controlled backfill storm (the herd's background
     # pressure), and draw ``sor_brownout`` into the seeded plan.
     sor: bool = False
-    sor_throughput: Optional[object] = None      # ProvisionedThroughput
     # Shapes the handoff of a plan's ``resize`` events.
     resize_config: Optional[ResizeConfig] = None
     # Aggregate client population (opt-in; 0 leaves existing seeded
@@ -285,8 +284,8 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         sor_host = cell.add_local_host("host/sor")
         sor = SystemOfRecord(
             sim, sor_host,
-            throughput=config.sor_throughput or ProvisionedThroughput(
-                read_units=400.0, write_units=400.0))
+            throughput=ProvisionedThroughput(read_units=400.0,
+                                             write_units=400.0))
         sor.load({b"cold-%05d" % i: b"sor-%05d" % i
                   for i in range(SOR_COLD_KEYS)})
         coordinator = cell.attach_sor(sor, MissPolicy())

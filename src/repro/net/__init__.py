@@ -3,11 +3,11 @@
 from .fabric import (CrossShardLink, Fabric, FabricConfig, LinkFault,
                      NetworkDropError)
 from .host import CpuLedger, CStateModel, Host, HostConfig, HostDownError
-from .nic import Link, MtuConfig, Nic, gbps
+from .nic import Link, Nic, gbps
 
 __all__ = [
     "CrossShardLink", "Fabric", "FabricConfig", "LinkFault",
     "NetworkDropError",
     "Host", "HostConfig", "HostDownError", "CpuLedger", "CStateModel",
-    "Link", "MtuConfig", "Nic", "gbps",
+    "Link", "Nic", "gbps",
 ]

@@ -31,7 +31,7 @@ from ..sim import Process, RandomStream, SimulationError, Simulator
 from ..sim.core import PARKED
 from ..telemetry import tally
 from .host import Host, HostConfig
-from .nic import MtuConfig, Nic, gbps
+from .nic import Nic, gbps, wire_bytes
 
 #: Size of one antagonist chunk (``Fabric.start_antagonist``).
 _ANTAGONIST_CHUNK_BYTES = 64 * 1024
@@ -103,12 +103,12 @@ class FabricConfig:
     # Cross-zone (WAN) one-way delay between datacenters; RMA is not
     # applicable across the WAN — only RPC traffic crosses zones.
     inter_zone_delay: float = 15e-3
-    # How long a sender waits before concluding its packets are being
-    # dropped (retransmission timeout stand-in).
-    partition_detect_delay: float = 150e-6
     seed: int = 1
-    #: Framing is the paper testbed's: a class constant, not a field.
-    mtu = MtuConfig()
+
+
+#: How long a sender waits before concluding its packets are being
+#: dropped (retransmission timeout stand-in).
+PARTITION_DETECT_DELAY = 150e-6
 
 
 class CrossShardLink:
@@ -140,8 +140,6 @@ class CrossShardLink:
                 f"conservative lookahead), got {min_latency!r}")
         if jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {jitter!r}")
-        self.src_zone = src_zone
-        self.dst_zone = dst_zone
         self.min_latency = min_latency
         self.jitter = jitter
         self._rand = RandomStream(seed, f"wan:{src_zone}->{dst_zone}")
@@ -242,7 +240,7 @@ class Fabric:
         injected gray fault corrupted the delivery in flight (the caller
         decides what "corrupted" means for its payload — RMA transports
         flip response bytes, RPC ignores the flag), or raises
-        :class:`NetworkDropError` after ``partition_detect_delay`` when a
+        :class:`NetworkDropError` after ``PARTITION_DETECT_DELAY`` when a
         partition or a loss ate it. Loopback delivery (src is dst) skips
         the NIC entirely. When ``trace`` (a telemetry span) is given, the
         delivery is one ``fabric.deliver`` child span labelled with the
@@ -287,7 +285,7 @@ class Fabric:
                     span.annotate(corrupted=True)
                 self.counts[src.zone][CORRUPTED][()] += 1
         config = self.config
-        wire = config.mtu.wire_bytes(payload_bytes)
+        wire = wire_bytes(payload_bytes)
         depart = src.nic.egress.reserve(wire)
         delay = config.one_way_delay if src.zone == dst.zone \
             else config.inter_zone_delay
@@ -334,7 +332,7 @@ class Fabric:
             span.annotate(dropped=True, reason=reason)
         self.counts[src.zone][DROPPED][reason] += 1
         sim = self.sim
-        sim.inject(sim.now + self.config.partition_detect_delay, _resume,
+        sim.inject(sim.now + PARTITION_DETECT_DELAY, _resume,
                    proc, token, False, span,
                    NetworkDropError(src.name, dst.name, reason))
         return PARKED

@@ -8,7 +8,7 @@ what the CPU-efficiency figures (Fig 6b, Fig 7, Fig 19) read out.
 
 The C-state model reproduces the power-saving effect the paper observes in
 the 1RMA ramp (Fig 16/17): after a host has been idle longer than
-``idle_threshold``, the next execution pays ``wakeup_latency`` before doing
+``idle_threshold``, the next execution pays ``WAKEUP_LATENCY`` before doing
 useful work, so the *lowest* offered load sees the *highest* latency.
 """
 
@@ -20,13 +20,16 @@ from typing import Any, Dict, Optional
 from ..sim import Resource, Simulator
 
 
+#: Cost to exit the deep C-state.
+WAKEUP_LATENCY = 40e-6
+
+
 @dataclass
 class CStateModel:
     """Idle-state wake-up penalty model."""
 
     enabled: bool = False
     idle_threshold: float = 200e-6   # idle longer than this enters deep C-state
-    wakeup_latency: float = 40e-6    # cost to exit the deep C-state
 
 
 class CpuLedger:
@@ -59,8 +62,6 @@ class HostConfig:
 
     cores: int = 8
     c_state: CStateModel = field(default_factory=CStateModel)
-    # Multiplier on all CPU work; >1 models a slower machine.
-    cpu_slowdown: float = 1.0
 
 
 class Host:
@@ -96,8 +97,7 @@ class Host:
 
     # -- CPU execution -------------------------------------------------------
 
-    def execute(self, cpu_seconds: float, component: str,
-                priority: int = 0) -> Any:
+    def execute(self, cpu_seconds: float, component: str) -> Any:
         """Run ``cpu_seconds`` of work on some core, charging ``component``.
 
         ``yield host.execute(...)`` from a process (:meth:`Resource.hold`).
@@ -107,9 +107,8 @@ class Host:
         """
         if not self._alive:
             raise HostDownError(self.name)
-        work = cpu_seconds * self.config.cpu_slowdown
-        return self.cores.hold(work, priority, self._executed,
-                               (component, work))
+        return self.cores.hold(cpu_seconds, self._executed,
+                               (component, cpu_seconds))
 
     def _core_granted(self, work: float) -> float:
         """Grant-time half of :meth:`execute`: liveness, wake-up penalty."""
@@ -118,7 +117,7 @@ class Host:
         cs = self.config.c_state
         if cs.enabled and self.cores.count == 0 and \
                 self.sim.now - self._last_busy > cs.idle_threshold:
-            return cs.wakeup_latency + work
+            return WAKEUP_LATENCY + work
         return work
 
     def _executed(self, component: str, work: float) -> None:
@@ -132,7 +131,7 @@ class Host:
         Used for costs already covered by another timing path (e.g. NIC
         engine service time) where only the ledger entry is needed.
         """
-        self.ledger.charge(component, cpu_seconds * self.config.cpu_slowdown)
+        self.ledger.charge(component, cpu_seconds)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, cores={self.config.cores})"

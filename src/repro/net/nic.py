@@ -13,7 +13,6 @@ converging on one receiver's ingress link, Fig 12) and *antagonist load*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..sim import Simulator
 
@@ -23,19 +22,18 @@ def gbps(value: float) -> float:
     return value * 1e9 / 8.0
 
 
-@dataclass
-class MtuConfig:
-    """Framing parameters; payloads are split into MTU-sized frames."""
+#: Framing: payloads are split into MTU-sized frames, 5KB as in the
+#: paper's testbed (§7.2.4), each with a header/trailer overhead.
+MTU_BYTES = 5000
+HEADER_BYTES = 66
 
-    mtu_bytes: int = 5000          # 5KB MTU, as in the paper's testbed (§7.2.4)
-    header_bytes: int = 66         # per-frame header/trailer overhead
 
-    def wire_bytes(self, payload: int) -> int:
-        """Total bytes on the wire for a payload, including frame headers."""
-        if payload <= 0:
-            return self.header_bytes
-        frames = math.ceil(payload / self.mtu_bytes)
-        return payload + frames * self.header_bytes
+def wire_bytes(payload: int) -> int:
+    """Total bytes on the wire for a payload, including frame headers."""
+    if payload <= 0:
+        return HEADER_BYTES
+    frames = math.ceil(payload / MTU_BYTES)
+    return payload + frames * HEADER_BYTES
 
 
 class Link:

@@ -23,14 +23,14 @@ plane on top of :mod:`repro.telemetry`:
 from .autoscale import Autoscaler, AutoscalerConfig, AutoscalerStats
 from .plane import ObservabilityPlane, ObserveConfig
 from .postmortem import find_bundles, select_traces, write_postmortem_bundle
-from .prober import Prober, ProberConfig
+from .prober import Prober
 from .slo import (AlertEvent, BurnWindow, MetricTerm, SloEngine,
                   SloObjective, default_objectives)
 
 __all__ = [
     "Autoscaler", "AutoscalerConfig", "AutoscalerStats",
     "ObservabilityPlane", "ObserveConfig",
-    "Prober", "ProberConfig",
+    "Prober",
     "AlertEvent", "BurnWindow", "MetricTerm", "SloEngine", "SloObjective",
     "default_objectives",
     "write_postmortem_bundle", "find_bundles", "select_traces",

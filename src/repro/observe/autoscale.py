@@ -8,7 +8,7 @@ and drives the cell's :class:`~repro.core.resize.ResizeController`:
 
 * **scale out** when an availability/latency burn alert is active or the
   mean per-backend RPC rate exceeds the high watermark;
-* **scale in** only after ``hysteresis_rounds`` consecutive evaluations
+* **scale in** only after ``HYSTERESIS_ROUNDS`` consecutive evaluations
   below the low watermark with no alert active — a single quiet window
   must not trigger a shrink that the next burst immediately reverses;
 * **cooldown** between actions bounds the control loop's oscillation
@@ -32,21 +32,23 @@ from ..telemetry import tally
 RESIZE_STEP = 1
 #: Objectives whose active alerts force a scale-out.
 ALERT_OBJECTIVES = ("availability", "latency")
+#: Sim-seconds between evaluations, and the lookback of the rate estimate.
+EVALUATE_INTERVAL = 0.05
+LOAD_WINDOW = 0.1
+#: Consecutive low rounds before a shrink.
+HYSTERESIS_ROUNDS = 3
 
 
 @dataclass
 class AutoscalerConfig:
     """Control-loop shape and watermarks."""
 
-    evaluate_interval: float = 0.05   # sim-seconds between evaluations
-    load_window: float = 0.1          # lookback for the rate estimate
     # Mean per-serving-backend RPC rate watermarks (ops/sim-second).
     scale_out_rps: float = 30_000.0
     scale_in_rps: float = 5_000.0
     min_shards: int = 3
     max_shards: int = 16
     cooldown: float = 0.3             # min gap between resize actions
-    hysteresis_rounds: int = 3        # consecutive low rounds before shrink
 
     def __post_init__(self) -> None:
         if self.min_shards < 1 or self.max_shards < self.min_shards:
@@ -57,10 +59,6 @@ class AutoscalerConfig:
             raise CliqueMapError(
                 "scale_in_rps must be below scale_out_rps "
                 f"({self.scale_in_rps!r} >= {self.scale_out_rps!r})")
-        if self.hysteresis_rounds < 1:
-            raise CliqueMapError(
-                f"hysteresis_rounds must be >= 1, "
-                f"got {self.hysteresis_rounds!r}")
 
 
 @dataclass
@@ -119,7 +117,7 @@ class Autoscaler:
 
     def _loop(self) -> Generator:
         while not self._stopped:
-            yield self.sim.delay(self.config.evaluate_interval)
+            yield self.sim.delay(EVALUATE_INTERVAL)
             yield from self.evaluate_once()
 
     def evaluate_once(self) -> Generator:
@@ -129,7 +127,7 @@ class Autoscaler:
         serving = self.cell.config_store.peek(
             self.cell.spec.name).shard_tasks
         rps = self.plane.scraper.rate(
-            "cliquemap_backend_rpcs_total", cfg.load_window, now) \
+            "cliquemap_backend_rpcs_total", LOAD_WINDOW, now) \
             / max(1, len(serving))
         alerting = any(key[0] in ALERT_OBJECTIVES
                        for key in self.plane.engine.active)
@@ -158,7 +156,7 @@ class Autoscaler:
 
         if rps < cfg.scale_in_rps:
             self._low_rounds += 1
-            if self._low_rounds < cfg.hysteresis_rounds:
+            if self._low_rounds < HYSTERESIS_ROUNDS:
                 self._record(now, "hold", "hysteresis", len(serving), rps)
                 return
             if len(serving) - RESIZE_STEP < cfg.min_shards or \

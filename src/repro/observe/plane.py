@@ -17,14 +17,13 @@ directly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..telemetry.export import write_chrome_trace
 from ..telemetry.timeseries import Scraper
-from .prober import Prober, ProberConfig
+from .prober import Prober
 from .slo import SloEngine, SloObjective, default_objectives
 
 
@@ -39,7 +38,6 @@ class ObserveConfig:
 
     scrape_interval: float = 1e-3       # sim-seconds between scrapes
     probers: int = 1                    # synthetic probers to run
-    prober: ProberConfig = field(default_factory=ProberConfig)
     # The SLOs to evaluate; None -> default_objectives(cell name), whose
     # keyword arguments set targets and the burn-rate rule shape.
     objectives: Optional[List[SloObjective]] = None
@@ -55,8 +53,7 @@ class ObservabilityPlane:
         self.scraper = Scraper(cell.metrics, interval=cfg.scrape_interval)
         self.probers: List[Prober] = []
         for i in range(cfg.probers):
-            self.probers.append(Prober(cell, dataclasses.replace(
-                cfg.prober, label=f"prober-{i}")))
+            self.probers.append(Prober(cell, f"prober-{i}"))
         objectives = cfg.objectives if cfg.objectives is not None else \
             default_objectives(cell.spec.name)
         self.engine = SloEngine(self.scraper, objectives,
@@ -109,7 +106,7 @@ class ObservabilityPlane:
 
     def sli_summary(self) -> Dict[str, Any]:
         """Per-prober SLIs plus alert totals, for tables and reports."""
-        probers = {p.config.label: p.sli() for p in self.probers}
+        probers = {p.label: p.sli() for p in self.probers}
         return {
             "cell": self.cell.spec.name,
             "probers": probers,

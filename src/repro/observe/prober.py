@@ -27,8 +27,7 @@ collide with workload keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from ..core.errors import GetStatus
 from ..telemetry import tally
@@ -38,34 +37,22 @@ VALUE_BYTES = 64                 # probe value payload size
 DEADLINE = 2e-3                  # per-op deadline (availability bound)
 LATENCY_SLO_SECONDS = 1.5e-3     # "fast" threshold for the latency SLI
 ERASE_EVERY = 16                 # every Nth round also exercises ERASE
-
-
-@dataclass
-class ProberConfig:
-    """How often one prober probes, and its name."""
-
-    interval: float = 5e-3          # sim-seconds between probe rounds
-    label: str = "prober-0"
-
-    def validate(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"interval must be > 0, got {self.interval!r}")
+INTERVAL = 5e-3                  # sim-seconds between probe rounds
 
 
 class Prober:
     """One synthetic prober: a dedicated client plus its probe loop."""
 
-    def __init__(self, cell, config: Optional[ProberConfig] = None):
+    def __init__(self, cell, label: str = "prober-0"):
         self.cell = cell
-        self.config = config or ProberConfig()
-        self.config.validate()
+        self.label = label
         self.sim = cell.sim
         self.client = cell.make_client()
         self.rounds = 0
         self._running = False
         self._proc = None
         registry = cell.metrics
-        base = dict(cell=cell.spec.name, prober=self.config.label)
+        base = dict(cell=cell.spec.name, prober=label)
         ops = ("get", "set", "erase")
         self._results = registry.adopt(
             "cliquemap_probe_ops_total",
@@ -92,7 +79,7 @@ class Prober:
             return
         self._running = True
         self._proc = self.sim.process(
-            self._loop(), name=f"prober:{self.config.label}")
+            self._loop(), name=f"prober:{self.label}")
 
     def stop(self) -> None:
         """Stop issuing new rounds (the in-flight round completes)."""
@@ -102,10 +89,10 @@ class Prober:
 
     def _key(self, round_index: int) -> bytes:
         n = round_index % NUM_KEYS
-        return f"__probe__/{self.config.label}/{n}".encode()
+        return f"__probe__/{self.label}/{n}".encode()
 
     def _value(self, round_index: int) -> bytes:
-        stamp = f"probe:{self.config.label}:{round_index}:".encode()
+        stamp = f"probe:{self.label}:{round_index}:".encode()
         return stamp.ljust(VALUE_BYTES, b"x")
 
     def _record(self, op: str, result: str, latency: float) -> None:
@@ -119,7 +106,7 @@ class Prober:
         while self._running:
             yield from self._round(self.rounds)
             self.rounds += 1
-            yield self.sim.delay(self.config.interval)
+            yield self.sim.delay(INTERVAL)
 
     def _round(self, index: int) -> Generator:
         """One probe round: SET, then GET-and-verify, then maybe ERASE."""

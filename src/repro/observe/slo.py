@@ -31,6 +31,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..telemetry import NULL_FLIGHT, tally
 from ..telemetry.timeseries import Scraper
 
+#: Below this many events in the long window the ratio is noise: a
+#: single failed op out of two must not page.
+MIN_EVENTS = 10.0
+
 
 @dataclass(frozen=True)
 class MetricTerm:
@@ -73,9 +77,6 @@ class SloObjective:
     good: MetricTerm
     total: MetricTerm
     windows: List[BurnWindow] = field(default_factory=list)
-    # Below this many events in the long window the ratio is noise: a
-    # single failed op out of two must not page.
-    min_events: float = 10.0
 
     def validate(self) -> None:
         if not (0.0 < self.target < 1.0):
@@ -194,7 +195,7 @@ class SloEngine:
         burn_short, _events_short = objective.burn_rate(
             scraper, window.short_window, t)
         key = (objective.name, objective.cell, window.severity)
-        firing = (events_long >= objective.min_events and
+        firing = (events_long >= MIN_EVENTS and
                   burn_long >= window.factor and
                   burn_short >= window.factor)
         was_active = key in self.active

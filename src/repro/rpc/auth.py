@@ -63,11 +63,15 @@ class Acl:
 
 @dataclass
 class AuthConfig:
-    """Handshake cost model for channel establishment."""
+    """Whether channel establishment runs the handshake."""
 
-    handshake_cpu: float = 30e-6     # per-side CPU for the ALTS handshake
-    handshake_rtts: int = 2          # extra round trips at connect time
     enabled: bool = True
+
+
+#: Per-side CPU for the ALTS handshake, and its extra round trips at
+#: connect time.
+HANDSHAKE_CPU = 30e-6
+HANDSHAKE_RTTS = 2
 
 
 class Authenticator:
@@ -82,8 +86,8 @@ class Authenticator:
         if not self.config.enabled:
             return 0.0
         self.handshakes += 1
-        return self.config.handshake_cpu
+        return HANDSHAKE_CPU
 
     @property
     def extra_rtts(self) -> int:
-        return self.config.handshake_rtts if self.config.enabled else 0
+        return HANDSHAKE_RTTS if self.config.enabled else 0

@@ -33,7 +33,7 @@ class NamedPipe:
         """Move one message of ``nbytes`` through the pipe: ``yield
         pipe.transfer(n)`` from a process (see :meth:`Resource.hold`)."""
         return self._server.hold(self.latency + nbytes / self.bytes_per_sec,
-                                 0, self._carried, (nbytes,))
+                                 self._carried, (nbytes,))
 
     def _carried(self, nbytes: int) -> None:
         self.messages += 1

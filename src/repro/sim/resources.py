@@ -10,7 +10,6 @@ scale-out, CPU accounting) can make load-driven decisions.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Deque, Optional
@@ -29,7 +28,7 @@ class Request(Event):
 
 
 class Resource:
-    """A pool of ``capacity`` identical slots with a priority/FIFO queue.
+    """A pool of ``capacity`` identical slots with a FIFO queue.
 
     Holds and lock requests share one queue and one occupancy count.
     ``at_grant(duration) -> duration`` runs the instant a :meth:`hold` is
@@ -46,10 +45,9 @@ class Resource:
         self._capacity = capacity
         self._at_grant = at_grant
         self._busy = 0
-        # Sorted by (priority, seq): (priority, seq, request) for a lock,
-        # (priority, seq, None, process, token, duration, done, args).
+        # In arrival order: (request,) for a lock,
+        # (None, process, token, duration, done, args) for a hold.
         self._queue: Deque[tuple] = deque()
-        self._seq = 0
         # Utilization accounting: integral of busy slots over time.
         self._busy_integral = 0.0
         self._last_change = sim.now
@@ -109,11 +107,11 @@ class Resource:
 
     # -- hold: occupy a slot for a known time -------------------------------
 
-    def hold(self, duration: float, priority: int = 0,
-             done: Optional[Callable] = None, args: tuple = ()) -> Any:
+    def hold(self, duration: float, done: Optional[Callable] = None,
+             args: tuple = ()) -> Any:
         """Occupy a slot for ``duration`` seconds: ``yield r.hold(d)``.
 
-        Queues (priority, then FIFO) while every slot is busy, serves for
+        Queues (FIFO) while every slot is busy, serves for
         ``duration`` from the grant instant, then frees the slot, runs
         ``done(*args)``, grants the next in line and resumes the caller:
         **one** scheduler entry, the completion, pushed here when a slot
@@ -130,9 +128,7 @@ class Resource:
             raise SimulationError(f"cannot hold for {duration!r}s")
         proc._token = proc._waiting_on = token = proc._token + 1
         if self._busy >= self._capacity or self._queue:
-            self._seq += 1
-            self._enqueue((priority, self._seq, None, proc, token,
-                           duration, done, args))
+            self._queue.append((None, proc, token, duration, done, args))
             return PARKED
         # Uncontended (with the run loop and Process._step, the hottest
         # code in a cell run): what _grant() does for a queued hold.
@@ -167,11 +163,10 @@ class Resource:
 
     # -- request/release: a lock held for a time unknown at grant -----------
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event triggers when it is granted."""
         req = Request(self)
-        self._seq += 1
-        self._enqueue((priority, self._seq, req))
+        self._queue.append((req,))
         self._grant()   # at once when a slot is free: nobody is queued then
         return req
 
@@ -188,26 +183,19 @@ class Resource:
             self._grant()
         else:
             self._queue.remove(
-                next(e for e in self._queue if e[2] is request))
-
-    def _enqueue(self, entry: tuple) -> None:
-        queue = self._queue
-        if not queue or queue[-1][0] <= entry[0]:
-            queue.append(entry)     # FIFO: the only case callers produce
-        else:
-            bisect.insort(queue, entry)  # (priority, seq) decides; seq unique
+                next(e for e in self._queue if e[0] is request))
 
     def _grant(self) -> None:
         queue = self._queue
         while queue and self._busy < self._capacity:
             entry = queue.popleft()
-            request = entry[2]
+            request = entry[0]
             if request is not None:
                 self._account()
                 self._busy += 1
                 request.succeed(request)
                 continue
-            proc, token, duration, done, args = entry[3:]
+            proc, token, duration, done, args = entry[1:]
             if proc._waiting_on != token:
                 continue    # interrupted while queued: never served
             if self._at_grant is not None:

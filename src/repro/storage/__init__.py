@@ -17,7 +17,7 @@ from typing import Dict, Protocol, runtime_checkable
 from .loader import CorpusLoader, LoadReport
 from .policy import MissPolicy
 from .readthrough import ReadThroughCoordinator
-from .sor import ProvisionedThroughput, StorageCostModel, SystemOfRecord
+from .sor import ProvisionedThroughput, SystemOfRecord
 
 
 @runtime_checkable
@@ -46,4 +46,4 @@ class SystemOfRecordProtocol(Protocol):
 
 __all__ = ["CorpusLoader", "LoadReport", "MissPolicy",
            "ProvisionedThroughput", "ReadThroughCoordinator",
-           "StorageCostModel", "SystemOfRecord", "SystemOfRecordProtocol"]
+           "SystemOfRecord", "SystemOfRecordProtocol"]

@@ -27,10 +27,10 @@ NEGATIVE_CAPACITY = 4096
 class MissPolicy:
     """How cache misses flow to (and writes flow back to) the SoR.
 
-    The three headline knobs of the miss pipeline:
+    With a system of record attached, a cache MISS fetches the key from
+    it and fills the cache with the result. The two headline knobs of
+    the miss pipeline:
 
-    * ``read_through`` — on a cache MISS, fetch the key from the
-      attached system of record and fill the cache with the result.
     * ``negative_ttl`` — remember "the SoR does not have this key" for
       this many simulated seconds, so repeated misses on absent keys
       don't hammer persistent media. ``0`` disables negative caching.
@@ -47,7 +47,6 @@ class MissPolicy:
     synchronous write-through.
     """
 
-    read_through: bool = True
     negative_ttl: float = 0.5
     backfill_budget: float = 64.0
     # Tokens per simulated second restored to the backfill bucket.

@@ -153,8 +153,6 @@ class ReadThroughCoordinator:
         """
         policy = self.policy
         self._counts["fetches"] += 1
-        if not policy.read_through:
-            return ("miss", None)
         expiry = self._negative.get(key)
         if expiry is not None:
             if self.sim.now < expiry:

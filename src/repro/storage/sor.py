@@ -36,14 +36,11 @@ from ..sim import Resource, Simulator
 from ..telemetry import tally
 
 
-@dataclass
-class StorageCostModel:
-    """Persistent-media access costs."""
-
-    media_latency: float = 1.5e-3        # seek/lookup on persistent media
-    bytes_per_sec: float = 400e6         # media transfer bandwidth
-    media_channels: int = 8              # concurrent accesses before queueing
-    cpu_per_read: float = 10e-6          # storage-server CPU per request
+# Persistent-media access costs.
+MEDIA_LATENCY = 1.5e-3          # seek/lookup on persistent media
+MEDIA_BYTES_PER_SEC = 400e6     # media transfer bandwidth
+MEDIA_CHANNELS = 8              # concurrent accesses before queueing
+CPU_PER_READ = 10e-6            # storage-server CPU per request
 
 
 #: Payload bytes one provisioned capacity unit covers.
@@ -92,21 +89,19 @@ class SystemOfRecord:
     """
 
     def __init__(self, sim: Simulator, host: Host,
-                 cost: Optional[StorageCostModel] = None,
                  throughput: Optional[ProvisionedThroughput] = None):
         self.sim = sim
         self.host = host
-        self.cost = cost or StorageCostModel()
         self.name = "sor"
         self.throughput = throughput
         self._data: Dict[bytes, bytes] = {}
         self._keys_ordered: List[bytes] = []
         self._sealed = False
-        self._media = Resource(sim, capacity=self.cost.media_channels,
+        self._media = Resource(sim, capacity=MEDIA_CHANNELS,
                                name="sor.media")
         # One media *bus* per host: seeks overlap across channels, but
         # transfers share the host's bandwidth, so concurrent fetches
-        # contend instead of each enjoying the full bytes_per_sec.
+        # contend instead of each enjoying the full MEDIA_BYTES_PER_SEC.
         bus = getattr(host, "_storage_media_bus", None)
         if bus is None:
             bus = Resource(sim, capacity=1, name=f"{host.name}.media-bus")
@@ -236,9 +231,9 @@ class SystemOfRecord:
         request = self._media.request()
         yield request
         try:
-            yield self.sim.delay(self.cost.media_latency)
+            yield self.sim.delay(MEDIA_LATENCY)
             if nbytes > 0:
-                yield self._bus.hold(nbytes / self.cost.bytes_per_sec)
+                yield self._bus.hold(nbytes / MEDIA_BYTES_PER_SEC)
         finally:
             self._media.release(request)
 
@@ -246,7 +241,7 @@ class SystemOfRecord:
 
     def _handle_read(self, payload, context: HandlerContext) -> Generator:
         key: bytes = payload["key"]
-        yield self.host.execute(self.cost.cpu_per_read,
+        yield self.host.execute(CPU_PER_READ,
                                 f"storage:{self.name}")
         value = self._data.get(key)
         if not self._admit(self._read_bucket, len(value) if value else 0):
@@ -266,7 +261,7 @@ class SystemOfRecord:
         key: bytes = payload["key"]
         delete: bool = bool(payload.get("delete"))
         value: Optional[bytes] = None if delete else payload["value"]
-        yield self.host.execute(self.cost.cpu_per_read,
+        yield self.host.execute(CPU_PER_READ,
                                 f"storage:{self.name}")
         if self._sealed:
             self.request_counts["write", "sealed"] += 1
@@ -293,7 +288,7 @@ class SystemOfRecord:
         """Cursor-based bulk scan for corpus loading."""
         cursor: int = payload.get("cursor", 0)
         limit: int = payload.get("limit", 64)
-        yield self.host.execute(self.cost.cpu_per_read,
+        yield self.host.execute(CPU_PER_READ,
                                 f"storage:{self.name}")
         keys = self._keys_ordered[cursor:cursor + limit]
         entries: List[Tuple[bytes, bytes]] = [(k, self._data[k])

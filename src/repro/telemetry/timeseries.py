@@ -19,13 +19,11 @@ seed-for-seed parity guarantee the observability plane is built on).
 Sampled fields per series:
 
 * counters / gauges — ``value``
-* histograms — ``count`` (exact and O(1) to read; ``sum`` is optional
-  via ``histogram_sum=True`` and costs a full-reservoir ``fsum`` per
-  scrape, so it defaults off for scale runs)
+* histograms — ``count`` (exact and O(1) to read; a ``sum`` would cost
+  a full-reservoir ``fsum`` per scrape)
 
-Retention is bounded two ways: each series ring-buffers at most
-``retention_points`` samples, and ``retention_seconds`` (if set) drops
-points older than the horizon — size it at or above your longest alert
+Retention is bounded: each series ring-buffers at most
+``retention_points`` samples — size it at or above your longest alert
 window, since ``increase`` treats a missing baseline as zero (counter
 semantics: counters start at zero).
 """
@@ -67,13 +65,6 @@ class TimeSeries:
         # them aligned without explicit bookkeeping.
         self.points.append((t, value))
         self._times.append(t)
-
-    def evict_before(self, horizon: float) -> None:
-        """Drop points older than ``horizon`` (retention_seconds)."""
-        pts, times = self.points, self._times
-        while times and times[0] < horizon:
-            times.popleft()
-            pts.popleft()
 
     def latest(self) -> Optional[Point]:
         return self.points[-1] if self.points else None
@@ -136,9 +127,7 @@ class Scraper:
 
     def __init__(self, registry: MetricsRegistry,
                  interval: float = 1e-3,
-                 retention_points: int = 4096,
-                 retention_seconds: Optional[float] = None,
-                 histogram_sum: bool = False):
+                 retention_points: int = 4096):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval!r}")
         if retention_points < 2:
@@ -147,13 +136,11 @@ class Scraper:
         self.registry = registry
         self.interval = interval
         self.retention_points = retention_points
-        self.retention_seconds = retention_seconds
-        self.histogram_sum = histogram_sum
         self.scrapes = 0
         self.last_scrape_at: Optional[float] = None
         self._series: Dict[Tuple[str, Tuple[Tuple[str, str], ...], str],
                            TimeSeries] = {}
-        # Per-family (version, [(series, stream, sum_stream)]) bindings:
+        # Per-family (version, [(series, stream)]) bindings:
         # resolving a stream costs a sorted-tuple dict key, so the scrape
         # hot loop reuses bindings until the family's series set changes.
         self._bound: Dict[str, Tuple[int, list]] = {}
@@ -174,18 +161,9 @@ class Scraper:
         return ts
 
     def _bind(self, name: str, family) -> list:
-        bound = []
-        if family.kind == "histogram":
-            for s in family.series():
-                sum_ts = self._stream(name, s.labels, "sum", "histogram") \
-                    if self.histogram_sum else None
-                bound.append((s, self._stream(name, s.labels, "count",
-                                              "histogram"), sum_ts))
-        else:
-            for s in family.series():
-                bound.append((s, self._stream(name, s.labels, "value",
-                                              family.kind), None))
-        return bound
+        field = "count" if family.kind == "histogram" else "value"
+        return [(s, self._stream(name, s.labels, field, family.kind))
+                for s in family.series()]
 
     def scrape(self, t: float) -> None:
         """Sample every series of every family at sim-time ``t``."""
@@ -198,17 +176,11 @@ class Scraper:
                 cached = (family.version, self._bind(name, family))
                 self._bound[name] = cached
             if family.kind == "histogram":
-                for s, count_ts, sum_ts in cached[1]:
+                for s, count_ts in cached[1]:
                     count_ts.append(t, float(s.count))
-                    if sum_ts is not None:
-                        sum_ts.append(t, s.sum)
             else:
-                for s, value_ts, _ in cached[1]:
+                for s, value_ts in cached[1]:
                     value_ts.append(t, s.value)
-        if self.retention_seconds is not None:
-            horizon = t - self.retention_seconds
-            for ts in self._series.values():
-                ts.evict_before(horizon)
         for observer in self._observers:
             observer(t, self)
 

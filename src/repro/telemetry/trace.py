@@ -338,7 +338,6 @@ class Tracer:
         self.tail_sample_every = tail_sample_every
         self.tail_slow_threshold = tail_slow_threshold
         self.finished: List[Span] = []
-        self.started = 0
         self.sampled_out = 0
         self._decisions = 0
         self._ids = _IdAllocator()
@@ -361,7 +360,6 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        self.started += 1
         if parent:
             span = parent.child(name, **labels)
             return span

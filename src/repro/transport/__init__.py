@@ -3,9 +3,9 @@
 from .base import (RMA_REQUEST_BYTES, RMA_RESPONSE_HEADER_BYTES, Transport,
                    TransportCounters)
 from .memory import (Arena, ArenaReservationError, MemoryRegion,
-                     RegionRevokedError, RegistrationCostModel,
-                     RemoteHostDownError, RmaEndpoint, RmaError,
-                     RmaOutOfBoundsError, next_region_id)
+                     RegionRevokedError, RemoteHostDownError, RmaEndpoint,
+                     RmaError, RmaOutOfBoundsError, next_region_id,
+                     registration_time)
 from .onerma import OneRmaTransport
 from .pony import (PonyCostModel, PonyEngineGroup, PonyScaleConfig,
                    PonyTransport)
@@ -15,8 +15,8 @@ __all__ = [
     "RMA_REQUEST_BYTES", "RMA_RESPONSE_HEADER_BYTES", "Transport",
     "TransportCounters",
     "Arena", "ArenaReservationError", "MemoryRegion", "RegionRevokedError",
-    "RegistrationCostModel", "RemoteHostDownError", "RmaEndpoint", "RmaError",
-    "RmaOutOfBoundsError", "next_region_id",
+    "RemoteHostDownError", "RmaEndpoint", "RmaError",
+    "RmaOutOfBoundsError", "next_region_id", "registration_time",
     "OneRmaTransport",
     "PonyCostModel", "PonyEngineGroup", "PonyScaleConfig", "PonyTransport",
     "RdmaTransport",

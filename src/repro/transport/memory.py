@@ -26,8 +26,7 @@ from __future__ import annotations
 import itertools
 import mmap
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 class RmaError(Exception):
@@ -67,17 +66,17 @@ def next_region_id() -> int:
     return next(_region_ids)
 
 
-@dataclass
-class RegistrationCostModel:
-    """Cost of registering memory for RMA (OS + NIC translation tables)."""
+#: Registering memory for RMA (OS + NIC translation tables): a fixed
+#: cost plus one per page.
+REGISTRATION_BASE_SECONDS = 50e-6
+REGISTRATION_PER_PAGE_SECONDS = 0.25e-6
+PAGE_BYTES = 4096
 
-    base_seconds: float = 50e-6
-    per_page_seconds: float = 0.25e-6
-    page_bytes: int = 4096
 
-    def registration_time(self, nbytes: int) -> float:
-        pages = max(1, (nbytes + self.page_bytes - 1) // self.page_bytes)
-        return self.base_seconds + pages * self.per_page_seconds
+def registration_time(nbytes: int) -> float:
+    """Seconds to register ``nbytes`` of memory for RMA."""
+    pages = max(1, (nbytes + PAGE_BYTES - 1) // PAGE_BYTES)
+    return REGISTRATION_BASE_SECONDS + pages * REGISTRATION_PER_PAGE_SECONDS
 
 
 class ArenaReservationError(MemoryError):
@@ -156,14 +155,13 @@ class MemoryRegion:
     """A registered RMA window onto an arena.
 
     Multiple windows may overlap the same arena (reshaping); each has its
-    own region id and revocation state.
+    own region id and revocation state, and covers what the arena had
+    populated when it was registered.
     """
 
-    def __init__(self, arena: Arena, limit: Optional[int] = None):
+    def __init__(self, arena: Arena):
         self.arena = arena
-        self.limit = arena.populated if limit is None else limit
-        if self.limit > arena.virtual_limit:
-            raise ValueError("window limit exceeds arena virtual limit")
+        self.limit = arena.populated
         self.region_id = next_region_id()
         self.revoked = False
 

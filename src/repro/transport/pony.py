@@ -41,12 +41,15 @@ class PonyCostModel:
     per_kilobyte: float = 0.012e-6    # payload handling per KB per side
 
 
+#: Engines per host at start and at most.
+BASE_ENGINES = 1
+MAX_ENGINES = 4
+
+
 @dataclass
 class PonyScaleConfig:
     """Load-driven engine scale-out policy."""
 
-    base_engines: int = 1
-    max_engines: int = 4
     sample_interval: float = 200e-6
     scale_up_threshold: float = 0.80
     scale_down_threshold: float = 0.25
@@ -60,11 +63,11 @@ class PonyEngineGroup:
         self.sim = sim
         self.host = host
         self.scale = scale
-        self.engines = Resource(sim, capacity=scale.base_engines,
+        self.engines = Resource(sim, capacity=BASE_ENGINES,
                                 name=f"pony:{host.name}")
         # (time, engine_count) capacity changes, for the Fig 15 heatmap.
         self.scale_history: List[Tuple[float, int]] = [(sim.now,
-                                                        scale.base_engines)]
+                                                        BASE_ENGINES)]
         self._monitor_started = False
 
     @property
@@ -77,7 +80,7 @@ class PonyEngineGroup:
         :meth:`Resource.hold`)."""
         if not self._monitor_started:
             self._start_monitor()
-        return self.engines.hold(service_time, 0, self.host.charge_inline,
+        return self.engines.hold(service_time, self.host.charge_inline,
                                  (service_time, "pony"))
 
     def _start_monitor(self) -> None:
@@ -96,11 +99,11 @@ class PonyEngineGroup:
             ckpt = self.engines.checkpoint()
             cap = self.engines.capacity
             if util > self.scale.scale_up_threshold and \
-                    cap < self.scale.max_engines:
+                    cap < MAX_ENGINES:
                 self.engines.set_capacity(cap + 1)
                 self.scale_history.append((self.sim.now, cap + 1))
             elif util < self.scale.scale_down_threshold and \
-                    cap > self.scale.base_engines:
+                    cap > BASE_ENGINES:
                 self.engines.set_capacity(cap - 1)
                 self.scale_history.append((self.sim.now, cap - 1))
 

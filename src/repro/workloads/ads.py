@@ -17,6 +17,9 @@ from ..sim import RandomStream
 from .distributions import ads_batch_sizes, ads_object_sizes
 from .generators import KeySpace, LoadGenerator, WorkloadMetrics, populate
 
+#: Slice of the corpus each backfill burst refreshes.
+BACKFILL_FRACTION = 0.05
+
 
 @dataclass
 class AdsScenario:
@@ -28,7 +31,6 @@ class AdsScenario:
     get_rate_per_client: float = 2000.0   # ops/sec offered
     write_rate_per_client: float = 40.0   # steady corpus updates
     backfill_period: float = 2.0          # seconds between backfill bursts
-    backfill_fraction: float = 0.05       # slice of corpus per burst
     duration: float = 10.0
     seed: int = 42
 
@@ -78,7 +80,7 @@ class AdsWorkload:
         client = self.clients[-1]
         end = self.sim.now + scenario.duration
         slice_size = max(1, int(scenario.num_keys *
-                                scenario.backfill_fraction))
+                                BACKFILL_FRACTION))
         cursor = 0
         while self.sim.now + scenario.backfill_period < end:
             yield self.sim.delay(scenario.backfill_period)

@@ -44,26 +44,25 @@ class BatchSizeSampler:
     """Lognormal batch sizes clipped to a range."""
 
     def __init__(self, stream: RandomStream, median: float, sigma: float,
-                 lo: int = 1, hi: int = 400):
+                 hi: int = 400):
         self._stream = stream
         self._mu = math.log(median)
         self._sigma = sigma
-        self.lo = lo
         self.hi = hi
 
     def sample(self) -> int:
         draw = int(round(self._stream.lognormal(self._mu, self._sigma)))
-        return max(self.lo, min(self.hi, draw))
+        return max(1, min(self.hi, draw))
 
 
 def ads_batch_sizes(stream: RandomStream) -> BatchSizeSampler:
     """Highly batched: p99.9 lands in the 30-300 range (§7.1)."""
-    return BatchSizeSampler(stream, median=8, sigma=1.15, lo=1, hi=300)
+    return BatchSizeSampler(stream, median=8, sigma=1.15, hi=300)
 
 
 def geo_batch_sizes(stream: RandomStream) -> BatchSizeSampler:
     """Tens of road segments per lookup (§7.1)."""
-    return BatchSizeSampler(stream, median=20, sigma=0.45, lo=1, hi=100)
+    return BatchSizeSampler(stream, median=20, sigma=0.45, hi=100)
 
 
 def diurnal_rate(base_rate: float, amplitude: float = 0.5,

@@ -119,9 +119,12 @@ class TraceRecorder:
         return (yield from self.client.erase(key, **kwargs))
 
 
+#: Mean arrival rate of a synthesized trace (ops per second).
+ARRIVAL_RATE = 10000.0
+
+
 def synthesize_trace(stream: RandomStream, num_keys: int, ops: int,
-                     get_fraction: float = 0.95,
-                     rate: float = 10000.0) -> Trace:
+                     get_fraction: float = 0.95) -> Trace:
     """Build a synthetic trace with Poisson arrivals and zipf keys; every
     SET writes 512 bytes."""
     from ..sim import ZipfSampler
@@ -130,7 +133,7 @@ def synthesize_trace(stream: RandomStream, num_keys: int, ops: int,
     trace = Trace()
     t = 0.0
     for _ in range(ops):
-        t += stream.expovariate(rate)
+        t += stream.expovariate(ARRIVAL_RATE)
         key = b"trace-key-%d" % sampler.sample()
         if stream.bernoulli(get_fraction):
             trace.append(TraceOp(t, "get", key, 1))
@@ -160,12 +163,10 @@ class TraceReplayer:
     """Re-issues a trace against a client with the original timing."""
 
     def __init__(self, client: CliqueMapClient, trace: Trace,
-                 time_scale: float = 1.0,
-                 fill_missing_sets: bool = True):
+                 time_scale: float = 1.0):
         self.client = client
         self.trace = trace
         self.time_scale = time_scale
-        self.fill_missing_sets = fill_missing_sets
         self.report = ReplayReport()
 
     def replay(self) -> Generator:
@@ -193,7 +194,7 @@ class TraceReplayer:
                 report.hits += 1
             elif result.status is GetStatus.ERROR:
                 report.errors += 1
-            elif self.fill_missing_sets:
+            else:
                 # Cache-miss fill, as a real serving stack would do.
                 yield from self.client.set(op.key, bytes(max(op.arg, 1) *
                                                          128))

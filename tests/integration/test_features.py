@@ -19,7 +19,7 @@ def run(cell, gen):
 # -- compression ---------------------------------------------------------------
 
 def compressing_config():
-    return ClientConfig(compression_enabled=True, compression_min_bytes=256)
+    return ClientConfig(compression_enabled=True)
 
 
 def test_compression_roundtrip():

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import run_scale_workload
 from repro.core import Cell, CellSpec, ReplicationMode
 from repro.faults import SoakConfig, run_soak
-from repro.observe import ObserveConfig, Prober, ProberConfig
+from repro.observe import ObserveConfig, Prober
 from repro.tools import main
 
 
@@ -87,8 +87,7 @@ def test_soak_exports_timeseries_and_trace(tmp_path):
 
 def test_observe_plane_is_idempotent_and_stops_with_cell():
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
-    plane = cell.observe(ObserveConfig(probers=1,
-                                       prober=ProberConfig(interval=2e-3)))
+    plane = cell.observe(ObserveConfig(probers=1))
     assert cell.observe() is plane   # second call returns the same plane
     cell.sim.run(until=0.1)
     assert plane.scraper.scrapes > 0
@@ -161,7 +160,7 @@ def test_prober_books_a_lost_write_as_corrupt(read_back, monkeypatch):
     cell = Cell(CellSpec(mode=ReplicationMode.R3_2, num_shards=3))
     writer = cell.connect_client()
     cell.sim.run(until=cell.sim.process(writer.set(b"other-key", b"stale")))
-    prober = Prober(cell, ProberConfig(interval=2e-3))
+    prober = Prober(cell)
     real_get = prober.client.get
     # The round's read lands on another key: the write it just made is
     # lost from the prober's vantage.

@@ -7,6 +7,7 @@ from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
 from repro.core.client import CliqueMapClient
 from repro.core.resilience import BackendHealth
 from repro.net import Fabric, FabricConfig, NetworkDropError
+from repro.net.fabric import PARTITION_DETECT_DELAY
 from repro.sim import Simulator
 
 
@@ -23,8 +24,7 @@ def run(cell, gen):
 
 def test_partitioned_delivery_raises_after_detect_delay():
     sim = Simulator()
-    fabric = Fabric(sim, FabricConfig(partition_detect_delay=100e-6,
-                                      delay_jitter=0.0))
+    fabric = Fabric(sim, FabricConfig(delay_jitter=0.0))
     a = fabric.add_host("a")
     b = fabric.add_host("b")
     fabric.partition(a, b)
@@ -38,7 +38,7 @@ def test_partitioned_delivery_raises_after_detect_delay():
         return None
 
     elapsed = sim.run(until=sim.process(send()))
-    assert elapsed == pytest.approx(100e-6)
+    assert elapsed == pytest.approx(PARTITION_DETECT_DELAY)
     fabric.heal(a, b)
 
     def send_ok():

@@ -6,6 +6,7 @@ from repro.core import (Cell, CellSpec, GetStatus, GetStrategy,
                         ReplicationMode)
 from repro.rpc import Principal, connect as rpc_connect
 from repro.storage import CorpusLoader, SystemOfRecord
+from repro.storage.sor import MEDIA_LATENCY
 
 
 def build(num_keys=60):
@@ -52,7 +53,7 @@ def test_sor_reads_cost_media_latency():
         return cell.sim.now - start
 
     latency = cell.sim.run(until=cell.sim.process(app()))
-    assert latency > sor.cost.media_latency
+    assert latency > MEDIA_LATENCY
 
 
 def test_sealed_corpus_rejects_load():

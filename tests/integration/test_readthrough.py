@@ -2,7 +2,7 @@
 
 from repro.core import Cell, CellSpec, GetStatus, ReplicationMode
 from repro.faults import SCENARIOS, SoakConfig, run_soak
-from repro.storage import MissPolicy, ProvisionedThroughput, SystemOfRecord
+from repro.storage import MissPolicy, SystemOfRecord
 
 
 def test_end_to_end_fill_then_cache_hit():
@@ -56,9 +56,7 @@ def test_soak_brownout_sheds_backfill_without_alerts():
     # its brownout lands at 0.2 s for 0.4 s and heals at 1.2 s.
     report = run_soak(SoakConfig(
         duration=1.4, settle=0.5, seed=11, scenario="sor-brownout",
-        plan=SCENARIOS["sor-brownout"].plan(1.2, 3, 0.2, 0.4),
-        sor_throughput=ProvisionedThroughput(read_units=400.0,
-                                             write_units=400.0)))
+        plan=SCENARIOS["sor-brownout"].plan(1.2, 3, 0.2, 0.4)))
 
     # Core soak invariants on the well-behaved keyspace.
     assert report.ok, (report.bad_hits, report.unrecovered, report.diverged)

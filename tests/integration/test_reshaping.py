@@ -66,8 +66,7 @@ def test_old_data_window_retired_after_grace():
         mode=ReplicationMode.R1, num_shards=1, transport="pony",
         backend_config=BackendConfig(
             data_initial_bytes=128 * 1024, data_virtual_limit=4 << 20,
-            grow_watermark=0.5, slab_bytes=64 * 1024,
-            old_window_grace=10e-3))
+            grow_watermark=0.5, slab_bytes=64 * 1024))
     cell = Cell(spec)
     client = cell.connect_client()
     backend = cell.backend_by_task("backend-0")
@@ -98,8 +97,7 @@ def test_reads_continue_during_growth_with_old_pointers():
         mode=ReplicationMode.R1, num_shards=1, transport="pony",
         backend_config=BackendConfig(
             data_initial_bytes=128 * 1024, data_virtual_limit=4 << 20,
-            grow_watermark=0.5, slab_bytes=64 * 1024,
-            old_window_grace=50e-3))
+            grow_watermark=0.5, slab_bytes=64 * 1024))
     cell = Cell(spec)
     client = cell.connect_client()
     backend = cell.backend_by_task("backend-0")
@@ -155,8 +153,7 @@ def test_pointer_refresh_on_window_retirement():
         mode=ReplicationMode.R1, num_shards=1, transport="pony",
         backend_config=BackendConfig(
             data_initial_bytes=128 * 1024, data_virtual_limit=4 << 20,
-            grow_watermark=0.5, slab_bytes=64 * 1024,
-            old_window_grace=10e-3))
+            grow_watermark=0.5, slab_bytes=64 * 1024))
     cell = Cell(spec)
     client = cell.connect_client()
     backend = cell.backend_by_task("backend-0")

@@ -473,10 +473,8 @@ def _autoscaler_closed_loop(seed):
     cell = make_cell(num_shards=3, seed=seed)
     plane = cell.observe(ObserveConfig())
     plane.autoscale(AutoscalerConfig(
-        evaluate_interval=0.05, load_window=0.05,
         scale_out_rps=2000.0, scale_in_rps=1500.0,
-        min_shards=3, max_shards=5, cooldown=0.15,
-        hysteresis_rounds=2))
+        min_shards=3, max_shards=5, cooldown=0.15))
     scaler = plane.autoscaler
     sim = cell.sim
     client = cell.connect_client()

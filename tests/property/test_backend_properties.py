@@ -83,8 +83,7 @@ def test_bucket_overflow_and_promotion_preserve_corpus(key_ids, ways_seed):
         mode=ReplicationMode.R1, num_shards=1, transport="pony",
         backend_config=BackendConfig(num_buckets=2, ways=2,
                                      overflow_rpc_fallback=True,
-                                     index_resize_load_factor=2.0,
-                                     overflow_capacity=64)))
+                                     index_resize_load_factor=2.0)))
     client = cell.connect_client(strategy=GetStrategy.TWO_R)
     model = {}
 

@@ -155,7 +155,7 @@ def test_arena_matches_a_bytearray_that_really_grows(initial, ops):
                           st.integers(1, 8192)), max_size=200))
 def test_slab_never_double_allocates(ops):
     arena = Arena(512 * 1024, 512 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     live = {}
     for op, size in ops:
         if op == "alloc":
@@ -180,7 +180,7 @@ def test_slab_never_double_allocates(ops):
 @given(st.lists(st.integers(1, 4096), min_size=1, max_size=100))
 def test_slab_alloc_free_all_restores_emptiness(sizes):
     arena = Arena(1024 * 1024, 1024 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     offsets = [allocator.alloc(s) for s in sizes]
     for offset in offsets:
         if offset is not None:

@@ -4,7 +4,6 @@
 from repro.core import (BackendConfig, Cell, CellSpec, ReplicationMode,
                         TrueTime, VersionFactory)
 from repro.rpc import Principal, connect as rpc_connect
-from repro.sim import RandomStream
 
 
 def build_cell(backend_config=None, num_shards=1, mode=ReplicationMode.R1,
@@ -28,8 +27,7 @@ def call(cell, channel, method, payload, **kwargs):
 
 
 def versions_for(cell, client_id=77):
-    return VersionFactory(client_id, TrueTime(
-        cell.sim, stream=RandomStream(5, "t")))
+    return VersionFactory(client_id, TrueTime(cell.sim))
 
 
 def do_set(cell, channel, key, value, version):

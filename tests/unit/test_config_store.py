@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.config import (CellConfig, ConfigStore, GetStrategy,
-                               ReplicationMode)
+from repro.core.config import (CONFIG_READ_LATENCY, CellConfig, ConfigStore,
+                               GetStrategy, ReplicationMode)
 from repro.core.errors import CliqueMapError, ConfigCasError
 from repro.sim import Simulator
 
@@ -46,14 +46,14 @@ def test_store_get_returns_snapshot():
 
 def test_store_get_costs_latency():
     sim = Simulator()
-    store = ConfigStore(sim, read_latency=500e-6)
+    store = ConfigStore(sim)
     store.publish(make_config())
 
     def reader():
         yield from store.get("cell")
 
     sim.run(until=sim.process(reader()))
-    assert sim.now == pytest.approx(500e-6)
+    assert sim.now == pytest.approx(CONFIG_READ_LATENCY)
     assert store.reads == 1
 
 

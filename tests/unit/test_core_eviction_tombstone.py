@@ -5,7 +5,6 @@ import pytest
 from repro.core.eviction import ArcPolicy, LruPolicy, RandomPolicy, make_policy
 from repro.core.tombstone import TombstoneCache
 from repro.core.version import VersionNumber
-from repro.sim import RandomStream
 
 
 def kh(i):
@@ -59,7 +58,7 @@ def test_lru_access_of_unknown_key_is_noop():
 # -- Random --------------------------------------------------------------------
 
 def test_random_policy_yields_all_residents():
-    policy = RandomPolicy(RandomStream(1, "r"))
+    policy = RandomPolicy()
     for i in range(5):
         policy.record_insert(kh(i))
     seen = set()

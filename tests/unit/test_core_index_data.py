@@ -345,7 +345,7 @@ def test_decode_survives_garbage_lengths():
 
 def test_slab_alloc_free_roundtrip():
     arena = Arena(256 * 1024, 256 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     off = allocator.alloc(100)
     assert off is not None
     assert allocator.block_size(off) == 128
@@ -356,7 +356,7 @@ def test_slab_alloc_free_roundtrip():
 
 def test_slab_size_class_rounding():
     arena = Arena(256 * 1024, 256 * 1024)
-    allocator = SlabAllocator(arena, min_block=64)
+    allocator = SlabAllocator(arena)
     assert allocator.class_for(1) == 64
     assert allocator.class_for(64) == 64
     assert allocator.class_for(65) == 128
@@ -373,7 +373,7 @@ def test_slab_distinct_offsets():
 
 def test_slab_exhaustion_returns_none():
     arena = Arena(64 * 1024, 64 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     count = 0
     while allocator.alloc(32 * 1024) is not None:
         count += 1
@@ -383,7 +383,7 @@ def test_slab_exhaustion_returns_none():
 
 def test_slab_repurposing_between_classes():
     arena = Arena(64 * 1024, 64 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     big = allocator.alloc(32 * 1024)
     allocator.free(big)
     # The now-empty slab can serve a different size class.
@@ -401,7 +401,7 @@ def test_slab_free_unknown_offset_raises():
 
 def test_slab_sees_arena_growth():
     arena = Arena(64 * 1024, 256 * 1024)
-    allocator = SlabAllocator(arena, slab_bytes=64 * 1024, min_block=64)
+    allocator = SlabAllocator(arena, slab_bytes=64 * 1024)
     a = allocator.alloc(64 * 1024)
     assert a is not None
     assert allocator.alloc(64 * 1024) is None

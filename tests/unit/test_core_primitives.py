@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.core.checksum import checksum_ok, kv_checksum
 from repro.core.hashing import (KEY_HASH_BYTES, Placement, default_key_hash)
-from repro.core.truetime import TrueTime
+from repro.core.truetime import EPSILON, TrueTime
 from repro.core.version import VersionFactory, VersionNumber
-from repro.sim import RandomStream, Simulator
+from repro.sim import Simulator
 
 
 # -- hashing ---------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_checksum_detects_torn_value():
 
 def test_truetime_is_monotone():
     sim = Simulator()
-    tt = TrueTime(sim, epsilon=1e-3, stream=RandomStream(1, "tt"))
+    tt = TrueTime(sim)
     values = []
     for _ in range(5):
         values.append(tt.now_micros())
@@ -117,7 +117,7 @@ def test_truetime_is_monotone():
 
 def test_truetime_tracks_sim_time():
     sim = Simulator()
-    tt = TrueTime(sim, epsilon=1e-6, stream=RandomStream(1, "tt"))
+    tt = TrueTime(sim)
     first = tt.now_micros()
     sim.call_in(1.0, lambda: None)
     sim.run()
@@ -126,10 +126,7 @@ def test_truetime_tracks_sim_time():
 
 
 def test_truetime_skew_bounded():
-    sim = Simulator()
-    for seed in range(20):
-        tt = TrueTime(sim, epsilon=1e-3, stream=RandomStream(seed, "tt"))
-        assert abs(tt._offset) <= 1e-3
+    assert abs(TrueTime(Simulator())._offset) <= EPSILON
 
 
 # -- VersionNumber ---------------------------------------------------------
@@ -172,7 +169,7 @@ def test_version_zero():
 
 def test_version_factory_monotone_per_client():
     sim = Simulator()
-    tt = TrueTime(sim, stream=RandomStream(3, "tt"))
+    tt = TrueTime(sim)
     factory = VersionFactory(client_id=9, truetime=tt)
     versions = [factory.next() for _ in range(10)]
     assert versions == sorted(versions)
@@ -181,7 +178,7 @@ def test_version_factory_monotone_per_client():
 
 def test_version_factories_globally_unique():
     sim = Simulator()
-    factories = [VersionFactory(i, TrueTime(sim, stream=RandomStream(i, "t")))
+    factories = [VersionFactory(i, TrueTime(sim))
                  for i in range(5)]
     versions = [f.next() for f in factories for _ in range(20)]
     assert len(set(versions)) == len(versions)

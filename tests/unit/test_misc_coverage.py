@@ -1,4 +1,4 @@
-"""Small-surface coverage: rendering edge cases, host priority, misc."""
+"""Small-surface coverage: rendering edge cases, host execution, misc."""
 
 
 from repro.analysis import (cdf_points, render_percentile_lines,
@@ -34,31 +34,6 @@ def test_cdf_points_empty():
 def test_cdf_points_single_value():
     points = cdf_points([5.0])
     assert points[-1] == (5.0, 1.0)
-
-
-def test_host_priority_orders_core_grants():
-    sim = Simulator()
-    host = Host(sim, "h", HostConfig(cores=1))
-    order = []
-
-    def holder():
-        yield host.execute(10e-6, "holder")
-
-    def low():
-        yield sim.timeout(1e-6)
-        yield host.execute(1e-6, "low", priority=10)
-        order.append("low")
-
-    def high():
-        yield sim.timeout(2e-6)
-        yield host.execute(1e-6, "high", priority=0)
-        order.append("high")
-
-    sim.process(holder())
-    sim.process(low())
-    sim.process(high())
-    sim.run()
-    assert order == ["high", "low"]
 
 
 def test_host_zero_cost_execute():

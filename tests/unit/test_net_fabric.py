@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net import Fabric, FabricConfig, Link, MtuConfig, gbps
+from repro.net import Fabric, FabricConfig, Link, gbps
+from repro.net.nic import wire_bytes
 from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
@@ -23,13 +24,11 @@ def test_gbps_conversion():
 
 
 def test_mtu_wire_bytes_single_frame():
-    mtu = MtuConfig(mtu_bytes=5000, header_bytes=66)
-    assert mtu.wire_bytes(100) == 166
+    assert wire_bytes(100) == 166
 
 
 def test_mtu_wire_bytes_multi_frame():
-    mtu = MtuConfig(mtu_bytes=5000, header_bytes=66)
-    assert mtu.wire_bytes(12000) == 12000 + 3 * 66
+    assert wire_bytes(12000) == 12000 + 3 * 66
 
 
 def test_link_serialization_delay():
@@ -135,7 +134,7 @@ def test_an_interrupted_sender_still_occupies_the_link():
 def test_a_sender_interrupted_in_flight_never_reaches_the_ingress_link():
     sim, fabric = make_fabric(rate=1e8, delay=10e-6)
     a, b, rx = (fabric.add_host(name) for name in ("a", "b", "rx"))
-    wire = fabric.config.mtu.wire_bytes(100_000)
+    wire = wire_bytes(100_000)
     outcome = {}
 
     def send(name, src, start=0.0):
@@ -182,7 +181,7 @@ def test_deliver_end_to_end_latency():
 
     sim.process(proc())
     sim.run()
-    wire = fabric.config.mtu.wire_bytes(1000)
+    wire = wire_bytes(1000)
     expected = wire / 1e9 + 5e-6 + wire / 1e9
     assert done == [pytest.approx(expected)]
 
@@ -197,7 +196,7 @@ def test_deliver_counts_nic_bytes():
 
     sim.process(proc())
     sim.run()
-    wire = fabric.config.mtu.wire_bytes(1000)
+    wire = wire_bytes(1000)
     assert a.nic.bytes_sent == wire
     assert b.nic.bytes_received == wire
     assert a.nic.bytes_received == 0
@@ -239,7 +238,7 @@ def test_incast_delays_concurrent_senders():
     for src in senders:
         sim.process(proc(src))
     sim.run()
-    wire = fabric.config.mtu.wire_bytes(100_000)
+    wire = wire_bytes(100_000)
     one = wire / 1e8
     # First finishes after ~2 serializations; last queues behind 3 others
     # at the receiver ingress.
@@ -268,7 +267,7 @@ def test_antagonist_consumes_bandwidth():
 
     sim.process(probe())
     sim.run(until=0.2)
-    wire = fabric.config.mtu.wire_bytes(4096)
+    wire = wire_bytes(4096)
     unloaded = 2 * wire / 1e8 + 1e-6
     # Queueing behind antagonist chunks must visibly exceed unloaded latency.
     assert sorted(latencies)[len(latencies) // 2] > 2 * unloaded

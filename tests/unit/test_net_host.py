@@ -6,11 +6,10 @@ from repro.net import CStateModel, Host, HostConfig, HostDownError
 from repro.sim import Simulator
 
 
-def make_host(sim, cores=2, c_state=None, slowdown=1.0):
+def make_host(sim, cores=2, c_state=None):
     return Host(sim, "h0", HostConfig(
         cores=cores,
         c_state=c_state or CStateModel(),
-        cpu_slowdown=slowdown,
     ))
 
 
@@ -75,22 +74,9 @@ def test_parallel_cores_do_not_queue():
     assert ends == [pytest.approx(10e-6), pytest.approx(10e-6)]
 
 
-def test_cpu_slowdown_multiplies_work():
-    sim = Simulator()
-    host = make_host(sim, slowdown=2.0)
-
-    def proc():
-        yield host.execute(10e-6, "w")
-
-    sim.process(proc())
-    sim.run()
-    assert sim.now == pytest.approx(20e-6)
-    assert host.ledger.seconds("w") == pytest.approx(20e-6)
-
-
 def test_cstate_penalty_applies_after_idle():
     sim = Simulator()
-    cs = CStateModel(enabled=True, idle_threshold=100e-6, wakeup_latency=40e-6)
+    cs = CStateModel(enabled=True, idle_threshold=100e-6)
     host = make_host(sim, cores=1, c_state=cs)
     times = []
 
@@ -110,7 +96,7 @@ def test_cstate_penalty_applies_after_idle():
 
 def test_cstate_no_penalty_when_busy_recently():
     sim = Simulator()
-    cs = CStateModel(enabled=True, idle_threshold=100e-6, wakeup_latency=40e-6)
+    cs = CStateModel(enabled=True, idle_threshold=100e-6)
     host = make_host(sim, cores=1, c_state=cs)
     durations = []
 
@@ -169,7 +155,7 @@ def test_queued_execute_on_a_host_that_crashes_fails_at_grant():
 
 def test_cstate_penalty_is_decided_at_grant_not_at_call():
     sim = Simulator()
-    cs = CStateModel(enabled=True, idle_threshold=100e-6, wakeup_latency=40e-6)
+    cs = CStateModel(enabled=True, idle_threshold=100e-6)
     host = make_host(sim, cores=1, c_state=cs)
     ends = []
 

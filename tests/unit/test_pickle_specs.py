@@ -13,11 +13,11 @@ import pickle
 import pytest
 
 from repro.core import (BackendConfig, CellConfig, CellSpec, ClientConfig,
-                        FederationSpec, HealthPolicy, MaintenanceConfig,
-                        RepairConfig, ReplicationMode, ResizeConfig,
-                        ZoneShardSpec, ZoneWorkloadSpec)
+                        FederationSpec, MaintenanceConfig, RepairConfig,
+                        ReplicationMode, ResizeConfig, ZoneShardSpec,
+                        ZoneWorkloadSpec)
 from repro.faults import FaultEvent, FaultPlan, SoakConfig
-from repro.net import FabricConfig, HostConfig, LinkFault, MtuConfig
+from repro.net import FabricConfig, HostConfig, LinkFault
 from repro.observe import ObserveConfig
 from repro.storage import MissPolicy, ProvisionedThroughput
 from repro.workloads.population import PopulationConfig
@@ -36,10 +36,8 @@ CONFIG_OBJECTS = [
     RepairConfig(),
     MaintenanceConfig(),
     ResizeConfig(),
-    HealthPolicy(),
     FabricConfig(),
     HostConfig(),
-    MtuConfig(),
     LinkFault(),
     MissPolicy(),
     ProvisionedThroughput(),
@@ -91,10 +89,7 @@ def test_nested_spec_roundtrip_is_deep():
 
 def test_fault_plan_roundtrip():
     """FaultPlan is a plain wrapper class: compare its event list."""
-    plan = FaultPlan([
-        FaultEvent(at=0.1, kind="crash", args={"task": "backend-0"}),
-        FaultEvent(at=0.4, kind="heal"),
-    ])
+    plan = FaultPlan().add(0.1, "crash", task="backend-0").add(0.4, "heal")
     restored = roundtrip(plan)
     assert restored.events == plan.events
 

@@ -166,14 +166,14 @@ def test_core_surface_is_frozen():
         QuorumOutcome ReplicaVote VoteKind evaluate RepairConfig
         RepairScanner RepairStats
         ResizeConfig ResizeController ResizeStats BackendHealth
-        BackoffPolicy HealthPolicy RetryBudget SlabAllocator TombstoneCache
+        BackoffPolicy RetryBudget SlabAllocator TombstoneCache
         TrueTime VERSION_BYTES VersionFactory VersionNumber""".split())
     assert [f.name for f in dataclasses.fields(core.ClientConfig)] == """
         default_deadline max_retries retry_backoff retry_backoff_cap
         retry_budget_capacity retry_budget_fill_rate
         mutation_rpc_deadline touch_enabled touch_flush_interval
         reconnect_interval overflow_rpc_lookup force_primary_data_fetch
-        compression_enabled compression_min_bytes""".split()
+        compression_enabled""".split()
 
 
 def test_handoff_config_fields_are_frozen():
@@ -203,7 +203,7 @@ def test_soak_config_fields_are_frozen():
 
     assert [f.name for f in dataclasses.fields(SoakConfig)] == """
         seed duration settle num_shards num_keys transport scenario plan
-        observe export_dir flight sor sor_throughput resize_config
+        observe export_dir flight sor resize_config
         population population_rate population_sample_rate""".split()
 
 
@@ -215,33 +215,28 @@ def test_option_fields_are_frozen():
 
     from repro.baselines import MemcacheGConfig
     from repro.core import (BackendConfig, CellConfig, CellSpec,
-                            FederationSpec, HealthPolicy, ZoneShardSpec,
-                            ZoneWorkloadSpec)
+                            FederationSpec, ZoneShardSpec, ZoneWorkloadSpec)
     from repro.faults import Scenario
-    from repro.net import CStateModel, FabricConfig, HostConfig, MtuConfig
-    from repro.observe import (AutoscalerConfig, ObserveConfig,
-                               ProberConfig, SloObjective)
+    from repro.net import CStateModel, FabricConfig, HostConfig
+    from repro.observe import AutoscalerConfig, ObserveConfig, SloObjective
     from repro.rpc import AuthConfig
-    from repro.storage import (MissPolicy, ProvisionedThroughput,
-                               StorageCostModel)
-    from repro.transport import (PonyCostModel, PonyScaleConfig,
-                                 RegistrationCostModel)
+    from repro.storage import MissPolicy, ProvisionedThroughput
+    from repro.transport import PonyCostModel, PonyScaleConfig
     from repro.workloads import AdsScenario, GeoScenario, PopulationConfig
 
     frozen = {
         BackendConfig: """num_buckets ways data_initial_bytes
             data_virtual_limit slab_bytes grow_watermark
             index_resize_load_factor eviction_policy overflow_rpc_fallback
-            overflow_capacity min_write_step atomic_entry_writes
-            old_window_grace""",
+            min_write_step atomic_entry_writes""",
         CellSpec: """name mode num_shards num_spares transport
             backend_config repair_config maintenance_config resize_config
             writer_principals seed tracing
             trace_sample_every trace_slow_threshold flight_recorder""",
-        ObserveConfig: "scrape_interval probers prober objectives",
-        AutoscalerConfig: """evaluate_interval load_window scale_out_rps
-            scale_in_rps min_shards max_shards cooldown hysteresis_rounds""",
-        MissPolicy: """read_through negative_ttl backfill_budget
+        ObserveConfig: "scrape_interval probers objectives",
+        AutoscalerConfig: """scale_out_rps scale_in_rps min_shards
+            max_shards cooldown""",
+        MissPolicy: """negative_ttl backfill_budget
             backfill_fill_rate coalesce dirty_buffer_max fetch_deadline
             fetch_retries""",
         MemcacheGConfig: "capacity_bytes",
@@ -253,27 +248,19 @@ def test_option_fields_are_frozen():
         ZoneWorkloadSpec: """clients think_mean fanout_every remote_every
             shared_keys private_keys population_clients population_rate
             population_drivers population_keys seed export_traces""",
-        HealthPolicy: """failure_threshold quarantine_base quarantine_max
-            quarantine_backoff""",
         Scenario: "events observe sor pressure",
         FabricConfig: """host_rate_bytes_per_sec one_way_delay delay_jitter
-            inter_zone_delay partition_detect_delay seed""",
-        CStateModel: "enabled idle_threshold wakeup_latency",
-        HostConfig: "cores c_state cpu_slowdown",
-        MtuConfig: "mtu_bytes header_bytes",
-        ProberConfig: "interval label",
-        SloObjective: "name cell target good total windows min_events",
-        AuthConfig: "handshake_cpu handshake_rtts enabled",
-        StorageCostModel: "media_latency bytes_per_sec media_channels "
-                          "cpu_per_read",
-        RegistrationCostModel: "base_seconds per_page_seconds page_bytes",
+            inter_zone_delay seed""",
+        CStateModel: "enabled idle_threshold",
+        HostConfig: "cores c_state",
+        SloObjective: "name cell target good total windows",
+        AuthConfig: "enabled",
         PonyCostModel: "client_tx client_rx server_read scar_scan "
                        "per_kilobyte",
-        PonyScaleConfig: """base_engines max_engines sample_interval
-            scale_up_threshold scale_down_threshold""",
+        PonyScaleConfig: """sample_interval scale_up_threshold
+            scale_down_threshold""",
         AdsScenario: """num_shards num_clients num_keys get_rate_per_client
-            write_rate_per_client backfill_period backfill_fraction
-            duration seed""",
+            write_rate_per_client backfill_period duration seed""",
         GeoScenario: """num_shards num_clients num_updaters num_keys
             base_get_rate_per_client day_length update_rate_per_client
             duration seed""",

@@ -26,7 +26,7 @@ def run(cell, gen):
 
 def test_miss_policy_defaults_valid():
     policy = MissPolicy()
-    assert policy.read_through and policy.coalesce
+    assert policy.coalesce
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import (BackendHealth, BackoffPolicy, CliqueMapError,
-                        ClientConfig, HealthPolicy, RepairConfig, RetryBudget)
+                        ClientConfig, RepairConfig, RetryBudget)
+from repro.core.resilience import FAILURE_THRESHOLD, QUARANTINE_BASE
 from repro.sim import RandomStream
 
 
@@ -95,19 +96,24 @@ def test_budget_nonpositive_capacity_is_unlimited():
 
 
 # ----------------------------------------------------------------------
-# BackendHealth / HealthPolicy
+# BackendHealth
 # ----------------------------------------------------------------------
+
+def trip(health):
+    """Record the failures that put ``health`` in quarantine."""
+    for _ in range(FAILURE_THRESHOLD):
+        health.record_failure()
+
 
 def test_health_quarantines_after_consecutive_failures():
     clock = Clock()
     events = []
     health = BackendHealth("backend-0", clock,
-                           HealthPolicy(failure_threshold=3),
                            on_event=lambda t, e: events.append((t, e)))
     health.mark_connected()
     assert health.available()
-    health.record_failure()
-    health.record_failure()
+    for _ in range(FAILURE_THRESHOLD - 1):
+        health.record_failure()
     assert not health.quarantined
     health.record_failure()
     assert health.quarantined
@@ -117,12 +123,11 @@ def test_health_quarantines_after_consecutive_failures():
 
 def test_health_quarantine_expires_on_cooldown():
     clock = Clock()
-    policy = HealthPolicy(failure_threshold=1, quarantine_base=25e-3)
-    health = BackendHealth("backend-0", clock, policy)
+    health = BackendHealth("backend-0", clock)
     health.mark_connected()
-    health.record_failure()
+    trip(health)
     assert health.quarantined
-    clock.now += 25e-3
+    clock.now += QUARANTINE_BASE
     assert not health.quarantined       # lazy exit on the clock
     assert health.available()
 
@@ -130,12 +135,10 @@ def test_health_quarantine_expires_on_cooldown():
 def test_health_reset_for_new_incarnation_clears_quarantine():
     clock = Clock()
     events = []
-    policy = HealthPolicy(failure_threshold=1, quarantine_base=10e-3,
-                          quarantine_max=80e-3, quarantine_backoff=2.0)
-    health = BackendHealth("backend-0", clock, policy,
+    health = BackendHealth("backend-0", clock,
                            on_event=lambda t, e: events.append((t, e)))
     health.mark_connected()
-    health.record_failure()
+    trip(health)
     assert health.quarantined
     # The task restarts: the old process's record dies with it. The new
     # incarnation starts with a clean scoreboard and the base cooldown.
@@ -143,8 +146,8 @@ def test_health_reset_for_new_incarnation_clears_quarantine():
     assert not health.quarantined
     assert health.consecutive_failures == 0
     assert events == [("backend-0", "enter"), ("backend-0", "exit")]
-    health.record_failure()
-    clock.now += 10e-3                  # base cooldown, not the escalated one
+    trip(health)
+    clock.now += QUARANTINE_BASE        # base cooldown, not the escalated one
     assert not health.quarantined
 
 
@@ -182,23 +185,22 @@ def test_restarted_backend_is_readmitted_despite_quarantine():
 
 def test_health_cooldown_escalates_and_resets_on_success():
     clock = Clock()
-    policy = HealthPolicy(failure_threshold=1, quarantine_base=10e-3,
-                          quarantine_max=80e-3, quarantine_backoff=2.0)
-    health = BackendHealth("backend-0", clock, policy)
+    base = QUARANTINE_BASE
+    health = BackendHealth("backend-0", clock)
     health.mark_connected()
 
-    health.record_failure()             # cooldown 10ms, next 20ms
-    clock.now += 10e-3
+    trip(health)                        # cooldown base, next 2 x base
+    clock.now += base
     assert not health.quarantined
-    health.record_failure()             # cooldown 20ms
-    clock.now += 10e-3
+    health.record_failure()             # still past the threshold: 2 x base
+    clock.now += base
     assert health.quarantined           # still inside the escalated window
-    clock.now += 10e-3
+    clock.now += base
     assert not health.quarantined
 
     health.record_success()             # resets cooldown to base
-    health.record_failure()
-    clock.now += 10e-3
+    trip(health)
+    clock.now += base
     assert not health.quarantined
 
 
@@ -206,10 +208,9 @@ def test_health_success_exits_quarantine_immediately():
     clock = Clock()
     events = []
     health = BackendHealth("backend-0", clock,
-                           HealthPolicy(failure_threshold=1),
                            on_event=lambda t, e: events.append(e))
     health.mark_connected()
-    health.record_failure()
+    trip(health)
     assert health.quarantined
     health.record_success()
     assert not health.quarantined
@@ -217,37 +218,26 @@ def test_health_success_exits_quarantine_immediately():
 
 
 def test_health_mark_down_counts_as_failure_and_disconnects():
-    health = BackendHealth("backend-0", Clock(),
-                           HealthPolicy(failure_threshold=2))
+    health = BackendHealth("backend-0", Clock())
     health.mark_connected()
     health.mark_down()
     assert not health.connected
     assert not health.available()
-    health.mark_down()
+    assert not health.quarantined
+    for _ in range(FAILURE_THRESHOLD - 1):
+        health.mark_down()
     assert health.quarantined
 
 
 def test_health_handshake_does_not_clear_quarantine():
-    health = BackendHealth("backend-0", Clock(),
-                           HealthPolicy(failure_threshold=1))
+    health = BackendHealth("backend-0", Clock())
     health.mark_connected()
-    health.record_failure()
+    trip(health)
     assert health.quarantined
     health.mark_connected()             # RPC channel works again...
     assert health.connected
     assert health.quarantined           # ...but the data path is unproven
     assert not health.available()
-
-
-def test_health_policy_validation():
-    with pytest.raises(CliqueMapError):
-        HealthPolicy(failure_threshold=0)
-    with pytest.raises(CliqueMapError):
-        HealthPolicy(quarantine_base=0.0)
-    with pytest.raises(CliqueMapError):
-        HealthPolicy(quarantine_base=1.0, quarantine_max=0.5)
-    with pytest.raises(CliqueMapError):
-        HealthPolicy(quarantine_backoff=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +254,6 @@ def test_health_policy_validation():
     {"retry_backoff": -1e-6},
     {"retry_backoff": 5e-3, "retry_backoff_cap": 1e-3},
     {"retry_budget_fill_rate": -1.0},
-    {"compression_min_bytes": -1},
 ])
 def test_client_config_rejects_bad_values(kwargs):
     with pytest.raises(CliqueMapError):

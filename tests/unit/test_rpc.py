@@ -419,8 +419,7 @@ def test_version_mismatch_rejected():
 
 
 def test_auth_handshake_costs_cpu_and_rtts():
-    auth = Authenticator(AuthConfig(enabled=True, handshake_cpu=30e-6,
-                                    handshake_rtts=2))
+    auth = Authenticator(AuthConfig(enabled=True))
     sim, _f, client_host, server_host, _server, channel = build(
         {"Echo": echo_handler}, auth=auth)
     run_call(sim, channel, "Echo", {"msg": "x"})

@@ -46,31 +46,6 @@ def test_resource_fifo_order():
     assert order == ["a", "b", "c", "d"]
 
 
-def test_resource_priority_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    def worker(tag, priority, delay):
-        yield sim.timeout(delay)
-        req = res.request(priority=priority)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(worker("low", 10, 0.1))
-    sim.process(worker("high", 0, 0.2))
-    sim.run()
-    assert order == ["high", "low"]
-
-
 def test_cancel_queued_request():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -196,7 +171,7 @@ def test_hold_done_hook_runs_at_completion_before_the_next_grant():
     log = []
 
     def worker(tag):
-        yield res.hold(1.0, 0, log.append, (("done", tag),))
+        yield res.hold(1.0, log.append, (("done", tag),))
         log.append(("resumed", tag, sim.now, res.count))
 
     sim.process(worker("a"))
@@ -208,21 +183,21 @@ def test_hold_done_hook_runs_at_completion_before_the_next_grant():
                    ("done", "b"), ("resumed", "b", 2.0, 0)]
 
 
-def test_hold_priority_order_and_zero_duration():
+def test_hold_fifo_order_and_zero_duration():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
 
-    def worker(tag, priority, arrive, duration):
+    def worker(tag, arrive, duration):
         yield sim.timeout(arrive)
-        yield res.hold(duration, priority)
+        yield res.hold(duration)
         order.append((tag, sim.now))
 
-    sim.process(worker("holder", 0, 0.0, 1.0))
-    sim.process(worker("low", 10, 0.1, 0.0))
-    sim.process(worker("high", 0, 0.2, 0.5))
+    sim.process(worker("holder", 0.0, 1.0))
+    sim.process(worker("first", 0.1, 0.5))
+    sim.process(worker("zero", 0.2, 0.0))
     sim.run()
-    assert order == [("holder", 1.0), ("high", 1.5), ("low", 1.5)]
+    assert order == [("holder", 1.0), ("first", 1.5), ("zero", 1.5)]
 
 
 def test_hold_and_request_share_one_occupancy_count():
@@ -358,12 +333,12 @@ def _completions(use_hold, capacity, jobs, resizes):
     res = Resource(sim, capacity=capacity)
     log = []
 
-    def job(i, arrive, duration, priority):
+    def job(i, arrive, duration):
         yield sim.timeout(arrive)
         if use_hold:
-            yield res.hold(duration, priority)
+            yield res.hold(duration)
         else:
-            req = res.request(priority=priority)
+            req = res.request()
             yield req
             try:
                 yield sim.timeout(duration)
@@ -378,13 +353,13 @@ def _completions(use_hold, capacity, jobs, resizes):
             now = at
             res.set_capacity(cap)
 
-    for i, (arrive, whole, priority) in enumerate(jobs):
+    for i, (arrive, whole) in enumerate(jobs):
         # A distinct binary fraction per job keeps every completion time
         # off the integer grid arrivals use (and off the .75 resizes
         # use), exactly: an arrival racing a completion at one instant is
         # ordered by which entry was queued first, and hold() queues its
         # completion earlier than the triple could (that is the point).
-        sim.process(job(i, float(arrive), whole + 2.0 ** -(i + 2), priority))
+        sim.process(job(i, float(arrive), whole + 2.0 ** -(i + 2)))
     sim.process(resizer())
     sim.run()
     return log, res.busy_slot_seconds, sim.now
@@ -392,8 +367,7 @@ def _completions(use_hold, capacity, jobs, resizes):
 
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 3),
-       jobs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4),
-                               st.integers(0, 2)),
+       jobs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)),
                      min_size=1, max_size=12),
        resizes=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)),
                         max_size=4))

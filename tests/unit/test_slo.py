@@ -9,14 +9,12 @@ from repro.telemetry import MetricsRegistry, Scraper
 OPS = "cliquemap_probe_ops_total"
 
 
-def _objective(target=0.9, factor=2.0, min_events=10.0,
-               long_window=4.0, short_window=1.0):
+def _objective(target=0.9, factor=2.0, long_window=4.0, short_window=1.0):
     return SloObjective(
         name="availability", cell="cell", target=target,
         good=MetricTerm(OPS, {"cell": "cell", "result": "ok"}),
         total=MetricTerm(OPS, {"cell": "cell"}),
-        windows=[BurnWindow(long_window, short_window, factor)],
-        min_events=min_events)
+        windows=[BurnWindow(long_window, short_window, factor)])
 
 
 class Feed:
@@ -74,7 +72,7 @@ def test_fires_only_when_both_windows_burn():
 
 def test_min_events_guard_suppresses_noise():
     feed = Feed()
-    engine = SloEngine(feed.scraper, [_objective(min_events=10.0)])
+    engine = SloEngine(feed.scraper, [_objective()])
     feed.step(error=3)               # 100% errors but only 3 events
     engine.evaluate(feed.t)
     assert engine.fired() == []

@@ -5,15 +5,15 @@ import pytest
 from repro.core import Cell, CellSpec, ReplicationMode
 from repro.rpc import Principal, connect as rpc_connect
 from repro.storage import (CorpusLoader, MissPolicy, ProvisionedThroughput,
-                           StorageCostModel, SystemOfRecord)
+                           SystemOfRecord)
+from repro.storage.sor import MEDIA_CHANNELS, MEDIA_LATENCY
 
 
-def build_sor(num_keys=10, throughput=None, **cost_kwargs):
+def build_sor(num_keys=10, throughput=None):
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=1,
                          transport="pony"))
     host = cell.fabric.add_host("host/sor")
-    cost = StorageCostModel(**cost_kwargs) if cost_kwargs else None
-    sor = SystemOfRecord(cell.sim, host, cost=cost, throughput=throughput)
+    sor = SystemOfRecord(cell.sim, host, throughput=throughput)
     sor.load({b"k-%03d" % i: b"v-%d" % i for i in range(num_keys)})
     return cell, sor
 
@@ -73,38 +73,38 @@ def test_scan_empty_tail():
 
 
 def test_media_channels_serialize_access():
-    cell, sor = build_sor(4, media_latency=1e-3, media_channels=1,
-                          bytes_per_sec=1e9, cpu_per_read=1e-6)
+    reads = 2 * MEDIA_CHANNELS
+    cell, sor = build_sor(reads)
     channel = channel_for(cell, sor)
 
     def burst():
         procs = [cell.sim.process(
             channel.call("Read", {"key": b"k-%03d" % i}))
-            for i in range(4)]
+            for i in range(reads)]
         start = cell.sim.now
         yield cell.sim.all_of(procs)
         return cell.sim.now - start
 
     elapsed = cell.sim.run(until=cell.sim.process(burst()))
-    # Four reads through one media channel at 1ms each: >= 4ms total.
-    assert elapsed >= 4e-3
+    # Twice as many reads as media channels: two media latencies.
+    assert elapsed >= 2 * MEDIA_LATENCY
 
 
 def test_parallel_media_channels_overlap():
-    cell, sor = build_sor(4, media_latency=1e-3, media_channels=4,
-                          bytes_per_sec=1e9, cpu_per_read=1e-6)
+    cell, sor = build_sor(MEDIA_CHANNELS)
     channel = channel_for(cell, sor)
 
     def burst():
         procs = [cell.sim.process(
             channel.call("Read", {"key": b"k-%03d" % i}))
-            for i in range(4)]
+            for i in range(MEDIA_CHANNELS)]
         start = cell.sim.now
         yield cell.sim.all_of(procs)
         return cell.sim.now - start
 
     elapsed = cell.sim.run(until=cell.sim.process(burst()))
-    assert elapsed < 3e-3  # all four overlap on distinct channels
+    # One read per channel: all of them overlap.
+    assert elapsed < 2 * MEDIA_LATENCY
 
 
 def test_shared_media_bus_serializes_large_transfers():
@@ -114,9 +114,7 @@ def test_shared_media_bus_serializes_large_transfers():
     cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=1,
                          transport="pony"))
     host = cell.fabric.add_host("host/sor")
-    sor = SystemOfRecord(cell.sim, host, cost=StorageCostModel(
-        media_latency=1e-6, media_channels=4, bytes_per_sec=400e6,
-        cpu_per_read=1e-9))
+    sor = SystemOfRecord(cell.sim, host)
     sor.load({b"k-%03d" % i: bytes(100_000_000) for i in range(4)})
     channel = channel_for(cell, sor)
 

@@ -55,9 +55,6 @@ def test_times_index_survives_ring_buffer_wrap_and_eviction():
     assert [t for t, _ in ts.points] == [6.0, 7.0, 8.0, 9.0]
     assert ts.value_at(5.9) is None       # wrapped out of the ring
     assert ts.value_at(7.5) == 70.0
-    ts.evict_before(8.0)                  # retention_seconds path
-    assert ts.value_at(7.5) is None
-    assert ts.value_at(8.0) == 80.0
     assert ts.value_at(99.0) == 90.0
     assert list(ts._times) == [t for t, _ in ts.points]
 
@@ -119,13 +116,6 @@ def test_scrape_fields_by_kind():
     assert scraper.scrapes == 1 and scraper.last_scrape_at == 1.0
 
 
-def test_scrape_histogram_sum_opt_in():
-    scraper = Scraper(_registry(), histogram_sum=True)
-    scraper.scrape(1.0)
-    (sum_ts,) = scraper.series("lat", field="sum")
-    assert sum_ts.latest() == (1.0, 0.5)
-
-
 def test_label_subset_filters_and_summed_increase():
     reg = _registry()
     scraper = Scraper(reg)
@@ -144,15 +134,6 @@ def test_label_subset_filters_and_summed_increase():
 def test_retention_points_ring_buffer():
     reg = _registry()
     scraper = Scraper(reg, retention_points=3)
-    for i in range(10):
-        scraper.scrape(float(i))
-    (ts,) = scraper.series("pending")
-    assert [t for t, _ in ts.points] == [7.0, 8.0, 9.0]
-
-
-def test_retention_seconds_horizon():
-    reg = _registry()
-    scraper = Scraper(reg, retention_seconds=2.0)
     for i in range(10):
         scraper.scrape(float(i))
     (ts,) = scraper.series("pending")

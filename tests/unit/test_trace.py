@@ -61,8 +61,7 @@ def test_malformed_lines_rejected():
 
 def test_synthesize_trace_shape():
     stream = RandomStream(3, "trace")
-    trace = synthesize_trace(stream, num_keys=50, ops=500,
-                             get_fraction=0.9, rate=10000.0)
+    trace = synthesize_trace(stream, num_keys=50, ops=500, get_fraction=0.9)
     assert len(trace) == 500
     gets = sum(1 for op in trace if op.op == "get")
     assert 0.8 < gets / 500 < 0.97
@@ -113,7 +112,7 @@ def test_replay_time_scale_compresses():
 def test_replay_fills_misses_when_configured():
     cell, client = build_cell()
     trace = Trace([TraceOp(0.0, "get", b"cold-key", 2)])
-    replayer = TraceReplayer(client, trace, fill_missing_sets=True)
+    replayer = TraceReplayer(client, trace)
     report = run(cell, replayer.replay())
     assert report.hits == 0
 

@@ -11,8 +11,8 @@ from repro.core.index import IndexRegion
 from repro.net import Fabric, FabricConfig
 from repro.sim import Simulator
 from repro.transport import (Arena, MemoryRegion, RegionRevokedError,
-                             RegistrationCostModel, RmaEndpoint,
-                             RmaOutOfBoundsError)
+                             RmaEndpoint, RmaOutOfBoundsError,
+                             registration_time)
 
 
 def test_arena_initial_population():
@@ -73,8 +73,7 @@ def test_mapping_past_populated_is_out_of_bounds_before_and_after_grow():
             with pytest.raises(RmaOutOfBoundsError):
                 arena.write(offset, bytes(size))
             with pytest.raises(RmaOutOfBoundsError):
-                MemoryRegion(arena, limit=arena.virtual_limit).read(
-                    offset, size)
+                MemoryRegion(arena).read(offset, size)
         assert arena.read(top - 8, 8) == bytes(8)
 
     assert_reserved_range_raises()
@@ -212,9 +211,9 @@ def test_window_reads_through_to_arena():
 def test_overlapping_windows_share_bytes():
     """Reshaping exposes a second larger window over the same arena."""
     arena = Arena(128, 1024)
-    old = MemoryRegion(arena, limit=128)
+    old = MemoryRegion(arena)
     arena.grow(512)
-    new = MemoryRegion(arena, limit=512)
+    new = MemoryRegion(arena)
     new.write(100, b"shared")
     assert old.read(100, 6) == b"shared"
     assert new.region_id != old.region_id
@@ -232,10 +231,8 @@ def test_window_revocation_blocks_reads():
 
 
 def test_registration_cost_scales_with_pages():
-    model = RegistrationCostModel(base_seconds=50e-6,
-                                  per_page_seconds=0.25e-6, page_bytes=4096)
-    small = model.registration_time(4096)
-    large = model.registration_time(4096 * 1000)
+    small = registration_time(4096)
+    large = registration_time(4096 * 1000)
     assert small == pytest.approx(50.25e-6)
     assert large == pytest.approx(50e-6 + 250e-6)
 

@@ -224,9 +224,7 @@ def test_pony_engines_scale_out_under_load():
     fabric = Fabric(sim, FabricConfig(delay_jitter=0.0))
     client = fabric.add_host("client")
     server = fabric.add_host("server")
-    scale = PonyScaleConfig(base_engines=1, max_engines=4,
-                            sample_interval=100e-6,
-                            scale_up_threshold=0.7)
+    scale = PonyScaleConfig(sample_interval=100e-6, scale_up_threshold=0.7)
     transport = PonyTransport(sim, fabric, scale=scale)
     endpoint = transport.attach(server)
     transport.attach(client)
@@ -253,8 +251,7 @@ def test_pony_engines_scale_back_down_when_idle():
     fabric = Fabric(sim, FabricConfig(delay_jitter=0.0))
     client = fabric.add_host("client")
     server = fabric.add_host("server")
-    scale = PonyScaleConfig(base_engines=1, max_engines=4,
-                            sample_interval=100e-6)
+    scale = PonyScaleConfig(sample_interval=100e-6)
     transport = PonyTransport(sim, fabric, scale=scale)
     endpoint = transport.attach(server)
     transport.attach(client)
