@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import run_once
 
 from repro.analysis import render_table
-from repro.net import MtuConfig
+from repro.net.nic import MTU_BYTES
 from repro.sim import RandomStream, percentile
 from repro.workloads import ads_object_sizes, geo_object_sizes
 
@@ -45,12 +45,11 @@ def bench_fig10_object_size_cdfs(benchmark):
     print(f"   Ads: p50={percentile(ads, 50)}B  p99={percentile(ads, 99)}B")
     print(f"   Geo: p50={percentile(geo, 50)}B  p99={percentile(geo, 99)}B")
 
-    mtu = MtuConfig().mtu_bytes
     # Geo's CDF sits left of Ads' at every checkpoint (Geo is smaller).
     for size in CHECKPOINT_SIZES:
         assert cdf_at(geo, size) >= cdf_at(ads, size)
     # Typical objects are small: medians of a few KB at most, below MTU.
-    assert percentile(ads, 50) < mtu
+    assert percentile(ads, 50) < MTU_BYTES
     assert percentile(geo, 50) < 1024
     # But both have a tail of much larger objects.
     assert percentile(ads, 99.9) > 10 * percentile(ads, 50)

@@ -302,7 +302,7 @@ def run_scale_workload(transport: str = "pony", num_hosts: int = 200,
         sim = cell.sim
         if observe:
             from ..observe import ObserveConfig
-            cell.observe(ObserveConfig(probers=0, scrape_interval=1e-3))
+            cell.observe(ObserveConfig(probers=0))
         keys = [b"sk-%05d" % i for i in range(num_keys)]
         value = bytes(value_bytes)
 

@@ -2,9 +2,9 @@
 
 CliqueMap's VersionNumbers put TrueTime in the uppermost bits so that
 retried mutations from a client eventually nominate the highest version
-(§5.2). The simulation models per-client clock skew bounded by an epsilon,
-which is all the version scheme relies on: roughly-synchronized, and
-monotone per client.
+(§5.2). The simulation models a clock skew bounded by an epsilon (one
+offset every client shares), which is all the version scheme relies on:
+roughly-synchronized, and monotone per client.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from ..sim import RandomStream, Simulator
 
 #: Bound on a process's clock skew (seconds).
 EPSILON = 1e-3
+#: The clock's offset from simulated time, within [-EPSILON, +EPSILON];
+#: one seeded draw that every process shares.
+_OFFSET = RandomStream(0, "truetime").uniform(-EPSILON, EPSILON)
 
 
 class TrueTime:
@@ -21,13 +24,11 @@ class TrueTime:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        # A fixed per-process offset within [-eps, +eps].
-        self._offset = RandomStream(0, "truetime").uniform(-EPSILON, EPSILON)
         self._last_micros = 0
 
     def now_micros(self) -> int:
         """Current TrueTime in microseconds; monotone for this process."""
-        micros = int((self.sim.now + self._offset) * 1e6)
+        micros = int((self.sim.now + _OFFSET) * 1e6)
         # Never step backwards even if the offset would allow it at t~0.
         micros = max(micros, self._last_micros + 1)
         self._last_micros = micros

@@ -24,23 +24,21 @@ from typing import Any, Dict, List, Optional
 from ..telemetry.export import write_chrome_trace
 from ..telemetry.timeseries import Scraper
 from .prober import Prober
-from .slo import SloEngine, SloObjective, default_objectives
+from .slo import SloEngine, default_objectives
 
 
 #: Finished span trees the cell's tracer keeps while a plane runs —
 #: enough for a useful trace export.
 TRACE_RETAINED = 512
+#: Simulated seconds between scrapes.
+SCRAPE_INTERVAL = 1e-3
 
 
 @dataclass
 class ObserveConfig:
     """Everything the plane needs beyond the cell itself."""
 
-    scrape_interval: float = 1e-3       # sim-seconds between scrapes
     probers: int = 1                    # synthetic probers to run
-    # The SLOs to evaluate; None -> default_objectives(cell name), whose
-    # keyword arguments set targets and the burn-rate rule shape.
-    objectives: Optional[List[SloObjective]] = None
 
 
 class ObservabilityPlane:
@@ -50,13 +48,12 @@ class ObservabilityPlane:
         self.cell = cell
         self.config = config or ObserveConfig()
         cfg = self.config
-        self.scraper = Scraper(cell.metrics, interval=cfg.scrape_interval)
+        self.scraper = Scraper(cell.metrics, interval=SCRAPE_INTERVAL)
         self.probers: List[Prober] = []
         for i in range(cfg.probers):
             self.probers.append(Prober(cell, f"prober-{i}"))
-        objectives = cfg.objectives if cfg.objectives is not None else \
-            default_objectives(cell.spec.name)
-        self.engine = SloEngine(self.scraper, objectives,
+        self.engine = SloEngine(self.scraper,
+                                default_objectives(cell.spec.name),
                                 registry=cell.metrics)
         # Alert transitions join the cell's flight-recorder stream (a
         # no-op NULL_FLIGHT when CellSpec.flight_recorder is off).

@@ -122,34 +122,36 @@ class AlertEvent:
         }
 
 
-def default_objectives(cell_name: str,
-                       availability_target: float = 0.99,
-                       latency_target: float = 0.90,
-                       long_window: float = 0.4,
-                       short_window: float = 0.1,
-                       fire_factor: float = 2.0) -> List[SloObjective]:
+#: The stock objectives' targets: a 1% error budget for availability,
+#: 10% for latency.
+AVAILABILITY_TARGET = 0.99
+LATENCY_TARGET = 0.90
+#: Their one page rule: fire when both a 0.4 s and a 0.1 s window burn
+#: budget twice as fast as sustainable (sim-scale windows, see the module
+#: docstring).
+PAGE_RULE = BurnWindow(0.4, 0.1, 2.0, "page")
+
+
+def default_objectives(cell_name: str) -> List[SloObjective]:
     """The plane's stock objectives over the prober counter families.
 
     Availability: probe ops with ``result="ok"`` over all probe ops.
     Latency: probe ops classified ``fast`` over all classified ops.
-    Windows default to sim-scale fractions of a second (see module
-    docstring).
     """
-    windows = [BurnWindow(long_window, short_window, fire_factor, "page")]
     probe = "cliquemap_probe_ops_total"
     latency = "cliquemap_probe_latency_class_total"
     return [
         SloObjective(
             name="availability", cell=cell_name,
-            target=availability_target,
+            target=AVAILABILITY_TARGET,
             good=MetricTerm(probe, {"cell": cell_name, "result": "ok"}),
             total=MetricTerm(probe, {"cell": cell_name}),
-            windows=list(windows)),
+            windows=[PAGE_RULE]),
         SloObjective(
-            name="latency", cell=cell_name, target=latency_target,
+            name="latency", cell=cell_name, target=LATENCY_TARGET,
             good=MetricTerm(latency, {"cell": cell_name, "class": "fast"}),
             total=MetricTerm(latency, {"cell": cell_name}),
-            windows=list(windows)),
+            windows=[PAGE_RULE]),
     ]
 
 

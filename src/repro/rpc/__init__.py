@@ -1,7 +1,6 @@
 """Stubby-like RPC framework: channels, servers, auth, versioning."""
 
-from .auth import (Acl, AuthConfig, Authenticator, PermissionDeniedError,
-                   Principal)
+from .auth import Acl, Authenticator, PermissionDeniedError, Principal
 from .stubby import (ApplicationError, DeadlineExceededError, HandlerContext,
                      MethodNotFoundError, RpcChannel, RpcError,
                      RpcMetrics, RpcServer, UnavailableError,
@@ -9,7 +8,7 @@ from .stubby import (ApplicationError, DeadlineExceededError, HandlerContext,
 from .wire import ENVELOPE_OVERHEAD_BYTES, Message, ProtocolVersion, estimate_size
 
 __all__ = [
-    "Acl", "AuthConfig", "Authenticator", "PermissionDeniedError", "Principal",
+    "Acl", "Authenticator", "PermissionDeniedError", "Principal",
     "ApplicationError", "DeadlineExceededError", "HandlerContext",
     "MethodNotFoundError", "RpcChannel", "RpcError",
     "RpcMetrics", "RpcServer", "UnavailableError", "VersionMismatchError",

@@ -10,7 +10,7 @@ unauthenticated callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ class Acl:
         raise PermissionDeniedError(principal, method)
 
 
-@dataclass
-class AuthConfig:
-    """Whether channel establishment runs the handshake."""
-
-    enabled: bool = True
-
-
 #: Per-side CPU for the ALTS handshake, and its extra round trips at
 #: connect time.
 HANDSHAKE_CPU = 30e-6
@@ -77,17 +70,18 @@ HANDSHAKE_RTTS = 2
 class Authenticator:
     """Issues channel credentials after a simulated handshake."""
 
-    def __init__(self, config: Optional[AuthConfig] = None):
-        self.config = config or AuthConfig()
+    def __init__(self, enabled: bool = True):
+        # Whether channel establishment runs the handshake.
+        self.enabled = enabled
         self.handshakes = 0
 
     def handshake_cost(self) -> float:
         """CPU seconds charged to each side at connect time."""
-        if not self.config.enabled:
+        if not self.enabled:
             return 0.0
         self.handshakes += 1
         return HANDSHAKE_CPU
 
     @property
     def extra_rtts(self) -> int:
-        return HANDSHAKE_RTTS if self.config.enabled else 0
+        return HANDSHAKE_RTTS if self.enabled else 0

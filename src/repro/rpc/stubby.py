@@ -22,7 +22,7 @@ from ..net import Fabric, Host, HostDownError, NetworkDropError
 from ..sim import Simulator
 from ..sim.core import PARKED, Process
 from ..telemetry import NULL_SPAN
-from .auth import Acl, AuthConfig, Authenticator, Principal
+from .auth import Acl, Authenticator, Principal
 from .wire import Message, ProtocolVersion
 
 
@@ -174,8 +174,7 @@ class RpcChannel:
         self.server = server
         self.principal = principal
         self.version = version
-        self.authenticator = authenticator or Authenticator(
-            AuthConfig(enabled=False))
+        self.authenticator = authenticator or Authenticator(enabled=False)
         self.client_component = client_component
         self.metrics = RpcMetrics()
         self._connected = False

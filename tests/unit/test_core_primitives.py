@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.checksum import checksum_ok, kv_checksum
 from repro.core.hashing import (KEY_HASH_BYTES, Placement, default_key_hash)
-from repro.core.truetime import EPSILON, TrueTime
+from repro.core.truetime import _OFFSET, EPSILON, TrueTime
 from repro.core.version import VersionFactory, VersionNumber
 from repro.sim import Simulator
 
@@ -126,7 +126,7 @@ def test_truetime_tracks_sim_time():
 
 
 def test_truetime_skew_bounded():
-    assert abs(TrueTime(Simulator())._offset) <= EPSILON
+    assert abs(_OFFSET) <= EPSILON
 
 
 # -- VersionNumber ---------------------------------------------------------

@@ -58,15 +58,7 @@ EXEMPT = {
     "FabricConfig.seed": "the knob that routing CellSpec.seed into the "
                          "fabric's jitter, loss and antagonist streams "
                          "needs (ROADMAP item 4)",
-    "ObserveConfig.scrape_interval": "docs/USAGE.md teaches the scrape "
-                                     "cadence as the plane's own knob",
 }
-EXEMPT.update(
-    (f"default_objectives.{name}",
-     "docs/USAGE.md teaches default_objectives's keywords as the way to "
-     "set SLO targets and the burn-rate rule shape")
-    for name in ("availability_target", "latency_target", "long_window",
-                 "short_window", "fire_factor"))
 
 #: option only a test sets -> the behaviour its non-default value reaches.
 TEST_ONLY = {

@@ -219,7 +219,6 @@ def test_option_fields_are_frozen():
     from repro.faults import Scenario
     from repro.net import CStateModel, FabricConfig, HostConfig
     from repro.observe import AutoscalerConfig, ObserveConfig, SloObjective
-    from repro.rpc import AuthConfig
     from repro.storage import MissPolicy, ProvisionedThroughput
     from repro.transport import PonyCostModel, PonyScaleConfig
     from repro.workloads import AdsScenario, GeoScenario, PopulationConfig
@@ -233,7 +232,7 @@ def test_option_fields_are_frozen():
             backend_config repair_config maintenance_config resize_config
             writer_principals seed tracing
             trace_sample_every trace_slow_threshold flight_recorder""",
-        ObserveConfig: "scrape_interval probers objectives",
+        ObserveConfig: "probers",
         AutoscalerConfig: """scale_out_rps scale_in_rps min_shards
             max_shards cooldown""",
         MissPolicy: """negative_ttl backfill_budget
@@ -254,7 +253,6 @@ def test_option_fields_are_frozen():
         CStateModel: "enabled idle_threshold",
         HostConfig: "cores c_state",
         SloObjective: "name cell target good total windows",
-        AuthConfig: "enabled",
         PonyCostModel: "client_tx client_rx server_read scar_scan "
                        "per_kilobyte",
         PonyScaleConfig: """sample_interval scale_up_threshold

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import Fabric, FabricConfig, gbps
-from repro.rpc import (Acl, ApplicationError, AuthConfig, Authenticator,
+from repro.rpc import (Acl, ApplicationError, Authenticator,
                        DeadlineExceededError, Message, MethodNotFoundError,
                        PermissionDeniedError, Principal, ProtocolVersion,
                        RpcServer, UnavailableError, VersionMismatchError,
@@ -419,7 +419,7 @@ def test_version_mismatch_rejected():
 
 
 def test_auth_handshake_costs_cpu_and_rtts():
-    auth = Authenticator(AuthConfig(enabled=True))
+    auth = Authenticator()
     sim, _f, client_host, server_host, _server, channel = build(
         {"Echo": echo_handler}, auth=auth)
     run_call(sim, channel, "Echo", {"msg": "x"})
