@@ -2,70 +2,52 @@
 """Fleet view: one corpus, many datacenters (§1).
 
 CliqueMap serves ~150M QPS from ~50 clusters across 20 datacenters. This
-example builds a three-zone federation — one cell per datacenter on one
-simulated world — and shows the access patterns that fall out:
+example runs a three-zone federation — one cell per datacenter, each on
+its own simulator, joined by WAN links — and counts, per zone, where
+each federated read was served:
 
-* intra-zone GETs ride RMA at microseconds;
-* a key present only in a remote zone is fetched over WAN RPC at
-  milliseconds, then *filled* into the local cell so the next access is
-  fast again;
-* writes fan out so every zone serves locally.
+* ``local_hits``: the zone's own cell, over RMA;
+* ``remote_hits``: another zone's cell over the WAN, after a local miss
+  (the value is then filled into the local cell);
+* ``misses``: no zone held the key.
+
+Writes fan out to every zone.
+
+The zones run one after another in this process (``mode="sequential"``);
+``mode="parallel"`` runs one worker process per zone and prints the same
+numbers.
 
 Run:  python examples/federation.py
 """
 
-from repro.analysis import render_table
-from repro.core import CellSpec, Federation, FederationSpec, ReplicationMode
+from repro.analysis import render_table, run_federation_arm
+from repro.core import CellSpec, ReplicationMode, ZoneWorkloadSpec
 from repro.net import FabricConfig
 
 ZONES = ["us-central", "europe-west", "asia-east"]
 
 
 def main():
-    federation = Federation(FederationSpec(
-        zones=ZONES,
+    report = run_federation_arm(
+        ZONES,
         cell_spec=CellSpec(mode=ReplicationMode.R3_2, num_shards=3,
                            transport="pony"),
-        fabric_config=FabricConfig(inter_zone_delay=40e-3)))  # ~80ms RTT
-    sim = federation.sim
+        fabric_config=FabricConfig(inter_zone_delay=40e-3),  # ~80ms RTT
+        workload=ZoneWorkloadSpec(clients=4),
+        duration=0.5, mode="sequential")
 
-    clients = {}
-    for zone in ZONES:
-        client = federation.make_client(zone)
-        sim.run(until=sim.process(client.connect()))
-        clients[zone] = client
-
-    rows = []
-
-    def scenario():
-        us = clients["us-central"]
-        eu = clients["europe-west"]
-
-        # 1. A fanned-out write: every zone gets a copy.
-        yield from us.set(b"campaign-1", b"creative-bytes" * 10)
-        local = yield from eu.get(b"campaign-1")
-        rows.append(["fanned-out write, read in another zone",
-                     f"{local.latency * 1e6:.0f} us", "local RMA"])
-
-        # 2. A zone-local write, first read from far away: WAN fetch + fill.
-        yield from us.local.set(b"us-only", b"regional-data")
-        first = yield from eu.get(b"us-only")
-        rows.append(["first read of a remote-only key",
-                     f"{first.latency * 1e3:.1f} ms", "WAN RPC + fill"])
-        second = yield from eu.get(b"us-only")
-        rows.append(["second read (after cache fill)",
-                     f"{second.latency * 1e6:.0f} us", "local RMA"])
-
-    sim.run(until=sim.process(scenario()))
-
+    rows = [[digest["zone"], digest["ops"],
+             digest["fed_stats"]["local_hits"],
+             digest["fed_stats"]["remote_hits"],
+             digest["fed_stats"]["misses"], digest["events"]]
+            for digest in report.digests]
     print(render_table(
         "three-zone federation: where each read was served",
-        ["operation", "latency", "served by"], rows))
+        ["zone", "ops", "local_hits", "remote_hits", "misses", "events"],
+        rows))
     print()
-    for zone, client in clients.items():
-        print(f"  {zone:13s} local_hits={client.stats['local_hits']} "
-              f"remote_hits={client.stats['remote_hits']} "
-              f"misses={client.stats['misses']}")
+    print(f"  {report.windows} lookahead windows, "
+          f"{report.messages_routed} WAN messages routed")
 
 
 if __name__ == "__main__":

@@ -24,17 +24,17 @@ Quickstart::
 """
 
 from .core import (Backend, BackendConfig, Cell, CellSpec, ClientConfig,
-                   CliqueMapClient, Federation, FederationSpec, GetResult,
-                   GetStatus, GetStrategy, MutationResult, OpResult,
-                   ReplicationMode, SetStatus, VersionNumber)
+                   CliqueMapClient, GetResult, GetStatus, GetStrategy,
+                   MutationResult, OpResult, ReplicationMode, SetStatus,
+                   VersionNumber)
 from .telemetry import MetricsRegistry, Span, TraceContext, Tracer
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Backend", "BackendConfig", "Cell", "CellSpec", "ClientConfig",
-    "CliqueMapClient", "Federation", "FederationSpec", "GetResult",
-    "GetStatus", "GetStrategy", "MutationResult", "OpResult",
+    "CliqueMapClient", "GetResult", "GetStatus", "GetStrategy",
+    "MutationResult", "OpResult",
     "ReplicationMode", "SetStatus", "VersionNumber",
     "MetricsRegistry", "Span", "TraceContext", "Tracer",
     "__version__",

@@ -4,25 +4,21 @@ The honesty methodology from the PR 4 kernel rewrite (digest a run's
 op-by-op results and assert the optimized path reproduces them exactly)
 applied across process boundaries: a federation sharded one-zone-per-
 worker must be *bit-identical* — per-zone op digests, event counts, and
-metric-registry totals — to the same-seed run of the identical sharded
-model executed sequentially in one process. The coordinator's window
+metric-registry totals — to the same-seed run of the same shards
+executed sequentially in one process. The coordinator's window
 decisions depend only on deterministic shard state, so any divergence
 (pickling drift, cross-process RNG skew, message reordering) shows up as
 a digest mismatch, not a silent wrong answer.
 
-Two equivalence levels:
+Two equivalence levels, both **exact**:
 
 * :func:`compare_parallel` — parallel workers vs sequential one-process
-  execution of the same sharded federation: **exact** (this is the
-  claim the speedup numbers stand on).
-* a 1-zone sharded run vs the plain single-loop
-  :class:`~repro.core.Federation`: **exact** (same build/workload code,
-  same host names — tested in tests/integration/test_parallel.py).
-
-A multi-zone plain run is *not* bit-comparable to a sharded one — the
-WAN timing models legitimately differ (remote RPCs through a shared
-fabric vs gateway execution behind a WAN link) — so cross-model checks
-are semantic only (all preloaded GETs hit, fan-outs apply, no misses).
+  execution of the same federation (this is the claim the speedup
+  numbers stand on);
+* a 1-zone coordinator run vs the same
+  :class:`~repro.core.ZoneShard` built in-process and run by one
+  ``sim.run`` — the window protocol adds no event and moves no clock
+  (tested in tests/integration/test_parallel.py).
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.cell import CellSpec
 from ..net import FabricConfig
 from ..sim import ShardCoordinator, ShardRunReport
-from ..core.parallelfed import (ZoneWorkloadSpec, run_plain_federation,
-                                shard_builders)
+from ..core.parallelfed import ZoneWorkloadSpec, shard_builders
 
 
 def run_federation_arm(zones: Sequence[str],
@@ -43,22 +38,14 @@ def run_federation_arm(zones: Sequence[str],
                        workload: Optional[ZoneWorkloadSpec] = None,
                        duration: float = 0.5,
                        mode: str = "sequential",
-                       profile_dir: Optional[str] = None):
-    """Run one arm of the sharded-federation comparison.
-
-    ``mode`` is ``"parallel"`` (one worker process per zone),
-    ``"sequential"`` (the same sharded model, one process), or
-    ``"plain"`` (the single-event-loop :class:`~repro.core.Federation`).
-    Returns a :class:`~repro.sim.ShardRunReport` for the sharded modes,
-    or the plain run's summary dict.
-    """
+                       profile_dir: Optional[str] = None) -> ShardRunReport:
+    """Run one federation: ``mode`` is ``"parallel"`` (one worker
+    process per zone) or ``"sequential"`` (every zone in this process).
+    Returns the coordinator's :class:`~repro.sim.ShardRunReport`."""
     zones = tuple(zones)
     cell_spec = cell_spec or CellSpec()
     fabric_config = fabric_config or FabricConfig()
     workload = workload or ZoneWorkloadSpec()
-    if mode == "plain":
-        return run_plain_federation(zones, cell_spec, fabric_config,
-                                    workload, duration)
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown federation arm mode {mode!r}")
     coordinator = ShardCoordinator(

@@ -12,13 +12,10 @@ from .data import (DataEntryView, DataRegion, encode_entry_parts, entry_size,
 from .errors import CliqueMapError, ConfigCasError, GetStatus, SetStatus
 from .eviction import (ArcPolicy, EvictionPolicy, LruPolicy, RandomPolicy,
                        make_policy)
-from .federation import (FederatedClient, Federation, FederationSpec,
-                         build_zone_cell)
 from .hashing import (KEY_HASH_BYTES, Placement, default_key_hash,
                       key_hash_to_int)
-from .parallelfed import (RemoteZoneProxy, ZoneShard, ZoneShardSpec,
-                          ZoneWorkloadSpec, run_plain_federation,
-                          shard_builders)
+from .parallelfed import (FederatedClient, ZoneShard, ZoneShardSpec,
+                          ZoneWorkloadSpec, shard_builders)
 from .index import (ENTRY_BYTES, IndexRegion, ParsedBucket, ParsedIndexEntry,
                     bucket_size, make_scar_program, parse_bucket)
 from .maintenance import (MaintenanceConfig, MaintenanceController,
@@ -44,9 +41,8 @@ __all__ = [
     "try_decode",
     "CliqueMapError", "ConfigCasError", "GetStatus", "SetStatus",
     "ArcPolicy", "EvictionPolicy", "LruPolicy", "RandomPolicy", "make_policy",
-    "FederatedClient", "Federation", "FederationSpec", "build_zone_cell",
-    "RemoteZoneProxy", "ZoneShard", "ZoneShardSpec", "ZoneWorkloadSpec",
-    "run_plain_federation", "shard_builders",
+    "FederatedClient", "ZoneShard", "ZoneShardSpec",
+    "ZoneWorkloadSpec", "shard_builders",
     "KEY_HASH_BYTES", "Placement", "default_key_hash", "key_hash_to_int",
     "ENTRY_BYTES", "IndexRegion", "ParsedBucket", "ParsedIndexEntry",
     "bucket_size", "make_scar_program", "parse_bucket",

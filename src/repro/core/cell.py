@@ -99,7 +99,7 @@ class Cell:
         # One registry + tracer for the whole cell: every client created
         # through make_client() records into these, so benchmarks and the
         # dashboard read a single coherent snapshot. The fabric's
-        # drop/corrupt/slow tallies for this zone's senders sum into it.
+        # drop/corrupt/slow tallies sum into it.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(
             clock=lambda: self.sim.now, enabled=self.spec.tracing,
@@ -108,7 +108,7 @@ class Cell:
             tail_slow_threshold=self.spec.trace_slow_threshold)
         self.flight = FlightRecorder(clock=lambda: self.sim.now) \
             if self.spec.flight_recorder else NULL_FLIGHT
-        self.fabric.adopt_counts(self.metrics, zone)
+        self.fabric.adopt_counts(self.metrics)
         if self.transport is not None:
             self.transport.adopt_counts(self.metrics)
 

@@ -22,7 +22,6 @@ is departure order, and no other traffic can shift a flow's latencies.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Dict, Generator, Optional
@@ -114,12 +113,11 @@ PARTITION_DETECT_DELAY = 150e-6
 class CrossShardLink:
     """The WAN link between two shards of a sharded simulation.
 
-    When a federation is split one-zone-per-shard
-    (:mod:`repro.core.parallelfed`), cross-zone traffic no longer rides a
-    shared :class:`Fabric` — each side has its own fabric — so this
-    adapter models the inter-datacenter hop instead: a message sent at
-    ``t`` arrives at ``t + min_latency (+ jitter)``. ``min_latency`` is
-    the latency the fabric itself would charge a cross-zone delivery
+    A federation runs one zone per shard (:mod:`repro.core.parallelfed`),
+    each with its own :class:`Fabric`, so this link models the
+    inter-datacenter hop between them: a message sent at ``t`` arrives
+    at ``t + min_latency (+ jitter)``. ``min_latency`` is the latency
+    the fabric itself would charge a cross-zone delivery
     (:attr:`FabricConfig.inter_zone_delay`) and doubles as the
     conservative lookahead the shard coordinator synchronizes on — the
     guarantee that no message can arrive sooner than ``min_latency``
@@ -148,8 +146,7 @@ class CrossShardLink:
     @classmethod
     def from_config(cls, config: FabricConfig, src_zone: str,
                     dst_zone: str) -> "CrossShardLink":
-        """The link a shared-fabric federation would have charged: WAN
-        one-way delay plus the fabric's uniform jitter bound."""
+        """The fabric's WAN one-way delay plus its uniform jitter bound."""
         return cls(src_zone, dst_zone,
                    min_latency=config.inter_zone_delay,
                    jitter=config.delay_jitter, seed=config.seed)
@@ -193,16 +190,14 @@ class Fabric:
         self._partitions: set = set()
         self._link_faults: Dict[frozenset, LinkFault] = {}
         self._host_faults: Dict[str, LinkFault] = {}
-        # Drop/corrupt/slow/coalesce tallies per sender zone, by family
-        # name, so a chaos run is readable from render_metrics().
-        self.counts: Dict[str, Dict[str, Any]] = defaultdict(
-            lambda: {name: tally() for name in FABRIC_COUNTERS})
+        # Drop/corrupt/slow/coalesce tallies by family name, so a chaos
+        # run is readable from render_metrics().
+        self.counts: Dict[str, Any] = {name: tally()
+                                       for name in FABRIC_COUNTERS}
 
-    def adopt_counts(self, registry, zone: str) -> None:
-        # A cell sees what its own zone's hosts sent, even on a shared
-        # fabric.
+    def adopt_counts(self, registry) -> None:
         for name, (help_text, labels) in FABRIC_COUNTERS.items():
-            registry.adopt(name, help_text, self.counts[zone][name], labels,
+            registry.adopt(name, help_text, self.counts[name], labels,
                            listed=False)
 
     # -- topology -----------------------------------------------------------
@@ -266,7 +261,7 @@ class Fabric:
         if parts > 1:
             if span is not None:
                 span.annotate(parts=parts)
-            self.counts[src.zone][COALESCED][()] += 1
+            self.counts[COALESCED][()] += 1
         if src is dst:
             sim.inject(sim.now + 1e-7, _resume, proc, token, False, span)
             return PARKED
@@ -283,7 +278,7 @@ class Fabric:
                 corrupted = True
                 if span is not None:
                     span.annotate(corrupted=True)
-                self.counts[src.zone][CORRUPTED][()] += 1
+                self.counts[CORRUPTED][()] += 1
         config = self.config
         wire = wire_bytes(payload_bytes)
         depart = src.nic.egress.reserve(wire)
@@ -295,7 +290,7 @@ class Fabric:
             delay *= fault.latency_multiplier
             if span is not None:
                 span.annotate(slowed=fault.latency_multiplier)
-            self.counts[src.zone][SLOWED][()] += 1
+            self.counts[SLOWED][()] += 1
         if span is not None:
             span.labels["depart"] = depart
         # Pushed at the absolute instant, as Resource.hold pushes its
@@ -330,7 +325,7 @@ class Fabric:
         """Packets vanish; the sender learns via (re)transmit timeout."""
         if span is not None:
             span.annotate(dropped=True, reason=reason)
-        self.counts[src.zone][DROPPED][reason] += 1
+        self.counts[DROPPED][reason] += 1
         sim = self.sim
         sim.inject(sim.now + PARTITION_DETECT_DELAY, _resume,
                    proc, token, False, span,

@@ -62,7 +62,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "defused")
+                 "defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -70,7 +70,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
         # A failed event with no callbacks re-raises inside run() unless it
         # has been explicitly defused (e.g. fire-and-forget processes).
         self.defused = False
@@ -134,7 +133,6 @@ class Event:
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         if not self._ok and not callbacks and not self.defused:
             raise self._value
         for fn, args in callbacks or ():
@@ -159,7 +157,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._triggered = True
-        self._processed = False
         self.defused = False
         if delay < 0:
             raise SimulationError(
@@ -175,7 +172,6 @@ class Timeout(Event):
         # Timeouts always succeed, so the base class's unhandled-failure
         # bookkeeping is dead weight here.
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         for fn, args in callbacks or ():
             fn(self, *args)
 
@@ -186,17 +182,16 @@ class Process(Event):
     the exception that escaped it.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "_token",
-                 "name")
+    __slots__ = ("_send", "_throw", "_waiting_on", "_token", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise SimulationError("process() requires a generator")
-        self._gen = gen
-        # The generator's own methods, bound once per process. A bound
-        # method of the process itself is never cached on it: that would
-        # make every process a reference cycle only the collector frees.
+        # The generator's own methods, bound once per process (they hold
+        # the generator). A bound method of the process itself is never
+        # cached on it: that would make every process a reference cycle
+        # only the collector frees.
         self._send = gen.send
         self._throw = gen.throw
         self.name = name or getattr(gen, "__name__", "process")

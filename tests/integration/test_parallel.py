@@ -1,14 +1,13 @@
 """Determinism + equivalence of the sharded parallel federation.
 
-Three claims, from strongest to weakest (see ARCHITECTURE §13):
+Three claims (see ARCHITECTURE §13):
 
-1. a parallel (multiprocess) sharded run is bit-identical to the
-   sequential (one-process) run of the same sharded model, same seed;
+1. a parallel (multiprocess) run is bit-identical to the sequential
+   (one-process) run of the same shards, same seed;
 2. same-seed parallel runs are bit-identical to each other;
-3. a 1-zone sharded run is bit-identical to the plain single-event-loop
-   Federation — the sharded model is the *same model*, not a look-alike;
-   multi-zone plain runs are compared semantically (timing models for
-   the WAN hop legitimately differ).
+3. a 1-zone coordinator run is bit-identical to the same shard built
+   in-process and run by one ``sim.run`` — the window protocol adds no
+   event and moves no clock.
 """
 
 import multiprocessing
@@ -17,7 +16,7 @@ import pytest
 
 from repro.analysis import (compare_parallel, digest_mismatches,
                             run_federation_arm)
-from repro.core import CellSpec, ZoneWorkloadSpec
+from repro.core import CellSpec, ZoneShard, ZoneShardSpec, ZoneWorkloadSpec
 
 ZONES4 = ("dc-a", "dc-b", "dc-c", "dc-d")
 
@@ -33,13 +32,21 @@ def small_workload(**overrides):
 
 def test_same_seed_parallel_runs_bit_identical():
     """Claim 2: rerunning the 4-shard parallel federation on the same
-    seed reproduces every digest bit-for-bit."""
+    seed reproduces every digest bit-for-bit, and in it every preloaded
+    GET hits, locally or by remote fallback, beside fan-out writes."""
+    workload = small_workload(remote_every=4, fanout_every=8)
     runs = [run_federation_arm(ZONES4, cell_spec=CellSpec(**SMALL_CELL),
-                               workload=small_workload(), duration=0.1,
+                               workload=workload, duration=0.1,
                                mode="parallel") for _ in range(2)]
     assert digest_mismatches(runs[0], runs[1]) == []
     assert runs[0].events == runs[1].events
     assert runs[0].windows == runs[1].windows
+    for digest in runs[0].digests:
+        stats = digest["fed_stats"]
+        assert stats["misses"] == 0, digest["zone"]
+        assert stats["remote_hits"] > 0, digest["zone"]
+        assert stats["local_hits"] > 0, digest["zone"]
+    assert runs[0].messages_routed > 0
 
 
 def test_parallel_matches_sequential_execution():
@@ -53,47 +60,31 @@ def test_parallel_matches_sequential_execution():
     assert not record["leaked_children"]
 
 
-def test_single_shard_matches_plain_federation():
-    """Claim 3 (exact half): with one zone there is no WAN traffic, so
-    the sharded run must reproduce the plain Federation run exactly —
-    op digests, event counts, metric totals, and the final clock."""
+def test_one_zone_coordinator_run_matches_one_in_process_run():
+    """Claim 3: a one-zone run through the coordinator's worker equals
+    the same shard built here and run by a single ``sim.run`` — op
+    digests, event counts, metric totals, and the final clock."""
     workload = small_workload(population_clients=20,
                               population_rate=100.0,
                               population_drivers=2, population_keys=32)
-    plain = run_federation_arm(("dc-a",), cell_spec=CellSpec(**SMALL_CELL),
-                               workload=workload, duration=0.1,
-                               mode="plain")
-    sharded = run_federation_arm(("dc-a",),
-                                 cell_spec=CellSpec(**SMALL_CELL),
-                                 workload=workload, duration=0.1,
-                                 mode="parallel")
-    plain_zone = plain["digests"]["dc-a"]
-    shard_zone = sharded.digests[0]
+    report = run_federation_arm(("dc-a",), cell_spec=CellSpec(**SMALL_CELL),
+                                workload=workload, duration=0.1,
+                                mode="parallel")
+    shard = ZoneShard(ZoneShardSpec(zone="dc-a", zones=("dc-a",),
+                                    cell_spec=CellSpec(**SMALL_CELL),
+                                    workload=workload, duration=0.1))
+    shard.build()
+    start = shard.sim.now
+    shard.start()
+    shard.sim.run(until=start + 0.1)
+    reference = shard.digest()
+    (zone,) = report.digests
     for field in ("ops", "ops_digest", "fed_stats", "population",
                   "metrics"):
-        assert shard_zone[field] == plain_zone[field], field
-    assert shard_zone["events"] == plain["events"]
-    assert shard_zone["final_now"] == plain["horizon"]
-
-
-def test_multi_zone_semantics_match_plain_federation():
-    """Claim 3 (semantic half): across models, every preloaded GET must
-    hit (locally or by remote fallback) and fan-out writes must apply —
-    in both the plain and the sharded world."""
-    workload = small_workload(remote_every=4, fanout_every=8)
-    plain = run_federation_arm(ZONES4, cell_spec=CellSpec(**SMALL_CELL),
-                               workload=workload, duration=0.1,
-                               mode="plain")
-    sharded = run_federation_arm(ZONES4, cell_spec=CellSpec(**SMALL_CELL),
-                                 workload=workload, duration=0.1,
-                                 mode="sequential")
-    for digest in list(plain["digests"].values()) + sharded.digests:
-        stats = digest["fed_stats"]
-        assert stats["misses"] == 0, digest["zone"]
-        assert stats["remote_hits"] > 0, digest["zone"]
-        assert stats["local_hits"] > 0, digest["zone"]
-        assert digest["ops"] > 0
-    assert sharded.messages_routed > 0
+        assert zone[field] == reference[field], field
+    assert zone["population"]["gets"] > 0
+    assert zone["events"] == shard.sim._seq
+    assert zone["final_now"] == shard.sim.now == report.horizon
 
 
 def test_no_worker_processes_leak():

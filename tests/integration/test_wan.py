@@ -65,6 +65,26 @@ def test_wan_client_serves_reads_and_writes():
     cell.sim.run(until=cell.sim.process(app()))
 
 
+def test_wan_client_default_deadlines_hold_at_15ms():
+    """With the default 15ms inter-zone delay and no deadline passed,
+    a WAN client's GET and SET complete within its WAN-scaled
+    defaults (a local client's 10ms default would expire first)."""
+    cell = build(inter_zone_delay=15e-3)
+    local = cell.connect_client()
+    remote = cell.connect_client(zone="remote-dc")
+
+    def app():
+        yield from local.set(b"k", b"v")
+        got = yield from remote.get(b"k")
+        assert got.status is GetStatus.HIT
+        result = yield from remote.set(b"k2", b"remote-write")
+        assert result.status is SetStatus.APPLIED
+        back = yield from local.get(b"k2")
+        assert back.hit and back.value == b"remote-write"
+
+    cell.sim.run(until=cell.sim.process(app()))
+
+
 def test_wan_rpc_latency_dominated_by_wan_rtt():
     cell = build(inter_zone_delay=5e-3)
     local = cell.connect_client()

@@ -28,7 +28,8 @@ passes the option's default, spelled as its default is, sets nothing.
 
 The same pass finds write-only attributes: a ``self.x = ...`` in an
 ``__init__`` whose ``x`` nothing in the callers reads, either as ``.x``
-or as the string ``"x"`` (a ``getattr``, a ``__slots__`` entry).
+or as the string ``"x"`` (a ``getattr``). A ``__slots__`` entry
+declares the attribute; it does not read it.
 
     python tests/unit/test_option_census.py
 
@@ -57,7 +58,7 @@ FACTORY = re.compile(r"^(make|build|synthesize|default)_")
 EXEMPT = {
     "FabricConfig.seed": "the knob that routing CellSpec.seed into the "
                          "fabric's jitter, loss and antagonist streams "
-                         "needs (ROADMAP item 4)",
+                         "needs (ROADMAP item 13)",
 }
 
 #: option only a test sets -> the behaviour its non-default value reaches.
@@ -371,6 +372,8 @@ class _Callers:
         found: List[Tuple[List[str], _Call]] = []
         #: id of an assignment's target -> the value assigned to it.
         assigned: Dict[int, str] = {}
+        #: ids of the strings a ``__slots__`` declares: not reads.
+        slots: Set[int] = set()
         reads = self.reads
         # A pre-order walk (parents before children), leaner than ast.walk.
         stack: List[ast.AST] = [tree]
@@ -395,7 +398,7 @@ class _Callers:
                                  if isinstance(k, ast.Constant)
                                  and isinstance(k.value, str))
             elif kind is ast.Constant:
-                if type(node.value) is str:
+                if type(node.value) is str and id(node) not in slots:
                     reads.add(node.value)
             elif kind is ast.Subscript:
                 if isinstance(node.ctx, ast.Store) and \
@@ -404,6 +407,9 @@ class _Callers:
             elif kind is ast.Assign:
                 assigned.update((id(t), _value(node.value))
                                 for t in node.targets)
+                if any(getattr(t, "id", None) == "__slots__"
+                       for t in node.targets):
+                    slots.update(id(c) for c in ast.walk(node.value))
             elif kind is ast.Attribute:
                 if type(node.ctx) is ast.Load:
                     reads.add(node.attr)
@@ -645,7 +651,9 @@ class Clock:
         self.offset, self.epoch = skew / 2, 0
         self.ticks = 0
 ''', tests="print(Clock(1).ticks)")
-    assert found.write_only == ["Clock.epoch", "Clock.skew"]
+    # ``offset`` is declared in ``__slots__`` and never read.
+    assert found.write_only == ["Clock.epoch", "Clock.offset",
+                                "Clock.skew"]
 
 
 def test_rule_an_attribute_store_counts_only_on_an_unshared_name():

@@ -13,9 +13,8 @@ import pickle
 import pytest
 
 from repro.core import (BackendConfig, CellConfig, CellSpec, ClientConfig,
-                        FederationSpec, MaintenanceConfig, RepairConfig,
-                        ReplicationMode, ResizeConfig, ZoneShardSpec,
-                        ZoneWorkloadSpec)
+                        MaintenanceConfig, RepairConfig, ReplicationMode,
+                        ResizeConfig, ZoneShardSpec, ZoneWorkloadSpec)
 from repro.faults import FaultEvent, FaultPlan, SoakConfig
 from repro.net import FabricConfig, HostConfig, LinkFault
 from repro.observe import ObserveConfig
@@ -30,7 +29,6 @@ def roundtrip(obj):
 CONFIG_OBJECTS = [
     # Defaults: the common path every worker build exercises.
     CellSpec(),
-    FederationSpec(),
     ClientConfig(),
     BackendConfig(),
     RepairConfig(),
@@ -49,8 +47,6 @@ CONFIG_OBJECTS = [
              num_spares=2, transport="1rma",
              writer_principals=["app-a", "app-b"], seed=99,
              tracing=False),
-    FederationSpec(zones=["dc-a", "dc-b", "dc-c"],
-                   cell_spec=CellSpec(num_shards=4)),
     CellConfig(name="cfg", mode=ReplicationMode.R3_2, num_shards=3,
                config_id=7, shard_tasks=["backend-0", "backend-1",
                                          "backend-2"],
@@ -79,7 +75,7 @@ def test_config_roundtrips_through_pickle(obj):
 
 def test_nested_spec_roundtrip_is_deep():
     """Nested configs must be reconstructed, not shared references."""
-    spec = FederationSpec(zones=["dc-a", "dc-b"])
+    spec = ZoneShardSpec(zone="dc-a", zones=("dc-a", "dc-b"))
     restored = roundtrip(spec)
     assert restored.cell_spec == spec.cell_spec
     assert restored.cell_spec is not spec.cell_spec

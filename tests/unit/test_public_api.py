@@ -157,8 +157,7 @@ def test_core_surface_is_frozen():
         DataEntryView DataRegion encode_entry_parts entry_size try_decode
         CliqueMapError ConfigCasError GetStatus SetStatus ArcPolicy
         EvictionPolicy LruPolicy RandomPolicy make_policy FederatedClient
-        Federation FederationSpec build_zone_cell RemoteZoneProxy ZoneShard
-        ZoneShardSpec ZoneWorkloadSpec run_plain_federation shard_builders
+        ZoneShard ZoneShardSpec ZoneWorkloadSpec shard_builders
         KEY_HASH_BYTES Placement default_key_hash key_hash_to_int
         ENTRY_BYTES IndexRegion ParsedBucket ParsedIndexEntry bucket_size
         make_scar_program parse_bucket MaintenanceConfig
@@ -215,7 +214,7 @@ def test_option_fields_are_frozen():
 
     from repro.baselines import MemcacheGConfig
     from repro.core import (BackendConfig, CellConfig, CellSpec,
-                            FederationSpec, ZoneShardSpec, ZoneWorkloadSpec)
+                            ZoneShardSpec, ZoneWorkloadSpec)
     from repro.faults import Scenario
     from repro.net import CStateModel, FabricConfig, HostConfig
     from repro.observe import AutoscalerConfig, ObserveConfig, SloObjective
@@ -242,7 +241,6 @@ def test_option_fields_are_frozen():
         ProvisionedThroughput: "read_units write_units burst_seconds",
         CellConfig: """name mode num_shards config_id shard_tasks spares
             spare_roles resize_num_shards migrating_to draining""",
-        FederationSpec: "zones cell_spec fabric_config",
         ZoneShardSpec: "zone zones cell_spec fabric_config workload duration",
         ZoneWorkloadSpec: """clients think_mean fanout_every remote_every
             shared_keys private_keys population_clients population_rate
@@ -282,7 +280,8 @@ def test_stats_keys_are_frozen():
     soak reports and ``benchmarks/perf`` read them."""
     from repro import Cell, CellSpec
     from repro.baselines.memcacheg import MemcacheGServer
-    from repro.core import Federation, FederationSpec, RepairConfig
+    from repro.core import (RepairConfig, ZoneShard, ZoneShardSpec,
+                            ZoneWorkloadSpec)
     from repro.storage import SystemOfRecord
     from repro.workloads import WorkloadMetrics
 
@@ -294,7 +293,10 @@ def test_stats_keys_are_frozen():
     autoscaler = cell.observe().autoscale()
     memcacheg = MemcacheGServer(cell.sim, cell.add_local_host("host/mc"),
                                 "mc")
-    federation = Federation(FederationSpec(cell_spec=CellSpec(num_shards=3)))
+    zone = ZoneShard(ZoneShardSpec(
+        zone="dc-a", zones=("dc-a", "dc-b"), cell_spec=CellSpec(num_shards=3),
+        workload=ZoneWorkloadSpec(clients=1, shared_keys=1, private_keys=1)))
+    zone.build()
     surfaces = {
         "client": client.stats,
         "readthrough": coordinator.stats,
@@ -305,7 +307,7 @@ def test_stats_keys_are_frozen():
         "autoscaler": autoscaler.stats,
         "memcacheg": memcacheg.stats,
         "transport": cell.transport.counters,
-        "federated": federation.make_client("dc-a").stats,
+        "federated": zone.fed_clients[0].stats,
         "workload": WorkloadMetrics(),
     }
     assert {name: " ".join(_public_stat_names(stats))
