@@ -1,11 +1,8 @@
-"""Shared helpers for the figure-reproduction benchmarks.
-
-Every ``bench_figXX`` module regenerates one table/figure from the
-paper's evaluation: it builds the experiment's cell and workload, runs it
+"""Shared glue for the benchmarks: ``run_once`` runs a bench exactly once
 under ``benchmark.pedantic`` (one deterministic round — these are
-simulations, not microbenchmarks), prints the figure's rows/series, and
-asserts the paper's comparative *shape* (who wins, by roughly what
-factor, where crossovers fall).
+simulations, not microbenchmarks). The paper's figures are rows of
+``figures.ROWS`` (``bench_figures.py``); the kernel, scale, population,
+parallel, resize, read-through and multiget benches use the rest.
 
 Run with::
 

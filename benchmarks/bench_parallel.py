@@ -17,7 +17,9 @@ shard. CI containers routinely have a single core, where wall-clock
 transparently and only asserted when ``os.cpu_count()`` provides the
 parallelism (see the honesty note in ARCHITECTURE §13).
 
-``REPRO_BENCH_PARALLEL_SCALE=ci`` shrinks the run for smoke jobs.
+``REPRO_BENCH_PARALLEL_SCALE=ci`` shrinks the run for smoke jobs. At
+full scale the run must reproduce the committed ``BENCH_parallel.json``'s
+per-zone op digests and event counts before it rewrites the file.
 """
 
 import json
@@ -72,6 +74,25 @@ def _run_arms():
                             workload=workload, duration=DURATION)
 
 
+def check_against_committed(record, committed):
+    """A full-scale run is the committed one: the same per-zone op
+    digests in both arms and the same event counts. A change meant to
+    move them deletes BENCH_parallel.json and reruns to re-stamp it."""
+    assert committed["scale"] == "full", (
+        f"{OUTPUT.name} holds a {committed['scale']!r}-scale run; restore "
+        f"the committed file before a full-scale run")
+    was = committed["run"]
+    for arm in ("sequential", "parallel"):
+        assert record[arm]["ops_digests"] == was[arm]["ops_digests"], (
+            f"{arm} op digests moved: {record[arm]['ops_digests']} vs "
+            f"committed {was[arm]['ops_digests']}")
+        assert record[arm]["events"] == was[arm]["events"], (
+            f"{arm} events moved: {record[arm]['events']:,} vs committed "
+            f"{was[arm]['events']:,}")
+    assert record["events"] == was["events"], (record["events"],
+                                                was["events"])
+
+
 def bench_parallel_federation(benchmark):
     record = run_once(benchmark, _run_arms)
     seq, par = record["sequential"], record["parallel"]
@@ -109,6 +130,8 @@ def bench_parallel_federation(benchmark):
             f"wall speedup regressed on a {record['cpu_count']}-core host: "
             f"{record['speedup_wall']:.2f}x < {WALL_SPEEDUP_FLOOR}x")
 
+    if SCALE == "full" and OUTPUT.exists():
+        check_against_committed(record, json.loads(OUTPUT.read_text()))
     out = {
         "benchmark": "parallel",
         "scale": SCALE,

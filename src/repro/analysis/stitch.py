@@ -23,10 +23,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..telemetry.export import _US, span_event
 from ..telemetry.trace import ERROR_STATUSES
-
-# Simulated seconds -> trace-event microseconds (matches telemetry.export).
-_US = 1e6
 
 
 def walk_span_dict(span: Dict[str, Any],
@@ -213,21 +211,12 @@ def stitched_chrome_trace(traces: List[StitchedTrace]) -> Dict[str, Any]:
                 "name": "thread_name", "ph": "M", "pid": pids[zone],
                 "tid": tid,
                 "args": {"name": f"trace {trace.trace_id}"}})
-        for depth, span in trace.walk():
+        for _depth, span in trace.walk():
             end = span.get("end")
             start = span.get("start", 0.0)
-            if end is None:
-                end = start
-            events.append({
-                "name": span["name"],
-                "ph": "X",
-                "ts": start * _US,
-                "dur": max(0.0, (end - start) * _US),
-                "pid": pids.get(span.get("zone"), 0),
-                "tid": tid,
-                "args": {str(k): str(v) for k, v in sorted(
-                    span.get("labels", {}).items())},
-            })
+            events.append(span_event(
+                span["name"], start, start if end is None else end,
+                pids.get(span.get("zone"), 0), tid, span.get("labels", {})))
         for parent, serve_root in trace.links:
             flow_id += 1
             events.append({

@@ -34,7 +34,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ..net import CrossShardLink, Fabric, FabricConfig
 from ..sim import Event, RandomStream, ShardProgram, Simulator
 from .cell import Cell, CellSpec
-from .client import CliqueMapClient
+from .client import CliqueMapClient, GetResult
 from .errors import GetStatus
 
 
@@ -87,14 +87,6 @@ class ZoneShardSpec:
     duration: float = 1.0
 
 
-@dataclass
-class RemoteOpResult:
-    """What a WAN remote op returned: the remote gateway's status."""
-
-    status: object
-    value: Optional[bytes] = None
-
-
 class FederatedClient:
     """Local-cell RMA serving with WAN fallback to the other zones of
     its :class:`ZoneShard`."""
@@ -121,25 +113,33 @@ class FederatedClient:
         return self.local.tracer.start(name, zone=self.zone)
 
     def get(self, key: bytes, deadline: Optional[float] = None) -> Generator:
-        """Serve locally; on miss/error, try remote zones over the WAN."""
+        """Serve locally; on miss/error, try remote zones over the WAN.
+
+        Returns a :class:`GetResult` whose ``latency`` covers the whole
+        federated op: the local leg, every WAN try and the local fill.
+        """
+        started = self.sim.now
         root = self._start_fed_span("fed.get")
         result = yield from self.local.get(key, deadline, trace=root)
         if result.status is GetStatus.HIT:
             self.stats["local_hits"] += 1
             self._finish_fed_span(root, "local_hit")
-            return result
-        for index, zone in self.remotes:
-            remote_result = yield from self._remote("get", index, (key,),
-                                                    root)
-            if remote_result.status is GetStatus.HIT:
-                self.stats["remote_hits"] += 1
-                # Fill the local cell so the next GET is an RMA hit.
-                yield from self.local.set(key, remote_result.value,
-                                          trace=root)
-                self._finish_fed_span(root, "remote_hit", remote_zone=zone)
-                return remote_result
-        self.stats["misses"] += 1
-        self._finish_fed_span(root, "miss")
+        else:
+            for index, zone in self.remotes:
+                status, value = yield from self._remote("get", index, (key,),
+                                                        root)
+                if status is GetStatus.HIT:
+                    self.stats["remote_hits"] += 1
+                    # Fill the local cell so the next GET is an RMA hit.
+                    yield from self.local.set(key, value, trace=root)
+                    self._finish_fed_span(root, "remote_hit",
+                                          remote_zone=zone)
+                    result = GetResult(status=status, value=value)
+                    break
+            else:
+                self.stats["misses"] += 1
+                self._finish_fed_span(root, "miss")
+        result.latency = self.sim.now - started
         return result
 
     def set(self, key: bytes, value: bytes,
@@ -153,17 +153,21 @@ class FederatedClient:
 
     def _write_everywhere(self, op: str, args: tuple,
                           deadline: Optional[float]) -> Generator:
+        """The local cell's :class:`MutationResult`, its ``latency``
+        covering the remote writes too."""
+        started = self.sim.now
         root = self._start_fed_span(f"fed.{op}")
         result = yield from getattr(self.local, op)(*args, deadline,
                                                     trace=root)
         for index, _ in self.remotes:
             yield from self._remote(op, index, args, root)
         self._finish_fed_span(root, result.status.name.lower())
+        result.latency = self.sim.now - started
         return result
 
     def _remote(self, op: str, dst_index: int, args: tuple, trace):
         """``op(*args)`` on zone ``dst_index`` over the WAN, parked until
-        its reply.
+        its reply: the remote gateway's ``(status, value)``.
 
         When traced, a local ``wan.call`` span covers the round trip.
         Its :meth:`~repro.telemetry.Span.ref` rides in the request
@@ -180,7 +184,7 @@ class FederatedClient:
             dst_index, op, args, trace_ref=ref)
         if span is not None:
             span.annotate(status=status.name).finish()
-        return RemoteOpResult(status, value)
+        return status, value
 
     def _finish_fed_span(self, root, outcome: str, **labels) -> None:
         if not root:
@@ -439,5 +443,4 @@ def shard_builders(zones: Tuple[str, ...], cell_spec: CellSpec,
 
 
 __all__ = ["ZoneWorkloadSpec", "ZoneShardSpec", "ZoneShard",
-           "FederatedClient", "RemoteOpResult",
-           "OpDigest", "shard_builders"]
+           "FederatedClient", "OpDigest", "shard_builders"]

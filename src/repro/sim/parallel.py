@@ -134,7 +134,59 @@ class ShardProgram:
 
 # ---------------------------------------------------------------------------
 # Executors: the same protocol over in-process shards or worker processes.
+# Each shard step is written once; the sequential executor calls the steps
+# in-process and a worker's command loop calls them on its one program.
 # ---------------------------------------------------------------------------
+
+
+def _build(factory: Callable, args: tuple, index: int) -> ShardProgram:
+    program = factory(*args)
+    program.index = index
+    program.build()
+    return program
+
+
+def _start(program: ShardProgram, at: float
+           ) -> Tuple[List[ShardMessage], float]:
+    program.sim.run_until(at)
+    program.start()
+    return program.drain_outbox(), program.next_time()
+
+
+def _window(program: ShardProgram, horizon: float,
+            messages: List[ShardMessage]
+            ) -> Tuple[List[ShardMessage], float, float]:
+    """Deliver ``messages``, run to ``horizon``; also returns the CPU
+    seconds the window took."""
+    cpu0 = time.process_time()
+    for message in messages:
+        program.receive(message)
+    program.sim.run_until(horizon)
+    cpu = time.process_time() - cpu0
+    return program.drain_outbox(), program.next_time(), cpu
+
+
+def _finish(program: ShardProgram) -> Dict[str, Any]:
+    summary = program.digest()
+    summary["events"] = program.sim._seq
+    summary["final_now"] = program.sim.now
+    return summary
+
+
+def _profiler(enabled: bool):
+    """An enabled ``cProfile.Profile``, or None."""
+    if not enabled:
+        return None
+    import cProfile
+    profiler = cProfile.Profile()
+    profiler.enable()
+    return profiler
+
+
+def _dump(profiler, path: str) -> None:
+    if profiler is not None:
+        profiler.disable()
+        profiler.dump_stats(path)
 
 
 class _SequentialExecutor:
@@ -148,53 +200,27 @@ class _SequentialExecutor:
         self.programs: List[ShardProgram] = []
 
     def build_all(self) -> List[float]:
-        if self._profile_dir is not None:
-            import cProfile
-            self._profiler = cProfile.Profile()
-            self._profiler.enable()
-        nows = []
-        for index, (factory, args) in enumerate(self._builders):
-            program = factory(*args)
-            program.index = index
-            program.build()
-            self.programs.append(program)
-            nows.append(program.sim.now)
-        return nows
+        self._profiler = _profiler(self._profile_dir is not None)
+        self.programs = [_build(factory, args, index)
+                         for index, (factory, args)
+                         in enumerate(self._builders)]
+        return [program.sim.now for program in self.programs]
 
     def start_all(self, at: float
                   ) -> List[Tuple[List[ShardMessage], float]]:
-        results = []
-        for program in self.programs:
-            program.sim.run_until(at)
-            program.start()
-            results.append((program.drain_outbox(), program.next_time()))
-        return results
+        return [_start(program, at) for program in self.programs]
 
     def window(self, horizon: float,
                deliveries: Dict[int, List[ShardMessage]]
                ) -> List[Tuple[List[ShardMessage], float, float]]:
-        results = []
-        for program in self.programs:
-            cpu0 = time.process_time()
-            for message in deliveries.get(program.index, ()):
-                program.receive(message)
-            program.sim.run_until(horizon)
-            cpu = time.process_time() - cpu0
-            results.append((program.drain_outbox(), program.next_time(),
-                            cpu))
-        return results
+        return [_window(program, horizon, deliveries.get(program.index, ()))
+                for program in self.programs]
 
     def finish(self) -> List[Dict[str, Any]]:
-        digests = []
-        for program in self.programs:
-            summary = program.digest()
-            summary["events"] = program.sim._seq
-            summary["final_now"] = program.sim.now
-            digests.append(summary)
+        digests = [_finish(program) for program in self.programs]
         if self._profiler is not None:
-            self._profiler.disable()
-            path = os.path.join(self._profile_dir, "shard-all.prof")
-            self._profiler.dump_stats(path)
+            _dump(self._profiler,
+                  os.path.join(self._profile_dir, "shard-all.prof"))
         return digests
 
     @property
@@ -205,44 +231,22 @@ class _SequentialExecutor:
 def _shard_worker(conn, profile_path: Optional[str]) -> None:
     """Worker main: build a program from the spec sent over the pipe,
     then serve window commands until told to finish."""
-    profiler = None
-    if profile_path is not None:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
+    profiler = _profiler(profile_path is not None)
     program = None
     try:
         while True:
             command = conn.recv()
             op = command[0]
             if op == "build":
-                _op, factory, args, index = command
-                program = factory(*args)
-                program.index = index
-                program.build()
+                program = _build(*command[1:])
                 conn.send(("ok", program.sim.now))
             elif op == "start":
-                program.sim.run_until(command[1])
-                program.start()
-                conn.send(("ok", (program.drain_outbox(),
-                                  program.next_time())))
+                conn.send(("ok", _start(program, command[1])))
             elif op == "window":
-                _op, horizon, messages = command
-                cpu0 = time.process_time()
-                for message in messages:
-                    program.receive(message)
-                program.sim.run_until(horizon)
-                cpu = time.process_time() - cpu0
-                conn.send(("ok", (program.drain_outbox(),
-                                  program.next_time(), cpu)))
+                conn.send(("ok", _window(program, *command[1:])))
             elif op == "finish":
-                summary = program.digest()
-                summary["events"] = program.sim._seq
-                summary["final_now"] = program.sim.now
-                if profiler is not None:
-                    profiler.disable()
-                    profiler.dump_stats(profile_path)
-                    profiler = None
+                summary = _finish(program)
+                _dump(profiler, profile_path)
                 conn.send(("ok", summary))
                 return
             else:

@@ -32,19 +32,25 @@ from .trace import Span
 _US = 1e6
 
 
+def span_event(name: str, start: float, end: float, pid: int, tid: int,
+               labels: Dict[str, Any]) -> Dict[str, Any]:
+    """One span as a trace-event ``"X"`` (complete) event."""
+    return {
+        "name": name,
+        "ph": "X",
+        "ts": start * _US,
+        "dur": max(0.0, (end - start) * _US),
+        "pid": pid,
+        "tid": tid,
+        "args": {str(k): str(v) for k, v in sorted(labels.items())},
+    }
+
+
 def _span_events(span: Span, pid: int, tid: int,
                  end_fallback: float) -> Iterable[Dict[str, Any]]:
     for _depth, s in span.walk():
         end = s.end if s.end is not None else end_fallback
-        yield {
-            "name": s.name,
-            "ph": "X",
-            "ts": s.start * _US,
-            "dur": max(0.0, (end - s.start) * _US),
-            "pid": pid,
-            "tid": tid,
-            "args": {str(k): str(v) for k, v in sorted(s.labels.items())},
-        }
+        yield span_event(s.name, s.start, end, pid, tid, s.labels)
 
 
 def chrome_trace(spans: Iterable[Span], process_name: str = "cliquemap",

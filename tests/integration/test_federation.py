@@ -5,8 +5,9 @@ coordinator, routing each shard's outbox at every WAN-delay barrier.
 """
 
 
-from repro.core import (CellSpec, GetStatus, ReplicationMode, SetStatus,
-                        ZoneShard, ZoneShardSpec, ZoneWorkloadSpec)
+from repro.core import (CellSpec, GetResult, GetStatus, ReplicationMode,
+                        SetStatus, ZoneShard, ZoneShardSpec,
+                        ZoneWorkloadSpec)
 from repro.net import FabricConfig
 
 
@@ -106,18 +107,42 @@ def test_remote_fallback_fills_local_cell():
     pump(shards, shards[0], a.local.set(b"only-in-a", b"v"))
 
     def app():
-        first = yield from timed(shards[1].sim, b.get(b"only-in-a"))
-        second = yield from timed(shards[1].sim, b.get(b"only-in-a"))
+        first = yield from b.get(b"only-in-a")
+        second = yield from b.get(b"only-in-a")
         return first, second
 
-    (first, first_latency), (second, second_latency) = \
-        pump(shards, shards[1], app())
+    first, second = pump(shards, shards[1], app())
     assert first.status is GetStatus.HIT   # served over WAN
     assert b.stats["remote_hits"] == 1
     assert second.status is GetStatus.HIT  # now local (cache fill)
     assert b.stats["local_hits"] == 1
     # The WAN fetch was far slower than the filled local read.
-    assert first_latency > 10 * second_latency
+    assert first.latency > 10 * second.latency
+
+
+def test_every_federated_op_returns_the_local_result_type_timed_whole():
+    """A remote hit is a ``GetResult`` like a local one, and every op's
+    ``latency`` is its whole federated time on the shard's clock."""
+    shards = build()
+    a, b = (shard.fed_clients[0] for shard in shards)
+    pump(shards, shards[0], a.local.set(b"only-in-a", b"v"))
+
+    def app():
+        remote = yield from timed(shards[1].sim, b.get(b"only-in-a"))
+        local = yield from timed(shards[1].sim, b.get(b"only-in-a"))
+        miss = yield from timed(shards[1].sim, b.get(b"nowhere"))
+        write = yield from timed(shards[1].sim, b.set(b"k", b"w"))
+        return remote, local, miss, write
+
+    timings = pump(shards, shards[1], app())
+    (remote, _), (local, _), (miss, _), (write, _) = timings
+    assert type(remote) is type(local) is type(miss) is GetResult
+    assert remote.hit and remote.value == b"v" and local.hit
+    assert not miss.hit
+    assert remote.latency > 10 * local.latency
+    for result, latency in timings:
+        assert result.latency == latency
+    assert write.status is SetStatus.APPLIED
 
 
 def test_miss_everywhere_reports_miss():
