@@ -17,7 +17,7 @@ from .reporting import (render_alerts, render_metrics,
                         render_sli, render_soak_report, render_table,
                         render_timeseries, sparkline)
 from .stats import (CounterSeries, LatencyRecorder, TimeSeries, cdf_points,
-                    cpu_ns_per_op, cpu_us_per_op, ks_distance)
+                    ks_distance)
 from .stitch import (StitchedTrace, filter_traces, stitch_traces,
                      stitched_chrome_trace, walk_span_dict,
                      write_stitched_chrome_trace, zone_traces_from_digests)
@@ -28,7 +28,7 @@ __all__ = [
     "render_table", "render_alerts", "render_sli", "render_timeseries",
     "render_soak_report", "sparkline",
     "CounterSeries", "LatencyRecorder", "TimeSeries", "cdf_points",
-    "cpu_ns_per_op", "cpu_us_per_op", "ks_distance",
+    "ks_distance",
     "run_multiget_benchmark", "render_multiget_table", "write_bench_json",
     "run_kernel_stress", "run_scale_workload",
     "PERCENTILES", "run_population_arm", "compare_population",

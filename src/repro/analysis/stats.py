@@ -144,13 +144,3 @@ def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
         if gap > distance:
             distance = gap
     return distance
-
-
-def cpu_us_per_op(cpu_seconds: float, ops: int) -> float:
-    if ops <= 0:
-        raise ValueError("no operations recorded")
-    return cpu_seconds / ops * 1e6
-
-
-def cpu_ns_per_op(cpu_seconds: float, ops: int) -> float:
-    return cpu_us_per_op(cpu_seconds, ops) * 1e3

@@ -3,13 +3,13 @@
 from .backend import Backend, BackendConfig, BackendStats
 from .cell import Cell, CellSpec, make_transport
 from .checksum import CHECKSUM_BYTES, checksum_ok, kv_checksum
-from .client import (BackendView, ClientConfig, CliqueMapClient, GetResult,
-                     MutationResult, OpResult)
+from .client import ClientConfig, CliqueMapClient
 from .config import (CellConfig, ConfigStore, GetStrategy,
                      ReplicationMode)
 from .data import (DataEntryView, DataRegion, encode_entry_parts, entry_size,
                    try_decode)
-from .errors import CliqueMapError, ConfigCasError, GetStatus, SetStatus
+from .errors import (BackendView, CliqueMapError, ConfigCasError, GetResult,
+                     GetStatus, MutationResult, OpResult, SetStatus)
 from .eviction import (ArcPolicy, EvictionPolicy, LruPolicy, RandomPolicy,
                        make_policy)
 from .hashing import (KEY_HASH_BYTES, Placement, default_key_hash,

@@ -748,15 +748,8 @@ class Backend:
         arena is already at its virtual limit."""
         if self.data.populated_bytes >= self.data.arena.virtual_limit:
             return False
-        if not self._growing_data:
-            new_size = min(int(self.data.populated_bytes * GROW_FACTOR),
-                           self.data.arena.virtual_limit)
-            if new_size <= self.data.populated_bytes:
-                return False
-            self._growing_data = True
-            proc = self.sim.process(self._grow_data_region(new_size),
-                                    name=f"{self.task_name}:grow")
-            proc.defused = True
+        if not self._growing_data and not self._start_grow():
+            return False
         waiter = self.sim.event()
         self._grow_waiters.append(waiter)
         yield waiter
@@ -772,14 +765,20 @@ class Backend:
         if allocator.utilization_of_populated() < self.config.grow_watermark \
                 and allocator.headroom_bytes >= allocator.slab_bytes:
             return
+        self._start_grow()
+
+    def _start_grow(self) -> bool:
+        """Start one async grow by ``GROW_FACTOR``, capped at the virtual
+        limit; False when the arena has no room left to grow into."""
         new_size = min(int(self.data.populated_bytes * GROW_FACTOR),
                        self.data.arena.virtual_limit)
         if new_size <= self.data.populated_bytes:
-            return
+            return False
         self._growing_data = True
         proc = self.sim.process(self._grow_data_region(new_size),
                                 name=f"{self.task_name}:grow")
         proc.defused = True
+        return True
 
     def _grow_data_region(self, new_size: int) -> Generator:
         grow_bytes = new_size - self.data.populated_bytes
@@ -826,18 +825,6 @@ class Backend:
                 yield self.host.execute(2e-6, self._component)
         if rewritten % 64:
             yield self.host.execute(2e-6, self._component)
-
-    def shrink_data_region_on_restart(self, target_bytes: int) -> None:
-        """Downsizing happens via non-disruptive restart (§4.1): rebuild the
-        arena at the smaller size. Only valid when the region is empty."""
-        if self.data.allocator.used_bytes:
-            raise ValueError("shrink requires an empty data region")
-        old_window = self.data.active_window
-        self.data = DataRegion(target_bytes, self.config.data_virtual_limit,
-                               slab_bytes=self.config.slab_bytes)
-        if self.endpoint is not None:
-            self.endpoint.revoke(old_window)
-            self.endpoint.expose(self.data.active_window)
 
     def _maybe_resize_index(self) -> None:
         if self._resizing_index:

@@ -67,18 +67,6 @@ class Placement:
         return [(primary + i) % self.num_shards
                 for i in range(self.replication)]
 
-    def cohort_of(self, shard: int) -> List[int]:
-        """Shards whose keys this shard also stores (for repair scans).
-
-        Shard ``s`` holds replicas for primaries ``s, s-1, .., s-R+1``; its
-        cohort is every other shard holding any of those key ranges.
-        """
-        members = set()
-        for primary in self.primaries_held_by(shard):
-            members.update(self.shards_for_primary(primary))
-        members.discard(shard)
-        return sorted(members)
-
     def shards_for_primary(self, primary: int) -> List[int]:
         return [(primary + i) % self.num_shards
                 for i in range(self.replication)]

@@ -34,8 +34,8 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ..net import CrossShardLink, Fabric, FabricConfig
 from ..sim import Event, RandomStream, ShardProgram, Simulator
 from .cell import Cell, CellSpec
-from .client import CliqueMapClient, GetResult
-from .errors import GetStatus
+from .client import CliqueMapClient
+from .errors import GetResult, GetStatus
 
 
 #: Value size of every scripted and population SET of a zone workload.

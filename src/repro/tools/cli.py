@@ -2,12 +2,7 @@
 
 Run with ``python -m repro.tools <command>``:
 
-* ``quickstart``   — stand up a cell, run basic ops, print latencies.
-* ``ads`` / ``geo`` — run the production-shaped workloads and print the
-  Figure 8/9-style summaries.
 * ``drill``        — planned + unplanned maintenance drills (Figs 13/14).
-* ``snapshot``     — run a short mixed workload and print the monitoring
-  dashboard snapshot.
 * ``metrics``      — print the telemetry registry of a live cell
   (``--demo`` runs a small workload first and renders an op trace).
 * ``chaos``        — seeded fault-injection soak: print the fault plan,
@@ -35,60 +30,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-
-def cmd_quickstart(args: argparse.Namespace) -> int:
-    from ..core import Cell, CellSpec, GetStrategy, ReplicationMode
-
-    cell = Cell(CellSpec(mode=ReplicationMode.R3_2,
-                         num_shards=args.shards, transport=args.transport))
-    client = cell.connect_client()
-    rpc_client = cell.connect_client(strategy=GetStrategy.RPC)
-
-    def app():
-        yield from client.set(b"k", b"v" * 128)
-        rma = yield from client.get(b"k")
-        rpc = yield from rpc_client.get(b"k")
-        return rma, rpc
-
-    rma, rpc = cell.sim.run(until=cell.sim.process(app()))
-    print(f"RMA GET: {rma.status.name} in {rma.latency * 1e6:.1f} us")
-    print(f"RPC GET: {rpc.status.name} in {rpc.latency * 1e6:.1f} us")
-    print(f"speedup: {rpc.latency / rma.latency:.1f}x")
-    return 0
-
-
-def cmd_ads(args: argparse.Namespace) -> int:
-    from ..analysis import render_table
-    from ..workloads import AdsScenario, AdsWorkload
-
-    scenario = AdsScenario(duration=args.duration, num_keys=args.keys)
-    workload = AdsWorkload(scenario)
-    workload.preload()
-    metrics = workload.run()
-    print(render_table(
-        "ads", ["metric", "value"],
-        [["GETs", metrics.gets],
-         ["hit rate", f"{metrics.hit_rate:.3f}"],
-         ["p50 us", f"{metrics.get_latency.percentile(50) * 1e6:.0f}"],
-         ["p99.9 us", f"{metrics.get_latency.percentile(99.9) * 1e6:.0f}"],
-         ["SETs", metrics.sets],
-         ["backfill SETs", workload.backfill_sets]]))
-    return 0
-
-
-def cmd_geo(args: argparse.Namespace) -> int:
-    from ..analysis import render_series
-    from ..workloads import GeoScenario, GeoWorkload
-
-    scenario = GeoScenario(duration=args.duration, num_keys=args.keys)
-    workload = GeoWorkload(scenario)
-    workload.preload()
-    metrics = workload.run()
-    print(render_series("geo GET rate (diurnal)",
-                        metrics.get_timeline.rate_series(),
-                        x_label="t", y_label="GET/s"))
-    return 0
 
 
 def cmd_drill(args: argparse.Namespace) -> int:
@@ -125,25 +66,6 @@ def cmd_drill(args: argparse.Namespace) -> int:
     print(f"{args.kind} drill: {hits}/50 keys readable after the event, "
           f"{back}/{held} resident again on the restarted backend")
     return 0 if hits == 50 and back == held else 1
-
-
-def cmd_snapshot(args: argparse.Namespace) -> int:
-    from ..analysis import snapshot_cell
-    from ..core import Cell, CellSpec, ReplicationMode
-
-    cell = Cell(CellSpec(mode=ReplicationMode.R3_2,
-                         num_shards=args.shards, transport="pony"))
-    client = cell.connect_client()
-
-    def app():
-        for i in range(100):
-            yield from client.set(b"k-%d" % i, b"x" * 256)
-        for i in range(300):
-            yield from client.get(b"k-%d" % (i % 100))
-
-    cell.sim.run(until=cell.sim.process(app()))
-    print(snapshot_cell(cell, clients=[client]).render())
-    return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -471,29 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="CliqueMap reproduction: operator tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quickstart", help="basic ops + RMA-vs-RPC latency")
-    p.add_argument("--shards", type=int, default=6)
-    p.add_argument("--transport", default="pony",
-                   choices=["pony", "1rma", "rdma"])
-    p.set_defaults(func=cmd_quickstart)
-
-    p = sub.add_parser("ads", help="Ads-shaped workload (Fig 8)")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--keys", type=int, default=500)
-    p.set_defaults(func=cmd_ads)
-
-    p = sub.add_parser("geo", help="Geo-shaped diurnal workload (Fig 9)")
-    p.add_argument("--duration", type=float, default=4.0)
-    p.add_argument("--keys", type=int, default=500)
-    p.set_defaults(func=cmd_geo)
-
     p = sub.add_parser("drill", help="maintenance drill (Figs 13/14)")
     p.add_argument("kind", choices=["planned", "unplanned"])
     p.set_defaults(func=cmd_drill)
-
-    p = sub.add_parser("snapshot", help="monitoring dashboard snapshot")
-    p.add_argument("--shards", type=int, default=4)
-    p.set_defaults(func=cmd_snapshot)
 
     p = sub.add_parser("metrics",
                        help="telemetry registry snapshot of a live cell")

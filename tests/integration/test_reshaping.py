@@ -1,7 +1,5 @@
 """Memory reshaping under live traffic (§4.1, Fig 3)."""
 
-import pytest
-
 from repro.core import (BackendConfig, Cell, CellSpec, GetStatus,
                         GetStrategy, ReplicationMode)
 
@@ -117,32 +115,6 @@ def test_reads_continue_during_growth_with_old_pointers():
         assert got.hit and got.value == b"early-value"
 
     run(cell, app())
-
-
-def test_shrink_on_restart_reduces_footprint():
-    spec = CellSpec(
-        mode=ReplicationMode.R1, num_shards=1, transport="pony",
-        backend_config=BackendConfig(data_initial_bytes=1 << 20,
-                                     data_virtual_limit=8 << 20))
-    cell = Cell(spec)
-    backend = cell.backend_by_task("backend-0")
-    before = backend.data.populated_bytes
-    backend.shrink_data_region_on_restart(256 * 1024)
-    assert backend.data.populated_bytes == 256 * 1024 < before
-
-
-def test_shrink_requires_empty_region():
-    spec = CellSpec(mode=ReplicationMode.R1, num_shards=1, transport="pony")
-    cell = Cell(spec)
-    client = cell.connect_client()
-
-    def app():
-        yield from client.set(b"k", b"v")
-
-    run(cell, app())
-    backend = cell.backend_by_task("backend-0")
-    with pytest.raises(ValueError):
-        backend.shrink_data_region_on_restart(128 * 1024)
 
 
 def test_pointer_refresh_on_window_retirement():

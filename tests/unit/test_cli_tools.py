@@ -9,8 +9,7 @@ def test_parser_lists_all_commands():
     parser = build_parser()
     sub = next(a for a in parser._actions
                if hasattr(a, "choices") and a.choices)
-    assert set(sub.choices) == {"quickstart", "ads", "geo", "drill",
-                                "snapshot", "metrics", "model-check",
+    assert set(sub.choices) == {"drill", "metrics", "model-check",
                                 "trace", "chaos", "perf", "observe"}
 
 
@@ -79,25 +78,11 @@ def test_soak_report_renders_each_section_at_most_once():
     assert "wrote /x/timeseries.json" in out
 
 
-def test_quickstart_command(capsys):
-    assert main(["quickstart", "--shards", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "RMA GET: HIT" in out
-    assert "speedup" in out
-
-
 def test_model_check_command(capsys):
     assert main(["model-check", "--sets", "1", "--erases", "0",
                  "--no-crash"]) == 0
     out = capsys.readouterr().out
     assert "all invariants hold" in out
-
-
-def test_snapshot_command(capsys):
-    assert main(["snapshot", "--shards", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "backend-0" in out
-    assert "cell snapshot" in out
 
 
 def test_metrics_command(capsys):
@@ -122,11 +107,6 @@ def test_drill_unplanned(capsys):
     out = capsys.readouterr().out
     assert "50/50 keys readable" in out
     assert "50/50 resident again" in out
-
-
-def test_ads_command(capsys):
-    assert main(["ads", "--duration", "0.5", "--keys", "100"]) == 0
-    assert "hit rate" in capsys.readouterr().out
 
 
 def test_trace_synthesize_and_replay(tmp_path, capsys):

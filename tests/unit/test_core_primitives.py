@@ -41,14 +41,6 @@ def test_placement_wraps_modulo():
         assert sorted(shards) == [0, 1, 2]
 
 
-def test_placement_cohort_excludes_self():
-    placement = Placement(num_shards=10, replication=3)
-    cohort = placement.cohort_of(4)
-    assert 4 not in cohort
-    # Shard 4 shares keys with shards 2,3 (as replica) and 5,6 (as primary).
-    assert set(cohort) == {2, 3, 5, 6}
-
-
 def test_placement_validates_args():
     with pytest.raises(ValueError):
         Placement(num_shards=0)

@@ -2,6 +2,7 @@
 each other one to one. Checked without running a row: a row run fails
 on its own block's text (``benchmarks/bench_figures.py``)."""
 
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -35,3 +36,24 @@ def test_a_block_is_found_by_its_markers():
             "<!-- /figure -->\n")
     assert figures.BLOCK.findall(text) == [
         ("fig99", "== Fig 99 ==\n| a | b |")]
+
+
+def test_tables_beside_a_block_give_the_paper_side_only():
+    """A measured number lives in its block alone: in a section holding
+    a block, a hand-written table outside it has a label column and
+    columns whose header names the paper, nothing else."""
+    figures = registry()
+    copied = []
+    for section in re.split(r"(?m)^## ",
+                            figures.EXPERIMENTS.read_text())[1:]:
+        if not figures.BLOCK.search(section):
+            continue
+        previous = ""
+        for line in figures.BLOCK.sub("", section).splitlines():
+            if line.startswith("|") and not previous.startswith("|"):
+                header = [cell.strip()
+                          for cell in line.strip().strip("|").split("|")]
+                copied += [(section.splitlines()[0], cell)
+                           for cell in header[1:] if "paper" not in cell]
+            previous = line
+    assert copied == []

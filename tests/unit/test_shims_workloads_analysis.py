@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import (CounterSeries, LatencyRecorder, TimeSeries,
-                            cdf_points, cpu_ns_per_op, cpu_us_per_op,
-                            render_percentile_lines, render_series,
+                            cdf_points, render_percentile_lines, render_series,
                             render_table)
 from repro.core import Cell, CellSpec, ReplicationMode, SetStatus
 from repro.shims import PROFILES, NamedPipe, make_shim
@@ -59,13 +58,6 @@ def test_cdf_points_monotone():
     fractions = [f for _v, f in points]
     assert values == sorted(values)
     assert fractions[-1] == 1.0
-
-
-def test_cpu_per_op_helpers():
-    assert cpu_us_per_op(1.0, 1_000_000) == pytest.approx(1.0)
-    assert cpu_ns_per_op(1.0, 1_000_000) == pytest.approx(1000.0)
-    with pytest.raises(ValueError):
-        cpu_us_per_op(1.0, 0)
 
 
 def test_render_table_and_series_smoke():
