@@ -3,10 +3,9 @@ of every number a row prints: one more or one fewer moves the events."""
 
 from collections import namedtuple
 
-from repro.analysis import (CounterSeries, TimeSeries,
-                            render_percentile_lines, render_table)
-from repro.core import (BackendConfig, Cell, CellSpec, ClientConfig,
-                        GetStatus, GetStrategy, ReplicationMode)
+from repro.analysis import render_percentile_lines, render_table
+from repro.core import (BackendConfig, Cell, CellSpec, GetStrategy,
+                        ReplicationMode)
 from repro.testing import key_with_primary_shard, measure_gets, preload_keys
 
 #: One figure: its id, what it reproduces, ``build() -> (text, facts)``
@@ -107,64 +106,3 @@ def ramp_step(sim, clients, keys, stream, step, rate, seconds, issue):
 
     sim.run(until=sim.all_of([sim.process(load(c, stream.child(f"{step}-{j}")))
                               for j, c in enumerate(clients)]))
-
-
-KEYS = 120
-BIN = 0.25
-
-
-def _rpc_bytes(cell):
-    return sum(b.rpc_server.metrics.total_bytes
-               for b in cell.backends.values())
-
-
-def maintenance_timeline(cell, event_at, event):
-    """Four touch-free 2xR clients GET ``KEYS`` keys for 3 s (~40K GET/s)
-    while ``event()`` runs from ``event_at``; returns the latency, RPC
-    byte and RMA read series and the GET counts."""
-    clients = [cell.connect_client(
-        strategy=GetStrategy.TWO_R,
-        client_config=ClientConfig(touch_enabled=False))
-        for _ in range(4)]
-    sim = cell.sim
-    preload_keys(cell, clients[0], [b"key-%d" % i for i in range(KEYS)], 512)
-    latency = TimeSeries(bin_width=BIN)
-    rpc_rate = CounterSeries(bin_width=BIN)
-    reads_per_bin = CounterSeries(bin_width=BIN)
-    counts = {"total": 0, "bad": 0, "degraded": 0}
-    start = sim.now
-
-    def load(client, stride):
-        i = stride
-        while sim.now - start < 3.0:
-            before = cell.transport.counters.reads
-            result = yield from client.get(b"key-%d" % (i % KEYS))
-            reads_per_bin.add(sim.now - start,
-                              cell.transport.counters.reads - before)
-            counts["total"] += 1
-            latency.record(sim.now - start, result.latency)
-            if result.status is not GetStatus.HIT:
-                counts["bad"] += 1
-            if result.status is not GetStatus.HIT or result.attempts > 1:
-                counts["degraded"] += 1
-            i += stride
-            yield sim.timeout(1e-4)
-
-    def sampler():
-        last = _rpc_bytes(cell)
-        while sim.now - start < 3.0:
-            yield sim.timeout(BIN)
-            now_bytes = _rpc_bytes(cell)
-            rpc_rate.add(sim.now - start - 1e-3, now_bytes - last)
-            last = now_bytes
-
-    def at_event():
-        yield sim.timeout(event_at)
-        yield from event()
-
-    procs = [sim.process(load(c, 7 + i)) for i, c in enumerate(clients)]
-    procs.append(sim.process(sampler()))
-    event_proc = sim.process(at_event())
-    sim.run(until=sim.all_of(procs))
-    sim.run(until=event_proc)
-    return latency, rpc_rate, reads_per_bin, counts

@@ -6,21 +6,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from figures.drivers import (BIN, KEYS, Row, big_value_backend, build_cell,
-                             maintenance_timeline, mixed_loop, ramp_step,
-                             summary, timeline)
+from figures.drivers import (Row, big_value_backend, build_cell, mixed_loop,
+                             ramp_step, summary, timeline)
 
 from repro.analysis import LatencyRecorder, render_table
 from repro.core import (Cell, CellSpec, GetStrategy, MaintenanceConfig,
                         RepairConfig, ReplicationMode)
 from repro.net import CStateModel, Fabric, FabricConfig, HostConfig
 from repro.sim import RandomStream, Simulator
-from repro.testing import preload_keys
+from repro.testing import (TIMELINE_BIN, TIMELINE_EVENT_AT, TIMELINE_KEYS,
+                           maintenance_timeline, preload_keys)
 from repro.transport import PonyCostModel, PonyScaleConfig, PonyTransport
 
-# Figs 13 and 14: the maintenance event starts 0.5 s into the load.
-EVENT_AT = 0.5
-CRASH_AT = EVENT_AT
+CRASH_AT = TIMELINE_EVENT_AT
 RESTART_DELAY = 1.0
 
 
@@ -30,7 +28,7 @@ def fig13():
     # Touch reporting is off in the timeline's clients, so the RPC byte
     # series isolates migration traffic, as in the paper's chart.
     latency, rpc_rate, _reads, counts = maintenance_timeline(
-        cell, EVENT_AT, lambda: cell.maintenance.planned_restart(0))
+        cell, lambda: cell.maintenance.planned_restart(0))
     return "\n\n".join([
         timeline("Fig 13: planned maintenance — latency (us) & RPC bytes/s",
                  latency, (50, 99.9), ("RPC B/s", rpc_rate.per_second())),
@@ -47,13 +45,17 @@ def fig13_claim(cell, latency, rpc_rate, degraded, total):
     # Fewer than 1 op in 1000 sees degraded performance.
     assert degraded / max(1, total) < 1e-3
     # Data made two hops: out to the spare and back.
-    assert cell.maintenance.stats.entries_migrated >= 2 * KEYS
+    assert cell.maintenance.stats.entries_migrated >= 2 * TIMELINE_KEYS
     # RPC bytes show distinct bursts (migration out, migration back),
     # well above the steady-state background.
     series = rpc_rate.per_second()
     peak = max(v for _t, v in series)
     background = sorted(v for _t, v in series)[len(series) // 2]
     assert peak > 3 * max(background, 1.0)
+    bursts = [t for t, v in series if v > 3 * max(background, 1.0)]
+    assert bursts[-1] - bursts[0] > TIMELINE_BIN     # not adjacent bins
+    # A byte counter only grows, across restarts too.
+    assert min(v for _t, v in series) >= 0
     # Median latency stays flat through the event.
     medians = [v for _t, v in latency.series(50)]
     assert max(medians) < 3 * min(medians)
@@ -64,7 +66,7 @@ def fig14():
         repair_config=RepairConfig(enabled=True, scan_interval=60.0),
         maintenance_config=MaintenanceConfig())
     latency, rpc_rate, reads_per_bin, counts = maintenance_timeline(
-        cell, CRASH_AT, lambda: cell.maintenance.unplanned_crash(
+        cell, lambda: cell.maintenance.unplanned_crash(
             0, restart_delay=RESTART_DELAY))
     restored_keys = cell.backend_by_task(
         cell.task_for_shard(0)).resident_keys
@@ -77,18 +79,18 @@ def fig14():
             ["restored resident keys", restored_keys],
             ["keys recovered by repair",
              sum(s.stats.keys_recovered for s in cell.scanners.values())]]),
-    ]), (rpc_rate, reads_per_bin, counts["bad"], restored_keys)
+    ]), (latency, rpc_rate, reads_per_bin, counts["bad"], restored_keys)
 
 
-def fig14_claim(rpc_rate, reads_per_bin, bad, restored_keys):
+def fig14_claim(latency, rpc_rate, reads_per_bin, bad, restored_keys):
     # No client-visible misses: quorum masks the failure, repairs restore.
     assert bad == 0
     # The restarted backend was repopulated by repairs.
-    assert restored_keys == KEYS
+    assert restored_keys == TIMELINE_KEYS
     # A repair RPC burst is visible after the restart.
     series = dict(rpc_rate.per_second())
     burst_bins = [v for t, v in series.items()
-                  if t > CRASH_AT + RESTART_DELAY - BIN]
+                  if t > CRASH_AT + RESTART_DELAY - TIMELINE_BIN]
     quiet_bins = [v for t, v in series.items() if t < CRASH_AT]
     assert max(burst_bins) > 3 * max(max(quiet_bins), 1.0)
     # While degraded, clients send fewer RMA reads per op (2-of-3).
@@ -97,6 +99,15 @@ def fig14_claim(rpc_rate, reads_per_bin, bad, restored_keys):
                         if CRASH_AT < t < CRASH_AT + RESTART_DELAY)
     healthy_rate = max(v for t, v in reads.items() if t < CRASH_AT)
     assert degraded_rate < healthy_rate
+    # A 2xR GET reads three indexes and one data copy; with one replica
+    # down it reads two indexes and the data.
+    gets = dict(latency.counts())
+    for t, rate in reads.items():
+        per_get = rate * TIMELINE_BIN / gets[t]
+        if t < CRASH_AT:
+            assert abs(per_get - 4) <= 0.05 * 4, (t, per_get)
+        elif t < CRASH_AT + RESTART_DELAY:
+            assert abs(per_get - 3) <= 0.05 * 3, (t, per_get)
 
 
 def mean_peak_engines(groups, start, end):

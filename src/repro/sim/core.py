@@ -635,12 +635,6 @@ class Simulator:
     def _stop_callback(event: Event) -> None:
         raise StopSimulation
 
-    def peek(self) -> float:
-        """Time of the next scheduled action, or ``inf`` when idle."""
-        if self._ready:
-            return self.now
-        return self._heap[0][0] if self._heap else float("inf")
-
     # -- sharded execution (see repro.sim.parallel) -----------------------
 
     def run_until(self, horizon: float) -> float:
@@ -668,9 +662,8 @@ class Simulator:
         No not-yet-executed local action can run earlier than this time,
         so no locally-generated message can carry an earlier send time.
         A neighbour shard with lookahead ``L`` on the connecting link may
-        therefore safely advance to ``lower_bound() + L``. Identical to
-        :meth:`peek`; named separately so the synchronization protocol
-        reads as what it is.
+        therefore safely advance to ``lower_bound() + L``. It is the time
+        of the next scheduled action, or ``inf`` when idle.
         """
         if self._ready:
             return self.now

@@ -57,3 +57,13 @@ def test_tables_beside_a_block_give_the_paper_side_only():
                            for cell in header[1:] if "paper" not in cell]
             previous = line
     assert copied == []
+
+
+def test_no_block_prints_a_negative_number():
+    """Every column of a block is a latency, rate, count or share, so a
+    negative cell is a counter read going backwards."""
+    figures = registry()
+    negative = [(row_id, line) for row_id, body in figures.blocks()
+                for line in body.splitlines()
+                if re.search(r"(?<![\w.-])-\d", line)]
+    assert negative == []

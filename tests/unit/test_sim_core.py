@@ -460,11 +460,11 @@ def test_call_in_runs_function_later():
     assert log == ["soon", "later"]
 
 
-def test_peek_reports_next_event_time():
+def test_lower_bound_reports_next_event_time():
     sim = Simulator()
-    assert sim.peek() == float("inf")
+    assert sim.lower_bound() == float("inf")
     sim.call_in(7.0, lambda: None)
-    assert sim.peek() == 7.0
+    assert sim.lower_bound() == 7.0
 
 
 def test_process_return_value_via_until():
