@@ -37,8 +37,8 @@ def run_drill(kind: str):
          ["degraded fraction", f"{degraded / max(1, total):.4%}"],
          ["migrations", cell.maintenance.stats.planned_migrations],
          ["entries migrated", cell.maintenance.stats.entries_migrated],
-         ["repairs applied", sum(b.stats.repairs_applied
-                                 for b in cell.backends.values())]]))
+         ["keys recovered by repair", sum(
+             s.stats.keys_recovered for s in cell.scanners.values())]]))
     print()
     print(render_percentile_lines(
         f"{kind}: latency (us) and RPC bytes/s over the event",

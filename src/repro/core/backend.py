@@ -28,7 +28,7 @@ from .data import DataRegion, encode_entry_parts, entry_size, try_decode
 from .eviction import make_policy
 from .hashing import Placement, primary_for
 from .index import IndexRegion, make_scar_program
-from .tombstone import TombstoneCache
+from . import tombstone
 from .version import VersionNumber
 
 
@@ -123,7 +123,7 @@ class Backend:
         self.index = IndexRegion(cfg.num_buckets, cfg.ways, self.config_id)
         self.data = DataRegion(cfg.data_initial_bytes, cfg.data_virtual_limit,
                                slab_bytes=cfg.slab_bytes)
-        self.tombstones = TombstoneCache(TOMBSTONE_CAPACITY)
+        self.tombstones = tombstone.TombstoneCache(TOMBSTONE_CAPACITY)
         self.policy = make_policy(cfg.eviction_policy)
         # key_hash -> (key, value, version) for bucket-overflow spills.
         self.overflow: Dict[bytes, Tuple[bytes, bytes, VersionNumber]] = {}
@@ -302,14 +302,13 @@ class Backend:
         key_hash = self.placement.key_hash(key)
         yield from self._lock_key(key_hash)
         try:
-            where = self._locate(key_hash)
-            if version <= self._stored_version(key_hash, where[2]):
-                return {"applied": False, "reason": "superseded",
-                        "config_id": self.config_id}
-            yield from self._remove_entry(key_hash, where)
-            self.tombstones.note_erase(key_hash, version)
-            self.stats.erases_applied += 1
-            return {"applied": True, "reason": "ok",
+            where, floor = self._floor(key_hash)
+            applied, reason = tombstone.arbitrate(version, floor)
+            if applied:
+                yield from self._remove_entry(key_hash, where)
+                self.tombstones.note_erase(key_hash, version)
+                self.stats.erases_applied += 1
+            return {"applied": applied, "reason": reason,
                     "config_id": self.config_id}
         finally:
             self._unlock_key(key_hash)
@@ -327,15 +326,11 @@ class Backend:
         # not both pass the check (that would lose one update).
         yield from self._lock_key(key_hash)
         try:
-            where = self._locate(key_hash)
-            stored = self._stored_version(key_hash, where[2])
-            if stored != expected:
-                self.stats.cas_failed += 1
-                return {"applied": False, "reason": "version-mismatch",
-                        "stored_version": stored.pack(),
-                        "config_id": self.config_id}
-            applied, reason = yield from self._apply_set_locked(
-                key, key_hash, value, new_version, where)
+            where, floor = self._floor(key_hash)
+            applied, reason = tombstone.arbitrate(new_version, floor, expected)
+            if applied:
+                applied, reason = yield from self._install_locked(
+                    key, key_hash, value, new_version, where)
         finally:
             self._unlock_key(key_hash)
         if applied:
@@ -343,7 +338,7 @@ class Backend:
         else:
             self.stats.cas_failed += 1
         return {"applied": applied, "reason": reason,
-                "stored_version": stored.pack(),
+                "stored_version": floor.pack(),
                 "config_id": self.config_id}
 
     def _handle_lookup(self, payload, context: HandlerContext) -> Generator:
@@ -512,16 +507,17 @@ class Backend:
             return bucket, None, None
         return bucket, way, self.index.read_entry(bucket, way)
 
-    def _stored_version(self, key_hash: bytes, entry) -> VersionNumber:
-        """Highest version known for this key: its index ``entry`` (from
-        :meth:`_locate`, under the same key lock), overflow, tombstones."""
+    def _floor(self, key_hash: bytes):
+        """:meth:`_locate`'s answer and the key's floor for
+        :func:`tombstone.arbitrate`: index entry, overflow, tombstones."""
+        where = self._locate(key_hash)
         best = self.tombstones.version_floor(key_hash)
-        if entry is not None:
-            best = max(best, entry.version)
+        if where[2] is not None:
+            best = max(best, where[2].version)
         spilled = self.overflow.get(key_hash)
         if spilled is not None:
             best = max(best, spilled[2])
-        return best
+        return where, best
 
     def lookup_local(self, key: bytes) -> Optional[Tuple[bytes,
                                                          VersionNumber]]:
@@ -551,26 +547,27 @@ class Backend:
 
     def _apply_set(self, key: bytes, value: bytes,
                    version: VersionNumber) -> Generator:
-        """Install key=value at version; monotonic, tearing-aware."""
+        """Arbitrate, then install key=value at version (tearing-aware)."""
         yield from self._stall_if_resizing()
         key_hash = self.placement.key_hash(key)
         yield from self._lock_key(key_hash)
         try:
-            return (yield from self._apply_set_locked(
-                key, key_hash, value, version, self._locate(key_hash)))
+            where, floor = self._floor(key_hash)
+            applied, reason = tombstone.arbitrate(version, floor)
+            if applied:
+                applied, reason = yield from self._install_locked(
+                    key, key_hash, value, version, where)
+            return applied, reason
         finally:
             self._unlock_key(key_hash)
 
-    def _apply_set_locked(self, key: bytes, key_hash: bytes, value: bytes,
-                          version: VersionNumber, where) -> Generator:
-        """``where`` is :meth:`_locate`'s answer, under the key lock with
-        no ``yield`` since. What runs after a ``yield`` below (the free-way
-        scan, ``write_entry``'s validity test) reads the index again:
-        eviction, promotion and index resize do not take this key's lock."""
+    def _install_locked(self, key: bytes, key_hash: bytes, value: bytes,
+                        version: VersionNumber, where) -> Generator:
+        """Install at ``where``, :meth:`_floor`'s answer under the key lock
+        with no ``yield`` since. What runs after a ``yield`` below (the
+        free-way scan, ``write_entry``'s validity test) reads the index
+        again: eviction, promotion and index resize do not take its lock."""
         bucket, way, entry = where
-        if version <= self._stored_version(key_hash, entry):
-            return False, "superseded"
-
         size = entry_size(len(key), len(value))
 
         if way is not None:

@@ -8,14 +8,37 @@ the largest version ever evicted from the cache. For a key absent from
 the cache, the summary is a safe upper bound — reasoning becomes
 coarse-grained (a fresh SET below the summary is rejected even if the key
 was never erased) but never inconsistent.
+
+:func:`arbitrate` is the one replica-side apply rule (§5.2): every SET,
+multi-SET entry, CAS, ERASE and installed entry the backend handles, and
+every delivery the R=3.2 model checker explores, is decided by it against
+the floor this cache contributes to. It knows nothing of the simulator,
+and its versions need only ``<=`` and ``!=`` — the model passes ints.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from .version import VersionNumber
+
+
+def arbitrate(incoming, floor, expected=None) -> Tuple[bool, str]:
+    """Decide one mutation at one replica: ``(applied, reason)``.
+
+    ``floor`` is the highest version the replica knows for the key —
+    stored value, overflow copy or erase floor, whichever is highest.
+    ``expected`` is a CAS's condition (``None`` for SET / ERASE /
+    install): a CAS applies only on the floor it names, so a CAS
+    expecting "absent" fails after an ERASE. Anything not newer than the
+    floor is superseded (an equal version is a redelivery).
+    """
+    if expected is not None and floor != expected:
+        return False, "version-mismatch"
+    if incoming <= floor:
+        return False, "superseded"
+    return True, "ok"
 
 
 class TombstoneCache:

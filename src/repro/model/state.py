@@ -6,6 +6,23 @@ replicas holding per-key versions, uncoordinated mutations delivered to
 replicas in any order, monotonic apply, tombstones, at most one crashed
 replica (with repair on restart), and quorum reads.
 
+The two rules the proof is about are the shipped ones, not copies: every
+delivery is decided by :func:`repro.core.tombstone.arbitrate`, the rule
+the backend's SET / CAS / ERASE handlers and ``install_entries`` call,
+and every read by :func:`repro.core.quorum.evaluate`, the rule the
+client's ballots call. A bug injected into either is a bug the checker
+sees. Two gaps remain between model and shipped code:
+
+* The model never redelivers a mutation to a replica that already
+  processed it, so the rule's ``<=`` mutated to ``<`` (an equal version
+  re-applied) passes every bound. The backend does see equal versions:
+  each re-run handoff sweep re-installs what its target already holds.
+* :meth:`ModelState.restart_with_repair` adopts the cohort's erase
+  floor, but the shipped ``RepairScanner.recover_from`` pulls resident
+  entries only (``Backend.held_versions`` ships no tombstones). Modelling
+  that pull still checks ok at ``check(2, 1, 0, crash)``, over 478,959
+  states rather than 544,449.
+
 States are small immutable tuples so the checker can enumerate the full
 reachable space by breadth-first search.
 """
@@ -13,7 +30,10 @@ reachable space by breadth-first search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
+
+from ..core import quorum, tombstone
 
 REPLICAS = 3
 QUORUM = 2
@@ -80,31 +100,28 @@ class ModelState:
 
     # -- replica-side transition -------------------------------------------
 
-    def apply(self, mutation: Mutation, replica: int) -> "ModelState":
-        """Deliver ``mutation`` to ``replica`` (monotonic apply, §5.2).
+    def verdict(self, mutation: Mutation, replica: int) -> Tuple[bool, str]:
+        """``(applied, reason)`` for delivering ``mutation`` to
+        ``replica``: the backend's rule, :func:`tombstone.arbitrate`,
+        over the replica's floor (stored value or erase floor). A CAS is
+        decided atomically with its install, as under the backend's
+        per-key lock (the TOCTOU the implementation must not have)."""
+        floor = max(self.stored[replica], self.erased[replica])
+        expected = mutation.expected if mutation.kind == "cas" else None
+        return tombstone.arbitrate(mutation.version, floor, expected)
 
-        CAS applies only when the stored version equals its expectation —
-        checked atomically with the install, under the backend's per-key
-        lock (the TOCTOU the implementation must not have).
-        """
+    def apply(self, mutation: Mutation, replica: int) -> "ModelState":
+        """Deliver ``mutation`` to ``replica``, as :meth:`verdict` decides."""
         if replica == self.crashed:
             raise ValueError("cannot deliver to a crashed replica")
         stored = list(self.stored)
         erased = list(self.erased)
-        floor = max(stored[replica], erased[replica])
-        did_apply = False
-        if mutation.version > floor:
-            if mutation.kind == "set":
-                stored[replica] = mutation.version
-                did_apply = True
-            elif mutation.kind == "cas":
-                if stored[replica] == mutation.expected:
-                    stored[replica] = mutation.version
-                    did_apply = True
-            else:
-                stored[replica] = ABSENT
-                erased[replica] = mutation.version
-                did_apply = True
+        did_apply, _reason = self.verdict(mutation, replica)
+        if did_apply and mutation.kind == "erase":
+            stored[replica] = ABSENT
+            erased[replica] = mutation.version
+        elif did_apply:
+            stored[replica] = mutation.version
         # Match the pending entry by logical identity (kind, version) so
         # callers may hold a stale handle with an older delivered-set.
         pending = tuple(
@@ -205,18 +222,13 @@ class ModelState:
     def quorum_reads(self) -> Tuple[Optional[int], ...]:
         """Every outcome a quorum GET could observe right now.
 
-        A read samples all live replicas; any two agreeing on (presence,
-        version) decide. Returns decided outcomes only (a racing client
-        would retry the undecided cases). ``ABSENT`` means a decided miss.
+        A read asks all three replicas (a crashed one votes an error) and
+        the client's rule, :func:`quorum.evaluate`, decides. With three
+        replicas at most one value can win two votes, so this is ``()``
+        (a racing client would retry) or one outcome; ``ABSENT`` means a
+        decided miss.
         """
-        live = self.live_replicas()
-        outcomes = set()
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                a, b = live[i], live[j]
-                if self.stored[a] == self.stored[b]:
-                    outcomes.add(self.stored[a])
-        return tuple(sorted(outcomes))
+        return _decided_reads(self.stored, self.crashed)
 
     # -- invariant inputs ----------------------------------------------------
 
@@ -250,3 +262,20 @@ class ModelState:
         if any(e > version for e in self.erased):
             return True
         return False
+
+
+@lru_cache(maxsize=None)
+def _decided_reads(stored: Tuple[int, ...],
+                   crashed: Optional[int]) -> Tuple[Optional[int], ...]:
+    """:meth:`ModelState.quorum_reads`, memoised: a function of the
+    stored triple and the crashed replica alone."""
+    kind = quorum.VoteKind
+    votes = [quorum.ReplicaVote(str(i), kind.ERROR if i == crashed else
+                                kind.ABSENT if version == ABSENT else
+                                kind.PRESENT, version)
+             for i, version in enumerate(stored)]
+    decision = quorum.evaluate(votes, REPLICAS, QUORUM)
+    if decision.outcome in (quorum.QuorumOutcome.PRESENT,
+                            quorum.QuorumOutcome.ABSENT):
+        return (decision.version or ABSENT,)
+    return ()

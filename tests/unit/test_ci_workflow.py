@@ -36,7 +36,7 @@ def test_workflow_keeps_four_jobs_and_every_smoke_row_runs_something():
     assert sorted(doc["jobs"]) == ["lint", "perf-selfcheck", "smoke", "tests"]
     rows = doc["jobs"]["smoke"]["strategy"]["matrix"]["include"]
     names = [row["name"] for row in rows]
-    assert len(names) == len(set(names)) == 11
+    assert len(names) == len(set(names)) == 12
     assert all(row["run"].strip() for row in rows)
 
 

@@ -152,39 +152,20 @@ def test_model_is_not_vacuous():
     assert check_double_failure_breaks()
 
 
-def test_injected_bug_is_caught():
-    """Break monotonic apply and the checker must find a counterexample."""
-    import repro.model.state as state_mod
+def test_injected_bug_is_caught(monkeypatch):
+    """Drop the shared apply rule's monotonic check and the checker must
+    find a counterexample."""
+    from repro.core import tombstone
 
-    original = state_mod.ModelState.apply
+    def last_delivery_wins(incoming, floor, expected=None):
+        if expected is not None and floor != expected:
+            return False, "version-mismatch"
+        return True, "ok"
 
-    def buggy_apply(self, mutation, replica):
-        # Bug: last-delivery-wins instead of monotonic versions.
-        if replica == self.crashed:
-            raise ValueError("cannot deliver to a crashed replica")
-        stored = list(self.stored)
-        erased = list(self.erased)
-        if mutation.kind == "set":
-            stored[replica] = mutation.version
-        else:
-            stored[replica] = 0
-            erased[replica] = max(erased[replica], mutation.version)
-        new_mutation = mutation.deliver_to(replica, True)
-        pending = tuple(
-            new_mutation
-            if (m.kind, m.version) == (mutation.kind, mutation.version)
-            else m for m in self.pending)
-        pending = tuple(m for m in pending if not m.fully_delivered)
-        return state_mod.ModelState(tuple(stored), tuple(erased), pending,
-                                    self.crashed, self.issued_max)
-
-    state_mod.ModelState.apply = buggy_apply
-    try:
-        result = check(max_sets=2, max_erases=1, allow_crash=False)
-    finally:
-        state_mod.ModelState.apply = original
+    monkeypatch.setattr(tombstone, "arbitrate", last_delivery_wins)
+    result = check(max_sets=2, max_erases=1, allow_crash=False)
     assert not result.ok
-    assert "I" in result.counterexample.detail
+    assert result.counterexample.detail.startswith("I2")
 
 
 # -- CAS in the model (I5 lost-update freedom) -------------------------------
@@ -224,41 +205,60 @@ def test_full_check_with_cas_holds_lost_update_freedom():
     assert result.ok, result.counterexample and result.counterexample.detail
 
 
-def test_injected_cas_toctou_bug_is_caught():
-    """Remove the atomic expected-check (the real bug fixed in the
-    backend) and the checker must produce an I5 counterexample."""
-    import repro.model.state as state_mod
-    from repro.model import check
+def test_injected_cas_toctou_bug_is_caught(monkeypatch):
+    """Let the shared rule apply a CAS on a mismatch (its expected check
+    done earlier, outside the key lock) and the checker must produce an
+    I5 counterexample."""
+    from repro.core import tombstone
 
-    original = state_mod.ModelState.apply
+    real = tombstone.arbitrate
 
-    def buggy_apply(self, mutation, replica):
-        if mutation.kind != "cas":
-            return original(self, mutation, replica)
-        # Bug: apply the CAS as a plain monotonic SET — the expected
-        # check happened earlier, outside the lock (TOCTOU).
-        stored = list(self.stored)
-        erased = list(self.erased)
-        floor = max(stored[replica], erased[replica])
-        did_apply = False
-        if mutation.version > floor:
-            stored[replica] = mutation.version
-            did_apply = True
-        pending = tuple(
-            m.deliver_to(replica, did_apply)
-            if (m.kind, m.version) == (mutation.kind, mutation.version)
-            else m for m in self.pending)
-        history = self.history | frozenset(
-            m for m in pending if m.fully_delivered and m.kind == "cas")
-        pending = tuple(m for m in pending if not m.fully_delivered)
-        return state_mod.ModelState(tuple(stored), tuple(erased), pending,
-                                    self.crashed, self.issued_max, history)
+    def unconditional(incoming, floor, expected=None):
+        return real(incoming, floor)
 
-    state_mod.ModelState.apply = buggy_apply
-    try:
-        result = check(max_sets=0, max_erases=0, max_cas=2,
-                       allow_crash=False)
-    finally:
-        state_mod.ModelState.apply = original
+    monkeypatch.setattr(tombstone, "arbitrate", unconditional)
+    result = check(max_sets=0, max_erases=0, max_cas=2, allow_crash=False)
     assert not result.ok
-    assert "I5" in result.counterexample.detail
+    assert result.counterexample.detail.startswith("I5")
+
+
+def test_cas_after_erase_decided_alike_by_model_and_backend():
+    """set -> erase -> CAS(expected absent) -> CAS(expected the erase):
+    one model replica and one real backend give the same verdicts — a
+    CAS conditions on the erase floor, not on "absent"."""
+    from repro.core import (Cell, CellSpec, ReplicationMode, TrueTime,
+                            VersionFactory, VersionNumber)
+    from repro.rpc import Principal, connect
+
+    state, model = ModelState(), []
+    for kind, expected in (("set", -1), ("erase", -1), ("cas", ABSENT),
+                           ("cas", 2)):
+        state = state.issue(kind, expected=expected)
+        mutation = state.pending[-1]
+        model.append(state.verdict(mutation, 0))
+        state = state.apply(mutation, 0)
+
+    cell = Cell(CellSpec(mode=ReplicationMode.R1, num_shards=1))
+    backend = cell.backend_by_task("backend-0")
+    channel = connect(cell.sim, cell.fabric,
+                      cell.fabric.add_host("host/test-driver"),
+                      backend.rpc_server, Principal("test"))
+    versions = VersionFactory(77, TrueTime(cell.sim))
+    v1, v2, v3, v4 = (versions.next() for _ in range(4))
+    calls = [("Set", {"key": b"k", "value": b"v", "version": v1.pack()}),
+             ("Erase", {"key": b"k", "version": v2.pack()})]
+    for new, expected in ((v3, VersionNumber.zero()), (v4, v2)):
+        calls.append(("Cas", {"key": b"k", "value": b"c",
+                              "new_version": new.pack(),
+                              "expected_version": expected.pack()}))
+
+    def driver():
+        replies = []
+        for method, payload in calls:
+            reply = yield from channel.call(method, payload)
+            replies.append((reply["applied"], reply["reason"]))
+        return replies
+
+    real = cell.sim.run(until=cell.sim.process(driver()))
+    assert model == real == [(True, "ok"), (True, "ok"),
+                             (False, "version-mismatch"), (True, "ok")]
